@@ -23,6 +23,12 @@ import (
 // startChaosNodes is startNetNodes with the resilient-delivery knobs
 // turned on and a per-node chaos layer wrapped around the transport.
 func startChaosNodes(t *testing.T, members []string, chaosFor func(node string) *muppet.ChaosConfig) map[string]muppet.Engine {
+	return startChaosApp(t, netCounterApp, 0, members, chaosFor)
+}
+
+// startChaosApp is startChaosNodes for any application; threads sets
+// ThreadsPerMachine (0 keeps the default).
+func startChaosApp(t *testing.T, app func() *muppet.App, threads int, members []string, chaosFor func(node string) *muppet.ChaosConfig) map[string]muppet.Engine {
 	t.Helper()
 	addrs := reserveAddrs(t, len(members))
 	all := make(map[string]string, len(members))
@@ -38,11 +44,12 @@ func startChaosNodes(t *testing.T, members []string, chaosFor func(node string) 
 				peers[name] = a
 			}
 		}
-		eng, err := muppet.NewEngine(netCounterApp(), muppet.Config{
-			QueueCapacity: 1 << 14,
-			FlushPolicy:   muppet.WriteThrough,
-			Store:         store,
-			StoreLevel:    muppet.One,
+		eng, err := muppet.NewEngine(app(), muppet.Config{
+			ThreadsPerMachine: threads,
+			QueueCapacity:     1 << 14,
+			FlushPolicy:       muppet.WriteThrough,
+			Store:             store,
+			StoreLevel:        muppet.One,
 			Network: &muppet.NetworkConfig{
 				Node:         m,
 				Listen:       all[m],

@@ -24,7 +24,9 @@ var ErrNoHandler = errors.New("cluster: no delivery handler registered")
 
 // Handler delivers an event addressed to a named worker (or queue) on
 // a machine. It returns an error if the local queue rejects the event.
-type Handler func(worker string, e event.Event) error
+// wait is false when the producer must not be slowed (Cluster.Offer):
+// the handler then rejects on a full queue whatever the overflow policy.
+type Handler func(worker string, e event.Event, wait bool) error
 
 // Delivery is one event addressed to a named worker, carried in a
 // batch send. Tag is an opaque caller-side index (the engines use it
@@ -161,6 +163,7 @@ type Cluster struct {
 	netTime atomic.Int64 // accumulated simulated network nanoseconds
 	sends   atomic.Uint64
 	recvs   atomic.Uint64 // remote-origin batches delivered locally
+	recvDs  atomic.Uint64 // deliveries those batches carried
 
 	retries       atomic.Uint64 // re-attempts after a transient fault
 	transientErrs atomic.Uint64 // transient faults observed on sends
@@ -534,6 +537,18 @@ func jitterBackoff(d time.Duration) time.Duration {
 // transient-fault retry budget is spent, unreachable — the
 // failure-detection signal of Section 4.3.
 func (c *Cluster) Send(machine, worker string, e event.Event) error {
+	return c.send(machine, worker, e, true)
+}
+
+// Offer is Send for a producer that must never wait on a worker queue
+// (a worker's own emits): on a machine this node hosts, the handler is
+// told not to wait, so a full queue rejects with queue.ErrOverflow even
+// under the Block policy.
+func (c *Cluster) Offer(machine, worker string, e event.Event) error {
+	return c.send(machine, worker, e, false)
+}
+
+func (c *Cluster) send(machine, worker string, e event.Event, wait bool) error {
 	m := c.machines[machine]
 	if m == nil {
 		return fmt.Errorf("cluster: unknown machine %s", machine)
@@ -541,7 +556,14 @@ func (c *Cluster) Send(machine, worker string, e event.Event) error {
 	c.sends.Add(1)
 	c.netTime.Add(int64(c.cfg.SendLatency))
 	if m.local {
-		return c.deliverOne(m, worker, e)
+		if !m.alive.Load() {
+			return ErrMachineDown
+		}
+		h, _ := m.handler.Load().(Handler)
+		if h == nil {
+			return ErrNoHandler
+		}
+		return h(worker, e, wait)
 	}
 	_, rejects, err := c.sendRemote(m, []Delivery{{Worker: worker, Ev: e}})
 	if err != nil {
@@ -551,19 +573,6 @@ func (c *Cluster) Send(machine, worker string, e event.Event) error {
 		return rejects[0].Err
 	}
 	return nil
-}
-
-// deliverOne runs the local delivery path for one event: liveness
-// check, then the machine's handler.
-func (c *Cluster) deliverOne(m *Machine, worker string, e event.Event) error {
-	if !m.alive.Load() {
-		return ErrMachineDown
-	}
-	h, _ := m.handler.Load().(Handler)
-	if h == nil {
-		return ErrNoHandler
-	}
-	return h(worker, e)
 }
 
 // deliverBatch runs the local delivery path for a batch: one liveness
@@ -591,7 +600,7 @@ func (c *Cluster) deliverBatch(m *Machine, ds []Delivery) (accepted int, rejects
 		return 0, nil, ErrNoHandler
 	}
 	for i, d := range ds {
-		if e := h(d.Worker, d.Ev); e != nil {
+		if e := h(d.Worker, d.Ev, true); e != nil {
 			rejects = append(rejects, BatchReject{Index: i, Err: e})
 		} else {
 			accepted++
@@ -631,6 +640,7 @@ func (c *Cluster) DeliverLocal(machine string, id BatchID, ds []Delivery) (accep
 		entry = e
 	}
 	c.recvs.Add(1)
+	c.recvDs.Add(uint64(len(ds)))
 	hook, _ := c.inflight.Load().(func(int))
 	if hook != nil {
 		hook(len(ds))
@@ -690,9 +700,11 @@ func (c *Cluster) NetworkStats() (sends uint64, simTime time.Duration) {
 	return c.sends.Load(), time.Duration(c.netTime.Load())
 }
 
-// Recvs reports the number of remote-origin deliveries (batches and
-// single sends) this node has accepted from its transport.
-func (c *Cluster) Recvs() uint64 { return c.recvs.Load() }
+// Recvs reports the number of remote-origin batches (DeliverLocal
+// calls that were not absorbed as duplicates) this node has accepted
+// from its transport, and RecvDeliveries the deliveries they carried.
+func (c *Cluster) Recvs() uint64          { return c.recvs.Load() }
+func (c *Cluster) RecvDeliveries() uint64 { return c.recvDs.Load() }
 
 // Master implements the paper's failure protocol: workers that fail to
 // contact a machine report it; the master broadcasts the failure to

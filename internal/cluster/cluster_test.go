@@ -13,7 +13,7 @@ func TestSendDeliversToHandler(t *testing.T) {
 	c := New(Config{Machines: 2})
 	var got event.Event
 	var worker string
-	c.SetHandler("machine-01", func(w string, e event.Event) error {
+	c.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
 		worker, got = w, e
 		return nil
 	})
@@ -28,7 +28,7 @@ func TestSendDeliversToHandler(t *testing.T) {
 
 func TestSendToCrashedMachineFails(t *testing.T) {
 	c := New(Config{Machines: 2})
-	c.SetHandler("machine-00", func(string, event.Event) error { return nil })
+	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
 	c.Crash("machine-00")
 	if err := c.Send("machine-00", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("err = %v, want ErrMachineDown", err)
@@ -55,7 +55,7 @@ func TestSendWithoutHandler(t *testing.T) {
 
 func TestNetworkAccounting(t *testing.T) {
 	c := New(Config{Machines: 1, SendLatency: time.Millisecond})
-	c.SetHandler("machine-00", func(string, event.Event) error { return nil })
+	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
 	for i := 0; i < 10; i++ {
 		c.Send("machine-00", "w", event.Event{})
 	}
@@ -147,7 +147,7 @@ func TestPingAllDetectsCrashed(t *testing.T) {
 func TestConcurrentSendsAndCrash(t *testing.T) {
 	c := New(Config{Machines: 2})
 	var delivered sync.Map
-	c.SetHandler("machine-01", func(w string, e event.Event) error {
+	c.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
 		delivered.Store(e.Seq, true)
 		return nil
 	})
@@ -173,7 +173,7 @@ func TestConcurrentSendsAndCrash(t *testing.T) {
 func TestSendBatchFallsBackToPerDeliveryHandler(t *testing.T) {
 	c := New(Config{Machines: 1})
 	var got []string
-	c.SetHandler("machine-00", func(worker string, e event.Event) error {
+	c.SetHandler("machine-00", func(worker string, e event.Event, _ bool) error {
 		got = append(got, worker+":"+e.Key)
 		return nil
 	})
@@ -212,7 +212,7 @@ func TestSendBatchUsesBatchHandlerAndReportsRejects(t *testing.T) {
 
 func TestSendBatchToCrashedMachineFailsWhole(t *testing.T) {
 	c := New(Config{Machines: 1})
-	c.SetHandler("machine-00", func(string, event.Event) error { return nil })
+	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
 	c.Crash("machine-00")
 	_, _, err := c.SendBatch("machine-00", []Delivery{{Worker: "f"}})
 	if err != ErrMachineDown {
@@ -222,7 +222,7 @@ func TestSendBatchToCrashedMachineFailsWhole(t *testing.T) {
 
 func TestSendBatchChargesOneHop(t *testing.T) {
 	c := New(Config{Machines: 1, SendLatency: time.Millisecond})
-	c.SetHandler("machine-00", func(string, event.Event) error { return nil })
+	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
 	ds := make([]Delivery, 64)
 	if _, _, err := c.SendBatch("machine-00", ds); err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ type recorder struct {
 }
 
 func (r *recorder) install(host *Cluster) {
-	host.SetHandler("machine-01", func(w string, e event.Event) error {
+	host.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
 		return r.accept(Delivery{Worker: w, Ev: e})
 	})
 	host.SetBatchHandler("machine-01", func(ds []Delivery) []error {

@@ -57,9 +57,9 @@
 // # Wire format
 //
 // The TCP transport frames strict request/response exchanges as
-// u32-length-prefixed bodies encoded with the framed pooled codec from
-// internal/slate (PR 4), one pooled connection per destination with
-// reconnect/backoff, and one coalesced write+flush per SendBatch so
-// the PR 3 batch amortization survives the socket hop. See wire.go for
-// the exact layout.
+// u32-length-prefixed bodies — event frames raw, query frames through
+// the pooled codec of internal/frame — over one pooled connection per
+// destination with reconnect/backoff, and one coalesced write+flush per
+// SendBatch so the batch amortization survives the socket hop. See
+// wire.go for the exact layout.
 package cluster

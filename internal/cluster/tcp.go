@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"muppet/internal/slate"
+	"muppet/internal/frame"
 )
 
 // TCPConfig tunes the TCP transport.
@@ -70,10 +70,10 @@ type TCPStats struct {
 }
 
 // TCP is the real-network Transport: stdlib net, one pooled connection
-// per destination with reconnect/backoff, length-prefixed frames whose
-// bodies go through the framed pooled slate codec, and write coalescing
-// so a whole SendBatch costs one buffered write + flush rather than a
-// syscall per event.
+// per destination with reconnect/backoff, length-prefixed frames (event
+// frames raw, query frames through the pooled frame codec — see
+// wire.go), and write coalescing so a whole SendBatch costs one buffered
+// write + flush rather than a syscall per event.
 //
 // Construction is three steps, because the transport and the cluster
 // need each other: NewTCP binds the listener, cluster.New wires the
@@ -116,8 +116,8 @@ type tcpPeer struct {
 	br      *bufio.Reader
 	next    time.Time     // earliest next dial attempt
 	backoff time.Duration // current redial delay
-	plain   []byte        // scratch: pre-codec message
-	body    []byte        // scratch: encoded frame body
+	plain   []byte        // scratch: pre-codec query message
+	body    []byte        // scratch: frame body, outbound then inbound
 }
 
 // NewTCP builds the transport and, if cfg.Listen is set, binds the
@@ -260,7 +260,7 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 		return 0, nil, err
 	}
 
-	p.plain = encodeRequest(p.plain[:0], id, machine, ds)
+	p.body = encodeRequest(append(p.body[:0], frame.HeaderRaw), id, machine, ds)
 	resp, sent, err := p.exchangeLocked(t)
 	if err != nil {
 		p.failLocked(t)
@@ -307,6 +307,7 @@ func (t *TCP) Query(machine string, req []byte) ([]byte, error) {
 	}
 
 	p.plain = encodeQueryRequest(p.plain[:0], machine, req)
+	p.body = frame.AppendEncode(p.body[:0], p.plain)
 	resp, _, err := p.exchangeLocked(t)
 	if err != nil {
 		p.failLocked(t)
@@ -350,8 +351,9 @@ func (p *tcpPeer) connectLocked(t *TCP) error {
 	return nil
 }
 
-// exchangeLocked writes the staged plain request as one frame and
-// reads the response frame.
+// exchangeLocked writes the request body staged in p.body as one frame
+// and reads the response frame. The returned plain response aliases
+// p.body; the response decoders copy out what they keep.
 func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 	// sent flips once the request frame is fully flushed: from that
 	// point a failure is indeterminate — a whole frame went out, so the
@@ -363,7 +365,6 @@ func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 		// without the IO timeout a hung peer would wedge the sender.
 		return nil, false, fmt.Errorf("set deadline: %w", err)
 	}
-	p.body = slate.AppendEncode(p.body[:0], p.plain)
 	if err := writeFrame(p.bw, p.body); err != nil {
 		return nil, false, err
 	}
@@ -374,8 +375,19 @@ func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 		return nil, true, err
 	}
 	p.body = body
-	dec, err := slate.Decode(body)
+	dec, err := plainOf(body)
 	return dec, true, err
+}
+
+// plainOf strips a frame body's codec: a raw body (every event frame
+// this version writes) is returned without copying — the wire decoders
+// copy out every string and blob they keep — and anything else goes
+// through the frame codec.
+func plainOf(body []byte) ([]byte, error) {
+	if len(body) > 0 && body[0] == frame.HeaderRaw {
+		return body[1:], nil
+	}
+	return frame.Decode(body)
 }
 
 // failLocked tears down the connection and arms the redial backoff.
@@ -442,6 +454,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var body, plain []byte
+	names := make(interner)
 	for {
 		var err error
 		body, err = readFrameInto(br, body[:0], t.cfg.MaxFrame)
@@ -450,7 +463,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		}
 		t.framesIn.Add(1)
 		t.bytesIn.Add(uint64(len(body)))
-		req, err := slate.Decode(body)
+		req, err := plainOf(body)
 		if err != nil || len(req) == 0 {
 			return
 		}
@@ -470,13 +483,13 @@ func (t *TCP) serveConn(conn net.Conn) {
 				}
 			}
 			plain = encodeQueryResponse(plain[:0], status, result)
-			body = slate.AppendEncode(body[:0], plain)
+			body = frame.AppendEncode(body[:0], plain)
 			if err := writeFrame(bw, body); err != nil {
 				return
 			}
 			continue
 		}
-		id, machine, ds, err := decodeRequest(req)
+		id, machine, ds, err := names.decodeRequest(req)
 		if err != nil {
 			return
 		}
@@ -489,8 +502,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			accepted, rejects, err = clu.DeliverLocal(machine, id, ds)
 			status = statusOf(err)
 		}
-		plain = encodeResponse(plain[:0], status, accepted, rejects)
-		body = slate.AppendEncode(body[:0], plain)
+		body = encodeResponse(append(body[:0], frame.HeaderRaw), status, accepted, rejects)
 		if err := writeFrame(bw, body); err != nil {
 			return
 		}

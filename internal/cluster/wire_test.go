@@ -119,3 +119,50 @@ func TestWireWrongKind(t *testing.T) {
 		t.Fatal("request bytes accepted as response")
 	}
 }
+
+// TestWireInternerSharesNamesAndStaysBounded: a connection's interner
+// decodes to the same deliveries as the plain decoder while allocating
+// the small-vocabulary names (sender, machine, worker, stream) once per
+// connection rather than once per delivery — and hostile input cannot
+// grow it past its caps.
+func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
+	const n = 64
+	ds := make([]Delivery, n)
+	for i := range ds {
+		ds[i] = Delivery{Worker: "U_rep", Ev: event.Event{Stream: "S2", Seq: uint64(i), Key: "k", Value: []byte("v")}}
+	}
+	p := encodeRequest(nil, BatchID{Sender: "machine-00", Epoch: 1, Seq: 1}, "machine-01", ds)
+
+	names := make(interner)
+	_, _, want, err := decodeRequest(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, got, err := names.decodeRequest(p)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("interned decode: %d deliveries, err %v", len(got), err)
+	}
+	for i := range want {
+		if got[i].Worker != want[i].Worker || got[i].Ev.Stream != want[i].Ev.Stream || got[i].Ev.Seq != want[i].Ev.Seq {
+			t.Fatalf("delivery %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(names) != 4 {
+		t.Fatalf("interner holds %d names after one frame, want 4: %v", len(names), names)
+	}
+	plain := testing.AllocsPerRun(20, func() { decodeRequest(p) })
+	interned := testing.AllocsPerRun(20, func() { names.decodeRequest(p) })
+	if saved := plain - interned; saved < 2*n {
+		t.Fatalf("interning saved %.0f allocations on %d deliveries (%.0f -> %.0f), want >= %d", saved, n, plain, interned, 2*n)
+	}
+
+	// Unbounded vocabularies stop being interned, and long strings never
+	// are; both still decode.
+	for i := 0; i < 2*internCap; i++ {
+		names.str([]byte{byte(i), byte(i >> 8), 'x'})
+	}
+	long := make([]byte, internMaxLen+1)
+	if got := names.str(long); got != string(long) || len(names) != internCap {
+		t.Fatalf("interner grew to %d entries (cap %d) or mangled a long name", len(names), internCap)
+	}
+}

@@ -1,9 +1,11 @@
 // Package engine holds infrastructure shared by the Muppet 1.0 and 2.0
 // execution engines: the envelope type carried on worker queues, the
 // quiescence tracker used to drain an application, lifetime statistics,
-// the log of lost deliveries, and the egress sink (bounded output
-// rings, channel subscriptions, pluggable handlers) that records
-// events published on declared output streams.
+// the log of lost deliveries, the egress sink (bounded output rings,
+// channel subscriptions, pluggable handlers) that records events
+// published on declared output streams, and the courier that carries
+// worker emits to their owners — directly on this node, through a
+// batching per-destination outbox to machines other nodes host.
 package engine
 
 import (

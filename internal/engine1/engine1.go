@@ -144,6 +144,9 @@ type worker struct {
 	fn      *core.FunctionSpec
 	q       queue.Slot[event.Event]
 	cache   slate.SlateStore
+	// loops counts the pair's running goroutines, so an operator kill
+	// can wait out the invocation in progress (AwaitWorkers).
+	loops sync.WaitGroup
 }
 
 func (w *worker) queue() *queue.Queue[event.Event] { return w.q.Queue() }
@@ -165,8 +168,12 @@ type Engine struct {
 	workerMachine map[string]string
 	workerFn      map[string]string
 
-	rec      *recovery.Manager
-	ing      *ingress.Driver
+	rec *recovery.Manager
+	ing *ingress.Driver
+	// out carries worker emits and fire-and-forget ingests to their
+	// owners: synchronously on this node, through a per-destination
+	// outbox to machines other nodes host.
+	out      *engine.Courier
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	counters *engine.Counters
@@ -290,6 +297,21 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		Tracker:  e.tracker,
 		Store:    e.storeFor(),
 	}, cfg.Recovery)
+	e.out = engine.NewCourier(engine.CourierConfig{
+		Cluster:        e.clu,
+		Counters:       e.counters,
+		Tracker:        e.tracker,
+		Lost:           e.lost,
+		Detector:       e.rec.Detector(),
+		Stopped:        &e.stopped,
+		Policy:         cfg.QueuePolicy,
+		OverflowStream: cfg.OverflowStream,
+		SourceThrottle: cfg.SourceThrottle,
+		OutboxCapacity: cfg.QueueCapacity,
+		Route:          ingressOps{e: e}.Route,
+		FuncOf:         ingressOps{e: e}.FuncOf,
+		Reroute:        e.route,
+	})
 	e.ing = &ingress.Driver{
 		Ops:            ingressOps{e: e},
 		Counters:       e.counters,
@@ -331,6 +353,7 @@ func (e *Engine) startWorker(w *worker) {
 	req := make(chan taskRequest)
 	resp := make(chan taskResponse)
 	e.wg.Add(2)
+	w.loops.Add(1)
 	go e.conductorLoop(w, w.queue(), req, resp)
 	go e.taskProcessorLoop(w, req, resp)
 }
@@ -341,6 +364,7 @@ func (e *Engine) startWorker(w *worker) {
 // fresh ones without racing the retiring loops.
 func (e *Engine) conductorLoop(w *worker, q *queue.Queue[event.Event], req chan taskRequest, resp chan taskResponse) {
 	defer e.wg.Done()
+	defer w.loops.Done()
 	for {
 		ev, err := q.Get()
 		if err != nil {
@@ -351,7 +375,7 @@ func (e *Engine) conductorLoop(w *worker, q *queue.Queue[event.Event], req chan 
 		// may have moved the key to another worker; forward it rather
 		// than break the single-writer property.
 		if e.rings[w.fn.Name()].Lookup(ev.Key) != w.id {
-			e.deliver(w.fn.Name(), ev, false)
+			e.out.Deliver(w.fn.Name(), ev, engine.FromWorker)
 			e.tracker.Dec()
 			continue
 		}
@@ -395,7 +419,7 @@ func (e *Engine) conductorLoop(w *worker, q *queue.Queue[event.Event], req chan 
 		}
 		sp.MarkExec()
 		for _, out := range rsp.outputs {
-			e.route(e.derive(out, rsp.arena, ev))
+			e.route(e.derive(out, rsp.arena, ev), engine.FromWorker)
 		}
 		sp.MarkEmit()
 		e.tracer.Finish(sp)
@@ -531,14 +555,19 @@ func (e *Engine) derive(out emitted, arena []byte, in event.Event) event.Event {
 }
 
 // deliverLocal is the per-machine delivery handler: place the event on
-// the addressed worker's queue.
-func (e *Engine) deliverLocal(workerID string, ev event.Event) error {
+// the addressed worker's queue. wait is false for a worker's own emits,
+// which must never wait on a worker queue — the addressed one may be
+// the emitting worker's own.
+func (e *Engine) deliverLocal(workerID string, ev event.Event, wait bool) error {
 	w := e.workers[workerID]
 	if w == nil {
 		return fmt.Errorf("engine1: unknown worker %s", workerID)
 	}
 	if e.tracer.Sample() {
 		ev.TraceEnq = time.Now().UnixNano()
+	}
+	if !wait {
+		return w.queue().Offer(ev)
 	}
 	return w.queue().Put(ev)
 }
@@ -581,110 +610,15 @@ func (e *Engine) deliverLocalBatch(ds []cluster.Delivery) []error {
 	return errs
 }
 
-// route fans an event out to every subscriber of its stream, recording
-// it first if the stream is a declared output.
-func (e *Engine) route(ev event.Event) {
+// route fans an event out to every subscriber of its stream, on behalf
+// of whoever produced it, recording it first if the stream is a
+// declared output.
+func (e *Engine) route(ev event.Event, from engine.Origin) {
 	if e.app.IsOutput(ev.Stream) {
 		e.sink.Record(ev)
 	}
 	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, false)
-	}
-}
-
-// deliver sends an event to the worker owning <key, fn>, applying the
-// failure and overflow semantics of Section 4.3.
-func (e *Engine) deliver(fn string, ev event.Event, throttle bool) {
-	if e.stopped.Load() {
-		// Deliveries offered to a stopped engine used to vanish without
-		// a trace; the streaming-ingress contract is that every drop is
-		// logged with its reason.
-		e.lost.Record(fn, ev, engine.LossStopped)
-		return
-	}
-	for {
-		wid := e.rings[fn].Lookup(ev.Key)
-		if wid == "" {
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossNoRoute)
-			return
-		}
-		machine := e.workerMachine[wid]
-		e.tracker.Inc()
-		err := e.clu.Send(machine, wid, ev)
-		switch {
-		case err == nil:
-			if !e.clu.IsLocal(machine) {
-				// Handed off: the hosting node's tracker took the event
-				// over when it landed (OnRemoteInflight).
-				e.tracker.Dec()
-				// A delivered batch proves the machine reachable; any
-				// suspicion run it had accumulated resets.
-				e.rec.Detector().ObserveSendOK(machine)
-			}
-			e.counters.Emitted.Add(1)
-			return
-		case err == cluster.ErrMachineDown:
-			e.tracker.Dec()
-			// Detect-on-send: the recovery detector notifies the master,
-			// whose broadcast drives the failover protocol; the event
-			// itself is lost and logged, not resent (Section 4.3).
-			e.rec.Detector().ObserveSendFailure(machine)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		case cluster.IsTransient(err):
-			e.tracker.Dec()
-			// The bounded retry budget was exhausted by network blips;
-			// the machine may be healthy. Raise suspicion — K
-			// consecutive exhausted sends escalate to machine-down
-			// through the detector — and account the loss under its own
-			// reason so flaky-network losses stay distinguishable from
-			// declared-dead losses.
-			e.rec.Detector().ObserveTransientFailure(machine)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossTransient)
-			return
-		case err == queue.ErrOverflow:
-			e.tracker.Dec()
-			if throttle {
-				// Source throttling: slow the input stream down until
-				// the queue accepts (Section 5).
-				time.Sleep(200 * time.Microsecond)
-				continue
-			}
-			switch e.cfg.QueuePolicy {
-			case queue.Divert:
-				if e.cfg.OverflowStream != "" && ev.Stream != e.cfg.OverflowStream {
-					div := ev
-					div.Stream = e.cfg.OverflowStream
-					e.counters.Diverted.Add(1)
-					e.route(div)
-				} else {
-					e.counters.LostOverflow.Add(1)
-					e.lost.Record(fn, ev, engine.LossOverflow)
-				}
-			default:
-				e.counters.LostOverflow.Add(1)
-				e.lost.Record(fn, ev, engine.LossOverflow)
-			}
-			return
-		case err == queue.ErrClosed:
-			// The destination queue was closed between the liveness
-			// check and the enqueue — the machine is crashing (or the
-			// engine stopping) under us. Account it like any other
-			// delivery to a dying machine; detection is left to the
-			// next send, which fails with ErrMachineDown.
-			e.tracker.Dec()
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		default:
-			e.tracker.Dec()
-			e.counters.LostOverflow.Add(1)
-			e.lost.Record(fn, ev, engine.LossOverflow)
-			return
-		}
+		e.out.Deliver(fn, ev, from)
 	}
 }
 
@@ -702,12 +636,7 @@ func (e *Engine) Ingest(ev event.Event) {
 		ev.Ingress = time.Now().UnixNano()
 	}
 	e.counters.Ingested.Add(1)
-	if e.app.IsOutput(ev.Stream) {
-		e.sink.Record(ev)
-	}
-	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, e.cfg.SourceThrottle)
-	}
+	e.route(ev, engine.FromSource)
 }
 
 // IngestBatch feeds a batch of external input events into the
@@ -790,7 +719,7 @@ func (o ingressOps) ObserveSendFailure(machine string) {
 func (o ingressOps) ObserveTransientFailure(machine string) {
 	o.e.rec.Detector().ObserveTransientFailure(machine)
 }
-func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev) }
+func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev, engine.FromSource) }
 
 // Subscribe attaches a live feed to a declared output stream: events
 // arrive on the subscription's channel in publication order, and a
@@ -833,6 +762,9 @@ func (e *Engine) Stop() {
 	}
 	e.wg.Wait()
 	e.stopMu.Unlock()
+	// The workers are gone; let the senders ship what a delivery racing
+	// the stop may still have queued, while the transport is open.
+	e.out.Close()
 	for _, w := range e.workers {
 		w.cache.FlushDirty()
 	}
@@ -918,6 +850,14 @@ func (a *recoveryAdapter) DrainQueues(machine string, drained func(function stri
 	}
 }
 
+func (a *recoveryAdapter) AwaitWorkers(machine string) {
+	for wid, wm := range a.e.workerMachine {
+		if w := a.e.workers[wid]; wm == machine && w != nil {
+			w.loops.Wait()
+		}
+	}
+}
+
 func (a *recoveryAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
 	var wals []*wal.SlateBatchLog
 	dirtyLost := 0
@@ -941,7 +881,7 @@ func (a *recoveryAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int
 func (a *recoveryAdapter) UnackedEvents(machine string) []engine.Envelope { return nil }
 
 func (a *recoveryAdapter) Redeliver(function string, ev event.Event) {
-	a.e.deliver(function, ev, false)
+	a.e.out.Deliver(function, ev, engine.FromWorker)
 }
 
 func (a *recoveryAdapter) RestartWorkers(machine string) {

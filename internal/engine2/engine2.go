@@ -254,6 +254,10 @@ type machine struct {
 	// log is the replay log, nil unless Config.ReplayLog is set.
 	log *wal.Log
 
+	// loops counts the machine's running thread loops, so an operator
+	// kill can wait out the invocations in progress (AwaitWorkers).
+	loops sync.WaitGroup
+
 	// scratchPool recycles batch-dispatch scratch space so a steady
 	// batched-ingest loop allocates nothing per batch.
 	scratchPool sync.Pool
@@ -321,6 +325,10 @@ type Engine struct {
 	machines map[string]*machine
 	rec      *recovery.Manager
 	ing      *ingress.Driver
+	// out carries worker emits and fire-and-forget ingests to their
+	// owners: synchronously on this node, through a per-destination
+	// outbox to machines other nodes host.
+	out *engine.Courier
 
 	counters *engine.Counters
 	tracker  *engine.Tracker
@@ -407,8 +415,8 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		}
 		e.machines[name] = m
 		name := name
-		e.clu.SetHandler(name, func(worker string, ev event.Event) error {
-			return e.dispatchLocal(e.machines[name], worker, ev)
+		e.clu.SetHandler(name, func(worker string, ev event.Event, wait bool) error {
+			return e.dispatchLocal(e.machines[name], worker, ev, wait)
 		})
 		e.clu.SetBatchHandler(name, func(ds []cluster.Delivery) []error {
 			return e.dispatchLocalBatch(e.machines[name], ds)
@@ -439,6 +447,21 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		Store:     e.slateStore(),
 		Redeliver: cfg.ReplayLog,
 	}, cfg.Recovery)
+	e.out = engine.NewCourier(engine.CourierConfig{
+		Cluster:        e.clu,
+		Counters:       e.counters,
+		Tracker:        e.tracker,
+		Lost:           e.lost,
+		Detector:       e.rec.Detector(),
+		Stopped:        &e.stopped,
+		Policy:         cfg.QueuePolicy,
+		OverflowStream: cfg.OverflowStream,
+		SourceThrottle: cfg.SourceThrottle,
+		OutboxCapacity: cfg.QueueCapacity,
+		Route:          ingressOps{e: e}.Route,
+		FuncOf:         ingressOps{e: e}.FuncOf,
+		Reroute:        e.route,
+	})
 	e.ing = &ingress.Driver{
 		Ops:            ingressOps{e: e},
 		Counters:       e.counters,
@@ -467,6 +490,7 @@ func (e *Engine) start() {
 	for _, m := range e.machines {
 		for _, th := range m.threads {
 			e.wg.Add(1)
+			m.loops.Add(1)
 			go e.threadLoop(m, th, th.queue())
 		}
 		if e.cfg.FlushPolicy == slate.Interval {
@@ -533,8 +557,10 @@ func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
 
 // dispatchLocal places one delivery on the selected thread queue on
 // the receiving machine. The worker argument carries the destination
-// function name.
-func (e *Engine) dispatchLocal(m *machine, function string, ev event.Event) error {
+// function name. wait is false for a worker's own emits, which must
+// never wait on a thread queue — the chosen one may be the emitting
+// thread's own.
+func (e *Engine) dispatchLocal(m *machine, function string, ev event.Event, wait bool) error {
 	target := e.selectThread(m, fk{fn: function, key: ev.Key}, func(i int) int {
 		return m.threads[i].queue().Len()
 	})
@@ -547,7 +573,12 @@ func (e *Engine) dispatchLocal(m *machine, function string, ev event.Event) erro
 		// soon as it finishes, whatever the interleaving.
 		env.WalSeq = m.log.Append(env)
 	}
-	err := m.threads[target].queue().Put(env)
+	var err error
+	if q := m.threads[target].queue(); wait {
+		err = q.Put(env)
+	} else {
+		err = q.Offer(env)
+	}
 	if err != nil && m.log != nil {
 		// The delivery was rejected; it is accounted by the overflow
 		// path, not the replay log.
@@ -658,6 +689,7 @@ func (e *Engine) candidates(m *machine, k fk) (int, int) {
 // old one.
 func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelope]) {
 	defer e.wg.Done()
+	defer m.loops.Done()
 	// The loop's reusable invocation scratch. Owned by this goroutine
 	// alone — a post-crash restart spawns a fresh loop (with fresh
 	// scratch) that may briefly overlap the old loop's final
@@ -676,7 +708,7 @@ func (e *Engine) threadLoop(m *machine, th *thread, q *queue.Queue[engine.Envelo
 			if m.log != nil && env.WalSeq != 0 {
 				m.log.Ack(env.WalSeq) // handled here by forwarding
 			}
-			e.deliver(env.Func, env.Ev, false)
+			e.out.Deliver(env.Func, env.Ev, engine.FromWorker)
 			e.tracker.Dec()
 			continue
 		}
@@ -754,7 +786,7 @@ func (e *Engine) process(m *machine, em *collectEmitter, env engine.Envelope, sp
 		copy(arena, em.vals)
 	}
 	for _, out := range em.outputs {
-		e.route(e.derive(out, arena, env.Ev))
+		e.route(e.derive(out, arena, env.Ev), engine.FromWorker)
 	}
 	sp.MarkEmit()
 }
@@ -851,106 +883,14 @@ func (e *Engine) derive(out emitted, arena []byte, in event.Event) event.Event {
 	}
 }
 
-// route fans an event out to every subscriber of its stream.
-func (e *Engine) route(ev event.Event) {
+// route fans an event out to every subscriber of its stream, on behalf
+// of whoever produced it.
+func (e *Engine) route(ev event.Event, from engine.Origin) {
 	if e.app.IsOutput(ev.Stream) {
 		e.sink.Record(ev)
 	}
 	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, false)
-	}
-}
-
-// deliver routes an event to the machine owning <key, fn> and applies
-// the overflow and failure semantics.
-func (e *Engine) deliver(fn string, ev event.Event, throttle bool) {
-	if e.stopped.Load() {
-		// Deliveries offered to a stopped engine used to vanish without
-		// a trace; the streaming-ingress contract is that every drop is
-		// logged with its reason.
-		e.lost.Record(fn, ev, engine.LossStopped)
-		return
-	}
-	for {
-		machineName := e.ring.LookupRoute(fn, ev.Key)
-		if machineName == "" {
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossNoRoute)
-			return
-		}
-		e.tracker.Inc()
-		err := e.clu.Send(machineName, fn, ev)
-		switch {
-		case err == nil:
-			if !e.clu.IsLocal(machineName) {
-				// Handed off: the hosting node's tracker took the event
-				// over when it landed (OnRemoteInflight).
-				e.tracker.Dec()
-				// A delivered batch proves the machine reachable; any
-				// suspicion run it had accumulated resets.
-				e.rec.Detector().ObserveSendOK(machineName)
-			}
-			e.counters.Emitted.Add(1)
-			return
-		case err == cluster.ErrMachineDown:
-			e.tracker.Dec()
-			// Detect-on-send: the recovery detector notifies the master,
-			// whose broadcast drives the failover protocol. The event
-			// itself is lost and logged, not resent (Section 4.3).
-			e.rec.Detector().ObserveSendFailure(machineName)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		case cluster.IsTransient(err):
-			e.tracker.Dec()
-			// The bounded retry budget was exhausted by network blips;
-			// the machine may be healthy. Raise suspicion — K
-			// consecutive exhausted sends escalate to machine-down
-			// through the detector — and account the loss under its own
-			// reason so flaky-network losses stay distinguishable from
-			// declared-dead losses.
-			e.rec.Detector().ObserveTransientFailure(machineName)
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossTransient)
-			return
-		case err == queue.ErrOverflow:
-			e.tracker.Dec()
-			if throttle {
-				time.Sleep(200 * time.Microsecond)
-				continue
-			}
-			switch e.cfg.QueuePolicy {
-			case queue.Divert:
-				if e.cfg.OverflowStream != "" && ev.Stream != e.cfg.OverflowStream {
-					div := ev
-					div.Stream = e.cfg.OverflowStream
-					e.counters.Diverted.Add(1)
-					e.route(div)
-				} else {
-					e.counters.LostOverflow.Add(1)
-					e.lost.Record(fn, ev, engine.LossOverflow)
-				}
-			default:
-				e.counters.LostOverflow.Add(1)
-				e.lost.Record(fn, ev, engine.LossOverflow)
-			}
-			return
-		case err == queue.ErrClosed:
-			// The destination queue was closed between the liveness
-			// check and the enqueue — the machine is crashing (or the
-			// engine stopping) under us. Account it like any other
-			// delivery to a dying machine; detection is left to the
-			// next send, which fails with ErrMachineDown.
-			e.tracker.Dec()
-			e.counters.LostMachineDown.Add(1)
-			e.lost.Record(fn, ev, engine.LossMachineDown)
-			return
-		default:
-			e.tracker.Dec()
-			e.counters.LostOverflow.Add(1)
-			e.lost.Record(fn, ev, engine.LossOverflow)
-			return
-		}
+		e.out.Deliver(fn, ev, from)
 	}
 }
 
@@ -966,12 +906,7 @@ func (e *Engine) Ingest(ev event.Event) {
 		ev.Ingress = time.Now().UnixNano()
 	}
 	e.counters.Ingested.Add(1)
-	if e.app.IsOutput(ev.Stream) {
-		e.sink.Record(ev)
-	}
-	for _, fn := range e.app.Subscribers(ev.Stream) {
-		e.deliver(fn, ev, e.cfg.SourceThrottle)
-	}
+	e.route(ev, engine.FromSource)
 }
 
 // IngestBatch feeds a batch of external input events into the
@@ -1040,7 +975,7 @@ func (o ingressOps) ObserveSendFailure(machine string) {
 func (o ingressOps) ObserveTransientFailure(machine string) {
 	o.e.rec.Detector().ObserveTransientFailure(machine)
 }
-func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev) }
+func (o ingressOps) Reroute(ev event.Event) { o.e.route(ev, engine.FromSource) }
 
 // Subscribe attaches a live feed to a declared output stream: events
 // arrive on the subscription's channel in publication order, and a
@@ -1085,6 +1020,9 @@ func (e *Engine) Stop() {
 	}
 	e.wg.Wait()
 	e.stopMu.Unlock()
+	// The workers are gone; let the senders ship what a delivery racing
+	// the stop may still have queued, while the transport is open.
+	e.out.Close()
 	for _, m := range e.machines {
 		m.cache.FlushDirty()
 	}
@@ -1172,6 +1110,12 @@ func (a *recoveryAdapter) DrainQueues(machine string, drained func(function stri
 	}
 }
 
+func (a *recoveryAdapter) AwaitWorkers(machine string) {
+	if m := a.e.machines[machine]; m != nil {
+		m.loops.Wait()
+	}
+}
+
 func (a *recoveryAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
 	m := a.e.machines[machine]
 	if m == nil {
@@ -1193,7 +1137,7 @@ func (a *recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
 }
 
 func (a *recoveryAdapter) Redeliver(function string, ev event.Event) {
-	a.e.deliver(function, ev, false)
+	a.e.out.Deliver(function, ev, engine.FromWorker)
 }
 
 func (a *recoveryAdapter) RestartWorkers(machine string) {
@@ -1219,6 +1163,7 @@ func (a *recoveryAdapter) RestartWorkers(machine string) {
 	for _, th := range m.threads {
 		th.q.Replace(queue.New[engine.Envelope](a.e.cfg.QueueCapacity, a.e.cfg.QueuePolicy))
 		a.e.wg.Add(1)
+		m.loops.Add(1)
 		go a.e.threadLoop(m, th, th.queue())
 	}
 }

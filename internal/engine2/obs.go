@@ -28,6 +28,7 @@ func (e *Engine) registerObs() {
 		}
 	}
 	obs.RegisterCluster(e.reg, e.clu)
+	obs.RegisterOutbox(e.reg, e.out)
 	if e.cfg.Store != nil {
 		obs.RegisterKVStore(e.reg, e.cfg.Store)
 	}
@@ -55,6 +56,10 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Tracer exposes the lifecycle tracer, nil when tracing is disabled.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
+
+// OutboxDepths reports the deliveries queued per remote machine's
+// sender (nil on an all-local engine); httpapi serves it in /status.
+func (e *Engine) OutboxDepths() map[string]int { return e.out.OutboxDepths() }
 
 // SlateCacheStats aggregates central-cache statistics across machines
 // under the name shared with the 1.0 engine (whose CacheStats takes an

@@ -44,7 +44,8 @@ func stageInFlightBatch(t *testing.T, e *Engine, victim string, n int) []wal.Sla
 // shared recovery code path.
 func TestCrashRecoversInFlightFlushBatch(t *testing.T) {
 	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	e, err := New(replayApp(), Config{
+	var backlog hold
+	e, err := New(heldReplayApp(&backlog), Config{
 		Machines: 4, ThreadsPerMachine: 2,
 		Store: store, StoreLevel: kvstore.Quorum,
 		// A far-future flush interval keeps every slate dirty, so the
@@ -66,10 +67,20 @@ func TestCrashRecoversInFlightFlushBatch(t *testing.T) {
 	}
 	e.Drain()
 	staged := stageInFlightBatch(t, e, victim, 3)
-	// Second wave builds a backlog, then the machine dies mid-stream.
+	// Second wave builds a backlog — the workers are held, so it is there
+	// whatever the scheduler does — then the machine dies mid-stream. The
+	// kill waits for the updates in process, so they are let go as soon
+	// as it has drained the victim's queues.
+	backlog.arm()
 	for i := n / 2; i < n*3/4; i++ {
 		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
 	}
+	go func() {
+		for e.LargestQueues()[victim] > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		backlog.release()
+	}()
 
 	replayed, lostDirty := e.CrashMachineAndReplay(victim)
 	t.Logf("failover: replayed %d events, lost %d dirty slates", replayed, lostDirty)

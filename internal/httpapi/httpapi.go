@@ -128,6 +128,13 @@ type ClusterReporter interface {
 	Cluster() *cluster.Cluster
 }
 
+// OutboxReporter is implemented by engines that batch remote-bound
+// deliveries in per-destination outboxes; GET /status then includes
+// the deliveries queued per remote machine.
+type OutboxReporter interface {
+	OutboxDepths() map[string]int
+}
+
 // Querier is implemented by engines carrying the query subsystem;
 // when available, POST /query answers one-shot relational queries
 // (scan, filter, project, aggregate) over live slates, cluster-wide.
@@ -358,11 +365,15 @@ func Handler(r SlateReader) http.Handler {
 			cs := cr.SlateCacheStats()
 			st.Cache = &cs
 		}
+		if or, ok := r.(OutboxReporter); ok {
+			st.Outbox = or.OutboxDepths()
+		}
 		if clr, ok := r.(ClusterReporter); ok {
 			if c := clr.Cluster(); c != nil {
 				sends, _ := c.NetworkStats()
 				st.Sends = sends
 				st.Recvs = c.Recvs()
+				st.RecvDeliveries = c.RecvDeliveries()
 				ds := c.DeliveryStats()
 				st.Delivery = &ds
 				if tcp := cluster.UnwrapTCP(c.Transport()); tcp != nil {
@@ -435,9 +446,15 @@ type statusReply struct {
 	// Cache aggregates the node's slate-cache counters, including the
 	// codec decode/encode error totals.
 	Cache *slate.CacheStats `json:"cache,omitempty"`
-	// Sends and Recvs count this node's machine-addressed deliveries.
-	Sends uint64 `json:"sends,omitempty"`
-	Recvs uint64 `json:"recvs,omitempty"`
+	// Outbox maps each remote machine to the deliveries queued for its
+	// sender (absent on an all-local engine).
+	Outbox map[string]int `json:"outbox,omitempty"`
+	// Sends counts this node's machine-addressed sends, Recvs the
+	// remote-origin batches it received and RecvDeliveries the deliveries
+	// they carried.
+	Sends          uint64 `json:"sends,omitempty"`
+	Recvs          uint64 `json:"recvs,omitempty"`
+	RecvDeliveries uint64 `json:"recv_deliveries,omitempty"`
 	// Delivery carries the node's resilient-delivery counters: retries,
 	// transient faults, exhausted budgets, and dedup-window absorption.
 	Delivery *cluster.DeliveryStats `json:"delivery,omitempty"`

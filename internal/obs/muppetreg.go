@@ -100,24 +100,44 @@ func RegisterQueueStats(r *Registry, stats func() queue.Stats, depths func() map
 	r.GaugeInt("muppet_queue_max_depth", "Deepest any worker queue ever got.", nil,
 		func() int64 { return int64(stats().MaxDepth) })
 	if depths != nil {
-		r.Register(CollectorFunc(func(emit func(Metric)) {
-			d := depths()
-			names := make([]string, 0, len(d))
-			for name := range d {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				emit(Metric{
-					Name:   "muppet_queue_depth",
-					Help:   "Depth of the most loaded queue per machine.",
-					Type:   TypeGauge,
-					Labels: L("machine", name),
-					Value:  float64(d[name]),
-				})
-			}
-		}))
+		registerMachineGauge(r, "muppet_queue_depth", "Depth of the most loaded queue per machine.", depths)
 	}
+}
+
+// registerMachineGauge registers one gauge sample per machine, in name
+// order, from a live per-machine snapshot.
+func registerMachineGauge(r *Registry, name, help string, values func() map[string]int) {
+	r.Register(CollectorFunc(func(emit func(Metric)) {
+		v := values()
+		machines := make([]string, 0, len(v))
+		for m := range v {
+			machines = append(machines, m)
+		}
+		sort.Strings(machines)
+		for _, m := range machines {
+			emit(Metric{Name: name, Help: help, Type: TypeGauge, Labels: L("machine", m), Value: float64(v[m])})
+		}
+	}))
+}
+
+// RegisterOutbox registers the per-destination emit outboxes: what the
+// senders shipped, how often a producer found an outbox full, the live
+// depth per remote machine, and the sampled append-to-acknowledged wait
+// — the time a remote emit spends outside the tracer's emit span. An
+// all-local engine has no outbox; its counters read zero.
+func RegisterOutbox(r *Registry, c *engine.Courier) {
+	cnt := func(name, help string, get func(engine.OutboxStats) uint64) {
+		r.Counter(name, help, nil, func() uint64 { return get(c.OutboxStats()) })
+	}
+	cnt("muppet_outbox_frames_total", "Frames (one SendBatch exchange each) shipped by the outbox senders.",
+		func(s engine.OutboxStats) uint64 { return s.Frames })
+	cnt("muppet_outbox_deliveries_total", "Deliveries carried by the outbox senders' frames.",
+		func(s engine.OutboxStats) uint64 { return s.Deliveries })
+	cnt("muppet_outbox_full_waits_total", "Appends that found their outbox full and waited for the sender.",
+		func(s engine.OutboxStats) uint64 { return s.FullWaits })
+	registerMachineGauge(r, "muppet_outbox_depth", "Deliveries queued for a remote machine's sender.", c.OutboxDepths)
+	r.DurationSummary("muppet_outbox_wait_seconds",
+		"Sampled time from a delivery's append to the acknowledgement of the frame that carried it.", nil, c.OutboxWait())
 }
 
 // RegisterQueryStats registers the query subsystem's counters: queries
@@ -224,6 +244,9 @@ func RegisterCluster(r *Registry, c *cluster.Cluster) {
 		func() uint64 { sends, _ := c.NetworkStats(); return sends })
 	r.Counter("muppet_cluster_recvs_total", "Remote-origin deliveries received by this node.", ls,
 		func() uint64 { return c.Recvs() })
+	r.Counter("muppet_cluster_recv_deliveries_total",
+		"Deliveries carried by the remote-origin batches this node received (recvs_total counts the batches).", ls,
+		func() uint64 { return c.RecvDeliveries() })
 	r.Gauge("muppet_cluster_sim_network_seconds",
 		"Accumulated simulated network latency.", ls,
 		func() float64 { _, simTime := c.NetworkStats(); return simTime.Seconds() })

@@ -10,8 +10,12 @@
 // applies its overflow policy: Drop rejects with ErrOverflow, Divert
 // rejects likewise but counts the envelope for redirection to the
 // caller's overflow stream, Block parks the producer until space
-// frees. Offered == Accepted + Dropped + Diverted holds at all times. PutBatch admits a whole batch under
-// one lock acquisition and reports per-envelope outcomes. ErrOverflow
+// frees. Offer is the enqueue for producers that must never be slowed —
+// the workers themselves, whose full queue may be their own (throttling
+// inside a workflow deadlocks, §4.3/§5): it never waits, and under
+// Block a full queue rejects it as Drop would. Offered == Accepted +
+// Dropped + Diverted holds at all times. PutBatch admits a whole batch
+// under one lock acquisition and reports per-envelope outcomes. ErrOverflow
 // and ErrClosed are sentinel errors; they are part of the wire
 // contract — the TCP transport round-trips them across nodes so a
 // remote rejection is errors.Is-comparable to a local one.

@@ -20,7 +20,8 @@ const (
 	Divert
 	// Block makes the producer wait until space frees up, slowing the
 	// pace of passing events (the paper's source-throttling behavior
-	// when applied at stream sources).
+	// when applied at stream sources). It binds Put and PutBatch — the
+	// sources; the workers enqueue with Offer, which never waits.
 	Block
 )
 
@@ -41,8 +42,8 @@ func (p OverflowPolicy) String() string {
 // ErrClosed is returned by Put and Get once the queue is closed.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrOverflow is returned by Put under the Drop and Divert policies
-// when the queue is full.
+// ErrOverflow is returned when the queue is full: by Put under the
+// Drop and Divert policies, by Offer under every policy.
 var ErrOverflow = errors.New("queue: overflow")
 
 // Stats is a snapshot of a queue's lifetime accounting. The invariant
@@ -105,7 +106,16 @@ func New[T any](capacity int, policy OverflowPolicy) *Queue[T] {
 // Put offers an element to the queue. Under Drop and Divert it returns
 // ErrOverflow immediately when full; under Block it waits. It returns
 // ErrClosed if the queue is (or becomes) closed.
-func (q *Queue[T]) Put(e T) error {
+func (q *Queue[T]) Put(e T) error { return q.put(e, true) }
+
+// Offer is Put for producers that must never be slowed — the workers
+// themselves: a worker waiting on a full queue (possibly its own) is
+// the workflow-internal throttling deadlock of §4.3/§5. It never waits;
+// under Block a full queue rejects with ErrOverflow and the element is
+// counted Dropped, exactly as under Drop.
+func (q *Queue[T]) Offer(e T) error { return q.put(e, false) }
+
+func (q *Queue[T]) put(e T, wait bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.stats.Offered++
@@ -113,14 +123,14 @@ func (q *Queue[T]) Put(e T) error {
 		return ErrClosed
 	}
 	if q.count == q.capacity {
-		switch q.policy {
-		case Drop:
-			q.stats.Dropped++
-			return ErrOverflow
-		case Divert:
+		switch {
+		case q.policy == Divert:
 			q.stats.Diverted++
 			return ErrOverflow
-		case Block:
+		case q.policy == Drop || !wait:
+			q.stats.Dropped++
+			return ErrOverflow
+		default: // Block
 			q.stats.Blocked++
 			for q.count == q.capacity && !q.closed {
 				q.notFull.Wait()

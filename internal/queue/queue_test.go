@@ -83,6 +83,36 @@ func TestBlockPolicyWaitsForSpace(t *testing.T) {
 	}
 }
 
+// TestOfferNeverWaits: Offer is the workers' own enqueue — whatever the
+// policy, a full queue rejects at once (a worker waiting on its own
+// full queue would never be freed), counted by the policy's own counter
+// and by Dropped under Block.
+func TestOfferNeverWaits(t *testing.T) {
+	for _, tc := range []struct {
+		policy OverflowPolicy
+		want   Stats
+	}{
+		{Block, Stats{Offered: 2, Accepted: 1, Dropped: 1, MaxDepth: 1}},
+		{Drop, Stats{Offered: 2, Accepted: 1, Dropped: 1, MaxDepth: 1}},
+		{Divert, Stats{Offered: 2, Accepted: 1, Diverted: 1, MaxDepth: 1}},
+	} {
+		q := New[event.Event](1, tc.policy)
+		if err := q.Offer(ev(0)); err != nil {
+			t.Fatalf("%v: Offer with room = %v", tc.policy, err)
+		}
+		if err := q.Offer(ev(1)); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("%v: Offer on full queue = %v, want ErrOverflow", tc.policy, err)
+		}
+		if s := q.Stats(); s != tc.want {
+			t.Fatalf("%v: stats = %+v, want %+v", tc.policy, s, tc.want)
+		}
+		q.Close()
+		if err := q.Offer(ev(2)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%v: Offer on closed queue = %v, want ErrClosed", tc.policy, err)
+		}
+	}
+}
+
 func TestGetBlocksUntilPut(t *testing.T) {
 	q := New[event.Event](1, Drop)
 	got := make(chan event.Event, 1)

@@ -70,6 +70,10 @@ type Adapter interface {
 	// in-flight tracker; the manager decides whether they are lost or
 	// left to the replay log.
 	DrainQueues(machine string, drained func(function string, ev event.Event))
+	// AwaitWorkers blocks until the machine's worker goroutines, whose
+	// queues DrainQueues has closed, have finished the invocation each
+	// was running and exited.
+	AwaitWorkers(machine string)
 	// CrashSlates drops the machine's slate caches without flushing,
 	// returning the group-commit batch logs retained at crash time
 	// (for WAL replay) and the number of dirty slates lost.
@@ -208,12 +212,11 @@ func (m *Manager) Detector() *Detector { return m.det }
 // acknowledged flush is lost. The master is not notified; detection is
 // left to the next failed send, exactly as in the paper.
 func (m *Manager) Crash(machine string) Report {
-	claimed := m.claimCleanup(machine)
-	m.deps.Cluster.Crash(machine)
-	if !claimed {
+	if !m.claimCleanup(machine) {
+		m.deps.Cluster.Crash(machine)
 		return m.waitCleanup(machine)
 	}
-	return m.doCleanup(machine, true)
+	return m.doCleanup(machine, true, true)
 }
 
 // CrashAndFailover kills the machine and immediately drives the full
@@ -223,11 +226,10 @@ func (m *Manager) Crash(machine string) Report {
 // redelivers its unacknowledged events to the keys' new owners. It
 // returns once the failover has completed.
 func (m *Manager) CrashAndFailover(machine string) Report {
-	claimed := m.claimCleanup(machine)
-	m.deps.Cluster.Crash(machine)
-	if claimed {
-		m.doCleanup(machine, !m.deps.Redeliver)
+	if m.claimCleanup(machine) {
+		m.doCleanup(machine, !m.deps.Redeliver, true)
 	} else {
+		m.deps.Cluster.Crash(machine)
 		m.waitCleanup(machine)
 	}
 	if m.deps.Counters != nil {
@@ -251,11 +253,11 @@ func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 		return RejoinReport{}, fmt.Errorf("recovery: machine %s is not down", machine)
 	}
 	m.mu.Lock()
-	// A detection-driven failover for this machine may still be in
-	// flight; let it finish, or its queue drain would close the fresh
-	// queues the restart below installs.
+	// A cleanup or detection-driven failover for this machine may still
+	// be in flight; let it finish, or its queue drain would close the
+	// fresh queues the restart below installs.
 	inc := m.incidents[machine]
-	for inc != nil && inc.failedOver && !inc.done {
+	for inc != nil && (inc.failedOver && !inc.done || inc.cleaned && !inc.cleanDone) {
 		m.cond.Wait()
 		inc = m.incidents[machine]
 	}
@@ -365,8 +367,13 @@ func (m *Manager) incidentLocked(machine string) *incident {
 // retained group-commit WAL batches into the store. With discard set,
 // queued events are recorded lost (LossCrashedQueue) and the delivery
 // replay log is dropped — the stock §4.3 disposition; otherwise both
-// are left to the failover's redelivery step.
-func (m *Manager) doCleanup(machine string, discard bool) Report {
+// are left to the failover's redelivery step. With quiesce set (the
+// operator kills, never a worker's own detection) the kill lands between
+// invocations: the machine's workers finish the update each was running
+// before the machine is marked down — before any sender can detect the
+// death and route the keys elsewhere — so a straggler's write can never
+// race, and silently overwrite, the new owner's on the same slate.
+func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
 	start := time.Now()
 	rep := Report{Machine: machine, At: start}
 	m.deps.Adapter.DrainQueues(machine, func(function string, ev event.Event) {
@@ -378,6 +385,10 @@ func (m *Manager) doCleanup(machine string, discard bool) Report {
 			m.deps.Lost.Record(function, ev, engine.LossCrashedQueue)
 		}
 	})
+	if quiesce {
+		m.deps.Adapter.AwaitWorkers(machine)
+	}
+	m.deps.Cluster.Crash(machine)
 	if discard {
 		m.deps.Adapter.UnackedEvents(machine) // the replay log dies with the machine
 	}
@@ -499,7 +510,9 @@ func (m *Manager) onFailure(machine string) {
 func (m *Manager) failover(machine string) {
 	start := time.Now()
 	if m.claimCleanup(machine) {
-		m.doCleanup(machine, !m.deps.Redeliver)
+		// Detection can fire on one of the machine's own workers, so this
+		// path must not wait for them.
+		m.doCleanup(machine, !m.deps.Redeliver, false)
 	} else {
 		m.waitCleanup(machine)
 	}

@@ -55,6 +55,7 @@ type fakeAdapter struct {
 	wals        map[string][]*wal.SlateBatchLog
 	dirty       map[string]int
 	drains      map[string]int
+	awaited     map[string]int // AwaitWorkers calls per machine
 	redelivered []engine.Envelope
 	restarted   []string
 	flushes     int
@@ -73,6 +74,7 @@ func newFakeAdapter(machines ...string) *fakeAdapter {
 		wals:    make(map[string][]*wal.SlateBatchLog),
 		dirty:   make(map[string]int),
 		drains:  make(map[string]int),
+		awaited: make(map[string]int),
 		warm:    make(map[string]int),
 	}
 	for _, m := range machines {
@@ -102,6 +104,12 @@ func (a *fakeAdapter) DrainQueues(machine string, drained func(string, event.Eve
 	for _, env := range q {
 		drained(env.Func, env.Ev)
 	}
+}
+
+func (a *fakeAdapter) AwaitWorkers(machine string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.awaited[machine]++
 }
 
 func (a *fakeAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
@@ -242,6 +250,11 @@ func TestStockCrashLosesQueuedAndReplaysWAL(t *testing.T) {
 	if lost.Total() != 2 {
 		t.Fatalf("lost log total = %d, want 2", lost.Total())
 	}
+	// An operator kill lands between invocations: it waits the victim's
+	// workers out before crashing their slates.
+	if ad.awaited[victim] != 1 {
+		t.Fatalf("operator kill awaited the victim's workers %d times, want 1", ad.awaited[victim])
+	}
 	for _, e := range lost.Recent() {
 		if e.Reason != engine.LossCrashedQueue {
 			t.Fatalf("loss reason = %v, want crashed-queue", e.Reason)
@@ -265,6 +278,11 @@ func TestDetectOnSendDrivesFailover(t *testing.T) {
 	}
 	if ad.drainCount(victim) != 1 {
 		t.Fatalf("queues drained %d times, want 1", ad.drainCount(victim))
+	}
+	// Detection may run on one of the victim's own workers: waiting for
+	// them there would deadlock.
+	if ad.awaited[victim] != 0 {
+		t.Fatal("detection-driven cleanup waited for the victim's workers")
 	}
 	st := m.Status()
 	if st.Failovers != 1 || st.QueuedLost != 1 {

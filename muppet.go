@@ -222,7 +222,10 @@ const (
 	DropOverflow = queue.Drop
 	// DivertOverflow redirects them to Config.OverflowStream.
 	DivertOverflow = queue.Divert
-	// BlockOverflow applies backpressure to the producer.
+	// BlockOverflow applies backpressure to sources: Ingest* wait for
+	// room. A worker's own emits never wait on a worker queue (that is
+	// the workflow-internal throttling deadlock of Section 4.3); finding
+	// one full they are dropped and logged, as under DropOverflow.
 	BlockOverflow = queue.Block
 )
 
@@ -801,6 +804,12 @@ func (r slateReader) LargestQueues() map[string]int { return r.e.LargestQueues()
 func (r slateReader) Metrics() *obs.Registry        { return r.e.Metrics() }
 func (r slateReader) SlateCacheStats() slate.CacheStats {
 	return r.e.SlateCacheStats()
+}
+func (r slateReader) OutboxDepths() map[string]int {
+	if o, ok := r.e.(httpapi.OutboxReporter); ok {
+		return o.OutboxDepths()
+	}
+	return nil
 }
 func (r slateReader) Cluster() *cluster.Cluster       { return r.e.Cluster() }
 func (r slateReader) TransportName() string           { return r.e.Cluster().TransportName() }

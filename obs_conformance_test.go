@@ -79,6 +79,14 @@ var tcpStatsMetrics = map[string]string{
 	"BytesIn":    "muppet_transport_bytes_in_total",
 }
 
+// outboxStatsMetrics maps every engine.OutboxStats field to its
+// /metrics name (the live depth is a per-machine gauge beside them).
+var outboxStatsMetrics = map[string]string{
+	"Frames":     "muppet_outbox_frames_total",
+	"Deliveries": "muppet_outbox_deliveries_total",
+	"FullWaits":  "muppet_outbox_full_waits_total",
+}
+
 // extraNonzero are metrics beyond the struct-mapped ones that the
 // scripted workloads must drive to a nonzero value somewhere.
 var extraNonzero = []string{
@@ -101,6 +109,10 @@ var extraNonzero = []string{
 	"muppet_slate_flush_batch_size_count",
 	"muppet_cluster_sends_total",
 	"muppet_cluster_recvs_total",
+	"muppet_cluster_recv_deliveries_total",
+	"muppet_outbox_frames_total",
+	"muppet_outbox_deliveries_total",
+	"muppet_outbox_wait_seconds_count",
 	"muppet_cluster_master_failure_reports_total",
 	"muppet_cluster_master_rejoin_reports_total",
 	"muppet_recovery_send_failures_total",
@@ -122,6 +134,8 @@ var mustBePresent = []string{
 	"muppet_engine_inflight",
 	"muppet_queue_depth",
 	"muppet_cluster_sim_network_seconds",
+	"muppet_outbox_depth",
+	"muppet_outbox_full_waits_total",
 	"muppet_slate_cache_evictions_total",
 	"muppet_slate_dirty_lost_total",
 	"muppet_slate_decode_errors_total",
@@ -262,6 +276,7 @@ func TestMetricsConformance(t *testing.T) {
 	requireAllFieldsMapped(t, reflect.TypeOf(cluster.TCPStats{}), tcpStatsMetrics)
 	requireAllFieldsMapped(t, reflect.TypeOf(cluster.DeliveryStats{}), deliveryStatsMetrics)
 	requireAllFieldsMapped(t, reflect.TypeOf(query.CountersSnapshot{}), queryStatsMetrics)
+	requireAllFieldsMapped(t, reflect.TypeOf(engine.OutboxStats{}), outboxStatsMetrics)
 
 	// Nonzero coverage accumulates across the scenarios: each drives a
 	// different slice of the pipeline, and at the end every metric in
@@ -535,13 +550,33 @@ func runTCPScenario(t *testing.T) []map[string]float64 {
 		if i%2 == 1 {
 			eng = b
 		}
-		if _, err := eng.IngestBatch([]muppet.Event{ev}); err != nil {
+		if i%4 >= 2 {
+			// Fire-and-forget ingest rides the per-destination outbox;
+			// the batched call is a synchronous frame of its own.
+			eng.Ingest(ev)
+		} else if _, err := eng.IngestBatch([]muppet.Event{ev}); err != nil {
 			t.Fatalf("tcp ingest %d: %v", i, err)
 		}
 	}
 	drainAll(nodes)
 
 	la, lb := scrapeMetrics(t, a), scrapeMetrics(t, b)
+	// A drained node's outboxes are empty, every queued delivery went
+	// out in some frame, and /status names the outbox per remote machine.
+	for name, lines := range map[string]map[string]float64{"a": la, "b": lb} {
+		frames, ds := lines["muppet_outbox_frames_total"], lines["muppet_outbox_deliveries_total"]
+		if frames == 0 || ds < frames {
+			t.Errorf("node %s outbox shipped %v deliveries in %v frames", name, ds, frames)
+		}
+		if depth := sumMatching(lines, "muppet_outbox_depth"); depth != 0 {
+			t.Errorf("node %s outbox depth %v after drain", name, depth)
+		}
+	}
+	rr := httptest.NewRecorder()
+	muppet.Handler(a).ServeHTTP(rr, httptest.NewRequest("GET", "/status", nil))
+	if !strings.Contains(rr.Body.String(), `"outbox":{"machine-01":0}`) {
+		t.Errorf("/status does not report the outbox depth: %s", rr.Body.String())
+	}
 	// Sends are synchronous request/response, so after a drain every
 	// frame one node wrote has been served by the other.
 	for _, dir := range []struct {

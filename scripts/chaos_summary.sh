@@ -24,7 +24,7 @@ count=${CHAOS_COUNT:-2}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -race -run 'TestChaosSoakExactAccounting|TestTransientBlipDoesNotFailover' \
+go test -race -timeout 300s -run 'TestChaosSoakExactAccounting|TestTransientBlipDoesNotFailover' \
     -count "$count" -v . | tee "$raw"
 
 awk -v runs="$count" '
