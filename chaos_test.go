@@ -89,7 +89,33 @@ func soakChaosConfig() *muppet.ChaosConfig {
 	}
 }
 
-func TestChaosSoakExactAccounting(t *testing.T) {
+// chaosSummary is what one soak run amounts to. The fault schedule is
+// seeded, so two runs of the same code produce equal summaries; a
+// drifting counter means the delivery pipeline changed behaviour, not
+// that the network got unlucky.
+type chaosSummary struct {
+	Offered, Accepted, Applied, Lost, Indeterminate       int
+	Injected, Retries, TransientErrors, Exhausted, Dedups uint64
+	Failovers                                             uint64
+}
+
+func TestChaosSoakExactAccounting(t *testing.T) { runChaosSoak(t) }
+
+// TestChaosSoakDeterministic runs the soak twice: equal summaries, or
+// the seeded schedule stopped deciding what the pipeline does.
+func TestChaosSoakDeterministic(t *testing.T) {
+	var runs [2]chaosSummary
+	for i := range runs {
+		t.Run(fmt.Sprintf("run%d", i), func(t *testing.T) { runs[i] = runChaosSoak(t) })
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("seeded soak produced diverging counters:\n%+v\n%+v", runs[0], runs[1])
+	}
+}
+
+// runChaosSoak runs the soak with every exact-accounting assertion and
+// returns (and logs as CHAOS_SUMMARY) its counters.
+func runChaosSoak(t *testing.T) chaosSummary {
 	members := []string{"machine-00", "machine-01"}
 	nodes := startChaosNodes(t, members, func(node string) *muppet.ChaosConfig {
 		cfg := soakChaosConfig()
@@ -266,14 +292,19 @@ func TestChaosSoakExactAccounting(t *testing.T) {
 	if dsA.DedupHits+dsB.DedupHits == 0 {
 		t.Fatal("soak exercised no dedup absorption (lost responses / duplicates)")
 	}
+	sm := chaosSummary{
+		Offered: offered, Accepted: accepted, Applied: sum, Lost: int(lost), Indeterminate: indeterminate,
+		Injected:        chA.Stats().Injected() + chB.Stats().Injected(),
+		Retries:         dsA.Retries + dsB.Retries,
+		TransientErrors: dsA.TransientErrors + dsB.TransientErrors,
+		Exhausted:       dsA.RetryExhausted + dsB.RetryExhausted,
+		Dedups:          dsA.DedupHits + dsB.DedupHits,
+		Failovers:       a.RecoveryStatus().Failovers,
+	}
 	t.Logf("CHAOS_SUMMARY offered=%d accepted=%d applied=%d lost=%d indeterminate=%d injected=%d retries=%d transient_errors=%d exhausted=%d dedup_hits=%d failovers=%d",
-		offered, accepted, sum, lost, indeterminate,
-		chA.Stats().Injected()+chB.Stats().Injected(),
-		dsA.Retries+dsB.Retries,
-		dsA.TransientErrors+dsB.TransientErrors,
-		dsA.RetryExhausted+dsB.RetryExhausted,
-		dsA.DedupHits+dsB.DedupHits,
-		a.RecoveryStatus().Failovers)
+		sm.Offered, sm.Accepted, sm.Applied, sm.Lost, sm.Indeterminate, sm.Injected,
+		sm.Retries, sm.TransientErrors, sm.Exhausted, sm.Dedups, sm.Failovers)
+	return sm
 }
 
 // TestTransientBlipDoesNotFailover pins the regression this PR exists

@@ -439,6 +439,6 @@ func E19BatchedIngress(s Scale) Table {
 		}
 		t.Add(mode.name, n, elapsed, r, speedup)
 	}
-	t.Note("go test -bench . ./internal/ingress/ measures the same comparison as a microbenchmark (BENCH_ingress.json in CI)")
+	t.Note("go test -bench . ./internal/ingress/ measures the same comparison as a microbenchmark")
 	return t
 }

@@ -1,5 +1,5 @@
-// Package engine holds infrastructure shared by the Muppet 1.0 and 2.0
-// execution engines: the envelope type carried on worker queues, the
+// Package engine holds the building blocks of the engine runtime
+// (internal/runtime): the envelope type carried on worker queues, the
 // quiescence tracker used to drain an application, lifetime statistics,
 // the log of lost deliveries, the egress sink (bounded output rings,
 // channel subscriptions, pluggable handlers) that records events
@@ -17,10 +17,10 @@ import (
 	"muppet/internal/metrics"
 )
 
-// Envelope is an event addressed to a destination function. Muppet 2.0
-// threads can run any function, so their queues carry the destination
-// explicitly; Muppet 1.0 workers are bound to one function and use the
-// event alone.
+// Envelope is an event addressed to a destination function, the element
+// every cell queue carries. Muppet 2.0 threads can run any function, so
+// they need the destination; a Muppet 1.0 worker is bound to one
+// function and its queue simply names it every time.
 type Envelope struct {
 	// Func is the destination map or update function.
 	Func string

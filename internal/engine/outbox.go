@@ -70,7 +70,7 @@ type CourierConfig struct {
 // ingress driver — worker emits, ring-change forwards, recovery
 // redeliveries, fire-and-forget Ingest — to the machine owning its
 // <function, key>, and gives each the disposition its outcome calls for
-// (settle). Both engines share it.
+// (settle).
 //
 // A machine this node hosts is delivered to synchronously. A machine
 // another node hosts gets an outbox: a bounded FIFO drained by one

@@ -1,45 +1,39 @@
-// Package engine1 implements Muppet 1.0 (Sections 4.1–4.4 of the
-// paper): the process-per-worker execution engine developed at Kosmix.
+// Package engine1 is Muppet 1.0 (Sections 4.1–4.4 of the paper), the
+// process-per-worker design developed at Kosmix, as a dispatch
+// strategy over the shared engine runtime (internal/runtime): Engine
+// embeds runtime.Runtime and implements runtime.Dispatcher.
 //
-// Each worker is a pair of coupled processes — a "conductor" in charge
-// of Muppet logistics (queueing, slate fetch, hashing output events to
-// destinations) and a "task processor" that only runs the map or
-// update code. Here the pair is a pair of goroutines exchanging
-// messages over channels, which reproduces the 1.0 design's extra
-// intra-worker hop and its per-worker (disparate) slate caches — the
-// limitations that motivated Muppet 2.0 and that experiments E4 and E5
-// measure.
+// What is 1.0's own, and lives here: each function gets
+// WorkersPerFunction workers fn#i, placed round-robin on the sorted
+// member list; every node derives the same per-function hash ring over
+// worker IDs, so events pass directly from worker to worker without a
+// master on the data path (Section 4.1). Each worker is a pair of
+// coupled processes — a "conductor" in charge of Muppet logistics
+// (queueing, slate fetch, hashing output events to destinations) and a
+// "task processor" that only runs the map or update code. Here the pair
+// is a pair of goroutines exchanging request and response over
+// channels, which reproduces the 1.0 design's extra intra-worker hop;
+// and each worker is one runtime cell, so it has a private (disparate)
+// slate cache — the limitations that motivated Muppet 2.0 and that
+// experiments E4 and E5 measure.
 //
-// Event routing follows Section 4.1: every worker holds the same hash
-// ring mapping <event key, destination function> to a worker, so
-// events pass directly from worker to worker without a master on the
-// data path.
-//
-// # Contract
-//
-// An Engine is built with New, fed through Ingest/IngestBatch (and the
-// shared ingress.Driver), drained with Drain, and torn down exactly
-// once with Stop. Slate reads (Slate, Slates) observe the per-worker
-// caches merged with the durable store. Subscribe is only valid on
-// streams the application declared as outputs and panics otherwise.
+// Everything else — ingest, output routing, flushing, recovery, slate
+// reads, queries, statistics, Stop — is the runtime's; see its package
+// documentation for the contract and the shutdown order.
 //
 // # Concurrency
 //
-// Each worker owns one bounded queue consumed by its conductor
-// goroutine; the conductor is the only goroutine that touches that
-// worker's slate cache, so per-worker slates need no locks. The
+// A worker's conductor is the only goroutine that touches its queue
+// and its slate cache, so per-worker slates need no locks. The
 // conductor/task-processor channel pair has a single sender which is
-// also the closer. Stop and the rejoin path's worker restarts are
-// serialized by a dedicated mutex so a restart cannot Add to a
-// WaitGroup that Stop is Waiting on; output subscriptions are closed
-// exactly once behind the engine sink's lock.
+// also the closer, and the strict request/response alternation is what
+// lets the conductor route from the processor's reusable emitter.
 //
 // # Failure invariants
 //
 // Failure handling follows Section 4.3: a failed send marks the
-// machine dead at the master, which broadcasts it to every worker;
-// each removes the machine from its rings. The event that failed to
-// reach the dead worker is lost and logged, not resent — unless the
-// replay log is enabled, in which case recovery redelivers the
-// unacknowledged suffix to the keys' new owners (at-least-once).
+// machine dead at the master, which broadcasts it to every node; each
+// disables the machine's workers on its rings. The event that failed
+// to reach the dead worker is lost and logged, not resent — 1.0 keeps
+// no delivery replay log.
 package engine1

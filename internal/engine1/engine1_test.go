@@ -139,12 +139,12 @@ func TestSlatePersistedToStore(t *testing.T) {
 func TestSlateReloadedFromStoreAfterEviction(t *testing.T) {
 	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 1, ReplicationFactor: 1})
 	e, err := New(counterApp(), Config{
-		Machines:            1,
-		WorkersPerFunction:  1,
-		SlateCachePerWorker: 2, // tiny cache forces evictions
-		Store:               store,
-		StoreLevel:          kvstore.One,
-		FlushPolicy:         slate.OnEvict,
+		Machines:           1,
+		WorkersPerFunction: 1,
+		CacheCapacity:      2, // tiny cache forces evictions
+		Store:              store,
+		StoreLevel:         kvstore.One,
+		FlushPolicy:        slate.OnEvict,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,44 +13,6 @@ import (
 	"muppet/internal/queue"
 )
 
-func TestIngestBatchMatchesPerEventResults(t *testing.T) {
-	per, err := New(counterApp(), Config{Machines: 3, WorkersPerFunction: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer per.Stop()
-	bat, err := New(counterApp(), Config{Machines: 3, WorkersPerFunction: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bat.Stop()
-
-	retailers := []string{"walmart", "bestbuy", "target"}
-	var evs []event.Event
-	for i := 0; i < 300; i++ {
-		evs = append(evs, checkin(i+1, retailers[i%len(retailers)]))
-	}
-	for _, ev := range evs {
-		per.Ingest(ev)
-	}
-	for i := 0; i < len(evs); i += 64 {
-		end := i + 64
-		if end > len(evs) {
-			end = len(evs)
-		}
-		if n, err := bat.IngestBatch(evs[i:end]); err != nil || n != end-i {
-			t.Fatalf("batch: n=%d err=%v", n, err)
-		}
-	}
-	per.Drain()
-	bat.Drain()
-	for _, r := range retailers {
-		if p, b := string(per.Slate("U1", r)), string(bat.Slate("U1", r)); p != b {
-			t.Fatalf("%s: per-event=%q batched=%q", r, p, b)
-		}
-	}
-}
-
 func TestIngestBatchOverflowDropLandsInLostLog(t *testing.T) {
 	slow := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
 		time.Sleep(200 * time.Microsecond)

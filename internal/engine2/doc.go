@@ -1,11 +1,12 @@
-// Package engine2 implements Muppet 2.0 (Section 4.5 of the paper):
-// the thread-pool execution engine developed at WalmartLabs.
+// Package engine2 is Muppet 2.0 (Section 4.5 of the paper), the
+// thread-pool design developed at WalmartLabs, as a dispatch strategy
+// over the shared engine runtime (internal/runtime): Engine embeds
+// runtime.Runtime and implements runtime.Dispatcher.
 //
-// Per machine, the engine starts a dedicated pool of worker threads,
-// each capable of running any map or update function; a single central
-// slate cache shared by all threads; and a background flusher that
-// writes dirty slates to the durable key-value store without blocking
-// map and update calls.
+// What is 2.0's own, and lives here: one hash ring over machines; per
+// hosted machine one runtime cell — a single central slate cache shared
+// by a pool of worker threads, each with its own queue and each capable
+// of running any map or update function.
 //
 // Incoming events are dispatched to one of two candidate queues (a
 // primary and a secondary, chosen by hashing <event key, destination
@@ -14,33 +15,29 @@
 // primary unless the secondary is significantly shorter. This bounds
 // slate contention to at most two workers per slate while letting a
 // hot key's load spill onto a second thread — the hotspot relief of
-// Sections 4.5 and 5.
+// Sections 4.5 and 5. A striped per-slate lock table serializes those
+// two.
 //
-// # Contract
-//
-// An Engine is built with New, fed through Ingest/IngestBatch (and the
-// shared ingress.Driver), drained with Drain, and torn down exactly
-// once with Stop. Slate reads observe the central cache merged with
-// the durable store. Subscribe is only valid on streams the
-// application declared as outputs and panics otherwise.
+// Everything else — ingest, output routing, the background flusher,
+// recovery, slate reads, queries, statistics, Stop — is the runtime's;
+// see its package documentation for the contract and the shutdown
+// order.
 //
 // # Concurrency
 //
 // The central slate cache is striped-locked, so two threads updating
 // different keys never contend on one lock, and the two-choice
-// dispatch bounds writers of any single slate to two threads. The
-// flusher snapshots dirty slates under the stripe locks and performs
-// store writes outside them. Stop and the rejoin path's thread
-// restarts are serialized by a dedicated mutex so a restart cannot
-// Add to a WaitGroup that Stop is Waiting on; output subscriptions
-// are closed exactly once behind the engine sink's lock.
+// dispatch bounds writers of any single slate to two threads. A
+// thread's reusable emitter belongs to its loop, not its queue slot: a
+// post-crash restart may briefly overlap the old loop's last
+// invocation.
 //
 // # Failure invariants
 //
 // A machine crash loses its queued events and its dirty (unflushed)
 // slates; both are counted exactly in the failover Report. The
 // write-through flush policy (or the slate group-commit WAL) closes
-// the dirty-slate window; the event replay log closes the queued
-// window with at-least-once redelivery. Failover ordering is owned by
-// internal/recovery.
+// the dirty-slate window; the event replay log (Config.ReplayLog,
+// CrashMachineAndReplay) closes the queued window with at-least-once
+// redelivery. Failover ordering is owned by internal/recovery.
 package engine2

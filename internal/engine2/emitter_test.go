@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"muppet/internal/core"
 	"muppet/internal/event"
+	"muppet/internal/runtime"
 )
 
 // TestEmitterSteadyStateZeroAllocs pins the acceptance criterion of
@@ -12,18 +14,18 @@ import (
 // warmed its scratch (outputs slice, value arena), a map invocation's
 // publishes allocate nothing inside the emitter itself. The single
 // remaining allocation — the per-invocation arena the derived events
-// slice — lives in process(), not here.
+// slice — lives in the runtime's Emit, not here.
 func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 	app := counterApp()
-	var em collectEmitter
+	var em runtime.Emitter
 	value := []byte("checkin:walmart")
 	// Warm-up: grow the scratch to its steady-state capacity.
-	em.reset(app, "M1", false)
+	em.Reset(app, "M1", false)
 	if err := em.Publish("S2", "walmart", value); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		em.reset(app, "M1", false)
+		em.Reset(app, "M1", false)
 		em.Publish("S2", "walmart", value)
 		em.Publish("S2", "target", value)
 	})
@@ -36,27 +38,30 @@ func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 // from one invocation must keep their bytes after the emitter is
 // reused by later invocations, and appending to one event's value
 // must never bleed into the next output's bytes (the three-index
-// slice contract).
+// slice contract). The derived events are read back off a declared
+// output stream, where Emit records them.
 func TestEmitterArenaIsolation(t *testing.T) {
-	e, err := New(counterApp(), Config{Machines: 1, ThreadsPerMachine: 1})
+	m := core.MapFunc{FName: "M1", Fn: func(core.Emitter, event.Event) {}}
+	app := core.NewApp("arena").Input("S1").Output("S2").AddMap(m, []string{"S1"}, []string{"S2"})
+	e, err := New(app, Config{Machines: 1, ThreadsPerMachine: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Stop()
 
-	app := counterApp()
-	var em collectEmitter
-	em.reset(app, "M1", false)
+	var em runtime.Emitter
+	em.Reset(app, "M1", false)
 	em.Publish("S2", "a", []byte("first"))
 	em.Publish("S2", "b", []byte("second"))
-	arena := make([]byte, len(em.vals))
-	copy(arena, em.vals)
-	in := event.Event{Stream: "S1", TS: 1, Key: "k"}
-	ev1 := e.derive(em.outputs[0], arena, in)
-	ev2 := e.derive(em.outputs[1], arena, in)
+	e.Emit(&em, &event.Event{Stream: "S1", TS: 1, Key: "k"}, nil)
+	out := e.Output("S2")
+	if len(out) != 2 {
+		t.Fatalf("Emit recorded %d events, want 2", len(out))
+	}
+	ev1, ev2 := out[0], out[1]
 
 	// Reuse the emitter; the events' values must be unaffected.
-	em.reset(app, "M1", false)
+	em.Reset(app, "M1", false)
 	em.Publish("S2", "c", []byte("XXXXXXXXXXXXXXXX"))
 	if !bytes.Equal(ev1.Value, []byte("first")) || !bytes.Equal(ev2.Value, []byte("second")) {
 		t.Fatalf("emitter reuse corrupted derived events: %q, %q", ev1.Value, ev2.Value)

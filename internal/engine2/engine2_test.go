@@ -163,7 +163,7 @@ func TestCentralCacheSharedAcrossThreads(t *testing.T) {
 		e.Ingest(checkin(i+1, fmt.Sprintf("r%d", i%10)))
 	}
 	e.Drain()
-	if cs := e.CacheStats(); cs.Size != 10 {
+	if cs := e.SlateCacheStats(); cs.Size != 10 {
 		t.Fatalf("central cache holds %d slates, want 10", cs.Size)
 	}
 }
@@ -404,17 +404,17 @@ func TestStopIdempotent(t *testing.T) {
 }
 
 func TestSpillHelper(t *testing.T) {
-	// Spill when primary > factor*secondary + 4.
-	if spill(4, 0, 2) {
+	// Spill when primary > 2*secondary + 4.
+	if spill(4, 0) {
 		t.Fatal("4 vs 0: below threshold, must not spill")
 	}
-	if !spill(5, 0, 2) {
+	if !spill(5, 0) {
 		t.Fatal("5 vs 0: above threshold, must spill")
 	}
-	if spill(10, 3, 2) {
+	if spill(10, 3) {
 		t.Fatal("10 vs 3: 10 <= 2*3+4, must not spill")
 	}
-	if !spill(11, 3, 2) {
+	if !spill(11, 3) {
 		t.Fatal("11 vs 3: 11 > 2*3+4, must spill")
 	}
 }

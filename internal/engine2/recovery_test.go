@@ -31,7 +31,7 @@ func stageInFlightBatch(t *testing.T, e *Engine, victim string, n int) []wal.Sla
 		}
 	}
 	vm := e.machines[victim]
-	vm.cache.(*slate.Sharded).WAL().AppendBatch(recs)
+	vm.Cache.WAL().AppendBatch(recs)
 	return recs
 }
 
@@ -143,7 +143,7 @@ func TestDisableWALReplayLosesInFlightBatch(t *testing.T) {
 	e.CrashMachine(victim)
 	// Force detection so the ring reroutes, then read through the new
 	// owner: the record is not in the store.
-	e.clu.Master().PingAll()
+	e.Cluster().Master().PingAll()
 	e.Drain()
 	for _, r := range staged {
 		if got := e.Slate("U", r.Key); got != nil {

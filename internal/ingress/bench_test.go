@@ -4,7 +4,7 @@ package ingress_test
 // a batch's deliveries per destination machine amortizes the cluster
 // send, the tracker accounting, and the destination queue lock, so the
 // per-event overhead of the engine2 hot path falls measurably versus
-// fire-and-forget Ingest. CI publishes these as BENCH_ingress.json.
+// fire-and-forget Ingest.
 
 import (
 	"fmt"

@@ -4,64 +4,37 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"muppet/internal/cluster"
+	"muppet/internal/core"
 	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/obs"
 	"muppet/internal/queue"
 )
 
-// EngineOps is the engine-specific surface the shared batched-ingress
-// driver runs against. Muppet 2.0 routes <function, key> on one ring
-// to a machine (the worker address is the function name); Muppet 1.0
-// routes on per-function rings to a worker ID on a machine. Everything
-// else about ingestion — validation, stamping, fan-out, grouping,
-// send accounting, overflow disposition — is identical, and lives in
-// Driver so the two engines cannot drift.
-type EngineOps interface {
-	// Stopped reports whether the engine has been stopped.
-	Stopped() bool
-	// IsInput reports whether a stream is a declared external input.
-	IsInput(stream string) bool
-	// IsOutput reports whether a stream is a declared output.
-	IsOutput(stream string) bool
-	// Subscribers lists the functions subscribed to a stream.
-	Subscribers(stream string) []string
-	// NextSeq issues the next event sequence number.
-	NextSeq() uint64
-	// RecordOutput records an event on the egress sink.
-	RecordOutput(ev event.Event)
-	// Route resolves the owner of <fn, key>: the destination machine
-	// and the worker addressed on it. An empty machine means no live
-	// owner.
-	Route(fn, key string) (machine, worker string)
-	// FuncOf maps a worker address back to its function name for loss
-	// accounting.
-	FuncOf(worker string) string
-	// SendBatch delivers a machine-addressed batch.
-	SendBatch(machine string, ds []cluster.Delivery) (accepted int, rejects []cluster.BatchReject, err error)
-	// Send delivers one event to a worker on a machine.
-	Send(machine, worker string, ev event.Event) error
-	// ObserveSendFailure reports a failed send to the failure detector.
-	ObserveSendFailure(machine string)
-	// ObserveTransientFailure reports an exhausted-retry (transient)
-	// send failure to the failure detector's suspicion tracker.
-	ObserveTransientFailure(machine string)
-	// Reroute fans an event out to its stream's subscribers (the
-	// engine's internal routing); the driver uses it for diverted
-	// overflow.
-	Reroute(ev event.Event)
-}
-
-// Driver is the shared batched-ingress front door: both engines'
-// IngestBatch and IngestCtx delegate here.
+// Driver is the batched-ingress front door of the engine runtime:
+// IngestBatch and IngestCtx run here. Validation, stamping, fan-out,
+// grouping per destination machine, send accounting and overflow
+// disposition are the same whichever Muppet version dispatches; what
+// differs — who owns <function, key> — comes in through Route and
+// FuncOf, as it does for the engine's courier.
 type Driver struct {
-	Ops      EngineOps
+	App      *core.App
+	Cluster  *cluster.Cluster
 	Counters *engine.Counters
 	Tracker  *engine.Tracker
 	Lost     *engine.LostLog
+	// Sink records events ingested on a declared output stream.
+	Sink *engine.Sink
+	// Detector is told the outcome of every exchange with a machine.
+	Detector engine.SendObserver
+	// Stopped is the engine's stop flag; Seq issues its event sequence
+	// numbers.
+	Stopped *atomic.Bool
+	Seq     *atomic.Uint64
 	// Tracer, when non-nil, samples ingest calls into the
 	// ingest-accept span histogram.
 	Tracer *obs.Tracer
@@ -74,6 +47,16 @@ type Driver struct {
 	// SourceThrottle makes IngestBatch wait-and-retry on overflow
 	// instead of dropping, the paper's source throttling.
 	SourceThrottle bool
+	// Route resolves the owner of <fn, key>: the destination machine
+	// and the worker addressed on it. An empty machine means no live
+	// owner.
+	Route func(fn, key string) (machine, worker string)
+	// FuncOf maps a worker address back to its function name for loss
+	// accounting.
+	FuncOf func(worker string) string
+	// Reroute fans a diverted event out to its stream's subscribers (the
+	// engine's internal routing).
+	Reroute func(ev event.Event, from engine.Origin)
 }
 
 // IngestBatch feeds a batch of external input events into the engine,
@@ -123,14 +106,14 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 			return true
 		}
 	}
-	if d.Ops.Stopped() {
+	if d.Stopped.Load() {
 		for i := range evs {
 			d.Lost.Record("", evs[i], engine.LossStopped)
 		}
 		return 0, ErrStopped
 	}
 	for i := range evs {
-		if !d.Ops.IsInput(evs[i].Stream) {
+		if !d.App.IsInput(evs[i].Stream) {
 			return 0, &NotInputError{Stream: evs[i].Stream}
 		}
 	}
@@ -150,21 +133,21 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	for i := range evs {
 		ev := evs[i]
 		if ev.Seq == 0 {
-			ev.Seq = d.Ops.NextSeq()
+			ev.Seq = d.Seq.Add(1)
 		}
 		if ev.Ingress == 0 {
 			ev.Ingress = now
 		}
 		if i == 0 || ev.Stream != curStream {
 			curStream = ev.Stream
-			subs = d.Ops.Subscribers(curStream)
-			isOut = d.Ops.IsOutput(curStream)
+			subs = d.App.Subscribers(curStream)
+			isOut = d.App.IsOutput(curStream)
 		}
 		if isOut {
-			d.Ops.RecordOutput(ev)
+			d.Sink.Record(ev)
 		}
 		for _, fn := range subs {
-			machine, worker := d.Ops.Route(fn, ev.Key)
+			machine, worker := d.Route(fn, ev.Key)
 			if machine == "" {
 				d.Counters.LostMachineDown.Add(1)
 				d.Lost.Record(fn, ev, engine.LossNoRoute)
@@ -177,27 +160,24 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	d.Counters.Ingested.Add(uint64(len(evs)))
 	plan.Each(func(machine string, ds []cluster.Delivery) {
 		d.Tracker.Add(len(ds))
-		accepted, rejects, err := d.Ops.SendBatch(machine, ds)
+		accepted, rejects, err := d.Cluster.SendBatch(machine, ds)
 		if err != nil {
 			d.Tracker.Add(-len(ds))
-			reason := engine.LossMachineDown
-			switch {
-			case cluster.IsTransient(err):
-				// The retry budget is exhausted but the machine has not
-				// been declared dead: feed the suspicion tracker (K such
-				// observations escalate to failover) and log the loss
-				// under its own reason.
-				d.Ops.ObserveTransientFailure(machine)
-				reason = engine.LossTransient
-			case err == cluster.ErrMachineDown:
-				d.Ops.ObserveSendFailure(machine)
-			}
+			reason := d.sendFailed(machine, err)
 			d.Counters.LostMachineDown.Add(uint64(len(ds)))
 			for _, del := range ds {
-				d.Lost.Record(d.Ops.FuncOf(del.Worker), del.Ev, reason)
+				d.Lost.Record(d.FuncOf(del.Worker), del.Ev, reason)
 				tally.Drop(del.Tag, reason.String())
 			}
 			return
+		}
+		if !d.Cluster.IsLocal(machine) {
+			// The tracker was charged for the whole batch before the send;
+			// accepted deliveries now belong to the hosting node's tracker
+			// (it charged itself on landing), so retire them here. The
+			// rejects are retired below.
+			d.Detector.ObserveSendOK(machine)
+			d.Tracker.Add(-accepted)
 		}
 		d.Counters.Emitted.Add(uint64(accepted))
 		for _, rj := range rejects {
@@ -212,15 +192,31 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	return tally.Result()
 }
 
+// sendFailed tells the failure detector about a send to a machine that
+// returned err, and names the reason its deliveries are lost under.
+func (d *Driver) sendFailed(machine string, err error) engine.LossReason {
+	switch {
+	case cluster.IsTransient(err):
+		// The retry budget is exhausted but the machine has not been
+		// declared dead: feed the suspicion tracker (K such observations
+		// escalate to failover) and log the loss under its own reason.
+		d.Detector.ObserveTransientFailure(machine)
+		return engine.LossTransient
+	case err == cluster.ErrMachineDown:
+		d.Detector.ObserveSendFailure(machine)
+	}
+	return engine.LossMachineDown
+}
+
 // settleReject disposes of one delivery a batch send could not place:
 // retry under the caller's backpressure waiter, divert under the
 // Divert policy, otherwise drop with batch-partial accounting.
 func (d *Driver) settleReject(del cluster.Delivery, cause error, wait func() bool, tally *DropTally) {
-	fn := d.Ops.FuncOf(del.Worker)
+	fn := d.FuncOf(del.Worker)
 	if cause == queue.ErrOverflow && wait != nil {
 		for wait() {
 			// The ring may have moved the key while we waited.
-			machine, worker := d.Ops.Route(fn, del.Ev.Key)
+			machine, worker := d.Route(fn, del.Ev.Key)
 			if machine == "" {
 				d.Counters.LostMachineDown.Add(1)
 				d.Lost.Record(fn, del.Ev, engine.LossNoRoute)
@@ -230,23 +226,20 @@ func (d *Driver) settleReject(del cluster.Delivery, cause error, wait func() boo
 			// Track before sending: the consumer may process (and
 			// retire) the delivery the instant it lands.
 			d.Tracker.Inc()
-			err := d.Ops.Send(machine, worker, del.Ev)
+			err := d.Cluster.Send(machine, worker, del.Ev)
 			if err == nil {
 				d.Counters.Emitted.Add(1)
+				if !d.Cluster.IsLocal(machine) {
+					d.Tracker.Dec() // the hosting node tracks it from here
+					d.Detector.ObserveSendOK(machine)
+				}
 				return
 			}
 			d.Tracker.Dec()
 			if err == queue.ErrOverflow {
 				continue
 			}
-			reason := engine.LossMachineDown
-			switch {
-			case cluster.IsTransient(err):
-				d.Ops.ObserveTransientFailure(machine)
-				reason = engine.LossTransient
-			case err == cluster.ErrMachineDown:
-				d.Ops.ObserveSendFailure(machine)
-			}
+			reason := d.sendFailed(machine, err)
 			d.Counters.LostMachineDown.Add(1)
 			d.Lost.Record(fn, del.Ev, reason)
 			tally.Drop(del.Tag, reason.String())
@@ -259,7 +252,7 @@ func (d *Driver) settleReject(del cluster.Delivery, cause error, wait func() boo
 		div := del.Ev
 		div.Stream = d.OverflowStream
 		d.Counters.Diverted.Add(1)
-		d.Ops.Reroute(div)
+		d.Reroute(div, engine.FromSource)
 	case cause == queue.ErrClosed:
 		// The destination was crashing (or stopping) under the batch;
 		// account it like any other delivery to a dying machine.

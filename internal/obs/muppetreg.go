@@ -11,7 +11,7 @@ import (
 	"muppet/internal/slate"
 )
 
-// This file holds the registration glue both engines share: each
+// This file holds the registration glue the engine runtime uses: each
 // subsystem's existing stats snapshot becomes a set of lazily-sampled
 // collectors, so the registry adds no accounting of its own to the hot
 // path — a scrape reads the counters the subsystems already keep.

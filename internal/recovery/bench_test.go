@@ -1,8 +1,6 @@
 // Recovery-time benchmarks: crash a machine under load and measure
 // the wall-clock cost of the failover protocol (drain + WAL replay +
 // redelivery) and of the rejoin handover (quiesce + flush + warm).
-// They run in bench.yml alongside the slate/engine suites and land in
-// the BENCH_recovery_*.json artifact.
 package recovery_test
 
 import (

@@ -18,9 +18,9 @@
 //
 // # Contract
 //
-// Both engines delegate their crash paths here through a small Adapter
-// interface (Deps), so the ordering guarantees are enforced in exactly
-// one place:
+// The engine runtime delegates its crash paths here through a small
+// Adapter interface (Deps), so the ordering guarantees are enforced in
+// exactly one place, whichever Muppet version dispatches:
 //
 //  1. cleanup (queue close, worker drain) and slate-WAL replay complete
 //     before the machine leaves the ring — the keys' new owners must

@@ -56,8 +56,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Adapter is the engine-side surface the manager drives. Each engine
-// implements it once; the manager owns the protocol ordering.
+// Adapter is the engine-side surface the manager drives. The engine
+// runtime implements it, over its cells; the manager owns the protocol
+// ordering.
 type Adapter interface {
 	// RemoveFromRing takes the machine's workers off the engine's hash
 	// ring(s) so keys reroute to ring successors.

@@ -1,0 +1,122 @@
+package runtime
+
+import (
+	"fmt"
+	"time"
+
+	"muppet/internal/core"
+	"muppet/internal/engine"
+	"muppet/internal/event"
+	"muppet/internal/query"
+	"muppet/internal/slate"
+)
+
+// Query answers one relational query over an updater's live slates,
+// cluster-wide: the whole σ/π/γ pipeline is pushed to every machine
+// the dispatcher's scatter set names (node-locally for machines this
+// node hosts, over the cluster's query frame otherwise) and only the
+// reduced partials come back to be merged here. Any machine failing
+// fails the query — queries are idempotent, so retrying beats a silent
+// under-count.
+func (r *Runtime) Query(spec query.Spec) (*query.Result, error) {
+	start := time.Now()
+	machines, err := r.disp.Scatter(spec.Updater)
+	if err != nil {
+		return nil, err
+	}
+	co := &query.Coordinator{
+		Machines: machines,
+		IsLocal:  r.clu.IsLocal,
+		Local:    r.queryLocal,
+		Remote:   r.clu.Query,
+	}
+	res, err := co.Run(&spec)
+	if err != nil {
+		return nil, err
+	}
+	r.queries.Observe(spec.Kind(), res.Stats, time.Since(start))
+	return res, nil
+}
+
+// queryLocal runs the node-local pipeline for one hosted machine. The
+// scan input is the cache-resident slates of the machine's cells
+// overlaid on the durable store's rows (cache wins: it holds the
+// freshest, possibly unflushed value), both filtered to the keys the
+// ring currently routes to this machine — ownership filtering is what
+// keeps scatter-gather free of duplicates and dead-lineage rows.
+func (r *Runtime) queryLocal(machine string, spec *query.Spec) (*query.NodeResult, error) {
+	if !r.clu.IsLocal(machine) {
+		return nil, fmt.Errorf("muppet: machine %s is not hosted here", machine)
+	}
+	f := r.app.Function(spec.Updater)
+	if f == nil || f.Kind != core.KindUpdate {
+		return nil, fmt.Errorf("muppet: no updater %q", spec.Updater)
+	}
+	var cached []query.InputRow
+	for _, c := range r.byMachine[machine] {
+		for _, k := range c.Cache.Keys() {
+			if k.Updater != spec.Updater || !spec.KeyInRange(k.Key) || !r.owns(c, k.Updater, k.Key) {
+				continue
+			}
+			if v, ok := c.Cache.Peek(k); ok {
+				cached = append(cached, query.InputRow{Key: k.Key, Raw: v})
+			}
+		}
+	}
+	var stored []query.InputRow
+	if r.cfg.Store != nil {
+		r.cfg.Store.ScanUntil(spec.Updater, func(key string, sv []byte) bool {
+			if !spec.KeyInRange(key) {
+				return true
+			}
+			if owner, _ := r.disp.Route(spec.Updater, key); owner == machine {
+				if raw, err := slate.Decode(sv); err == nil {
+					stored = append(stored, query.InputRow{Key: key, Raw: raw})
+				}
+			}
+			return true
+		})
+	}
+	return query.Execute(spec, f.Codec, query.MergeRows(cached, stored)), nil
+}
+
+// QueryWatch starts a continuous query: the spec is re-evaluated on
+// flush-epoch cadence (or spec.EveryMS) and the marshaled Result is
+// published to a private sink stream whenever the answer changes, so
+// watchers ride the same bounded Subscribe machinery as declared
+// output streams. The returned stop function ends the watch and
+// cancels the subscription; it must be called exactly once.
+func (r *Runtime) QueryWatch(spec query.Spec, buf int) (*engine.Subscription, func(), error) {
+	if err := spec.Normalize(); err != nil {
+		return nil, nil, err
+	}
+	interval := r.cfg.FlushInterval
+	if spec.EveryMS > 0 {
+		interval = time.Duration(spec.EveryMS) * time.Millisecond
+	}
+	stream := fmt.Sprintf("_query/%d", r.watchSeq.Add(1))
+	sub := r.sink.Subscribe(stream, buf)
+	w := &query.Watcher{
+		Interval: interval,
+		Run:      func() (*query.Result, error) { return r.Query(spec) },
+		Emit: func(payload []byte) {
+			r.sink.Record(event.Event{
+				Stream:  stream,
+				Seq:     r.seq.Add(1),
+				Key:     spec.Updater,
+				Value:   payload,
+				Ingress: time.Now().UnixNano(),
+			})
+		},
+	}
+	w.Start()
+	stop := func() {
+		w.Stop()
+		sub.Cancel()
+	}
+	return sub, stop, nil
+}
+
+// QueryCounters exposes the query subsystem's counters (for metrics
+// registration and tests).
+func (r *Runtime) QueryCounters() *query.Counters { return r.queries }

@@ -1,0 +1,178 @@
+package runtime
+
+import (
+	"muppet/internal/engine"
+	"muppet/internal/event"
+	"muppet/internal/recovery"
+	"muppet/internal/slate"
+	"muppet/internal/wal"
+)
+
+// CrashMachine simulates a machine failure with the stock §4.3
+// disposition, via the recovery subsystem: the machine stops accepting
+// events, every queued event and dirty slate on it is lost (and
+// logged), a replay log is discarded, and flush batches retained in the
+// slate group-commit WAL are replayed into the store. Detection is left
+// to the next failed send. An unknown machine is a (0, 0) no-op.
+func (r *Runtime) CrashMachine(machine string) (lostQueued, lostDirtySlates int) {
+	if r.clu.Machine(machine) == nil {
+		return 0, 0
+	}
+	rep := r.rec.Crash(machine)
+	return rep.QueuedLost, rep.DirtyLost
+}
+
+// RejoinMachine revives a crashed machine through the recovery
+// subsystem: its cells restart on fresh queues, the master broadcasts
+// the rejoin, the ring re-enables it, and its slate caches are warmed
+// from the durable store (unless disabled by Config.Recovery).
+func (r *Runtime) RejoinMachine(machine string) (recovery.RejoinReport, error) {
+	return r.rec.Rejoin(machine)
+}
+
+// RecoveryStatus snapshots the recovery subsystem: per-machine
+// liveness and ring membership, failover/rejoin counters, WAL replay
+// totals, and the latest incident reports.
+func (r *Runtime) RecoveryStatus() recovery.Status { return r.rec.Status() }
+
+// Recovery exposes the engine's recovery manager (for latency
+// histograms, replaying failovers and tests).
+func (r *Runtime) Recovery() *recovery.Manager { return r.rec }
+
+// recoveryAdapter is the engine-facing surface the recovery manager
+// drives (recovery.Adapter), written once over the cells a machine
+// hosts; only ring membership and the replay log are the dispatcher's.
+type recoveryAdapter struct {
+	r *Runtime
+}
+
+func (a recoveryAdapter) RemoveFromRing(machine string) { a.r.disp.SetRing(machine, false) }
+func (a recoveryAdapter) RestoreToRing(machine string)  { a.r.disp.SetRing(machine, true) }
+func (a recoveryAdapter) RingMembers() map[string]bool  { return a.r.disp.RingMembers() }
+
+func (a recoveryAdapter) DrainQueues(machine string, drained func(function string, ev event.Event)) {
+	for _, c := range a.r.byMachine[machine] {
+		for i := range c.Queues {
+			// Drain closes the queue atomically, so the cell's loops exit
+			// immediately instead of consuming a backlog a dead machine
+			// could never have processed.
+			for _, env := range c.Queues[i].Queue().Drain() {
+				drained(env.Func, env.Ev)
+				a.r.tracker.Dec()
+			}
+		}
+	}
+}
+
+func (a recoveryAdapter) AwaitWorkers(machine string) {
+	for _, c := range a.r.byMachine[machine] {
+		c.loops.Wait()
+	}
+}
+
+func (a recoveryAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
+	var wals []*wal.SlateBatchLog
+	dirtyLost := 0
+	for _, c := range a.r.byMachine[machine] {
+		wals = append(wals, c.Cache.WAL())
+		dirtyLost += c.Cache.Crash()
+	}
+	return wals, dirtyLost
+}
+
+func (a recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
+	return a.r.disp.Unacked(machine)
+}
+
+func (a recoveryAdapter) Redeliver(function string, ev event.Event) {
+	a.r.out.Deliver(function, ev, engine.FromWorker)
+}
+
+func (a recoveryAdapter) RestartWorkers(machine string) {
+	// Under stopMu: Stop cannot begin (or finish) its wg.Wait while
+	// fresh loops are being added, and once Stop has swapped stopped we
+	// refuse to start any.
+	a.r.stopMu.Lock()
+	defer a.r.stopMu.Unlock()
+	if a.r.stopped.Load() {
+		return
+	}
+	for _, c := range a.r.byMachine[machine] {
+		// Updates mid-process at crash time completed against the
+		// already-crashed cache and re-inserted dead-lineage values;
+		// drop them so they cannot shadow the store once the ring
+		// routes the keys back here.
+		for _, k := range c.Cache.Keys() {
+			c.Cache.Delete(k)
+		}
+		for i := range c.Queues {
+			c.Queues[i].Replace(a.r.newQueue())
+		}
+		a.r.disp.StartCell(c)
+	}
+}
+
+func (a recoveryAdapter) FlushSlates() { a.r.FlushSlates() }
+
+func (a recoveryAdapter) DropMisplacedSlates() {
+	for _, c := range a.r.cells {
+		var misplaced []slate.Key
+		for _, k := range c.Cache.Keys() {
+			if !a.r.owns(c, k.Updater, k.Key) {
+				misplaced = append(misplaced, k)
+			}
+		}
+		if len(misplaced) == 0 {
+			continue
+		}
+		// An update that slipped in between the handover flush and the
+		// ring flip may have re-dirtied a moved key; persist it before
+		// the eviction or the count would silently vanish. If the store
+		// is unreachable, keep the entries — a stale-copy hazard beats
+		// dropping dirty data, and the next ring change retries.
+		if _, err := c.Cache.FlushDirty(); err != nil {
+			continue
+		}
+		for _, k := range misplaced {
+			c.Cache.Delete(k)
+		}
+	}
+}
+
+func (a recoveryAdapter) WarmSlates(machine string, limit int) int {
+	if a.r.cfg.Store == nil || len(a.r.byMachine[machine]) == 0 {
+		return 0
+	}
+	// Collect the machine's keys first: the store holds its node lock
+	// across the scan callback, so the load-through reads must happen
+	// after the scan returns. ScanUntil stops at the warm limit rather
+	// than sweeping the whole store.
+	type warmKey struct {
+		c *Cell
+		k slate.Key
+	}
+	var keys []warmKey
+	for _, updater := range a.r.app.Updaters() {
+		if len(keys) >= limit {
+			break
+		}
+		a.r.cfg.Store.ScanUntil(updater, func(key string, _ []byte) bool {
+			if owner, address := a.r.disp.Route(updater, key); owner == machine {
+				c, k := a.r.cellAt(machine, address), slate.Key{Updater: updater, Key: key}
+				if _, ok := c.Cache.Peek(k); !ok {
+					keys = append(keys, warmKey{c, k})
+				}
+			}
+			return len(keys) < limit
+		})
+	}
+	warmed := 0
+	for _, wk := range keys {
+		// Get loads through from the store and caches the slate clean —
+		// exactly the state a warm cache should be in.
+		if v, err := wk.c.Cache.Get(wk.k); err == nil && v != nil {
+			warmed++
+		}
+	}
+	return warmed
+}

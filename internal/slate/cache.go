@@ -68,6 +68,20 @@ type CacheStats struct {
 	Size         int
 }
 
+// Add accumulates s into t (shards into a store, stores into an
+// engine-wide view).
+func (t *CacheStats) Add(s CacheStats) {
+	t.Hits += s.Hits
+	t.Misses += s.Misses
+	t.StoreLoads += s.StoreLoads
+	t.StoreSaves += s.StoreSaves
+	t.Evictions += s.Evictions
+	t.DirtyLost += s.DirtyLost
+	t.DecodeErrors += s.DecodeErrors
+	t.EncodeErrors += s.EncodeErrors
+	t.Size += s.Size
+}
+
 // CacheConfig tunes a slate cache.
 type CacheConfig struct {
 	// Capacity is the maximum number of cached slates. Muppet 1.0 gave
@@ -105,6 +119,14 @@ type entry struct {
 	codec   Codec
 	stale   bool
 	pins    int
+
+	// flushing marks an entry whose value a group-commit batch is
+	// carrying to the store right now (Sharded.FlushDirty): no longer
+	// dirty, not yet durable. Eviction skips it exactly as it skips a
+	// pinned entry — dropping it would let a reload read the older store
+	// row, and evicting it re-dirtied would let the batch overwrite the
+	// eviction's newer save — until its batch's write returns.
+	flushing bool
 }
 
 // Cache is an LRU slate cache with dirty tracking. It is safe for

@@ -36,8 +36,9 @@
 //
 // # Store implementations
 //
-// Engines program against the SlateStore interface. Two implementations
-// are provided:
+// The engine runtime holds a *Sharded per cell. SlateStore is the
+// surface the two implementations share; the tests and benchmarks
+// compare them through it:
 //
 //   - Cache is the original single-mutex LRU cache — one lock guards
 //     the whole table, and FlushDirty writes dirty slates to the store
@@ -57,7 +58,8 @@
 // One FlushDirty call:
 //
 //  1. drains each shard's dirty list under that shard's lock (marking
-//     the entries clean),
+//     the entries flushing: no longer dirty, not yet durable, and for
+//     that long exempt from eviction, like a pinned entry),
 //  2. chunks the drained records into bounded batches via
 //     internal/microbatch (MaxFlushBatch records / MaxFlushBytes bytes),
 //  3. appends each batch to an optional internal/wal.SlateBatchLog as
@@ -67,8 +69,13 @@
 //     backing Store implements BatchStore (the kvstore adapter does,
 //     via Cluster.PutBatch), falling back to per-record Save otherwise.
 //
-// A batch that fails to persist is re-marked dirty so a later flush
-// retries it. Flush latency and batch sizes are recorded with
+// When a batch's store write returns, its entries leave the flushing
+// state and any shard they held over capacity is trimmed back. Until
+// then they must stay resident: evicting one let a reload read the
+// older store row (the updates since the previous flush vanished), and
+// evicting one re-dirtied let the in-flight batch overwrite the
+// eviction's newer save. A batch that fails to persist is re-marked
+// dirty so a later flush retries it. Flush latency and batch sizes are recorded with
 // internal/metrics histograms (FlushLatency, BatchSizes) and counters
 // (FlushStats).
 //

@@ -353,23 +353,28 @@ func (s *Sharded) insertLocked(sh *shard, k Key, value []byte, dirty bool) *entr
 	if dirty {
 		sh.dirty[k] = e
 	}
-	for len(sh.items) > sh.capacity {
-		if !s.evictLocked(sh) {
-			break
-		}
-	}
+	s.trimLocked(sh)
 	return e
 }
 
-// evictLocked evicts the shard's least recently used unpinned entry; a
-// pinned entry's decoded object is in an updater's hands and cannot be
-// encoded for persistence, so the walk skips it (the shard may exceed
-// capacity for the pin's microseconds-long lifetime). It reports
+// trimLocked evicts until the shard is within its capacity or nothing
+// in it can be evicted. Caller holds sh.mu.
+func (s *Sharded) trimLocked(sh *shard) {
+	for len(sh.items) > sh.capacity && s.evictLocked(sh) {
+	}
+}
+
+// evictLocked evicts the shard's least recently used entry that is
+// neither pinned nor flushing. A pinned entry's decoded object is in an
+// updater's hands and cannot be encoded for persistence; a flushing
+// entry must stay resident until its batch is in the store. The walk
+// skips both (the shard may exceed capacity for the pin's microseconds
+// or the write's milliseconds; settleChunk trims it back). It reports
 // whether a victim was found.
 func (s *Sharded) evictLocked(sh *shard) bool {
 	for el := sh.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
-		if e.pins > 0 {
+		if e.pins > 0 || e.flushing {
 			continue
 		}
 		if e.dirty && s.cfg.Store != nil {
@@ -397,8 +402,10 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 // drain every shard's dirty list, chunk the records through
 // internal/microbatch, append each chunk to the WAL as one record
 // batch, and write it to the store with a single multi-put. It returns
-// the number of slates durably written. Failed batches are re-marked
-// dirty and retried by the next flush.
+// the number of slates durably written. An entry handed to a batch is
+// marked flushing — un-evictable — until its batch's store write has
+// returned; failed batches are re-marked dirty and retried by the next
+// flush.
 func (s *Sharded) FlushDirty() (int, error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
@@ -419,6 +426,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 				continue
 			}
 			e.dirty = false
+			e.flushing = s.cfg.Store != nil
 			delete(sh.dirty, k)
 			recs = append(recs, BatchRecord{K: k, Value: e.value, TTL: s.ttl(k)})
 		}
@@ -451,17 +459,17 @@ func (s *Sharded) FlushDirty() (int, error) {
 		s.batches.Add(1)
 		s.batchSizes.Observe(int64(len(chunk)))
 		err := s.saveChunk(chunk)
+		s.settleChunk(chunk, err != nil)
 		if err != nil {
 			s.flushErrors.Add(1)
 			if firstErr == nil {
 				firstErr = err
 			}
-			// The records stay dirty and will be re-appended by the
+			// The records are dirty again and will be re-appended by the
 			// retry flush; drop the failed attempt so a long store
 			// outage cannot grow the log without bound, and take the
 			// failed writes back out of the saves count so retries do
 			// not inflate StoreSaves past actual store writes.
-			s.remarkDirty(chunk)
 			s.flushSaves.Add(^uint64(len(chunk) - 1))
 			if s.cfg.WAL != nil {
 				s.cfg.WAL.AbortBatch(walSeq)
@@ -493,17 +501,23 @@ func (s *Sharded) saveChunk(chunk []BatchRecord) error {
 	return firstErr
 }
 
-// remarkDirty restores the dirty flag of a failed batch's entries so a
-// later flush retries them (unless they were evicted or deleted in the
-// meantime — those are gone either way).
-func (s *Sharded) remarkDirty(chunk []BatchRecord) {
+// settleChunk ends the flushing state of a batch whose store write has
+// returned: its entries become evictable again — re-marked dirty first
+// if the write failed, so a later flush retries them — and a shard the
+// un-evictable entries let grow past its capacity is trimmed back.
+// Entries deleted or crashed away in the meantime are gone either way.
+func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
 	for _, r := range chunk {
 		sh := s.shardFor(r.K)
 		sh.mu.Lock()
 		if e, ok := sh.items[r.K]; ok {
-			e.dirty = true
-			sh.dirty[r.K] = e
+			e.flushing = false
+			if failed {
+				e.dirty = true
+				sh.dirty[r.K] = e
+			}
 		}
+		s.trimLocked(sh)
 		sh.mu.Unlock()
 	}
 }
@@ -557,15 +571,7 @@ func (s *Sharded) Stats() CacheStats {
 		st := sh.stats
 		st.Size = len(sh.items)
 		sh.mu.Unlock()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.StoreLoads += st.StoreLoads
-		total.StoreSaves += st.StoreSaves
-		total.Evictions += st.Evictions
-		total.DirtyLost += st.DirtyLost
-		total.DecodeErrors += st.DecodeErrors
-		total.EncodeErrors += st.EncodeErrors
-		total.Size += st.Size
+		total.Add(st)
 	}
 	total.StoreSaves += s.flushSaves.Load()
 	return total

@@ -375,3 +375,74 @@ func TestShardedCapacityClamp(t *testing.T) {
 		t.Fatalf("len = %d, want <= 2", got)
 	}
 }
+
+// gatedBatchStore is a fakeBatchStore whose SaveBatch announces itself
+// and then waits for the gate: the window in which a flush batch has
+// left the cache but is not in the store yet, held open.
+type gatedBatchStore struct {
+	*fakeBatchStore
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedBatchStore) SaveBatch(recs []BatchRecord) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.fakeBatchStore.SaveBatch(recs)
+}
+
+// TestShardedFlushingEntryIsNotEvictable pins the flusher's third state
+// (ROADMAP Fix first 2): a slate handed to a group-commit batch is not
+// dirty any more but not durable yet, and evicting it in that window
+// let the reload read the older store row — every update since the
+// previous flush vanished. It must stay resident until the batch's
+// write returns.
+func TestShardedFlushingEntryIsNotEvictable(t *testing.T) {
+	store := &gatedBatchStore{newFakeBatchStore(), make(chan struct{}, 8), make(chan struct{})}
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 2, Policy: Interval, Store: store})
+	hot := k("U", "hot")
+	incr := func() {
+		v, err := s.Get(hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if v != nil {
+			fmt.Sscan(string(v), &n)
+		}
+		s.Put(hot, []byte(fmt.Sprint(n+1)))
+	}
+	for i := 0; i < 5; i++ {
+		incr()
+	}
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		s.FlushDirty()
+	}()
+	<-store.entered // the batch carrying hot=5 is in flight
+	// Two other keys fill the two-slate cache: at the parent commit the
+	// now-clean hot entry is the LRU victim.
+	s.Put(k("U", "a"), []byte("1"))
+	s.Put(k("U", "b"), []byte("1"))
+	incr() // must see 5, not a reload of the still-empty store row
+	close(store.gate)
+	<-flushed
+	if _, err := s.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get(hot); string(v) != "6" {
+		t.Fatalf("cache reads %q after 6 increments, want 6", v)
+	}
+	store.mu.Lock()
+	stored := string(store.data[hot])
+	store.mu.Unlock()
+	if stored != "6" {
+		t.Fatalf("store holds %q after 6 increments, want 6", stored)
+	}
+	// Once the write has returned the entry is evictable again and the
+	// shard is back within its capacity.
+	if n := s.Len(); n > 2 {
+		t.Fatalf("cache holds %d slates past the flush, capacity 2", n)
+	}
+}

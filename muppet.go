@@ -74,6 +74,7 @@ import (
 	"muppet/internal/query"
 	"muppet/internal/queue"
 	"muppet/internal/recovery"
+	"muppet/internal/runtime"
 	"muppet/internal/slate"
 	"muppet/internal/storage"
 )
@@ -704,85 +705,54 @@ type LostEvent = engine.LostEvent
 // With Config.Network set, the engine becomes one node of a real
 // networked cluster (see NetworkConfig).
 func NewEngine(app *App, cfg Config) (Engine, error) {
-	var clu *cluster.Cluster
+	rc := runtime.Config{
+		Machines:           cfg.Machines,
+		WorkersPerFunction: cfg.WorkersPerFunction,
+		ThreadsPerMachine:  cfg.ThreadsPerMachine,
+		QueueCapacity:      cfg.QueueCapacity,
+		QueuePolicy:        cfg.QueuePolicy,
+		OverflowStream:     cfg.OverflowStream,
+		CacheCapacity:      cfg.CacheCapacity,
+		OutputCapacity:     cfg.OutputCapacity,
+		SlateShards:        cfg.SlateShards,
+		FlushBatch:         cfg.FlushBatch,
+		FlushPolicy:        cfg.FlushPolicy,
+		FlushInterval:      cfg.FlushEvery,
+		StoreLevel:         cfg.StoreLevel,
+		SourceThrottle:     cfg.SourceThrottle,
+		SendLatency:        cfg.SendLatency,
+		DisableDualQueue:   cfg.DisableDualQueue,
+		ReplayLog:          cfg.ReplayLog,
+		Recovery:           cfg.Recovery,
+		Observability:      cfg.Observability,
+	}
+	if cfg.Store != nil {
+		rc.Store = cfg.Store.cluster
+	}
 	if cfg.Network != nil {
 		var err error
-		if clu, err = cfg.Network.buildNode(cfg.SendLatency); err != nil {
+		if rc.Cluster, err = cfg.Network.buildNode(cfg.SendLatency); err != nil {
 			return nil, err
 		}
 	}
+	var e Engine
+	var err error
 	switch cfg.Engine {
 	case EngineV1:
-		e, err := engine1.New(app, engine1.Config{
-			Machines:            cfg.Machines,
-			WorkersPerFunction:  cfg.WorkersPerFunction,
-			QueueCapacity:       cfg.QueueCapacity,
-			QueuePolicy:         cfg.QueuePolicy,
-			OverflowStream:      cfg.OverflowStream,
-			SlateCachePerWorker: cfg.CacheCapacity,
-			OutputCapacity:      cfg.OutputCapacity,
-			SlateShards:         cfg.SlateShards,
-			FlushBatch:          cfg.FlushBatch,
-			FlushPolicy:         cfg.FlushPolicy,
-			FlushInterval:       cfg.FlushEvery,
-			Store:               storeCluster(cfg.Store),
-			StoreLevel:          cfg.StoreLevel,
-			SourceThrottle:      cfg.SourceThrottle,
-			SendLatency:         cfg.SendLatency,
-			Recovery:            cfg.Recovery,
-			Cluster:             clu,
-			Observability:       cfg.Observability,
-		})
-		if err != nil {
-			closeCluster(clu)
-			return nil, err
-		}
-		return e, nil
+		e, err = engine1.New(app, rc)
 	case EngineV2:
-		e, err := engine2.New(app, engine2.Config{
-			Machines:          cfg.Machines,
-			ThreadsPerMachine: cfg.ThreadsPerMachine,
-			QueueCapacity:     cfg.QueueCapacity,
-			QueuePolicy:       cfg.QueuePolicy,
-			OverflowStream:    cfg.OverflowStream,
-			CacheCapacity:     cfg.CacheCapacity,
-			OutputCapacity:    cfg.OutputCapacity,
-			SlateShards:       cfg.SlateShards,
-			FlushBatch:        cfg.FlushBatch,
-			FlushPolicy:       cfg.FlushPolicy,
-			FlushInterval:     cfg.FlushEvery,
-			Store:             storeCluster(cfg.Store),
-			StoreLevel:        cfg.StoreLevel,
-			SourceThrottle:    cfg.SourceThrottle,
-			SendLatency:       cfg.SendLatency,
-			DisableDualQueue:  cfg.DisableDualQueue,
-			ReplayLog:         cfg.ReplayLog,
-			Recovery:          cfg.Recovery,
-			Cluster:           clu,
-			Observability:     cfg.Observability,
-		})
-		if err != nil {
-			closeCluster(clu)
-			return nil, err
-		}
-		return e, nil
+		e, err = engine2.New(app, rc)
 	default:
-		closeCluster(clu)
-		return nil, fmt.Errorf("muppet: unknown engine version %d", cfg.Engine)
+		err = fmt.Errorf("muppet: unknown engine version %d", cfg.Engine)
 	}
-}
-
-func closeCluster(c *cluster.Cluster) {
-	if c != nil {
-		c.Close()
+	if err != nil {
+		// The engine never took ownership of the cluster node.
+		if rc.Cluster != nil {
+			rc.Cluster.Close()
+		}
+		return nil, err
 	}
-}
-
-func storeCluster(s *Store) *kvstore.Cluster {
-	if s == nil {
-		return nil
-	}
-	return s.cluster
+	return e, nil
 }
 
 // Handler returns the HTTP handler serving live slate fetches
@@ -791,40 +761,7 @@ func storeCluster(s *Store) *kvstore.Cluster {
 // (POST /ingest, a JSON array of {stream, ts, key, value}), and
 // relational queries over live slates (POST /query, a JSON QuerySpec;
 // answers stream as NDJSON, continuously with "watch": true).
-func Handler(e Engine) http.Handler { return httpapi.Handler(slateReader{e}) }
-
-// slateReader adapts Engine to the httpapi surface.
-type slateReader struct{ e Engine }
-
-func (r slateReader) Slate(updater, key string) []byte { return r.e.Slate(updater, key) }
-func (r slateReader) IngestBatch(evs []Event) (int, error) {
-	return r.e.IngestBatch(evs)
-}
-func (r slateReader) LargestQueues() map[string]int { return r.e.LargestQueues() }
-func (r slateReader) Metrics() *obs.Registry        { return r.e.Metrics() }
-func (r slateReader) SlateCacheStats() slate.CacheStats {
-	return r.e.SlateCacheStats()
-}
-func (r slateReader) OutboxDepths() map[string]int {
-	if o, ok := r.e.(httpapi.OutboxReporter); ok {
-		return o.OutboxDepths()
-	}
-	return nil
-}
-func (r slateReader) Cluster() *cluster.Cluster       { return r.e.Cluster() }
-func (r slateReader) TransportName() string           { return r.e.Cluster().TransportName() }
-func (r slateReader) MachineNames() []string          { return r.e.Cluster().MachineNames() }
-func (r slateReader) LocalNames() []string            { return r.e.Cluster().LocalNames() }
-func (r slateReader) Updaters() []string              { return r.e.Updaters() }
-func (r slateReader) FlushSlates()                    { r.e.FlushSlates() }
-func (r slateReader) RecoveryStatus() recovery.Status { return r.e.RecoveryStatus() }
-func (r slateReader) StoredSlates(updater string) map[string][]byte {
-	return r.e.StoredSlates(updater)
-}
-func (r slateReader) Query(spec query.Spec) (*query.Result, error) { return r.e.Query(spec) }
-func (r slateReader) QueryWatch(spec query.Spec, buf int) (*engine.Subscription, func(), error) {
-	return r.e.QueryWatch(spec, buf)
-}
+func Handler(e Engine) http.Handler { return httpapi.Handler(e) }
 
 // LatencySummary renders an engine's end-to-end latency histogram
 // (event ingress to slate update) on one line.
