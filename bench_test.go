@@ -201,9 +201,9 @@ func BenchmarkIngestPath(b *testing.B) {
 	eng.Drain()
 }
 
-// BenchmarkSlateStoreWrite measures one replicated, compressed slate
+// BenchmarkSlateWriteQuorum measures one replicated, compressed slate
 // write at quorum — the persistence cost each flush pays.
-func BenchmarkSlateStoreWrite(b *testing.B) {
+func BenchmarkSlateWriteQuorum(b *testing.B) {
 	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
 	slate := []byte(`{"count": 42, "interests": ["go", "streams", "retail"]}`)
 	b.ResetTimer()

@@ -131,6 +131,9 @@ func Unmarshal(data []byte) (*Filter, error) {
 		return nil, fmt.Errorf("bloom: unmarshal: hash count %d out of range [1,16]", hashes)
 	}
 	nbits := binary.LittleEndian.Uint64(data[2:])
+	if nbits > uint64(len(data))*8 { // also keeps nbits+63 from wrapping
+		return nil, fmt.Errorf("bloom: unmarshal: %d bits cannot fit in %d bytes", nbits, len(data))
+	}
 	words := int((nbits + 63) / 64)
 	if nbits == 0 || len(data) != marshalHeader+words*8 {
 		return nil, fmt.Errorf("bloom: unmarshal: %d bits needs %d bytes, got %d", nbits, marshalHeader+words*8, len(data))

@@ -123,6 +123,8 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"truncated bits": good[:len(good)-8],
 		"trailing bytes": append(append([]byte(nil), good...), 0xAA),
 		"zero bit count": append([]byte{marshalVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0}, good[marshalHeader:]...),
+		// 2^64-1 bits rounds up to zero words if the sum wraps.
+		"wrapping bit count": {marshalVersion, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for name, data := range cases {
 		if _, err := Unmarshal(data); err == nil {

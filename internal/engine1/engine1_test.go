@@ -130,7 +130,7 @@ func TestSlatePersistedToStore(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("store row missing: found=%v err=%v", found, err)
 	}
-	v, err := slate.Decompress(raw)
+	v, err := slate.Decode(raw)
 	if err != nil || string(v) != "2" {
 		t.Fatalf("stored slate = %q err=%v", v, err)
 	}

@@ -7,9 +7,10 @@
 // payload, either verbatim or deflate-compressed; small values skip
 // compression entirely and the deflate writers/readers are pooled, so
 // a steady encode stream allocates nothing beyond the output buffer.
-// Decode additionally accepts legacy headerless deflate blobs written
-// before framing existed, which is what keeps old WAL batches and
-// kvstore rows readable forever.
+// This is the only stored format: Decode reads bytes off disks and
+// wires, and anything that does not begin with a frame header of the
+// current version is corrupt — an error, never a guess at some other
+// encoding.
 //
 // The package sits below internal/slate and internal/kvstore in the
 // import graph and must not import either.
@@ -33,9 +34,9 @@ import (
 //
 // Both low-bit patterns encode BTYPE=3, the reserved deflate block
 // type, in the position where a deflate stream carries its first block
-// header. compress/flate never emits a reserved block, so no legacy
-// headerless deflate blob can begin with a frame header — which is how
-// Decode tells framed values from legacy ones.
+// header. compress/flate never emits a reserved block, so a bare
+// deflate stream handed to Decode by mistake is rejected at its first
+// byte instead of being taken for a frame.
 const (
 	// Version is the current frame format version.
 	Version = 0
@@ -135,9 +136,7 @@ func AppendEncode(dst, raw []byte) []byte {
 	e.sink.buf = nil
 	encoderPool.Put(e)
 	if werr != nil || cerr != nil {
-		// The sink's Write never fails, so deflate to it cannot either;
-		// see CompressTo for the error-returning path to arbitrary
-		// writers.
+		// The sink's Write never fails, so deflate to it cannot either.
 		panic(fmt.Sprintf("frame: encode: %v", firstNonNil(werr, cerr)))
 	}
 	if len(dst)-base-1 >= len(raw) {
@@ -155,19 +154,15 @@ func firstNonNil(a, b error) error {
 	return b
 }
 
-// Decode reverses Encode. It also accepts legacy headerless deflate
-// blobs written before framing existed (WAL batches and kvstore rows
-// from earlier versions): a stored value whose first byte is not a
-// frame header is inflated as a bare deflate stream.
+// Decode reverses Encode. Empty input, a first byte without the frame
+// bits, and an unknown version are errors.
 func Decode(stored []byte) ([]byte, error) {
 	if len(stored) == 0 {
 		return nil, fmt.Errorf("frame: decode: empty stored value")
 	}
 	h := stored[0]
 	if h&KindMask != KindMask {
-		// Legacy headerless deflate: no frame byte, payload starts
-		// immediately.
-		return inflate(stored)
+		return nil, fmt.Errorf("frame: decode: first byte %#02x is not a frame header", h)
 	}
 	if v := h >> 3; v != Version {
 		return nil, fmt.Errorf("frame: decode: unsupported frame version %d", v)
@@ -210,33 +205,4 @@ func inflate(data []byte) ([]byte, error) {
 	out := make([]byte, len(buf))
 	copy(out, buf)
 	return out, nil
-}
-
-// Compress deflate-compresses a value with the legacy headerless
-// encoding. New code should use Encode (the framed codec); Compress
-// remains as the writer of the legacy format the compatibility tests
-// pin, and its output stays decodable by Decode forever.
-func Compress(raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := CompressTo(&buf, raw); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// CompressTo deflate-compresses raw into w, returning any writer
-// error.
-func CompressTo(w io.Writer, raw []byte) error {
-	fw, err := flate.NewWriter(w, flate.BestSpeed)
-	if err != nil {
-		// flate.NewWriter only fails on an invalid level constant.
-		panic(fmt.Sprintf("frame: flate writer: %v", err))
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return fmt.Errorf("frame: compress: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("frame: compress: %w", err)
-	}
-	return nil
 }

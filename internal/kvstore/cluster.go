@@ -11,6 +11,7 @@ import (
 
 	"muppet/internal/clock"
 	"muppet/internal/hashring"
+	"muppet/internal/lsm"
 	"muppet/internal/storage"
 )
 
@@ -74,9 +75,10 @@ type ClusterConfig struct {
 	RTTJitter time.Duration
 	// Seed makes the jitter deterministic.
 	Seed int64
-	// Dir, when non-empty, makes every node durable: node-NN stores its
-	// data in Dir/node-NN via the internal/lsm engine. A cluster
-	// reopened on the same Dir recovers every node's acknowledged rows.
+	// Dir, when non-empty, puts every node's engine on disk: node-NN
+	// keeps its files in Dir/node-NN, and a cluster reopened on the same
+	// Dir recovers every node's acknowledged rows. Empty runs each node
+	// over its own in-memory filesystem.
 	Dir string
 	// Node is the per-node configuration template. Each node gets its
 	// own device instance with the same profile.
@@ -101,7 +103,7 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster of cfg.Nodes nodes named node-00..node-NN.
-// It panics if cfg.Dir is set and a durable node fails to open; use
+// It panics if a node fails to open (only a cfg.Dir can make one); use
 // OpenCluster when the caller can handle the error.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	c, err := OpenCluster(cfg)
@@ -112,8 +114,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 }
 
 // OpenCluster builds a cluster of cfg.Nodes nodes named
-// node-00..node-NN, opening (and recovering) per-node durable storage
-// under cfg.Dir when it is set.
+// node-00..node-NN, opening (and recovering) per-node storage under
+// cfg.Dir when it is set.
 func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
@@ -157,8 +159,7 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Close releases every node's durable storage (no-op for in-memory
-// clusters).
+// Close closes every node's storage engine.
 func (c *Cluster) Close() error {
 	var first error
 	for _, name := range c.Nodes() {
@@ -195,8 +196,8 @@ func (c *Cluster) KillNode(name string) {
 	}
 }
 
-// ReviveNode brings a crashed node back (sstables intact, memtable
-// lost).
+// ReviveNode brings a crashed node back with every row it
+// acknowledged, flushed or not.
 func (c *Cluster) ReviveNode(name string) {
 	if n := c.nodes[name]; n != nil {
 		n.SetDown(false)
@@ -309,7 +310,7 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 	type reply struct {
 		node  string
 		value []byte
-		row   Row
+		row   lsm.Row
 		found bool
 	}
 	var lats []time.Duration

@@ -3,10 +3,11 @@
 // paper). It reproduces the pieces of Cassandra the paper's arguments
 // depend on:
 //
-//   - a log-structured write path: writes land in an in-memory memtable
-//     and are flushed as immutable sorted runs ("sstables"); the more
-//     runs a row is spread over, the more files a read must check —
-//     exactly the §4.2 observation about delayed flushing;
+//   - a log-structured write path: writes land in a commit log and an
+//     in-memory memtable and are flushed as immutable sorted runs
+//     ("sstables"); the more runs a row is spread over, the more files
+//     a read must check — exactly the §4.2 observation about delayed
+//     flushing;
 //   - size-tiered compaction that merges runs, drops tombstones, and
 //     garbage-collects TTL-expired rows;
 //   - per-write time-to-live, used by Muppet to bound slate storage;
@@ -16,25 +17,37 @@
 //     (see cluster.go);
 //   - per-SSTable bloom filters on the read path.
 //
+// # One engine, two filesystems
+//
+// The log-structured parts are not modelled here: every Node owns one
+// internal/lsm engine and this package adds what sits above a storage
+// engine — row-key composition, the down flag, replication and
+// consistency, and the device cost model. NodeConfig.Dir (or
+// ClusterConfig.Dir) says where the engine keeps its files. With a
+// directory it runs over the operating system's filesystem: a node
+// reopened on the same directory recovers exactly its acknowledged
+// rows, including ones that were only in the write-ahead log. Without
+// one it runs over a private in-memory filesystem (lsm.MemFS) that
+// lives as long as the node. A path is a deployment setting, not a
+// second implementation: visibility rules (newest write wins,
+// tombstones, TTL expiry) and Scan/ScanUntil's ascending row-key order
+// come from the one engine, and lsm_conformance_test.go drives the
+// same workload over both filesystems and asserts agreement.
+//
+// Either way a write is in the engine's write-ahead log before Put
+// returns, so a node that is killed and revived (SetDown, KillNode/
+// ReviveNode) serves every row it acknowledged, flushed or not — like
+// Cassandra replaying its commit log. There is no "memtable lost on
+// crash" mode; what a Muppet failure loses is the unflushed slate
+// changes in the cache above the store (§4.3).
+//
 // Real disks are replaced by the internal/storage cost model so that
-// the SSD-vs-HDD argument of §4.2 is measurable without hardware.
-//
-// # Durable mode
-//
-// Setting NodeConfig.Dir (or ClusterConfig.Dir) mounts the
-// internal/lsm engine under each node instead of the in-memory
-// tables: acknowledged writes are fsync'd into a write-ahead log
-// before Put returns, memtables flush to real segment files, and a
-// node reopened on the same directory recovers exactly its
-// acknowledged rows — including ones that were only in the WAL. The
-// simulated device cost model still applies on top; real bytes and
-// fsyncs are reported in the NodeStats durable extras. Visibility
-// rules (newest write wins, tombstones, TTL expiry) are identical in
-// both modes — lsm_conformance_test.go drives the same workload
-// through each and asserts agreement. Iteration order is part of the
-// shared contract: Scan/ScanUntil yield ascending row-key order on
-// both backends (the in-memory node sorts its merged view to match
-// the lsm engine), so range scans behave identically everywhere.
+// the SSD-vs-HDD argument of §4.2 is measurable without hardware. The
+// model is charged with what the engine really did — commit-log bytes
+// per put, the block bytes a segment probe read (a memtable hit is
+// free), the bytes a flush or a forced compaction wrote — and never
+// sleeps; the engine's own byte and fsync counts are reported beside it
+// in NodeStats.
 //
 // # Contract
 //
@@ -49,11 +62,11 @@
 //
 // # Concurrency
 //
-// Each node serializes its memtable and sstable set under one mutex;
-// the cluster holds a separate mutex for membership (kill/revive) and
-// latency jitter. Calls into different nodes proceed in parallel.
-// KillNode makes a replica unavailable without losing its flushed
-// data, mirroring a Cassandra node crash: ONE-level operations keep
-// succeeding while any replica lives, which is the paper's
-// availability argument for slate storage.
+// Each node serializes its operations under one mutex above the
+// engine's own; the cluster holds a separate mutex for membership
+// (kill/revive) and latency jitter. Calls into different nodes proceed
+// in parallel. KillNode makes a replica unavailable without losing any
+// acknowledged row, mirroring a Cassandra node crash: ONE-level
+// operations keep succeeding while any replica lives, which is the
+// paper's availability argument for slate storage.
 package kvstore

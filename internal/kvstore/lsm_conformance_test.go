@@ -10,10 +10,11 @@ import (
 )
 
 // TestInMemoryAndDurableConformance drives the identical operation
-// sequence through an in-memory node and a durable (lsm-backed) node
+// sequence through a Dir-less node (the engine over its private MemFS)
+// and a node with a data directory (the engine over the OS filesystem)
 // and asserts both expose the same visibility rules: newest write
 // wins, tombstones hide rows, TTL expiry applies, and scans agree on
-// the live set and yield it in ascending key order on both backends.
+// the live set and yield it in ascending key order on both.
 func TestInMemoryAndDurableConformance(t *testing.T) {
 	ck := clock.NewFake(time.Unix(1_700_000_000, 0))
 	mem := NewNode("mem", NodeConfig{Clock: ck})
@@ -154,7 +155,7 @@ func TestDurableNodeReopen(t *testing.T) {
 
 // TestDurableClusterReopen proves a whole cluster restarted on the
 // same directory tree recovers, and that SetDown/SetDown(false) on a
-// durable node keeps its memtable (the WAL already owns those rows).
+// node keeps its memtable (the WAL already owns those rows).
 func TestDurableClusterReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ClusterConfig{Nodes: 3, ReplicationFactor: 2, Dir: dir}
@@ -168,8 +169,8 @@ func TestDurableClusterReopen(t *testing.T) {
 		}
 	}
 
-	// Durable kill/revive: unlike the in-memory store, no data loss at
-	// all — the revived node still answers from its WAL-backed memtable.
+	// Kill/revive loses no data at all: the revived node still answers
+	// from its WAL-backed memtable.
 	victim := c.Nodes()[0]
 	before := c.Node(victim).Stats().MemtableRows
 	c.KillNode(victim)

@@ -1,12 +1,10 @@
 package kvstore
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"muppet/internal/bloom"
 	"muppet/internal/clock"
 	"muppet/internal/lsm"
 	"muppet/internal/storage"
@@ -24,74 +22,6 @@ func splitRowKey(rk string) (key, column string) {
 	return rk[:i], rk[i+1:]
 }
 
-// Row is one stored cell with its write metadata.
-type Row struct {
-	Value     []byte
-	WriteTime time.Time
-	// TTL of zero means the row lives forever (the paper's default).
-	TTL       time.Duration
-	Tombstone bool
-}
-
-// expired reports whether the row's TTL has lapsed at time now.
-func (r Row) expired(now time.Time) bool {
-	return r.TTL > 0 && now.Sub(r.WriteTime) > r.TTL
-}
-
-// memtable is the in-memory write buffer.
-type memtable struct {
-	rows map[string]Row
-	size int64
-}
-
-func newMemtable() *memtable {
-	return &memtable{rows: make(map[string]Row)}
-}
-
-func (m *memtable) put(rk string, r Row) {
-	if old, ok := m.rows[rk]; ok {
-		m.size -= int64(len(old.Value) + len(rk))
-	}
-	m.rows[rk] = r
-	m.size += int64(len(r.Value) + len(rk))
-}
-
-// sstable is an immutable sorted run with a bloom filter.
-type sstable struct {
-	keys   []string
-	rows   []Row
-	filter *bloom.Filter
-	bytes  int64
-}
-
-func buildSSTable(rows map[string]Row) *sstable {
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	t := &sstable{
-		keys:   keys,
-		rows:   make([]Row, len(keys)),
-		filter: bloom.New(len(keys), 0.01),
-	}
-	for i, k := range keys {
-		r := rows[k]
-		t.rows[i] = r
-		t.filter.Add(k)
-		t.bytes += int64(len(k) + len(r.Value))
-	}
-	return t
-}
-
-func (t *sstable) get(rk string) (Row, bool) {
-	i := sort.SearchStrings(t.keys, rk)
-	if i < len(t.keys) && t.keys[i] == rk {
-		return t.rows[i], true
-	}
-	return Row{}, false
-}
-
 // NodeConfig tunes a single store node.
 type NodeConfig struct {
 	// MemtableFlushBytes flushes the memtable to a new sstable once its
@@ -102,14 +32,14 @@ type NodeConfig struct {
 	// CompactionThreshold compacts all sstables into one when the run
 	// count reaches this value.
 	CompactionThreshold int
-	// Dir, when non-empty, mounts a durable internal/lsm engine at that
-	// directory instead of the in-memory tables: rows survive process
-	// restarts, puts are fsync'd before acknowledgement, and Scan order
-	// becomes sorted. Empty keeps the historical in-memory node.
+	// Dir is where the node's internal/lsm engine keeps its files: rows
+	// survive process restarts and puts are fsync'd before
+	// acknowledgement. Empty runs the same engine over a private
+	// in-memory filesystem (lsm.MemFS) that lives as long as the node.
 	Dir string
 	// Device models the node's disk; nil means a free (instant) device.
-	// The device remains a simulated cost model even with Dir set — real
-	// I/O byte counts are reported separately in NodeStats.
+	// It is a simulated cost model charged with the engine's real byte
+	// counts; those are reported separately in NodeStats.
 	Device *storage.Device
 	// Clock supplies time for TTL bookkeeping; nil means the real clock.
 	Clock clock.Clock
@@ -145,8 +75,8 @@ type NodeStats struct {
 	ExpiredDropped uint64 // rows GC'd by compaction (TTL or tombstone)
 	LiveRows       int    // live rows across memtable+sstables (post-merge view)
 
-	// Durable-engine extras, zero for in-memory nodes.
-	Durable           bool   // node is backed by an on-disk lsm engine
+	// Real I/O the engine issued to its filesystem.
+	Durable           bool   // the engine's files are on disk (NodeConfig.Dir set)
 	Fsyncs            uint64 // real fsyncs issued
 	DiskBytesWritten  int64  // real bytes written (WAL + segments)
 	DiskBytesRead     int64  // real bytes read off segments
@@ -160,16 +90,13 @@ type Node struct {
 	name string
 	cfg  NodeConfig
 
-	mu     sync.Mutex
-	mem    *memtable
-	tables []*sstable  // newest first
-	eng    *lsm.Engine // non-nil when cfg.Dir is set (durable mode)
-	down   bool
-	stats  NodeStats
+	mu   sync.Mutex
+	eng  *lsm.Engine
+	down bool
 }
 
 // NewNode returns a node with the given name and configuration. It
-// panics if cfg.Dir is set and the durable engine fails to open; use
+// panics if the engine fails to open (only a cfg.Dir can make it); use
 // OpenNode when the caller can handle the error.
 func NewNode(name string, cfg NodeConfig) *Node {
 	n, err := OpenNode(name, cfg)
@@ -179,38 +106,30 @@ func NewNode(name string, cfg NodeConfig) *Node {
 	return n
 }
 
-// OpenNode returns a node with the given name and configuration. With
-// cfg.Dir set it opens (recovering if needed) a durable lsm engine at
-// that directory; otherwise the node is purely in-memory and OpenNode
-// cannot fail.
+// OpenNode returns a node with the given name and configuration,
+// opening (recovering if needed) its lsm engine at cfg.Dir, or over a
+// fresh in-memory filesystem when cfg.Dir is empty.
 func OpenNode(name string, cfg NodeConfig) (*Node, error) {
 	cfg.fill()
-	n := &Node{name: name, cfg: cfg, mem: newMemtable()}
-	if cfg.Dir != "" {
-		eng, err := lsm.Open(cfg.Dir, lsm.Options{
-			MemtableFlushBytes:  cfg.MemtableFlushBytes,
-			CompactionThreshold: cfg.CompactionThreshold,
-			Clock:               cfg.Clock,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.eng = eng
+	opt := lsm.Options{
+		MemtableFlushBytes:  cfg.MemtableFlushBytes,
+		CompactionThreshold: cfg.CompactionThreshold,
+		Clock:               cfg.Clock,
 	}
-	return n, nil
+	dir := cfg.Dir
+	if dir == "" {
+		opt.FS, dir = lsm.NewMemFS(), "/"+name
+	}
+	eng, err := lsm.Open(dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Node{name: name, cfg: cfg, eng: eng}, nil
 }
 
-// Durable reports whether the node is backed by an on-disk engine.
-func (n *Node) Durable() bool { return n.eng != nil }
-
-// Close releases the durable engine's files and stops its background
-// work. It is a no-op for in-memory nodes.
-func (n *Node) Close() error {
-	if n.eng != nil {
-		return n.eng.Close()
-	}
-	return nil
-}
+// Close waits for a running compaction and releases the engine's
+// files.
+func (n *Node) Close() error { return n.eng.Close() }
 
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
@@ -218,19 +137,14 @@ func (n *Node) Name() string { return n.name }
 // Device returns the node's simulated storage device.
 func (n *Node) Device() *storage.Device { return n.cfg.Device }
 
-// SetDown marks the node crashed (true) or recovered (false). An
-// in-memory node that recovers keeps its sstables — they are durable —
-// but loses its memtable, exactly like a Cassandra restart without a
-// commit log replay. (Muppet tolerates this: unflushed slate changes
-// are lost on failure, §4.3.) A durable node keeps its memtable too:
-// every acknowledged write is already in the write-ahead log, so a
-// restart replays it — nothing acknowledged is ever lost.
+// SetDown marks the node crashed (true) or recovered (false). A node
+// that recovers serves every row it acknowledged, flushed or not: each
+// was in the write-ahead log before its put returned, like a Cassandra
+// restart replaying its commit log. (What a Muppet failure loses is the
+// unflushed slate changes in the cache above the store, §4.3.)
 func (n *Node) SetDown(down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if down && !n.down && n.eng == nil {
-		n.mem = newMemtable()
-	}
 	n.down = down
 }
 
@@ -254,24 +168,17 @@ func (n *Node) Put(key, column string, value []byte, ttl time.Duration) (time.Du
 	if n.down {
 		return 0, ErrNodeDown{n.name}
 	}
-	now := n.cfg.Clock.Now()
 	// Commit-log append: sequential write of the mutation.
 	cost := n.cfg.Device.SequentialWrite(int64(len(key) + len(column) + len(value)))
-	row := Row{Value: append([]byte(nil), value...), WriteTime: now, TTL: ttl}
-	if n.eng != nil {
-		return n.putEngineLocked(cost, []lsm.Row{toEngineRow(rowKey(key, column), row)})
-	}
-	n.mem.put(rowKey(key, column), row)
-	if n.mem.size >= n.cfg.MemtableFlushBytes {
-		cost += n.flushLocked()
-	}
-	return cost, nil
+	return n.putLocked(cost, []lsm.Row{{
+		Key: rowKey(key, column), Value: append([]byte(nil), value...), WriteTime: n.cfg.Clock.Now(), TTL: ttl,
+	}})
 }
 
-// putEngineLocked forwards rows to the durable engine — one WAL group
-// commit, fsync'd before acknowledgement — and folds any triggered
-// memtable flush into the simulated device cost.
-func (n *Node) putEngineLocked(cost time.Duration, rows []lsm.Row) (time.Duration, error) {
+// putLocked forwards rows to the engine — one WAL group commit, synced
+// before acknowledgement — and folds any triggered memtable flush into
+// the simulated device cost.
+func (n *Node) putLocked(cost time.Duration, rows []lsm.Row) (time.Duration, error) {
 	flushed, err := n.eng.Put(rows)
 	if err != nil {
 		return 0, err
@@ -280,16 +187,6 @@ func (n *Node) putEngineLocked(cost time.Duration, rows []lsm.Row) (time.Duratio
 		cost += n.cfg.Device.SequentialWrite(flushed)
 	}
 	return cost, nil
-}
-
-// toEngineRow converts a node row to the engine's representation.
-func toEngineRow(rk string, r Row) lsm.Row {
-	return lsm.Row{Key: rk, Value: r.Value, WriteTime: r.WriteTime, TTL: r.TTL, Tombstone: r.Tombstone}
-}
-
-// fromEngineRow converts back; the row key is returned separately.
-func fromEngineRow(r lsm.Row) Row {
-	return Row{Value: r.Value, WriteTime: r.WriteTime, TTL: r.TTL, Tombstone: r.Tombstone}
 }
 
 // BatchEntry is one write inside a multi-put batch.
@@ -320,21 +217,11 @@ func (n *Node) PutBatch(entries []BatchEntry) (time.Duration, error) {
 		logBytes += int64(len(e.Key) + len(e.Column) + len(e.Value))
 	}
 	cost := n.cfg.Device.SequentialWrite(logBytes)
-	if n.eng != nil {
-		rows := make([]lsm.Row, len(entries))
-		for i, e := range entries {
-			rows[i] = toEngineRow(rowKey(e.Key, e.Column),
-				Row{Value: append([]byte(nil), e.Value...), WriteTime: now, TTL: e.TTL})
-		}
-		return n.putEngineLocked(cost, rows)
+	rows := make([]lsm.Row, len(entries))
+	for i, e := range entries {
+		rows[i] = lsm.Row{Key: rowKey(e.Key, e.Column), Value: append([]byte(nil), e.Value...), WriteTime: now, TTL: e.TTL}
 	}
-	for _, e := range entries {
-		n.mem.put(rowKey(e.Key, e.Column), Row{Value: append([]byte(nil), e.Value...), WriteTime: now, TTL: e.TTL})
-	}
-	if n.mem.size >= n.cfg.MemtableFlushBytes {
-		cost += n.flushLocked()
-	}
-	return cost, nil
+	return n.putLocked(cost, rows)
 }
 
 // Delete writes a tombstone for <key, column>.
@@ -345,73 +232,32 @@ func (n *Node) Delete(key, column string) (time.Duration, error) {
 		return 0, ErrNodeDown{n.name}
 	}
 	cost := n.cfg.Device.SequentialWrite(int64(len(key) + len(column)))
-	row := Row{WriteTime: n.cfg.Clock.Now(), Tombstone: true}
-	if n.eng != nil {
-		return n.putEngineLocked(cost, []lsm.Row{toEngineRow(rowKey(key, column), row)})
-	}
-	n.mem.put(rowKey(key, column), row)
-	if n.mem.size >= n.cfg.MemtableFlushBytes {
-		cost += n.flushLocked()
-	}
-	return cost, nil
+	return n.putLocked(cost, []lsm.Row{{Key: rowKey(key, column), WriteTime: n.cfg.Clock.Now(), Tombstone: true}})
 }
 
-// Get reads <key, column>. The boolean reports whether a live row was
-// found. Expired and tombstoned rows read as absent.
-func (n *Node) Get(key, column string) ([]byte, Row, bool, time.Duration, error) {
+// Get reads <key, column>, returning the value and the stored row
+// (write time and TTL, for read repair). The boolean reports whether a
+// live row was found. Expired and tombstoned rows read as absent.
+func (n *Node) Get(key, column string) ([]byte, lsm.Row, bool, time.Duration, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
-		return nil, Row{}, false, 0, ErrNodeDown{n.name}
+		return nil, lsm.Row{}, false, 0, ErrNodeDown{n.name}
 	}
-	rk := rowKey(key, column)
-	now := n.cfg.Clock.Now()
-	if n.eng != nil {
-		er, ok, bytesRead, err := n.eng.Get(rk)
-		if err != nil {
-			return nil, Row{}, false, 0, err
-		}
-		var cost time.Duration
-		if bytesRead > 0 {
-			cost = n.cfg.Device.Read(bytesRead)
-		}
-		if !ok {
-			return nil, Row{}, false, cost, nil
-		}
-		r := fromEngineRow(er)
-		if r.Tombstone || r.expired(now) {
-			return nil, r, false, cost, nil
-		}
-		return r.Value, r, true, cost, nil
+	r, ok, bytesRead, err := n.eng.Get(rowKey(key, column))
+	if err != nil {
+		return nil, lsm.Row{}, false, 0, err
 	}
-	n.stats.Reads++
-	if r, ok := n.mem.rows[rk]; ok {
-		n.stats.ReadsFromMem++
-		if r.Tombstone || r.expired(now) {
-			return nil, r, false, 0, nil
-		}
-		return r.Value, r, true, 0, nil
-	}
+	// A read the memtable answers is free; a segment probe costs a
+	// device read of the block it fetched, hit or bloom false positive.
 	var cost time.Duration
-	for _, t := range n.tables {
-		if !t.filter.MayContain(rk) {
-			n.stats.BloomSkips++
-			continue
-		}
-		r, ok := t.get(rk)
-		// A bloom hit costs a device read whether or not the row is
-		// there (false positives still seek).
-		n.stats.SSTableProbes++
-		cost += n.cfg.Device.Read(int64(len(rk) + len(r.Value) + 64))
-		if !ok {
-			continue
-		}
-		if r.Tombstone || r.expired(now) {
-			return nil, r, false, cost, nil
-		}
-		return r.Value, r, true, cost, nil
+	if bytesRead > 0 {
+		cost = n.cfg.Device.Read(bytesRead)
 	}
-	return nil, Row{}, false, cost, nil
+	if !ok || r.Deleted(n.cfg.Clock.Now()) {
+		return nil, r, false, cost, nil
+	}
+	return r.Value, r, true, cost, nil
 }
 
 // Flush forces the memtable to disk as a new sstable and returns the
@@ -422,29 +268,11 @@ func (n *Node) Flush() time.Duration {
 	if n.down {
 		return 0
 	}
-	return n.flushLocked()
-}
-
-func (n *Node) flushLocked() time.Duration {
-	if n.eng != nil {
-		written, err := n.eng.Flush()
-		if err != nil || written == 0 {
-			return 0
-		}
-		return n.cfg.Device.SequentialWrite(written)
-	}
-	if len(n.mem.rows) == 0 {
+	written, err := n.eng.Flush()
+	if err != nil || written == 0 {
 		return 0
 	}
-	t := buildSSTable(n.mem.rows)
-	n.tables = append([]*sstable{t}, n.tables...)
-	n.mem = newMemtable()
-	n.stats.Flushes++
-	cost := n.cfg.Device.SequentialWrite(t.bytes)
-	if len(n.tables) >= n.cfg.CompactionThreshold {
-		cost += n.compactLocked()
-	}
-	return cost
+	return n.cfg.Device.SequentialWrite(written)
 }
 
 // Compact merges all sstables into one, dropping tombstones and
@@ -455,48 +283,11 @@ func (n *Node) Compact() time.Duration {
 	if n.down {
 		return 0
 	}
-	return n.compactLocked()
-}
-
-func (n *Node) compactLocked() time.Duration {
-	if n.eng != nil {
-		read, written, err := n.eng.Compact()
-		if err != nil {
-			return 0
-		}
-		return n.cfg.Device.Read(read) + n.cfg.Device.SequentialWrite(written)
-	}
-	if len(n.tables) == 0 {
+	read, written, err := n.eng.Compact()
+	if err != nil {
 		return 0
 	}
-	now := n.cfg.Clock.Now()
-	merged := make(map[string]Row)
-	var readBytes int64
-	// Oldest first so newer runs overwrite older rows.
-	for i := len(n.tables) - 1; i >= 0; i-- {
-		t := n.tables[i]
-		readBytes += t.bytes
-		for j, k := range t.keys {
-			merged[k] = t.rows[j]
-		}
-	}
-	for k, r := range merged {
-		if r.Tombstone || r.expired(now) {
-			delete(merged, k)
-			n.stats.ExpiredDropped++
-		}
-	}
-	cost := n.cfg.Device.Read(readBytes)
-	if len(merged) == 0 {
-		n.tables = nil
-		n.stats.Compactions++
-		return cost
-	}
-	t := buildSSTable(merged)
-	n.tables = []*sstable{t}
-	n.stats.Compactions++
-	cost += n.cfg.Device.SequentialWrite(t.bytes)
-	return cost
+	return n.cfg.Device.Read(read) + n.cfg.Device.SequentialWrite(written)
 }
 
 // Stats returns a snapshot of the node's internals, including a merged
@@ -504,65 +295,37 @@ func (n *Node) compactLocked() time.Duration {
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.eng != nil {
-		es := n.eng.Stats()
-		s := NodeStats{
-			MemtableRows:   es.MemtableRows,
-			MemtableBytes:  es.MemtableBytes,
-			SSTables:       es.Segments,
-			SSTableBytes:   es.SegmentBytes,
-			Flushes:        uint64(es.Flushes),
-			Compactions:    uint64(es.Compactions),
-			Reads:          uint64(es.Reads),
-			ReadsFromMem:   uint64(es.ReadsFromMem),
-			SSTableProbes:  uint64(es.SegmentProbes),
-			BloomSkips:     uint64(es.BloomSkips),
-			ExpiredDropped: uint64(es.ExpiredDropped),
+	es := n.eng.Stats()
+	s := NodeStats{
+		MemtableRows:   es.MemtableRows,
+		MemtableBytes:  es.MemtableBytes,
+		SSTables:       es.Segments,
+		SSTableBytes:   es.SegmentBytes,
+		Flushes:        uint64(es.Flushes),
+		Compactions:    uint64(es.Compactions),
+		Reads:          uint64(es.Reads),
+		ReadsFromMem:   uint64(es.ReadsFromMem),
+		SSTableProbes:  uint64(es.SegmentProbes),
+		BloomSkips:     uint64(es.BloomSkips),
+		ExpiredDropped: uint64(es.ExpiredDropped),
 
-			Durable:           true,
-			Fsyncs:            uint64(es.Fsyncs),
-			DiskBytesWritten:  es.BytesWritten,
-			DiskBytesRead:     es.BytesRead,
-			WALBytes:          es.WALBytes,
-			CompactionBacklog: es.CompactionBacklog,
-		}
-		if live, err := n.eng.LiveRows(); err == nil {
-			s.LiveRows = live
-		}
-		return s
+		Durable:           n.cfg.Dir != "",
+		Fsyncs:            uint64(es.Fsyncs),
+		DiskBytesWritten:  es.BytesWritten,
+		DiskBytesRead:     es.BytesRead,
+		WALBytes:          es.WALBytes,
+		CompactionBacklog: es.CompactionBacklog,
 	}
-	s := n.stats
-	s.MemtableRows = len(n.mem.rows)
-	s.MemtableBytes = n.mem.size
-	s.SSTables = len(n.tables)
-	now := n.cfg.Clock.Now()
-	live := make(map[string]bool)
-	for i := len(n.tables) - 1; i >= 0; i-- {
-		t := n.tables[i]
-		s.SSTableBytes += t.bytes
-		for j, k := range t.keys {
-			r := t.rows[j]
-			live[k] = !r.Tombstone && !r.expired(now)
-		}
-	}
-	for k, r := range n.mem.rows {
-		live[k] = !r.Tombstone && !r.expired(now)
-	}
-	for _, ok := range live {
-		if ok {
-			s.LiveRows++
-		}
+	if live, err := n.eng.LiveRows(); err == nil {
+		s.LiveRows = live
 	}
 	return s
 }
 
 // Scan calls fn for every live row in the node whose column matches
 // the given column (the bulk slate-read path of Section 5). Rows
-// arrive in ascending row-key order on both backends: a durable node
-// (NodeConfig.Dir set) yields the lsm engine's merged-segment order,
-// and an in-memory node sorts its merged view to match — one ordered
-// contract across backends, which the query subsystem's range scans
-// rely on.
+// arrive in ascending row-key order — the lsm engine's merged order —
+// which the query subsystem's range scans rely on.
 func (n *Node) Scan(column string, fn func(key string, value []byte)) {
 	n.ScanUntil(column, func(k string, v []byte) bool {
 		fn(k, v)
@@ -579,42 +342,11 @@ func (n *Node) ScanUntil(column string, fn func(key string, value []byte) bool) 
 	if n.down {
 		return
 	}
-	if n.eng != nil {
-		n.eng.Scan(func(r lsm.Row) bool {
-			k, col := splitRowKey(r.Key)
-			if col != column {
-				return true
-			}
-			return fn(k, r.Value)
-		})
-		return
-	}
-	now := n.cfg.Clock.Now()
-	seen := make(map[string]Row)
-	for i := len(n.tables) - 1; i >= 0; i-- {
-		t := n.tables[i]
-		for j, k := range t.keys {
-			seen[k] = t.rows[j]
+	n.eng.Scan(func(r lsm.Row) bool {
+		k, col := splitRowKey(r.Key)
+		if col != column {
+			return true
 		}
-	}
-	for k, r := range n.mem.rows {
-		seen[k] = r
-	}
-	keys := make([]string, 0, len(seen))
-	for rk := range seen {
-		keys = append(keys, rk)
-	}
-	sort.Strings(keys)
-	for _, rk := range keys {
-		r := seen[rk]
-		if r.Tombstone || r.expired(now) {
-			continue
-		}
-		k, col := splitRowKey(rk)
-		if col == column {
-			if !fn(k, r.Value) {
-				return
-			}
-		}
-	}
+		return fn(k, r.Value)
+	})
 }

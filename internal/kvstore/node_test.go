@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,7 +13,22 @@ import (
 
 func testNode(t *testing.T, cfg NodeConfig) *Node {
 	t.Helper()
-	return NewNode("n0", cfg)
+	n, err := OpenNode("n0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// onBothFilesystems runs fn once on a Dir-less node (the engine over
+// its private MemFS) and once on a node with a data directory.
+func onBothFilesystems(t *testing.T, cfg NodeConfig, fn func(t *testing.T, n *Node)) {
+	t.Run("memfs", func(t *testing.T) { fn(t, testNode(t, cfg)) })
+	t.Run("dir", func(t *testing.T) {
+		cfg.Dir = t.TempDir()
+		fn(t, testNode(t, cfg))
+	})
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -114,8 +130,11 @@ func TestCompactionMergesRuns(t *testing.T) {
 	n.Put("b", "U", []byte("2"), 0)
 	n.Flush()
 	n.Put("c", "U", []byte("3"), 0)
-	n.Flush() // triggers compaction at threshold 3
+	n.Flush() // starts the background compaction at threshold 3
 	s := n.Stats()
+	for deadline := time.Now().Add(5 * time.Second); s.Compactions == 0 && time.Now().Before(deadline); s = n.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if s.Compactions != 1 || s.SSTables != 1 {
 		t.Fatalf("stats = %+v, want 1 compaction into 1 sstable", s)
 	}
@@ -164,25 +183,29 @@ func TestTTLZeroMeansForever(t *testing.T) {
 	}
 }
 
+// TestCompactionGCsExpiredRows forces a compaction of a tree with one
+// sstable: the space TTL-expired slates hold must be reclaimed without
+// waiting for an unrelated second flush.
 func TestCompactionGCsExpiredRows(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
-	n := testNode(t, NodeConfig{Clock: fake, CompactionThreshold: 100})
-	for i := 0; i < 10; i++ {
-		n.Put(fmt.Sprintf("k%d", i), "U", []byte("v"), 5*time.Second)
-	}
-	n.Flush()
-	fake.Advance(10 * time.Second)
-	n.Compact()
-	s := n.Stats()
-	if s.ExpiredDropped != 10 {
-		t.Fatalf("ExpiredDropped = %d, want 10", s.ExpiredDropped)
-	}
-	if s.LiveRows != 0 {
-		t.Fatalf("LiveRows = %d, want 0", s.LiveRows)
-	}
-	if _, _, found, _, _ := n.Get("k3", "U"); found {
-		t.Fatal("TTL-expired row resurfaced after compaction")
-	}
+	onBothFilesystems(t, NodeConfig{Clock: fake, CompactionThreshold: 100}, func(t *testing.T, n *Node) {
+		for i := 0; i < 10; i++ {
+			n.Put(fmt.Sprintf("k%d", i), "U", []byte("v"), 5*time.Second)
+		}
+		n.Flush()
+		fake.Advance(10 * time.Second)
+		n.Compact()
+		s := n.Stats()
+		if s.ExpiredDropped != 10 {
+			t.Fatalf("ExpiredDropped = %d, want 10", s.ExpiredDropped)
+		}
+		if s.LiveRows != 0 || s.SSTables != 0 {
+			t.Fatalf("LiveRows = %d in %d sstables, want none", s.LiveRows, s.SSTables)
+		}
+		if _, _, found, _, _ := n.Get("k3", "U"); found {
+			t.Fatal("TTL-expired row resurfaced after compaction")
+		}
+	})
 }
 
 func TestExpiredRowNeverResurfacesAfterRewrite(t *testing.T) {
@@ -214,19 +237,22 @@ func TestDownNodeRejectsOps(t *testing.T) {
 	}
 }
 
-func TestCrashLosesMemtableKeepsSSTables(t *testing.T) {
-	n := testNode(t, NodeConfig{CompactionThreshold: 100})
-	n.Put("durable", "U", []byte("v1"), 0)
-	n.Flush()
-	n.Put("volatile", "U", []byte("v2"), 0)
-	n.SetDown(true)
-	n.SetDown(false)
-	if _, _, found, _, _ := n.Get("durable", "U"); !found {
-		t.Fatal("flushed row lost on crash")
-	}
-	if _, _, found, _, _ := n.Get("volatile", "U"); found {
-		t.Fatal("memtable row survived crash")
-	}
+// TestCrashKeepsAcknowledgedRows: a node that crashes and comes back
+// serves every row it acknowledged, in an sstable or only in the
+// memtable — the write-ahead log held each before its put returned.
+func TestCrashKeepsAcknowledgedRows(t *testing.T) {
+	onBothFilesystems(t, NodeConfig{CompactionThreshold: 100}, func(t *testing.T, n *Node) {
+		n.Put("flushed", "U", []byte("v1"), 0)
+		n.Flush()
+		n.Put("memtable-only", "U", []byte("v2"), 0)
+		n.SetDown(true)
+		n.SetDown(false)
+		for _, k := range []string{"flushed", "memtable-only"} {
+			if _, _, found, _, _ := n.Get(k, "U"); !found {
+				t.Fatalf("acknowledged row %q lost on crash", k)
+			}
+		}
+	})
 }
 
 func TestBloomFilterSkipsIrrelevantRuns(t *testing.T) {
@@ -335,5 +361,18 @@ func TestPutCopiesValue(t *testing.T) {
 	v, _, _, _, _ := n.Get("k", "U")
 	if string(v) != "original" {
 		t.Fatalf("stored value aliases caller buffer: %q", v)
+	}
+}
+
+// TestUnclosedNodesHoldNoGoroutine: tests, experiments and examples
+// build Dir-less stores by the hundred and close none of them, so a
+// node (and the engine it owns) must park no goroutine.
+func TestUnclosedNodesHoldNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		NewNode("n", NodeConfig{}).Put("k", "U", []byte("v"), 0)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 1000 unclosed Dir-less nodes, %d after", before, after)
 	}
 }

@@ -1,20 +1,24 @@
 // Package lsm is a durable log-structured merge storage engine: the
-// persistence layer kvstore.Node mounts when given a data directory,
-// standing in for the Cassandra commitlog/SSTable machinery the paper
-// persists slates in (Section 4.2).
+// one storage engine under every kvstore.Node (over OSFS at the node's
+// data directory, over a private MemFS when it has none), standing in
+// for the Cassandra commitlog/SSTable machinery the paper persists
+// slates in (Section 4.2).
 //
 // # Structure
 //
 // Writes land in a CRC-guarded write-ahead log (one fsync per Put
 // batch — group commit) and an in-memory memtable. When the memtable
-// passes its size budget (or age bound) it is flushed to an immutable
-// sorted segment file: framed rows, a sparse index block, and a
-// serialized bloom filter, bounded by a fixed footer. A background
-// compactor merges all segments into one once their count passes the
-// threshold, dropping overwritten versions, tombstones, and
-// TTL-expired rows. Reads consult the memtable, then segments newest
-// to oldest, with the bloom filter gating each probe and the sparse
-// index bounding the disk read to one block.
+// passes its size budget it is flushed to an immutable sorted segment
+// file: framed rows, a sparse index block, and a serialized bloom
+// filter, bounded by a fixed footer. The flush that takes the segment
+// count to the threshold starts a background compaction (the engine
+// keeps no resident goroutine) that merges all segments into one,
+// dropping overwritten versions, tombstones, and TTL-expired rows; an
+// explicit Compact does the same to any non-empty tree. Reads consult
+// the memtable, then segments newest to oldest, with the bloom filter
+// gating each probe and the sparse index bounding the disk read to one
+// block. Open checks every count and offset a segment file declares
+// against the bytes that could hold it before trusting it.
 //
 // # Durability contract
 //
@@ -28,9 +32,9 @@
 // (a torn tail is dropped; those bytes were never acknowledged) — and
 // sweeps orphan files from interrupted flushes or compactions.
 //
-// The FS interface abstracts the filesystem so crash tests can inject
-// faults at any Create/Write/Sync/Rename/SyncDir and simulate power
-// cuts (MemFS discards unsynced bytes); production uses OSFS.
+// The FS interface abstracts the filesystem: OSFS on disk, MemFS in
+// memory, where crash tests also inject faults at any Create/Write/
+// Sync/Rename/SyncDir and simulate power cuts (unsynced bytes vanish).
 //
 // # Concurrency
 //

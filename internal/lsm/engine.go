@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"muppet/internal/clock"
 )
@@ -29,16 +28,11 @@ type Options struct {
 	BloomFPRate float64
 	// FS is the filesystem to write through. Default OSFS.
 	FS FS
-	// Clock supplies time for TTL expiry and the age flusher. Default
-	// the real clock.
+	// Clock supplies time for TTL expiry. Default the real clock.
 	Clock clock.Clock
 	// DisableAutoCompact turns off the background compactor; Compact
 	// must then be called explicitly. Flushing is unaffected.
 	DisableAutoCompact bool
-	// MemtableMaxAge, when positive, flushes a non-empty memtable that
-	// has held unflushed rows for this long even if it is under the
-	// size trigger, bounding how much WAL a crash has to replay.
-	MemtableMaxAge time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -103,7 +97,6 @@ type Engine struct {
 	mu       sync.Mutex
 	mem      map[string]Row
 	memBytes int64
-	memSince time.Time  // first unflushed write
 	segs     []*segment // newest first
 	wal      *walWriter
 	next     uint64 // next file sequence number
@@ -115,10 +108,12 @@ type Engine struct {
 	// replay. Reads keep working; recovery is Close + Open.
 	broken error
 
-	compactCh chan struct{}
-	stopCh    chan struct{}
-	wg        sync.WaitGroup
-	compactMu sync.Mutex // serializes compaction runs
+	// compactPending is set while a background compaction spawned by a
+	// flush has not started its run yet, so a burst of flushes past the
+	// threshold queues one run, not one goroutine each.
+	compactPending bool
+	wg             sync.WaitGroup // background compactions; Close waits on it
+	compactMu      sync.Mutex     // serializes compaction runs
 }
 
 // Open opens (or creates) the engine rooted at dir and recovers it to
@@ -140,14 +135,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open %s: %w", dir, err)
 	}
-	e := &Engine{
-		dir:       dir,
-		opt:       opt,
-		fs:        fs,
-		mem:       make(map[string]Row),
-		compactCh: make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
-	}
+	e := &Engine{dir: dir, opt: opt, fs: fs, mem: make(map[string]Row)}
 	// Never reuse a sequence number, even one belonging to an orphan
 	// file about to be swept.
 	e.next = man.Next
@@ -230,14 +218,6 @@ func Open(dir string, opt Options) (*Engine, error) {
 			fs.Remove(dir + "/" + name) // best effort: re-swept next Open
 		}
 	}
-	if !opt.DisableAutoCompact {
-		e.wg.Add(1)
-		go e.compactLoop()
-	}
-	if opt.MemtableMaxAge > 0 {
-		e.wg.Add(1)
-		go e.ageFlushLoop()
-	}
 	return e, nil
 }
 
@@ -273,9 +253,6 @@ func (e *Engine) memApply(r Row) {
 	}
 	e.mem[r.Key] = r
 	e.memBytes += rowMemBytes(r)
-	if len(e.mem) == 1 {
-		e.memSince = e.opt.Clock.Now()
-	}
 }
 
 func rowMemBytes(r Row) int64 { return int64(len(r.Key) + len(r.Value) + 48) }
@@ -338,9 +315,9 @@ func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 }
 
 // Get returns the newest stored version of key, including tombstones
-// and expired rows — visibility is the caller's decision (Row.deleted
-// logic is mirrored in Scan). bytesRead is real disk bytes for the
-// probe, for device-cost accounting.
+// and expired rows — visibility is the caller's decision (Row.Deleted;
+// Scan applies it). bytesRead is real disk bytes for the probe, for
+// device-cost accounting.
 func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -387,7 +364,7 @@ func (e *Engine) Scan(fn func(Row) bool) error {
 	}
 	now := e.opt.Clock.Now()
 	for _, r := range merged {
-		if r.deleted(now) {
+		if r.Deleted(now) {
 			continue
 		}
 		if !fn(r) {
@@ -475,11 +452,15 @@ func (e *Engine) flushLocked() (int64, error) {
 	e.memBytes = 0
 	oldWAL.close()
 	e.fs.Remove(oldWAL.path) // best effort: manifest already retired it
-	if len(e.segs) >= e.opt.CompactionThreshold {
-		select {
-		case e.compactCh <- struct{}{}:
-		default:
-		}
+	if len(e.segs) >= e.opt.CompactionThreshold && !e.opt.DisableAutoCompact && !e.compactPending {
+		// The engine keeps no resident goroutine: the flush that crosses
+		// the threshold starts the merge, and Close waits for it.
+		e.compactPending = true
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			e.compact(true)
+		}()
 	}
 	return n, nil
 }
@@ -487,14 +468,26 @@ func (e *Engine) flushLocked() (int64, error) {
 // Compact merges every segment into one, dropping overwritten
 // versions, tombstones, and TTL-expired rows (safe because the merge
 // spans all segments; anything newer lives in the memtable and wins at
-// read time). The merge runs outside the engine lock — segments are
+// read time). It rewrites any non-empty tree — a single segment too,
+// which is how space held by deleted and expired rows is reclaimed on
+// demand. The merge runs outside the engine lock — segments are
 // immutable and concurrent flushes only prepend — and the swap commits
 // with one manifest rename.
-func (e *Engine) Compact() (read, written int64, err error) {
+func (e *Engine) Compact() (read, written int64, err error) { return e.compact(false) }
+
+// compact is Compact; a background run (started by the flush that
+// crossed CompactionThreshold) merges only if the tree is still at the
+// threshold when its turn comes.
+func (e *Engine) compact(background bool) (read, written int64, err error) {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
 
 	e.mu.Lock()
+	minSegs := 1
+	if background {
+		e.compactPending = false
+		minSegs = e.opt.CompactionThreshold
+	}
 	if e.closed {
 		e.mu.Unlock()
 		return 0, 0, fmt.Errorf("lsm: engine closed")
@@ -504,7 +497,7 @@ func (e *Engine) Compact() (read, written int64, err error) {
 		e.mu.Unlock()
 		return 0, 0, err
 	}
-	if len(e.segs) < 2 {
+	if len(e.segs) < minSegs {
 		e.mu.Unlock()
 		return 0, 0, nil
 	}
@@ -594,38 +587,6 @@ func (e *Engine) Compact() (read, written int64, err error) {
 	return read, written, nil
 }
 
-// compactLoop is the background compactor: it merges whenever a flush
-// pushes the segment count past the threshold.
-func (e *Engine) compactLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-e.compactCh:
-			e.Compact()
-		}
-	}
-}
-
-// ageFlushLoop flushes a memtable that has sat unflushed past
-// MemtableMaxAge.
-func (e *Engine) ageFlushLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-e.opt.Clock.After(e.opt.MemtableMaxAge):
-			e.mu.Lock()
-			if !e.closed && len(e.mem) > 0 && e.opt.Clock.Now().Sub(e.memSince) >= e.opt.MemtableMaxAge {
-				e.flushLocked()
-			}
-			e.mu.Unlock()
-		}
-	}
-}
-
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -657,10 +618,10 @@ func (e *Engine) LiveRows() (int, error) {
 	return n, err
 }
 
-// Close stops background work and releases file handles. It does not
-// flush: the WAL already holds every acknowledged row, so Open after
-// Close recovers the identical state (that recovery path is exercised
-// constantly, not only after crashes).
+// Close waits for a running compaction and releases file handles. It
+// does not flush: the WAL already holds every acknowledged row, so Open
+// after Close recovers the identical state (that recovery path is
+// exercised constantly, not only after crashes).
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -669,7 +630,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	close(e.stopCh)
 	e.wg.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()

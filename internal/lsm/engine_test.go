@@ -55,7 +55,7 @@ func visible(t *testing.T, e *Engine, ck clock.Clock, key string) (string, bool)
 	if err != nil {
 		t.Fatalf("Get(%q): %v", key, err)
 	}
-	if !ok || r.deleted(ck.Now()) {
+	if !ok || r.Deleted(ck.Now()) {
 		return "", false
 	}
 	return string(r.Value), true
@@ -237,36 +237,6 @@ func TestSizeTriggeredFlush(t *testing.T) {
 	}
 }
 
-func TestAgeTriggeredFlush(t *testing.T) {
-	fs := NewMemFS()
-	ck := clock.NewFake(t0)
-	opt := testOptions(fs, ck)
-	opt.MemtableMaxAge = time.Second
-	e, err := Open("/db", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	put(t, e, ck, "k", "v")
-	// Wait for the age-flusher to park on the fake clock, then advance
-	// past the deadline and wait for the flush to land.
-	for ck.PendingWaiters() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	ck.Advance(2 * time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats().Flushes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("age flush never happened")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if e.Stats().MemtableRows != 0 {
-		t.Fatal("memtable not emptied by age flush")
-	}
-}
-
 func TestAutoCompaction(t *testing.T) {
 	fs := NewMemFS()
 	ck := clock.NewFake(t0)
@@ -299,6 +269,17 @@ func TestAutoCompaction(t *testing.T) {
 		if v, ok := visible(t, e, ck, fmt.Sprintf("k%d", i)); !ok || v != "v" {
 			t.Fatalf("k%d lost in auto compaction", i)
 		}
+	}
+
+	// Below the threshold a flush starts nothing: only an explicit
+	// Compact rewrites a tree this small. Close waits for any run.
+	put(t, e, ck, "k3", "v")
+	if _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if s := e.Stats(); s.Compactions != 1 {
+		t.Fatalf("%d compactions after a flush to 2 segments at threshold 3, want 1", s.Compactions)
 	}
 }
 

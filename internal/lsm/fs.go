@@ -7,10 +7,11 @@ import (
 	"sort"
 )
 
-// FS is the filesystem surface the engine writes through. Production
-// uses OSFS; crash tests use MemFS, whose Sync/Rename fault points and
-// power-cut semantics (unsynced bytes vanish) are what make the
-// recovery tests real instead of best-effort.
+// FS is the filesystem surface the engine writes through: OSFS for a
+// store with a data directory, MemFS for one without — and for the
+// crash tests, whose recovery checks are real instead of best-effort
+// because of MemFS's Sync/Rename fault points and power-cut semantics
+// (unsynced bytes vanish).
 //
 // The engine's durability contract is expressed entirely in FS terms:
 // a write is acknowledged only after the covering File.Sync returns,
@@ -46,7 +47,7 @@ type File interface {
 	Size() (int64, error)
 }
 
-// OSFS is the production FS backed by the operating system.
+// OSFS is the FS backed by the operating system.
 type OSFS struct{}
 
 type osFile struct{ f *os.File }

@@ -29,13 +29,16 @@ const (
 // held them no longer exists).
 var ErrCrashed = errors.New("lsm: filesystem crashed")
 
-// MemFS is an in-memory FS with power-cut semantics, built for crash
-// tests: bytes written but not yet covered by a Sync are lost on
-// Crash, a fault hook can fail any single Create/Write/Sync/Rename/
-// Remove/SyncDir call (after which the FS acts dead until Crash), and
-// file handles held across a Crash are fenced off. Renames are atomic
-// and durable at the moment they return, which models the
-// rename-as-commit-point contract the engine relies on.
+// MemFS is an in-memory FS. It is the medium of every store that has
+// no data directory (kvstore opens a private one per Dir-less node, so
+// those stores run this engine and not a model of it), and the rig the
+// crash tests drive, for which it has power-cut semantics: bytes
+// written but not yet covered by a Sync are lost on Crash, a fault hook
+// can fail any single Create/Write/Sync/Rename/Remove/SyncDir call
+// (after which the FS acts dead until Crash), and file handles held
+// across a Crash are fenced off. Renames are atomic and durable at the
+// moment they return, which models the rename-as-commit-point contract
+// the engine relies on.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile

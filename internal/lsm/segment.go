@@ -29,8 +29,10 @@ func (r Row) expired(now time.Time) bool {
 	return r.TTL > 0 && now.Sub(r.WriteTime) > r.TTL
 }
 
-// deleted reports whether the row reads as absent at time now.
-func (r Row) deleted(now time.Time) bool { return r.Tombstone || r.expired(now) }
+// Deleted reports whether the row reads as absent at time now: Get
+// returns such rows (visibility is the caller's decision), Scan skips
+// them.
+func (r Row) Deleted(now time.Time) bool { return r.Tombstone || r.expired(now) }
 
 // Row encoding — shared by WAL records and segment data blocks:
 //
@@ -42,6 +44,10 @@ func (r Row) deleted(now time.Time) bool { return r.Tombstone || r.expired(now) 
 // pooled deflate), so large compressible slates shrink on disk and the
 // encode path allocates nothing beyond the destination buffer.
 const rowFlagTombstone = 0x01
+
+// minRowBytes is the shortest row encoding: an empty key, one-byte
+// write time and TTL, the flags byte, and a zero-length value.
+const minRowBytes = 5
 
 // appendRow appends r's encoding to dst. scratch is reusable working
 // memory for the value framing; the (possibly grown) scratch is
@@ -240,6 +246,11 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 	if indexOff < int64(len(segMagic)) || bloomOff < indexOff || bloomOff > size-int64(segFooterSize) {
 		return fail("corrupt footer offsets")
 	}
+	// Nothing read from the file sizes an allocation or bounds a read
+	// before it is checked against the bytes that could hold it.
+	if rowCount < 0 || rowCount > (indexOff-int64(len(segMagic)))/minRowBytes {
+		return fail("corrupt footer row count %d", uint64(rowCount))
+	}
 	meta := make([]byte, size-int64(segFooterSize)-indexOff)
 	if _, err := f.ReadAt(meta, indexOff); err != nil {
 		return fail("read index/bloom: %v", err)
@@ -250,8 +261,12 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 		return fail("corrupt index count")
 	}
 	idx = idx[n:]
+	if count > uint64(len(idx))/2 { // an entry is at least two bytes
+		return fail("corrupt index count %d", count)
+	}
 	keys := make([]string, 0, count)
 	offs := make([]int64, 0, count)
+	prev := int64(len(segMagic)) - 1
 	for i := uint64(0); i < count; i++ {
 		klen, n := binary.Uvarint(idx)
 		if n <= 0 || uint64(len(idx)-n) < klen {
@@ -264,8 +279,14 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 			return fail("corrupt index offset %d", i)
 		}
 		idx = idx[n:]
+		// Offsets must ascend inside the row region: get reads the block
+		// between two neighbours.
+		if off >= uint64(indexOff) || int64(off) <= prev {
+			return fail("corrupt index offset %d", i)
+		}
+		prev = int64(off)
 		keys = append(keys, key)
-		offs = append(offs, int64(off))
+		offs = append(offs, prev)
 	}
 	filter, err := bloom.Unmarshal(meta[bloomOff-indexOff:])
 	if err != nil {

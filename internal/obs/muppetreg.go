@@ -315,9 +315,8 @@ func RegisterCluster(r *Registry, c *cluster.Cluster) {
 // RegisterKVStore registers the durable store's aggregated node stats
 // plus per-node simulated-device counters. All aggregate metrics are
 // emitted from ONE TotalStats snapshot per scrape — TotalStats merges
-// every node (and, for durable nodes, materializes a live-row view),
-// so sampling it per metric would multiply that cost by the metric
-// count.
+// every node (and materializes each one's live-row view), so sampling
+// it per metric would multiply that cost by the metric count.
 func RegisterKVStore(r *Registry, kc *kvstore.Cluster) {
 	type def struct {
 		name, help string

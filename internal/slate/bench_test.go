@@ -1,7 +1,6 @@
 package slate
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,27 +11,22 @@ import (
 	"muppet/internal/storage"
 )
 
-// storesUnderTest builds one instance of each SlateStore implementation
-// for a comparison benchmark: the single-mutex baseline and the sharded
-// store at two stripe counts.
-func storesUnderTest(capacity int, policy FlushPolicy, store func() Store) []struct {
+type namedStore struct {
 	name string
-	s    SlateStore
-} {
-	mk := func() Store {
-		if store == nil {
-			return nil
+	s    *Sharded
+}
+
+// storesUnderTest builds the stores a comparison benchmark runs over:
+// the single-lock baseline (one shard) and two stripe counts.
+func storesUnderTest(capacity int, policy FlushPolicy, store func() Store) []namedStore {
+	mk := func(name string, shards int) namedStore {
+		cfg := ShardedConfig{Shards: shards, Capacity: capacity, Policy: policy}
+		if store != nil {
+			cfg.Store = store()
 		}
-		return store()
+		return namedStore{name, NewSharded(cfg)}
 	}
-	return []struct {
-		name string
-		s    SlateStore
-	}{
-		{"single-lock", NewCache(CacheConfig{Capacity: capacity, Policy: policy, Store: mk()})},
-		{"sharded-16", NewSharded(ShardedConfig{Shards: 16, Capacity: capacity, Policy: policy, Store: mk()})},
-		{"sharded-64", NewSharded(ShardedConfig{Shards: 64, Capacity: capacity, Policy: policy, Store: mk()})},
-	}
+	return []namedStore{mk("single-lock", 1), mk("sharded-16", 16), mk("sharded-64", 64)}
 }
 
 // parallelism ensures at least 8 concurrent goroutines regardless of
@@ -116,14 +110,13 @@ func BenchmarkStoreHotKeySkew(b *testing.B) {
 }
 
 // BenchmarkStoreFlushHeavy: concurrent writers race a background
-// flusher draining to a real (device-free) kvstore cluster. The
-// sharded store group-commits each drain as multi-puts; the baseline
-// writes slates one at a time.
+// flusher draining to a real (device-free) kvstore cluster, each drain
+// group-committed as multi-puts.
 func BenchmarkStoreFlushHeavy(b *testing.B) {
 	keys := benchKeys(4_096)
 	mkStore := func() Store {
 		clu := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 2})
-		return &KVStore{Cluster: clu, Level: kvstore.One, DisableCompression: true}
+		return &KVStore{Cluster: clu, Level: kvstore.One}
 	}
 	for _, impl := range storesUnderTest(8_192, Interval, mkStore) {
 		b.Run(impl.name, func(b *testing.B) {
@@ -158,31 +151,30 @@ func BenchmarkStoreFlushHeavy(b *testing.B) {
 
 // BenchmarkFlushDirtyBatchVsSingle isolates the flush path itself:
 // 4096 dirty slates drained to an SSD-profile cluster in one
-// FlushDirty call. Beyond wall-clock time, it reports the simulated
-// device busy time per flush (the repo's standard I/O metric): the
-// baseline pays one commit-log seek per slate per replica, the
-// group-commit path one per multi-put per node.
+// FlushDirty call, as one-slate batches (the per-slate flusher the
+// group commit replaced) and as group-commit batches. Beyond wall-clock
+// time, it reports the simulated device busy time per flush (the repo's
+// standard I/O metric): the baseline pays one commit-log seek per slate
+// per replica, the group-commit path one per multi-put per node.
 func BenchmarkFlushDirtyBatchVsSingle(b *testing.B) {
 	keys := benchKeys(4_096)
 	val := []byte(`{"count":42}`)
 	ssd := storage.SSD()
 	impls := []struct {
 		name string
-		mk   func(Store) SlateStore
+		cfg  ShardedConfig
 	}{
-		{"single-lock", func(st Store) SlateStore {
-			return NewCache(CacheConfig{Capacity: 8_192, Policy: Interval, Store: st})
-		}},
-		{"sharded-16", func(st Store) SlateStore {
-			return NewSharded(ShardedConfig{Shards: 16, Capacity: 8_192, Policy: Interval, Store: st})
-		}},
+		{"single-lock", ShardedConfig{Shards: 1, MaxFlushBatch: 1}},
+		{"sharded-16", ShardedConfig{Shards: 16}},
 	}
 	for _, impl := range impls {
 		b.Run(impl.name, func(b *testing.B) {
 			clu := kvstore.NewCluster(kvstore.ClusterConfig{
 				Nodes: 3, ReplicationFactor: 2, DeviceProfile: &ssd,
 			})
-			s := impl.mk(&KVStore{Cluster: clu, Level: kvstore.One, DisableCompression: true})
+			cfg := impl.cfg
+			cfg.Capacity, cfg.Policy, cfg.Store = 8_192, Interval, &KVStore{Cluster: clu, Level: kvstore.One}
+			s := NewSharded(cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -207,7 +199,7 @@ func BenchmarkFlushDirtyBatchVsSingle(b *testing.B) {
 }
 
 func BenchmarkCacheGetHit(b *testing.B) {
-	c := NewCache(CacheConfig{Capacity: 10000})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10000})
 	for i := 0; i < 1000; i++ {
 		c.Put(k("U", fmt.Sprintf("k%d", i)), []byte("v"))
 	}
@@ -218,97 +210,10 @@ func BenchmarkCacheGetHit(b *testing.B) {
 }
 
 func BenchmarkCachePutWriteThrough(b *testing.B) {
-	c := NewCache(CacheConfig{Capacity: 10000, Policy: WriteThrough, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10000, Policy: WriteThrough, Store: newFakeStore()})
 	v := []byte(`{"count": 42}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Put(k("U", fmt.Sprintf("k%d", i%1000)), v)
 	}
-}
-
-func BenchmarkCompressTypicalSlate(b *testing.B) {
-	slate := bytes.Repeat([]byte(`{"user":"u123","count":42,"tags":["a","b"]},`), 20)
-	b.SetBytes(int64(len(slate)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compress(slate)
-	}
-}
-
-func BenchmarkDecompressTypicalSlate(b *testing.B) {
-	slate := bytes.Repeat([]byte(`{"user":"u123","count":42,"tags":["a","b"]},`), 20)
-	stored := mustCompress(b, slate)
-	b.SetBytes(int64(len(slate)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Decompress(stored)
-	}
-}
-
-// benchCodec compares the save path of the framed pooled codec
-// (AppendEncode into a reused buffer — the steady state of the
-// group-commit flusher) against the legacy per-call encoder
-// (flate.NewWriter per save, the pre-framing behavior), plus the
-// decode side. allocs/op is the headline: the legacy writer
-// constructs hundreds of KB of deflate state per save.
-func benchCodec(b *testing.B, raw []byte) {
-	b.Run("save-framed", func(b *testing.B) {
-		var buf []byte
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = AppendEncode(buf[:0], raw)
-		}
-	})
-	b.Run("save-legacy", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Compress(raw)
-		}
-	})
-	b.Run("load-framed", func(b *testing.B) {
-		stored := Encode(raw)
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(stored); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("load-legacy", func(b *testing.B) {
-		stored := mustCompress(b, raw)
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(stored); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCodecSmall: a typical counter slate below MinCompressSize —
-// the framed codec stores it raw, skipping deflate entirely.
-func BenchmarkCodecSmall(b *testing.B) {
-	benchCodec(b, []byte(`{"user":"u123","count":42}`))
-}
-
-// BenchmarkCodecLarge: a redundant ~900-byte JSON slate — the framed
-// codec deflates it through the pooled writer.
-func BenchmarkCodecLarge(b *testing.B) {
-	benchCodec(b, bytes.Repeat([]byte(`{"user":"u123","count":42,"tags":["a","b"]},`), 20))
-}
-
-// BenchmarkCodecIncompressible: high-entropy bytes — deflate cannot
-// shrink them, so the framed codec falls back to raw storage.
-func BenchmarkCodecIncompressible(b *testing.B) {
-	benchCodec(b, incompressible(1024))
 }

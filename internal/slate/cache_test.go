@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"muppet/internal/frame"
 	"muppet/internal/kvstore"
 )
 
@@ -43,9 +44,13 @@ func (f *fakeStore) Save(k Key, v []byte, ttl time.Duration) error {
 
 func k(u, key string) Key { return Key{Updater: u, Key: key} }
 
+// The TestCompress*/TestDecompress* tests pin "Muppet compresses each
+// slate before storing it in the key-value store" (Section 4.2) on the
+// one stored format, Encode/Decode.
+
 func TestCompressRoundTrip(t *testing.T) {
 	raw := []byte(`{"count": 42, "user": "alice", "interests": ["go", "streams"]}`)
-	got, err := Decompress(mustCompress(t, raw))
+	got, err := Decode(Encode(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +61,13 @@ func TestCompressRoundTrip(t *testing.T) {
 
 func TestCompressShrinksRedundantData(t *testing.T) {
 	raw := bytes.Repeat([]byte("retailer:walmart;"), 100)
-	if c := mustCompress(t, raw); len(c) >= len(raw)/2 {
+	if c := Encode(raw); len(c) >= len(raw)/2 {
 		t.Fatalf("compressed %d -> %d, expected much smaller", len(raw), len(c))
 	}
 }
 
 func TestCompressEmpty(t *testing.T) {
-	got, err := Decompress(mustCompress(t, nil))
+	got, err := Decode(Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +77,29 @@ func TestCompressEmpty(t *testing.T) {
 }
 
 func TestDecompressGarbageFails(t *testing.T) {
-	if _, err := Decompress([]byte("definitely not deflate")); err == nil {
-		t.Fatal("expected error for garbage input")
+	for _, stored := range [][]byte{
+		[]byte("definitely not deflate"),                                 // no frame header
+		append([]byte{frame.HeaderDeflate}, "definitely not deflate"...), // header, then no deflate stream
+	} {
+		if _, err := Decode(stored); err == nil {
+			t.Fatalf("expected error for garbage input %q", stored)
+		}
 	}
 }
 
+// TestPropertyCompressRoundTrip drives the deflate branch, which
+// quick's short random slates (TestPropertyEncodeRoundTrip) rarely
+// reach: any non-empty pattern repeated past MinCompressSize is stored
+// deflated and reads back intact.
 func TestPropertyCompressRoundTrip(t *testing.T) {
-	f := func(raw []byte) bool {
-		legacy, err := Compress(raw)
-		if err != nil {
-			return false
+	f := func(pattern []byte) bool {
+		if len(pattern) == 0 {
+			return true
 		}
-		got, err := Decompress(legacy)
-		return err == nil && bytes.Equal(got, raw)
+		raw := bytes.Repeat(pattern, 1+MinCompressSize)
+		stored := Encode(raw)
+		got, err := Decode(stored)
+		return stored[0] == frame.HeaderDeflate && err == nil && bytes.Equal(got, raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -108,7 +123,7 @@ func TestKeyString(t *testing.T) {
 }
 
 func TestGetMissReturnsNilForNewSlate(t *testing.T) {
-	c := NewCache(CacheConfig{Capacity: 10, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Store: newFakeStore()})
 	v, err := c.Get(k("U", "fresh"))
 	if err != nil || v != nil {
 		t.Fatalf("v=%v err=%v, want nil,nil", v, err)
@@ -118,7 +133,7 @@ func TestGetMissReturnsNilForNewSlate(t *testing.T) {
 func TestGetLoadsFromStoreOnMiss(t *testing.T) {
 	st := newFakeStore()
 	st.data[k("U", "k1")] = []byte("persisted")
-	c := NewCache(CacheConfig{Capacity: 10, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Store: st})
 	v, err := c.Get(k("U", "k1"))
 	if err != nil || string(v) != "persisted" {
 		t.Fatalf("v=%q err=%v", v, err)
@@ -136,7 +151,7 @@ func TestGetLoadsFromStoreOnMiss(t *testing.T) {
 
 func TestWriteThroughSavesImmediately(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{Capacity: 10, Policy: WriteThrough, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: WriteThrough, Store: st})
 	c.Put(k("U", "k1"), []byte("v1"))
 	if st.saves != 1 {
 		t.Fatalf("saves = %d, want 1", st.saves)
@@ -148,7 +163,7 @@ func TestWriteThroughSavesImmediately(t *testing.T) {
 
 func TestOnEvictSavesOnlyAtEviction(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{Capacity: 2, Policy: OnEvict, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 2, Policy: OnEvict, Store: st})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Put(k("U", "b"), []byte("2"))
 	if st.saves != 0 {
@@ -167,7 +182,7 @@ func TestOnEvictSavesOnlyAtEviction(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewCache(CacheConfig{Capacity: 2, Policy: OnEvict, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 2, Policy: OnEvict, Store: newFakeStore()})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Put(k("U", "b"), []byte("2"))
 	c.Get(k("U", "a")) // promote a
@@ -182,7 +197,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestFlushDirtyPersistsAndCleans(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{Capacity: 10, Policy: Interval, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: Interval, Store: st})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Put(k("U", "b"), []byte("2"))
 	n, err := c.FlushDirty()
@@ -200,7 +215,7 @@ func TestFlushDirtyPersistsAndCleans(t *testing.T) {
 
 func TestCrashLosesDirtySlates(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{Capacity: 10, Policy: Interval, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: Interval, Store: st})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Put(k("U", "b"), []byte("2"))
 	c.FlushDirty()
@@ -223,7 +238,8 @@ func TestCrashLosesDirtySlates(t *testing.T) {
 
 func TestTTLPassedPerUpdater(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{
+	c := NewSharded(ShardedConfig{
+		Shards:   1,
 		Capacity: 10,
 		Policy:   WriteThrough,
 		Store:    st,
@@ -246,7 +262,7 @@ func TestTTLPassedPerUpdater(t *testing.T) {
 
 func TestDeleteRemovesWithoutSave(t *testing.T) {
 	st := newFakeStore()
-	c := NewCache(CacheConfig{Capacity: 10, Policy: OnEvict, Store: st})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: OnEvict, Store: st})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Delete(k("U", "a"))
 	if st.saves != 0 {
@@ -258,7 +274,7 @@ func TestDeleteRemovesWithoutSave(t *testing.T) {
 }
 
 func TestPeekDoesNotPromote(t *testing.T) {
-	c := NewCache(CacheConfig{Capacity: 2, Policy: OnEvict, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 2, Policy: OnEvict, Store: newFakeStore()})
 	c.Put(k("U", "a"), []byte("1"))
 	c.Put(k("U", "b"), []byte("2"))
 	c.Peek(k("U", "a")) // must NOT promote
@@ -269,7 +285,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(CacheConfig{Capacity: 100, Policy: Interval, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 100, Policy: Interval, Store: newFakeStore()})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -292,7 +308,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	c := NewCache(CacheConfig{Capacity: 5, Policy: OnEvict, Store: newFakeStore()})
+	c := NewSharded(ShardedConfig{Shards: 1, Capacity: 5, Policy: OnEvict, Store: newFakeStore()})
 	for i := 0; i < 100; i++ {
 		c.Put(k("U", fmt.Sprintf("k%d", i)), []byte("v"))
 		if c.Len() > 5 {
@@ -327,21 +343,6 @@ func TestKVAdapterMissingSlate(t *testing.T) {
 	_, found, err := st.Load(k("U", "nope"))
 	if err != nil || found {
 		t.Fatalf("found=%v err=%v", found, err)
-	}
-}
-
-func TestKVAdapterUncompressedMode(t *testing.T) {
-	cl := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	st := &KVStore{Cluster: cl, Level: kvstore.One, DisableCompression: true}
-	key := k("U", "k")
-	st.Save(key, []byte("raw"), 0)
-	rawStored, _, _, _ := cl.Get("k", "U", kvstore.One)
-	if string(rawStored) != "raw" {
-		t.Fatalf("stored = %q, want raw bytes", rawStored)
-	}
-	got, found, err := st.Load(key)
-	if err != nil || !found || string(got) != "raw" {
-		t.Fatalf("got=%q found=%v err=%v", got, found, err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package slate
 
-import (
-	"io"
-
-	"muppet/internal/frame"
-)
+import "muppet/internal/frame"
 
 // Key identifies a slate: the pair <update function U, event key k>
 // uniquely determines a slate (Section 3) — the same event key yields
@@ -18,23 +14,10 @@ type Key struct {
 // URI layout of Section 4.4.
 func (k Key) String() string { return k.Updater + "/" + k.Key }
 
-// Storage framing
-//
-// The codec itself lives in internal/frame so the LSM storage engine
-// (which sits below this package in the import graph) can share it;
-// this file keeps the slate-facing API byte-for-byte identical. See
-// the frame package doc for the header layout and the
-// legacy-compatibility rules.
-const (
-	frameVersion = frame.Version
-
-	frameRawBits     = frame.RawBits
-	frameDeflateBits = frame.DeflateBits
-	frameKindMask    = frame.KindMask
-
-	headerRaw     = frame.HeaderRaw
-	headerDeflate = frame.HeaderDeflate
-)
+// Storage framing: the codec itself lives in internal/frame so the LSM
+// storage engine (which sits below this package in the import graph)
+// can share it; MinCompressSize, Encode, AppendEncode and Decode are its
+// slate-facing names. See the frame package doc for the header layout.
 
 // MinCompressSize is the threshold below which Encode stores slates
 // raw: deflate overhead (block headers, the end-of-stream marker)
@@ -58,28 +41,6 @@ func Encode(raw []byte) []byte { return frame.Encode(raw) }
 // the slate.
 func AppendEncode(dst, raw []byte) []byte { return frame.AppendEncode(dst, raw) }
 
-// Decode reverses Encode. It also accepts legacy headerless deflate
-// blobs written before framing existed (WAL batches and kvstore rows
-// from earlier versions): a stored value whose first byte is not a
-// frame header is inflated as a bare deflate stream.
+// Decode reverses Encode. Stored bytes that do not begin with a frame
+// header of the current version are corrupt, and an error.
 func Decode(stored []byte) ([]byte, error) { return frame.Decode(stored) }
-
-// Compress deflate-compresses a slate with the legacy headerless
-// encoding, reproducing "Muppet compresses each slate before storing
-// it in the key-value store" (Section 4.2). New code should use Encode
-// (the framed codec); Compress remains as the writer of the legacy
-// format the compatibility tests pin, and its output stays decodable
-// by Decode forever.
-func Compress(raw []byte) ([]byte, error) { return frame.Compress(raw) }
-
-// CompressTo deflate-compresses raw into w, returning any writer
-// error. Compress once swallowed these; against an in-memory buffer
-// they are impossible (bytes.Buffer writes cannot fail), but arbitrary
-// writers do fail, and the error path is covered by tests.
-func CompressTo(w io.Writer, raw []byte) error { return frame.CompressTo(w, raw) }
-
-// Decompress reverses Compress. It is an alias of Decode and accepts
-// both the framed and the legacy encodings.
-func Decompress(stored []byte) ([]byte, error) {
-	return Decode(stored)
-}

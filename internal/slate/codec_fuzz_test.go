@@ -3,15 +3,16 @@ package slate
 import (
 	"bytes"
 	"testing"
+
+	"muppet/internal/frame"
 )
 
 // FuzzCodecRoundTrip is the framed codec's format guard: arbitrary
-// bytes must round-trip through Encode/Decode (with and without a
-// dirty prefix in the destination buffer), and — the compatibility
-// half — a legacy headerless deflate blob of the same bytes, as the
-// pre-framing Compress wrote them, must still decode. `go test` runs
-// the seed corpus; `go test -fuzz FuzzCodecRoundTrip ./internal/slate`
-// explores further.
+// bytes must round-trip through Encode/Decode, with and without a
+// dirty prefix in the destination buffer. `go test` runs the seed
+// corpus; `go test -fuzz FuzzCodecRoundTrip ./internal/slate` explores
+// further. (internal/frame's FuzzDecode covers the other direction:
+// arbitrary stored bytes.)
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("x"))
@@ -19,7 +20,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("retailer:walmart;"), 50))
 	f.Add(incompressible(MinCompressSize))
 	f.Add(incompressible(MinCompressSize - 1))
-	f.Add([]byte{headerRaw, headerDeflate, 0x00, 0xff})
+	f.Add([]byte{frame.HeaderRaw, frame.HeaderDeflate, 0x00, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		stored := Encode(raw)
 		if len(stored) > len(raw)+1 {
@@ -42,20 +43,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		got, err = Decode(buf[len(prefix):])
 		if err != nil || !bytes.Equal(got, raw) {
 			t.Fatalf("append-encode round trip mismatch: %v", err)
-		}
-
-		// Legacy compat: headerless deflate blobs (the old Compress
-		// output) must keep decoding forever.
-		legacy, err := Compress(raw)
-		if err != nil {
-			t.Fatalf("legacy compress: %v", err)
-		}
-		got, err = Decode(legacy)
-		if err != nil {
-			t.Fatalf("legacy decode: %v", err)
-		}
-		if !bytes.Equal(got, raw) {
-			t.Fatal("legacy round trip mismatch")
 		}
 	})
 }

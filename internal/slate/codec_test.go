@@ -2,28 +2,18 @@ package slate
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
-)
 
-// mustCompress wraps the legacy encoder for tests; against an
-// in-memory buffer its error is impossible.
-func mustCompress(t testing.TB, raw []byte) []byte {
-	t.Helper()
-	stored, err := Compress(raw)
-	if err != nil {
-		t.Fatalf("Compress: %v", err)
-	}
-	return stored
-}
+	"muppet/internal/frame"
+)
 
 // TestDecompressTruncated covers the half-written-value corner: a
 // deflate stream cut off mid-way must error, not return partial slate
 // bytes as if they were the whole value.
 func TestDecompressTruncated(t *testing.T) {
-	stored := mustCompress(t, bytes.Repeat([]byte("abcdefgh"), 1000))
-	if _, err := Decompress(stored[:len(stored)/2]); err == nil {
+	stored := Encode(bytes.Repeat([]byte("abcdefgh"), 1000))
+	if _, err := Decode(stored[:len(stored)/2]); err == nil {
 		t.Fatal("decompress of truncated stream succeeded")
 	}
 }
@@ -35,7 +25,7 @@ func TestCompressBinaryRoundTrip(t *testing.T) {
 	for i := range raw {
 		raw[i] = byte(i)
 	}
-	got, err := Decompress(mustCompress(t, raw))
+	got, err := Decode(Encode(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +43,8 @@ func TestEncodeSmallSkipsDeflate(t *testing.T) {
 	if len(stored) != len(raw)+1 {
 		t.Fatalf("stored %d bytes, want %d (header + raw)", len(stored), len(raw)+1)
 	}
-	if stored[0] != headerRaw {
-		t.Fatalf("header = %#x, want %#x", stored[0], headerRaw)
+	if stored[0] != frame.HeaderRaw {
+		t.Fatalf("header = %#x, want %#x", stored[0], frame.HeaderRaw)
 	}
 	if !bytes.Equal(stored[1:], raw) {
 		t.Fatal("payload not verbatim")
@@ -70,8 +60,8 @@ func TestEncodeSmallSkipsDeflate(t *testing.T) {
 func TestEncodeLargeCompresses(t *testing.T) {
 	raw := bytes.Repeat([]byte("retailer:walmart;"), 100)
 	stored := Encode(raw)
-	if stored[0] != headerDeflate {
-		t.Fatalf("header = %#x, want %#x", stored[0], headerDeflate)
+	if stored[0] != frame.HeaderDeflate {
+		t.Fatalf("header = %#x, want %#x", stored[0], frame.HeaderDeflate)
 	}
 	if len(stored) >= len(raw)/2 {
 		t.Fatalf("stored %d -> %d, expected much smaller", len(raw), len(stored))
@@ -88,8 +78,8 @@ func TestEncodeLargeCompresses(t *testing.T) {
 func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
 	raw := incompressible(4096)
 	stored := Encode(raw)
-	if stored[0] != headerRaw {
-		t.Fatalf("header = %#x, want raw %#x", stored[0], headerRaw)
+	if stored[0] != frame.HeaderRaw {
+		t.Fatalf("header = %#x, want raw %#x", stored[0], frame.HeaderRaw)
 	}
 	if len(stored) != len(raw)+1 {
 		t.Fatalf("stored %d bytes, want %d", len(stored), len(raw)+1)
@@ -100,46 +90,10 @@ func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyHeaderlessDeflate is the format-compat regression
-// guard: blobs written by the pre-framing encoder (bare deflate, no
-// header byte) must keep decoding via Decode/Decompress — earlier PRs'
-// WAL batches and kvstore rows are in that format.
-func TestDecodeLegacyHeaderlessDeflate(t *testing.T) {
-	for _, raw := range [][]byte{
-		nil,
-		[]byte("x"),
-		[]byte(`{"count": 42, "user": "alice"}`),
-		bytes.Repeat([]byte("retailer:walmart;"), 200),
-		incompressible(512),
-	} {
-		legacy := mustCompress(t, raw)
-		got, err := Decode(legacy)
-		if err != nil {
-			t.Fatalf("legacy decode of %d-byte slate: %v", len(raw), err)
-		}
-		if !bytes.Equal(got, raw) {
-			t.Fatalf("legacy round trip mismatch for %d-byte slate", len(raw))
-		}
-	}
-}
-
-// TestLegacyBlobNeverLooksFramed proves the discrimination rule the
-// framing relies on: a deflate stream's first byte carries its first
-// block header, and the frame headers deliberately use the reserved
-// block type (BTYPE=3) that compress/flate never emits.
-func TestLegacyBlobNeverLooksFramed(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		legacy := mustCompress(t, bytes.Repeat([]byte{byte(i)}, i*37))
-		if legacy[0]&frameKindMask == frameKindMask {
-			t.Fatalf("legacy blob %d starts with %#x — indistinguishable from a frame header", i, legacy[0])
-		}
-	}
-}
-
 // TestDecodeRejectsUnknownVersion: a frame header with a future
 // version must error rather than misparse the payload.
 func TestDecodeRejectsUnknownVersion(t *testing.T) {
-	stored := []byte{frameRawBits | 1<<3, 'h', 'i'}
+	stored := []byte{frame.RawBits | 1<<3, 'h', 'i'}
 	if _, err := Decode(stored); err == nil {
 		t.Fatal("decode of unknown frame version succeeded")
 	}
@@ -182,36 +136,6 @@ func TestAppendEncodePreservesPrefix(t *testing.T) {
 	got2, err := Decode(buf[cut:])
 	if err != nil || !bytes.Equal(got2, large) {
 		t.Fatalf("second encoding: %v", err)
-	}
-}
-
-// failWriter fails after n bytes, exercising deflate's writer error
-// path.
-type failWriter struct{ n int }
-
-var errSink = errors.New("sink failed")
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if len(p) > w.n {
-		n := w.n
-		w.n = 0
-		return n, errSink
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
-// TestCompressToSurfacesWriterErrors covers the error path Compress
-// historically swallowed: a failing destination writer must surface
-// from CompressTo, not vanish.
-func TestCompressToSurfacesWriterErrors(t *testing.T) {
-	raw := bytes.Repeat([]byte("abcdefgh"), 4096)
-	if err := CompressTo(&failWriter{n: 0}, raw); !errors.Is(err, errSink) {
-		t.Fatalf("CompressTo(failing writer) = %v, want %v", err, errSink)
-	}
-	// Failing mid-stream (after some bytes land) must also surface.
-	if err := CompressTo(&failWriter{n: 64}, raw); !errors.Is(err, errSink) {
-		t.Fatalf("CompressTo(mid-stream failure) = %v, want %v", err, errSink)
 	}
 }
 
@@ -258,21 +182,6 @@ func TestKVStoreFramedRowsReadable(t *testing.T) {
 		if err != nil || !bytes.Equal(raw, want) {
 			t.Fatalf("raw row %s decode: %v", name, err)
 		}
-	}
-}
-
-// TestKVStoreLoadsLegacyRows: rows written by the pre-framing adapter
-// (bare deflate) must keep loading through the new adapter.
-func TestKVStoreLoadsLegacyRows(t *testing.T) {
-	s, clu := kvHarness(t)
-	raw := bytes.Repeat([]byte(`{"user":"u1","count":7};`), 40)
-	legacy := mustCompress(t, raw)
-	if _, err := clu.Put("k1", "U1", legacy, 0, s.Level); err != nil {
-		t.Fatal(err)
-	}
-	got, found, err := s.Load(Key{Updater: "U1", Key: "k1"})
-	if err != nil || !found || !bytes.Equal(got, raw) {
-		t.Fatalf("legacy row load = (%v, %v, %v)", got, found, err)
 	}
 }
 

@@ -37,39 +37,27 @@ func (c *countingCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
 	return strconv.AppendInt(dst, int64(*v.(*int)), 10), nil
 }
 
-// eachStore runs fn against a fresh instance of every SlateStore
-// implementation (each subtest gets its own store and codec, so the
-// contract assertions cannot bleed across implementations).
-func eachStore(t *testing.T, capacity int, policy FlushPolicy, withStore bool, fn func(t *testing.T, s SlateStore, store *fakeStore, c *countingCodec)) {
+// eachStore runs fn against a fresh single-lock (one shard) and a
+// fresh striped store (each subtest gets its own store and codec, so
+// the contract assertions cannot bleed across them).
+func eachStore(t *testing.T, capacity int, policy FlushPolicy, withStore bool, fn func(t *testing.T, s *Sharded, store *fakeStore, c *countingCodec)) {
 	t.Helper()
-	impls := map[string]func(CacheConfig) SlateStore{
-		"single-lock": func(cfg CacheConfig) SlateStore { return NewCache(cfg) },
-		"sharded": func(cfg CacheConfig) SlateStore {
-			return NewSharded(ShardedConfig{
-				Shards:   4,
-				Capacity: cfg.Capacity,
-				Policy:   cfg.Policy,
-				Store:    cfg.Store,
-				TTLFor:   cfg.TTLFor,
-			})
-		},
-	}
-	for name, mk := range impls {
+	for name, shards := range map[string]int{"single-lock": 1, "sharded": 4} {
 		t.Run(name, func(t *testing.T) {
 			var store *fakeStore
-			cfg := CacheConfig{Capacity: capacity, Policy: policy}
+			cfg := ShardedConfig{Shards: shards, Capacity: capacity, Policy: policy}
 			if withStore {
 				store = newFakeStore()
 				cfg.Store = store
 			}
-			fn(t, mk(cfg), store, &countingCodec{})
+			fn(t, NewSharded(cfg), store, &countingCodec{})
 		})
 	}
 }
 
 // typedUpdate mimics one engine update invocation: get-decoded (or
 // fresh), mutate, put-decoded.
-func typedUpdate(t *testing.T, s SlateStore, key Key, c *countingCodec) {
+func typedUpdate(t *testing.T, s *Sharded, key Key, c *countingCodec) {
 	t.Helper()
 	v, err := s.GetDecoded(key, c)
 	if err != nil {
@@ -85,7 +73,7 @@ func typedUpdate(t *testing.T, s SlateStore, key Key, c *countingCodec) {
 }
 
 func TestDecodedDecodeOnceEncodePerFlush(t *testing.T) {
-	eachStore(t, 100, Interval, true, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, true, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			const events = 50
@@ -115,7 +103,7 @@ func TestDecodedDecodeOnceEncodePerFlush(t *testing.T) {
 }
 
 func TestDecodedLoadsAndDecodesFromStoreOnce(t *testing.T) {
-	eachStore(t, 100, Interval, true, func(t *testing.T, s SlateStore, store *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, true, func(t *testing.T, s *Sharded, store *fakeStore, c *countingCodec) {
 		{
 			store.data[k("U", "x")] = []byte("41")
 			for i := 0; i < 10; i++ {
@@ -135,7 +123,7 @@ func TestDecodedLoadsAndDecodesFromStoreOnce(t *testing.T) {
 }
 
 func TestDecodedReadsEncodeLazily(t *testing.T) {
-	eachStore(t, 100, Interval, false, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, false, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			typedUpdate(t, s, k("U", "x"), c)
 			typedUpdate(t, s, k("U", "x"), c)
@@ -164,7 +152,7 @@ func TestDecodedReadsEncodeLazily(t *testing.T) {
 }
 
 func TestDecodedPinBlocksFlushUntilPut(t *testing.T) {
-	eachStore(t, 100, Interval, true, func(t *testing.T, s SlateStore, store *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, true, func(t *testing.T, s *Sharded, store *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			typedUpdate(t, s, key, c)
@@ -195,7 +183,7 @@ func TestDecodedPinBlocksFlushUntilPut(t *testing.T) {
 }
 
 func TestDecodedEvictionSkipsPinnedEntry(t *testing.T) {
-	eachStore(t, 2, OnEvict, true, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 2, OnEvict, true, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			pinned := k("U", "pinned")
 			typedUpdate(t, s, pinned, c)
@@ -220,7 +208,7 @@ func TestDecodedEvictionSkipsPinnedEntry(t *testing.T) {
 }
 
 func TestDecodedEncodeErrorKeepsEntryDirty(t *testing.T) {
-	eachStore(t, 100, Interval, true, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, true, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			typedUpdate(t, s, k("U", "x"), c)
 			c.failEncode.Store(true)
@@ -242,7 +230,7 @@ func TestDecodedEncodeErrorKeepsEntryDirty(t *testing.T) {
 }
 
 func TestDecodedWriteThroughEncodesAndSavesPerPut(t *testing.T) {
-	eachStore(t, 100, WriteThrough, true, func(t *testing.T, s SlateStore, store *fakeStore, c *countingCodec) {
+	eachStore(t, 100, WriteThrough, true, func(t *testing.T, s *Sharded, store *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			before := c.encodes.Load()
@@ -262,7 +250,7 @@ func TestDecodedWriteThroughEncodesAndSavesPerPut(t *testing.T) {
 }
 
 func TestDecodedBytePutInvalidatesDecodedObject(t *testing.T) {
-	eachStore(t, 100, Interval, false, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, false, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			typedUpdate(t, s, key, c)
@@ -284,7 +272,7 @@ func TestDecodedBytePutInvalidatesDecodedObject(t *testing.T) {
 }
 
 func TestDecodedCorruptSlateReportsError(t *testing.T) {
-	eachStore(t, 100, Interval, false, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, false, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			s.Put(key, []byte("not a number"))
@@ -309,7 +297,7 @@ func TestDecodedCorruptSlateReportsError(t *testing.T) {
 }
 
 func TestDecodedSnapshotDuringPinServesLastEncoding(t *testing.T) {
-	eachStore(t, 100, Interval, false, func(t *testing.T, s SlateStore, _ *fakeStore, c *countingCodec) {
+	eachStore(t, 100, Interval, false, func(t *testing.T, s *Sharded, _ *fakeStore, c *countingCodec) {
 		{
 			key := k("U", "x")
 			typedUpdate(t, s, key, c)

@@ -12,9 +12,9 @@
 // # Decoded slates (the typed API's cache slot)
 //
 // Typed update functions (core.Update) do not want bytes at all: their
-// slate is a live Go object. Both store implementations therefore give
-// each entry a decoded-value slot next to the encoded bytes, driven by
-// an erased Codec:
+// slate is a live Go object. The cache therefore gives each entry a
+// decoded-value slot next to the encoded bytes, driven by an erased
+// Codec:
 //
 //   - GetDecoded(k, codec) decodes the cached (or store-loaded) bytes
 //     at most once per cache fill and returns the object *pinned*: the
@@ -34,28 +34,23 @@
 // reaches the Store (and the group-commit WAL) is always the codec's
 // plain output.
 //
-// # Store implementations
+// # The cache
 //
-// The engine runtime holds a *Sharded per cell. SlateStore is the
-// surface the two implementations share; the tests and benchmarks
-// compare them through it:
-//
-//   - Cache is the original single-mutex LRU cache — one lock guards
-//     the whole table, and FlushDirty writes dirty slates to the store
-//     one at a time. It is kept as the baseline the benchmarks compare
-//     against (and remains adequate for single-goroutine owners).
-//
-//   - Sharded is the scalable store: the key space is striped over N
-//     independent shards by an FNV-1a hash of <updater, key>. Each
-//     shard has its own mutex, LRU list, and dirty list, so worker
-//     threads touching different slates proceed without contending on
-//     a global lock. This is what the Muppet 2.0 central cache
-//     (Section 4.5) needs to scale past a handful of threads.
+// Sharded is the one slate cache; the engine runtime holds one per
+// cell. The key space is striped over N independent shards by an FNV-1a
+// hash of <updater, key>. Each shard has its own mutex, LRU list, and
+// dirty list, so worker threads touching different slates proceed
+// without contending on a global lock. This is what the Muppet 2.0
+// central cache (Section 4.5) needs to scale past a handful of threads.
+// NewSharded(ShardedConfig{Shards: 1}) is the single-lock LRU cache —
+// the baseline the tests and benchmarks compare striping against — and
+// adding MaxFlushBatch: 1 gives the per-slate flusher the group commit
+// replaced.
 //
 // # Group-commit flushing
 //
-// Sharded replaces the per-slate flusher with a group-commit pipeline.
-// One FlushDirty call:
+// Dirty slates reach the store through a group-commit pipeline. One
+// FlushDirty call:
 //
 //  1. drains each shard's dirty list under that shard's lock (marking
 //     the entries flushing: no longer dirty, not yet durable, and for
@@ -97,12 +92,11 @@
 //     whose deflate output is not smaller than the input fall back to
 //     raw — the stored form is never more than one byte larger than
 //     the slate.
-//   - Legacy compatibility: values written before framing existed are
-//     bare deflate streams, and no such stream can begin with a frame
-//     header, so Decode routes headerless values through the legacy
-//     inflate path. Old WAL batches and kvstore rows stay readable;
-//     Compress still writes (and FuzzCodecRoundTrip pins) the legacy
-//     encoding.
+//   - One format: every stored value this repository has ever made
+//     durable is framed, so Decode does not guess. Empty input, a first
+//     byte without the frame bits (a bare deflate stream is one: the
+//     reserved block type is exactly what compress/flate never emits)
+//     and an unknown version are errors.
 //   - Zero-allocation saves: Encode runs through pooled flate writers
 //     (a BestSpeed writer carries hundreds of KB of internal state —
 //     constructing one per save used to dominate the flush path), and

@@ -16,9 +16,6 @@ type KVStore struct {
 	// Level is the consistency level for slate reads and writes, a
 	// per-application knob in Muppet.
 	Level kvstore.Consistency
-	// DisableCompression stores slates raw without framing; experiment
-	// harnesses use it to isolate compression cost.
-	DisableCompression bool
 }
 
 // saveScratch is the reusable working memory of one Save or SaveBatch
@@ -40,9 +37,6 @@ func (s *KVStore) Load(k Key) ([]byte, bool, error) {
 	if err != nil || !found {
 		return nil, false, err
 	}
-	if s.DisableCompression {
-		return v, true, nil
-	}
 	raw, err := Decode(v)
 	if err != nil {
 		return nil, false, err
@@ -53,10 +47,6 @@ func (s *KVStore) Load(k Key) ([]byte, bool, error) {
 // Save implements Store. The framed encoding goes through a pooled
 // scratch buffer, so a steady flush stream allocates nothing per save.
 func (s *KVStore) Save(k Key, value []byte, ttl time.Duration) error {
-	if s.DisableCompression {
-		_, err := s.Cluster.Put(k.Key, k.Updater, value, ttl, s.Level)
-		return err
-	}
 	sc := saveScratchPool.Get().(*saveScratch)
 	sc.buf = AppendEncode(sc.buf[:0], value)
 	_, err := s.Cluster.Put(k.Key, k.Updater, sc.buf, ttl, s.Level)
@@ -77,24 +67,17 @@ func (s *KVStore) SaveBatch(recs []BatchRecord) error {
 	if cap(entries) < len(recs) {
 		entries = make([]kvstore.BatchEntry, 0, len(recs))
 	}
-	if s.DisableCompression {
-		for _, r := range recs {
-			entries = append(entries, kvstore.BatchEntry{Key: r.K.Key, Column: r.K.Updater, Value: r.Value, TTL: r.TTL})
-		}
-	} else {
-		buf, offs := sc.buf[:0], sc.offs[:0]
-		for _, r := range recs {
-			offs = append(offs, len(buf))
-			buf = AppendEncode(buf, r.Value)
-		}
+	buf, offs := sc.buf[:0], sc.offs[:0]
+	for _, r := range recs {
 		offs = append(offs, len(buf))
-		for i, r := range recs {
-			v := buf[offs[i]:offs[i+1]:offs[i+1]]
-			entries = append(entries, kvstore.BatchEntry{Key: r.K.Key, Column: r.K.Updater, Value: v, TTL: r.TTL})
-		}
-		sc.buf, sc.offs = buf, offs
+		buf = AppendEncode(buf, r.Value)
 	}
-	sc.entries = entries
+	offs = append(offs, len(buf))
+	for i, r := range recs {
+		v := buf[offs[i]:offs[i+1]:offs[i+1]]
+		entries = append(entries, kvstore.BatchEntry{Key: r.K.Key, Column: r.K.Updater, Value: v, TTL: r.TTL})
+	}
+	sc.buf, sc.offs, sc.entries = buf, offs, entries
 	_, err := s.Cluster.PutBatch(entries, s.Level)
 	return err
 }

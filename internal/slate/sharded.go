@@ -172,8 +172,10 @@ func (s *Sharded) ttl(k Key) time.Duration {
 	return s.cfg.TTLFor(k.Updater)
 }
 
-// Get implements SlateStore: cache hit, or load-through from the
-// durable store.
+// Get returns the slate for k: a cache hit, or a load-through from the
+// durable store. A nil slate with nil error means the slate does not
+// exist yet (or expired): per Section 4.2 the updater then initializes
+// a fresh one.
 func (s *Sharded) Get(k Key) ([]byte, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -190,9 +192,8 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 		return nil, nil
 	}
 	sh.stats.StoreLoads++
-	// The store round-trip holds the shard lock, like the single-lock
-	// baseline holds its global one: releasing it would let a
-	// concurrent Put-then-evict land a newer value in the store that
+	// The store round-trip holds the shard lock: releasing it would let
+	// a concurrent Put-then-evict land a newer value in the store that
 	// this load has already missed, and the re-insert would cache the
 	// stale copy as clean. A slow load therefore stalls one stripe,
 	// not the whole cache.
@@ -208,7 +209,10 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 	return v, nil
 }
 
-// Peek implements SlateStore.
+// Peek returns the cached slate without promoting it or falling back
+// to the store; the HTTP slate-read path uses the cache "rather than
+// the durable key-value store to ensure an up-to-date reply"
+// (Section 4.4) but must not disturb LRU order for read-only probes.
 func (s *Sharded) Peek(k Key) ([]byte, bool) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -219,7 +223,8 @@ func (s *Sharded) Peek(k Key) ([]byte, bool) {
 	return nil, false
 }
 
-// Put implements SlateStore.
+// Put replaces the slate for k (the updater's replaceSlate call). With
+// WriteThrough the new value is persisted before Put returns.
 func (s *Sharded) Put(k Key, value []byte) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -246,9 +251,14 @@ func (s *Sharded) Put(k Key, value []byte) error {
 	return nil
 }
 
-// GetDecoded implements SlateStore: the typed read path. The decoded
-// object is produced at most once per cache fill and pinned until the
-// matching PutDecoded; see Cache.GetDecoded for the contract.
+// GetDecoded is the typed read path: it returns the decoded slate
+// object for k, decoding the cached (or store-loaded) bytes through
+// codec at most once per cache fill. The returned object is pinned
+// until the matching PutDecoded: the caller may mutate it in place, and
+// flushes skip the entry in the meantime. A nil object with nil error
+// means the slate does not exist yet; the caller initializes a fresh
+// one (Codec.New) and hands it back through PutDecoded, which inserts
+// it.
 func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -295,11 +305,11 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 	return v, nil
 }
 
-// PutDecoded implements SlateStore: the typed write path — install the
-// (usually mutated-in-place) decoded object, mark the entry dirty, and
-// defer the encode to the next flush or external read. It releases the
-// pin taken by GetDecoded. Under WriteThrough the object is encoded
-// and persisted before PutDecoded returns, exactly like Put.
+// PutDecoded is the typed write path — install the (usually
+// mutated-in-place) decoded object, mark the entry dirty, and defer the
+// encode to the next flush or external read. It releases the pin taken
+// by GetDecoded. Under WriteThrough the object is encoded and persisted
+// before PutDecoded returns, exactly like Put.
 func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -332,7 +342,7 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 	return nil
 }
 
-// Delete implements SlateStore.
+// Delete removes the slate from the cache without persisting it.
 func (s *Sharded) Delete(k Key) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -398,14 +408,15 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 	return false
 }
 
-// FlushDirty implements SlateStore with the group-commit pipeline:
-// drain every shard's dirty list, chunk the records through
-// internal/microbatch, append each chunk to the WAL as one record
-// batch, and write it to the store with a single multi-put. It returns
-// the number of slates durably written. An entry handed to a batch is
-// marked flushing — un-evictable — until its batch's store write has
-// returned; failed batches are re-marked dirty and retried by the next
-// flush.
+// FlushDirty persists every dirty slate (the periodic flush of the
+// Interval policy, driven by the engine's background I/O thread)
+// through the group-commit pipeline: drain every shard's dirty list,
+// chunk the records through internal/microbatch, append each chunk to
+// the WAL as one record batch, and write it to the store with a single
+// multi-put. It returns the number of slates durably written. An entry
+// handed to a batch is marked flushing — un-evictable — until its
+// batch's store write has returned; failed batches are re-marked dirty
+// and retried by the next flush.
 func (s *Sharded) FlushDirty() (int, error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
@@ -439,9 +450,9 @@ func (s *Sharded) FlushDirty() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
 	}
-	// Saves are counted when issued, not when the store returns —
-	// matching Cache.FlushDirty's accounting, which observers (stats
-	// endpoints, experiments) read while a slow flush is in flight.
+	// Saves are counted when issued, not when the store returns:
+	// observers (stats endpoints, experiments) read the count while a
+	// slow flush is in flight.
 	s.flushSaves.Add(uint64(len(recs)))
 	var firstErr error
 	flushed := 0
@@ -522,7 +533,10 @@ func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
 	}
 }
 
-// Crash implements SlateStore: drop everything without flushing.
+// Crash drops the entire cache without flushing, counting the dirty
+// slates whose updates are lost — the failure mode Section 4.3
+// accepts: "whatever changes that it has made to the slates and that
+// have not yet been flushed to the key-value store are lost."
 func (s *Sharded) Crash() (dirtyLost int) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -540,7 +554,7 @@ func (s *Sharded) Crash() (dirtyLost int) {
 	return dirtyLost
 }
 
-// Len implements SlateStore.
+// Len reports the number of cached slates.
 func (s *Sharded) Len() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -551,7 +565,7 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// DirtyCount implements SlateStore.
+// DirtyCount reports the number of dirty cached slates.
 func (s *Sharded) DirtyCount() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -562,8 +576,8 @@ func (s *Sharded) DirtyCount() int {
 	return n
 }
 
-// Stats implements SlateStore, summing per-shard counters and the
-// flush pipeline's saves.
+// Stats returns a snapshot of the cache counters: the per-shard
+// counters summed, plus the flush pipeline's saves.
 func (s *Sharded) Stats() CacheStats {
 	var total CacheStats
 	for _, sh := range s.shards {
@@ -577,7 +591,8 @@ func (s *Sharded) Stats() CacheStats {
 	return total
 }
 
-// Keys implements SlateStore.
+// Keys returns the cached slate keys (unordered); the HTTP status
+// endpoint and tests use it.
 func (s *Sharded) Keys() []Key {
 	var out []Key
 	for _, sh := range s.shards {

@@ -2,51 +2,6 @@ package slate
 
 import "time"
 
-// SlateStore is the engine-facing slate cache: the surface both Muppet
-// engines (and the HTTP slate-read path behind them) program against.
-// Cache implements it with a single global mutex; Sharded stripes the
-// key space and group-commits flushes. All methods are safe for
-// concurrent use.
-type SlateStore interface {
-	// Get returns the slate for k, loading it from the durable store on
-	// a miss. A nil slate with nil error means the slate does not exist
-	// yet (or expired).
-	Get(k Key) ([]byte, error)
-	// Peek returns the cached slate without promoting it or falling
-	// back to the store.
-	Peek(k Key) ([]byte, bool)
-	// Put replaces the slate for k. With WriteThrough the new value is
-	// persisted before Put returns.
-	Put(k Key, value []byte) error
-	// GetDecoded returns the decoded slate object for k, decoding the
-	// cached bytes through codec at most once per cache fill. The
-	// object is pinned (mutable by the caller, skipped by flushes)
-	// until the matching PutDecoded. A nil object with nil error means
-	// no slate exists yet.
-	GetDecoded(k Key, codec Codec) (any, error)
-	// PutDecoded installs the decoded slate object for k, marks the
-	// entry dirty, releases the GetDecoded pin, and defers re-encoding
-	// to the next flush or external read (WriteThrough encodes and
-	// persists immediately).
-	PutDecoded(k Key, v any, codec Codec) error
-	// Delete removes the slate from the cache without persisting it.
-	Delete(k Key)
-	// Keys returns the cached slate keys (unordered).
-	Keys() []Key
-	// Len reports the number of cached slates.
-	Len() int
-	// DirtyCount reports the number of dirty cached slates.
-	DirtyCount() int
-	// FlushDirty persists every dirty slate, returning how many were
-	// written.
-	FlushDirty() (int, error)
-	// Crash drops the whole cache without flushing, returning how many
-	// dirty slates were lost.
-	Crash() (dirtyLost int)
-	// Stats returns a snapshot of the cache counters.
-	Stats() CacheStats
-}
-
 // BatchRecord is one slate inside a group-commit flush batch.
 type BatchRecord struct {
 	K     Key
@@ -65,10 +20,5 @@ type BatchStore interface {
 	SaveBatch(recs []BatchRecord) error
 }
 
-// Both cache implementations satisfy the engine-facing interface, and
-// the kvstore adapter satisfies the batch flush path.
-var (
-	_ SlateStore = (*Cache)(nil)
-	_ SlateStore = (*Sharded)(nil)
-	_ BatchStore = (*KVStore)(nil)
-)
+// The kvstore adapter satisfies the batch flush path.
+var _ BatchStore = (*KVStore)(nil)
