@@ -13,9 +13,10 @@ import (
 // Block-policy liveness: throttling inside a workflow deadlocks (§4.3,
 // §5 — only sources may be slowed), so under BlockOverflow a worker's
 // own emits must never wait on a full queue — the queue may be its own.
-// Each case puts one machine with a one- or two-slot queue behind a
-// workflow that feeds itself; before queue.Offer the worker parked on
-// its own notFull forever.
+// Each case puts machines with a one- or two-slot queue behind a
+// workflow that feeds itself; a worker that waited would park on its own
+// notFull forever — or, across nodes, on a peer's, whose worker is
+// parked on its outbox back.
 
 // selfFeedingApp's updater republishes every event to its own input
 // stream until the hop count in the value runs out.
@@ -102,6 +103,90 @@ func TestBlockPolicyWorkerEmitsNeverDeadlock(t *testing.T) {
 					t.Fatalf("lost log %v does not match %d overflow drops", logged, st.LostOverflow)
 				}
 			})
+		}
+	}
+}
+
+// TestBlockPolicyCrossNodeNeverDeadlocks is the same property one hop
+// further out: over TCP a worker's emit rides an outbox, and the frame
+// that carries it must not wait on the peer's full queue (whose worker
+// may be waiting on its own outbox back). The no-wait mark crosses the
+// wire, the peer rejects, and the sender logs the overflow — nothing may
+// escape through the 10 s I/O timeout as a transient-network loss.
+func TestBlockPolicyCrossNodeNeverDeadlocks(t *testing.T) {
+	const events, keys = 4000, 64
+	for _, version := range []muppet.EngineVersion{muppet.EngineV2, muppet.EngineV1} {
+		for _, members := range [][]string{
+			{"machine-00", "machine-01"},
+			{"machine-00", "machine-01", "machine-02"},
+		} {
+			for _, capacity := range []int{1, 2} {
+				t.Run(fmt.Sprintf("engine%d/%dnodes/cap%d", version, len(members), capacity), func(t *testing.T) {
+					addrs := reserveAddrs(t, len(members))
+					var nodes []muppet.Engine
+					for i, m := range members {
+						peers := make(map[string]string)
+						for j, name := range members {
+							if j != i {
+								peers[name] = addrs[j]
+							}
+						}
+						eng, err := muppet.NewEngine(cycleApp(), muppet.Config{
+							Engine:        version,
+							QueueCapacity: capacity,
+							QueuePolicy:   muppet.BlockOverflow,
+							Network:       &muppet.NetworkConfig{Node: m, Listen: addrs[i], Peers: peers},
+						})
+						if err != nil {
+							t.Fatalf("start %s: %v", m, err)
+						}
+						nodes = append(nodes, eng)
+					}
+					ingested := func() (n uint64) {
+						for _, eng := range nodes {
+							n += eng.Stats().Ingested
+						}
+						return n
+					}
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						for i := 0; i < events; i++ {
+							nodes[i%len(nodes)].Ingest(muppet.Event{Stream: "S1", TS: muppet.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%keys), Value: []byte("3")})
+						}
+						// An emit can cross every node and come back.
+						for pass := 0; pass <= len(nodes); pass++ {
+							for _, eng := range nodes {
+								eng.Drain()
+							}
+						}
+					}()
+					select {
+					case <-done:
+					case <-time.After(5 * time.Second):
+						// Not stopped: Stop would wait on the same deadlock.
+						t.Fatalf("cluster did not drain within 5s (%d of %d ingested): a frame is waiting on a full queue", ingested(), events)
+					}
+					var processed, emitted uint64
+					for i, eng := range nodes {
+						defer eng.Stop()
+						st := eng.Stats()
+						processed, emitted = processed+st.Processed, emitted+st.Emitted
+						logged := eng.LostEvents().Totals()
+						if got := logged[engine.LossOverflow.String()]; got != st.LostOverflow || eng.LostEvents().Total() != st.LostOverflow {
+							t.Fatalf("%s: lost log %v does not match %d overflow drops", members[i], logged, st.LostOverflow)
+						}
+					}
+					// Sources were slowed, never dropped; every worker emit
+					// either landed somewhere or was logged as overflow.
+					if ingested() != events {
+						t.Fatalf("ingested %d of %d", ingested(), events)
+					}
+					if processed != emitted {
+						t.Fatalf("processed %d of %d accepted deliveries", processed, emitted)
+					}
+				})
+			}
 		}
 	}
 }

@@ -12,30 +12,33 @@ import (
 	"muppet/internal/event"
 )
 
-// ErrMachineDown is returned by Send when the destination machine is
+// ErrMachineDown is returned by SendBatch when the destination machine is
 // crashed — or, for a machine hosted by another node, when this node
 // cannot reach it (failed dial, broken connection) or last knew it to
 // be down.
 var ErrMachineDown = errors.New("cluster: machine down")
 
-// ErrNoHandler is returned by Send when the destination machine has no
-// registered delivery handler.
+// ErrNoHandler is returned by SendBatch when the destination machine
+// has no registered delivery handler.
 var ErrNoHandler = errors.New("cluster: no delivery handler registered")
 
-// Handler delivers an event addressed to a named worker (or queue) on
-// a machine. It returns an error if the local queue rejects the event.
-// wait is false when the producer must not be slowed (Cluster.Offer):
-// the handler then rejects on a full queue whatever the overflow policy.
-type Handler func(worker string, e event.Event, wait bool) error
+// ErrUnknownMachine is wrapped by the error a send or query to a machine
+// that is not a member (or that the answering peer does not host) returns.
+var ErrUnknownMachine = errors.New("cluster: unknown machine")
 
 // Delivery is one event addressed to a named worker, carried in a
 // batch send. Tag is an opaque caller-side index (the engines use it
 // to map per-delivery failures back to the source event of a batch);
-// it never crosses a transport.
+// it never crosses a transport. NoWait marks a delivery whose producer
+// must not be slowed — a worker's emit, anything an outbox ships: the
+// receiving handler rejects on a full queue whatever the overflow policy.
+// One no-wait delivery makes its whole frame no-wait; the mark crosses
+// the wire as the request kind.
 type Delivery struct {
 	Worker string
 	Ev     event.Event
 	Tag    int
+	NoWait bool
 }
 
 // BatchHandler delivers a whole batch addressed to one machine. The
@@ -71,7 +74,6 @@ type Machine struct {
 	name         string
 	local        bool
 	alive        atomic.Bool
-	handler      atomic.Value // Handler
 	batchHandler atomic.Value // BatchHandler
 }
 
@@ -346,14 +348,6 @@ func (c *Cluster) OnRemoteInflight(fn func(delta int)) {
 	c.inflight.Store(fn)
 }
 
-// SetHandler registers the delivery handler for a machine; the engines
-// install one that places events on local worker queues.
-func (c *Cluster) SetHandler(machine string, h Handler) {
-	if m := c.machines[machine]; m != nil {
-		m.handler.Store(h)
-	}
-}
-
 // SetBatchHandler registers the batch delivery handler for a machine;
 // the engines install one that groups a batch onto local worker queues
 // with a single lock acquisition per queue.
@@ -379,7 +373,7 @@ func (c *Cluster) SetQueryHandler(h QueryHandler) {
 func (c *Cluster) Query(machine string, req []byte) ([]byte, error) {
 	m := c.machines[machine]
 	if m == nil {
-		return nil, fmt.Errorf("cluster: unknown machine %s", machine)
+		return nil, fmt.Errorf("%w %s", ErrUnknownMachine, machine)
 	}
 	if m.local {
 		return c.DeliverQuery(machine, req)
@@ -441,19 +435,19 @@ func (c *Cluster) DeliverQuery(machine string, req []byte) ([]byte, error) {
 	return h(machine, req)
 }
 
-// SendBatch delivers a batch of events to the destination machine in
-// one network exchange: a single liveness check and a single hop's
-// latency charge, however many deliveries the batch carries — the
-// amortization a per-event Send cannot offer. It fails the whole batch
-// with ErrMachineDown if the destination is crashed (or, for a
-// remotely hosted machine, unreachable or presumed down); otherwise it
-// returns the accepted count plus the individually rejected deliveries
-// (full or closed local queues). Machines without a registered
-// BatchHandler fall back to per-delivery Handler calls.
+// SendBatch delivers a batch of events — a single event is a batch of
+// one; there is no other way to a machine — in one network exchange: one
+// liveness check and one hop's latency charge, however many deliveries
+// it carries. It fails the whole batch with ErrMachineDown if the
+// destination is crashed (or, for a remotely hosted machine, presumed
+// down, or unreachable once the transient-fault retry budget is spent —
+// the failure-detection signal of Section 4.3) and with ErrNoHandler if
+// it has no BatchHandler; otherwise it returns the accepted count plus
+// the individually rejected deliveries (full or closed local queues).
 func (c *Cluster) SendBatch(machine string, ds []Delivery) (accepted int, rejects []BatchReject, err error) {
 	m := c.machines[machine]
 	if m == nil {
-		return 0, nil, fmt.Errorf("cluster: unknown machine %s", machine)
+		return 0, nil, fmt.Errorf("%w %s", ErrUnknownMachine, machine)
 	}
 	if len(ds) == 0 {
 		return 0, nil, nil
@@ -531,79 +525,25 @@ func jitterBackoff(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
-// Send delivers an event to the named worker on the destination
-// machine, charging one network hop. It fails immediately with
-// ErrMachineDown if the destination is crashed — or, after the
-// transient-fault retry budget is spent, unreachable — the
-// failure-detection signal of Section 4.3.
-func (c *Cluster) Send(machine, worker string, e event.Event) error {
-	return c.send(machine, worker, e, true)
-}
-
-// Offer is Send for a producer that must never wait on a worker queue
-// (a worker's own emits): on a machine this node hosts, the handler is
-// told not to wait, so a full queue rejects with queue.ErrOverflow even
-// under the Block policy.
-func (c *Cluster) Offer(machine, worker string, e event.Event) error {
-	return c.send(machine, worker, e, false)
-}
-
-func (c *Cluster) send(machine, worker string, e event.Event, wait bool) error {
-	m := c.machines[machine]
-	if m == nil {
-		return fmt.Errorf("cluster: unknown machine %s", machine)
-	}
-	c.sends.Add(1)
-	c.netTime.Add(int64(c.cfg.SendLatency))
-	if m.local {
-		if !m.alive.Load() {
-			return ErrMachineDown
-		}
-		h, _ := m.handler.Load().(Handler)
-		if h == nil {
-			return ErrNoHandler
-		}
-		return h(worker, e, wait)
-	}
-	_, rejects, err := c.sendRemote(m, []Delivery{{Worker: worker, Ev: e}})
-	if err != nil {
-		return err
-	}
-	if len(rejects) > 0 {
-		return rejects[0].Err
-	}
-	return nil
-}
-
 // deliverBatch runs the local delivery path for a batch: one liveness
-// check, then the batch handler (or per-delivery fallback).
+// check, then the machine's batch handler.
 func (c *Cluster) deliverBatch(m *Machine, ds []Delivery) (accepted int, rejects []BatchReject, err error) {
 	if !m.alive.Load() {
 		return 0, nil, ErrMachineDown
 	}
-	if bh, _ := m.batchHandler.Load().(BatchHandler); bh != nil {
-		errs := bh(ds)
-		if errs == nil {
-			return len(ds), nil, nil
-		}
-		for i, e := range errs {
-			if e == nil {
-				accepted++
-			} else {
-				rejects = append(rejects, BatchReject{Index: i, Err: e})
-			}
-		}
-		return accepted, rejects, nil
-	}
-	h, _ := m.handler.Load().(Handler)
-	if h == nil {
+	bh, _ := m.batchHandler.Load().(BatchHandler)
+	if bh == nil {
 		return 0, nil, ErrNoHandler
 	}
-	for i, d := range ds {
-		if e := h(d.Worker, d.Ev, true); e != nil {
-			rejects = append(rejects, BatchReject{Index: i, Err: e})
-		} else {
+	errs := bh(ds)
+	if errs == nil {
+		return len(ds), nil, nil
+	}
+	for i, e := range errs {
+		if e == nil {
 			accepted++
+		} else {
+			rejects = append(rejects, BatchReject{Index: i, Err: e})
 		}
 	}
 	return accepted, rejects, nil

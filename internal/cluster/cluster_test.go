@@ -9,15 +9,41 @@ import (
 	"muppet/internal/event"
 )
 
+// sendOne sends a frame of one — how a single event reaches a machine —
+// and folds its rejection, if any, into the error.
+func sendOne(c *Cluster, machine, worker string, ev event.Event) error {
+	_, rejects, err := c.SendBatch(machine, []Delivery{{Worker: worker, Ev: ev}})
+	if err == nil && len(rejects) > 0 {
+		err = rejects[0].Err
+	}
+	return err
+}
+
+// onEach registers a batch handler that hands h each delivery in turn.
+func onEach(c *Cluster, machine string, h func(worker string, ev event.Event) error) {
+	c.SetBatchHandler(machine, func(ds []Delivery) []error {
+		var errs []error
+		for i, d := range ds {
+			if err := h(d.Worker, d.Ev); err != nil {
+				if errs == nil {
+					errs = make([]error, len(ds))
+				}
+				errs[i] = err
+			}
+		}
+		return errs
+	})
+}
+
 func TestSendDeliversToHandler(t *testing.T) {
 	c := New(Config{Machines: 2})
 	var got event.Event
 	var worker string
-	c.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
+	onEach(c, "machine-01", func(w string, e event.Event) error {
 		worker, got = w, e
 		return nil
 	})
-	err := c.Send("machine-01", "U1#0", event.Event{Key: "k"})
+	err := sendOne(c, "machine-01", "U1#0", event.Event{Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,36 +54,36 @@ func TestSendDeliversToHandler(t *testing.T) {
 
 func TestSendToCrashedMachineFails(t *testing.T) {
 	c := New(Config{Machines: 2})
-	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
+	onEach(c, "machine-00", func(_ string, _ event.Event) error { return nil })
 	c.Crash("machine-00")
-	if err := c.Send("machine-00", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
+	if err := sendOne(c, "machine-00", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("err = %v, want ErrMachineDown", err)
 	}
 	c.Revive("machine-00")
-	if err := c.Send("machine-00", "w", event.Event{}); err != nil {
+	if err := sendOne(c, "machine-00", "w", event.Event{}); err != nil {
 		t.Fatalf("send after revive: %v", err)
 	}
 }
 
 func TestSendUnknownMachine(t *testing.T) {
 	c := New(Config{Machines: 1})
-	if err := c.Send("machine-99", "w", event.Event{}); err == nil {
+	if err := sendOne(c, "machine-99", "w", event.Event{}); err == nil {
 		t.Fatal("send to unknown machine succeeded")
 	}
 }
 
 func TestSendWithoutHandler(t *testing.T) {
 	c := New(Config{Machines: 1})
-	if err := c.Send("machine-00", "w", event.Event{}); !errors.Is(err, ErrNoHandler) {
+	if err := sendOne(c, "machine-00", "w", event.Event{}); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("err = %v, want ErrNoHandler", err)
 	}
 }
 
 func TestNetworkAccounting(t *testing.T) {
 	c := New(Config{Machines: 1, SendLatency: time.Millisecond})
-	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
+	onEach(c, "machine-00", func(_ string, _ event.Event) error { return nil })
 	for i := 0; i < 10; i++ {
-		c.Send("machine-00", "w", event.Event{})
+		sendOne(c, "machine-00", "w", event.Event{})
 	}
 	sends, simTime := c.NetworkStats()
 	if sends != 10 {
@@ -147,7 +173,7 @@ func TestPingAllDetectsCrashed(t *testing.T) {
 func TestConcurrentSendsAndCrash(t *testing.T) {
 	c := New(Config{Machines: 2})
 	var delivered sync.Map
-	c.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
+	onEach(c, "machine-01", func(w string, e event.Event) error {
 		delivered.Store(e.Seq, true)
 		return nil
 	})
@@ -157,7 +183,7 @@ func TestConcurrentSendsAndCrash(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c.Send("machine-01", "w", event.Event{Seq: uint64(g*100 + i)})
+				sendOne(c, "machine-01", "w", event.Event{Seq: uint64(g*100 + i)})
 			}
 		}(g)
 	}
@@ -170,10 +196,10 @@ func TestConcurrentSendsAndCrash(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSendBatchFallsBackToPerDeliveryHandler(t *testing.T) {
+func TestSendBatchHandsHandlerEveryDeliveryInOrder(t *testing.T) {
 	c := New(Config{Machines: 1})
 	var got []string
-	c.SetHandler("machine-00", func(worker string, e event.Event, _ bool) error {
+	onEach(c, "machine-00", func(worker string, e event.Event) error {
 		got = append(got, worker+":"+e.Key)
 		return nil
 	})
@@ -212,7 +238,7 @@ func TestSendBatchUsesBatchHandlerAndReportsRejects(t *testing.T) {
 
 func TestSendBatchToCrashedMachineFailsWhole(t *testing.T) {
 	c := New(Config{Machines: 1})
-	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
+	onEach(c, "machine-00", func(_ string, _ event.Event) error { return nil })
 	c.Crash("machine-00")
 	_, _, err := c.SendBatch("machine-00", []Delivery{{Worker: "f"}})
 	if err != ErrMachineDown {
@@ -222,7 +248,7 @@ func TestSendBatchToCrashedMachineFailsWhole(t *testing.T) {
 
 func TestSendBatchChargesOneHop(t *testing.T) {
 	c := New(Config{Machines: 1, SendLatency: time.Millisecond})
-	c.SetHandler("machine-00", func(string, event.Event, bool) error { return nil })
+	onEach(c, "machine-00", func(_ string, _ event.Event) error { return nil })
 	ds := make([]Delivery, 64)
 	if _, _, err := c.SendBatch("machine-00", ds); err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func forEachTransport(t *testing.T, install func(host *Cluster), fn func(t *test
 	})
 }
 
-// recorder is a race-safe host-side handler pair recording deliveries.
+// recorder is a race-safe host-side handler recording deliveries.
 type recorder struct {
 	mu   sync.Mutex
 	got  []Delivery
@@ -146,9 +146,6 @@ type recorder struct {
 }
 
 func (r *recorder) install(host *Cluster) {
-	host.SetHandler("machine-01", func(w string, e event.Event, _ bool) error {
-		return r.accept(Delivery{Worker: w, Ev: e})
-	})
 	host.SetBatchHandler("machine-01", func(ds []Delivery) []error {
 		var errs []error
 		for i := range ds {
@@ -194,7 +191,7 @@ func TestConformanceDelivery(t *testing.T) {
 			{Stream: "S2", TS: 0, Key: "k3", Value: []byte{}}, // empty, non-nil
 		}
 		for i, ev := range evs {
-			if err := fx.Sender.Send("machine-01", fmt.Sprintf("U1#%d", i), ev); err != nil {
+			if err := sendOne(fx.Sender, "machine-01", fmt.Sprintf("U1#%d", i), ev); err != nil {
 				t.Fatalf("send %d: %v", i, err)
 			}
 		}
@@ -286,7 +283,7 @@ func TestConformanceMachineDown(t *testing.T) {
 		var err error
 		sawDown := false
 		for i := 0; i < 100; i++ {
-			err = fx.Sender.Send("machine-01", "w", event.Event{Key: "k"})
+			err = sendOne(fx.Sender, "machine-01", "w", event.Event{Key: "k"})
 			if errors.Is(err, ErrMachineDown) {
 				sawDown = true
 				break
@@ -319,14 +316,14 @@ func TestConformanceMachineDown(t *testing.T) {
 func TestConformanceReconnect(t *testing.T) {
 	rec := &recorder{}
 	forEachTransport(t, rec.install, func(t *testing.T, fx *conformanceFixture) {
-		if err := fx.Sender.Send("machine-01", "w", event.Event{Key: "before"}); err != nil {
+		if err := sendOne(fx.Sender, "machine-01", "w", event.Event{Key: "before"}); err != nil {
 			t.Fatalf("send before kill: %v", err)
 		}
 		fx.Kill()
 		for i := 0; i < 100; i++ {
 			// Any failure signal — authoritative or transient — shows the
 			// kill has landed.
-			if fx.Sender.Send("machine-01", "w", event.Event{}) != nil {
+			if sendOne(fx.Sender, "machine-01", "w", event.Event{}) != nil {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -336,7 +333,7 @@ func TestConformanceReconnect(t *testing.T) {
 		// without rebuilding the sender node.
 		var err error
 		for i := 0; i < 200; i++ {
-			if err = fx.Sender.Send("machine-01", "w", event.Event{Key: "after"}); err == nil {
+			if err = sendOne(fx.Sender, "machine-01", "w", event.Event{Key: "after"}); err == nil {
 				break
 			}
 			fx.Sender.Revive("machine-01") // sends inside the redial window re-flip the presumption
@@ -389,7 +386,7 @@ func TestConformanceHungPeer(t *testing.T) {
 	defer c.Close()
 
 	start := time.Now()
-	err = c.Send("machine-01", "w", event.Event{Key: "k"})
+	err = sendOne(c, "machine-01", "w", event.Event{Key: "k"})
 	elapsed := time.Since(start)
 	if !IsTransient(err) {
 		t.Fatalf("hung peer: err = %v, want a transient IO-timeout fault", err)

@@ -9,11 +9,12 @@
 // A Cluster value is ONE NODE's view of the whole cluster. Every node
 // is configured with the same member list (Config.Names, from which
 // hash rings are derived deterministically) and a subset it hosts
-// (Config.Local). Sends to a locally hosted machine run the registered
-// Handler/BatchHandler directly; sends to any other member go through
-// the Transport. The single-process default — no Names, no Transport,
-// everything local — is the paper-reproduction simulation the tests
-// and experiments run on.
+// (Config.Local). There is one way to hand a machine an event:
+// SendBatch, a batch of one included. A batch for a locally hosted
+// machine runs its registered BatchHandler directly; one for any other
+// member goes through the Transport. The single-process default — no
+// Names, no Transport, everything local — is the paper-reproduction
+// simulation the tests and experiments run on.
 //
 // The behavioral properties the paper's arguments need hold on every
 // transport:
@@ -25,6 +26,10 @@
 //   - Per-delivery rejections carry the queue sentinel errors
 //     (queue.ErrOverflow, queue.ErrClosed) across the wire, so
 //     overflow disposition is transport-independent.
+//   - Delivery.NoWait — this producer must not be slowed — reaches the
+//     receiving handler on every transport, so a worker's emit is
+//     rejected by a full queue, never parked on it, whichever node owns
+//     the queue (the Block policy binds sources only, §4.3/§5).
 //
 // # Concurrency
 //
@@ -60,6 +65,7 @@
 // u32-length-prefixed bodies — event frames raw, query frames through
 // the pooled codec of internal/frame — over one pooled connection per
 // destination with reconnect/backoff, and one coalesced write+flush per
-// SendBatch so the batch amortization survives the socket hop. See
-// wire.go for the exact layout.
+// SendBatch so the batch amortization survives the socket hop. A
+// response is checked against the request before SendBatch's caller sees
+// it. See wire.go for the exact layout.
 package cluster

@@ -62,7 +62,7 @@ func TestRetryRecoversTransientBlip(t *testing.T) {
 	c := retryTestCluster(tr, 3)
 	defer c.Close()
 
-	if err := c.Send("machine-01", "w", event.Event{Key: "k"}); err != nil {
+	if err := sendOne(c, "machine-01", "w", event.Event{Key: "k"}); err != nil {
 		t.Fatalf("send across a 2-attempt blip: %v", err)
 	}
 	if got := tr.callCount(); got != 3 {
@@ -94,7 +94,7 @@ func TestRetryExhaustion(t *testing.T) {
 	c := retryTestCluster(tr, 3)
 	defer c.Close()
 
-	err := c.Send("machine-01", "w", event.Event{Key: "k"})
+	err := sendOne(c, "machine-01", "w", event.Event{Key: "k"})
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retries: err = %v, want the transient fault", err)
 	}
@@ -123,7 +123,7 @@ func TestRetryExhaustionIndeterminate(t *testing.T) {
 	c := retryTestCluster(tr, 3)
 	defer c.Close()
 
-	err := c.Send("machine-01", "w", event.Event{Key: "k"})
+	err := sendOne(c, "machine-01", "w", event.Event{Key: "k"})
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retries: err = %v, want the transient fault", err)
 	}
@@ -142,7 +142,7 @@ func TestRetryFatalFailsImmediately(t *testing.T) {
 	c := retryTestCluster(tr, 5)
 	defer c.Close()
 
-	if err := c.Send("machine-01", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
+	if err := sendOne(c, "machine-01", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("err = %v, want ErrMachineDown", err)
 	}
 	if got := tr.callCount(); got != 1 {
@@ -197,7 +197,7 @@ func TestDedupAbsorbsLostResponseRetry(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := sender.Send("machine-01", "w", event.Event{Key: key}); err != nil {
+		if err := sendOne(sender, "machine-01", "w", event.Event{Key: key}); err != nil {
 			t.Fatalf("send %s: %v", key, err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestDedupAbsorbsChaosDuplicates(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := sender.Send("machine-01", "w", event.Event{Key: fmt.Sprintf("k%d", i)}); err != nil {
+		if err := sendOne(sender, "machine-01", "w", event.Event{Key: fmt.Sprintf("k%d", i)}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -319,7 +319,7 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 		sender, _, _, _ := inprocPair(t, wrap, RetryConfig{Attempts: 6, Backoff: time.Microsecond})
 		for i := 0; i < 200; i++ {
-			sender.Send("machine-01", "w", event.Event{Key: fmt.Sprintf("k%d", i)})
+			sendOne(sender, "machine-01", "w", event.Event{Key: fmt.Sprintf("k%d", i)})
 		}
 		return chaos.Stats(), sender.DeliveryStats()
 	}
@@ -352,12 +352,12 @@ func TestChaosPartitionWindow(t *testing.T) {
 
 	// 3 sends * 2 attempts = 6 partitioned attempts: all fail.
 	for i := 0; i < 3; i++ {
-		if err := sender.Send("machine-01", "w", event.Event{Key: fmt.Sprintf("lost%d", i)}); !IsTransient(err) {
+		if err := sendOne(sender, "machine-01", "w", event.Event{Key: fmt.Sprintf("lost%d", i)}); !IsTransient(err) {
 			t.Fatalf("partitioned send %d: err = %v, want transient", i, err)
 		}
 	}
 	// Past the window the same path delivers.
-	if err := sender.Send("machine-01", "w", event.Event{Key: "healed"}); err != nil {
+	if err := sendOne(sender, "machine-01", "w", event.Event{Key: "healed"}); err != nil {
 		t.Fatalf("send past partition window: %v", err)
 	}
 	if cs := chaos.Stats(); cs.PartitionDrops != 6 {

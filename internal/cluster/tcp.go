@@ -272,6 +272,9 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 		return 0, nil, transientErr("exchange", err)
 	}
 	status, accepted, rejects, err := decodeResponse(resp)
+	if err == nil && status == statusOK {
+		err = checkOutcome(len(ds), accepted, rejects)
+	}
 	if err != nil {
 		// The stream is out of protocol sync; drop the connection. The
 		// request did land, so the outcome is unknown.
@@ -284,6 +287,24 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 		return 0, nil, serr
 	}
 	return accepted, rejects, nil
+}
+
+// checkOutcome holds a peer's answer to a batch of n deliveries to what an
+// honest one looks like — every delivery accepted or rejected once, rejects
+// in batch order — so callers can index the batch by a reject and retire
+// charges by the accepted count without trusting the wire.
+func checkOutcome(n, accepted int, rejects []BatchReject) error {
+	last := -1
+	for _, rj := range rejects {
+		if rj.Index <= last || rj.Index >= n {
+			return fmt.Errorf("cluster: response rejects delivery %d after %d of %d", rj.Index, last, n)
+		}
+		last = rj.Index
+	}
+	if accepted < 0 || accepted+len(rejects) != n {
+		return fmt.Errorf("cluster: response accounts for %d+%d of %d deliveries", accepted, len(rejects), n)
+	}
+	return nil
 }
 
 // Query runs one query exchange on the peer's pooled connection,

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"muppet/internal/event"
+	"muppet/internal/frame"
 )
 
 // startTCPPair wires a sender node (machine-00) to a host node
@@ -76,7 +78,7 @@ func TestTCPBackoffFailsFast(t *testing.T) {
 	tr.Serve(c)
 	defer c.Close()
 
-	if err := c.Send("machine-01", "w", event.Event{}); !IsTransient(err) {
+	if err := sendOne(c, "machine-01", "w", event.Event{}); !IsTransient(err) {
 		t.Fatalf("dial failure: err = %v, want a transient fault", err)
 	}
 	// A failed dial is suspicion, not proof of death: the peer stays
@@ -88,7 +90,7 @@ func TestTCPBackoffFailsFast(t *testing.T) {
 	// attempt dials immediately instead of failing fast for an hour.
 	c.Revive("machine-01")
 	start := time.Now()
-	if err := c.Send("machine-01", "w", event.Event{}); !IsTransient(err) {
+	if err := sendOne(c, "machine-01", "w", event.Event{}); !IsTransient(err) {
 		t.Fatalf("second dial: err = %v, want a transient fault", err)
 	}
 	if time.Since(start) > 30*time.Second {
@@ -165,7 +167,7 @@ func TestTCPNoPeerAddress(t *testing.T) {
 func TestTCPSendAfterClose(t *testing.T) {
 	sender, host, trA, _ := startTCPPair(t, TCPConfig{})
 	host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
-	if err := sender.Send("machine-01", "w", event.Event{Key: "k"}); err != nil {
+	if err := sendOne(sender, "machine-01", "w", event.Event{Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := trA.Close(); err != nil {
@@ -186,19 +188,90 @@ func TestTCPMachineDownKeepsConnection(t *testing.T) {
 	sender, host, trA, _ := startTCPPair(t, TCPConfig{})
 	host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
 
-	if err := sender.Send("machine-01", "w", event.Event{}); err != nil {
+	if err := sendOne(sender, "machine-01", "w", event.Event{}); err != nil {
 		t.Fatal(err)
 	}
 	host.Crash("machine-01")
-	if err := sender.Send("machine-01", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
+	if err := sendOne(sender, "machine-01", "w", event.Event{}); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("crashed machine: err = %v, want ErrMachineDown", err)
 	}
 	host.Revive("machine-01")
 	sender.Revive("machine-01")
-	if err := sender.Send("machine-01", "w", event.Event{}); err != nil {
+	if err := sendOne(sender, "machine-01", "w", event.Event{}); err != nil {
 		t.Fatalf("send after revive: %v", err)
 	}
 	if st := trA.Stats(); st.Dials != 1 {
 		t.Fatalf("dials = %d, want 1: a machine-down answer must keep the pooled connection", st.Dials)
+	}
+}
+
+// A peer's response is bytes off a wire: one that accounts for more (or
+// fewer) deliveries than the request carried, or rejects a position the
+// batch does not have, must not reach SendBatch's caller — the engines
+// index the batch by reject and retire in-flight charges by the accepted
+// count. The exchange is refused as an indeterminate protocol fault (the
+// request did land) and the connection dropped.
+func TestTCPGarbledResponseRefused(t *testing.T) {
+	for name, resp := range map[string][]byte{
+		"accepted beyond the batch": encodeResponse(nil, statusOK, 1_000_000, nil),
+		"reject index out of range": encodeResponse(nil, statusOK, 0, []BatchReject{{Index: 1 << 30, Err: ErrRemoteReject}}),
+		"nobody accounted for":      encodeResponse(nil, statusOK, 0, nil),
+		"rejects out of order": encodeResponse(nil, statusOK, 0,
+			[]BatchReject{{Index: 1, Err: ErrRemoteReject}, {Index: 0, Err: ErrRemoteReject}}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() { // the fake peer: whatever is asked, answer resp
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+						for {
+							if _, err := readFrameInto(br, nil, 1<<20); err != nil {
+								return
+							}
+							if writeFrame(bw, append([]byte{frame.HeaderRaw}, resp...)) != nil {
+								return
+							}
+						}
+					}()
+				}
+			}()
+			tr, err := NewTCP(TCPConfig{Peers: map[string]string{"machine-01": ln.Addr().String()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := New(Config{
+				Names:     []string{"machine-00", "machine-01"},
+				Local:     []string{"machine-00"},
+				Transport: tr,
+				Retry:     RetryConfig{Attempts: 1},
+			})
+			tr.Serve(c)
+			defer c.Close()
+
+			ds := []Delivery{{Worker: "w", Ev: event.Event{Key: "a"}}}
+			if name == "rejects out of order" {
+				ds = append(ds, Delivery{Worker: "w", Ev: event.Event{Key: "b"}})
+			}
+			accepted, rejects, err := c.SendBatch("machine-01", ds)
+			if !IsTransient(err) || !IsIndeterminate(err) {
+				t.Fatalf("SendBatch = %d, %v, %v; want an indeterminate transient protocol fault", accepted, rejects, err)
+			}
+			if accepted != 0 || rejects != nil {
+				t.Fatalf("a refused response still leaked accepted=%d rejects=%v", accepted, rejects)
+			}
+			if got := c.DeliveryStats().IndeterminateLost; got != uint64(len(ds)) {
+				t.Fatalf("IndeterminateLost = %d, want %d", got, len(ds))
+			}
+		})
 	}
 }

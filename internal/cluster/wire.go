@@ -16,7 +16,7 @@ import (
 //	body     = frame.HeaderRaw ++ plain       (event frames 'Q'/'R')
 //	         | frame.Encode(plain)            (query frames 'S'/'T')
 //	plain    = request | response
-//	request  = 'Q' ++ str(sender) ++ uvarint(epoch) ++ uvarint(seq)
+//	request  = ('Q' | 'O') ++ str(sender) ++ uvarint(epoch) ++ uvarint(seq)
 //	           ++ str(machine) ++ uvarint(n) ++ n*delivery
 //	delivery = str(worker) ++ str(stream) ++ varint(ts) ++ uvarint(seq)
 //	           ++ str(key) ++ blob(value) ++ varint(ingress)
@@ -24,6 +24,14 @@ import (
 //	           ++ uvarint(nrej) ++ nrej*(uvarint(index) ++ u8 code)
 //	str      = uvarint(len) ++ bytes
 //	blob     = uvarint(0) for nil, uvarint(len+1) ++ bytes otherwise
+//
+// The request kind is the frame's wait/no-wait bit: 'Q' carries
+// deliveries whose producer may be slowed (a source's), 'O' deliveries
+// whose producer must not be (everything an outbox ships). decodeRequest
+// restores it as Delivery.NoWait on every delivery, so the receiver's
+// full queue comes back as a reject for the sender to settle. A peer
+// built before 'O' existed sends only 'Q', which is what its frames
+// always were: may-wait.
 //
 // Event frames skip the codec, trading bytes for CPU. A one-delivery
 // frame of a tweet-sized event barely shrinks under deflate (156 bytes
@@ -44,8 +52,9 @@ import (
 // the engines and the ingress driver behave identically on both sides
 // of a socket.
 const (
-	wireReq  = 'Q'
-	wireResp = 'R'
+	wireReq       = 'Q'
+	wireReqNoWait = 'O'
+	wireResp      = 'R'
 )
 
 // Query frames share the connection (and the strict request/response
@@ -118,7 +127,7 @@ func statusErr(status byte, machine string) error {
 	case statusNoHandler:
 		return ErrNoHandler
 	case statusUnknownMachine:
-		return fmt.Errorf("cluster: unknown machine %s", machine)
+		return fmt.Errorf("%w %s", ErrUnknownMachine, machine)
 	default:
 		return fmt.Errorf("cluster: bad response status %d", status)
 	}
@@ -266,10 +275,16 @@ func (r *wireReader) blob() []byte {
 	return out
 }
 
+// minDeliveryBytes is the encoded size of an all-empty delivery: it
+// bounds a frame's claimed delivery count before anything is allocated.
+const minDeliveryBytes = 7
+
 // encodeRequest appends the plain (pre-codec) request for a batch
 // addressed to machine. The BatchID rides in front of the address so
-// the receiving node can deduplicate retried and duplicated frames.
+// the receiving node can deduplicate retried and duplicated frames. One
+// no-wait delivery makes the frame no-wait.
 func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte {
+	kind := len(dst)
 	dst = append(dst, wireReq)
 	dst = appendStr(dst, id.Sender)
 	dst = binary.AppendUvarint(dst, id.Epoch)
@@ -285,12 +300,16 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 		dst = appendStr(dst, d.Ev.Key)
 		dst = appendBlob(dst, d.Ev.Value)
 		dst = binary.AppendVarint(dst, d.Ev.Ingress)
+		if d.NoWait {
+			dst[kind] = wireReqNoWait
+		}
 	}
 	return dst
 }
 
 // decodeRequest parses a plain request. The deliveries' Tag fields are
-// their batch positions, so server-side rejects report the right index.
+// their batch positions, so server-side rejects report the right index,
+// and NoWait is the frame's kind.
 func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
 	return interner(nil).decodeRequest(p)
 }
@@ -299,7 +318,8 @@ func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err err
 // connection's interner.
 func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
 	r := wireReader{p: p}
-	if k := r.byte(); r.err == nil && k != wireReq {
+	k := r.byte()
+	if r.err == nil && k != wireReq && k != wireReqNoWait {
 		return BatchID{}, "", nil, fmt.Errorf("cluster: unexpected wire kind %q", k)
 	}
 	id.Sender = in.str(r.take(r.uvarint()))
@@ -310,7 +330,7 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 	if r.err != nil {
 		return BatchID{}, "", nil, r.err
 	}
-	if n > uint64(len(r.p)) { // each delivery takes >= 1 byte
+	if n > uint64(len(r.p))/minDeliveryBytes {
 		return BatchID{}, "", nil, errWireTruncated
 	}
 	ds = make([]Delivery, 0, n)
@@ -324,6 +344,7 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 		d.Ev.Value = r.blob()
 		d.Ev.Ingress = r.varint()
 		d.Tag = int(i)
+		d.NoWait = k == wireReqNoWait
 		if r.err != nil {
 			return BatchID{}, "", nil, r.err
 		}
@@ -410,7 +431,7 @@ func decodeResponse(p []byte) (status byte, accepted int, rejects []BatchReject,
 	if r.err != nil {
 		return 0, 0, nil, r.err
 	}
-	if n > uint64(len(r.p)) { // each reject takes >= 2 bytes
+	if n > uint64(len(r.p))/2 { // each reject takes >= 2 bytes
 		return 0, 0, nil, errWireTruncated
 	}
 	for i := uint64(0); i < n; i++ {

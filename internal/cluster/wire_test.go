@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 
 	"muppet/internal/event"
@@ -165,4 +168,125 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 	if got := names.str(long); got != string(long) || len(names) != internCap {
 		t.Fatalf("interner grew to %d entries (cap %d) or mangled a long name", len(names), internCap)
 	}
+}
+
+// The frame's wait/no-wait bit is its kind byte: one no-wait delivery
+// makes the frame 'O' and every delivery decodes NoWait; a frame without
+// one is the 'Q' frame it always was.
+func TestWireNoWaitIsTheRequestKind(t *testing.T) {
+	ds := []Delivery{{Worker: "U1", Ev: event.Event{Key: "a"}}, {Worker: "U1", Ev: event.Event{Key: "b"}}}
+	for _, mark := range []int{-1, 0, 1} {
+		for i := range ds {
+			ds[i].NoWait = i == mark
+		}
+		p := encodeRequest([]byte("prefix"), BatchID{Sender: "n", Epoch: 1, Seq: 2}, "machine-01", ds)[len("prefix"):]
+		want := byte(wireReq)
+		if mark >= 0 {
+			want = wireReqNoWait
+		}
+		if p[0] != want {
+			t.Fatalf("mark %d: kind %q, want %q", mark, p[0], want)
+		}
+		_, _, got, err := decodeRequest(p)
+		if err != nil || len(got) != len(ds) {
+			t.Fatalf("mark %d: decode = %v, %v", mark, got, err)
+		}
+		for i := range got {
+			if got[i].NoWait != (mark >= 0) {
+				t.Fatalf("mark %d: delivery %d NoWait = %v", mark, i, got[i].NoWait)
+			}
+		}
+	}
+}
+
+// goldenPreNoWaitRequest is encodeRequest's output, captured at the last
+// commit before the no-wait kind existed, for a three-delivery batch
+// from node-a (epoch 77, seq 12345) to machine-03.
+const goldenPreNoWaitRequest = "51066e6f64652d614db9600a6d616368696e652d303303045531233002533180890f09016b02760d" +
+	"0255320253320900096e696c2d76616c7565000000000000000100"
+
+// A frame from a peer built before the no-wait kind still decodes, as
+// may-wait — and an unmarked batch still encodes to exactly those bytes,
+// so such a peer still decodes ours.
+func TestWireDecodesPreNoWaitFrame(t *testing.T) {
+	golden, err := hex.DecodeString(goldenPreNoWaitRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Delivery{
+		{Worker: "U1#0", Ev: event.Event{Stream: "S1", TS: 123456, Seq: 9, Key: "k", Value: []byte("v"), Ingress: -7}},
+		{Worker: "U2", Ev: event.Event{Stream: "S2", TS: -5, Key: "nil-value"}, Tag: 1},
+		{Worker: "", Ev: event.Event{Key: "", Value: []byte{}}, Tag: 2},
+	}
+	id, machine, got, err := decodeRequest(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (id != BatchID{Sender: "node-a", Epoch: 77, Seq: 12345}) || machine != "machine-03" {
+		t.Fatalf("decoded id %+v machine %q", id, machine)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	if enc := encodeRequest(nil, id, machine, want); !bytes.Equal(enc, golden) {
+		t.Fatalf("an unmarked batch now encodes to %x", enc)
+	}
+}
+
+// FuzzWireFrame: the four decoders take bytes off a socket. Arbitrary
+// input never panics them and never yields more than its length could
+// describe; and decodeRequest undoes encodeRequest for any delivery,
+// the no-wait mark and the nil/empty value distinction included.
+func FuzzWireFrame(f *testing.F) {
+	golden, _ := hex.DecodeString(goldenPreNoWaitRequest)
+	one := []Delivery{{Worker: "U1", Ev: event.Event{Stream: "S1", TS: 5, Seq: 6, Key: "k", Value: []byte("v"), Ingress: 7}}}
+	id := BatchID{Sender: "node-a", Epoch: 1, Seq: 2}
+	mayWait := encodeRequest(nil, id, "machine-01", one)
+	one[0].NoWait = true
+	for _, seed := range [][]byte{
+		golden,
+		mayWait,
+		encodeRequest(nil, id, "machine-01", one),
+		encodeResponse(nil, statusOK, 3, []BatchReject{{Index: 1, Err: queue.ErrOverflow}, {Index: 4, Err: queue.ErrClosed}}),
+		encodeQueryRequest(nil, "machine-01", []byte(`{"updater":"U1"}`)),
+		encodeQueryResponse(nil, statusQueryFailed, []byte("boom")),
+		{wireReqNoWait, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}, // hostile delivery count
+		{wireResp, statusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, rejectOverflow},
+	} {
+		f.Add(seed, "U1#0", "S1", "k", []byte("v"), int64(-5), uint64(9), int64(7), true)
+	}
+	f.Add([]byte(nil), "", "", "", []byte(nil), int64(0), uint64(0), int64(0), false)
+	f.Add([]byte{}, "w", "s", "k", []byte{}, int64(1), uint64(1), int64(1), false)
+	f.Fuzz(func(t *testing.T, data []byte, worker, stream, key string, value []byte, ts int64, seq uint64, ingress int64, noWait bool) {
+		for _, in := range []interner{nil, make(interner)} {
+			if _, _, ds, err := in.decodeRequest(data); err == nil && len(ds)*minDeliveryBytes > len(data) {
+				t.Fatalf("decodeRequest returned %d deliveries from %d bytes", len(ds), len(data))
+			}
+		}
+		if _, _, rejects, err := decodeResponse(data); err == nil && len(rejects)*2 > len(data) {
+			t.Fatalf("decodeResponse returned %d rejects from %d bytes", len(rejects), len(data))
+		}
+		if _, payload, err := decodeQueryRequest(data); err == nil && len(payload) > len(data) {
+			t.Fatalf("decodeQueryRequest returned %d payload bytes from %d", len(payload), len(data))
+		}
+		if _, payload, err := decodeQueryResponse(data); err == nil && len(payload) > len(data) {
+			t.Fatalf("decodeQueryResponse returned %d payload bytes from %d", len(payload), len(data))
+		}
+
+		in := []Delivery{
+			{Worker: worker, Ev: event.Event{Stream: stream, TS: event.Timestamp(ts), Seq: seq, Key: key, Value: value, Ingress: ingress}, NoWait: noWait},
+			{Worker: worker, Ev: event.Event{Key: key}, Tag: 1, NoWait: noWait},
+		}
+		bid := BatchID{Sender: worker, Epoch: seq, Seq: uint64(ts)}
+		gotID, machine, out, err := decodeRequest(encodeRequest(nil, bid, stream, in))
+		if err != nil {
+			t.Fatalf("decode of encodeRequest output: %v", err)
+		}
+		if gotID != bid || machine != stream {
+			t.Fatalf("decoded id %+v machine %q, want %+v %q", gotID, machine, bid, stream)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("decoded %+v, want %+v", out, in)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,10 @@ const (
 	// FromSource is an external input event offered through
 	// fire-and-forget Ingest. The Block policy and SourceThrottle slow it.
 	FromSource
+	// FromBatch is an input event the batched ingress driver sent itself
+	// and settles here: a source (its diverted copy goes out FromSource)
+	// whose queue rejections are logged LossBatchPartial, not LossOverflow.
+	FromBatch
 	// fromSender is a delivery an outbox sender re-routes while settling a
 	// frame. A sender waits for nothing but its transport.
 	fromSender
@@ -69,16 +74,23 @@ type CourierConfig struct {
 // Courier carries every delivery that does not come through the batched
 // ingress driver — worker emits, ring-change forwards, recovery
 // redeliveries, fire-and-forget Ingest — to the machine owning its
-// <function, key>, and gives each the disposition its outcome calls for
-// (settle).
+// <function, key>, and is the one place a send outcome, the driver's
+// included, reaches the failure detector (Observe) and becomes a counter,
+// a loss reason or a divert (Settle).
 //
-// A machine this node hosts is delivered to synchronously. A machine
-// another node hosts gets an outbox: a bounded FIFO drained by one
-// sender goroutine that, each time the previous exchange has returned,
-// ships everything queued (up to maxFrameDeliveries) as ONE
-// Cluster.SendBatch. Batch size therefore follows load — one delivery
-// per frame on an idle link, hundreds on a busy one — with no timer and
-// no threshold. What the outbox guarantees:
+// Every hand-off is a Cluster.SendBatch. A machine this node hosts gets
+// a synchronous frame of one, no-wait unless a source produced it. A
+// machine another node hosts gets an outbox: a bounded FIFO drained by
+// one sender goroutine that, each time the previous exchange has
+// returned, ships everything queued (up to maxFrameDeliveries) as ONE
+// frame — batch size follows load, with no timer and no threshold.
+// Everything an outbox ships is marked no-wait: the mark crosses the
+// wire, the peer's full queue rejects instead of parking the frame, and
+// the reject is settled (and logged) here. A sender parked on a peer's
+// queue while that peer's workers wait on their outbox back is the
+// cross-node form of the §4.3/§5 throttling deadlock, so the sources that
+// may be slowed (SourceThrottle, the Block policy) bypass the outbox
+// with a synchronous may-wait frame of one. What the outbox guarantees:
 //
 //   - Order: per destination, deliveries leave in append order with one
 //     frame in flight (retries stay inside SendBatch under the frame's
@@ -95,7 +107,7 @@ type CourierConfig struct {
 //     presumed down is never sent, and follows the ring if it now names
 //     another machine.
 //   - No cycle: a full outbox makes a producer wait for the sender, and a
-//     sender waits only for its transport, never for a worker.
+//     sender waits only for its transport, never for a worker on any node.
 //
 // An all-local engine has no outbox, no sender, and pays one nil-map
 // lookup per delivery.
@@ -137,6 +149,9 @@ func NewCourier(cfg CourierConfig) *Courier {
 	return c
 }
 
+// Config returns the courier's wiring; the ingress driver sends on the same.
+func (c *Courier) Config() CourierConfig { return c.cfg }
+
 // Close stops the senders once they have shipped (or logged) everything
 // still queued, and returns when they have exited. The engine calls it
 // after its workers have stopped and before it closes the transport.
@@ -148,13 +163,18 @@ func (c *Courier) Close() {
 }
 
 // Deliver routes an event to the machine owning <key, fn> and applies
-// the failure and overflow semantics of Section 4.3.
-func (c *Courier) Deliver(fn string, ev event.Event, from Origin) {
+// the failure and overflow semantics of Section 4.3. one is the caller's
+// reusable frame of one (the consuming loops pass theirs), free again when
+// Deliver returns; nil allocates one if the hand-off is synchronous.
+func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluster.Delivery) {
 	if c.cfg.Stopped.Load() {
 		c.cfg.Lost.Record(fn, ev, LossStopped)
 		return
 	}
+	// A source that may be slowed is slowed by its own synchronous frame:
+	// retried on overflow under SourceThrottle, parked on it under Block.
 	throttle := from == FromSource && c.cfg.SourceThrottle
+	direct := throttle || from == FromSource && c.cfg.Policy == queue.Block
 	for {
 		machine, worker := c.cfg.Route(fn, ev.Key)
 		if machine == "" {
@@ -164,18 +184,20 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin) {
 		}
 		c.cfg.Tracker.Inc()
 		ob := c.outboxes[machine]
-		if ob != nil && !throttle {
-			if !ob.put(cluster.Delivery{Worker: worker, Ev: ev}, from != fromSender) {
+		if ob != nil && !direct {
+			if !ob.put(cluster.Delivery{Worker: worker, Ev: ev, NoWait: true}, from != fromSender) {
 				c.cfg.Tracker.Dec()
 				c.cfg.Lost.Record(fn, ev, LossStopped)
 			}
 			return
 		}
-		var err error
-		if from == FromSource {
-			err = c.cfg.Cluster.Send(machine, worker, ev)
-		} else {
-			err = c.cfg.Cluster.Offer(machine, worker, ev)
+		if one == nil {
+			one = new([1]cluster.Delivery)
+		}
+		one[0] = cluster.Delivery{Worker: worker, Ev: ev, NoWait: from != FromSource}
+		_, rejects, err := c.cfg.Cluster.SendBatch(machine, one[:])
+		if err == nil && len(rejects) > 0 {
+			err = rejects[0].Err
 		}
 		if err == nil && ob == nil {
 			// On a local queue: its consumer retires the tracker charge.
@@ -189,8 +211,8 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin) {
 			time.Sleep(200 * time.Microsecond)
 			continue
 		}
-		c.observe(machine, err)
-		c.settle(fn, ev, err, from)
+		c.Observe(machine, err)
+		c.Settle(fn, ev, err, from)
 		// Retired here whether lost or handed off: a remote machine's
 		// node charged its own tracker when the event landed.
 		c.cfg.Tracker.Dec()
@@ -198,11 +220,11 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin) {
 	}
 }
 
-// observe feeds the failure detector the outcome of ONE exchange with a
+// Observe feeds the failure detector the outcome of ONE exchange with a
 // machine. The detector counts "K consecutive exhausted sends": a frame
 // of N deliveries is one send, or a single blip with N >= K would fail a
 // healthy machine over.
-func (c *Courier) observe(machine string, err error) {
+func (c *Courier) Observe(machine string, err error) {
 	switch {
 	case err == nil:
 		// A delivered frame proves the machine reachable; any suspicion
@@ -219,38 +241,52 @@ func (c *Courier) observe(machine string, err error) {
 	}
 }
 
-// settle gives one delivery the disposition its send outcome calls for;
-// the synchronous path and the outbox senders both end here. It does not
-// touch the tracker: callers retire their charge afterwards, so a
-// diverted event is charged before its original is retired.
-func (c *Courier) settle(fn string, ev event.Event, err error, from Origin) {
+// Settle gives one delivery the disposition its send outcome — the
+// frame's error, or the delivery's own rejection — calls for, and returns
+// the reason it logged the delivery lost under (lost false: delivered or
+// diverted). The courier's synchronous path, its outbox senders and the
+// ingress driver all end here. It does not touch the tracker: callers
+// retire their charge afterwards, so a diverted event is charged before
+// its original is retired.
+func (c *Courier) Settle(fn string, ev event.Event, err error, from Origin) (reason LossReason, lost bool) {
 	ct := c.cfg.Counters
 	switch {
 	case err == nil:
 		ct.Emitted.Add(1)
+		return 0, false
 	case cluster.IsTransient(err):
 		// Kept apart from machine-down so flaky-network losses stay
 		// distinguishable from declared-dead losses.
 		ct.LostMachineDown.Add(1)
-		c.cfg.Lost.Record(fn, ev, LossTransient)
+		reason = LossTransient
 	case err == queue.ErrOverflow && c.cfg.Policy == queue.Divert &&
 		c.cfg.OverflowStream != "" && ev.Stream != c.cfg.OverflowStream:
-		div := ev
-		div.Stream = c.cfg.OverflowStream
+		ev.Stream = c.cfg.OverflowStream
 		ct.Diverted.Add(1)
-		c.cfg.Reroute(div, from)
-	case err == cluster.ErrMachineDown, err == queue.ErrClosed:
+		if from == FromBatch {
+			from = FromSource
+		}
+		c.cfg.Reroute(ev, from)
+		return 0, false
+	case err == cluster.ErrMachineDown, err == queue.ErrClosed,
+		err == cluster.ErrNoHandler, errors.Is(err, cluster.ErrUnknownMachine):
 		// ErrMachineDown: the event is lost and logged, not resent
 		// (Section 4.3). ErrClosed: the destination queue was closed
 		// between the liveness check and the enqueue — the machine is
 		// crashing (or the engine stopping) under us; detection is left
-		// to the next send.
+		// to the next send. No handler, not a member: the frame reached
+		// no machine at all.
 		ct.LostMachineDown.Add(1)
-		c.cfg.Lost.Record(fn, ev, LossMachineDown)
+		reason = LossMachineDown
+	case from == FromBatch:
+		ct.LostOverflow.Add(1)
+		reason = LossBatchPartial
 	default:
 		ct.LostOverflow.Add(1)
-		c.cfg.Lost.Record(fn, ev, LossOverflow)
+		reason = LossOverflow
 	}
+	c.cfg.Lost.Record(fn, ev, reason)
+	return reason, true
 }
 
 // senderLoop drains one outbox: take everything queued (up to the frame
@@ -274,28 +310,22 @@ func (c *Courier) senderLoop(ob *outbox) {
 	}
 }
 
-// ship sends one frame and gives each of its deliveries what a single
-// Send with the same outcome gets.
+// ship sends one frame and gives each of its deliveries what a frame of
+// one with the same outcome gets.
 func (c *Courier) ship(ob *outbox, ds []cluster.Delivery, stamps []int64) {
 	_, rejects, err := c.send(ob.machine, ds)
-	c.observe(ob.machine, err)
-	lost := 0
+	c.Observe(ob.machine, err)
 	if err != nil {
-		lost = len(ds)
 		for i := range ds {
-			c.settle(c.cfg.FuncOf(ds[i].Worker), ds[i].Ev, err, fromSender)
+			c.Settle(c.cfg.FuncOf(ds[i].Worker), ds[i].Ev, err, fromSender)
 		}
 	} else {
 		for _, rj := range rejects {
-			if rj.Index < 0 || rj.Index >= len(ds) || rj.Err == nil {
-				continue // a garbled index never fails a healthy delivery
-			}
-			lost++
 			d := &ds[rj.Index]
-			c.settle(c.cfg.FuncOf(d.Worker), d.Ev, rj.Err, fromSender)
+			c.Settle(c.cfg.FuncOf(d.Worker), d.Ev, rj.Err, fromSender)
 		}
+		c.cfg.Counters.Emitted.Add(uint64(len(ds) - len(rejects)))
 	}
-	c.cfg.Counters.Emitted.Add(uint64(len(ds) - lost))
 	now := time.Now().UnixNano()
 	for _, at := range stamps {
 		c.waits.Observe(time.Duration(now - at))
@@ -315,13 +345,13 @@ func (c *Courier) ship(ob *outbox, ds []cluster.Delivery, stamps []int64) {
 // one and logged. A failover so costs a sender at most the one frame
 // that was in flight.
 func (c *Courier) reroute(ob *outbox, ds []cluster.Delivery) {
-	c.observe(ob.machine, cluster.ErrMachineDown)
+	c.Observe(ob.machine, cluster.ErrMachineDown)
 	for i := range ds {
 		fn := c.cfg.FuncOf(ds[i].Worker)
 		if machine, _ := c.cfg.Route(fn, ds[i].Ev.Key); machine != ob.machine {
-			c.Deliver(fn, ds[i].Ev, fromSender)
+			c.Deliver(fn, ds[i].Ev, fromSender, nil)
 		} else {
-			c.settle(fn, ds[i].Ev, cluster.ErrMachineDown, fromSender)
+			c.Settle(fn, ds[i].Ev, cluster.ErrMachineDown, fromSender)
 		}
 	}
 }

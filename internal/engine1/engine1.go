@@ -119,27 +119,14 @@ func (e *Engine) FuncOf(address string) string {
 	return address
 }
 
-// Enqueue implements runtime.Dispatcher: place the event on the
-// addressed worker's queue.
-func (e *Engine) Enqueue(_, workerID string, ev event.Event, wait bool) error {
-	w := e.workers[workerID]
-	if w == nil {
-		return fmt.Errorf("engine1: unknown worker %s", workerID)
-	}
-	env := engine.Envelope{Func: w.fn.Name(), Ev: ev}
-	e.Stamp(&env.Ev)
-	if !wait {
-		return w.Queues[0].Queue().Offer(env)
-	}
-	return w.Queues[0].Queue().Put(env)
-}
-
-// EnqueueBatch implements runtime.Dispatcher: one PutBatch — one lock
-// acquisition — per addressed worker.
+// EnqueueBatch implements runtime.Dispatcher: one enqueue — one lock
+// acquisition — per addressed worker, non-waiting for a no-wait frame.
 func (e *Engine) EnqueueBatch(_ string, ds []cluster.Delivery) []error {
 	byWorker := make(map[string][]int, 4)
+	noWait := false
 	for i := range ds {
 		byWorker[ds[i].Worker] = append(byWorker[ds[i].Worker], i)
+		noWait = noWait || ds[i].NoWait
 	}
 	var errs []error
 	for wid, idxs := range byWorker {
@@ -154,7 +141,11 @@ func (e *Engine) EnqueueBatch(_ string, ds []cluster.Delivery) []error {
 				envs[j] = engine.Envelope{Func: w.fn.Name(), Ev: ds[i].Ev}
 				e.Stamp(&envs[j].Ev)
 			}
-			n, err = w.Queues[0].Queue().PutBatch(envs)
+			if q := w.Queues[0].Queue(); noWait {
+				n, err = q.OfferBatch(envs)
+			} else {
+				n, err = q.PutBatch(envs)
+			}
 		}
 		if err == nil {
 			continue

@@ -7,7 +7,6 @@ import (
 	"muppet/internal/cluster"
 	"muppet/internal/core"
 	"muppet/internal/engine"
-	"muppet/internal/event"
 	"muppet/internal/hashring"
 	"muppet/internal/obs"
 	"muppet/internal/queue"
@@ -146,41 +145,35 @@ type machine struct {
 	// log is the replay log, nil unless Config.ReplayLog is set.
 	log *wal.Log
 
-	// scratchPool recycles batch-dispatch scratch space so a steady
-	// batched-ingest loop allocates nothing per batch.
+	// scratchPool recycles batch-dispatch scratch space.
 	scratchPool sync.Pool
 }
 
-// dispatchScratch is one batch dispatch's working memory: thread
-// targets per delivery, per-thread counts and cached queue depths, and
-// per-thread envelope staging buffers.
+// dispatchScratch is one batch dispatch's working memory: per-thread
+// cached queue depths, staged envelopes and their positions in the batch.
+// Pooled with its capacity, so steady batched ingest allocates nothing.
 type dispatchScratch struct {
-	targets []int32
-	counts  []int
-	lens    []int
-	envs    [][]engine.Envelope
-	idxs    [][]int
+	lens []int
+	envs [][]engine.Envelope
+	idxs [][]int
 }
 
 func (m *machine) scratch() *dispatchScratch {
 	sc, _ := m.scratchPool.Get().(*dispatchScratch)
 	if sc == nil {
 		sc = &dispatchScratch{
-			counts: make([]int, len(m.Queues)),
-			lens:   make([]int, len(m.Queues)),
-			envs:   make([][]engine.Envelope, len(m.Queues)),
-			idxs:   make([][]int, len(m.Queues)),
+			lens: make([]int, len(m.Queues)),
+			envs: make([][]engine.Envelope, len(m.Queues)),
+			idxs: make([][]int, len(m.Queues)),
 		}
 	}
-	for i := range sc.counts {
-		sc.counts[i] = 0
+	for i := range sc.lens {
 		sc.lens[i] = -1
 	}
 	return sc
 }
 
 func (m *machine) release(sc *dispatchScratch) {
-	sc.targets = sc.targets[:0]
 	for i := range sc.envs {
 		sc.envs[i] = sc.envs[i][:0]
 		sc.idxs[i] = sc.idxs[i][:0]
@@ -260,14 +253,9 @@ func (e *Engine) Route(fn, key string) (string, string) { return e.ring.LookupRo
 // FuncOf implements runtime.Dispatcher.
 func (e *Engine) FuncOf(address string) string { return address }
 
-// Enqueue implements runtime.Dispatcher.
-func (e *Engine) Enqueue(machine, fn string, ev event.Event, wait bool) error {
-	return e.dispatchLocal(e.machines[machine], fn, ev, wait)
-}
-
 // EnqueueBatch implements runtime.Dispatcher.
 func (e *Engine) EnqueueBatch(machine string, ds []cluster.Delivery) []error {
-	return e.dispatchLocalBatch(e.machines[machine], ds)
+	return e.dispatch(e.machines[machine], ds)
 }
 
 // SetRing implements runtime.Dispatcher.
@@ -306,10 +294,11 @@ func (e *Engine) Unacked(machine string) []engine.Envelope {
 // selectThread implements the 2.0 queue-selection rule: follow the
 // thread already processing this (function, key) if any, otherwise the
 // primary unless it is heavily loaded and the secondary is free to
-// take the spill. lenOf reports a thread queue's depth; the per-event
-// path reads the live queue, the batch path substitutes a cached view
-// so a batch pays the queue-length locks once, not per delivery.
-func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
+// take the spill. Queue depths come from sc's view of the frame —
+// sampled lazily once, advanced by dispatch as it assigns — so a frame
+// pays the queue-length locks once, not per delivery; the spill
+// heuristic only needs a consistent relative view.
+func (e *Engine) selectThread(m *machine, k fk, sc *dispatchScratch) int {
 	p, s := e.candidates(m, k)
 	if e.singleQueue || s == p {
 		return p
@@ -327,7 +316,7 @@ func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
 	case onS:
 		// The secondary thread is processing this key: follow it.
 		return s
-	case spill(lenOf(p), lenOf(s)):
+	case spill(m.depth(sc, p), m.depth(sc, s)):
 		// Neither thread is on this key and the primary is heavily
 		// loaded by other events: balance onto the secondary.
 		return s
@@ -335,76 +324,68 @@ func (e *Engine) selectThread(m *machine, k fk, lenOf func(int) int) int {
 	return p
 }
 
-// dispatchLocal places one delivery on the selected thread queue on
-// the receiving machine. wait is false for a worker's own emits, which
-// must never wait on a thread queue — the chosen one may be the
-// emitting thread's own.
-func (e *Engine) dispatchLocal(m *machine, function string, ev event.Event, wait bool) error {
-	target := e.selectThread(m, fk{fn: function, key: ev.Key}, func(i int) int {
+// depth is queue i's depth in sc's view of the frame, live without one.
+func (m *machine) depth(sc *dispatchScratch, i int) int {
+	if sc == nil {
 		return m.Queues[i].Queue().Len()
-	})
-	env := engine.Envelope{Func: function, Ev: ev}
-	e.Stamp(&env.Ev)
-	if m.log != nil {
-		// Log before enqueueing so the consumer can acknowledge as
-		// soon as it finishes, whatever the interleaving.
-		env.WalSeq = m.log.Append(env)
 	}
-	var err error
-	if q := m.Queues[target].Queue(); wait {
-		err = q.Put(env)
-	} else {
-		err = q.Offer(env)
+	if sc.lens[i] < 0 {
+		sc.lens[i] = m.Queues[i].Queue().Len()
 	}
-	if err != nil {
-		// The delivery was rejected; it is accounted by the overflow
-		// path, not the replay log.
-		m.ack(&env)
-	}
-	return err
+	return sc.lens[i]
 }
 
-// dispatchLocalBatch places a whole machine-addressed batch on the
-// local thread queues: queue selection runs per delivery (the dual-
-// queue rule is per key) against a once-per-batch snapshot of queue
-// depths, and the enqueue itself is one PutBatch — one lock
-// acquisition — per target thread. The returned slice is parallel to
-// ds; nil entries were accepted.
-func (e *Engine) dispatchLocalBatch(m *machine, ds []cluster.Delivery) []error {
+// envelope wraps a delivery for a thread queue, stamped for the tracer
+// and logged for replay — before the enqueue, so the consumer can
+// acknowledge as soon as it finishes, whatever the interleaving.
+func (e *Engine) envelope(m *machine, d *cluster.Delivery) engine.Envelope {
+	env := engine.Envelope{Func: d.Worker, Ev: d.Ev}
+	e.Stamp(&env.Ev)
+	if m.log != nil {
+		env.WalSeq = m.log.Append(env)
+	}
+	return env
+}
+
+// enqueue offers envs to thread queue t under one lock acquisition,
+// non-waiting for a no-wait frame. The rejected leave the replay log:
+// they are accounted by the overflow path.
+func (m *machine) enqueue(t int, envs []engine.Envelope, noWait bool) (accepted int, err error) {
+	if q := m.Queues[t].Queue(); noWait {
+		accepted, err = q.OfferBatch(envs)
+	} else {
+		accepted, err = q.PutBatch(envs)
+	}
+	for i := accepted; i < len(envs); i++ {
+		m.ack(&envs[i])
+	}
+	return accepted, err
+}
+
+// dispatch places a machine-addressed frame — a single emit is a frame
+// of one — on the local thread queues: queue selection runs per delivery
+// (the dual-queue rule is per key), the enqueue is one lock acquisition
+// per target thread, non-waiting if the frame is marked no-wait (a
+// worker's emit: the chosen queue may be the emitter's own). The result
+// is parallel to ds; nil entries were accepted.
+func (e *Engine) dispatch(m *machine, ds []cluster.Delivery) []error {
+	if len(ds) == 1 {
+		// Nothing to group by thread: no scratch, live queue depths.
+		t := e.selectThread(m, fk{fn: ds[0].Worker, key: ds[0].Ev.Key}, nil)
+		one := [1]engine.Envelope{e.envelope(m, &ds[0])}
+		if _, err := m.enqueue(t, one[:], ds[0].NoWait); err != nil {
+			return []error{err}
+		}
+		return nil
+	}
 	sc := m.scratch()
 	defer m.release(sc)
-	// Queue depths are sampled lazily once and advanced as the batch
-	// assigns, instead of taking two queue locks per delivery; the
-	// spill heuristic only needs a consistent relative view.
-	lenOf := func(i int) int {
-		if sc.lens[i] < 0 {
-			sc.lens[i] = m.Queues[i].Queue().Len()
-		}
-		return sc.lens[i]
-	}
-	// Pass 1: select a thread per delivery; count per-thread loads so
-	// pass 2 can fill exact-size envelope batches (no append-growth
-	// copies of the envelope structs).
+	noWait := false
 	for i := range ds {
-		t := e.selectThread(m, fk{fn: ds[i].Worker, key: ds[i].Ev.Key}, lenOf)
-		sc.targets = append(sc.targets, int32(t))
-		sc.counts[t]++
+		t := e.selectThread(m, fk{fn: ds[i].Worker, key: ds[i].Ev.Key}, sc)
 		sc.lens[t]++
-	}
-	for t, n := range sc.counts {
-		if n > 0 && cap(sc.envs[t]) < n {
-			sc.envs[t] = make([]engine.Envelope, 0, n)
-			sc.idxs[t] = make([]int, 0, n)
-		}
-	}
-	for i := range ds {
-		t := sc.targets[i]
-		env := engine.Envelope{Func: ds[i].Worker, Ev: ds[i].Ev}
-		e.Stamp(&env.Ev)
-		if m.log != nil {
-			env.WalSeq = m.log.Append(env)
-		}
-		sc.envs[t] = append(sc.envs[t], env)
+		noWait = noWait || ds[i].NoWait
+		sc.envs[t] = append(sc.envs[t], e.envelope(m, &ds[i]))
 		sc.idxs[t] = append(sc.idxs[t], i)
 	}
 	var errs []error
@@ -412,7 +393,7 @@ func (e *Engine) dispatchLocalBatch(m *machine, ds []cluster.Delivery) []error {
 		if len(envs) == 0 {
 			continue
 		}
-		accepted, err := m.Queues[t].Queue().PutBatch(envs)
+		accepted, err := m.enqueue(t, envs, noWait)
 		if err == nil {
 			continue
 		}
@@ -421,9 +402,6 @@ func (e *Engine) dispatchLocalBatch(m *machine, ds []cluster.Delivery) []error {
 		}
 		for _, i := range sc.idxs[t][accepted:] {
 			errs[i] = err
-		}
-		for i := accepted; i < len(envs); i++ {
-			m.ack(&envs[i])
 		}
 	}
 	return errs

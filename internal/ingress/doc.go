@@ -12,7 +12,12 @@
 //   - Plan groups a batch's deliveries by destination machine while
 //     preserving arrival order, so one cluster.SendBatch (one liveness
 //     check, one latency charge) and one queue.PutBatch per local
-//     queue (one mutex acquisition) carry the whole group;
+//     queue (one mutex acquisition) carry the whole group — the same
+//     hand-off a worker's emit takes as a batch of one, except that a
+//     source's batch may wait on a full queue under the Block policy;
+//   - Driver, which runs IngestBatch and IngestCtx over a Plan and
+//     leaves what each send outcome means — detector report, counter,
+//     loss reason, divert — to the engine courier's Observe and Settle;
 //   - the error types (BatchError, ErrStopped, NotInputError,
 //     ErrBackpressure) that make ingestion report overflow and
 //     backpressure instead of silently dropping;

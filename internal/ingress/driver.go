@@ -17,46 +17,27 @@ import (
 
 // Driver is the batched-ingress front door of the engine runtime:
 // IngestBatch and IngestCtx run here. Validation, stamping, fan-out,
-// grouping per destination machine, send accounting and overflow
-// disposition are the same whichever Muppet version dispatches; what
-// differs — who owns <function, key> — comes in through Route and
-// FuncOf, as it does for the engine's courier.
+// grouping per destination machine and send accounting are the same
+// whichever Muppet version dispatches; what differs — who owns
+// <function, key> — is the courier's Route and FuncOf, and what a send's
+// outcome means (detector report, counter, loss reason, divert) is the
+// courier's to say.
 type Driver struct {
-	App      *core.App
-	Cluster  *cluster.Cluster
-	Counters *engine.Counters
-	Tracker  *engine.Tracker
-	Lost     *engine.LostLog
+	App *core.App
+	// Courier is the engine's courier: the driver sends on its wiring
+	// (cluster, counters, tracker, lost log, stop flag, SourceThrottle,
+	// Route, FuncOf) and has it observe every exchange and settle every
+	// delivery that was not accepted.
+	Courier *engine.Courier
 	// Sink records events ingested on a declared output stream.
 	Sink *engine.Sink
-	// Detector is told the outcome of every exchange with a machine.
-	Detector engine.SendObserver
-	// Stopped is the engine's stop flag; Seq issues its event sequence
-	// numbers.
-	Stopped *atomic.Bool
-	Seq     *atomic.Uint64
+	// Seq issues the engine's event sequence numbers.
+	Seq *atomic.Uint64
 	// Tracer, when non-nil, samples ingest calls into the
 	// ingest-accept span histogram.
 	Tracer *obs.Tracer
 	// Machines sizes the delivery plan's per-machine groups.
 	Machines int
-	// Policy and OverflowStream are the engine's queue-overflow
-	// disposition for rejected deliveries.
-	Policy         queue.OverflowPolicy
-	OverflowStream string
-	// SourceThrottle makes IngestBatch wait-and-retry on overflow
-	// instead of dropping, the paper's source throttling.
-	SourceThrottle bool
-	// Route resolves the owner of <fn, key>: the destination machine
-	// and the worker addressed on it. An empty machine means no live
-	// owner.
-	Route func(fn, key string) (machine, worker string)
-	// FuncOf maps a worker address back to its function name for loss
-	// accounting.
-	FuncOf func(worker string) string
-	// Reroute fans a diverted event out to its stream's subscribers (the
-	// engine's internal routing).
-	Reroute func(ev event.Event, from engine.Origin)
 }
 
 // IngestBatch feeds a batch of external input events into the engine,
@@ -100,15 +81,16 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	if len(evs) == 0 {
 		return 0, nil
 	}
-	if wait == nil && d.SourceThrottle {
+	cfg := d.Courier.Config()
+	if wait == nil && cfg.SourceThrottle {
 		wait = func() bool {
 			time.Sleep(200 * time.Microsecond)
 			return true
 		}
 	}
-	if d.Stopped.Load() {
+	if cfg.Stopped.Load() {
 		for i := range evs {
-			d.Lost.Record("", evs[i], engine.LossStopped)
+			cfg.Lost.Record("", evs[i], engine.LossStopped)
 		}
 		return 0, ErrStopped
 	}
@@ -147,42 +129,42 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 			d.Sink.Record(ev)
 		}
 		for _, fn := range subs {
-			machine, worker := d.Route(fn, ev.Key)
+			machine, worker := cfg.Route(fn, ev.Key)
 			if machine == "" {
-				d.Counters.LostMachineDown.Add(1)
-				d.Lost.Record(fn, ev, engine.LossNoRoute)
+				cfg.Counters.LostMachineDown.Add(1)
+				cfg.Lost.Record(fn, ev, engine.LossNoRoute)
 				tally.Drop(i, engine.LossNoRoute.String())
 				continue
 			}
 			plan.Add(machine, cluster.Delivery{Worker: worker, Ev: ev, Tag: i})
 		}
 	}
-	d.Counters.Ingested.Add(uint64(len(evs)))
+	cfg.Counters.Ingested.Add(uint64(len(evs)))
 	plan.Each(func(machine string, ds []cluster.Delivery) {
-		d.Tracker.Add(len(ds))
-		accepted, rejects, err := d.Cluster.SendBatch(machine, ds)
+		cfg.Tracker.Add(len(ds))
+		accepted, rejects, err := cfg.Cluster.SendBatch(machine, ds)
+		d.Courier.Observe(machine, err)
 		if err != nil {
-			d.Tracker.Add(-len(ds))
-			reason := d.sendFailed(machine, err)
-			d.Counters.LostMachineDown.Add(uint64(len(ds)))
+			cfg.Tracker.Add(-len(ds))
 			for _, del := range ds {
-				d.Lost.Record(d.FuncOf(del.Worker), del.Ev, reason)
-				tally.Drop(del.Tag, reason.String())
+				d.settle(cfg.FuncOf(del.Worker), del, err, tally)
 			}
 			return
 		}
-		if !d.Cluster.IsLocal(machine) {
+		if !cfg.Cluster.IsLocal(machine) {
 			// The tracker was charged for the whole batch before the send;
 			// accepted deliveries now belong to the hosting node's tracker
 			// (it charged itself on landing), so retire them here. The
 			// rejects are retired below.
-			d.Detector.ObserveSendOK(machine)
-			d.Tracker.Add(-accepted)
+			cfg.Tracker.Add(-accepted)
 		}
-		d.Counters.Emitted.Add(uint64(accepted))
+		cfg.Counters.Emitted.Add(uint64(accepted))
 		for _, rj := range rejects {
-			d.Tracker.Add(-1)
-			d.settleReject(ds[rj.Index], rj.Err, wait, tally)
+			cfg.Tracker.Add(-1)
+			del := ds[rj.Index]
+			if rj.Err != queue.ErrOverflow || wait == nil || !d.retry(del, wait, tally) {
+				d.settle(cfg.FuncOf(del.Worker), del, rj.Err, tally)
+			}
 		}
 	})
 	plan.Release()
@@ -192,76 +174,49 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	return tally.Result()
 }
 
-// sendFailed tells the failure detector about a send to a machine that
-// returned err, and names the reason its deliveries are lost under.
-func (d *Driver) sendFailed(machine string, err error) engine.LossReason {
-	switch {
-	case cluster.IsTransient(err):
-		// The retry budget is exhausted but the machine has not been
-		// declared dead: feed the suspicion tracker (K such observations
-		// escalate to failover) and log the loss under its own reason.
-		d.Detector.ObserveTransientFailure(machine)
-		return engine.LossTransient
-	case err == cluster.ErrMachineDown:
-		d.Detector.ObserveSendFailure(machine)
+// settle gives one delivery that was not accepted the courier's
+// disposition and tallies the reason it was logged lost under, if any.
+func (d *Driver) settle(fn string, del cluster.Delivery, cause error, tally *DropTally) {
+	if reason, lost := d.Courier.Settle(fn, del.Ev, cause, engine.FromBatch); lost {
+		tally.Drop(del.Tag, reason.String())
 	}
-	return engine.LossMachineDown
 }
 
-// settleReject disposes of one delivery a batch send could not place:
-// retry under the caller's backpressure waiter, divert under the
-// Divert policy, otherwise drop with batch-partial accounting.
-func (d *Driver) settleReject(del cluster.Delivery, cause error, wait func() bool, tally *DropTally) {
-	fn := d.FuncOf(del.Worker)
-	if cause == queue.ErrOverflow && wait != nil {
-		for wait() {
-			// The ring may have moved the key while we waited.
-			machine, worker := d.Route(fn, del.Ev.Key)
-			if machine == "" {
-				d.Counters.LostMachineDown.Add(1)
-				d.Lost.Record(fn, del.Ev, engine.LossNoRoute)
-				tally.Drop(del.Tag, engine.LossNoRoute.String())
-				return
-			}
-			// Track before sending: the consumer may process (and
-			// retire) the delivery the instant it lands.
-			d.Tracker.Inc()
-			err := d.Cluster.Send(machine, worker, del.Ev)
-			if err == nil {
-				d.Counters.Emitted.Add(1)
-				if !d.Cluster.IsLocal(machine) {
-					d.Tracker.Dec() // the hosting node tracks it from here
-					d.Detector.ObserveSendOK(machine)
-				}
-				return
-			}
-			d.Tracker.Dec()
-			if err == queue.ErrOverflow {
-				continue
-			}
-			reason := d.sendFailed(machine, err)
-			d.Counters.LostMachineDown.Add(1)
-			d.Lost.Record(fn, del.Ev, reason)
-			tally.Drop(del.Tag, reason.String())
-			return
+// retry re-sends one delivery a full queue rejected, as a frame of one,
+// while the caller's backpressure waiter allows and the queue stays full.
+// It reports whether that disposed of the delivery (it landed, or was lost
+// to something other than overflow); false leaves it to settle.
+func (d *Driver) retry(del cluster.Delivery, wait func() bool, tally *DropTally) bool {
+	cfg := d.Courier.Config()
+	fn := cfg.FuncOf(del.Worker)
+	one := []cluster.Delivery{del}
+	for wait() {
+		// The ring may have moved the key while we waited.
+		machine, worker := cfg.Route(fn, del.Ev.Key)
+		if machine == "" {
+			cfg.Counters.LostMachineDown.Add(1)
+			cfg.Lost.Record(fn, del.Ev, engine.LossNoRoute)
+			tally.Drop(del.Tag, engine.LossNoRoute.String())
+			return true
+		}
+		// Track before sending: the consumer may process (and retire) the
+		// delivery the instant it lands.
+		cfg.Tracker.Inc()
+		one[0].Worker = worker
+		_, rejects, err := cfg.Cluster.SendBatch(machine, one)
+		d.Courier.Observe(machine, err)
+		if err == nil && len(rejects) > 0 {
+			err = rejects[0].Err
+		}
+		if err == nil && cfg.Cluster.IsLocal(machine) {
+			cfg.Counters.Emitted.Add(1) // its consumer retires the charge
+			return true
+		}
+		cfg.Tracker.Dec() // lost, or a remote node tracks it from here
+		if err != queue.ErrOverflow {
+			d.settle(fn, one[0], err, tally)
+			return true
 		}
 	}
-	switch {
-	case cause == queue.ErrOverflow && d.Policy == queue.Divert &&
-		d.OverflowStream != "" && del.Ev.Stream != d.OverflowStream:
-		div := del.Ev
-		div.Stream = d.OverflowStream
-		d.Counters.Diverted.Add(1)
-		d.Reroute(div, engine.FromSource)
-	case cause == queue.ErrClosed:
-		// The destination was crashing (or stopping) under the batch;
-		// account it like any other delivery to a dying machine.
-		d.Counters.LostMachineDown.Add(1)
-		d.Lost.Record(fn, del.Ev, engine.LossMachineDown)
-		tally.Drop(del.Tag, engine.LossMachineDown.String())
-	default:
-		d.Counters.LostOverflow.Add(1)
-		d.Lost.Record(fn, del.Ev, engine.LossBatchPartial)
-		tally.Drop(del.Tag, engine.LossBatchPartial.String())
-	}
+	return false
 }

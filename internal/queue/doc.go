@@ -6,26 +6,29 @@
 //
 // # Contract
 //
-// A queue accepts envelopes until its capacity is reached, then
-// applies its overflow policy: Drop rejects with ErrOverflow, Divert
-// rejects likewise but counts the envelope for redirection to the
-// caller's overflow stream, Block parks the producer until space
-// frees. Offer is the enqueue for producers that must never be slowed —
+// Every hand-off is a batch — a frame of one included — admitted under
+// one lock acquisition, leading elements first, the remainder rejected
+// together. A queue accepts envelopes until its capacity is reached,
+// then applies its overflow policy: Drop rejects with ErrOverflow,
+// Divert rejects likewise but counts the envelope for redirection to the
+// caller's overflow stream, Block parks the producer until space frees.
+// PutBatch is the enqueue for producers that may be slowed (the
+// sources); OfferBatch is its twin for producers that must never be —
 // the workers themselves, whose full queue may be their own (throttling
-// inside a workflow deadlocks, §4.3/§5): it never waits, and under
-// Block a full queue rejects it as Drop would. Offered == Accepted +
-// Dropped + Diverted holds at all times. PutBatch admits a whole batch
-// under one lock acquisition and reports per-envelope outcomes. ErrOverflow
-// and ErrClosed are sentinel errors; they are part of the wire
-// contract — the TCP transport round-trips them across nodes so a
-// remote rejection is errors.Is-comparable to a local one.
+// inside a workflow deadlocks, §4.3/§5) — on this node or, marked
+// no-wait on the wire, on another: it never waits, and under Block a
+// full queue rejects it as Drop would. Offered == Accepted + Dropped +
+// Diverted holds at all times. ErrOverflow and ErrClosed are sentinel
+// errors; they are part of the wire contract — the TCP transport
+// round-trips them across nodes so a remote rejection is
+// errors.Is-comparable to a local one.
 //
 // # Concurrency
 //
 // Each queue is a mutex plus two condition variables (not-empty,
 // not-full); any number of producers and consumers may share it.
-// Close wakes all waiters; a Get on a closed, drained queue and a Put
-// on a closed queue both return ErrClosed rather than blocking
+// Close wakes all waiters; a Get on a closed, drained queue and a
+// PutBatch on a closed queue both return ErrClosed rather than blocking
 // forever — the engines rely on this to shut down and to tear down
 // crashed machines without leaking goroutines.
 package queue

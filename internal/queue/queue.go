@@ -20,8 +20,8 @@ const (
 	Divert
 	// Block makes the producer wait until space frees up, slowing the
 	// pace of passing events (the paper's source-throttling behavior
-	// when applied at stream sources). It binds Put and PutBatch — the
-	// sources; the workers enqueue with Offer, which never waits.
+	// when applied at stream sources). It binds PutBatch — the sources;
+	// the workers enqueue with OfferBatch, which never waits.
 	Block
 )
 
@@ -39,11 +39,12 @@ func (p OverflowPolicy) String() string {
 	}
 }
 
-// ErrClosed is returned by Put and Get once the queue is closed.
+// ErrClosed is returned by PutBatch, OfferBatch and Get once the queue
+// is closed.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrOverflow is returned when the queue is full: by Put under the
-// Drop and Divert policies, by Offer under every policy.
+// ErrOverflow is returned when the queue is full: by PutBatch under the
+// Drop and Divert policies, by OfferBatch under every policy.
 var ErrOverflow = errors.New("queue: overflow")
 
 // Stats is a snapshot of a queue's lifetime accounting. The invariant
@@ -53,7 +54,7 @@ type Stats struct {
 	Accepted uint64
 	Dropped  uint64
 	Diverted uint64
-	Blocked  uint64 // Put calls that had to wait under the Block policy
+	Blocked  uint64 // elements whose producer had to wait under the Block policy
 	MaxDepth int
 }
 
@@ -103,78 +104,40 @@ func New[T any](capacity int, policy OverflowPolicy) *Queue[T] {
 	return q
 }
 
-// Put offers an element to the queue. Under Drop and Divert it returns
-// ErrOverflow immediately when full; under Block it waits. It returns
-// ErrClosed if the queue is (or becomes) closed.
-func (q *Queue[T]) Put(e T) error { return q.put(e, true) }
-
-// Offer is Put for producers that must never be slowed — the workers
-// themselves: a worker waiting on a full queue (possibly its own) is
-// the workflow-internal throttling deadlock of §4.3/§5. It never waits;
-// under Block a full queue rejects with ErrOverflow and the element is
-// counted Dropped, exactly as under Drop.
-func (q *Queue[T]) Offer(e T) error { return q.put(e, false) }
-
-func (q *Queue[T]) put(e T, wait bool) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.stats.Offered++
-	if q.closed {
-		return ErrClosed
-	}
-	if q.count == q.capacity {
-		switch {
-		case q.policy == Divert:
-			q.stats.Diverted++
-			return ErrOverflow
-		case q.policy == Drop || !wait:
-			q.stats.Dropped++
-			return ErrOverflow
-		default: // Block
-			q.stats.Blocked++
-			for q.count == q.capacity && !q.closed {
-				q.notFull.Wait()
-			}
-			if q.closed {
-				return ErrClosed
-			}
-		}
-	}
-	q.buf[(q.head+q.count)%q.capacity] = e
-	q.count++
-	if q.count > q.stats.MaxDepth {
-		q.stats.MaxDepth = q.count
-	}
-	q.stats.Accepted++
-	q.notEmpty.Signal()
-	return nil
-}
-
 // PutBatch offers the elements in order under a single lock
-// acquisition, amortizing the mutex and condition-variable traffic
-// that Put pays per element — the hot-path saving the batched ingress
-// surface is built on. It returns how many leading elements were
-// accepted. Under Drop and Divert, the first element to find the queue
-// full fails the remainder with ErrOverflow (the queue cannot free up
-// while the producer holds the lock); under Block the producer waits
-// for space element by element. A closed queue fails the remainder
-// with ErrClosed.
-func (q *Queue[T]) PutBatch(es []T) (accepted int, err error) {
+// acquisition — a frame of one included: it is the only way in. It
+// returns how many leading elements were accepted. Under Drop and
+// Divert, the first element to find the queue full fails the remainder
+// with ErrOverflow (the queue cannot free up while the producer holds
+// the lock); under Block the producer waits for space element by
+// element. A closed queue fails the remainder with ErrClosed.
+func (q *Queue[T]) PutBatch(es []T) (accepted int, err error) { return q.putBatch(es, true) }
+
+// OfferBatch is PutBatch for producers that must never be slowed — the
+// workers themselves: a worker waiting on a full queue (possibly its
+// own) is the workflow-internal throttling deadlock of §4.3/§5. It
+// never waits; under Block a full queue rejects the remainder with
+// ErrOverflow, counted Dropped, exactly as under Drop.
+func (q *Queue[T]) OfferBatch(es []T) (accepted int, err error) { return q.putBatch(es, false) }
+
+func (q *Queue[T]) putBatch(es []T, wait bool) (accepted int, err error) {
 	if len(es) == 0 {
 		return 0, nil
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// Whatever path exits this function, consumers parked on an empty
-	// queue must learn about the elements that WERE accepted — the
-	// overflow early-returns below are exits too, and a batch that
-	// fills an idle queue and then overflows would otherwise leave the
-	// consumer parked forever over a full queue.
-	defer func() {
-		if accepted > 0 {
-			q.notEmpty.Broadcast()
-		}
-	}()
+	accepted, err = q.admit(es, wait)
+	if accepted > 0 {
+		// However admit ended, consumers parked on an empty queue must
+		// learn of what WAS accepted: a batch that fills an idle queue and
+		// then overflows would otherwise leave them parked over a full one.
+		q.notEmpty.Broadcast()
+	}
+	return accepted, err
+}
+
+// admit is the admission loop; the caller holds q.mu.
+func (q *Queue[T]) admit(es []T, wait bool) (accepted int, err error) {
 	for i := range es {
 		q.stats.Offered++
 		if q.closed {
@@ -182,18 +145,17 @@ func (q *Queue[T]) PutBatch(es []T) (accepted int, err error) {
 			return accepted, ErrClosed
 		}
 		if q.count == q.capacity {
-			switch q.policy {
-			case Drop:
-				rest := uint64(len(es) - i)
-				q.stats.Offered += rest - 1
-				q.stats.Dropped += rest
-				return accepted, ErrOverflow
-			case Divert:
-				rest := uint64(len(es) - i)
+			rest := uint64(len(es) - i)
+			switch {
+			case q.policy == Divert:
 				q.stats.Offered += rest - 1
 				q.stats.Diverted += rest
 				return accepted, ErrOverflow
-			case Block:
+			case q.policy == Drop || !wait:
+				q.stats.Offered += rest - 1
+				q.stats.Dropped += rest
+				return accepted, ErrOverflow
+			default: // Block
 				q.stats.Blocked++
 				// Wake consumers parked since before this batch began
 				// inserting, or they and this producer would wait on
@@ -203,7 +165,7 @@ func (q *Queue[T]) PutBatch(es []T) (accepted int, err error) {
 					q.notFull.Wait()
 				}
 				if q.closed {
-					q.stats.Offered += uint64(len(es) - i - 1)
+					q.stats.Offered += rest - 1
 					return accepted, ErrClosed
 				}
 			}
@@ -308,9 +270,6 @@ func (q *Queue[T]) Stats() Stats {
 	defer q.mu.Unlock()
 	return q.stats
 }
-
-// Policy returns the queue's overflow policy.
-func (q *Queue[T]) Policy() OverflowPolicy { return q.policy }
 
 // Slot holds a queue that can be atomically replaced. The engines give
 // every worker a Slot: when a crashed machine's workers restart, the

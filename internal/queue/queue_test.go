@@ -14,10 +14,22 @@ func ev(i int) event.Event {
 	return event.Event{Stream: "s", Seq: uint64(i), Key: fmt.Sprintf("k%d", i)}
 }
 
+// put and offer hand the queue a frame of one: the waiting and the
+// non-waiting enqueue, as a single-element producer sees them.
+func put(q *Queue[event.Event], e event.Event) error {
+	_, err := q.PutBatch([]event.Event{e})
+	return err
+}
+
+func offer(q *Queue[event.Event], e event.Event) error {
+	_, err := q.OfferBatch([]event.Event{e})
+	return err
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q := New[event.Event](10, Drop)
 	for i := 0; i < 5; i++ {
-		if err := q.Put(ev(i)); err != nil {
+		if err := put(q, ev(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,9 +46,9 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestDropPolicyRejectsWhenFull(t *testing.T) {
 	q := New[event.Event](2, Drop)
-	q.Put(ev(0))
-	q.Put(ev(1))
-	if err := q.Put(ev(2)); !errors.Is(err, ErrOverflow) {
+	put(q, ev(0))
+	put(q, ev(1))
+	if err := put(q, ev(2)); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("Put on full queue = %v, want ErrOverflow", err)
 	}
 	s := q.Stats()
@@ -47,8 +59,8 @@ func TestDropPolicyRejectsWhenFull(t *testing.T) {
 
 func TestDivertPolicyCountsSeparately(t *testing.T) {
 	q := New[event.Event](1, Divert)
-	q.Put(ev(0))
-	if err := q.Put(ev(1)); !errors.Is(err, ErrOverflow) {
+	put(q, ev(0))
+	if err := put(q, ev(1)); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("want ErrOverflow, got %v", err)
 	}
 	s := q.Stats()
@@ -59,9 +71,9 @@ func TestDivertPolicyCountsSeparately(t *testing.T) {
 
 func TestBlockPolicyWaitsForSpace(t *testing.T) {
 	q := New[event.Event](1, Block)
-	q.Put(ev(0))
+	put(q, ev(0))
 	done := make(chan error, 1)
-	go func() { done <- q.Put(ev(1)) }()
+	go func() { done <- put(q, ev(1)) }()
 	select {
 	case <-done:
 		t.Fatal("Put returned before space freed")
@@ -97,17 +109,17 @@ func TestOfferNeverWaits(t *testing.T) {
 		{Divert, Stats{Offered: 2, Accepted: 1, Diverted: 1, MaxDepth: 1}},
 	} {
 		q := New[event.Event](1, tc.policy)
-		if err := q.Offer(ev(0)); err != nil {
+		if err := offer(q, ev(0)); err != nil {
 			t.Fatalf("%v: Offer with room = %v", tc.policy, err)
 		}
-		if err := q.Offer(ev(1)); !errors.Is(err, ErrOverflow) {
+		if err := offer(q, ev(1)); !errors.Is(err, ErrOverflow) {
 			t.Fatalf("%v: Offer on full queue = %v, want ErrOverflow", tc.policy, err)
 		}
 		if s := q.Stats(); s != tc.want {
 			t.Fatalf("%v: stats = %+v, want %+v", tc.policy, s, tc.want)
 		}
 		q.Close()
-		if err := q.Offer(ev(2)); !errors.Is(err, ErrClosed) {
+		if err := offer(q, ev(2)); !errors.Is(err, ErrClosed) {
 			t.Fatalf("%v: Offer on closed queue = %v, want ErrClosed", tc.policy, err)
 		}
 	}
@@ -121,7 +133,7 @@ func TestGetBlocksUntilPut(t *testing.T) {
 		got <- e
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.Put(ev(7))
+	put(q, ev(7))
 	select {
 	case e := <-got:
 		if e.Seq != 7 {
@@ -137,7 +149,7 @@ func TestTryGetNonBlocking(t *testing.T) {
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue returned ok")
 	}
-	q.Put(ev(1))
+	put(q, ev(1))
 	e, ok := q.TryGet()
 	if !ok || e.Seq != 1 {
 		t.Fatalf("TryGet = %v, %v", e, ok)
@@ -146,8 +158,8 @@ func TestTryGetNonBlocking(t *testing.T) {
 
 func TestCloseDrainsThenErrClosed(t *testing.T) {
 	q := New[event.Event](4, Drop)
-	q.Put(ev(0))
-	q.Put(ev(1))
+	put(q, ev(0))
+	put(q, ev(1))
 	q.Close()
 	if _, err := q.Get(); err != nil {
 		t.Fatalf("Get of buffered event after close = %v", err)
@@ -158,16 +170,16 @@ func TestCloseDrainsThenErrClosed(t *testing.T) {
 	if _, err := q.Get(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get on drained closed queue = %v, want ErrClosed", err)
 	}
-	if err := q.Put(ev(2)); !errors.Is(err, ErrClosed) {
+	if err := put(q, ev(2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put on closed queue = %v, want ErrClosed", err)
 	}
 }
 
 func TestCloseUnblocksBlockedProducer(t *testing.T) {
 	q := New[event.Event](1, Block)
-	q.Put(ev(0))
+	put(q, ev(0))
 	done := make(chan error, 1)
-	go func() { done <- q.Put(ev(1)) }()
+	go func() { done <- put(q, ev(1)) }()
 	time.Sleep(10 * time.Millisecond)
 	q.Close()
 	select {
@@ -190,7 +202,7 @@ func TestWraparound(t *testing.T) {
 	q := New[event.Event](3, Drop)
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
-			if err := q.Put(ev(round*3 + i)); err != nil {
+			if err := put(q, ev(round*3+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,7 +242,7 @@ func TestStatsConservation(t *testing.T) {
 		go func(p int) {
 			defer pwg.Done()
 			for i := 0; i < per; i++ {
-				q.Put(ev(p*per + i))
+				put(q, ev(p*per+i))
 			}
 		}(p)
 	}
@@ -432,4 +444,82 @@ func TestPutBatchOverflowStillWakesParkedConsumer(t *testing.T) {
 		}
 	}
 	q.Close()
+}
+
+// TestOfferBatchBlockRejectsRemainder: the non-waiting batch under
+// Block never parks — a full queue rejects the remainder with
+// ErrOverflow, counted Dropped as under Drop — and a consumer parked on
+// the empty queue is woken for what was accepted.
+func TestOfferBatchBlockRejectsRemainder(t *testing.T) {
+	q := New[int](2, Block)
+	got := make(chan int, 8)
+	started := make(chan struct{})
+	go func() {
+		close(started)
+		for {
+			v, err := q.Get()
+			if err != nil {
+				close(got)
+				return
+			}
+			got <- v
+		}
+	}()
+	<-started
+	time.Sleep(10 * time.Millisecond) // let the consumer park in Get
+	done := make(chan struct{})
+	var n int
+	var err error
+	go func() {
+		n, err = q.OfferBatch([]int{1, 2, 3, 4, 5})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OfferBatch waited on a full queue under Block")
+	}
+	if n != 2 || err != ErrOverflow {
+		t.Fatalf("OfferBatch = %d, %v; want 2, ErrOverflow", n, err)
+	}
+	for want := 1; want <= 2; want++ {
+		select {
+		case v := <-got:
+			if v != want {
+				t.Fatalf("consumed %d, want %d", v, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("consumer never woken for accepted elements")
+		}
+	}
+	st := q.Stats()
+	if st.Offered != 5 || st.Accepted != 2 || st.Dropped != 3 || st.Blocked != 0 ||
+		st.Offered != st.Accepted+st.Dropped+st.Diverted {
+		t.Fatalf("stats = %+v", st)
+	}
+	q.Close()
+	if n, err := q.OfferBatch([]int{6, 7}); n != 0 || err != ErrClosed {
+		t.Fatalf("OfferBatch on closed = %d, %v", n, err)
+	}
+}
+
+// TestOfferBatchKeepsPolicyCounters: with room OfferBatch is PutBatch;
+// without, Drop and Divert count the remainder as they always did.
+func TestOfferBatchKeepsPolicyCounters(t *testing.T) {
+	for _, tc := range []struct {
+		policy OverflowPolicy
+		want   Stats
+	}{
+		{Drop, Stats{Offered: 3, Accepted: 2, Dropped: 1, MaxDepth: 2}},
+		{Divert, Stats{Offered: 3, Accepted: 2, Diverted: 1, MaxDepth: 2}},
+		{Block, Stats{Offered: 3, Accepted: 2, Dropped: 1, MaxDepth: 2}},
+	} {
+		q := New[int](2, tc.policy)
+		if n, err := q.OfferBatch([]int{1, 2, 3}); n != 2 || err != ErrOverflow {
+			t.Fatalf("%v: OfferBatch = %d, %v", tc.policy, n, err)
+		}
+		if s := q.Stats(); s != tc.want {
+			t.Fatalf("%v: stats = %+v, want %+v", tc.policy, s, tc.want)
+		}
+	}
 }

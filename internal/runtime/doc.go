@@ -21,11 +21,12 @@
 //
 // # Dispatcher
 //
-// What differs per version is behind the Dispatcher interface: where
-// <function, key> lives (Route, FuncOf), how a delivery addressed to a
-// hosted machine reaches a queue (Enqueue, EnqueueBatch), ring
-// membership (SetRing, RingMembers), which machines a query scatters to
-// (Scatter), which goroutines consume a cell's queues (StartCell), and
+// What differs per version is behind the Dispatcher interface, eight
+// methods: where <function, key> lives (Route, FuncOf), how a batch of
+// deliveries addressed to a hosted machine — the only hand-off there is;
+// a single emit is a batch of one — reaches its queues (EnqueueBatch),
+// ring membership (SetRing, RingMembers), which machines a query scatters
+// to (Scatter), which goroutines consume a cell's queues (StartCell), and
 // the delivery replay log only 2.0 keeps (Unacked). Everything else —
 // cluster wiring, counters, tracker, egress sink, lost log, metrics
 // registry and tracer, the recovery manager and its adapter, the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"muppet/internal/cluster"
 	"muppet/internal/core"
 	"muppet/internal/engine"
 	"muppet/internal/event"
@@ -27,6 +28,9 @@ type Emitter struct {
 	newSlate []byte
 	replaced bool
 	err      error
+	// one is the frame of one each output is handed to the courier in:
+	// the loop's, not the invocation's, so a local emit allocates none.
+	one [1]cluster.Delivery
 }
 
 // emitted is one published output: its stream and key, and the bounds
@@ -159,7 +163,7 @@ func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 		copy(arena, em.vals)
 	}
 	for _, out := range em.outputs {
-		r.route(r.derive(out, arena, in), engine.FromWorker)
+		r.route(r.derive(out, arena, in), engine.FromWorker, &em.one)
 	}
 	sp.MarkEmit()
 }
@@ -177,7 +181,7 @@ func (r *Runtime) Done(sp *obs.Span) {
 // was queued moved the key, and running it here would break the
 // single-writer property.
 func (r *Runtime) Forward(fn string, ev event.Event) {
-	r.out.Deliver(fn, ev, engine.FromWorker)
+	r.out.Deliver(fn, ev, engine.FromWorker, nil)
 	r.tracker.Dec()
 }
 
@@ -203,13 +207,13 @@ func (r *Runtime) derive(out emitted, arena []byte, in *event.Event) event.Event
 
 // route fans an event out to every subscriber of its stream, on behalf
 // of whoever produced it, recording it first if the stream is a
-// declared output.
-func (r *Runtime) route(ev event.Event, from engine.Origin) {
+// declared output. one is the courier's reusable frame (Courier.Deliver).
+func (r *Runtime) route(ev event.Event, from engine.Origin, one *[1]cluster.Delivery) {
 	if r.app.IsOutput(ev.Stream) {
 		r.sink.Record(ev)
 	}
 	for _, fn := range r.app.Subscribers(ev.Stream) {
-		r.out.Deliver(fn, ev, from)
+		r.out.Deliver(fn, ev, from, one)
 	}
 }
 
@@ -227,7 +231,7 @@ func (r *Runtime) Ingest(ev event.Event) {
 		ev.Ingress = time.Now().UnixNano()
 	}
 	r.counters.Ingested.Add(1)
-	r.route(ev, engine.FromSource)
+	r.route(ev, engine.FromSource, nil)
 }
 
 // IngestBatch feeds a batch of external input events into the

@@ -85,7 +85,7 @@ func (a recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
 }
 
 func (a recoveryAdapter) Redeliver(function string, ev event.Event) {
-	a.r.out.Deliver(function, ev, engine.FromWorker)
+	a.r.out.Deliver(function, ev, engine.FromWorker, nil)
 }
 
 func (a recoveryAdapter) RestartWorkers(machine string) {

@@ -140,13 +140,12 @@ type Dispatcher interface {
 	Route(fn, key string) (machine, address string)
 	// FuncOf maps an address back to its function name.
 	FuncOf(address string) string
-	// Enqueue places one delivery for an address on a hosted machine on
-	// a cell queue. wait is false for a worker's own emits, which must
-	// never wait on a queue — the chosen one may be the emitter's own.
-	Enqueue(machine, address string, ev event.Event, wait bool) error
-	// EnqueueBatch places a machine-addressed batch, one queue lock per
-	// target queue. The result is parallel to ds; nil entries (or a nil
-	// slice) were accepted.
+	// EnqueueBatch places a machine-addressed batch (a single emit is a
+	// batch of one) on cell queues, one queue lock per target queue. A
+	// batch with a delivery marked NoWait — a worker's emit, from this node
+	// or a peer: the chosen queue may be the emitter's own — takes the
+	// non-waiting enqueue. The result is parallel to ds; nil entries (or a
+	// nil slice) were accepted.
 	EnqueueBatch(machine string, ds []cluster.Delivery) []error
 	// SetRing takes a machine's addresses off the ring(s), so keys
 	// reroute to ring successors, or puts them back.
@@ -178,8 +177,9 @@ type Runtime struct {
 	rec *recovery.Manager
 	ing *ingress.Driver
 	// out carries worker emits and fire-and-forget ingests to their
-	// owners: synchronously on this node, through a per-destination
-	// outbox to machines other nodes host.
+	// owners — a frame of one on this node, through a per-destination
+	// outbox to machines other nodes host — and classifies every send
+	// outcome, the ingress driver's included.
 	out      *engine.Courier
 	reg      *obs.Registry
 	tracer   *obs.Tracer
@@ -280,10 +280,6 @@ func (r *Runtime) slateStore() slate.Store {
 func (r *Runtime) Start(d Dispatcher) {
 	r.disp = d
 	for _, name := range r.clu.LocalNames() {
-		name := name
-		r.clu.SetHandler(name, func(address string, ev event.Event, wait bool) error {
-			return d.Enqueue(name, address, ev, wait)
-		})
 		r.clu.SetBatchHandler(name, func(ds []cluster.Delivery) []error {
 			return d.EnqueueBatch(name, ds)
 		})
@@ -327,26 +323,15 @@ func (r *Runtime) Start(d Dispatcher) {
 		OutboxCapacity: r.cfg.QueueCapacity,
 		Route:          d.Route,
 		FuncOf:         d.FuncOf,
-		Reroute:        r.route,
+		Reroute:        func(ev event.Event, from engine.Origin) { r.route(ev, from, nil) },
 	})
 	r.ing = &ingress.Driver{
-		App:            r.app,
-		Cluster:        r.clu,
-		Counters:       r.counters,
-		Tracker:        r.tracker,
-		Lost:           r.lost,
-		Sink:           r.sink,
-		Detector:       r.rec.Detector(),
-		Stopped:        &r.stopped,
-		Seq:            &r.seq,
-		Tracer:         r.tracer,
-		Machines:       len(r.clu.MachineNames()),
-		Policy:         r.cfg.QueuePolicy,
-		OverflowStream: r.cfg.OverflowStream,
-		SourceThrottle: r.cfg.SourceThrottle,
-		Route:          d.Route,
-		FuncOf:         d.FuncOf,
-		Reroute:        r.route,
+		App:      r.app,
+		Courier:  r.out,
+		Sink:     r.sink,
+		Seq:      &r.seq,
+		Tracer:   r.tracer,
+		Machines: len(r.clu.MachineNames()),
 	}
 	r.registerObs()
 	for _, c := range r.cells {

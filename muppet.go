@@ -224,9 +224,10 @@ const (
 	// DivertOverflow redirects them to Config.OverflowStream.
 	DivertOverflow = queue.Divert
 	// BlockOverflow applies backpressure to sources: Ingest* wait for
-	// room. A worker's own emits never wait on a worker queue (that is
-	// the workflow-internal throttling deadlock of Section 4.3); finding
-	// one full they are dropped and logged, as under DropOverflow.
+	// room, on whichever node owns the key. A worker's own emits never
+	// wait on a worker queue, local or remote (that is the
+	// workflow-internal throttling deadlock of Section 4.3); finding one
+	// full they are dropped and logged, as under DropOverflow.
 	BlockOverflow = queue.Block
 )
 
