@@ -126,10 +126,16 @@ func TestDisableDualQueueSingleOwner(t *testing.T) {
 }
 
 func TestHotKeySpillsToSecondaryQueue(t *testing.T) {
-	// With a slow updater and a flood on one key, the primary queue
-	// backs up and the dispatcher spills onto the secondary.
+	// The dispatcher spills a key onto its secondary queue when its
+	// primary is backed up and neither thread is on the key. So another
+	// key with the same primary thread holds that thread inside its
+	// updater until the whole flood on the hot key is in: the hot key
+	// queues behind it, then spills — however the ingest loop and the
+	// workers are scheduled against each other.
+	entered, flooded := make(chan string, 301), make(chan struct{})
 	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
-		time.Sleep(200 * time.Microsecond)
+		entered <- in.Key
+		<-flooded
 		emit.ReplaceSlate([]byte("x"))
 	}}
 	app := core.NewApp("spill").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
@@ -138,9 +144,23 @@ func TestHotKeySpillsToSecondaryQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	for i := 0; i < 300; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "hot"})
+	m := e.machines[e.MachineFor("U", "hot")]
+	primary, _ := e.candidates(m, fk{"U", "hot"})
+	blocker := ""
+	for i := 0; blocker == ""; i++ {
+		k := fmt.Sprintf("blocker-%d", i)
+		if p, s := e.candidates(m, fk{"U", k}); p == primary && s != primary {
+			blocker = k
+		}
 	}
+	e.Ingest(event.Event{Stream: "S1", TS: 1, Key: blocker})
+	if got := <-entered; got != blocker {
+		t.Fatalf("first invocation was for %q, want the blocker", got)
+	}
+	for i := 0; i < 300; i++ {
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 2), Key: "hot"})
+	}
+	close(flooded)
 	e.Drain()
 	busy := 0
 	for _, qs := range e.QueueStats() {

@@ -419,23 +419,25 @@ func (c *Cluster) TotalStats() NodeStats {
 // deduplicated by key (newest write wins is not enforced here; Scan is
 // a debugging/bulk-export aid mirroring the paper's "large-volume row
 // reads from the durable key-value store").
-func (c *Cluster) Scan(column string, fn func(key string, value []byte)) {
-	c.ScanUntil(column, func(k string, v []byte) bool {
+func (c *Cluster) Scan(column string, fn func(key string, value []byte)) error {
+	return c.ScanUntil(column, func(k string, v []byte) bool {
 		fn(k, v)
 		return true
 	})
 }
 
 // ScanUntil is Scan with early termination: it stops (across all
-// nodes) as soon as fn returns false.
-func (c *Cluster) ScanUntil(column string, fn func(key string, value []byte) bool) {
+// nodes) as soon as fn returns false. fn runs outside every store lock.
+// The first node whose scan fails ends the scan with its error: the
+// rows seen so far are not the column.
+func (c *Cluster) ScanUntil(column string, fn func(key string, value []byte) bool) error {
 	seen := make(map[string]bool)
 	more := true
 	for _, name := range c.Nodes() {
 		if !more {
-			return
+			return nil
 		}
-		c.nodes[name].ScanUntil(column, func(k string, v []byte) bool {
+		err := c.nodes[name].ScanUntil(column, func(k string, v []byte) bool {
 			if seen[k] {
 				return true
 			}
@@ -443,5 +445,9 @@ func (c *Cluster) ScanUntil(column string, fn func(key string, value []byte) boo
 			more = fn(k, v)
 			return more
 		})
+		if err != nil {
+			return fmt.Errorf("kvstore: scan %s on %s: %w", column, name, err)
+		}
 	}
+	return nil
 }

@@ -326,8 +326,8 @@ func (n *Node) Stats() NodeStats {
 // the given column (the bulk slate-read path of Section 5). Rows
 // arrive in ascending row-key order — the lsm engine's merged order —
 // which the query subsystem's range scans rely on.
-func (n *Node) Scan(column string, fn func(key string, value []byte)) {
-	n.ScanUntil(column, func(k string, v []byte) bool {
+func (n *Node) Scan(column string, fn func(key string, value []byte)) error {
+	return n.ScanUntil(column, func(k string, v []byte) bool {
 		fn(k, v)
 		return true
 	})
@@ -335,14 +335,16 @@ func (n *Node) Scan(column string, fn func(key string, value []byte)) {
 
 // ScanUntil is Scan with early termination: it stops as soon as fn
 // returns false. The rejoin cache-warming path uses it to stop at its
-// warm limit instead of sweeping the whole store.
-func (n *Node) ScanUntil(column string, fn func(key string, value []byte) bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return
+// warm limit instead of sweeping the whole store. fn runs outside the
+// node's and the engine's locks, over the engine's snapshot as of the
+// call, so it may read and write the same node. A scan the engine
+// cannot complete (closed, a segment that will not load) is an error —
+// never a silently shorter scan; a node marked down has no rows.
+func (n *Node) ScanUntil(column string, fn func(key string, value []byte) bool) error {
+	if n.Down() {
+		return nil
 	}
-	n.eng.Scan(func(r lsm.Row) bool {
+	return n.eng.Scan(func(r lsm.Row) bool {
 		k, col := splitRowKey(r.Key)
 		if col != column {
 			return true

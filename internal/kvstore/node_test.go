@@ -376,3 +376,66 @@ func TestUnclosedNodesHoldNoGoroutine(t *testing.T) {
 		t.Fatalf("%d goroutines before 1000 unclosed Dir-less nodes, %d after", before, after)
 	}
 }
+
+// A scan's callback runs outside the node's and the engine's locks: it
+// may read and write the node it is scanning (this self-deadlocked when
+// the locks were held across it) and still sees the snapshot taken at
+// the call, not its own writes.
+func TestScanCallbackMayUseTheNode(t *testing.T) {
+	n := testNode(t, NodeConfig{})
+	for i := 0; i < 3; i++ {
+		n.Put(fmt.Sprintf("k%d", i), "U1", []byte("old"), 0)
+	}
+	n.Flush() // k0..k2 in a segment, k3..k5 in the memtable
+	for i := 3; i < 6; i++ {
+		n.Put(fmt.Sprintf("k%d", i), "U1", []byte("old"), 0)
+	}
+	done := make(chan string, 1)
+	go func() {
+		var got string
+		err := n.ScanUntil("U1", func(k string, v []byte) bool {
+			got += k + "=" + string(v) + " "
+			if cur, _, ok, _, err := n.Get(k, "U1"); err != nil || !ok || string(cur) != "old" {
+				t.Errorf("Get(%s) inside scan = %q, %v, %v", k, cur, ok, err)
+			}
+			if _, err := n.Put(k, "U1", []byte("new"), 0); err != nil {
+				t.Errorf("Put(%s) inside scan: %v", k, err)
+			}
+			if _, err := n.Put(k+"+", "U1", []byte("added"), 0); err != nil {
+				t.Errorf("Put(%s+) inside scan: %v", k, err)
+			}
+			return true
+		})
+		if err != nil {
+			t.Errorf("ScanUntil: %v", err)
+		}
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if want := "k0=old k1=old k2=old k3=old k4=old k5=old "; got != want {
+			t.Fatalf("scan saw %q, want the snapshot at the call %q", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scan callback using its own node deadlocked")
+	}
+	if v, _, ok, _, _ := n.Get("k4+", "U1"); !ok || string(v) != "added" {
+		t.Fatalf("write made inside the scan is missing: %q, %v", v, ok)
+	}
+}
+
+// A scan the engine cannot complete is an error, never a shorter scan.
+func TestScanReportsEngineFailure(t *testing.T) {
+	c, err := OpenCluster(ClusterConfig{Nodes: 1, ReplicationFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put("a", "U1", []byte("1"), 0, One); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	rows := 0
+	if err := c.ScanUntil("U1", func(string, []byte) bool { rows++; return true }); err == nil {
+		t.Fatalf("scan of a closed store returned %d rows and no error", rows)
+	}
+}

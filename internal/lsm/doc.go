@@ -40,6 +40,6 @@
 //
 // One mutex guards engine state. Segments are immutable once written,
 // so compaction merges outside the lock (concurrent flushes only
-// prepend segments) and swaps the list under it. Scan holds the lock
-// across its callbacks, mirroring kvstore's documented scan semantics.
+// prepend segments) and swaps the list under it. Scan builds its merged
+// snapshot under the lock and runs its callbacks after releasing it.
 package lsm

@@ -350,25 +350,25 @@ func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 
 // Scan calls fn for every live row (tombstones and expired rows
 // resolved away, newest version wins) in ascending key order, stopping
-// early if fn returns false. The engine lock is held for the whole
-// scan, including callbacks.
+// early if fn returns false. The merged view is taken under the engine
+// lock and iterated after it is released — it is a private slice of
+// immutable rows — so fn sees the snapshot as of the call, may itself
+// call Get or Put, and delays no writer, flush or cache-miss load.
 func (e *Engine) Scan(fn func(Row) bool) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return fmt.Errorf("lsm: engine closed")
 	}
 	merged, err := e.mergedLocked()
+	now := e.opt.Clock.Now()
+	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	now := e.opt.Clock.Now()
 	for _, r := range merged {
-		if r.Deleted(now) {
-			continue
-		}
-		if !fn(r) {
-			return nil
+		if !r.Deleted(now) && !fn(r) {
+			break
 		}
 	}
 	return nil

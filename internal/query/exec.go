@@ -1,8 +1,8 @@
 package query
 
 import (
-	"container/heap"
 	"encoding/json"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,8 +10,8 @@ import (
 	"muppet/internal/slate"
 )
 
-// InputRow is one slate handed to the node-local executor: the key and
-// the raw (frame-decoded) slate bytes.
+// InputRow is one slate handed to Execute: the key and the raw
+// (frame-decoded) slate bytes.
 type InputRow struct {
 	Key string
 	Raw []byte
@@ -27,7 +27,9 @@ type Row struct {
 // Group is one γ partial: the aggregate state for one group key.
 // Partials merge by summing Count/Sum and folding Min/Max (guarded by
 // Vals, the number of numeric values aggregated, so an empty partial
-// cannot poison a min).
+// cannot poison a min). Sum is kept by sum and topk only: a float sum
+// depends on the order of its terms, and min and max do not pay the
+// sort that pins it (see the package documentation).
 type Group struct {
 	Key   string  `json:"key"`
 	Count uint64  `json:"count"`
@@ -49,7 +51,9 @@ func (g Group) score(by string) float64 {
 // ExecStats accounts one execution (node-local or merged).
 type ExecStats struct {
 	// RowsScanned and BytesScanned measure the scan input — what a
-	// fetch-all would have shipped to the coordinator.
+	// fetch-all would have shipped to the coordinator. A cache-resident
+	// decoded slate is read as the object it is and contributes the
+	// length of its last materialized encoding (0 if it never had one).
 	RowsScanned  uint64 `json:"rows_scanned"`
 	BytesScanned uint64 `json:"bytes_scanned"`
 	// RowsReturned is the size of the result (rows or groups).
@@ -79,318 +83,425 @@ type Result struct {
 	Stats  ExecStats `json:"stats"`
 }
 
-// Execute runs the node-local pipeline — σ filter, π projection
-// through the codec, γ aggregation — over one machine's scan input.
-// The caller has already range-filtered and ownership-filtered rows;
-// KeyInRange is not re-applied. Undecodable rows are counted and
-// skipped, not fatal: a scan must not die on one corrupt slate.
+// Execute runs the node-local pipeline over scan input held as a slice:
+// Compile, Raw per row, Result. The caller has already range- and
+// ownership-filtered rows, one per key.
 func Execute(spec *Spec, codec slate.Codec, rows []InputRow) *NodeResult {
-	res := &NodeResult{}
-	var groups map[string]*Group
-	if spec.Agg != AggNone {
-		groups = make(map[string]*Group)
-	}
+	x := Compile(spec, codec, false)
 	for _, in := range rows {
-		res.Stats.RowsScanned++
-		res.Stats.BytesScanned += uint64(len(in.Raw))
-		v, ok := decodeValue(codec, in.Raw)
-		if !ok {
-			res.Stats.DecodeErrors++
-			continue
-		}
-		if !matches(spec.Where, in.Key, v) {
-			continue
-		}
-		if spec.Agg == AggNone {
-			val, err := project(spec.Fields, in.Key, v)
-			if err != nil {
-				res.Stats.DecodeErrors++
-				continue
-			}
-			res.Rows = append(res.Rows, Row{Key: in.Key, Value: val})
-			continue
-		}
-		gk := ""
+		x.Raw(in.Key, in.Raw)
+	}
+	return x.Result()
+}
+
+// Field references: an index into Executor.paths, or one of these.
+const (
+	refNone = -1 - iota
+	refKey  // the slate key, which no row view has to be asked for
+)
+
+// pred is a compiled Pred: field resolved, literal parsed once.
+type pred struct {
+	ref   int
+	op    uint8
+	lit   string
+	num   float64
+	isNum bool
+}
+
+// pending is a row that survived σ in a query whose float sums must be
+// added in key order.
+type pending struct {
+	key, group string
+	num        float64
+	has        bool
+}
+
+// Executor is one Spec compiled against one codec, folding rows as they
+// arrive: σ, then π into a Limit-bounded row set or γ into the aggregate
+// state, so what stays resident is the answer, not the scan. Rows come
+// in through Cached or Raw, one per key (Seen is the caller's overlay),
+// in any order; Result finishes. Every aggregation kind and both row
+// views go through fold. Single-use, not safe for concurrent use.
+type Executor struct {
+	spec  *Spec
+	codec slate.Codec
+
+	paths   []string          // distinct fields read off a row; "" is the whole value
+	steps   [][]string        // paths split on "." for the JSON view
+	read    slate.FieldReader // the typed view of paths; nil: every row takes the JSON view
+	where   []pred
+	group   int   // γ group field
+	by      int   // aggregated / ranking field
+	proj    []int // π: the projected fields in name order, or the whole value
+	names   [][]byte
+	sums    bool // groups keep Sum
+	ordered bool // a group's Sum has several terms: fold in key order
+
+	key  string         // the row being folded,
+	vals []slate.Scalar // its typed view
+	tree any            // or its JSON view
+	buf  []slate.Scalar // where Raw reads a decoded object's fields
+
+	stats   ExecStats
+	seen    map[string]struct{} // keys Cached has folded (the overlay), if asked for
+	rows    bounded[Row]
+	top     *bounded[Group] // key-grouped topk: one row per group, no map
+	groups  map[string]Group
+	global  Group
+	pending []pending
+}
+
+// Compile plans spec (already Normalized) for slates of codec: paths
+// split and literals parsed once, and the typed view taken if the codec
+// offers one for exactly these fields. overlay makes the executor
+// remember the keys of Cached rows so a store pass can skip them.
+func Compile(spec *Spec, codec slate.Codec, overlay bool) *Executor {
+	x := &Executor{spec: spec, codec: codec, group: refNone, by: refNone}
+	if overlay {
+		x.seen = make(map[string]struct{})
+	}
+	for _, p := range spec.Where {
+		f, err := strconv.ParseFloat(p.Value, 64)
+		x.where = append(x.where, pred{x.ref(p.Field), ops[p.Op], p.Value, f, err == nil})
+	}
+	switch {
+	case spec.Agg != AggNone:
 		if f := spec.groupField(); f != "" {
-			fv, ok := fieldOf(in.Key, v, f)
-			if !ok {
-				continue
-			}
-			gk = stringify(fv)
+			x.group = x.ref(f)
 		}
-		g := groups[gk]
-		if g == nil {
-			g = &Group{Key: gk}
-			groups[gk] = g
+		if f := aggField(spec); f != "" {
+			x.by = x.ref(f)
 		}
-		g.Count++
-		if by := aggField(spec); by != "" {
-			if fv, ok := fieldOf(in.Key, v, by); ok {
-				if f, ok := numeric(fv); ok {
-					if g.Vals == 0 {
-						g.Min, g.Max = f, f
-					} else {
-						g.Min = min(g.Min, f)
-						g.Max = max(g.Max, f)
-					}
-					g.Vals++
-					g.Sum += f
-				}
-			}
+		x.sums = spec.Agg == AggSum || spec.Agg == AggTopK
+		x.ordered = x.sums && x.by != refNone && !spec.keyGrouped()
+		if spec.Agg == AggTopK && spec.keyGrouped() {
+			x.top = newTop(spec.By, spec.K)
+		} else if x.group != refNone {
+			x.groups = make(map[string]Group)
+		}
+	case len(spec.Fields) == 0:
+		x.proj = []int{x.ref("value")}
+	default:
+		// json.Marshal of the map π used to build sorted the names and
+		// collapsed repeats; the compiled projection keeps that order.
+		for _, f := range slices.Compact(slices.Sorted(slices.Values(spec.Fields))) {
+			name, _ := json.Marshal(f) // a string always marshals
+			x.names = append(x.names, append(name, ':'))
+			x.proj = append(x.proj, x.ref(f))
 		}
 	}
+	x.rows = bounded[Row]{n: spec.Limit, before: func(a, b Row) bool { return a.Key < b.Key }}
+	if fc, ok := codec.(slate.FieldCodec); ok {
+		x.read, _ = fc.FieldReader(x.paths)
+	}
+	x.buf = make([]slate.Scalar, len(x.paths))
+	return x
+}
 
-	if spec.Agg == AggNone {
-		sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Key < res.Rows[j].Key })
-		if spec.Limit > 0 && len(res.Rows) > spec.Limit {
-			res.Rows = res.Rows[:spec.Limit]
-		}
-		res.Stats.RowsReturned = uint64(len(res.Rows))
-		return res
+// ref resolves a field name to a reference, adding its path to the plan
+// on first use. "key" is the slate key; "" and "value" are the whole
+// value; dotted paths walk nested objects.
+func (x *Executor) ref(field string) int {
+	switch field {
+	case "key":
+		return refKey
+	case "value":
+		field = ""
 	}
+	if i := slices.Index(x.paths, field); i >= 0 {
+		return i
+	}
+	var steps []string
+	if field != "" {
+		steps = strings.Split(field, ".")
+	}
+	x.paths, x.steps = append(x.paths, field), append(x.steps, steps)
+	return len(x.paths) - 1
+}
 
-	res.Groups = make([]Group, 0, len(groups))
-	for _, g := range groups {
-		res.Groups = append(res.Groups, *g)
+// Reader is what slate.Sharded.Scan needs to read this query's fields
+// off decoded slates: the typed view's reader (nil when the codec
+// declined: Scan then hands out encodings) and the number of fields.
+func (x *Executor) Reader() (slate.FieldReader, int) { return x.read, len(x.paths) }
+
+// Seen reports whether a Cached row already answered key. The cache
+// holds the freshest, possibly unflushed value, so a store pass asks
+// this first and skips the store's row before it routes or decodes it.
+func (x *Executor) Seen(key string) bool {
+	_, ok := x.seen[key]
+	return ok
+}
+
+// Cached folds one row of a cache scan: values already read off the
+// decoded object, or the entry's encoding.
+func (x *Executor) Cached(r slate.CacheRow) {
+	if x.seen != nil {
+		x.seen[r.Key] = struct{}{}
 	}
-	if spec.Agg == AggTopK && spec.keyGrouped() {
-		// Key-grouped partials are disjoint across machines, so the
-		// node can keep only its own top K (bounded heap) without
-		// losing exactness at the merge.
-		res.Groups = topK(res.Groups, spec.By, spec.K)
+	if r.Raw != nil {
+		x.Raw(r.Key, r.Raw)
+		return
+	}
+	x.stats.BytesScanned += uint64(r.Size)
+	x.fold(r.Key, r.Vals, nil, r.Encodes)
+}
+
+// Raw folds one slate held as bytes (a store row, a pinned cache entry,
+// a byte slate): decoded once, then read through the same view as every
+// other row of this query.
+func (x *Executor) Raw(key string, raw []byte) {
+	x.stats.BytesScanned += uint64(len(raw))
+	if x.read == nil {
+		tree, ok := decodeValue(x.codec, raw)
+		x.fold(key, nil, tree, ok)
+		return
+	}
+	obj, err := x.codec.Decode(raw)
+	x.fold(key, x.buf, nil, err == nil && obj != nil && x.read(obj, x.buf))
+}
+
+// field resolves a reference against the row being folded.
+func (x *Executor) field(ref int) slate.Scalar {
+	switch {
+	case ref == refKey:
+		return slate.Scalar{Kind: slate.String, Str: x.key}
+	case x.read != nil:
+		return x.vals[ref]
+	}
+	return lookup(x.tree, x.steps[ref])
+}
+
+// fold is the one loop body: σ, then π or γ, for one row in one view. A
+// slate that did not decode is counted and skipped, not fatal: a scan
+// must not die on one corrupt slate.
+func (x *Executor) fold(key string, vals []slate.Scalar, tree any, decoded bool) {
+	x.stats.RowsScanned++
+	if !decoded {
+		x.stats.DecodeErrors++
+		return
+	}
+	x.key, x.vals, x.tree = key, vals, tree
+	for i := range x.where {
+		if v := x.field(x.where[i].ref); v.Kind == slate.Absent || !x.where[i].eval(v) {
+			return
+		}
+	}
+	if x.spec.Agg == AggNone {
+		if x.rows.admits(Row{Key: key}) { // project only what Limit can keep
+			x.rows.offer(Row{Key: key, Value: x.project()})
+		}
+		return
+	}
+	gk := ""
+	if x.group != refNone {
+		v := x.field(x.group)
+		if v.Kind == slate.Absent {
+			return
+		}
+		gk = text(v)
+	}
+	var num float64
+	has := false
+	if x.by != refNone {
+		v := x.field(x.by)
+		num, has = v.Num, v.Kind == slate.Number
+	}
+	if x.ordered {
+		x.pending = append(x.pending, pending{key, gk, num, has})
 	} else {
+		x.accumulate(gk, num, has)
+	}
+}
+
+// accumulate is γ for one surviving row.
+func (x *Executor) accumulate(gk string, num float64, has bool) {
+	g := &x.global
+	if x.top != nil || x.groups != nil {
+		kept := x.groups[gk]
+		g = &kept
+		g.Key = gk
+	}
+	g.Count++
+	if has {
+		if g.Vals == 0 {
+			g.Min, g.Max = num, num
+		}
+		g.Min, g.Max = min(g.Min, num), max(g.Max, num)
+		g.Vals++
+		if x.sums {
+			g.Sum += num
+		}
+	}
+	switch {
+	case x.top != nil:
+		// Key-grouped partials are disjoint across machines, so the node
+		// keeps only its own top K without losing exactness at the merge
+		// — and a group is one row, so it goes straight to the heap.
+		x.top.offer(*g)
+	case x.groups != nil:
+		x.groups[gk] = *g
+	}
+}
+
+// Result finishes the fold and returns the node's partial.
+func (x *Executor) Result() *NodeResult {
+	slices.SortStableFunc(x.pending, func(a, b pending) int { return strings.Compare(a.key, b.key) })
+	for _, p := range x.pending {
+		x.accumulate(p.group, p.num, p.has)
+	}
+	res := &NodeResult{Stats: x.stats, Rows: x.rows.ranked()}
+	if x.top != nil {
+		res.Groups = x.top.ranked()
+	} else {
+		if x.global.Count > 0 {
+			res.Groups = append(res.Groups, x.global)
+		}
+		for _, g := range x.groups {
+			res.Groups = append(res.Groups, g)
+		}
 		sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Key < res.Groups[j].Key })
 	}
-	res.Stats.RowsReturned = uint64(len(res.Groups))
+	res.Stats.RowsReturned = uint64(len(res.Rows) + len(res.Groups))
 	return res
 }
 
 // aggField is the field the aggregation reads per row ("" when none is
 // needed — count, and topk ranked by row count).
 func aggField(spec *Spec) string {
-	switch spec.Agg {
-	case AggSum, AggMin, AggMax:
-		return spec.By
-	case AggTopK:
-		return spec.By // may be "": rank by count
+	if spec.Agg == AggCount {
+		return ""
 	}
-	return ""
+	return spec.By
 }
 
-// MergeRows overlays cache-resident rows on stored ones: the cache
-// wins on key collisions (it holds the freshest, possibly unflushed
-// value), and the merged slice comes back sorted by key.
-func MergeRows(cached, stored []InputRow) []InputRow {
-	have := make(map[string]bool, len(cached))
-	for _, r := range cached {
-		have[r.Key] = true
-	}
-	out := make([]InputRow, 0, len(cached)+len(stored))
-	out = append(out, cached...)
-	for _, r := range stored {
-		if !have[r.Key] {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// decodeValue decodes one slate to the JSON-shaped value the operators
-// address: the codec's typed value normalized through JSON, raw JSON
-// for untyped slates, or the raw bytes as a string.
+// decodeValue is the JSON view of one slate: the codec's typed value
+// normalized through JSON, raw JSON for untyped slates, or the raw
+// bytes as a string.
 func decodeValue(codec slate.Codec, raw []byte) (any, bool) {
 	if codec != nil {
 		v, err := codec.Decode(raw)
 		if err != nil {
 			return nil, false
 		}
-		b, err := json.Marshal(v)
-		if err != nil {
+		if raw, err = json.Marshal(v); err != nil {
 			return nil, false
 		}
-		var out any
-		if err := json.Unmarshal(b, &out); err != nil {
-			return nil, false
-		}
-		return out, true
 	}
 	var out any
-	if err := json.Unmarshal(raw, &out); err == nil {
-		return out, true
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return string(raw), codec == nil
 	}
-	return string(raw), true
+	return out, true
 }
 
-// fieldOf resolves a field against one row. "key" is the slate key;
-// "" and "value" are the whole value; dotted paths walk nested
-// objects. A scalar slate has no named fields, so every field other
-// than "key" resolves to the scalar itself — which is what lets
-// `-by count` rank plain counter slates.
-func fieldOf(key string, v any, field string) (any, bool) {
-	switch field {
-	case "key":
-		return key, true
-	case "", "value":
-		return v, true
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return v, true
-	}
-	cur := any(m)
-	for _, part := range strings.Split(field, ".") {
-		mm, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = mm[part]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-func matches(where []Pred, key string, v any) bool {
-	for _, p := range where {
-		fv, ok := fieldOf(key, v, p.Field)
-		if !ok || !p.eval(fv) {
-			return false
-		}
-	}
-	return true
-}
-
-func (p Pred) eval(v any) bool {
-	switch p.Op {
-	case "contains":
-		return strings.Contains(stringify(v), p.Value)
-	case "prefix":
-		return strings.HasPrefix(stringify(v), p.Value)
-	}
-	cmp := compare(v, p.Value)
-	switch p.Op {
-	case "==", "eq":
-		return cmp == 0
-	case "!=", "ne":
-		return cmp != 0
-	case "<", "lt":
-		return cmp < 0
-	case "<=", "le":
-		return cmp <= 0
-	case ">", "gt":
-		return cmp > 0
-	case ">=", "ge":
-		return cmp >= 0
-	}
-	return false
-}
-
-// compare orders a field value against a predicate literal:
-// numerically when both sides are numbers, lexicographically
-// otherwise.
-func compare(v any, lit string) int {
-	if f, ok := numeric(v); ok {
-		if lf, err := strconv.ParseFloat(lit, 64); err == nil {
-			switch {
-			case f < lf:
-				return -1
-			case f > lf:
-				return 1
+// lookup walks a split path through the JSON view; no steps is the
+// whole value. A scalar slate has no named fields, so every field
+// resolves to the scalar itself — which is what lets `-by count` rank
+// plain counter slates.
+func lookup(v any, steps []string) slate.Scalar {
+	if _, ok := v.(map[string]any); ok {
+		for _, step := range steps {
+			m, ok := v.(map[string]any)
+			if !ok {
+				return slate.Scalar{}
 			}
-			return 0
+			if v, ok = m[step]; !ok {
+				return slate.Scalar{}
+			}
 		}
 	}
-	return strings.Compare(stringify(v), lit)
-}
-
-func numeric(v any) (float64, bool) {
-	f, ok := v.(float64) // JSON numbers decode to float64
-	return f, ok
-}
-
-func stringify(v any) string {
-	switch x := v.(type) {
+	switch t := v.(type) {
 	case nil:
-		return ""
-	case string:
-		return x
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return slate.Scalar{Kind: slate.Null}
 	case bool:
-		return strconv.FormatBool(x)
+		return slate.Scalar{Kind: slate.Bool, Str: strconv.FormatBool(t)}
+	case float64: // JSON numbers decode to float64
+		return slate.Scalar{Kind: slate.Number, Num: t}
+	case string:
+		return slate.Scalar{Kind: slate.String, Str: t}
 	}
-	b, _ := json.Marshal(v)
-	return string(b)
+	b, _ := json.Marshal(v) // v came out of json.Unmarshal: it marshals
+	return slate.Scalar{Kind: slate.Composite, Str: string(b)}
 }
 
-// project applies π: the whole value when no fields are named, an
-// object of the named fields otherwise (missing fields are omitted).
-func project(fields []string, key string, v any) (json.RawMessage, error) {
-	if len(fields) == 0 {
-		return json.Marshal(v)
-	}
-	obj := make(map[string]any, len(fields))
-	for _, f := range fields {
-		if fv, ok := fieldOf(key, v, f); ok {
-			obj[f] = fv
-		}
-	}
-	return json.Marshal(obj)
+// Predicate operators as the set of comparison outcomes they accept.
+const (
+	opLT uint8 = 1 << iota
+	opEQ
+	opGT
+	opContains
+	opPrefix
+)
+
+var ops = map[string]uint8{
+	"==": opEQ, "eq": opEQ, "!=": opLT | opGT, "ne": opLT | opGT,
+	"<": opLT, "lt": opLT, "<=": opLT | opEQ, "le": opLT | opEQ,
+	">": opGT, "gt": opGT, ">=": opGT | opEQ, "ge": opGT | opEQ,
+	"contains": opContains, "prefix": opPrefix,
 }
 
-// groupHeap is a min-heap over the kept groups: the root is the
-// weakest, so a stronger candidate replaces it in O(log k). Ties break
-// toward the lexicographically smaller group key.
-type groupHeap struct {
-	gs []Group
-	by string
+// eval orders a field value against the literal — numerically when both
+// sides are numbers, lexicographically otherwise — or tests it for a
+// substring or prefix.
+func (p *pred) eval(v slate.Scalar) bool {
+	switch p.op {
+	case opContains:
+		return strings.Contains(text(v), p.lit)
+	case opPrefix:
+		return strings.HasPrefix(text(v), p.lit)
+	}
+	cmp := 0
+	if v.Kind != slate.Number || !p.isNum {
+		cmp = strings.Compare(text(v), p.lit)
+	} else if v.Num < p.num {
+		cmp = -1
+	} else if v.Num > p.num {
+		cmp = 1
+	}
+	return p.op&(opGT>>(1-cmp)) != 0 // opLT, opEQ, opGT for -1, 0, +1
 }
 
-func (h *groupHeap) Len() int { return len(h.gs) }
-func (h *groupHeap) Less(i, j int) bool {
-	si, sj := h.gs[i].score(h.by), h.gs[j].score(h.by)
-	if si != sj {
-		return si < sj
+// text is a value as a group key or the subject of a string predicate.
+func text(v slate.Scalar) string {
+	if v.Kind == slate.Number {
+		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	}
-	return h.gs[i].Key > h.gs[j].Key
-}
-func (h *groupHeap) Swap(i, j int) { h.gs[i], h.gs[j] = h.gs[j], h.gs[i] }
-func (h *groupHeap) Push(x any)    { h.gs = append(h.gs, x.(Group)) }
-func (h *groupHeap) Pop() any      { g := h.gs[len(h.gs)-1]; h.gs = h.gs[:len(h.gs)-1]; return g }
-func (h *groupHeap) beats(g Group) bool {
-	r := h.gs[0]
-	if gs, rs := g.score(h.by), r.score(h.by); gs != rs {
-		return gs > rs
-	}
-	return g.Key < r.Key
+	return v.Str
 }
 
-// topK keeps the k highest-scoring groups with a bounded heap and
-// returns them ranked: score descending, key ascending on ties.
-func topK(gs []Group, by string, k int) []Group {
-	if k <= 0 {
-		return nil
+// project applies π to the row being folded: the whole value when no
+// fields are named, an object of the named fields otherwise (missing
+// fields are omitted), byte for byte what json.Marshal made of it.
+func (x *Executor) project() json.RawMessage {
+	if x.names == nil {
+		return appendJSON(nil, x.field(x.proj[0]))
 	}
-	h := &groupHeap{by: by}
-	for _, g := range gs {
-		if h.Len() < k {
-			heap.Push(h, g)
-			continue
-		}
-		if h.beats(g) {
-			h.gs[0] = g
-			heap.Fix(h, 0)
+	b := []byte{'{'}
+	for i, ref := range x.proj {
+		if v := x.field(ref); v.Kind != slate.Absent {
+			if len(b) > 1 {
+				b = append(b, ',')
+			}
+			b = appendJSON(append(b, x.names[i]...), v)
 		}
 	}
-	out := h.gs
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].score(by), out[j].score(by)
-		if si != sj {
-			return si > sj
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+	return append(b, '}')
+}
+
+// appendJSON appends v as encoding/json marshals the value it stands
+// for. Only rows that make it into the answer are projected, so this
+// is per returned field, not per scanned row.
+func appendJSON(b []byte, v slate.Scalar) []byte {
+	var x any
+	switch v.Kind {
+	case slate.Bool, slate.Composite:
+		return append(b, v.Str...)
+	case slate.Number:
+		x = v.Num
+	case slate.String:
+		x = v.Str
+	}
+	enc, _ := json.Marshal(x) // nil, a finite float64 or a string marshals
+	return append(b, enc...)
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"muppet/internal/slate"
 )
 
 func row(key string, v any) InputRow {
@@ -181,9 +183,20 @@ func TestTopKBoundedHeap(t *testing.T) {
 func TestMergeRowsCacheWins(t *testing.T) {
 	cached := []InputRow{{Key: "b", Raw: []byte("fresh")}}
 	stored := []InputRow{{Key: "a", Raw: []byte("olda")}, {Key: "b", Raw: []byte("stale")}}
-	got := MergeRows(cached, stored)
-	if len(got) != 2 || got[0].Key != "a" || got[1].Key != "b" || string(got[1].Raw) != "fresh" {
-		t.Fatalf("MergeRows = %+v", got)
+	// The overlay that replaced MergeRows: cache rows first, then the
+	// store rows the executor has not Seen.
+	x := Compile(&Spec{Updater: "U"}, nil, true)
+	for _, r := range cached {
+		x.Cached(slate.CacheRow{Key: r.Key, Raw: r.Raw})
+	}
+	for _, r := range stored {
+		if !x.Seen(r.Key) {
+			x.Raw(r.Key, r.Raw)
+		}
+	}
+	got := x.Result().Rows
+	if len(got) != 2 || got[0].Key != "a" || got[1].Key != "b" || string(got[1].Value) != `"fresh"` {
+		t.Fatalf("overlay = %+v", got)
 	}
 }
 

@@ -70,13 +70,6 @@ type Spec struct {
 	EveryMS int  `json:"every_ms,omitempty"`
 }
 
-var validOps = map[string]bool{
-	"==": true, "eq": true, "!=": true, "ne": true,
-	"<": true, "lt": true, "<=": true, "le": true,
-	">": true, "gt": true, ">=": true, "ge": true,
-	"contains": true, "prefix": true,
-}
-
 // Normalize validates the spec and fills defaults. It is called on
 // both sides of the wire, so a coordinator and a queried node agree on
 // the effective plan.
@@ -101,7 +94,7 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("query: unknown agg %q", s.Agg)
 	}
 	for _, p := range s.Where {
-		if !validOps[p.Op] {
+		if ops[p.Op] == 0 {
 			return fmt.Errorf("query: unknown predicate op %q", p.Op)
 		}
 		if p.Field == "" {

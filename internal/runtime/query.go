@@ -38,12 +38,17 @@ func (r *Runtime) Query(spec query.Spec) (*query.Result, error) {
 	return res, nil
 }
 
-// queryLocal runs the node-local pipeline for one hosted machine. The
-// scan input is the cache-resident slates of the machine's cells
-// overlaid on the durable store's rows (cache wins: it holds the
-// freshest, possibly unflushed value), both filtered to the keys the
-// ring currently routes to this machine — ownership filtering is what
-// keeps scatter-gather free of duplicates and dead-lineage rows.
+// queryLocal runs the node-local pipeline for one hosted machine, one
+// pass, nothing materialized: the cache-resident slates of the
+// machine's cells stream into the executor first (read as the decoded
+// objects they are where the codec allows; see slate.Sharded.Scan for
+// what that costs the writers — a copy-out, no more), then the durable
+// store's rows the cache did not already answer (cache wins: it holds
+// the freshest, possibly unflushed value). Both are filtered to the
+// keys the ring currently routes to this machine — ownership filtering
+// is what keeps scatter-gather free of duplicates and dead-lineage
+// rows. A store scan that fails fails the query: the rows that did
+// arrive would be a silent under-count.
 func (r *Runtime) queryLocal(machine string, spec *query.Spec) (*query.NodeResult, error) {
 	if !r.clu.IsLocal(machine) {
 		return nil, fmt.Errorf("muppet: machine %s is not hosted here", machine)
@@ -52,32 +57,32 @@ func (r *Runtime) queryLocal(machine string, spec *query.Spec) (*query.NodeResul
 	if f == nil || f.Kind != core.KindUpdate {
 		return nil, fmt.Errorf("muppet: no updater %q", spec.Updater)
 	}
-	var cached []query.InputRow
+	x := query.Compile(spec, f.Codec, r.cfg.Store != nil)
+	read, n := x.Reader()
 	for _, c := range r.byMachine[machine] {
-		for _, k := range c.Cache.Keys() {
-			if k.Updater != spec.Updater || !spec.KeyInRange(k.Key) || !r.owns(c, k.Updater, k.Key) {
-				continue
+		c.Cache.Scan(spec.Updater, read, n, func(row slate.CacheRow) {
+			if spec.KeyInRange(row.Key) && r.owns(c, spec.Updater, row.Key) {
+				x.Cached(row)
 			}
-			if v, ok := c.Cache.Peek(k); ok {
-				cached = append(cached, query.InputRow{Key: k.Key, Raw: v})
-			}
-		}
+		})
 	}
-	var stored []query.InputRow
 	if r.cfg.Store != nil {
-		r.cfg.Store.ScanUntil(spec.Updater, func(key string, sv []byte) bool {
-			if !spec.KeyInRange(key) {
+		err := r.cfg.Store.ScanUntil(spec.Updater, func(key string, sv []byte) bool {
+			if x.Seen(key) || !spec.KeyInRange(key) {
 				return true
 			}
 			if owner, _ := r.disp.Route(spec.Updater, key); owner == machine {
 				if raw, err := slate.Decode(sv); err == nil {
-					stored = append(stored, query.InputRow{Key: key, Raw: raw})
+					x.Raw(key, raw)
 				}
 			}
 			return true
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return query.Execute(spec, f.Codec, query.MergeRows(cached, stored)), nil
+	return x.Result(), nil
 }
 
 // QueryWatch starts a continuous query: the spec is re-evaluated on

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"log"
+
 	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/recovery"
@@ -143,35 +145,31 @@ func (a recoveryAdapter) WarmSlates(machine string, limit int) int {
 	if a.r.cfg.Store == nil || len(a.r.byMachine[machine]) == 0 {
 		return 0
 	}
-	// Collect the machine's keys first: the store holds its node lock
-	// across the scan callback, so the load-through reads must happen
-	// after the scan returns. ScanUntil stops at the warm limit rather
-	// than sweeping the whole store.
-	type warmKey struct {
-		c *Cell
-		k slate.Key
-	}
-	var keys []warmKey
+	// ScanUntil stops at the warm limit rather than sweeping the whole
+	// store, and runs its callback outside the store's locks, so each
+	// key is loaded as it is found. A scan that fails warms what it
+	// reached — a cold cache is only slower.
+	tried, warmed := 0, 0
 	for _, updater := range a.r.app.Updaters() {
-		if len(keys) >= limit {
+		if tried >= limit {
 			break
 		}
-		a.r.cfg.Store.ScanUntil(updater, func(key string, _ []byte) bool {
+		err := a.r.cfg.Store.ScanUntil(updater, func(key string, _ []byte) bool {
 			if owner, address := a.r.disp.Route(updater, key); owner == machine {
 				c, k := a.r.cellAt(machine, address), slate.Key{Updater: updater, Key: key}
 				if _, ok := c.Cache.Peek(k); !ok {
-					keys = append(keys, warmKey{c, k})
+					tried++
+					// Get loads through from the store and caches the slate
+					// clean — exactly the state a warm cache should be in.
+					if v, err := c.Cache.Get(k); err == nil && v != nil {
+						warmed++
+					}
 				}
 			}
-			return len(keys) < limit
+			return tried < limit
 		})
-	}
-	warmed := 0
-	for _, wk := range keys {
-		// Get loads through from the store and caches the slate clean —
-		// exactly the state a warm cache should be in.
-		if v, err := wk.c.Cache.Get(wk.k); err == nil && v != nil {
-			warmed++
+		if err != nil {
+			log.Printf("muppet: rejoin of %s: warming %s: %v", machine, updater, err)
 		}
 	}
 	return warmed

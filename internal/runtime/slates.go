@@ -77,7 +77,9 @@ func (r *Runtime) StoredSlates(updater string) map[string][]byte {
 		return nil
 	}
 	out := make(map[string][]byte)
-	r.cfg.Store.Scan(updater, func(key string, stored []byte) {
+	// A scan that fails returns the rows it reached: this bulk export
+	// has no error to return, unlike Query.
+	_ = r.cfg.Store.Scan(updater, func(key string, stored []byte) {
 		raw, err := slate.Decode(stored)
 		if err != nil {
 			return

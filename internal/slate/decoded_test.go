@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countingCodec is a test Codec over an int slate (ASCII decimal at
@@ -315,6 +316,91 @@ func TestDecodedSnapshotDuringPinServesLastEncoding(t *testing.T) {
 			if got, _ := s.Get(key); string(got) != "42" {
 				t.Fatalf("Get after put = %q, want 42", got)
 			}
+		}
+	})
+}
+
+// A new typed slate inserted into a shard whose every other entry is
+// pinned evicts itself; what that eviction saves must be the object's
+// encoding (it was an empty value, and the next load of the key failed
+// to decode and restarted the slate from zero).
+func TestPutDecodedEvictingItselfSavesTheObject(t *testing.T) {
+	store, c := newFakeStore(), &countingCodec{}
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 1, Policy: Interval, Store: store})
+	typedUpdate(t, s, k("U", "held"), c)
+	if _, err := s.GetDecoded(k("U", "held"), c); err != nil { // stays pinned
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		typedUpdate(t, s, k("U", "new"), c)
+	}
+	if got := string(store.data[k("U", "new")]); got != "3" {
+		t.Fatalf("store holds %q for the self-evicted slate, want its encoding 3", got)
+	}
+}
+
+// intReader reads a countingCodec object as the typed view would.
+func intReader(decoded any, dst []Scalar) bool {
+	dst[0] = Scalar{Kind: Number, Num: float64(*decoded.(*int))}
+	return true
+}
+
+// Scan reads quiescent decoded slates as objects (no encode), hands out
+// encodings for byte entries, treats a never-encoded pinned slate as no
+// slate, and runs its callback with no shard lock held.
+func TestScanReadsObjectsAndEncodings(t *testing.T) {
+	c := &countingCodec{}
+	s := NewSharded(ShardedConfig{Shards: 2, Capacity: 100, Policy: Interval})
+	for i := 0; i < 3; i++ {
+		typedUpdate(t, s, k("U", "typed"), c)
+	}
+	s.Put(k("U", "bytes"), []byte("7"))
+	s.Put(k("V", "other"), []byte("9"))
+	typedUpdate(t, s, k("U", "parked"), c)
+	if _, err := s.GetDecoded(k("U", "parked"), c); err != nil { // pinned, never encoded
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	s.Scan("U", intReader, 1, func(r CacheRow) {
+		if r.Raw != nil {
+			got[r.Key] = "raw:" + string(r.Raw)
+		} else {
+			got[r.Key] = "obj:" + strconv.Itoa(int(r.Vals[0].Num))
+		}
+		s.Len() // takes every shard lock: would self-deadlock under one
+	})
+	if len(got) != 2 || got["typed"] != "obj:3" || got["bytes"] != "raw:7" {
+		t.Fatalf("Scan = %v, want typed read as the object, bytes as its encoding, parked skipped", got)
+	}
+	if e := c.encodes.Load(); e != 0 {
+		t.Fatalf("the typed view encoded %d slates", e)
+	}
+	// No reader: the codec declined, so Scan materializes encodings.
+	got = map[string]string{}
+	s.Scan("U", nil, 0, func(r CacheRow) { got[r.Key] = "raw:" + string(r.Raw) })
+	if len(got) != 2 || got["typed"] != "raw:3" || got["bytes"] != "raw:7" {
+		t.Fatalf("Scan without a reader = %v", got)
+	}
+}
+
+// A slate mid-update is read when its updater lets go, not served from
+// an encoding older than what an earlier Scan showed.
+func TestScanWaitsOutAnUpdateInFlight(t *testing.T) {
+	c := &countingCodec{}
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: Interval})
+	key := k("U", "x")
+	typedUpdate(t, s, key, c)
+	s.FlushDirty() // encoding "1"
+	typedUpdate(t, s, key, c)
+	v, _ := s.GetDecoded(key, c) // object 2, pinned, encoding still "1"
+	go func() {
+		time.Sleep(time.Millisecond)
+		*v.(*int)++
+		s.PutDecoded(key, v, c)
+	}()
+	s.Scan("U", intReader, 1, func(r CacheRow) {
+		if r.Raw != nil || r.Vals[0].Num != 3 {
+			t.Errorf("Scan handed out %+v, want the object after the update: 3", r)
 		}
 	})
 }

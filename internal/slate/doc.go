@@ -34,6 +34,22 @@
 // reaches the Store (and the group-commit WAL) is always the codec's
 // plain output.
 //
+// # Reading decoded slates without encoding them (the query path)
+//
+// A query reads thousands of slates beside the updaters that write
+// them. Scan is its entry: per shard it copies out, under the shard's
+// lock, each entry's key and either the few scalars a FieldReader reads
+// off a decoded object no updater has pinned, or the entry's immutable
+// last encoding; everything else a query does to a row happens after
+// the lock is dropped. A FieldReader comes from the codec when it
+// implements the optional FieldCodec (core's JSONCodec adapter does,
+// for slate types it can read exactly as their JSON would); when the
+// codec declines, Scan hands out encodings, materializing a stale one
+// under the lock exactly as Get and Peek always have. A slate caught
+// mid-update is revisited once its updater lets go rather than served
+// from an encoding older than an earlier read showed, so successive
+// scans never see a slate go backwards.
+//
 // # The cache
 //
 // Sharded is the one slate cache; the engine runtime holds one per

@@ -2,6 +2,7 @@ package slate
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,7 +206,7 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 	if !found {
 		return nil, nil
 	}
-	s.insertLocked(sh, k, v, false)
+	s.insertLocked(sh, &entry{key: k, value: v})
 	return v, nil
 }
 
@@ -237,7 +238,7 @@ func (s *Sharded) Put(k Key, value []byte) error {
 		}
 		sh.lru.MoveToFront(e.elem)
 	} else {
-		e = s.insertLocked(sh, k, value, true)
+		e = s.insertLocked(sh, &entry{key: k, value: value, dirty: true})
 	}
 	if s.cfg.Policy == WriteThrough && s.cfg.Store != nil {
 		e.dirty = false
@@ -298,7 +299,7 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 		sh.stats.DecodeErrors++
 		return nil, err
 	}
-	e := s.insertLocked(sh, k, raw, false)
+	e := s.insertLocked(sh, &entry{key: k, value: raw})
 	e.decoded = v
 	e.codec = codec
 	e.pins++
@@ -322,8 +323,12 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 		}
 		sh.lru.MoveToFront(e.elem)
 	} else {
-		e = s.insertLocked(sh, k, nil, true)
+		// The object goes in before the insert: making room may evict
+		// this very entry (every other one pinned or flushing), and
+		// what an eviction saves must be the object's encoding.
+		e = &entry{key: k, dirty: true}
 		e.setDecodedLocked(v, codec)
+		s.insertLocked(sh, e)
 	}
 	if s.cfg.Policy == WriteThrough && s.cfg.Store != nil {
 		if err := e.encodeLocked(); err != nil {
@@ -356,12 +361,11 @@ func (s *Sharded) Delete(k Key) {
 
 // insertLocked adds a new entry to sh, evicting as needed. Caller
 // holds sh.mu.
-func (s *Sharded) insertLocked(sh *shard, k Key, value []byte, dirty bool) *entry {
-	e := &entry{key: k, value: value, dirty: dirty}
+func (s *Sharded) insertLocked(sh *shard, e *entry) *entry {
 	e.elem = sh.lru.PushFront(e)
-	sh.items[k] = e
-	if dirty {
-		sh.dirty[k] = e
+	sh.items[e.key] = e
+	if e.dirty {
+		sh.dirty[e.key] = e
 	}
 	s.trimLocked(sh)
 	return e
@@ -604,6 +608,100 @@ func (s *Sharded) Keys() []Key {
 	}
 	return out
 }
+
+// CacheRow is one cached slate as Scan hands it out: its encoding
+// (Raw), or — Raw nil — what a FieldReader read off the decoded object
+// (Vals, valid only during the callback; Encodes, the reader's verdict)
+// and Size, the length of the entry's last materialized encoding.
+type CacheRow struct {
+	Key     string
+	Raw     []byte
+	Vals    []Scalar
+	Encodes bool
+	Size    int
+}
+
+// Scan is the query path's read of the cache: fn is called once per
+// cached slate of the updater, shard by shard, in no order, and never
+// under a shard lock — so the caller's ring lookups, codec.Decode,
+// predicates and aggregation cost the shard's writers nothing. Under
+// the lock Scan only copies out: the key and, for a decoded slate no
+// updater has pinned, the n scalars read reads off the object (a few
+// field loads: a FieldReader neither encodes nor allocates); a byte
+// entry, or a pinned one whose encoding is current, hands out that
+// encoding, which is immutable. Nothing is encoded, decoded or routed
+// there, with one exception: a nil read (the codec declined the query's
+// fields) asks for encodings only, and then a stale unpinned entry is
+// encoded under the lock as Peek does — its object cannot be read once
+// the lock is gone, and the encoding is kept for the next flush.
+//
+// A pinned entry whose object is newer than its encoding is mid-update:
+// the object cannot be read, and the encoding may be older than what an
+// earlier Scan showed. Scan comes back for it once the shard is done
+// (an update takes microseconds); only if its updater still holds it
+// pinWait later does it get Peek's answer — the last encoding, or "no
+// slate" for an entry that never had one.
+func (s *Sharded) Scan(updater string, read FieldReader, n int, fn func(CacheRow)) {
+	var (
+		rows     []CacheRow // one shard's copy-out, reused for the next
+		vals     []Scalar
+		busy     []Key
+		deadline time.Time
+	)
+	for _, sh := range s.shards {
+		// take copies e out under sh.mu; false means no slate to show.
+		take := func(k Key, e *entry) (CacheRow, bool) {
+			if read != nil && e.decoded != nil && e.pins == 0 {
+				off := len(vals)
+				vals = slices.Grow(vals, n)[:off+n]
+				return CacheRow{Key: k.Key, Vals: vals[off:], Encodes: read(e.decoded, vals[off:]), Size: len(e.value)}, true
+			}
+			raw := e.snapshotLocked(&sh.stats)
+			return CacheRow{Key: k.Key, Raw: raw}, raw != nil
+		}
+		rows, vals, busy = rows[:0], vals[:0], busy[:0]
+		sh.mu.Lock()
+		for k, e := range sh.items {
+			if k.Updater != updater {
+				continue
+			}
+			if read != nil && e.pins > 0 && e.stale {
+				busy = append(busy, k)
+			} else if r, ok := take(k, e); ok {
+				rows = append(rows, r)
+			}
+		}
+		sh.mu.Unlock()
+		for _, r := range rows {
+			fn(r)
+		}
+		if len(busy) > 0 && deadline.IsZero() {
+			deadline = time.Now().Add(pinWait)
+		}
+		for _, k := range busy {
+			for pinned := true; pinned; {
+				sh.mu.Lock()
+				e := sh.items[k] // nil: evicted since, so the store has it
+				pinned = e != nil && e.pins > 0 && time.Now().Before(deadline)
+				var r CacheRow
+				ok := false
+				if e != nil && !pinned {
+					r, ok = take(k, e)
+				}
+				sh.mu.Unlock()
+				if ok {
+					fn(r)
+				} else if pinned {
+					time.Sleep(pinWait / 100)
+				}
+			}
+		}
+	}
+}
+
+// pinWait bounds how long one Scan waits, in all, for updaters to
+// finish the updates they are in the middle of.
+const pinWait = 10 * time.Millisecond
 
 // Shards reports the number of stripes (for distribution tests and
 // status endpoints).

@@ -22,6 +22,49 @@ type Codec interface {
 	AppendEncode(dst []byte, v any) ([]byte, error)
 }
 
+// Kind says what a Scalar holds.
+type Kind uint8
+
+// The kinds of the JSON view of a slate. A FieldReader produces only
+// Absent through String; Composite belongs to the query executor's JSON
+// view, which reads whole objects and arrays.
+const (
+	Absent    Kind = iota // no such field
+	Null                  // JSON null
+	Bool                  // Str is "true" or "false"
+	Number                // Num
+	String                // Str
+	Composite             // Str is the marshaled object or array
+)
+
+// Scalar is one field of a slate as its JSON view shows it: what
+// json.Unmarshal into an `any` would have put at that path.
+type Scalar struct {
+	Kind Kind
+	Num  float64
+	Str  string
+}
+
+// FieldReader reads the paths it was compiled for off one decoded slate
+// object into dst, one Scalar per path. It reports false when the
+// object would not encode (its JSON view does not exist); dst is then
+// unspecified. It only reads, allocates nothing for numbers and bools,
+// and copies no bytes out of the object — strings are immutable — so it
+// is safe to run under a cache shard lock.
+type FieldReader func(decoded any, dst []Scalar) bool
+
+// FieldCodec is an optional capability of a Codec, found by type
+// assertion: reading named fields straight off the decoded object
+// instead of encoding it and parsing the encoding back. A codec offers
+// it only where the answer is exactly the JSON view's; anything else it
+// declines, and the reader falls back to that view.
+type FieldCodec interface {
+	Codec
+	// FieldReader compiles dotted paths ("" is the whole value) into
+	// one reader, or declines the set with ok == false.
+	FieldReader(paths []string) (read FieldReader, ok bool)
+}
+
 // encodeLocked materializes e.value from e.decoded when the decoded
 // object is newer than the last encoding. Caller holds the cache/shard
 // lock and has checked e.pins == 0 (an updater may be mutating a

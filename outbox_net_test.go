@@ -242,6 +242,7 @@ func TestCrashedDestinationCostsSendersAFrameNotTheQueue(t *testing.T) {
 	}
 	<-crashAt
 	queuedAtCrash := outboxDepths(nodes["machine-00"])["machine-02"] + outboxDepths(nodes["machine-01"])["machine-02"]
+	recvAtCrash := victim.Cluster().RecvDeliveries()
 	victim.CrashMachine("machine-02")
 	wg.Wait()
 	drainWithin(t, nodes, 60*time.Second)
@@ -263,23 +264,39 @@ func TestCrashedDestinationCostsSendersAFrameNotTheQueue(t *testing.T) {
 	if applied+lost != 2*perSource {
 		t.Fatalf("applied %d + logged lost %d != offered %d", applied, lost, 2*perSource)
 	}
-	// Each surviving node failed over once, and what it lost is a few
-	// frames — the one that came back machine-down, and any that bounced
-	// off the victim's queues as they closed — never its queue.
-	const fewFrames = 4 * 256
+	// Each surviving node failed over once, and what it lost is frames it
+	// had shipped, never its queue. One frame comes back machine-down — a
+	// fatal answer, so a single strike fails the machine over and
+	// everything queued behind it follows the ring. Before that, every
+	// frame that reaches the victim while it is still closing its queues
+	// (it logs each queued event lost, waits for its workers, and only
+	// then answers machine-down) bounces whole; how many do is a race
+	// between the senders and the victim's cleanup, not a constant. But
+	// the victim counts what reaches it: the senders cannot have lost more
+	// than it received from the crash on, plus the frame each had on the
+	// wire when that count was read.
+	const frame = 256 // engine.maxFrameDeliveries: the most one frame can lose
+	shipped := int(victim.Cluster().RecvDeliveries()-recvAtCrash) + 2*frame
+	lostBySenders := 0
 	for _, name := range members[:2] {
 		e := nodes[name]
 		if st := e.RecoveryStatus(); st.Failovers != 1 {
 			t.Errorf("%s: %d failovers, want 1", name, st.Failovers)
 		}
-		if n := int(e.LostEvents().Total()); n == 0 || n > fewFrames {
-			t.Errorf("%s lost %d deliveries to the dead machine, want 1..%d", name, n, fewFrames)
+		n := int(e.LostEvents().Total())
+		if n == 0 {
+			t.Errorf("%s lost nothing to the dead machine, want at least the machine-down frame", name)
 		}
+		lostBySenders += n
 		if d := outboxDepths(e)["machine-02"]; d != 0 {
 			t.Errorf("%s still holds %d deliveries for the dead machine", name, d)
 		}
 	}
-	t.Logf("queued toward the victim at crash: %d; applied=%d lost=%d", queuedAtCrash, applied, lost)
+	if lostBySenders > shipped {
+		t.Errorf("senders lost %d deliveries to the dead machine but shipped it at most %d from the crash on (%d were queued toward it)",
+			lostBySenders, shipped, queuedAtCrash)
+	}
+	t.Logf("queued toward the victim at crash: %d; applied=%d lost=%d (senders %d of at most %d shipped)", queuedAtCrash, applied, lost, lostBySenders, shipped)
 }
 
 // TestDrainAndStopCoverQueuedEmits is invariant test (d): Drain returns

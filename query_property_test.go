@@ -1,10 +1,13 @@
 package muppet_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +252,247 @@ func TestPropertyQueryMatchesBruteForce(t *testing.T) {
 			}
 			ingestRound(200)
 			checkQueryOracle(t, eng, model, "post-rejoin")
+		})
+	}
+}
+
+// The same property over struct slates, which queries read through the
+// typed view: every aggregation, σ, π and limit against brute force, on
+// both engines, with the slates cache-resident, store-resident (a cache
+// too small to hold them) and mixed.
+
+// account is the struct slate; Spent only ever holds multiples of 0.25,
+// so float sums are exact whatever order partials merge in.
+type account struct {
+	Owner  string  `json:"owner"`
+	Region string  `json:"region"`
+	N      int     `json:"n"`
+	Spent  float64 `json:"spent"`
+	VIP    bool    `json:"vip"`
+	Geo    struct {
+		Zone string  `json:"zone"`
+		Lat  float64 `json:"lat"`
+	} `json:"geo"`
+}
+
+// purchase is one event's payload.
+type purchase struct {
+	Region string  `json:"region"`
+	Amount float64 `json:"amount"`
+}
+
+func (a *account) apply(key string, p purchase) {
+	a.Owner = "owner-" + key
+	a.Region = p.Region
+	a.N++
+	a.Spent += p.Amount
+	a.VIP = a.Spent >= 20
+	a.Geo.Zone = "zone-" + p.Region[:1]
+	a.Geo.Lat = float64(len(key)*a.N) / 4
+}
+
+func accountApp() *muppet.App {
+	u := muppet.Update[account]("U1", func(emit muppet.Emitter, in muppet.Event, a *account) {
+		var p purchase
+		if json.Unmarshal(in.Value, &p) == nil {
+			a.apply(in.Key, p)
+		}
+	})
+	return muppet.NewApp("accounts").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+}
+
+// bruteGroups folds the model the slow way: group, then aggregate in
+// key order.
+func bruteGroups(model map[string]*account, keep func(string, *account) bool, group func(string, *account) string, val func(*account) float64) map[string]muppet.QueryGroup {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make(map[string]muppet.QueryGroup)
+	for _, k := range keys {
+		a := model[k]
+		if !keep(k, a) {
+			continue
+		}
+		g := out[group(k, a)]
+		g.Key = group(k, a)
+		g.Count++
+		if val != nil {
+			v := val(a)
+			if g.Vals == 0 || v < g.Min {
+				g.Min = v
+			}
+			if g.Vals == 0 || v > g.Max {
+				g.Max = v
+			}
+			g.Vals++
+			g.Sum += v
+		}
+		out[g.Key] = g
+	}
+	return out
+}
+
+func checkAccountOracle(t *testing.T, eng muppet.Engine, model map[string]*account, label string) {
+	t.Helper()
+	all := func(string, *account) bool { return true }
+	one := func(string, *account) string { return "" }
+	query := func(spec muppet.QuerySpec) *muppet.QueryResult {
+		t.Helper()
+		res, err := eng.Query(spec)
+		if err != nil {
+			t.Fatalf("%s: %+v: %v", label, spec, err)
+		}
+		if res.Stats.DecodeErrors != 0 {
+			t.Fatalf("%s: %+v: %d decode errors", label, spec, res.Stats.DecodeErrors)
+		}
+		return res
+	}
+	// sameGroups compares on what the aggregation defines: count always,
+	// min/max/vals when a field is aggregated, sum unless it is min/max.
+	sameGroups := func(spec muppet.QuerySpec, want map[string]muppet.QueryGroup) {
+		t.Helper()
+		got := query(spec).Groups
+		if len(got) != len(want) {
+			t.Fatalf("%s: %+v: %d groups %+v, brute force finds %d %+v", label, spec, len(got), got, len(want), want)
+		}
+		for _, g := range got {
+			w := want[g.Key]
+			if spec.Agg == "min" || spec.Agg == "max" {
+				w.Sum = 0
+			}
+			if g != w {
+				t.Fatalf("%s: %+v: group %+v, brute force says %+v", label, spec, g, w)
+			}
+		}
+	}
+	spent := func(a *account) float64 { return a.Spent }
+	region := func(_ string, a *account) string { return a.Region }
+
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "count", Where: []muppet.QueryPred{{Field: "region", Op: "==", Value: "eu"}}},
+		bruteGroups(model, func(_ string, a *account) bool { return a.Region == "eu" }, one, nil))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "count", Where: []muppet.QueryPred{{Field: "vip", Op: "==", Value: "true"}, {Field: "owner", Op: "contains", Value: "k1"}}},
+		bruteGroups(model, func(k string, a *account) bool { return a.VIP && strings.Contains(a.Owner, "k1") }, one, nil))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "sum", By: "spent"}, bruteGroups(model, all, one, spent))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "min", By: "n", Prefix: "k1"},
+		bruteGroups(model, func(k string, _ *account) bool { return strings.HasPrefix(k, "k1") }, one, func(a *account) float64 { return float64(a.N) }))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "max", By: "geo.lat"}, bruteGroups(model, all, one, func(a *account) float64 { return a.Geo.Lat }))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "sum", By: "spent", GroupBy: "region"}, bruteGroups(model, all, region, spent))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "count", GroupBy: "geo.zone", Where: []muppet.QueryPred{{Field: "n", Op: ">", Value: "2"}}},
+		bruteGroups(model, func(_ string, a *account) bool { return a.N > 2 }, func(_ string, a *account) string { return a.Geo.Zone }, nil))
+	sameGroups(muppet.QuerySpec{Updater: "U1", Agg: "count", GroupBy: "nope"}, map[string]muppet.QueryGroup{})
+
+	// Top-k, key-grouped and grouped by a field: rank brute force's
+	// groups by (sum descending, key ascending) and cut at k.
+	for _, spec := range []muppet.QuerySpec{
+		{Updater: "U1", Agg: "topk", By: "spent", K: 5},
+		{Updater: "U1", Agg: "topk", By: "spent", GroupBy: "region", K: 2},
+	} {
+		group := func(k string, _ *account) string { return k }
+		if spec.GroupBy != "" {
+			group = region
+		}
+		var want []muppet.QueryGroup
+		for _, g := range bruteGroups(model, all, group, spent) {
+			want = append(want, g)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Sum != want[j].Sum {
+				return want[i].Sum > want[j].Sum
+			}
+			return want[i].Key < want[j].Key
+		})
+		want = want[:min(spec.K, len(want))]
+		if got := query(spec).Groups; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v:\n got %+v\nwant %+v", label, spec, got, want)
+		}
+	}
+
+	// σ + π + limit: the first 7 keys in order, fields named in any
+	// order and more than once, a missing one omitted.
+	var keys []string
+	for k, a := range model {
+		if a.N >= 3 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	keys = keys[:min(7, len(keys))]
+	rows := query(muppet.QuerySpec{Updater: "U1", Limit: 7, Fields: []string{"owner", "n", "geo.zone", "key", "nope", "n"},
+		Where: []muppet.QueryPred{{Field: "n", Op: ">=", Value: "3"}}}).Rows
+	if len(rows) != len(keys) {
+		t.Fatalf("%s: limited scan returned %d rows, want %d", label, len(rows), len(keys))
+	}
+	for i, row := range rows {
+		a := model[keys[i]]
+		want := fmt.Sprintf(`{"geo.zone":%q,"key":%q,"n":%d,"owner":%q}`, a.Geo.Zone, keys[i], a.N, a.Owner)
+		if row.Key != keys[i] || string(row.Value) != want {
+			t.Fatalf("%s: scan row %d = %s %s, want %s %s", label, i, row.Key, row.Value, keys[i], want)
+		}
+	}
+	// Whole-value rows are the slate's JSON view, keys sorted.
+	for _, row := range query(muppet.QuerySpec{Updater: "U1"}).Rows {
+		var tree any
+		enc, _ := json.Marshal(model[row.Key])
+		json.Unmarshal(enc, &tree)
+		if want, _ := json.Marshal(tree); string(row.Value) != string(want) {
+			t.Fatalf("%s: whole-value row %s = %s, want %s", label, row.Key, row.Value, want)
+		}
+	}
+}
+
+func TestPropertyStructQueryMatchesBruteForce(t *testing.T) {
+	regions := []string{"eu", "us", "apac", "eu"}
+	for _, tc := range []struct {
+		name     string
+		version  muppet.EngineVersion
+		capacity int
+	}{
+		{"engine2/cache-only", muppet.EngineV2, 10_000},
+		{"engine2/mixed", muppet.EngineV2, 8},
+		{"engine2/store-only", muppet.EngineV2, 1},
+		{"engine1/cache-only", muppet.EngineV1, 10_000},
+		{"engine1/mixed", muppet.EngineV1, 8},
+		{"engine1/store-only", muppet.EngineV1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := muppet.NewEngine(accountApp(), muppet.Config{
+				Engine: tc.version, Machines: 3, QueueCapacity: 1 << 14, CacheCapacity: tc.capacity,
+				// Write-through keeps the store exactly current, so what a
+				// small cache evicts is read back whole.
+				FlushPolicy: muppet.WriteThrough,
+				Store:       muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Stop()
+			rng := rand.New(rand.NewSource(7))
+			model := make(map[string]*account)
+			for round := 1; round <= 2; round++ {
+				evs := make([]muppet.Event, 0, 400)
+				for i := 0; i < 400; i++ {
+					key := fmt.Sprintf("k%d", rng.Intn(60))
+					// The region is the key's, not the event's: the engines do
+					// not promise the order of one batch's events per key.
+					p := purchase{Region: regions[len(key)*7%3+int(key[1]-'0')%2], Amount: float64(rng.Intn(40)) / 4}
+					if model[key] == nil {
+						model[key] = new(account)
+					}
+					model[key].apply(key, p)
+					val, _ := json.Marshal(p)
+					evs = append(evs, muppet.Event{Stream: "S1", TS: muppet.Timestamp(round*1000 + i), Key: key, Value: val})
+				}
+				if _, err := eng.IngestBatch(evs); err != nil {
+					t.Fatal(err)
+				}
+				eng.Drain()
+				checkAccountOracle(t, eng, model, fmt.Sprintf("round-%d", round))
+			}
+			if st := eng.SlateCacheStats(); (tc.capacity < 10) != (st.Evictions > 0) {
+				t.Fatalf("capacity %d: %d evictions — the residency this case is named for did not happen", tc.capacity, st.Evictions)
+			}
 		})
 	}
 }
