@@ -1,6 +1,6 @@
 // Package muppet_test hosts the benchmark harness: one testing.B
-// benchmark per experiment in the DESIGN.md index (the paper has no
-// numbered result tables; E01–E17 cover every quantitative claim and
+// benchmark per experiment in the package experiments index (the paper
+// has no numbered result tables; E01–E17 cover every quantitative claim and
 // design argument in its evaluation, Sections 4–5). Each benchmark
 // runs its experiment and reports the headline figures as custom
 // metrics, so `go test -bench=.` regenerates the paper's evaluation.

@@ -1,7 +1,7 @@
 // Command mupbench regenerates the paper's evaluation: it runs the
-// experiment index E01–E17 defined in DESIGN.md (each reproducing one
-// quantitative claim or design argument from Sections 4–5 of the
-// paper) and prints the result tables recorded in EXPERIMENTS.md.
+// experiment index E01–E17 defined in package experiments (each
+// reproducing one quantitative claim or design argument from Sections
+// 4–5 of the paper) and prints the result tables.
 //
 // Usage:
 //
@@ -21,7 +21,7 @@ import (
 import "muppet/experiments"
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = EXPERIMENTS.md size)")
+	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = the full-size tables)")
 	run := flag.String("run", "", "comma-separated experiment IDs (e.g. E01,E08); empty = all")
 	flag.Parse()
 

@@ -1,10 +1,10 @@
 // Package experiments regenerates every quantitative claim and design
 // argument in the paper's evaluation (Sections 4 and 5). The paper is
-// an experience paper without numbered result tables, so DESIGN.md
+// an experience paper without numbered result tables, so this package
 // defines an experiment index E1–E17 mapping each claim to a
-// reproducible measurement; this package implements that index. Each
-// experiment returns a Table whose rows are the series EXPERIMENTS.md
-// reports; cmd/mupbench prints them and bench_test.go wraps them as
+// reproducible measurement (ARCHITECTURE.md places it in the system).
+// Each experiment returns a Table of the series it reports;
+// `go run ./cmd/mupbench` prints them and bench_test.go wraps them as
 // testing.B benchmarks.
 //
 // Absolute numbers will not match the paper — the substrate is an
@@ -104,7 +104,7 @@ func (t Table) String() string {
 }
 
 // Scale shrinks or grows experiment workloads; 1.0 is the standard
-// size used for EXPERIMENTS.md, smaller values make smoke tests fast.
+// size `go run ./cmd/mupbench` prints, smaller values make smoke tests fast.
 type Scale float64
 
 // N scales an event count, with a floor to keep measurements sane.

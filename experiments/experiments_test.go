@@ -109,7 +109,7 @@ func TestE03BalanceReasonable(t *testing.T) {
 func TestE04Engine2NotSlower(t *testing.T) {
 	// Run at a slightly larger scale so the comparison is stable; allow
 	// generous slack — the claim tested is "2.0 is not dramatically
-	// slower", the full-scale run in EXPERIMENTS.md shows the real gap.
+	// slower", the full-scale `go run ./cmd/mupbench` shows the real gap.
 	if raceEnabled {
 		t.Skip("wall-clock engine comparison is not meaningful under the race detector")
 	}

@@ -179,26 +179,20 @@ type Cluster struct {
 // retry loop spent, how many batches exhausted their budget anyway,
 // and how many duplicate deliveries the receiver-side window absorbed.
 type DeliveryStats struct {
-	// Sequenced is the number of sequenced remote batches issued.
-	Sequenced uint64
-	// TransientErrors counts transient transport faults observed.
-	TransientErrors uint64
-	// Retries counts re-attempts made after a transient fault.
-	Retries uint64
-	// RetryExhausted counts batches whose attempts all failed.
-	RetryExhausted uint64
+	Sequenced       uint64 `metric:"muppet_transport_sequenced_batches_total" help:"Sequenced remote batches issued (BatchIDs stamped)."`
+	TransientErrors uint64 `metric:"muppet_transport_transient_errors_total" help:"Transient transport faults observed on remote sends."`
+	Retries         uint64 `metric:"muppet_transport_retries_total" help:"Remote-batch re-attempts after transient transport faults."`
+	RetryExhausted  uint64 `metric:"muppet_transport_retry_exhausted_total" help:"Remote batches whose whole retry budget failed."`
 	// IndeterminateLost counts events in exhausted batches where at
 	// least one attempt failed indeterminately (the request went out
 	// whole but no outcome came back): the sender reports these lost,
 	// but the receiver may have applied them. This is the exact upper
 	// bound on how far the loss log can overcount — every other loss
 	// is determinate.
-	IndeterminateLost uint64
-	// DedupHits counts duplicate remote-origin batches absorbed by the
-	// receiver-side window (retries and chaos duplicates).
-	DedupHits uint64
-	// DedupEntries is the current resident size of the dedup window.
-	DedupEntries int
+	IndeterminateLost uint64 `metric:"muppet_transport_indeterminate_lost_events_total" help:"Events reported lost on exhausted retries whose outcome is unknown (the receiver may have applied them)."`
+	// DedupHits covers retries and chaos duplicates.
+	DedupHits    uint64 `metric:"muppet_transport_dedup_hits_total" help:"Duplicate remote-origin batches absorbed by the dedup window."`
+	DedupEntries int    `metric:"muppet_transport_dedup_entries" help:"Resident entries in the receiver-side dedup window."`
 }
 
 // DeliveryStats reports the node's resilient-delivery counters.

@@ -61,12 +61,12 @@ func (cfg *TCPConfig) fill() {
 
 // TCPStats counts the transport's wire activity.
 type TCPStats struct {
-	Dials      uint64 // successful outbound connections
-	DialErrors uint64 // failed dial attempts
-	FramesOut  uint64 // request frames written
-	FramesIn   uint64 // request frames served
-	BytesOut   uint64 // encoded request bytes written (frame bodies)
-	BytesIn    uint64 // encoded request bytes served (frame bodies)
+	Dials      uint64 `metric:"muppet_transport_dials_total" help:"Successful outbound transport connections."`
+	DialErrors uint64 `metric:"muppet_transport_dial_errors_total" help:"Failed transport dial attempts."`
+	FramesOut  uint64 `metric:"muppet_transport_frames_out_total" help:"Request frames written to peers."`
+	FramesIn   uint64 `metric:"muppet_transport_frames_in_total" help:"Request frames served for peers."`
+	BytesOut   uint64 `metric:"muppet_transport_bytes_out_total" help:"Encoded request bytes written to peers."` // frame bodies
+	BytesIn    uint64 `metric:"muppet_transport_bytes_in_total" help:"Encoded request bytes served for peers."`  // frame bodies
 }
 
 // TCP is the real-network Transport: stdlib net, one pooled connection

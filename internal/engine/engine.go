@@ -103,37 +103,25 @@ func (t *Tracker) Wait() {
 //	LostMachineDown + Diverted + DroppedNoRoute
 //
 // Each counter counts deliveries (event × destination function), not
-// raw events.
+// raw events. The metric and help tags are the field's /metrics name
+// and description (obs.Struct registers them).
 type Stats struct {
-	// Ingested counts external input deliveries accepted.
-	Ingested uint64
-	// Processed counts function invocations completed.
-	Processed uint64
-	// Emitted counts events published by functions and accepted for
-	// delivery.
-	Emitted uint64
-	// SlateUpdates counts ReplaceSlate applications.
-	SlateUpdates uint64
-	// LostOverflow counts deliveries dropped because a queue was full
-	// (Drop policy).
-	LostOverflow uint64
-	// Diverted counts deliveries redirected to the overflow stream
-	// (Divert policy).
-	Diverted uint64
-	// LostMachineDown counts deliveries lost because the destination
-	// machine was down; per Section 4.3 these are logged as lost, not
+	Ingested     uint64 `metric:"muppet_engine_ingested_total" help:"External input deliveries accepted."`
+	Processed    uint64 `metric:"muppet_engine_processed_total" help:"Function invocations completed."`
+	Emitted      uint64 `metric:"muppet_engine_emitted_total" help:"Events published by functions and accepted for delivery."`
+	SlateUpdates uint64 `metric:"muppet_engine_slate_updates_total" help:"ReplaceSlate applications."`
+	LostOverflow uint64 `metric:"muppet_engine_lost_overflow_total" help:"Deliveries dropped on a full queue (Drop policy)."`
+	Diverted     uint64 `metric:"muppet_engine_diverted_total" help:"Deliveries redirected to the overflow stream (Divert policy)."`
+	// LostMachineDown: per Section 4.3 these are logged as lost, not
 	// retried.
-	LostMachineDown uint64
-	// FailureReports counts machine-failure reports made to the master.
-	FailureReports uint64
-	// MaxSlateContention is the largest number of workers observed
-	// updating the same slate concurrently. Muppet 1.0 guarantees 1;
-	// Muppet 2.0 allows at most 2 (Section 4.5).
-	MaxSlateContention int32
-	// OutputDropped counts output-stream events overwritten out of a
-	// capped output ring (Config.OutputCapacity) before anyone read
-	// them. Zero when the ring is unbounded.
-	OutputDropped uint64
+	LostMachineDown uint64 `metric:"muppet_engine_lost_machine_down_total" help:"Deliveries lost to a down destination machine."`
+	FailureReports  uint64 `metric:"muppet_engine_failure_reports_total" help:"Machine-failure reports made to the master."`
+	// MaxSlateContention: Muppet 1.0 guarantees 1; Muppet 2.0 allows at
+	// most 2 (Section 4.5).
+	MaxSlateContention int32 `metric:"muppet_engine_max_slate_contention" help:"Largest number of workers observed updating one slate concurrently."`
+	// OutputDropped counts against a capped output ring
+	// (Config.OutputCapacity); zero when the ring is unbounded.
+	OutputDropped uint64 `metric:"muppet_engine_output_dropped_total" help:"Output-ring events overwritten before being read."`
 }
 
 // Counters is the live, atomic version of Stats that engines mutate.

@@ -38,6 +38,11 @@ const (
 	// separate losses to a declared-dead machine from losses to a
 	// flaky-but-alive network path.
 	LossTransient
+	// LossEncode: a typed slate stopped encoding (say a float field
+	// reached +Inf), so the updates it holds cannot reach the store
+	// until one succeeds. Recorded once per poisoning — Func is the
+	// updater, Ev carries the key — not once per failed retry.
+	LossEncode
 )
 
 // String names the reason.
@@ -57,6 +62,8 @@ func (r LossReason) String() string {
 		return "batch-partial"
 	case LossTransient:
 		return "transient-network"
+	case LossEncode:
+		return "encode"
 	default:
 		return "unknown"
 	}

@@ -358,13 +358,9 @@ func (c *Courier) reroute(ob *outbox, ds []cluster.Delivery) {
 
 // OutboxStats aggregates the outboxes' counters.
 type OutboxStats struct {
-	// Frames counts the exchanges the senders shipped and Deliveries the
-	// deliveries they carried.
-	Frames     uint64
-	Deliveries uint64
-	// FullWaits counts appends that found their outbox full and waited
-	// for the sender.
-	FullWaits uint64
+	Frames     uint64 `metric:"muppet_outbox_frames_total" help:"Frames (one SendBatch exchange each) shipped by the outbox senders."`
+	Deliveries uint64 `metric:"muppet_outbox_deliveries_total" help:"Deliveries carried by the outbox senders' frames."`
+	FullWaits  uint64 `metric:"muppet_outbox_full_waits_total" help:"Appends that found their outbox full and waited for the sender."`
 }
 
 // OutboxStats snapshots the aggregate over every outbox.

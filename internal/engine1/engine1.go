@@ -92,8 +92,7 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		}
 		e.rings[f.Name()] = hashring.New(ids, 0)
 	}
-	e.Start(e)
-	return e, nil
+	return e, e.Start(e)
 }
 
 // Route implements runtime.Dispatcher: <function, key> routes on the

@@ -242,8 +242,7 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		}
 		e.machines[name] = m
 	}
-	e.Start(e)
-	return e, nil
+	return e, e.Start(e)
 }
 
 // Route implements runtime.Dispatcher: one ring routes <function, key>

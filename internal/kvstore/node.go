@@ -62,26 +62,27 @@ func (c *NodeConfig) fill() {
 
 // NodeStats is a snapshot of a node's internals.
 type NodeStats struct {
-	MemtableRows   int
-	MemtableBytes  int64
-	SSTables       int
-	SSTableBytes   int64
-	Flushes        uint64
-	Compactions    uint64
-	Reads          uint64
-	ReadsFromMem   uint64
-	SSTableProbes  uint64 // sstables actually read from device
-	BloomSkips     uint64 // sstables skipped thanks to the bloom filter
-	ExpiredDropped uint64 // rows GC'd by compaction (TTL or tombstone)
-	LiveRows       int    // live rows across memtable+sstables (post-merge view)
+	MemtableRows   int    `metric:"muppet_kvstore_memtable_rows" help:"Rows buffered in memtables."`
+	MemtableBytes  int64  `metric:"muppet_kvstore_memtable_bytes" help:"Bytes buffered in memtables."`
+	SSTables       int    `metric:"muppet_kvstore_sstables" help:"SSTables on disk."`
+	SSTableBytes   int64  `metric:"muppet_kvstore_sstable_bytes" help:"Bytes held in SSTables."`
+	Flushes        uint64 `metric:"muppet_kvstore_flushes_total" help:"Memtable flushes."`
+	Compactions    uint64 `metric:"muppet_kvstore_compactions_total" help:"SSTable compactions."`
+	Reads          uint64 `metric:"muppet_kvstore_reads_total" help:"Row reads served."`
+	ReadsFromMem   uint64 `metric:"muppet_kvstore_reads_from_mem_total" help:"Row reads served from the memtable."`
+	SSTableProbes  uint64 `metric:"muppet_kvstore_sstable_probes_total" help:"SSTables actually read from device."`
+	BloomSkips     uint64 `metric:"muppet_kvstore_bloom_skips_total" help:"SSTable reads skipped by bloom filters."`
+	ExpiredDropped uint64 `metric:"muppet_kvstore_expired_dropped_total" help:"Rows GC'd by compaction (TTL or tombstone)."`
+	LiveRows       int    `metric:"muppet_kvstore_live_rows" help:"Live rows across memtable and SSTables."` // post-merge view
 
-	// Real I/O the engine issued to its filesystem.
+	// Real I/O the engine issued to its filesystem; exposed as
+	// muppet_lsm_* only when Durable (see runtime's lsmMetrics).
 	Durable           bool   // the engine's files are on disk (NodeConfig.Dir set)
-	Fsyncs            uint64 // real fsyncs issued
-	DiskBytesWritten  int64  // real bytes written (WAL + segments)
-	DiskBytesRead     int64  // real bytes read off segments
-	WALBytes          int64  // bytes in the active write-ahead log
-	CompactionBacklog int    // segments past the compaction threshold
+	Fsyncs            uint64 `metric:"-"` // real fsyncs issued
+	DiskBytesWritten  int64  `metric:"-"` // real bytes written (WAL + segments)
+	DiskBytesRead     int64  `metric:"-"` // real bytes read off segments
+	WALBytes          int64  `metric:"-"` // bytes in the active write-ahead log
+	CompactionBacklog int    `metric:"-"` // segments past the compaction threshold
 }
 
 // Node is one storage server. It is safe for concurrent use and can be

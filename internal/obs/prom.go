@@ -56,7 +56,7 @@ func promLabels(ls Labels, quantileKey string, q float64) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, escapeValue(l.Value))
+		fmt.Fprintf(&b, "%s=\"%s\"", l.Key, labelEscaper.Replace(l.Value))
 	}
 	if quantileKey != "" {
 		if len(ls) > 0 {
@@ -73,9 +73,10 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", "\\n")
 }
 
-func escapeValue(s string) string {
-	return strings.ReplaceAll(s, "\n", "\\n")
-}
+// labelEscaper escapes a label value as the 0.0.4 text format defines:
+// backslash, double quote and line feed; every other byte, UTF-8
+// included, goes out as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // SnapshotEntry is one metric in the /statsz JSON snapshot. Counters
 // and gauges set Value; summaries set the histogram fields.

@@ -9,8 +9,8 @@ import (
 )
 
 // Counters accumulates the query subsystem's observability counters;
-// the engines own one and obs.RegisterQueryStats exposes it as
-// muppet_query_* metrics.
+// the engines own one and expose its snapshot as muppet_query_*
+// metrics.
 type Counters struct {
 	mu    sync.Mutex
 	kinds map[string]uint64
@@ -43,18 +43,13 @@ func (c *Counters) Observe(kind string, st ExecStats, d time.Duration) {
 	c.Latency.Observe(d)
 }
 
-// CountersSnapshot is the scrape-time view of Counters. The obs
-// conformance test reflects over this struct, so every field must map
-// to a registered metric.
+// CountersSnapshot is the scrape-time view of Counters: lifetime
+// totals across all queries, each field the metric its tag names.
 type CountersSnapshot struct {
-	// Kinds counts completed queries by kind (scan, count, sum, min,
-	// max, topk).
-	Kinds map[string]uint64
-	// RowsScanned, RowsReturned, and FanoutNodes are lifetime totals
-	// across all queries.
-	RowsScanned  uint64
-	RowsReturned uint64
-	FanoutNodes  uint64
+	Kinds        map[string]uint64 `metric:"muppet_query_queries_total" label:"kind" help:"Queries answered, by kind (scan, count, sum, min, max, topk)."`
+	RowsScanned  uint64            `metric:"muppet_query_rows_scanned_total" help:"Slate rows scanned by query executions."`
+	RowsReturned uint64            `metric:"muppet_query_rows_returned_total" help:"Rows and groups returned by queries."`
+	FanoutNodes  uint64            `metric:"muppet_query_fanout_nodes_total" help:"Machines scattered to across all queries."`
 }
 
 // Snapshot captures the counters for one scrape.

@@ -50,12 +50,12 @@ var ErrOverflow = errors.New("queue: overflow")
 // Stats is a snapshot of a queue's lifetime accounting. The invariant
 // Offered == Accepted + Dropped + Diverted always holds.
 type Stats struct {
-	Offered  uint64
-	Accepted uint64
-	Dropped  uint64
-	Diverted uint64
-	Blocked  uint64 // elements whose producer had to wait under the Block policy
-	MaxDepth int
+	Offered  uint64 `metric:"muppet_queue_offered_total" help:"Elements offered to worker queues."`
+	Accepted uint64 `metric:"muppet_queue_accepted_total" help:"Elements accepted by worker queues."`
+	Dropped  uint64 `metric:"muppet_queue_dropped_total" help:"Elements dropped by full worker queues."`
+	Diverted uint64 `metric:"muppet_queue_diverted_total" help:"Elements diverted by full worker queues."`
+	Blocked  uint64 `metric:"muppet_queue_blocked_total" help:"Put calls that had to wait under the Block policy."`
+	MaxDepth int    `metric:"muppet_queue_max_depth" help:"Deepest any worker queue ever got."`
 }
 
 // Add accumulates o into s; MaxDepth keeps the maximum. Engines use it

@@ -13,3 +13,11 @@ func (r *Runtime) OwnerMachine(fn, key string) string {
 	machine, _ := r.disp.Route(fn, key)
 	return machine
 }
+
+// CountCacheStatsReads makes every scrape's read of the slate-cache
+// snapshot add one to n, until the returned function is called.
+func CountCacheStatsReads(n *int) (restore func()) {
+	read := slateCacheStats
+	slateCacheStats = func(r *Runtime) slate.CacheStats { *n++; return read(r) }
+	return func() { slateCacheStats = read }
+}

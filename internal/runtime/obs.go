@@ -1,38 +1,128 @@
 package runtime
 
-import "muppet/internal/obs"
+import (
+	"errors"
+
+	"muppet/internal/cluster"
+	"muppet/internal/kvstore"
+	"muppet/internal/obs"
+	"muppet/internal/slate"
+)
+
+// liveMaps are the engine's per-key readings: every loss ever logged by
+// reason, the depth of each hosted machine's most loaded queue, and the
+// deliveries queued for each remote machine's sender (none on an
+// all-local engine).
+type liveMaps struct {
+	Lost        map[string]uint64 `metric:"muppet_lost_events_total" label:"reason" help:"Deliveries recorded in the lost log, by reason."`
+	QueueDepth  map[string]int    `metric:"muppet_queue_depth" label:"machine" help:"Depth of the most loaded queue per machine."`
+	OutboxDepth map[string]int    `metric:"muppet_outbox_depth" label:"machine" help:"Deliveries queued for a remote machine's sender."`
+}
+
+// slateCacheStats is the cache snapshot a scrape reads; a variable so a
+// test can count the reads one scrape makes.
+var slateCacheStats = (*Runtime).SlateCacheStats
 
 // registerObs wires every subsystem the engine owns into its metrics
-// registry: engine counters, queue accounting, the slate caches and
-// their group-commit flushing, the durable kvstore and its simulated
-// devices, the cluster transport, the recovery manager, and (when
-// enabled) the lifecycle tracer. Collectors are closures over the
-// subsystems' existing snapshots, so scrapes read live counters and
-// the hot path pays nothing.
-func (r *Runtime) registerObs() {
-	obs.RegisterEngineStats(r.reg, r.Stats)
-	obs.RegisterLatency(r.reg, r.counters)
-	obs.RegisterTracker(r.reg, r.tracker)
-	obs.RegisterLostLog(r.reg, r.lost)
-	obs.RegisterQueryStats(r.reg, r.queries)
-	obs.RegisterQueueStats(r.reg, r.aggregateQueueStats, r.LargestQueues)
-	obs.RegisterCacheStats(r.reg, r.SlateCacheStats)
-	obs.RegisterFlushStats(r.reg, r.FlushStats)
-	// Each cell's cache registers its flush histograms and WAL counters
-	// under the cell's name: per worker under 1.0's disparate caches,
-	// per machine under 2.0's central one.
+// registry. A stats struct is its own registration: obs.Struct exposes
+// each tagged field from one snapshot per scrape, so the hot path pays
+// nothing and the values of one scrape agree with each other. What is
+// not a struct field — histograms, a few lone counters, the muppet_lsm_*
+// view of a durable store — is registered here directly.
+func (r *Runtime) registerObs() error {
+	reg, clu := r.reg, r.clu
+	transport := obs.L("transport", clu.TransportName())
+	errs := []error{
+		obs.Struct(reg, nil, r.Stats),
+		obs.Struct(reg, nil, r.aggregateQueueStats),
+		obs.Struct(reg, nil, func() slate.CacheStats { return slateCacheStats(r) }),
+		obs.Struct(reg, nil, r.FlushStats),
+		obs.Struct(reg, nil, r.out.OutboxStats),
+		obs.Struct(reg, nil, r.queries.Snapshot),
+		obs.Struct(reg, nil, func() liveMaps {
+			return liveMaps{Lost: r.lost.Totals(), QueueDepth: r.LargestQueues(), OutboxDepth: r.OutboxDepths()}
+		}),
+		obs.Struct(reg, transport, clu.DeliveryStats),
+	}
+	reg.DurationSummary("muppet_update_latency_seconds",
+		"End-to-end latency from external ingress to slate update.", nil, r.counters.Latency)
+	reg.DurationSummary("muppet_outbox_wait_seconds",
+		"Sampled time from a delivery's append to the acknowledgement of the frame that carried it.", nil, r.out.OutboxWait())
+	reg.DurationSummary("muppet_query_latency_seconds",
+		"End-to-end query latency, scatter to merged answer.", nil, r.queries.Latency)
+	reg.GaugeInt("muppet_engine_inflight", "Deliveries accepted but not yet fully processed.", nil, r.tracker.InFlight)
+
+	// Each cell's cache registers its flush histograms and slate-WAL
+	// counters under the cell's name: per worker under 1.0's disparate
+	// caches, per machine under 2.0's central one.
 	for _, c := range r.cells {
-		obs.RegisterShardedStore(r.reg, c.Name(), c.Cache)
+		ls := obs.L("machine", c.Name())
+		reg.DurationSummary("muppet_slate_flush_latency_seconds",
+			"Group-commit flush round latency per machine.", ls, c.Cache.FlushLatency())
+		reg.IntSummary("muppet_slate_flush_batch_size",
+			"Records per group-commit multi-put.", ls, c.Cache.BatchSizes())
+		if w := c.Cache.WAL(); w != nil {
+			reg.Register(obs.CollectorFunc(func(emit func(obs.Metric)) {
+				batches, records, retained := w.Stats()
+				emit(obs.Sample("muppet_slate_wal_batches_total", "Flush batches appended to the slate group-commit WAL.", ls, float64(batches)))
+				emit(obs.Sample("muppet_slate_wal_records_total", "Slate records appended to the group-commit WAL.", ls, float64(records)))
+				emit(obs.Sample("muppet_slate_wal_retained", "Flush batches currently retained in the WAL.", ls, float64(retained)))
+			}))
+		}
 	}
-	obs.RegisterCluster(r.reg, r.clu)
-	obs.RegisterOutbox(r.reg, r.out)
-	if r.cfg.Store != nil {
-		obs.RegisterKVStore(r.reg, r.cfg.Store)
+
+	reg.Counter("muppet_cluster_sends_total", "Machine-addressed sends issued by this node.", transport,
+		func() uint64 { sends, _ := clu.NetworkStats(); return sends })
+	reg.Counter("muppet_cluster_recvs_total", "Remote-origin deliveries received by this node.", transport, clu.Recvs)
+	reg.Counter("muppet_cluster_recv_deliveries_total",
+		"Deliveries carried by the remote-origin batches this node received (recvs_total counts the batches).", transport, clu.RecvDeliveries)
+	reg.Gauge("muppet_cluster_sim_network_seconds", "Accumulated simulated network latency.", transport,
+		func() float64 { _, simTime := clu.NetworkStats(); return simTime.Seconds() })
+	reg.Counter("muppet_cluster_master_failure_reports_total",
+		"Failure reports accepted by the master.", nil, clu.Master().Reports)
+	reg.Counter("muppet_cluster_master_rejoin_reports_total",
+		"Rejoin broadcasts issued by the master.", nil, clu.Master().RejoinReports)
+	if ch := cluster.UnwrapChaos(clu.Transport()); ch != nil {
+		ls := obs.L("transport", ch.Name())
+		errs = append(errs, obs.Struct(reg, ls, ch.Stats, func(s cluster.ChaosStats, emit func(obs.Metric)) {
+			emit(obs.Sample("muppet_chaos_faults_injected_total", "Chaos faults injected, all kinds.", ls, float64(s.Injected())))
+		}))
 	}
-	r.rec.RegisterObs(r.reg)
+	if tcp := cluster.UnwrapTCP(clu.Transport()); tcp != nil {
+		errs = append(errs, obs.Struct(reg, transport, tcp.Stats))
+	}
+
+	if store := r.cfg.Store; store != nil {
+		// TotalStats merges every node and materializes each one's
+		// live-row view: the muppet_lsm_* names read the snapshot the
+		// muppet_kvstore_* fields were read from.
+		errs = append(errs, obs.Struct(reg, nil, store.TotalStats, lsmMetrics))
+		for _, name := range store.Nodes() {
+			dev := store.Node(name).Device()
+			errs = append(errs, obs.Struct(reg, obs.L("node", name, "profile", dev.Stats().ProfileName), dev.Stats))
+		}
+	}
+	r.rec.RegisterObs(reg)
 	if r.tracer != nil {
-		r.reg.Register(r.tracer)
+		reg.Register(r.tracer)
 	}
+	return errors.Join(errs...)
+}
+
+// lsmMetrics names a durable store's real I/O and on-disk shape; a
+// store with no node on disk exposes none of them.
+func lsmMetrics(s kvstore.NodeStats, emit func(obs.Metric)) {
+	if !s.Durable {
+		return
+	}
+	emit(obs.Sample("muppet_lsm_segments", "Segment files across durable nodes.", nil, float64(s.SSTables)))
+	emit(obs.Sample("muppet_lsm_level_bytes", "Bytes held in segment files.", nil, float64(s.SSTableBytes)))
+	emit(obs.Sample("muppet_lsm_memtable_bytes", "Bytes in durable-node memtables (WAL-backed).", nil, float64(s.MemtableBytes)))
+	emit(obs.Sample("muppet_lsm_wal_bytes", "Bytes in active write-ahead logs.", nil, float64(s.WALBytes)))
+	emit(obs.Sample("muppet_lsm_compaction_backlog", "Segments past the compaction threshold.", nil, float64(s.CompactionBacklog)))
+	emit(obs.Sample("muppet_lsm_fsyncs_total", "Real fsyncs issued by durable engines.", nil, float64(s.Fsyncs)))
+	emit(obs.Sample("muppet_lsm_disk_write_bytes_total", "Real bytes written (WAL and segments).", nil, float64(s.DiskBytesWritten)))
+	emit(obs.Sample("muppet_lsm_disk_read_bytes_total", "Real bytes read off segment files.", nil, float64(s.DiskBytesRead)))
 }
 
 // Metrics exposes the engine's observability registry; httpapi serves

@@ -256,6 +256,9 @@ func (r *Runtime) AddCell(machine, address string, queues int) *Cell {
 		MaxFlushBatch: r.cfg.FlushBatch,
 		WALCheckpoint: true,
 		TTLFor:        r.app.TTLFor,
+		OnPoison: func(k slate.Key) {
+			r.lost.Record(k.Updater, event.Event{Key: k.Key}, engine.LossEncode)
+		},
 	})
 	r.cells = append(r.cells, c)
 	r.byMachine[machine] = append(r.byMachine[machine], c)
@@ -276,8 +279,9 @@ func (r *Runtime) slateStore() slate.Store {
 
 // Start plugs the dispatcher in, wires the node — delivery and query
 // handlers, recovery manager, courier, ingress driver, metrics — and
-// starts every cell's loops and, under slate.Interval, its flusher.
-func (r *Runtime) Start(d Dispatcher) {
+// starts every cell's loops and, under slate.Interval, its flusher. The
+// only error is a stats struct with a field obs.Struct cannot expose.
+func (r *Runtime) Start(d Dispatcher) error {
 	r.disp = d
 	for _, name := range r.clu.LocalNames() {
 		r.clu.SetBatchHandler(name, func(ds []cluster.Delivery) []error {
@@ -333,7 +337,9 @@ func (r *Runtime) Start(d Dispatcher) {
 		Tracer:   r.tracer,
 		Machines: len(r.clu.MachineNames()),
 	}
-	r.registerObs()
+	if err := r.registerObs(); err != nil {
+		return err
+	}
 	for _, c := range r.cells {
 		d.StartCell(c)
 		if r.cfg.FlushPolicy == slate.Interval {
@@ -341,6 +347,7 @@ func (r *Runtime) Start(d Dispatcher) {
 			go r.flusherLoop(c)
 		}
 	}
+	return nil
 }
 
 // Go runs loop as one of the goroutines consuming c's queues: Stop

@@ -6,6 +6,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"muppet/internal/engine1"
 	"muppet/internal/engine2"
 	"muppet/internal/event"
+	"muppet/internal/httpapi"
 	"muppet/internal/kvstore"
 	"muppet/internal/runtime"
 	"muppet/internal/slate"
@@ -267,6 +269,33 @@ func TestCrashReplaysWALThroughRecoverySubsystem(t *testing.T) {
 			}
 			if st.DirtyLost == 0 {
 				t.Fatal("dirty loss not accounted in recovery status")
+			}
+		})
+	}
+}
+
+// One /metrics request reads each stats source once: every cache-shard
+// lock is taken one time beside the workers, and the cache counters of
+// one scrape come from one instant.
+func TestScrapeReadsCacheStatsOnce(t *testing.T) {
+	for _, s := range strategies {
+		t.Run(s.name, func(t *testing.T) {
+			e, err := s.new(counterApp(), runtime.Config{Machines: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Stop()
+			e.Ingest(checkin(1, "walmart"))
+			e.Drain()
+			reads := 0
+			defer runtime.CountCacheStatsReads(&reads)()
+			rr := httptest.NewRecorder()
+			httpapi.Handler(e).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+			if rr.Code != 200 || !strings.Contains(rr.Body.String(), "muppet_slate_cache_misses_total 1\n") {
+				t.Fatalf("GET /metrics: %d\n%s", rr.Code, rr.Body.String())
+			}
+			if reads != 1 {
+				t.Fatalf("one /metrics request read the cache stats %d times, want 1", reads)
 			}
 		})
 	}

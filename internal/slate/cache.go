@@ -47,24 +47,27 @@ type Store interface {
 
 // CacheStats is a snapshot of cache effectiveness counters.
 type CacheStats struct {
-	Hits       uint64
-	Misses     uint64
-	StoreLoads uint64 // misses that went to the durable store
-	StoreSaves uint64
-	Evictions  uint64
-	DirtyLost  uint64 // dirty slates discarded by Crash
+	Hits       uint64 `metric:"muppet_slate_cache_hits_total" help:"Slate-cache hits."`
+	Misses     uint64 `metric:"muppet_slate_cache_misses_total" help:"Slate-cache misses."`
+	StoreLoads uint64 `metric:"muppet_slate_store_loads_total" help:"Slate loads from the durable store."`
+	StoreSaves uint64 `metric:"muppet_slate_store_saves_total" help:"Slate writes to the durable store."`
+	Evictions  uint64 `metric:"muppet_slate_cache_evictions_total" help:"Clean slates evicted under capacity pressure."`
+	DirtyLost  uint64 `metric:"muppet_slate_dirty_lost_total" help:"Dirty slates lost to crashes."`
 	// DecodeErrors counts typed reads (GetDecoded) whose codec failed
 	// to decode the stored bytes — the engine falls back to a fresh
 	// zero-value slate, so a non-zero count is the signal that stored
 	// state was unreadable (and will be overwritten).
-	DecodeErrors uint64
+	DecodeErrors uint64 `metric:"muppet_slate_decode_errors_total" help:"Slate rows that failed to decode."`
 	// EncodeErrors counts failed attempts to materialize a decoded
-	// slate's at-rest encoding (flush, eviction, reads). The entry
-	// stays dirty and resident — never silently dropped — but it also
-	// cannot reach the store until the encode succeeds, so a growing
-	// count means slates are wedged in memory.
-	EncodeErrors uint64
-	Size         int
+	// slate's at-rest encoding (flush, eviction, reads), retries
+	// included. The entry stays dirty and resident — never silently
+	// dropped — but cannot reach the store until an encode succeeds.
+	EncodeErrors uint64 `metric:"muppet_slate_encode_errors_total" help:"Slate values that failed to encode."`
+	Size         int    `metric:"muppet_slate_cache_size" help:"Slates resident in cache."`
+	// Poisoned is how many resident slates are wedged that way right
+	// now: their latest encode failed. It falls when an encode succeeds
+	// or the slate is deleted, overwritten with bytes, or crashed away.
+	Poisoned int `metric:"muppet_slate_poisoned_slates" help:"Resident slates whose latest encode failed."`
 }
 
 // Add accumulates s into t (shards into a store, stores into an
@@ -79,6 +82,7 @@ func (t *CacheStats) Add(s CacheStats) {
 	t.DecodeErrors += s.DecodeErrors
 	t.EncodeErrors += s.EncodeErrors
 	t.Size += s.Size
+	t.Poisoned += s.Poisoned
 }
 
 type entry struct {
@@ -99,6 +103,9 @@ type entry struct {
 	codec   Codec
 	stale   bool
 	pins    int
+	// poisoned marks a stale entry whose latest encode failed (counted
+	// in CacheStats.Poisoned).
+	poisoned bool
 
 	// flushing marks an entry whose value a group-commit batch is
 	// carrying to the store right now (Sharded.FlushDirty): no longer

@@ -42,6 +42,10 @@ type ShardedConfig struct {
 	WALCheckpoint bool
 	// TTLFor returns the slate TTL for an updater; nil means forever.
 	TTLFor func(updater string) time.Duration
+	// OnPoison, when set, is told the key of a slate whose encode has
+	// just failed for the first time since it last succeeded — once per
+	// poisoning, not per retry. It runs under the shard lock.
+	OnPoison func(Key)
 }
 
 func (c *ShardedConfig) fill() {
@@ -79,14 +83,12 @@ type shard struct {
 // FlushStats counts group-commit activity.
 type FlushStats struct {
 	// Flushes is the number of FlushDirty calls that found dirty work.
-	Flushes uint64
-	// Batches is the number of group-commit batches issued.
-	Batches uint64
-	// Records is the number of slates persisted by those batches.
-	Records uint64
-	// Errors is the number of batches whose store write failed (their
-	// records were re-marked dirty for retry).
-	Errors uint64
+	Flushes uint64 `metric:"muppet_slate_flush_rounds_total" help:"Group-commit flush rounds."`
+	Batches uint64 `metric:"muppet_slate_flush_batches_total" help:"Multi-put batches written by flush rounds."`
+	Records uint64 `metric:"muppet_slate_flush_records_total" help:"Slate records written by flush rounds."`
+	// Errors counts batches whose store write failed (their records
+	// were re-marked dirty for retry).
+	Errors uint64 `metric:"muppet_slate_flush_errors_total" help:"Flush batches that failed."`
 }
 
 // Add accumulates s into t (engines aggregate per-machine or
@@ -183,7 +185,7 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 	if e, ok := sh.items[k]; ok {
 		sh.stats.Hits++
 		sh.lru.MoveToFront(e.elem)
-		v := e.snapshotLocked(&sh.stats)
+		v := s.snapshotLocked(sh, e)
 		sh.mu.Unlock()
 		return v, nil
 	}
@@ -219,7 +221,7 @@ func (s *Sharded) Peek(k Key) ([]byte, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[k]; ok {
-		return e.snapshotLocked(&sh.stats), true
+		return s.snapshotLocked(sh, e), true
 	}
 	return nil, false
 }
@@ -232,6 +234,7 @@ func (s *Sharded) Put(k Key, value []byte) error {
 	e, ok := sh.items[k]
 	if ok {
 		e.setBytesLocked(value)
+		sh.unpoisonLocked(e)
 		if !e.dirty {
 			e.dirty = true
 			sh.dirty[k] = e
@@ -331,8 +334,7 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 		s.insertLocked(sh, e)
 	}
 	if s.cfg.Policy == WriteThrough && s.cfg.Store != nil {
-		if err := e.encodeLocked(); err != nil {
-			sh.stats.EncodeErrors++
+		if err := s.encodeLocked(sh, e); err != nil {
 			sh.mu.Unlock()
 			return err
 		}
@@ -353,6 +355,7 @@ func (s *Sharded) Delete(k Key) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[k]; ok {
+		sh.unpoisonLocked(e)
 		sh.lru.Remove(e.elem)
 		delete(sh.items, k)
 		delete(sh.dirty, k)
@@ -396,13 +399,13 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 			// entries are already clean. A typed entry encodes here;
 			// if the encode fails the slate cannot be persisted, so
 			// keep it resident rather than drop dirty data.
-			if err := e.encodeLocked(); err != nil {
-				sh.stats.EncodeErrors++
+			if s.encodeLocked(sh, e) != nil {
 				continue
 			}
 			sh.stats.StoreSaves++
 			s.cfg.Store.Save(e.key, e.value, s.ttl(e.key))
 		}
+		sh.unpoisonLocked(e)
 		sh.lru.Remove(el)
 		delete(sh.items, e.key)
 		delete(sh.dirty, e.key)
@@ -436,8 +439,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 			if e.pins > 0 {
 				continue
 			}
-			if e.encodeLocked() != nil {
-				sh.stats.EncodeErrors++
+			if s.encodeLocked(sh, e) != nil {
 				continue
 			}
 			e.dirty = false
@@ -553,6 +555,7 @@ func (s *Sharded) Crash() (dirtyLost int) {
 		sh.items = make(map[Key]*entry)
 		sh.dirty = make(map[Key]*entry)
 		sh.lru = list.New()
+		sh.stats.Poisoned = 0
 		sh.mu.Unlock()
 	}
 	return dirtyLost
@@ -656,7 +659,7 @@ func (s *Sharded) Scan(updater string, read FieldReader, n int, fn func(CacheRow
 				vals = slices.Grow(vals, n)[:off+n]
 				return CacheRow{Key: k.Key, Vals: vals[off:], Encodes: read(e.decoded, vals[off:]), Size: len(e.value)}, true
 			}
-			raw := e.snapshotLocked(&sh.stats)
+			raw := s.snapshotLocked(sh, e)
 			return CacheRow{Key: k.Key, Raw: raw}, raw != nil
 		}
 		rows, vals, busy = rows[:0], vals[:0], busy[:0]

@@ -66,21 +66,41 @@ type FieldCodec interface {
 }
 
 // encodeLocked materializes e.value from e.decoded when the decoded
-// object is newer than the last encoding. Caller holds the cache/shard
-// lock and has checked e.pins == 0 (an updater may be mutating a
-// pinned object concurrently). On encode failure the entry keeps its
-// previous encoding and stays stale.
-func (e *entry) encodeLocked() error {
+// object is newer than the last encoding. Caller holds sh's lock and
+// has checked e.pins == 0 (an updater may be mutating a pinned object
+// concurrently). On encode failure the entry keeps its previous
+// encoding and stays stale; every failure counts in EncodeErrors, and
+// the first since the last success poisons the entry — counted in
+// Poisoned, reported to cfg.OnPoison — until an encode succeeds.
+func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 	if !e.stale {
 		return nil
 	}
 	v, err := e.codec.AppendEncode(nil, e.decoded)
 	if err != nil {
+		sh.stats.EncodeErrors++
+		if !e.poisoned {
+			e.poisoned = true
+			sh.stats.Poisoned++
+			if s.cfg.OnPoison != nil {
+				s.cfg.OnPoison(e.key)
+			}
+		}
 		return err
 	}
 	e.value = v
 	e.stale = false
+	sh.unpoisonLocked(e)
 	return nil
+}
+
+// unpoisonLocked takes e out of the Poisoned count: its encode
+// succeeded, or it is leaving the cache or being overwritten.
+func (sh *shard) unpoisonLocked(e *entry) {
+	if e.poisoned {
+		e.poisoned = false
+		sh.stats.Poisoned--
+	}
 }
 
 // snapshotLocked returns the entry's encoded bytes for read paths
@@ -89,13 +109,10 @@ func (e *entry) encodeLocked() error {
 // holds the decoded object pinned. A pinned entry that has never been
 // encoded reads as nil — the first update for the key has not
 // completed yet, so "no slate" is a linearizable answer. An encode
-// failure also serves the last materialized encoding, counted in
-// stats.EncodeErrors.
-func (e *entry) snapshotLocked(stats *CacheStats) []byte {
-	if e.stale && e.pins == 0 {
-		if e.encodeLocked() != nil {
-			stats.EncodeErrors++
-		}
+// failure also serves the last materialized encoding.
+func (s *Sharded) snapshotLocked(sh *shard, e *entry) []byte {
+	if e.pins == 0 {
+		s.encodeLocked(sh, e)
 	}
 	return e.value
 }

@@ -115,11 +115,11 @@ func (d *Device) SequentialWrite(n int64) time.Duration {
 
 // Stats is a snapshot of device accounting.
 type Stats struct {
-	ReadOps     uint64
-	WriteOps    uint64
-	ReadBytes   int64
-	WriteBytes  int64
-	BusyTime    time.Duration
+	ReadOps     uint64        `metric:"muppet_device_read_ops_total" help:"Simulated device read operations."`
+	WriteOps    uint64        `metric:"muppet_device_write_ops_total" help:"Simulated device write operations."`
+	ReadBytes   int64         `metric:"muppet_device_read_bytes_total" help:"Simulated device bytes read."`
+	WriteBytes  int64         `metric:"muppet_device_write_bytes_total" help:"Simulated device bytes written."`
+	BusyTime    time.Duration `metric:"muppet_device_busy_seconds" help:"Accumulated simulated device busy time."`
 	ProfileName string
 }
 

@@ -51,8 +51,8 @@ type topicCount struct {
 // u2Slate is U2's per-topic memory. The paper's U2 keeps total_count
 // and days per (topic, minute) slate; here the slate is keyed by topic
 // and tracks per-minute observations so the historical average is
-// computable without wall-clock day boundaries (the deterministic
-// substitution is documented in DESIGN.md).
+// computable without wall-clock day boundaries — a deterministic
+// substitution (ARCHITECTURE.md lists the paper's applications kept here).
 type u2Slate struct {
 	// LastCount holds the latest count reported per minute.
 	LastCount map[int]int `json:"last_count"`

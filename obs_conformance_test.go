@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,74 +21,23 @@ import (
 
 // Observability conformance: every counter a subsystem keeps must be
 // visible through /metrics, and after a workload that exercises a
-// subsystem its metrics must be nonzero. The field->metric maps below
-// are checked against the stats structs by reflection, so adding a
-// field to engine.Stats, queue.Stats, or cluster.TCPStats without
-// registering (and testing) a metric for it fails this test.
+// subsystem its metrics must be nonzero. The stats structs name their
+// own metrics in field tags (obs.Struct refuses a numeric field with no
+// tag, so NewEngine fails when one is added unexposed); this test reads
+// the same tags to know which names the workloads must drive.
 
-var engineStatsMetrics = map[string]string{
-	"Ingested":           "muppet_engine_ingested_total",
-	"Processed":          "muppet_engine_processed_total",
-	"Emitted":            "muppet_engine_emitted_total",
-	"SlateUpdates":       "muppet_engine_slate_updates_total",
-	"LostOverflow":       "muppet_engine_lost_overflow_total",
-	"Diverted":           "muppet_engine_diverted_total",
-	"LostMachineDown":    "muppet_engine_lost_machine_down_total",
-	"FailureReports":     "muppet_engine_failure_reports_total",
-	"MaxSlateContention": "muppet_engine_max_slate_contention",
-	"OutputDropped":      "muppet_engine_output_dropped_total",
+// taggedMetrics lists the /metrics names a stats struct's tags declare.
+func taggedMetrics(stats any) []string {
+	var names []string
+	for t, i := reflect.TypeOf(stats), 0; i < t.NumField(); i++ {
+		if name := t.Field(i).Tag.Get("metric"); name != "" && name != "-" {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
-var queueStatsMetrics = map[string]string{
-	"Offered":  "muppet_queue_offered_total",
-	"Accepted": "muppet_queue_accepted_total",
-	"Dropped":  "muppet_queue_dropped_total",
-	"Diverted": "muppet_queue_diverted_total",
-	"Blocked":  "muppet_queue_blocked_total",
-	"MaxDepth": "muppet_queue_max_depth",
-}
-
-// deliveryStatsMetrics maps every cluster.DeliveryStats field to its
-// /metrics name; the reflection check fails when a field is added
-// without a registered metric.
-var deliveryStatsMetrics = map[string]string{
-	"Sequenced":         "muppet_transport_sequenced_batches_total",
-	"TransientErrors":   "muppet_transport_transient_errors_total",
-	"Retries":           "muppet_transport_retries_total",
-	"RetryExhausted":    "muppet_transport_retry_exhausted_total",
-	"IndeterminateLost": "muppet_transport_indeterminate_lost_events_total",
-	"DedupHits":         "muppet_transport_dedup_hits_total",
-	"DedupEntries":      "muppet_transport_dedup_entries",
-}
-
-// queryStatsMetrics maps every query.CountersSnapshot field to its
-// /metrics name; adding a counter to the query subsystem without
-// registering a metric fails the reflection check.
-var queryStatsMetrics = map[string]string{
-	"Kinds":        "muppet_query_queries_total",
-	"RowsScanned":  "muppet_query_rows_scanned_total",
-	"RowsReturned": "muppet_query_rows_returned_total",
-	"FanoutNodes":  "muppet_query_fanout_nodes_total",
-}
-
-var tcpStatsMetrics = map[string]string{
-	"Dials":      "muppet_transport_dials_total",
-	"DialErrors": "muppet_transport_dial_errors_total",
-	"FramesOut":  "muppet_transport_frames_out_total",
-	"FramesIn":   "muppet_transport_frames_in_total",
-	"BytesOut":   "muppet_transport_bytes_out_total",
-	"BytesIn":    "muppet_transport_bytes_in_total",
-}
-
-// outboxStatsMetrics maps every engine.OutboxStats field to its
-// /metrics name (the live depth is a per-machine gauge beside them).
-var outboxStatsMetrics = map[string]string{
-	"Frames":     "muppet_outbox_frames_total",
-	"Deliveries": "muppet_outbox_deliveries_total",
-	"FullWaits":  "muppet_outbox_full_waits_total",
-}
-
-// extraNonzero are metrics beyond the struct-mapped ones that the
+// extraNonzero are metrics beyond those four structs' that the
 // scripted workloads must drive to a nonzero value somewhere.
 var extraNonzero = []string{
 	"muppet_lost_events_total",
@@ -140,6 +90,7 @@ var mustBePresent = []string{
 	"muppet_slate_dirty_lost_total",
 	"muppet_slate_decode_errors_total",
 	"muppet_slate_encode_errors_total",
+	"muppet_slate_poisoned_slates",
 	"muppet_slate_flush_errors_total",
 	"muppet_kvstore_memtable_bytes",
 	"muppet_kvstore_sstables",
@@ -233,18 +184,6 @@ func checkLostLog(t *testing.T, eng muppet.Engine, lines map[string]float64) {
 	}
 }
 
-func requireAllFieldsMapped(t *testing.T, typ reflect.Type, m map[string]string) {
-	t.Helper()
-	for i := 0; i < typ.NumField(); i++ {
-		if _, ok := m[typ.Field(i).Name]; !ok {
-			t.Errorf("%s.%s has no /metrics mapping — register it in internal/obs and map it here", typ, typ.Field(i).Name)
-		}
-	}
-	if len(m) != typ.NumField() {
-		t.Errorf("%s maps %d metrics for %d fields — stale entry?", typ, len(m), typ.NumField())
-	}
-}
-
 // obsConformanceApp is a two-stage workflow with a declared output:
 // S1 -> M1 -> {S2 -> U1 (counting byte slate), SOUT (output ring)}.
 func obsConformanceApp() *muppet.App {
@@ -271,13 +210,6 @@ func hotEvent(i int) muppet.Event {
 }
 
 func TestMetricsConformance(t *testing.T) {
-	requireAllFieldsMapped(t, reflect.TypeOf(engine.Stats{}), engineStatsMetrics)
-	requireAllFieldsMapped(t, reflect.TypeOf(queue.Stats{}), queueStatsMetrics)
-	requireAllFieldsMapped(t, reflect.TypeOf(cluster.TCPStats{}), tcpStatsMetrics)
-	requireAllFieldsMapped(t, reflect.TypeOf(cluster.DeliveryStats{}), deliveryStatsMetrics)
-	requireAllFieldsMapped(t, reflect.TypeOf(query.CountersSnapshot{}), queryStatsMetrics)
-	requireAllFieldsMapped(t, reflect.TypeOf(engine.OutboxStats{}), outboxStatsMetrics)
-
 	// Nonzero coverage accumulates across the scenarios: each drives a
 	// different slice of the pipeline, and at the end every metric in
 	// the required set must have shown a nonzero value somewhere.
@@ -304,13 +236,10 @@ func TestMetricsConformance(t *testing.T) {
 		}
 	})
 
-	required := make([]string, 0, 64)
-	for _, m := range []map[string]string{engineStatsMetrics, queueStatsMetrics, tcpStatsMetrics, queryStatsMetrics} {
-		for _, name := range m {
-			required = append(required, name)
-		}
+	required := slices.Clone(extraNonzero)
+	for _, stats := range []any{engine.Stats{}, queue.Stats{}, cluster.TCPStats{}, query.CountersSnapshot{}} {
+		required = append(required, taggedMetrics(stats)...)
 	}
-	required = append(required, extraNonzero...)
 	for _, name := range required {
 		if !cov[name] {
 			t.Errorf("metric %s never went nonzero across the workload scenarios", name)

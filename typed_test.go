@@ -292,3 +292,59 @@ func TestNewEngineReturnsValidationError(t *testing.T) {
 		}
 	}
 }
+
+// A typed slate that stops encoding is not silent: the first failed
+// encode logs one `encode` loss naming the updater and key, the gauge
+// counts the slate while it is wedged, retries add nothing, and a later
+// value that encodes clears it and reaches the store.
+func TestPoisonedSlateIsReported(t *testing.T) {
+	type acc struct{ X float64 }
+	u := muppet.Update[acc]("U", func(_ muppet.Emitter, in muppet.Event, s *acc) {
+		if string(in.Value) == "reset" {
+			s.X = 1
+		} else {
+			s.X = 2*s.X + 1e308 // the second doubling overflows to +Inf
+		}
+	})
+	for _, version := range []muppet.EngineVersion{muppet.EngineV1, muppet.EngineV2} {
+		store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+		eng, err := muppet.NewEngine(muppet.NewApp("poison").Input("S").AddUpdate(u, []string{"S"}, nil, 0),
+			muppet.Config{Engine: version, Store: store, StoreLevel: muppet.One})
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(value string) {
+			eng.Ingest(muppet.Event{Stream: "S", Key: "k", Value: []byte(value)})
+			eng.Drain()
+			eng.FlushSlates()
+		}
+		send("double")
+		send("double") // +Inf: JSON cannot encode it
+		eng.FlushSlates()
+		eng.Slate("U", "k") // reads retry the encode too
+		lost := eng.LostEvents().Recent()
+		if len(lost) != 1 || lost[0].Reason.String() != "encode" || lost[0].Func != "U" || lost[0].Ev.Key != "k" {
+			t.Fatalf("engine %v: lost log %+v, want exactly one encode loss for U/k", version, lost)
+		}
+		lines := scrapeMetrics(t, eng)
+		if lines["muppet_slate_poisoned_slates"] != 1 || lines[`muppet_lost_events_total{reason="encode"}`] != 1 ||
+			lines["muppet_slate_encode_errors_total"] < 3 {
+			t.Fatalf("engine %v: poisoned=%v encode losses=%v encode errors=%v, want 1, 1, >= 3", version,
+				lines["muppet_slate_poisoned_slates"], lines[`muppet_lost_events_total{reason="encode"}`], lines["muppet_slate_encode_errors_total"])
+		}
+		if got := eng.StoredSlates("U")["k"]; string(got) != `{"X":1e+308}` {
+			t.Fatalf("engine %v: store holds %s while poisoned, want the last value that encoded", version, got)
+		}
+		send("reset")
+		if n := eng.SlateCacheStats().Poisoned; n != 0 {
+			t.Fatalf("engine %v: %d slates still poisoned after a finite write", version, n)
+		}
+		if got := eng.StoredSlates("U")["k"]; string(got) != `{"X":1}` {
+			t.Fatalf("engine %v: store holds %s after the finite write, want {\"X\":1}", version, got)
+		}
+		if n := eng.LostEvents().Total(); n != 1 {
+			t.Fatalf("engine %v: %d losses logged, want 1", version, n)
+		}
+		eng.Stop()
+	}
+}
