@@ -18,7 +18,10 @@ type Emitter interface {
 	// Publish emits an event with the given key and value to a stream.
 	// The framework assigns the event a timestamp strictly greater than
 	// the input event's timestamp, which keeps cyclic workflows
-	// well-defined (Section 3).
+	// well-defined (Section 3). The value is copied, except the input
+	// event's own value re-published as is, which is shared: functions
+	// must not modify in.Value — it is already shared with every other
+	// subscriber of the stream and with the egress sink.
 	Publish(stream, key string, value []byte) error
 	// ReplaceSlate replaces the slate of the <updater, key> pair the
 	// current update call is running for. Calling it from a map

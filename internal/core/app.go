@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -63,6 +64,9 @@ type App struct {
 	functions map[string]*FunctionSpec
 	inputs    map[string]bool
 	outputs   map[string]bool
+	// subscribers maps a stream to the sorted names of the functions
+	// subscribed to it: the per-event fan-out, resolved at registration.
+	subscribers map[string][]string
 	// problems collects registration errors (duplicate names, nil
 	// functions) as they happen; Validate reports them. Registration
 	// stays chainable — errors surface once, at engine construction.
@@ -72,10 +76,24 @@ type App struct {
 // NewApp returns an empty application with the given name.
 func NewApp(name string) *App {
 	return &App{
-		name:      name,
-		functions: make(map[string]*FunctionSpec),
-		inputs:    make(map[string]bool),
-		outputs:   make(map[string]bool),
+		name:        name,
+		functions:   make(map[string]*FunctionSpec),
+		inputs:      make(map[string]bool),
+		outputs:     make(map[string]bool),
+		subscribers: make(map[string][]string),
+	}
+}
+
+// register adds a validated function spec and indexes its
+// subscriptions. A stream's list is rebuilt, never grown in place, so a
+// slice Subscribers already handed out stays as it was.
+func (a *App) register(name string, spec *FunctionSpec) {
+	a.functions[name] = spec
+	for _, s := range spec.Subscribes {
+		subs := a.subscribers[s]
+		if i, listed := slices.BinarySearch(subs, name); !listed {
+			a.subscribers[s] = slices.Insert(slices.Clone(subs), i, name)
+		}
 	}
 }
 
@@ -134,12 +152,12 @@ func (a *App) AddMap(m Mapper, subs, pubs []string) *App {
 	if !a.registerName(m.Name(), "map", fnNil) {
 		return a
 	}
-	a.functions[m.Name()] = &FunctionSpec{
+	a.register(m.Name(), &FunctionSpec{
 		Kind:       KindMap,
 		Mapper:     m,
 		Subscribes: append([]string(nil), subs...),
 		Publishes:  append([]string(nil), pubs...),
-	}
+	})
 	return a
 }
 
@@ -173,7 +191,7 @@ func (a *App) AddUpdate(u Updater, subs, pubs []string, ttl time.Duration) *App 
 	if du, ok := u.(DecodedUpdater); ok {
 		spec.Codec = du.SlateCodec()
 	}
-	a.functions[u.Name()] = spec
+	a.register(u.Name(), spec)
 	return a
 }
 
@@ -221,20 +239,9 @@ func (a *App) IsInput(stream string) bool { return a.inputs[stream] }
 func (a *App) IsOutput(stream string) bool { return a.outputs[stream] }
 
 // Subscribers returns the names of functions subscribed to the stream,
-// sorted for deterministic fan-out order.
-func (a *App) Subscribers(stream string) []string {
-	var out []string
-	for n, f := range a.functions {
-		for _, s := range f.Subscribes {
-			if s == stream {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// sorted for deterministic fan-out order. The slice is the app's own
+// index, resolved at registration: callers must not modify it.
+func (a *App) Subscribers(stream string) []string { return a.subscribers[stream] }
 
 // TTLFor returns the slate TTL configured for the named updater, used
 // by slate caches as their per-updater TTL source.

@@ -16,12 +16,21 @@
 // slate contention to at most two workers per slate while letting a
 // hot key's load spill onto a second thread — the hotspot relief of
 // Sections 4.5 and 5. A striped per-slate lock table serializes those
-// two.
+// two. "Already processing" is one atomic slot per thread holding the
+// hash of the (function, key) it is running, so dispatch takes no lock
+// and allocates nothing to apply the rule.
 //
 // Everything else — ingest, output routing, the background flusher,
 // recovery, slate reads, queries, statistics, Stop — is the runtime's;
 // see its package documentation for the contract and the shutdown
 // order.
+//
+// # Order
+//
+// Per-(function, key) order holds with a single queue
+// (Config.DisableDualQueue). The dual-queue spill gives it up by design:
+// a spilled key runs on two threads, so a later event can be applied
+// before an earlier one — the price of the hotspot relief.
 //
 // # Concurrency
 //

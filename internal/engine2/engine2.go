@@ -131,12 +131,11 @@ func (t *slateLockTable) release(sk slate.Key, l *slateLock) {
 type machine struct {
 	*runtime.Cell
 
-	// runningMu guards running: fk -> thread idx -> count of
-	// invocations of that (function, key) currently executing on the
-	// thread. The dispatcher's "follow the thread already processing
-	// this key" rule reads it (Section 4.5).
-	runningMu sync.Mutex
-	running   map[fk]map[int]int
+	// current holds, per thread, the dispatchHash of the (function, key)
+	// it is processing, 0 when idle: the "follow the thread already
+	// processing this key" rule (Section 4.5) is two atomic loads. A
+	// hash collision can only pick one of the key's own two candidates.
+	current []atomic.Uint64
 
 	// locks is the striped per-slate lock table (one stripe mutex per
 	// acquisition instead of a machine-wide one).
@@ -181,21 +180,6 @@ func (m *machine) release(sc *dispatchScratch) {
 	m.scratchPool.Put(sc)
 }
 
-func (m *machine) markRunning(k fk, idx int, delta int) {
-	m.runningMu.Lock()
-	if m.running[k] == nil {
-		m.running[k] = make(map[int]int)
-	}
-	m.running[k][idx] += delta
-	if m.running[k][idx] <= 0 {
-		delete(m.running[k], idx)
-		if len(m.running[k]) == 0 {
-			delete(m.running, k)
-		}
-	}
-	m.runningMu.Unlock()
-}
-
 // ack retires a delivery from the replay log, if there is one and the
 // delivery is in it.
 func (m *machine) ack(env *engine.Envelope) {
@@ -234,7 +218,7 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 	for _, name := range e.Cluster().LocalNames() {
 		m := &machine{
 			Cell:    e.AddCell(name, "", cfg.ThreadsPerMachine),
-			running: make(map[fk]map[int]int),
+			current: make([]atomic.Uint64, cfg.ThreadsPerMachine),
 			locks:   newSlateLockTable(),
 		}
 		if cfg.ReplayLog {
@@ -298,21 +282,16 @@ func (e *Engine) Unacked(machine string) []engine.Envelope {
 // pays the queue-length locks once, not per delivery; the spill
 // heuristic only needs a consistent relative view.
 func (e *Engine) selectThread(m *machine, k fk, sc *dispatchScratch) int {
-	p, s := e.candidates(m, k)
+	p, s, h := e.candidates(m, k)
 	if e.singleQueue || s == p {
 		return p
 	}
-	m.runningMu.Lock()
-	holders := m.running[k]
-	_, onP := holders[p]
-	_, onS := holders[s]
-	m.runningMu.Unlock()
 	switch {
-	case onP:
+	case m.current[p].Load() == h:
 		// The primary thread is processing this key right now:
 		// follow it.
 		return p
-	case onS:
+	case m.current[s].Load() == h:
 		// The secondary thread is processing this key: follow it.
 		return s
 	case spill(m.depth(sc, p), m.depth(sc, s)):
@@ -412,24 +391,26 @@ func spill(primaryLen, secondaryLen int) bool {
 	return primaryLen > 2*secondaryLen+4
 }
 
+// dispatchHash picks a (function, key)'s primary thread and marks the
+// pair in the current slot of a thread running it. HashPair hashes the
+// pair without concatenating it: no allocation on the hot path.
+func dispatchHash(k fk) uint64 { return hashring.HashPair(k.fn, 0x00, k.key) }
+
 // candidates returns the primary and secondary thread indexes for a
-// (function, key) pair, using two independent hashes. The pair is
-// hashed without concatenating it (hashring.HashPair): this runs once
-// per delivery on the dispatch hot path, and the concatenation's
-// allocation was pure overhead.
-func (e *Engine) candidates(m *machine, k fk) (int, int) {
+// (function, key) pair, using two independent hashes, and the pair's
+// dispatchHash.
+func (e *Engine) candidates(m *machine, k fk) (p, s int, h uint64) {
+	h = dispatchHash(k)
 	n := len(m.Queues)
 	if n == 1 {
-		return 0, 0
+		return 0, 0, h
 	}
-	h1 := hashring.HashPair(k.fn, 0x00, k.key)
-	h2 := hashring.HashPair(k.key, 0x01, k.fn)
-	p := int(h1 % uint64(n))
-	s := int(h2 % uint64(n))
+	p = int(h % uint64(n))
+	s = int(hashring.HashPair(k.key, 0x01, k.fn) % uint64(n))
 	if s == p {
 		s = (p + 1) % n
 	}
-	return p, s
+	return p, s, h
 }
 
 // threadLoop is one worker thread: take the next event from the
@@ -457,11 +438,13 @@ func (e *Engine) threadLoop(m *machine, idx int, q *queue.Queue[engine.Envelope]
 			e.Forward(env.Func, env.Ev)
 			continue
 		}
-		k := fk{fn: env.Func, key: env.Ev.Key}
+		// The compare-and-swap leaves a newer mark alone: a revived
+		// loop overlapping this one's last invocation owns the slot.
+		h := dispatchHash(fk{fn: env.Func, key: env.Ev.Key})
 		sp := e.Begin(&env.Ev)
-		m.markRunning(k, idx, +1)
+		m.current[idx].Store(h)
 		e.process(m, &em, &env, sp)
-		m.markRunning(k, idx, -1)
+		m.current[idx].CompareAndSwap(h, 0)
 		m.ack(&env)
 		e.Done(sp)
 	}

@@ -145,11 +145,11 @@ func TestHotKeySpillsToSecondaryQueue(t *testing.T) {
 	}
 	defer e.Stop()
 	m := e.machines[e.MachineFor("U", "hot")]
-	primary, _ := e.candidates(m, fk{"U", "hot"})
+	primary, _, _ := e.candidates(m, fk{"U", "hot"})
 	blocker := ""
 	for i := 0; blocker == ""; i++ {
 		k := fmt.Sprintf("blocker-%d", i)
-		if p, s := e.candidates(m, fk{"U", k}); p == primary && s != primary {
+		if p, s, _ := e.candidates(m, fk{"U", k}); p == primary && s != primary {
 			blocker = k
 		}
 	}
@@ -171,6 +171,87 @@ func TestHotKeySpillsToSecondaryQueue(t *testing.T) {
 	if busy != 2 {
 		t.Fatalf("hot key used %d queues, want exactly 2 (primary + secondary)", busy)
 	}
+}
+
+func TestKeyFollowsTheThreadProcessingIt(t *testing.T) {
+	// The dispatcher's first rule (Section 4.5): an event for a
+	// (function, key) that one of its two threads is processing goes to
+	// that thread, however the queues compare. Park k's update on its
+	// secondary thread and empty its primary's queue: a further k must
+	// queue behind the parked one, not on the idle primary.
+	entered := make(chan string, 8) // one per invocation below: no update waits on the test
+	gates := map[string]chan struct{}{"k": make(chan struct{})}
+	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
+		entered <- in.Key
+		if g := gates[in.Key]; g != nil {
+			<-g
+		}
+		emit.ReplaceSlate([]byte("x"))
+	}}
+	app := core.NewApp("follow").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+	e, err := New(app, Config{Machines: 1, ThreadsPerMachine: 4, QueueCapacity: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	m := e.machines[e.MachineFor("U", "k")]
+	p, s, _ := e.candidates(m, fk{"U", "k"})
+	blocker := ""
+	for i := 0; blocker == ""; i++ {
+		if bp, _, _ := e.candidates(m, fk{"U", fmt.Sprintf("b%d", i)}); bp == p {
+			blocker = fmt.Sprintf("b%d", i)
+		}
+	}
+	gates[blocker] = make(chan struct{})
+	opened := map[string]bool{}
+	open := func(key string) {
+		if !opened[key] {
+			opened[key] = true
+			close(gates[key])
+		}
+	}
+	// A failed check must not leave Stop waiting on a parked update.
+	defer func() { open(blocker); open("k") }()
+	ingest := func(key string) { e.Ingest(event.Event{Stream: "S1", TS: 1, Key: key}) }
+	awaitEntered := func(key string) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != key {
+				t.Fatalf("invocation for %q, want %q", got, key)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no invocation for %q", key)
+		}
+	}
+
+	// The blocker parks the primary; five more of it follow it there,
+	// deep enough that k spills onto its secondary and parks that too.
+	ingest(blocker)
+	awaitEntered(blocker)
+	for i := 0; i < 5; i++ {
+		ingest(blocker)
+	}
+	ingest("k")
+	awaitEntered("k")
+	if n := m.Queues[s].Queue().Len(); n != 0 {
+		t.Fatalf("secondary queue holds %d events, want k running on it", n)
+	}
+	// Release the primary and let it empty its queue.
+	open(blocker)
+	for i := 0; i < 5; i++ {
+		awaitEntered(blocker)
+	}
+	if n := m.Queues[p].Queue().Len(); n != 0 {
+		t.Fatalf("primary queue holds %d events, want 0", n)
+	}
+
+	ingest("k")
+	if np, ns := m.Queues[p].Queue().Len(), m.Queues[s].Queue().Len(); np != 0 || ns != 1 {
+		t.Fatalf("further k queued primary=%d secondary=%d, want it behind the running k on the secondary", np, ns)
+	}
+	open("k")
+	e.Drain()
 }
 
 func TestCentralCacheSharedAcrossThreads(t *testing.T) {

@@ -110,8 +110,8 @@ func TestIngestBatchDivertPolicyReroutesOverflow(t *testing.T) {
 	key := ""
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("hot%d", i)
-		pf, _ := e.candidates(m, fk{fn: "U_full", key: k})
-		pd, _ := e.candidates(m, fk{fn: "U_degraded", key: k})
+		pf, _, _ := e.candidates(m, fk{fn: "U_full", key: k})
+		pd, _, _ := e.candidates(m, fk{fn: "U_degraded", key: k})
 		if pf != pd {
 			key = k
 			break

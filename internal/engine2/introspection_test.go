@@ -95,7 +95,7 @@ func TestCandidatesDistinctWhenMultipleThreads(t *testing.T) {
 	defer e.Stop()
 	m := e.machines["machine-00"]
 	for i := 0; i < 500; i++ {
-		p, s := e.candidates(m, fk{fn: "U1", key: fmt.Sprintf("k%d", i)})
+		p, s, _ := e.candidates(m, fk{fn: "U1", key: fmt.Sprintf("k%d", i)})
 		if p == s {
 			t.Fatalf("key k%d: primary == secondary == %d", i, p)
 		}
@@ -112,7 +112,7 @@ func TestCandidatesSingleThreadDegenerate(t *testing.T) {
 	}
 	defer e.Stop()
 	m := e.machines["machine-00"]
-	p, s := e.candidates(m, fk{fn: "U1", key: "k"})
+	p, s, _ := e.candidates(m, fk{fn: "U1", key: "k"})
 	if p != 0 || s != 0 {
 		t.Fatalf("single-thread candidates = %d, %d", p, s)
 	}

@@ -19,12 +19,15 @@ import (
 // arena keep their capacity, so a steady-state invocation allocates
 // nothing inside the emitter. Published values are copied once, into
 // the arena; Emit materializes them for the derived events afterwards.
+// The one exception is the invocation's input value re-published as is:
+// it is already immutable and shared, so it is shared once more.
 type Emitter struct {
 	app      *core.App
 	function string
 	isUpdate bool
+	in       []byte // the running invocation's input value
 	outputs  []emitted
-	vals     []byte // scratch arena holding every published value
+	vals     []byte // scratch arena holding every copied value
 	newSlate []byte
 	replaced bool
 	err      error
@@ -34,10 +37,12 @@ type Emitter struct {
 }
 
 // emitted is one published output: its stream and key, and the bounds
-// of its value in the emitter's scratch arena.
+// of its value in the emitter's scratch arena — or, for a re-published
+// input value, that value itself (cap == len).
 type emitted struct {
 	stream, key string
 	off, end    int
+	shared      []byte
 }
 
 // Reset readies the emitter for one invocation of function.
@@ -45,6 +50,7 @@ func (c *Emitter) Reset(app *core.App, function string, isUpdate bool) {
 	c.app = app
 	c.function = function
 	c.isUpdate = isUpdate
+	c.in = nil
 	c.outputs = c.outputs[:0]
 	c.vals = c.vals[:0]
 	c.newSlate = nil
@@ -60,6 +66,10 @@ func (c *Emitter) Publish(stream, key string, value []byte) error {
 			c.err = err
 		}
 		return err
+	}
+	if n := len(value); n > 0 && n == len(c.in) && &value[0] == &c.in[0] {
+		c.outputs = append(c.outputs, emitted{stream: stream, key: key, shared: value[:n:n]})
+		return nil
 	}
 	off := len(c.vals)
 	c.vals = append(c.vals, value...)
@@ -83,6 +93,7 @@ func (c *Emitter) ReplaceSlate(value []byte) {
 // Run executes f on ev into the emitter: a map call, or an update over
 // the slate Cell.Load returned.
 func (c *Emitter) Run(f *core.FunctionSpec, ev event.Event, obj any, raw []byte) {
+	c.in = ev.Value
 	switch {
 	case f.Kind == core.KindMap:
 		f.Mapper.Map(c, ev)
@@ -148,10 +159,10 @@ func (r *Runtime) Begin(ev *event.Event) *obs.Span {
 }
 
 // Emit routes everything an invocation published, closing the span's
-// exec stage first. One allocation holds every value; the derived
-// events slice it. The emitter's scratch arena cannot be handed out
-// directly — the next invocation reuses it, while queues, the replay
-// log, and the egress sink retain the events indefinitely.
+// exec stage first. One allocation holds every copied value; the
+// derived events slice it. The emitter's scratch arena cannot be handed
+// out directly — the next invocation reuses it, while queues, the
+// replay log, and the egress sink retain the events indefinitely.
 func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 	sp.MarkExec()
 	if len(em.outputs) == 0 {
@@ -187,11 +198,11 @@ func (r *Runtime) Forward(fn string, ev event.Event) {
 
 // derive stamps an emitted record into a routable event: timestamp
 // strictly greater than the input's, fresh sequence number, inherited
-// ingress stamp, value sliced out of the invocation's arena (the
-// three-index slice keeps a downstream append from growing into the
-// next output's bytes).
+// ingress stamp, value shared or sliced out of the invocation's arena
+// (either way cap == len, so a downstream append reallocates instead of
+// growing into bytes it does not own).
 func (r *Runtime) derive(out emitted, arena []byte, in *event.Event) event.Event {
-	var value []byte
+	value := out.shared
 	if out.end > out.off {
 		value = arena[out.off:out.end:out.end]
 	}

@@ -60,7 +60,8 @@ type Config struct {
 	SendLatency time.Duration
 	// DisableDualQueue (2.0) restricts dispatch to the primary queue
 	// only, restoring the 1.0-style single-owner behavior; experiment E6
-	// uses it as the ablation baseline.
+	// uses it as the ablation baseline. Per-<function, key> order holds
+	// only with the single queue; the dual-queue spill gives it up.
 	DisableDualQueue bool
 	// ReplayLog (2.0) enables the event replay capability the paper
 	// lists as future work (§4.3): every accepted delivery is logged

@@ -405,7 +405,9 @@ type Config struct {
 	// SendLatency is the simulated per-hop network latency.
 	SendLatency time.Duration
 	// DisableDualQueue restores single-queue dispatch under 2.0 (the
-	// E6 ablation).
+	// E6 ablation). With a single queue each <function, key>'s events
+	// are applied in the order they arrived; the dual-queue spill gives
+	// that order up for hotspot relief.
 	DisableDualQueue bool
 	// ReplayLog enables event replay after machine failure (2.0 only):
 	// the capability the paper lists as future work in Section 4.3.
