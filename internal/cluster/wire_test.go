@@ -13,7 +13,7 @@ import (
 
 func TestWireRequestRoundTrip(t *testing.T) {
 	ds := []Delivery{
-		{Worker: "U1#0", Ev: event.Event{Stream: "S1", TS: 123456, Seq: 9, Key: "k", Value: []byte("v"), Ingress: -7}, Tag: 42},
+		{Worker: "U1#0", Ev: event.Event{Stream: "S1", TS: 123456, Seq: 9, Key: "k", Value: []byte(`{"v":1}`), Ingress: -7, Decoded: &struct{ V int }{1}}, Tag: 42},
 		{Worker: "U2#1", Ev: event.Event{Stream: "S2", TS: -5, Key: "nil-value"}},
 		{Worker: "", Ev: event.Event{Key: "", Value: []byte{}}}, // empty strings, empty value
 	}
@@ -40,6 +40,10 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		}
 		if string(g.Ev.Value) != string(w.Ev.Value) || (g.Ev.Value == nil) != (w.Ev.Value == nil) {
 			t.Errorf("delivery %d value = %#v, want %#v", i, g.Ev.Value, w.Ev.Value)
+		}
+		// The decoded payload is node-local: the receiver decodes anew.
+		if g.Ev.Decoded != nil {
+			t.Errorf("delivery %d crossed the wire with a decoded payload %v", i, g.Ev.Decoded)
 		}
 		// Tag is sender-local: the decoder assigns batch positions.
 		if g.Tag != i {

@@ -21,7 +21,9 @@ type Emitter interface {
 	// well-defined (Section 3). The value is copied, except the input
 	// event's own value re-published as is, which is shared: functions
 	// must not modify in.Value — it is already shared with every other
-	// subscriber of the stream and with the egress sink.
+	// subscriber of the stream and with the egress sink. A shared value
+	// carries the object Payload decoded from it, which is shared the
+	// same way and must not be modified either.
 	Publish(stream, key string, value []byte) error
 	// ReplaceSlate replaces the slate of the <updater, key> pair the
 	// current update call is running for. Calling it from a map

@@ -76,6 +76,35 @@ func (RawCodec) AppendEncode(dst []byte, s *[]byte) ([]byte, error) {
 	return append(dst, *s...), nil
 }
 
+// Payload returns in.Value JSON-decoded into a *T, at most once per
+// process: the engines' emitter remembers the object beside the input's
+// bytes, and a re-publish of in.Value as is carries it to subscribers.
+// The object is shared like in.Value, possibly across threads, and must
+// not be modified. Other emitters (the Reference's) decode every call.
+func Payload[T any](emit Emitter, in event.Event) (*T, error) {
+	memo, _ := emit.(payloadMemo)
+	if memo != nil {
+		if p, ok := memo.PayloadOf(in.Value).(*T); ok {
+			return p, nil
+		}
+	}
+	p := new(T)
+	if err := json.Unmarshal(in.Value, p); err != nil {
+		return nil, err
+	}
+	if memo != nil {
+		memo.NotePayload(in.Value, p)
+	}
+	return p, nil
+}
+
+// payloadMemo is the engines' emitter. It answers only for the input's
+// own bytes (same array, same length), never for a copy or sub-slice.
+type payloadMemo interface {
+	PayloadOf(value []byte) any
+	NotePayload(value []byte, decoded any)
+}
+
 // DecodedUpdater is implemented by update functions built with the
 // typed constructors (Update, UpdateWith). The engines detect it and
 // route the invocation through the decoded slate cache: the function

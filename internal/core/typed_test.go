@@ -220,3 +220,23 @@ func TestValidationErrorIsTypedFromEngineConstruction(t *testing.T) {
 		t.Fatalf("err = %#v", err)
 	}
 }
+
+// TestPayloadUnderForeignEmitter: an emitter that remembers nothing gets
+// a fresh decode of the bytes on every call. An object riding the event
+// is not trusted without the engine's emitter, which knows what bytes
+// it came with.
+func TestPayloadUnderForeignEmitter(t *testing.T) {
+	in := event.Event{Value: []byte(`{"n":4}`), Decoded: &testSlate{N: 99}}
+	em := &captureEmitter{}
+	a, err := Payload[testSlate](em, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := Payload[testSlate](em, in)
+	if a.N != 4 || b.N != 4 || a == b {
+		t.Fatalf("Payload = %+v (%p), %+v (%p): want two decodes of the bytes", a, a, b, b)
+	}
+	if _, err := Payload[testSlate](em, event.Event{Value: []byte(`{"n":`)}); err == nil {
+		t.Fatal("Payload of malformed JSON returned no error")
+	}
+}

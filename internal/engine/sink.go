@@ -121,6 +121,7 @@ func (s *Sink) stream(name string) *sinkStream {
 // Record appends an event to its stream's ring and delivers it to
 // every subscriber (non-blocking) and handler (synchronous).
 func (s *Sink) Record(e event.Event) {
+	e.Decoded = nil // egress is bytes; retention must not keep the object alive
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -37,6 +37,27 @@ func TestSinkBoundedRingKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestSinkDropsDecodedPayload: egress is the event's bytes; retention,
+// subscribers and handlers never hold the decoded object.
+func TestSinkDropsDecodedPayload(t *testing.T) {
+	s := NewSink(0)
+	sub := s.Subscribe("S", 1)
+	var handled event.Event
+	s.Attach("S", OutputHandlerFunc(func(ev event.Event) { handled = ev }))
+	ev := sev("S", "k")
+	ev.Value, ev.Decoded = []byte(`1`), new(int)
+	s.Record(ev)
+	if got := s.Events("S")[0]; got.Decoded != nil || string(got.Value) != "1" {
+		t.Fatalf("retained %+v, want the bytes without the decoded payload", got)
+	}
+	if got := <-sub.C(); got.Decoded != nil {
+		t.Fatalf("subscriber got a decoded payload %v", got.Decoded)
+	}
+	if handled.Decoded != nil {
+		t.Fatalf("handler got a decoded payload %v", handled.Decoded)
+	}
+}
+
 func TestSinkUnboundedKeepsEverything(t *testing.T) {
 	s := NewSink(0)
 	for i := 0; i < 100; i++ {

@@ -2,6 +2,7 @@ package engine2
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"muppet/internal/core"
@@ -106,5 +107,145 @@ func TestEmitterArenaIsolation(t *testing.T) {
 	}
 	if grown := append(same, '!'); &grown[0] == &in.Value[0] || string(in.Value[:6]) != "input\x00" {
 		t.Fatalf("append to a shared value grew into the input's spare capacity: %q", in.Value[:6])
+	}
+}
+
+// doc and otherDoc are two payload types with the same JSON shape.
+type doc struct {
+	N int `json:"n"`
+}
+
+type otherDoc struct {
+	N int `json:"n"`
+}
+
+// TestPayloadMemo pins what the runtime emitter answers core.Payload: the
+// object that arrived with the input when its type matches, otherwise
+// one decode of the bytes, remembered for the rest of the invocation —
+// and never an object for bytes other than the input's own.
+func TestPayloadMemo(t *testing.T) {
+	var body func(core.Emitter, event.Event)
+	m := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) { body(emit, in) }}
+	app := core.NewApp("memo").Input("S1").AddMap(m, []string{"S1"}, nil)
+	run := func(in event.Event) (first, second *doc) {
+		body = func(emit core.Emitter, in event.Event) {
+			var err error
+			if first, err = core.Payload[doc](emit, in); err != nil {
+				t.Fatal(err)
+			}
+			second, _ = core.Payload[doc](emit, in)
+		}
+		var em runtime.Emitter
+		em.Reset(app, "M1", false)
+		em.Run(app.Function("M1"), in, nil, nil)
+		return first, second
+	}
+	in := event.Event{Stream: "S1", Key: "k", Value: []byte(`{"n":1}`)}
+
+	arrived := &doc{N: 1}
+	in.Decoded = arrived
+	if first, _ := run(in); first != arrived {
+		t.Fatal("Payload decoded again instead of using the object that arrived with the input")
+	}
+	in.Decoded = &otherDoc{N: 1}
+	if first, second := run(in); first.N != 1 || first != second {
+		t.Fatalf("object of another type: Payload = %+v then %p vs %p, want one decode of the bytes", first, first, second)
+	}
+
+	// A value that is not the input's own bytes — a copy, a sub-slice —
+	// is decoded on every call and never remembered.
+	in.Decoded = nil
+	var memo runtime.Emitter
+	memo.Reset(app, "M1", false)
+	body = func(emit core.Emitter, in event.Event) {
+		cp := in
+		cp.Value = []byte(`{"n":2}`)
+		a, _ := core.Payload[doc](emit, cp)
+		b, _ := core.Payload[doc](emit, cp)
+		sub := in
+		sub.Value = in.Value[:len(in.Value)-1]
+		if a.N != 2 || a == b {
+			t.Errorf("a copy's payload = %+v, %p vs %p: want a fresh decode per call", a, a, b)
+		}
+		if _, err := core.Payload[doc](emit, sub); err == nil {
+			t.Error("a truncated sub-slice of the input decoded without error")
+		}
+		if got, _ := core.Payload[doc](emit, in); got.N != 1 {
+			t.Errorf("input payload = %+v after reading copies, want n=1", got)
+		}
+	}
+	memo.Run(app.Function("M1"), in, nil, nil)
+}
+
+// TestPayloadTravelsOnlyWithItsBytes runs derived events through the
+// engine: a downstream subscriber gets the publisher's decoded object
+// only beside the very bytes it was decoded from. An object a caller
+// ingests with an event is dropped. A re-publish before the publisher's
+// own Payload call still carries the right object, a reused emitter
+// carries nothing stale, and a sub-slice or a modified copy of the
+// input carries nothing at all.
+func TestPayloadTravelsOnlyWithItsBytes(t *testing.T) {
+	type seen struct {
+		decoded any
+		got     *doc
+	}
+	var (
+		body    func(core.Emitter, event.Event)
+		mapped  *doc
+		records map[string]seen
+	)
+	m1 := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) { body(emit, in) }}
+	m2 := core.MapFunc{FName: "M2", Fn: func(emit core.Emitter, in event.Event) {
+		got, err := core.Payload[doc](emit, in)
+		if err != nil {
+			t.Errorf("%s: %v", in.Key, err)
+			return
+		}
+		records[in.Key] = seen{decoded: in.Decoded, got: got}
+	}}
+	app := core.NewApp("travel").Input("S1").
+		AddMap(m1, []string{"S1"}, []string{"S2"}).
+		AddMap(m2, []string{"S2"}, nil)
+	e, err := New(app, Config{Machines: 1, ThreadsPerMachine: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	// A caller's Decoded is not the engine's: ingest drops it.
+	ingest := func(value string) {
+		records = map[string]seen{}
+		if _, err := e.IngestBatch([]event.Event{{Stream: "S1", Key: "k", Value: []byte(value), Decoded: &doc{N: -1}}}); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
+
+	// Publish first, decode after; twice on the one thread's emitter.
+	body = func(emit core.Emitter, in event.Event) {
+		emit.Publish("S2", "same", in.Value)
+		mapped, _ = core.Payload[doc](emit, in)
+	}
+	for _, n := range []int{1, 5} {
+		ingest(fmt.Sprintf(`{"n":%d}`, n))
+		r := records["same"]
+		if r.got == nil || r.got.N != n || r.decoded != any(mapped) || r.got != mapped {
+			t.Fatalf("n=%d: downstream read %+v (arrived %v), publisher decoded %p", n, r.got, r.decoded, mapped)
+		}
+	}
+
+	body = func(emit core.Emitter, in event.Event) {
+		mapped, _ = core.Payload[doc](emit, in)
+		emit.Publish("S2", "same", in.Value)
+		emit.Publish("S2", "sub", in.Value[:len(in.Value)-1])
+		emit.Publish("S2", "copy", bytes.Replace(in.Value, []byte("7"), []byte("8"), 1))
+	}
+	ingest(`{"n":7} `)
+	if r := records["same"]; r.decoded != any(mapped) || r.got != mapped {
+		t.Fatalf("shared re-publish: arrived %v, read %p; publisher decoded %p", r.decoded, r.got, mapped)
+	}
+	for key, want := range map[string]int{"sub": 7, "copy": 8} {
+		if r := records[key]; r.got == nil || r.decoded != nil || r.got == mapped || r.got.N != want {
+			t.Fatalf("%s: arrived with %v, read %+v; want no object and n=%d", key, r.decoded, r.got, want)
+		}
 	}
 }

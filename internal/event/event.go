@@ -52,6 +52,10 @@ type Event struct {
 	// delivery is untraced. Node-local (never crosses the wire); like
 	// Ingress, it is not part of the MapUpdate model.
 	TraceEnq int64
+	// Decoded is Value decoded by core.Payload, set by the engine only
+	// beside the exact bytes it came from; shared and read-only like
+	// Value. Node-local: the wire, the egress sink and ingest drop it.
+	Decoded any
 }
 
 // Less reports whether e is ordered strictly before f in the global
@@ -85,19 +89,6 @@ func (e Event) Compare(f Event) int {
 		return 1
 	}
 	return 0
-}
-
-// Clone returns a deep copy of the event. Engines clone events at
-// machine boundaries so that a mutation by one worker can never be
-// observed by another, mirroring the serialization that a real network
-// hop performs.
-func (e Event) Clone() Event {
-	c := e
-	if e.Value != nil {
-		c.Value = make([]byte, len(e.Value))
-		copy(c.Value, e.Value)
-	}
-	return c
 }
 
 // String renders the event for logs and tests.

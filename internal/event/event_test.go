@@ -56,23 +56,6 @@ func TestCompareAgreesWithLess(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	e := Event{Stream: "s", Key: "k", Value: []byte("hello")}
-	c := e.Clone()
-	c.Value[0] = 'X'
-	if string(e.Value) != "hello" {
-		t.Fatalf("clone shares value storage: %q", e.Value)
-	}
-}
-
-func TestCloneNilValue(t *testing.T) {
-	e := Event{Stream: "s"}
-	c := e.Clone()
-	if c.Value != nil {
-		t.Fatal("clone of nil value must stay nil")
-	}
-}
-
 func TestStringTruncatesLongValues(t *testing.T) {
 	long := make([]byte, 100)
 	for i := range long {

@@ -114,6 +114,7 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	var isOut bool
 	for i := range evs {
 		ev := evs[i]
+		ev.Decoded = nil // only the engine attaches one, beside its own bytes
 		if ev.Seq == 0 {
 			ev.Seq = d.Seq.Add(1)
 		}

@@ -75,11 +75,12 @@ func (s *Stats) Add(o Stats) {
 // Queue is a bounded FIFO, safe for concurrent producers and
 // consumers. The element type is generic: Muppet 1.0 workers queue
 // bare events, Muppet 2.0 threads queue (function, event) envelopes.
+// Its ring starts at 256 and doubles up to the capacity as it fills.
 type Queue[T any] struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
-	buf      []T
+	buf      []T // the ring; len(buf) <= capacity
 	head     int
 	count    int
 	capacity int
@@ -95,13 +96,22 @@ func New[T any](capacity int, policy OverflowPolicy) *Queue[T] {
 		panic("queue: capacity must be positive")
 	}
 	q := &Queue[T]{
-		buf:      make([]T, capacity),
+		buf:      make([]T, min(capacity, 256)),
 		capacity: capacity,
 		policy:   policy,
 	}
 	q.notEmpty = sync.NewCond(&q.mu)
 	q.notFull = sync.NewCond(&q.mu)
 	return q
+}
+
+// grow doubles a full ring, up to the capacity, unwrapping it so the
+// oldest element lands at index 0; the caller holds q.mu.
+func (q *Queue[T]) grow() {
+	buf := make([]T, min(2*len(q.buf), q.capacity))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // PutBatch offers the elements in order under a single lock
@@ -170,7 +180,10 @@ func (q *Queue[T]) admit(es []T, wait bool) (accepted int, err error) {
 				}
 			}
 		}
-		q.buf[(q.head+q.count)%q.capacity] = es[i]
+		if q.count == len(q.buf) {
+			q.grow()
+		}
+		q.buf[(q.head+q.count)%len(q.buf)] = es[i]
 		q.count++
 		if q.count > q.stats.MaxDepth {
 			q.stats.MaxDepth = q.count
@@ -195,7 +208,7 @@ func (q *Queue[T]) Get() (T, error) {
 	}
 	e := q.buf[q.head]
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % q.capacity
+	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	q.notFull.Signal()
 	return e, nil
@@ -212,7 +225,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	}
 	e := q.buf[q.head]
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % q.capacity
+	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	q.notFull.Signal()
 	return e, true
@@ -233,7 +246,7 @@ func (q *Queue[T]) Drain() []T {
 	for q.count > 0 {
 		out = append(out, q.buf[q.head])
 		q.buf[q.head] = zero
-		q.head = (q.head + 1) % q.capacity
+		q.head = (q.head + 1) % len(q.buf)
 		q.count--
 	}
 	q.notEmpty.Broadcast()

@@ -3,6 +3,8 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -214,6 +216,82 @@ func TestWraparound(t *testing.T) {
 			if e.Seq != uint64(round*3+i) {
 				t.Fatalf("round %d: got %d, want %d", round, e.Seq, round*3+i)
 			}
+		}
+	}
+}
+
+// TestNewAllocatesSmallRing pins that a queue's memory follows its
+// depth, not its bound: at 128 bytes an element, a full 1<<16 ring
+// would be 8 MiB up front.
+func TestNewAllocatesSmallRing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	q := New[[128]byte](1<<16, Drop)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(q)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("New(1<<16) allocated %d bytes, want <= 64 KiB", n)
+	}
+	if q.Cap() != 1<<16 {
+		t.Fatalf("Cap() = %d, want %d", q.Cap(), 1<<16)
+	}
+}
+
+// TestRingModel runs random batched puts and offers, gets, try-gets and
+// a final drain against a slice, at a capacity that makes the ring both
+// wrap and grow (256 → 512 → 1000) with its head anywhere: order,
+// admission at the capacity, depth and MaxDepth must match the model.
+func TestRingModel(t *testing.T) {
+	const capacity = 1000
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 20; trial++ {
+		q := New[int](capacity, Drop)
+		var model []int
+		next, maxDepth := 0, 0
+		for op := 0; op < 2000; op++ {
+			switch k := rng.IntN(10); {
+			case k < 4:
+				es := make([]int, 1+rng.IntN(64))
+				for i := range es {
+					es[i] = next
+					next++
+				}
+				put := q.PutBatch
+				if k%2 == 1 {
+					put = q.OfferBatch
+				}
+				n, err := put(es)
+				if want := min(len(es), capacity-len(model)); n != want || (n < len(es)) != errors.Is(err, ErrOverflow) {
+					t.Fatalf("trial %d op %d: accepted %d (err %v) of %d at depth %d, want %d", trial, op, n, err, len(es), len(model), want)
+				}
+				model = append(model, es[:n]...)
+				maxDepth = max(maxDepth, len(model))
+			case k < 7:
+				for n := rng.IntN(48); n > 0 && len(model) > 0; n-- {
+					e, err := q.Get()
+					if err != nil || e != model[0] {
+						t.Fatalf("trial %d op %d: Get = %d, %v; want %d", trial, op, e, err, model[0])
+					}
+					model = model[1:]
+				}
+			default:
+				e, ok := q.TryGet()
+				if ok != (len(model) > 0) || ok && e != model[0] {
+					t.Fatalf("trial %d op %d: TryGet = %d, %v; model %v", trial, op, e, ok, model[:min(len(model), 1)])
+				}
+				if ok {
+					model = model[1:]
+				}
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("trial %d op %d: Len = %d, want %d", trial, op, q.Len(), len(model))
+			}
+		}
+		if got := q.Drain(); fmt.Sprint(got) != fmt.Sprint(model) {
+			t.Fatalf("trial %d: Drain = %v, want %v", trial, got, model)
+		}
+		if st := q.Stats(); st.MaxDepth != maxDepth {
+			t.Fatalf("trial %d: MaxDepth = %d, want %d", trial, st.MaxDepth, maxDepth)
 		}
 	}
 }

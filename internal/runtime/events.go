@@ -20,12 +20,14 @@ import (
 // nothing inside the emitter. Published values are copied once, into
 // the arena; Emit materializes them for the derived events afterwards.
 // The one exception is the invocation's input value re-published as is:
-// it is already immutable and shared, so it is shared once more.
+// it is already immutable and shared, so it is shared once more, with
+// the object core.Payload decoded from it, if any.
 type Emitter struct {
 	app      *core.App
 	function string
 	isUpdate bool
 	in       []byte // the running invocation's input value
+	decoded  any    // in's decoded payload, when known
 	outputs  []emitted
 	vals     []byte // scratch arena holding every copied value
 	newSlate []byte
@@ -50,7 +52,7 @@ func (c *Emitter) Reset(app *core.App, function string, isUpdate bool) {
 	c.app = app
 	c.function = function
 	c.isUpdate = isUpdate
-	c.in = nil
+	c.in, c.decoded = nil, nil
 	c.outputs = c.outputs[:0]
 	c.vals = c.vals[:0]
 	c.newSlate = nil
@@ -67,14 +69,34 @@ func (c *Emitter) Publish(stream, key string, value []byte) error {
 		}
 		return err
 	}
-	if n := len(value); n > 0 && n == len(c.in) && &value[0] == &c.in[0] {
-		c.outputs = append(c.outputs, emitted{stream: stream, key: key, shared: value[:n:n]})
+	if c.isInput(value) {
+		c.outputs = append(c.outputs, emitted{stream: stream, key: key, shared: value[:len(value):len(value)]})
 		return nil
 	}
 	off := len(c.vals)
 	c.vals = append(c.vals, value...)
 	c.outputs = append(c.outputs, emitted{stream: stream, key: key, off: off, end: len(c.vals)})
 	return nil
+}
+
+// isInput reports whether value is the input's own bytes, not a copy.
+func (c *Emitter) isInput(value []byte) bool {
+	return len(value) > 0 && len(value) == len(c.in) && &value[0] == &c.in[0]
+}
+
+// PayloadOf returns the input's decoded payload, if value is the input.
+func (c *Emitter) PayloadOf(value []byte) any {
+	if c.isInput(value) {
+		return c.decoded
+	}
+	return nil
+}
+
+// NotePayload remembers the input's decoded payload for a re-publish.
+func (c *Emitter) NotePayload(value []byte, decoded any) {
+	if c.isInput(value) {
+		c.decoded = decoded
+	}
 }
 
 // ReplaceSlate implements core.Emitter.
@@ -93,7 +115,7 @@ func (c *Emitter) ReplaceSlate(value []byte) {
 // Run executes f on ev into the emitter: a map call, or an update over
 // the slate Cell.Load returned.
 func (c *Emitter) Run(f *core.FunctionSpec, ev event.Event, obj any, raw []byte) {
-	c.in = ev.Value
+	c.in, c.decoded = ev.Value, ev.Decoded
 	switch {
 	case f.Kind == core.KindMap:
 		f.Mapper.Map(c, ev)
@@ -174,7 +196,7 @@ func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 		copy(arena, em.vals)
 	}
 	for _, out := range em.outputs {
-		r.route(r.derive(out, arena, in), engine.FromWorker, &em.one)
+		r.route(r.derive(out, arena, em.decoded, in), engine.FromWorker, &em.one)
 	}
 	sp.MarkEmit()
 }
@@ -200,20 +222,23 @@ func (r *Runtime) Forward(fn string, ev event.Event) {
 // strictly greater than the input's, fresh sequence number, inherited
 // ingress stamp, value shared or sliced out of the invocation's arena
 // (either way cap == len, so a downstream append reallocates instead of
-// growing into bytes it does not own).
-func (r *Runtime) derive(out emitted, arena []byte, in *event.Event) event.Event {
-	value := out.shared
-	if out.end > out.off {
-		value = arena[out.off:out.end:out.end]
-	}
-	return event.Event{
+// growing into bytes it does not own). A shared value is the input's
+// and carries decoded, the input's payload.
+func (r *Runtime) derive(out emitted, arena []byte, decoded any, in *event.Event) event.Event {
+	ev := event.Event{
 		Stream:  out.stream,
 		TS:      in.TS + 1,
 		Seq:     r.seq.Add(1),
 		Key:     out.key,
-		Value:   value,
+		Value:   out.shared,
 		Ingress: in.Ingress,
 	}
+	if out.shared != nil {
+		ev.Decoded = decoded
+	} else if out.end > out.off {
+		ev.Value = arena[out.off:out.end:out.end]
+	}
+	return ev
 }
 
 // route fans an event out to every subscriber of its stream, on behalf
@@ -235,6 +260,7 @@ func (r *Runtime) Ingest(ev event.Event) {
 	if !r.app.IsInput(ev.Stream) {
 		panic(fmt.Sprintf("muppet: Ingest on non-input stream %s", ev.Stream))
 	}
+	ev.Decoded = nil // only the engine attaches one, beside its own bytes
 	if ev.Seq == 0 {
 		ev.Seq = r.seq.Add(1)
 	}

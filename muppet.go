@@ -144,6 +144,12 @@ func UpdateWith[S any](name string, codec Codec[S], fn func(emit Emitter, in Eve
 	return core.UpdateWith[S](name, codec, fn)
 }
 
+// Payload returns in.Value JSON-decoded into a *T, at most once per
+// process; the object is shared and must not be modified (core.Payload).
+func Payload[T any](emit Emitter, in Event) (*T, error) {
+	return core.Payload[T](emit, in)
+}
+
 // App is a MapUpdate application: a workflow graph of map and update
 // functions connected by streams.
 type App = core.App

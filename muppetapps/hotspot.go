@@ -59,7 +59,7 @@ func (s SplitSlate) Total() int {
 func SplitCountApp(cfg SplitCountConfig) *muppet.App {
 	cfg.fill()
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
-		c, err := workload.ParseCheckin(in.Value)
+		c, err := muppet.Payload[workload.Checkin](emit, in)
 		if err != nil {
 			return
 		}
@@ -85,8 +85,8 @@ func SplitCountApp(cfg SplitCountConfig) *muppet.App {
 		emit.Publish("S3", retailer, b)
 	})
 	utotal := muppet.Update[SplitSlate]("U_total", func(emit muppet.Emitter, in muppet.Event, st *SplitSlate) {
-		var p partial
-		if err := json.Unmarshal(in.Value, &p); err != nil {
+		p, err := muppet.Payload[partial](emit, in)
+		if err != nil {
 			return
 		}
 		if st.Parts == nil {

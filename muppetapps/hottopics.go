@@ -89,7 +89,7 @@ func (s *u2Slate) average(excludeMinute int) float64 {
 func HotTopicsApp(cfg HotTopicsConfig) *muppet.App {
 	cfg.fill()
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
-		t, err := workload.ParseTweet(in.Value)
+		t, err := muppet.Payload[workload.Tweet](emit, in)
 		if err != nil {
 			return
 		}
@@ -116,8 +116,8 @@ func HotTopicsApp(cfg HotTopicsConfig) *muppet.App {
 	// same map — previously each event paid a full Unmarshal + Marshal
 	// of the whole per-minute history.
 	u2 := muppet.Update[u2Slate]("U2", func(emit muppet.Emitter, in muppet.Event, st *u2Slate) {
-		var tc topicCount
-		if err := json.Unmarshal(in.Value, &tc); err != nil {
+		tc, err := muppet.Payload[topicCount](emit, in)
+		if err != nil {
 			return
 		}
 		if st.LastCount == nil {

@@ -39,10 +39,12 @@ type repDelta struct {
 // U_rep's slates.
 func ReputationApp() *muppet.App {
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
-		t, err := workload.ParseTweet(in.Value)
+		t, err := muppet.Payload[workload.Tweet](emit, in)
 		if err != nil {
 			return
 		}
+		// Re-published as is, the bytes carry the decoded tweet along:
+		// U_rep reads it without parsing them again.
 		emit.Publish("S2", t.User, in.Value)
 	}}
 	// The per-user RepSlate lives decoded in the cache: every tweet
@@ -51,7 +53,7 @@ func ReputationApp() *muppet.App {
 	urep := muppet.Update[RepSlate]("U_rep", func(emit muppet.Emitter, in muppet.Event, st *RepSlate) {
 		switch in.Stream {
 		case "S2":
-			t, err := workload.ParseTweet(in.Value)
+			t, err := muppet.Payload[workload.Tweet](emit, in)
 			if err != nil {
 				return
 			}
@@ -69,8 +71,8 @@ func ReputationApp() *muppet.App {
 				emit.Publish("S3", target, b)
 			}
 		case "S3":
-			var d repDelta
-			if err := json.Unmarshal(in.Value, &d); err != nil {
+			d, err := muppet.Payload[repDelta](emit, in)
+			if err != nil {
 				return
 			}
 			st.Score += d.Delta

@@ -41,7 +41,7 @@ func CanonicalRetailer(venue string) (string, bool) {
 // U1 (query them with Engine.Slate("U1", retailer)).
 func RetailerApp() *muppet.App {
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
-		c, err := workload.ParseCheckin(in.Value)
+		c, err := muppet.Payload[workload.Checkin](emit, in)
 		if err != nil {
 			return
 		}

@@ -58,7 +58,7 @@ func TopURLsApp(k int) *muppet.App {
 		k = 10
 	}
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
-		t, err := workload.ParseTweet(in.Value)
+		t, err := muppet.Payload[workload.Tweet](emit, in)
 		if err != nil {
 			return
 		}
@@ -75,8 +75,8 @@ func TopURLsApp(k int) *muppet.App {
 	// also the biggest decode-once win: the whole top-K table used to
 	// be unmarshalled and re-marshalled on every count report.
 	utop := muppet.Update[TopSlate]("U_top", func(emit muppet.Emitter, in muppet.Event, st *TopSlate) {
-		var uc urlCount
-		if err := json.Unmarshal(in.Value, &uc); err != nil {
+		uc, err := muppet.Payload[urlCount](emit, in)
+		if err != nil {
 			return
 		}
 		st.K = k

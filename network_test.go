@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"muppet"
+	"muppet/internal/core"
 	"muppet/muppetapps"
 )
 
@@ -343,4 +344,33 @@ func TestThreeNodeClusterRunsMuppetApp(t *testing.T) {
 	if sum != wantSum {
 		t.Fatalf("retailer counts sum to %d, want %d (lost updates!)", sum, wantSum)
 	}
+}
+
+// TestThreeNodeReputationMatchesReference runs Example 3 across a
+// three-node TCP cluster, one event at a time, against core.Reference:
+// whether U_rep read the tweet M1 decoded on its own node or decoded it
+// off the wire, the slates must be the Reference's byte for byte.
+func TestThreeNodeReputationMatchesReference(t *testing.T) {
+	members := []string{"machine-00", "machine-01", "machine-02"}
+	nodes := startNetNodes(t, muppet.EngineV2, muppetapps.ReputationApp, members)
+	evs := muppetapps.NewGenerator(muppetapps.GenConfig{Seed: 26, Users: 60, RetweetFraction: 0.5}).Tweets("S1", 300)
+	ref := core.NewReference(muppetapps.ReputationApp())
+	for i, ev := range evs {
+		if err := ref.Process([]muppet.Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := nodes[members[i%len(members)]].IngestBatch([]muppet.Event{ev}); n != 1 || err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		// A tweet's updates cross up to three nodes in turn.
+		drainAll(nodes)
+		drainAll(nodes)
+	}
+	got := map[string][]byte{}
+	for _, e := range nodes {
+		for k, v := range e.Slates("U_rep") {
+			got[k] = v
+		}
+	}
+	assertSlatesEqual(t, ref.Slates("U_rep"), got)
 }
