@@ -1,13 +1,8 @@
 package core
 
 import (
-	"encoding"
 	"encoding/json"
-	"math"
 	"reflect"
-	"strconv"
-	"unicode"
-	"unicode/utf8"
 
 	"muppet/internal/event"
 	"muppet/internal/slate"
@@ -36,19 +31,49 @@ type Codec[S any] interface {
 // of Update. Note that a JSON-encoded int is the same ASCII decimal
 // the classic counting updaters wrote, so migrating a counter to
 // Update[int] leaves its slates at rest byte-for-byte identical.
+//
+// It is byte-identical to encoding/json: Decode gives what
+// json.Unmarshal into a new S gives, error or not, and AppendEncode
+// appends what json.Marshal returns, or returns its error. For plain
+// types (see fieldPlan) a compiled plan does the work without
+// encoding/json; a document or value the plan does not accept goes to
+// encoding/json whole.
 type JSONCodec[S any] struct{}
 
 // Decode implements Codec.
 func (JSONCodec[S]) Decode(data []byte) (*S, error) {
+	return decodeJSON[S](planOf(reflect.TypeFor[S]()), data)
+}
+
+// AppendEncode implements Codec.
+func (JSONCodec[S]) AppendEncode(dst []byte, s *S) ([]byte, error) {
+	return encodeJSON(planOf(reflect.TypeFor[S]()), dst, s)
+}
+
+// decodeJSON is JSONCodec[S].Decode with S's plan (nil: none) in hand.
+func decodeJSON[S any](p *fieldPlan, data []byte) (*S, error) {
 	s := new(S)
+	if p != nil && p.decode(data, reflect.ValueOf(s).Elem()) {
+		return s, nil
+	}
+	var zero S
+	*s = zero // a declined document may have been partly written
 	if err := json.Unmarshal(data, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// AppendEncode implements Codec.
-func (JSONCodec[S]) AppendEncode(dst []byte, s *S) ([]byte, error) {
+// encodeJSON is JSONCodec[S].AppendEncode with S's plan in hand.
+func encodeJSON[S any](p *fieldPlan, dst []byte, s *S) ([]byte, error) {
+	if p != nil && s != nil {
+		// Written to the stack first, the value grows dst once, as
+		// json.Marshal's exactly sized result does, not once per doubling.
+		var scratch [256]byte
+		if b, ok := p.encode(scratch[:0], reflect.ValueOf(s).Elem()); ok {
+			return append(dst, b...), nil
+		}
+	}
 	b, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
@@ -81,6 +106,8 @@ func (RawCodec) AppendEncode(dst []byte, s *[]byte) ([]byte, error) {
 // bytes, and a re-publish of in.Value as is carries it to subscribers.
 // The object is shared like in.Value, possibly across threads, and must
 // not be modified. Other emitters (the Reference's) decode every call.
+// The decode is JSONCodec's, so the object and the error are exactly
+// json.Unmarshal's.
 func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 	memo, _ := emit.(payloadMemo)
 	if memo != nil {
@@ -88,8 +115,8 @@ func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 			return p, nil
 		}
 	}
-	p := new(T)
-	if err := json.Unmarshal(in.Value, p); err != nil {
+	p, err := JSONCodec[T]{}.Decode(in.Value)
+	if err != nil {
 		return nil, err
 	}
 	if memo != nil {
@@ -189,7 +216,7 @@ func (u *typedUpdater[S]) UpdateDecoded(emit Emitter, in event.Event, slate any)
 func (u *typedUpdater[S]) SlateCodec() SlateCodec {
 	e := erasedCodec[S]{c: u.codec}
 	if _, ok := u.codec.(JSONCodec[S]); ok {
-		e.plan = planFor(reflect.TypeFor[S]())
+		e.plan = planOf(reflect.TypeFor[S]())
 	}
 	return e
 }
@@ -200,16 +227,23 @@ func (u *typedUpdater[S]) SlateCodec() SlateCodec {
 func (u *typedUpdater[S]) nilFn() bool { return u.fn == nil }
 
 // erasedCodec adapts the typed Codec[S] onto the erased SlateCodec the
-// slate cache stores per entry.
+// slate cache stores per entry. Under JSONCodec it holds S's plan, so a
+// cache fill, a flush or a store row does not look the plan up.
 type erasedCodec[S any] struct {
 	c    Codec[S]
-	plan *fieldPlan // nil unless c is JSONCodec[S] and S's JSON view is plain
+	plan *fieldPlan // S's plan when c is JSONCodec[S], else nil
 }
 
 func (e erasedCodec[S]) New() any { return new(S) }
 
 func (e erasedCodec[S]) Decode(data []byte) (any, error) {
-	s, err := e.c.Decode(data)
+	var s *S
+	var err error
+	if e.plan != nil {
+		s, err = decodeJSON[S](e.plan, data)
+	} else {
+		s, err = e.c.Decode(data)
+	}
 	if err != nil || s == nil {
 		// A typed nil must not leak into the erased world as a
 		// non-nil any.
@@ -219,161 +253,17 @@ func (e erasedCodec[S]) Decode(data []byte) (any, error) {
 }
 
 func (e erasedCodec[S]) AppendEncode(dst []byte, v any) ([]byte, error) {
+	if e.plan != nil {
+		return encodeJSON(e.plan, dst, v.(*S))
+	}
 	return e.c.AppendEncode(dst, v.(*S))
 }
 
 // FieldReader implements slate.FieldCodec: queries read a typed slate
 // as the object it is instead of encoding it and parsing that back.
 func (e erasedCodec[S]) FieldReader(paths []string) (slate.FieldReader, bool) {
-	if e.plan == nil {
+	if e.plan == nil || !e.plan.reads {
 		return nil, false
 	}
 	return e.plan.reader(paths)
-}
-
-// fieldPlan is the reflection plan of a slate type S under JSONCodec,
-// built once when the updater is registered. Its contract is exactness:
-// for every path it answers, the value is the one json.Marshal followed
-// by json.Unmarshal into an `any` would show, and it reports an object
-// Marshal would refuse (a non-finite float). So it covers only types
-// whose JSON view it can reproduce without running the encoder — S a
-// bool, integer, float or string, or a struct of such fields and of
-// structs of them, every field exported, named and untagged or tagged
-// with a bare name. An embedded or unexported field, a tag option
-// (omitempty, string) or "-", a pointer, map, slice, array or interface,
-// a Marshaler or TextMarshaler anywhere, and json.Number all make
-// planFor return nil: the codec then declines and queries take the JSON
-// view. So do RawCodec and custom codecs, whose encoding is theirs.
-type fieldPlan struct {
-	leaves map[string][]int // dotted JSON path of each scalar field -> struct index path; "" is S, when a scalar
-	inner  map[string]bool  // paths that are structs ("" for S): objects, not scalars
-	floats [][]int          // the float leaves; a NaN or Inf in one fails Marshal
-}
-
-var (
-	jsonMarshaler = reflect.TypeFor[json.Marshaler]()
-	textMarshaler = reflect.TypeFor[encoding.TextMarshaler]()
-)
-
-func planFor(t reflect.Type) *fieldPlan {
-	p := &fieldPlan{leaves: map[string][]int{}, inner: map[string]bool{}}
-	if !p.add(t, "", nil) {
-		return nil
-	}
-	return p
-}
-
-// add plans the value of type t found at path; false declines S.
-func (p *fieldPlan) add(t reflect.Type, path string, index []int) bool {
-	if pt := reflect.PointerTo(t); pt.Implements(jsonMarshaler) || pt.Implements(textMarshaler) || t == reflect.TypeFor[json.Number]() {
-		return false
-	}
-	switch k := t.Kind(); {
-	case k == reflect.Float32, k == reflect.Float64:
-		p.floats = append(p.floats, index)
-		p.leaves[path] = index
-	case k == reflect.Bool, k == reflect.String, k >= reflect.Int && k <= reflect.Uintptr:
-		p.leaves[path] = index
-	case k == reflect.Struct:
-		p.inner[path] = true
-		for i := range t.NumField() {
-			f := t.Field(i)
-			name := f.Name
-			if tag := f.Tag.Get("json"); tag != "" {
-				name = tag
-			}
-			sub := name
-			if path != "" {
-				sub = path + "." + name
-			}
-			_, dup := p.leaves[sub]
-			if f.Anonymous || !f.IsExported() || !plainName(name) || dup || p.inner[sub] ||
-				!p.add(f.Type, sub, append(index[:len(index):len(index)], i)) {
-				return false
-			}
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// plainName reports whether a field name is letters, digits and
-// underscores only — which rules out every tag option, "-", and a dot
-// that a dotted path could not tell from a nesting step.
-func plainName(name string) bool {
-	for _, c := range name {
-		if c != '_' && !unicode.IsLetter(c) && !unicode.IsDigit(c) {
-			return false
-		}
-	}
-	return name != ""
-}
-
-// reader compiles paths; it declines a path that names a struct (the
-// whole value of a struct S included), whose JSON view is an object. A
-// path that names nothing — a missing field, or a step through a
-// scalar — reads as Absent, as it does in the JSON view.
-func (p *fieldPlan) reader(paths []string) (slate.FieldReader, bool) {
-	type leaf struct {
-		index []int
-		ok    bool
-	}
-	leaves := make([]leaf, len(paths))
-	for i, path := range paths {
-		if _, scalar := p.leaves[""]; scalar {
-			path = "" // a scalar slate has no fields: every path is the value
-		}
-		if p.inner[path] {
-			return nil, false
-		}
-		leaves[i].index, leaves[i].ok = p.leaves[path]
-	}
-	return func(decoded any, dst []slate.Scalar) bool {
-		v := reflect.ValueOf(decoded).Elem()
-		for _, index := range p.floats {
-			if f := fieldAt(v, index).Float(); math.IsNaN(f) || math.IsInf(f, 0) {
-				return false
-			}
-		}
-		for i, l := range leaves {
-			dst[i] = slate.Scalar{}
-			if l.ok {
-				dst[i] = scalarOf(fieldAt(v, l.index))
-			}
-		}
-		return true
-	}, true
-}
-
-func fieldAt(v reflect.Value, index []int) reflect.Value {
-	if len(index) == 0 {
-		return v
-	}
-	return v.FieldByIndex(index)
-}
-
-// scalarOf is the JSON round trip of one scalar without the JSON:
-// integers become the nearest float64, as parsing their decimal form
-// does; a float32 goes through its own shortest decimal form; invalid
-// UTF-8 becomes U+FFFD byte for byte.
-func scalarOf(v reflect.Value) slate.Scalar {
-	switch {
-	case v.Kind() == reflect.Bool:
-		return slate.Scalar{Kind: slate.Bool, Str: strconv.FormatBool(v.Bool())}
-	case v.Kind() == reflect.String:
-		s := v.String()
-		if !utf8.ValidString(s) {
-			s = string([]rune(s))
-		}
-		return slate.Scalar{Kind: slate.String, Str: s}
-	case v.Kind() == reflect.Float32:
-		f, _ := strconv.ParseFloat(strconv.FormatFloat(v.Float(), 'g', -1, 32), 64)
-		return slate.Scalar{Kind: slate.Number, Num: f}
-	case v.CanFloat():
-		return slate.Scalar{Kind: slate.Number, Num: v.Float()}
-	case v.CanInt():
-		return slate.Scalar{Kind: slate.Number, Num: float64(v.Int())}
-	}
-	return slate.Scalar{Kind: slate.Number, Num: float64(v.Uint())}
 }

@@ -234,7 +234,9 @@ func (g *Generator) KeyedEvents(stream string, n, nkeys int) []event.Event {
 	return out
 }
 
-// ParseTweet decodes a tweet payload.
+// ParseTweet decodes a tweet payload. It and ParseCheckin use
+// encoding/json, not the engine's JSON codec: oracles and tests read
+// payloads through them, independently of the decoder they check.
 func ParseTweet(v []byte) (Tweet, error) {
 	var t Tweet
 	err := json.Unmarshal(v, &t)

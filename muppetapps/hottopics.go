@@ -1,7 +1,6 @@
 package muppetapps
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"muppet"
@@ -108,7 +107,8 @@ func HotTopicsApp(cfg HotTopicsConfig) *muppet.App {
 		if !ok {
 			return
 		}
-		b, _ := json.Marshal(topicCount{Topic: topic, Minute: minute, Count: *count})
+		tc := topicCount{Topic: topic, Minute: minute, Count: *count}
+		b, _ := muppet.JSONCodec[topicCount]{}.AppendEncode(nil, &tc)
 		emit.Publish("S3", topic, b)
 	})
 	// U2's slate is the live u2Slate structure. The JSON codec decodes

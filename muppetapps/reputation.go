@@ -67,7 +67,7 @@ func ReputationApp() *muppet.App {
 			}
 			if target != "" && target != t.User {
 				d := repDelta{From: t.User, Delta: weight * (1 + st.Score)}
-				b, _ := json.Marshal(d)
+				b, _ := muppet.JSONCodec[repDelta]{}.AppendEncode(nil, &d)
 				emit.Publish("S3", target, b)
 			}
 		case "S3":
@@ -84,7 +84,9 @@ func ReputationApp() *muppet.App {
 		AddUpdate(urep, []string{"S2", "S3"}, []string{"S3"}, 0)
 }
 
-// ParseRepSlate decodes a U_rep slate.
+// ParseRepSlate decodes a U_rep slate. It uses encoding/json, not the
+// codec the updater runs, so the benchmark oracle and the app tests that
+// read slates through it stay independent of the decoder they check.
 func ParseRepSlate(sl []byte) RepSlate {
 	var st RepSlate
 	if sl != nil {

@@ -68,7 +68,8 @@ func TopURLsApp(k int) *muppet.App {
 	}}
 	ucount := muppet.Update[int]("U_count", func(emit muppet.Emitter, in muppet.Event, count *int) {
 		*count++
-		b, _ := json.Marshal(urlCount{URL: in.Key, Count: *count})
+		uc := urlCount{URL: in.Key, Count: *count}
+		b, _ := muppet.JSONCodec[urlCount]{}.AppendEncode(nil, &uc)
 		emit.Publish("S3", TopURLsKey, b)
 	})
 	// The single "top" slate is the hotspot — and under the typed API
@@ -106,7 +107,8 @@ func TopURLsApp(k int) *muppet.App {
 		AddUpdate(utop, []string{"S3"}, nil, 0)
 }
 
-// ParseTopSlate decodes a U_top slate.
+// ParseTopSlate decodes a U_top slate with encoding/json, not the
+// updater's codec, so tests reading through it stay independent of it.
 func ParseTopSlate(sl []byte) TopSlate {
 	var st TopSlate
 	if sl != nil {
