@@ -1,5 +1,5 @@
 // Command mupbench regenerates the paper's evaluation: it runs the
-// experiment index E01–E17 defined in package experiments (each
+// experiment index E01–E19 defined in package experiments (each
 // reproducing one quantitative claim or design argument from Sections
 // 4–5 of the paper) and prints the result tables.
 //

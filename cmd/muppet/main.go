@@ -86,7 +86,7 @@ func main() {
 	)
 	flag.Parse()
 
-	app, slateProbe := buildApp(*appName)
+	app, probe := buildApp(*appName)
 	if app == nil {
 		fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
 		os.Exit(2)
@@ -153,6 +153,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer eng.Stop()
+	report := probe(eng)
 	if cfg.Network != nil {
 		clu := eng.Cluster()
 		fmt.Printf("node %s serving %s via %s transport; members: %v\n",
@@ -220,7 +221,7 @@ func main() {
 	s := eng.Stats()
 	fmt.Printf("stats: processed=%d emitted=%d slateUpdates=%d lostOverflow=%d contention<=%d\n",
 		s.Processed, s.Emitted, s.SlateUpdates, s.LostOverflow, s.MaxSlateContention)
-	slateProbe(eng)
+	report()
 
 	if *linger > 0 {
 		fmt.Printf("serving HTTP for %v more...\n", *linger)
@@ -249,52 +250,62 @@ func loadMemberList(path string) (*muppet.NetworkFileConfig, error) {
 	return &bare, nil
 }
 
-// buildApp returns the application and a function that prints a small
-// sample of its live slates.
-func buildApp(name string) (*muppet.App, func(muppet.Engine)) {
+// buildApp returns the application and its probe. The probe is called
+// on the engine before any event is ingested (an output stream's events
+// are seen only by a handler attached by then) and returns the function
+// that prints a small sample of the results once the stream is drained.
+func buildApp(name string) (*muppet.App, func(muppet.Engine) func()) {
 	switch name {
 	case "retailer":
-		return muppetapps.RetailerApp(), func(e muppet.Engine) {
-			fmt.Println("checkins per retailer:")
-			for _, r := range muppetapps.RetailerSet() {
-				fmt.Printf("  %-12s %d\n", r, muppetapps.Count(e.Slate("U1", r)))
+		return muppetapps.RetailerApp(), func(e muppet.Engine) func() {
+			return func() {
+				fmt.Println("checkins per retailer:")
+				for _, r := range muppetapps.RetailerSet() {
+					fmt.Printf("  %-12s %d\n", r, muppetapps.Count(e.Slate("U1", r)))
+				}
 			}
 		}
 	case "hottopics":
-		return muppetapps.HotTopicsApp(muppetapps.HotTopicsConfig{Threshold: 3, MinCount: 30}), func(e muppet.Engine) {
-			v := muppetapps.HotVerdicts(e.Output("S4"))
-			fmt.Printf("hot <topic,minute> verdicts: %d\n", len(v))
+		return muppetapps.HotTopicsApp(muppetapps.HotTopicsConfig{Threshold: 3, MinCount: 30}), func(e muppet.Engine) func() {
+			hot := muppetapps.WatchHotVerdicts(e)
+			return func() { fmt.Printf("hot <topic,minute> verdicts: %d\n", len(hot())) }
 		}
 	case "reputation":
-		return muppetapps.ReputationApp(), func(e muppet.Engine) {
-			slates := e.Slates("U_rep")
-			best, bestScore := "", -1.0
-			for u, sl := range slates {
-				if st := muppetapps.ParseRepSlate(sl); st.Score > bestScore {
-					best, bestScore = u, st.Score
+		return muppetapps.ReputationApp(), func(e muppet.Engine) func() {
+			return func() {
+				slates := e.Slates("U_rep")
+				best, bestScore := "", -1.0
+				for u, sl := range slates {
+					if st := muppetapps.ParseRepSlate(sl); st.Score > bestScore {
+						best, bestScore = u, st.Score
+					}
 				}
+				fmt.Printf("users scored: %d; top: %s (%.2f)\n", len(slates), best, bestScore)
 			}
-			fmt.Printf("users scored: %d; top: %s (%.2f)\n", len(slates), best, bestScore)
 		}
 	case "topurls":
-		return muppetapps.TopURLsApp(10), func(e muppet.Engine) {
-			top := muppetapps.ParseTopSlate(e.Slate("U_top", muppetapps.TopURLsKey))
-			fmt.Println("top URLs:")
-			for i, r := range top.Ranked() {
-				fmt.Printf("  %2d. %s (%d)\n", i+1, r.URL, r.Count)
+		return muppetapps.TopURLsApp(10), func(e muppet.Engine) func() {
+			return func() {
+				top := muppetapps.ParseTopSlate(e.Slate("U_top", muppetapps.TopURLsKey))
+				fmt.Println("top URLs:")
+				for i, r := range top.Ranked() {
+					fmt.Printf("  %2d. %s (%d)\n", i+1, r.URL, r.Count)
+				}
 			}
 		}
 	case "httphits":
-		return muppetapps.HTTPHitsApp(), func(e muppet.Engine) {
-			slates := e.Slates("U_hits")
-			var sections []string
-			for s := range slates {
-				sections = append(sections, s)
-			}
-			sort.Strings(sections)
-			fmt.Println("hits per section:")
-			for _, s := range sections {
-				fmt.Printf("  %-12s %s\n", s, slates[s])
+		return muppetapps.HTTPHitsApp(), func(e muppet.Engine) func() {
+			return func() {
+				slates := e.Slates("U_hits")
+				var sections []string
+				for s := range slates {
+					sections = append(sections, s)
+				}
+				sort.Strings(sections)
+				fmt.Println("hits per section:")
+				for _, s := range sections {
+					fmt.Printf("  %-12s %s\n", s, slates[s])
+				}
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package muppet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -213,9 +215,6 @@ type EngineConfig struct {
 	ThreadsPerMachine  int `json:"threads_per_machine,omitempty"`
 	QueueCapacity      int `json:"queue_capacity,omitempty"`
 	CacheCapacity      int `json:"cache_capacity,omitempty"`
-	// OutputCapacity bounds the events retained per output stream for
-	// Output() polling; zero retains everything.
-	OutputCapacity int `json:"output_capacity,omitempty"`
 	// QueuePolicy is "drop", "divert" or "block".
 	QueuePolicy    string `json:"queue_policy,omitempty"`
 	OverflowStream string `json:"overflow_stream,omitempty"`
@@ -234,24 +233,14 @@ type EngineConfig struct {
 	Tracing         bool `json:"tracing,omitempty"`
 	TraceSampleRate int  `json:"trace_sample_rate,omitempty"`
 	// Recovery holds the recovery-subsystem knobs; omit for defaults
-	// (detector, WAL replay, and rejoin warm-up all enabled).
+	// (WAL replay on failover, suspicion 3 strikes in 10s).
 	Recovery *RecoveryFileConfig `json:"recovery,omitempty"`
 }
 
 // RecoveryFileConfig is the recovery section of a configuration file.
 type RecoveryFileConfig struct {
-	// DisableDetector stops failed sends from being reported to the
-	// master (failures then go unnoticed until an operator reports
-	// them).
-	DisableDetector bool `json:"disable_detector,omitempty"`
 	// DisableWALReplay skips slate group-commit WAL replay on failover.
 	DisableWALReplay bool `json:"disable_wal_replay,omitempty"`
-	// DisableRejoinWarm skips slate-cache warm-up when a machine
-	// rejoins.
-	DisableRejoinWarm bool `json:"disable_rejoin_warm,omitempty"`
-	// WarmLimit bounds the slates pre-loaded per rejoin (default
-	// 10000).
-	WarmLimit int `json:"warm_limit,omitempty"`
 	// SuspicionK is the consecutive exhausted-retry send failures that
 	// confirm a machine down (default 3; 1 escalates on the first).
 	SuspicionK int `json:"suspicion_k,omitempty"`
@@ -315,10 +304,18 @@ func (r *Registry) Codes() (mappers, updaters []string) {
 	return mappers, updaters
 }
 
-// ParseAppConfig decodes a configuration file's bytes.
+// ParseAppConfig decodes a configuration file's bytes. A key the file
+// format does not know — a typo, or a setting that no longer exists —
+// is an error naming it, not silently ignored.
 func ParseAppConfig(data []byte) (*AppConfig, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var cfg AppConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	err := dec.Decode(&cfg)
+	if _, next := dec.Token(); err == nil && next != io.EOF {
+		err = fmt.Errorf("data after the top-level object")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("muppet: parse app config: %w", err)
 	}
 	return &cfg, nil
@@ -387,7 +384,6 @@ func (c *AppConfig) engineConfig() (Config, error) {
 		ThreadsPerMachine:  e.ThreadsPerMachine,
 		QueueCapacity:      e.QueueCapacity,
 		CacheCapacity:      e.CacheCapacity,
-		OutputCapacity:     e.OutputCapacity,
 		OverflowStream:     e.OverflowStream,
 		SourceThrottle:     e.SourceThrottle,
 		ReplayLog:          e.ReplayLog,
@@ -398,11 +394,8 @@ func (c *AppConfig) engineConfig() (Config, error) {
 	}
 	if r := e.Recovery; r != nil {
 		cfg.Recovery = RecoveryConfig{
-			DisableDetector:   r.DisableDetector,
-			DisableWALReplay:  r.DisableWALReplay,
-			DisableRejoinWarm: r.DisableRejoinWarm,
-			WarmLimit:         r.WarmLimit,
-			SuspicionK:        r.SuspicionK,
+			DisableWALReplay: r.DisableWALReplay,
+			SuspicionK:       r.SuspicionK,
 		}
 		if r.SuspicionWindow != "" {
 			d, err := time.ParseDuration(r.SuspicionWindow)

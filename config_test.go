@@ -189,8 +189,7 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 	    {"kind": "update", "name": "U_count", "code": "counter", "subscribes": ["words"]}
 	  ],
 	  "engine": {"machines": 2, "replay_log": true,
-	    "recovery": {"disable_detector": true, "disable_wal_replay": true, "warm_limit": 500,
-	      "suspicion_k": 5, "suspicion_window": "2s"}}
+	    "recovery": {"disable_wal_replay": true, "suspicion_k": 5, "suspicion_window": "2s"}}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +202,32 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 		t.Fatal("replay_log not mapped")
 	}
 	r := ecfg.Recovery
-	if !r.DisableDetector || !r.DisableWALReplay || r.DisableRejoinWarm || r.WarmLimit != 500 {
+	if !r.DisableWALReplay {
 		t.Fatalf("recovery cfg = %+v", r)
 	}
 	if r.SuspicionK != 5 || r.SuspicionWindow != 2*time.Second {
 		t.Fatalf("suspicion knobs = %d/%v, want 5/2s", r.SuspicionK, r.SuspicionWindow)
+	}
+}
+
+// TestConfigRejectsUnknownKeys: a key the file format does not know is
+// an error naming it, so a setting that was removed fails loudly rather
+// than being silently ignored.
+func TestConfigRejectsUnknownKeys(t *testing.T) {
+	for _, c := range []struct{ key, section string }{
+		{"output_capacity", `"engine": {"output_capacity": 64}`},
+		{"disable_detector", `"engine": {"recovery": {"disable_detector": true}}`},
+		{"disable_rejoin_warm", `"engine": {"recovery": {"disable_rejoin_warm": true}}`},
+		{"warm_limit", `"engine": {"recovery": {"warm_limit": 500}}`},
+		{"machnes", `"engine": {"machnes": 4}`},
+	} {
+		_, err := muppet.ParseAppConfig([]byte(`{"name": "x", "inputs": ["S1"], "functions": [], ` + c.section + `}`))
+		if err == nil || !strings.Contains(err.Error(), `"`+c.key+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming it", c.key, err)
+		}
+	}
+	if _, err := muppet.ParseAppConfig([]byte(`{"name": "x"} {"name": "y"}`)); err == nil {
+		t.Error("a second document after the configuration was accepted")
 	}
 }
 

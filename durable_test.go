@@ -85,7 +85,7 @@ func TestDurableStoreSurvivesRestart(t *testing.T) {
 
 	// Rejoin warm-up reads the recovered slates: crash each machine and
 	// revive it; across the cluster the rejoins must pre-load slates
-	// from the durable store (WarmLimit path over LSM segments).
+	// from the durable store (the bounded warm scan over LSM segments).
 	warmed := 0
 	for _, m := range eng.Cluster().MachineNames() {
 		eng.CrashMachine(m)

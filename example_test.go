@@ -160,7 +160,7 @@ func ExamplePump() {
 		Output("S2").
 		AddMap(relay, []string{"S1"}, []string{"S2"})
 
-	eng, err := muppet.NewEngine(app, muppet.Config{Machines: 2, OutputCapacity: 1024})
+	eng, err := muppet.NewEngine(app, muppet.Config{Machines: 2})
 	if err != nil {
 		panic(err)
 	}

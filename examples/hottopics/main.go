@@ -33,8 +33,8 @@ func main() {
 	defer eng.Stop()
 
 	// Egress is a live subscription: verdict events arrive on a
-	// bounded channel as the detector fires, instead of buffering
-	// forever for a post-hoc Output() poll.
+	// bounded channel as the detector fires. The engine keeps none of
+	// them, so subscribe before the stream starts.
 	sub := eng.Subscribe("S4", 1024)
 	live := make(chan map[string]bool)
 	go func() {

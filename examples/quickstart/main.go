@@ -49,12 +49,7 @@ func main() {
 		AddMap(sectionize, []string{"requests"}, []string{"hits"}).
 		AddUpdate(count, []string{"hits"}, nil, 0)
 
-	eng, err := muppet.NewEngine(app, muppet.Config{
-		Machines:          2,
-		ThreadsPerMachine: 2,
-		// Bound the legacy Output() ring; live consumers subscribe.
-		OutputCapacity: 1024,
-	})
+	eng, err := muppet.NewEngine(app, muppet.Config{Machines: 2, ThreadsPerMachine: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -225,8 +225,9 @@ func E15HotTopics(s Scale) Table {
 		if err != nil {
 			panic(err)
 		}
+		hot := muppetapps.WatchHotVerdicts(eng)
 		ingest(eng, events)
-		verdicts := muppetapps.HotVerdicts(eng.Output("S4"))
+		verdicts := hot()
 		detected := verdicts[muppetapps.TopicMinuteKey("tech", 3)]
 		falseV := len(verdicts)
 		if detected {

@@ -139,9 +139,6 @@ type Config struct {
 	// DedupWindow is the per-sender receiver-side dedup window size in
 	// batches (default 4096). Negative disables deduplication.
 	DedupWindow int
-	// SendLatency is the simulated per-hop network latency, accumulated
-	// in the cluster's accounting meter (not slept).
-	SendLatency time.Duration
 }
 
 // Cluster is one node's view of the cluster: the full member list, the
@@ -162,10 +159,9 @@ type Cluster struct {
 	retry RetryConfig
 	dedup *dedupTable // nil when deduplication is disabled
 
-	netTime atomic.Int64 // accumulated simulated network nanoseconds
-	sends   atomic.Uint64
-	recvs   atomic.Uint64 // remote-origin batches delivered locally
-	recvDs  atomic.Uint64 // deliveries those batches carried
+	sends  atomic.Uint64
+	recvs  atomic.Uint64 // remote-origin batches delivered locally
+	recvDs atomic.Uint64 // deliveries those batches carried
 
 	retries       atomic.Uint64 // re-attempts after a transient fault
 	transientErrs atomic.Uint64 // transient faults observed on sends
@@ -431,8 +427,8 @@ func (c *Cluster) DeliverQuery(machine string, req []byte) ([]byte, error) {
 
 // SendBatch delivers a batch of events — a single event is a batch of
 // one; there is no other way to a machine — in one network exchange: one
-// liveness check and one hop's latency charge, however many deliveries
-// it carries. It fails the whole batch with ErrMachineDown if the
+// liveness check and one counted send, however many deliveries it
+// carries. It fails the whole batch with ErrMachineDown if the
 // destination is crashed (or, for a remotely hosted machine, presumed
 // down, or unreachable once the transient-fault retry budget is spent —
 // the failure-detection signal of Section 4.3) and with ErrNoHandler if
@@ -447,7 +443,6 @@ func (c *Cluster) SendBatch(machine string, ds []Delivery) (accepted int, reject
 		return 0, nil, nil
 	}
 	c.sends.Add(1)
-	c.netTime.Add(int64(c.cfg.SendLatency))
 	if m.local {
 		return c.deliverBatch(m, ds)
 	}
@@ -628,11 +623,9 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// NetworkStats reports the number of sends (local and remote) and the
-// total simulated network time charged.
-func (c *Cluster) NetworkStats() (sends uint64, simTime time.Duration) {
-	return c.sends.Load(), time.Duration(c.netTime.Load())
-}
+// Sends reports the number of machine-addressed sends (local and
+// remote) this node has issued; a batch is one send.
+func (c *Cluster) Sends() uint64 { return c.sends.Load() }
 
 // Recvs reports the number of remote-origin batches (DeliverLocal
 // calls that were not absorbed as duplicates) this node has accepted

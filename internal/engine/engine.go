@@ -1,11 +1,11 @@
 // Package engine holds the building blocks of the engine runtime
 // (internal/runtime): the envelope type carried on worker queues, the
 // quiescence tracker used to drain an application, lifetime statistics,
-// the log of lost deliveries, the egress sink (bounded output rings,
-// channel subscriptions, pluggable handlers) that records events
-// published on declared output streams, and the courier that carries
-// worker emits to their owners — directly on this node, through a
-// batching per-destination outbox to machines other nodes host.
+// the log of lost deliveries, the egress sink that fans events published
+// on declared output streams out to channel subscriptions and pluggable
+// handlers, and the courier that carries worker emits to their owners —
+// directly on this node, through a batching per-destination outbox to
+// machines other nodes host.
 package engine
 
 import (
@@ -119,9 +119,6 @@ type Stats struct {
 	// MaxSlateContention: Muppet 1.0 guarantees 1; Muppet 2.0 allows at
 	// most 2 (Section 4.5).
 	MaxSlateContention int32 `metric:"muppet_engine_max_slate_contention" help:"Largest number of workers observed updating one slate concurrently."`
-	// OutputDropped counts against a capped output ring
-	// (Config.OutputCapacity); zero when the ring is unbounded.
-	OutputDropped uint64 `metric:"muppet_engine_output_dropped_total" help:"Output-ring events overwritten before being read."`
 }
 
 // Counters is the live, atomic version of Stats that engines mutate.

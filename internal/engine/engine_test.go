@@ -101,30 +101,23 @@ func TestObserveLatency(t *testing.T) {
 	}
 }
 
+// TestSinkRecordsPerStream: Record fans an event out to its own
+// stream's listeners only, and a stream nobody listens to leaves no
+// state behind.
 func TestSinkRecordsPerStream(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
+	s4, s5 := s.Subscribe("S4", 4), s.Subscribe("S5", 4)
 	s.Record(event.Event{Stream: "S4", Key: "a"})
 	s.Record(event.Event{Stream: "S4", Key: "b"})
 	s.Record(event.Event{Stream: "S5", Key: "c"})
-	if s.Count("S4") != 2 || s.Count("S5") != 1 || s.Count("S6") != 0 {
-		t.Fatal("counts wrong")
+	s.Record(event.Event{Stream: "S6", Key: "d"})
+	if len(s4.C()) != 2 || len(s5.C()) != 1 {
+		t.Fatalf("S4 got %d, S5 got %d; want 2 and 1", len(s4.C()), len(s5.C()))
 	}
-	evs := s.Events("S4")
-	if len(evs) != 2 || evs[0].Key != "a" || evs[1].Key != "b" {
-		t.Fatalf("events = %v", evs)
+	if a, b := <-s4.C(), <-s4.C(); a.Key != "a" || b.Key != "b" {
+		t.Fatalf("S4 events = %s, %s", a.Key, b.Key)
 	}
-	streams := s.Streams()
-	if len(streams) != 2 || streams[0] != "S4" || streams[1] != "S5" {
-		t.Fatalf("streams = %v", streams)
-	}
-}
-
-func TestSinkEventsReturnsCopy(t *testing.T) {
-	s := NewSink(0)
-	s.Record(event.Event{Stream: "S", Key: "a"})
-	evs := s.Events("S")
-	evs[0].Key = "mutated"
-	if s.Events("S")[0].Key != "a" {
-		t.Fatal("Events exposes internal storage")
+	if _, ok := s.streams["S6"]; ok || len(s.streams) != 2 {
+		t.Fatalf("streams = %v, want state for S4 and S5 only", s.streams)
 	}
 }

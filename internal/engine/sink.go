@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,9 +16,9 @@ import (
 //
 // With more than one worker thread, a handler may be invoked
 // CONCURRENTLY from multiple goroutines, and the invocation order
-// across threads is unspecified (the retained ring and Subscription
-// channels, which are ordered under the sink lock, are the ordered
-// views). Handlers must therefore be safe for concurrent use.
+// across threads is unspecified (Subscription channels, which are
+// filled under the sink lock, are the ordered view). Handlers must
+// therefore be safe for concurrent use.
 type OutputHandler interface {
 	HandleOutput(ev event.Event)
 }
@@ -79,34 +78,25 @@ func (s *Subscription) cancelLocked() {
 	close(s.ch)
 }
 
-// sinkStream is one output stream's egress state: a ring of retained
-// events for Output()/Events() polling, live subscriptions, and
-// attached handlers.
+// sinkStream is one output stream's egress state: its live
+// subscriptions and attached handlers.
 type sinkStream struct {
-	ring     []event.Event
-	head     int // oldest element when the ring has wrapped
-	recorded uint64
 	subs     []*Subscription
 	handlers []OutputHandler
 }
 
-// Sink records events published on declared output streams and fans
-// them out to subscribers and handlers. Retention is a per-stream ring
-// bounded by the configured capacity (unbounded when capacity <= 0,
-// the pre-redesign behavior); overwritten events are counted, not
-// silently forgotten.
+// Sink fans events published on declared output streams out to
+// subscribers and handlers. It retains nothing: an event nobody
+// listens for is gone once recorded.
 type Sink struct {
-	mu       sync.Mutex
-	capacity int
-	streams  map[string]*sinkStream
-	dropped  uint64
-	closed   bool
+	mu      sync.Mutex
+	streams map[string]*sinkStream
+	closed  bool
 }
 
-// NewSink returns an empty sink retaining at most capacity events per
-// stream; capacity <= 0 retains everything.
-func NewSink(capacity int) *Sink {
-	return &Sink{capacity: capacity, streams: make(map[string]*sinkStream)}
+// NewSink returns a sink with no subscribers.
+func NewSink() *Sink {
+	return &Sink{streams: make(map[string]*sinkStream)}
 }
 
 func (s *Sink) stream(name string) *sinkStream {
@@ -118,23 +108,15 @@ func (s *Sink) stream(name string) *sinkStream {
 	return st
 }
 
-// Record appends an event to its stream's ring and delivers it to
-// every subscriber (non-blocking) and handler (synchronous).
+// Record delivers an event to every subscriber of its stream
+// (non-blocking) and every handler (synchronous).
 func (s *Sink) Record(e event.Event) {
-	e.Decoded = nil // egress is bytes; retention must not keep the object alive
+	e.Decoded = nil // egress is bytes; a subscriber must not keep the object alive
 	s.mu.Lock()
-	if s.closed {
+	st := s.streams[e.Stream]
+	if s.closed || st == nil {
 		s.mu.Unlock()
 		return
-	}
-	st := s.stream(e.Stream)
-	st.recorded++
-	if s.capacity > 0 && len(st.ring) == s.capacity {
-		st.ring[st.head] = e
-		st.head = (st.head + 1) % s.capacity
-		s.dropped++
-	} else {
-		st.ring = append(st.ring, e)
 	}
 	for _, sub := range st.subs {
 		select {
@@ -150,67 +132,6 @@ func (s *Sink) Record(e event.Event) {
 	for _, h := range handlers {
 		h.HandleOutput(e)
 	}
-}
-
-// Events returns the retained events for a stream in arrival order —
-// the newest Capacity events when the ring is bounded.
-func (s *Sink) Events(stream string) []event.Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.streams[stream]
-	if st == nil {
-		return []event.Event{}
-	}
-	out := make([]event.Event, 0, len(st.ring))
-	out = append(out, st.ring[st.head:]...)
-	out = append(out, st.ring[:st.head]...)
-	return out
-}
-
-// Count returns the number of retained events for a stream.
-func (s *Sink) Count(stream string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.streams[stream]
-	if st == nil {
-		return 0
-	}
-	return len(st.ring)
-}
-
-// Recorded returns the lifetime number of events recorded on a stream,
-// including any that were overwritten out of a bounded ring.
-func (s *Sink) Recorded(stream string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.streams[stream]
-	if st == nil {
-		return 0
-	}
-	return st.recorded
-}
-
-// Streams returns the streams with at least one recorded event,
-// sorted.
-func (s *Sink) Streams() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for k, st := range s.streams {
-		if st.recorded > 0 {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dropped reports how many events were overwritten out of bounded
-// rings across all streams.
-func (s *Sink) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // Subscribe attaches a live feed to a stream. buf bounds the

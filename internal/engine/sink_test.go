@@ -12,64 +12,26 @@ func sev(stream, key string) event.Event {
 	return event.Event{Stream: stream, Key: key}
 }
 
-func TestSinkBoundedRingKeepsNewest(t *testing.T) {
-	s := NewSink(3)
-	for i := 0; i < 5; i++ {
-		s.Record(sev("S", fmt.Sprintf("k%d", i)))
-	}
-	evs := s.Events("S")
-	if len(evs) != 3 {
-		t.Fatalf("retained %d, want 3", len(evs))
-	}
-	for i, want := range []string{"k2", "k3", "k4"} {
-		if evs[i].Key != want {
-			t.Fatalf("ring[%d] = %s, want %s (newest-window order)", i, evs[i].Key, want)
-		}
-	}
-	if s.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", s.Dropped())
-	}
-	if s.Recorded("S") != 5 {
-		t.Fatalf("recorded = %d, want 5", s.Recorded("S"))
-	}
-	if s.Count("S") != 3 {
-		t.Fatalf("count = %d, want 3", s.Count("S"))
-	}
-}
-
-// TestSinkDropsDecodedPayload: egress is the event's bytes; retention,
-// subscribers and handlers never hold the decoded object.
+// TestSinkDropsDecodedPayload: egress is the event's bytes; subscribers
+// and handlers never hold the decoded object.
 func TestSinkDropsDecodedPayload(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("S", 1)
 	var handled event.Event
 	s.Attach("S", OutputHandlerFunc(func(ev event.Event) { handled = ev }))
 	ev := sev("S", "k")
 	ev.Value, ev.Decoded = []byte(`1`), new(int)
 	s.Record(ev)
-	if got := s.Events("S")[0]; got.Decoded != nil || string(got.Value) != "1" {
-		t.Fatalf("retained %+v, want the bytes without the decoded payload", got)
-	}
-	if got := <-sub.C(); got.Decoded != nil {
-		t.Fatalf("subscriber got a decoded payload %v", got.Decoded)
+	if got := <-sub.C(); got.Decoded != nil || string(got.Value) != "1" {
+		t.Fatalf("subscriber got %+v, want the bytes without the decoded payload", got)
 	}
 	if handled.Decoded != nil {
 		t.Fatalf("handler got a decoded payload %v", handled.Decoded)
 	}
 }
 
-func TestSinkUnboundedKeepsEverything(t *testing.T) {
-	s := NewSink(0)
-	for i := 0; i < 100; i++ {
-		s.Record(sev("S", fmt.Sprintf("k%d", i)))
-	}
-	if s.Count("S") != 100 || s.Dropped() != 0 {
-		t.Fatalf("count=%d dropped=%d, want 100, 0", s.Count("S"), s.Dropped())
-	}
-}
-
 func TestSubscribeDeliversInOrder(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("S", 16)
 	for i := 0; i < 10; i++ {
 		s.Record(sev("S", fmt.Sprintf("k%d", i)))
@@ -88,7 +50,7 @@ func TestSubscribeDeliversInOrder(t *testing.T) {
 }
 
 func TestSubscribeOnlySeesItsStream(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("A", 16)
 	s.Record(sev("B", "x"))
 	s.Record(sev("A", "y"))
@@ -103,7 +65,7 @@ func TestSubscribeOnlySeesItsStream(t *testing.T) {
 }
 
 func TestSlowSubscriberDropsInsteadOfBlocking(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("S", 2) // tiny buffer, nobody reading
 	done := make(chan struct{})
 	go func() {
@@ -120,14 +82,10 @@ func TestSlowSubscriberDropsInsteadOfBlocking(t *testing.T) {
 	if sub.Dropped() != 48 {
 		t.Fatalf("sub dropped = %d, want 48", sub.Dropped())
 	}
-	// The ring still has everything: subscriber loss is per subscriber.
-	if s.Count("S") != 50 {
-		t.Fatalf("ring count = %d, want 50", s.Count("S"))
-	}
 }
 
 func TestSubscriptionCancelIsIdempotent(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("S", 2)
 	sub.Cancel()
 	sub.Cancel()
@@ -139,7 +97,7 @@ func TestSubscriptionCancelIsIdempotent(t *testing.T) {
 }
 
 func TestAttachHandlerRunsSynchronously(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	var got []string
 	s.Attach("S", OutputHandlerFunc(func(ev event.Event) {
 		got = append(got, ev.Key)
@@ -153,15 +111,17 @@ func TestAttachHandlerRunsSynchronously(t *testing.T) {
 }
 
 func TestCloseClosesSubscriptionsAndStopsRecording(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	sub := s.Subscribe("S", 4)
+	handled := 0
+	s.Attach("S", OutputHandlerFunc(func(event.Event) { handled++ }))
 	s.Close()
 	if _, ok := <-sub.C(); ok {
 		t.Fatal("channel open after Close")
 	}
 	s.Record(sev("S", "k"))
-	if s.Count("S") != 0 {
-		t.Fatal("Record after Close retained an event")
+	if handled != 0 {
+		t.Fatal("Record after Close reached a handler")
 	}
 	late := s.Subscribe("S", 4)
 	if _, ok := <-late.C(); ok {

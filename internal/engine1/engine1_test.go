@@ -350,11 +350,12 @@ func TestOutputStreamRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	sub := e.Subscribe("S2", 16)
 	for i := 0; i < 5; i++ {
 		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i)})
 	}
 	e.Drain()
-	if got := len(e.Output("S2")); got != 5 {
+	if got := len(sub.C()); got != 5 {
 		t.Fatalf("output events = %d, want 5", got)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"muppet/internal/core"
+	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/ingress"
 	"muppet/internal/queue"
@@ -81,16 +83,22 @@ func TestIngestCtxBlocksUntilAcceptedOrExpired(t *testing.T) {
 	}
 }
 
+// TestSubscribeAndBoundedOutput: the bound on egress is each
+// subscriber's buffer. A roomy subscription and a handler see every
+// output event; a tiny subscription sheds the overflow and counts it.
 func TestSubscribeAndBoundedOutput(t *testing.T) {
 	m := core.MapFunc{FName: "M", Fn: func(emit core.Emitter, in event.Event) {
 		emit.Publish("S2", in.Key, nil)
 	}}
 	app := core.NewApp("out").Input("S1").Output("S2").AddMap(m, []string{"S1"}, []string{"S2"})
-	e, err := New(app, Config{Machines: 2, OutputCapacity: 8})
+	e, err := New(app, Config{Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := e.Subscribe("S2", 1024)
+	tiny := e.Subscribe("S2", 8)
+	var handled atomic.Int64
+	e.AttachOutput("S2", engine.OutputHandlerFunc(func(event.Event) { handled.Add(1) }))
 	n := 60
 	for i := 0; i < n; i++ {
 		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "k"})
@@ -103,10 +111,10 @@ func TestSubscribeAndBoundedOutput(t *testing.T) {
 	if live != n {
 		t.Fatalf("subscription saw %d, want %d", live, n)
 	}
-	if got := len(e.Output("S2")); got != 8 {
-		t.Fatalf("bounded Output retains %d, want 8", got)
+	if got := handled.Load(); got != int64(n) {
+		t.Fatalf("handler saw %d, want %d", got, n)
 	}
-	if st := e.Stats(); st.OutputDropped != uint64(n-8) {
-		t.Fatalf("OutputDropped = %d, want %d", st.OutputDropped, n-8)
+	if got := len(tiny.C()); got != 8 || tiny.Dropped() != uint64(n-8) {
+		t.Fatalf("8-slot subscription kept %d and dropped %d, want 8 and %d", got, tiny.Dropped(), n-8)
 	}
 }

@@ -43,7 +43,8 @@ func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 // slice contract). The input value re-published as is is shared, not
 // copied, under the same contract; anything else — a sub-slice of it,
 // a modified copy — still goes through the arena. The derived events
-// are read back off a declared output stream, where Emit records them.
+// are read back off a subscription to a declared output stream, which
+// Emit feeds as it routes them.
 func TestEmitterArenaIsolation(t *testing.T) {
 	var body func(core.Emitter, event.Event)
 	m := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) { body(emit, in) }}
@@ -53,16 +54,24 @@ func TestEmitterArenaIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	sub := e.Subscribe("S2", 8)
+	emitted := func(want int) []event.Event {
+		if got := len(sub.C()); got != want {
+			t.Fatalf("Emit recorded %d events, want %d", got, want)
+		}
+		out := make([]event.Event, want)
+		for i := range out {
+			out[i] = <-sub.C()
+		}
+		return out
+	}
 
 	var em runtime.Emitter
 	em.Reset(app, "M1", false)
 	em.Publish("S2", "a", []byte("first"))
 	em.Publish("S2", "b", []byte("second"))
 	e.Emit(&em, &event.Event{Stream: "S1", TS: 1, Key: "k"}, nil)
-	out := e.Output("S2")
-	if len(out) != 2 {
-		t.Fatalf("Emit recorded %d events, want 2", len(out))
-	}
+	out := emitted(2)
 	ev1, ev2 := out[0], out[1]
 
 	// Reuse the emitter; the events' values must be unaffected.
@@ -91,19 +100,16 @@ func TestEmitterArenaIsolation(t *testing.T) {
 	em.Reset(app, "M1", false)
 	em.Run(app.Function("M1"), in, nil, nil)
 	e.Emit(&em, &in, nil)
-	out = e.Output("S2")[2:]
-	if len(out) != 3 {
-		t.Fatalf("Emit recorded %d events, want 3", len(out))
-	}
-	same, sub, cp := out[0].Value, out[1].Value, out[2].Value
+	out = emitted(3)
+	same, part, cp := out[0].Value, out[1].Value, out[2].Value
 	if &same[0] != &in.Value[0] || len(same) != 5 || cap(same) != len(same) {
 		t.Fatalf("re-published input not shared with cap == len: len %d cap %d", len(same), cap(same))
 	}
-	if &sub[0] == &in.Value[0] || &cp[0] == &in.Value[0] {
+	if &part[0] == &in.Value[0] || &cp[0] == &in.Value[0] {
 		t.Fatal("a sub-slice or a modified copy shares the input's bytes")
 	}
-	if string(sub) != "inp" || string(cp) != "Xnput" {
-		t.Fatalf("arena values = %q, %q", sub, cp)
+	if string(part) != "inp" || string(cp) != "Xnput" {
+		t.Fatalf("arena values = %q, %q", part, cp)
 	}
 	if grown := append(same, '!'); &grown[0] == &in.Value[0] || string(in.Value[:6]) != "input\x00" {
 		t.Fatalf("append to a shared value grew into the input's spare capacity: %q", in.Value[:6])

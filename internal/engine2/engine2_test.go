@@ -436,11 +436,12 @@ func TestMultiStageWorkflowAndOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	sub := e.Subscribe("S3", 16)
 	for i := 0; i < 25; i++ {
 		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "t", Value: []byte("sports")})
 	}
 	e.Drain()
-	if got := len(e.Output("S3")); got != 5 {
+	if got := len(sub.C()); got != 5 {
 		t.Fatalf("S3 events = %d, want 5 (every 5th of 25)", got)
 	}
 	if got := string(e.Slate("U2", "sports")); got != "25" {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,32 +317,42 @@ func TestIngestCtxDeliversUnderPressure(t *testing.T) {
 	}
 }
 
+// TestSubscribeOrderingMatchesDrainOutput: after Stop the subscription
+// holds every published event, the same ones a handler saw, and each
+// key's events in publication order. A single queue per key makes that
+// order the ingest order.
 func TestSubscribeOrderingMatchesDrainOutput(t *testing.T) {
 	m := core.MapFunc{FName: "M", Fn: func(emit core.Emitter, in event.Event) {
 		emit.Publish("S2", in.Key, in.Value)
 	}}
 	app := core.NewApp("out").Input("S1").Output("S2").AddMap(m, []string{"S1"}, []string{"S2"})
-	e, err := New(app, Config{Machines: 2, ThreadsPerMachine: 2})
+	e, err := New(app, Config{Machines: 2, ThreadsPerMachine: 2, DisableDualQueue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := e.Subscribe("S2", 4096)
+	var mu sync.Mutex
+	handled := map[string]int{}
+	e.AttachOutput("S2", engine.OutputHandlerFunc(func(ev event.Event) {
+		mu.Lock()
+		handled[ev.Key]++
+		mu.Unlock()
+	}))
 	for i := 0; i < 200; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i)})
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%4), Value: []byte(strconv.Itoa(i))})
 	}
 	e.Stop() // drain + close subscription channels
-	var live []string
+	live, last := map[string]int{}, map[string]int{}
 	for ev := range sub.C() {
-		live = append(live, ev.Key)
-	}
-	polled := e.Output("S2")
-	if len(live) != len(polled) {
-		t.Fatalf("subscription saw %d events, Output retains %d", len(live), len(polled))
-	}
-	for i := range polled {
-		if polled[i].Key != live[i] {
-			t.Fatalf("order diverges at %d: polled=%s live=%s", i, polled[i].Key, live[i])
+		i, _ := strconv.Atoi(string(ev.Value))
+		if prev, ok := last[ev.Key]; ok && i <= prev {
+			t.Fatalf("key %s: event %d arrived after %d", ev.Key, i, prev)
 		}
+		last[ev.Key] = i
+		live[ev.Key]++
+	}
+	if len(live) != 4 || live["k0"] != 50 || fmt.Sprint(live) != fmt.Sprint(handled) {
+		t.Fatalf("subscription saw %v, handler %v; want 50 per key on both", live, handled)
 	}
 	if sub.Dropped() != 0 {
 		t.Fatalf("unexpected subscriber drops: %d", sub.Dropped())
@@ -357,6 +369,8 @@ func TestSlowSubscriberShedsWithoutStallingEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := e.Subscribe("S2", 4) // tiny buffer, never read until the end
+	var handled atomic.Int64
+	e.AttachOutput("S2", engine.OutputHandlerFunc(func(event.Event) { handled.Add(1) }))
 	n := 500
 	for i := 0; i < n; i++ {
 		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "k"})
@@ -373,32 +387,8 @@ func TestSlowSubscriberShedsWithoutStallingEngine(t *testing.T) {
 		t.Fatal("a 4-slot subscriber absorbing 500 events must shed")
 	}
 	// The engine itself lost nothing: shedding is per subscriber.
-	if got := len(e.Output("S2")); got != n {
-		t.Fatalf("sink recorded %d, want %d", got, n)
-	}
-}
-
-func TestOutputCapacityBoundsRingAndCountsDrops(t *testing.T) {
-	m := core.MapFunc{FName: "M", Fn: func(emit core.Emitter, in event.Event) {
-		emit.Publish("S2", in.Key, nil)
-	}}
-	app := core.NewApp("out").Input("S1").Output("S2").AddMap(m, []string{"S1"}, []string{"S2"})
-	e, err := New(app, Config{Machines: 1, OutputCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	n := 100
-	for i := 0; i < n; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i)})
-	}
-	e.Drain()
-	out := e.Output("S2")
-	if len(out) != 16 {
-		t.Fatalf("Output retains %d, want 16", len(out))
-	}
-	if st := e.Stats(); st.OutputDropped != uint64(n-16) {
-		t.Fatalf("OutputDropped = %d, want %d", st.OutputDropped, n-16)
+	if got := handled.Load(); got != int64(n) {
+		t.Fatalf("handler saw %d, want %d", got, n)
 	}
 }
 

@@ -370,8 +370,7 @@ func Handler(r SlateReader) http.Handler {
 		}
 		if clr, ok := r.(ClusterReporter); ok {
 			if c := clr.Cluster(); c != nil {
-				sends, _ := c.NetworkStats()
-				st.Sends = sends
+				st.Sends = c.Sends()
 				st.Recvs = c.Recvs()
 				st.RecvDeliveries = c.RecvDeliveries()
 				ds := c.DeliveryStats()

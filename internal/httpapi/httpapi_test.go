@@ -131,9 +131,9 @@ func TestRecoveryStatusServed(t *testing.T) {
 			{Name: "machine-00", Alive: true, InRing: true},
 			{Name: "machine-01", Alive: false, InRing: false, Failed: true},
 		},
-		DetectorEnabled: true,
-		Failovers:       1,
-		WALRecords:      3,
+		WALReplay:  true,
+		Failovers:  1,
+		WALRecords: 3,
 	}}
 	srv := httptest.NewServer(Handler(f))
 	defer srv.Close()
@@ -149,7 +149,7 @@ func TestRecoveryStatusServed(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Failovers != 1 || got.WALRecords != 3 || len(got.Machines) != 2 {
+	if !got.WALReplay || got.Failovers != 1 || got.WALRecords != 3 || len(got.Machines) != 2 {
 		t.Fatalf("decoded status = %+v", got)
 	}
 	if !got.Machines[1].Failed || got.Machines[1].Alive {
@@ -475,7 +475,7 @@ func TestQueryErrorIs400(t *testing.T) {
 }
 
 func TestQueryWatchStreamsChangedAnswers(t *testing.T) {
-	f := &queryEngine{sink: engine.NewSink(0)}
+	f := &queryEngine{sink: engine.NewSink()}
 	srv := httptest.NewServer(Handler(f))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/query", "application/json",

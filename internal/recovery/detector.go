@@ -33,7 +33,6 @@ type Detector struct {
 	master   *cluster.Master
 	clu      *cluster.Cluster
 	counters *engine.Counters
-	disabled bool
 
 	k      int
 	window time.Duration
@@ -55,14 +54,11 @@ type suspicion struct {
 }
 
 // ObserveSendFailure records one authoritatively failed send
-// (ErrMachineDown) to the machine and, unless the detector is
-// disabled, reports it to the master. The master absorbs duplicate
-// reports; only the first triggers the failure broadcast.
+// (ErrMachineDown) to the machine and reports it to the master. The
+// master absorbs duplicate reports; only the first triggers the failure
+// broadcast.
 func (d *Detector) ObserveSendFailure(machine string) {
 	d.observed.Add(1)
-	if d.disabled {
-		return
-	}
 	d.clearSuspicion(machine) // the verdict is in; the tally is moot
 	if d.counters != nil {
 		d.counters.FailureReports.Add(1)
@@ -79,9 +75,6 @@ func (d *Detector) ObserveSendFailure(machine string) {
 // triggering failover.
 func (d *Detector) ObserveTransientFailure(machine string) {
 	d.transient.Add(1)
-	if d.disabled {
-		return
-	}
 	now := time.Now()
 	d.mu.Lock()
 	s := d.suspects[machine]
@@ -166,9 +159,6 @@ func (d *Detector) Suspects() map[string]int {
 	}
 	return out
 }
-
-// Enabled reports whether failed sends are forwarded to the master.
-func (d *Detector) Enabled() bool { return !d.disabled }
 
 // Observed returns the number of authoritatively failed sends seen,
 // including duplicates for already-known failures.

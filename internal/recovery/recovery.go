@@ -14,25 +14,18 @@ import (
 	"muppet/internal/wal"
 )
 
-// Config tunes the recovery subsystem. The zero value enables
-// everything: detect-on-send, WAL replay on failover, and cache
-// warm-up on rejoin.
+// warmLimit bounds the slates pre-loaded into a rejoined machine's
+// cache from the durable store; the rest refill on demand.
+const warmLimit = 10_000
+
+// Config tunes the recovery subsystem. The zero value enables WAL
+// replay on failover; detect-on-send and cache warm-up on rejoin are
+// always on.
 type Config struct {
-	// DisableDetector stops failed sends from being reported to the
-	// master. Machine failures then go unnoticed until an operator (or
-	// a PingAll sweep) reports them — the MapReduce-style baseline the
-	// paper argues against.
-	DisableDetector bool
 	// DisableWALReplay skips replaying the slate group-commit WAL
 	// during failover, restoring the stock §4.3 behavior in which a
 	// flush batch in flight at crash time is lost.
 	DisableWALReplay bool
-	// DisableRejoinWarm skips pre-loading a rejoined machine's slate
-	// cache from the durable store; the cache then refills on demand.
-	DisableRejoinWarm bool
-	// WarmLimit bounds the slates pre-loaded per rejoin (default
-	// 10,000).
-	WarmLimit int
 	// SuspicionK is the number of consecutive exhausted-retry sends to
 	// one machine that confirm suspicion and escalate to machine-down
 	// (default 3). 1 restores pre-suspicion behavior: the first
@@ -45,9 +38,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.WarmLimit <= 0 {
-		c.WarmLimit = 10_000
-	}
 	if c.SuspicionK <= 0 {
 		c.SuspicionK = 3
 	}
@@ -192,7 +182,6 @@ func NewManager(deps Deps, cfg Config) *Manager {
 		master:   deps.Cluster.Master(),
 		clu:      deps.Cluster,
 		counters: deps.Counters,
-		disabled: cfg.DisableDetector,
 		k:        cfg.SuspicionK,
 		window:   cfg.SuspicionWindow,
 		suspects: make(map[string]*suspicion),
@@ -242,9 +231,9 @@ func (m *Manager) CrashAndFailover(machine string) Report {
 
 // Rejoin revives a crashed machine and re-integrates it: workers
 // restart on fresh queues, the master broadcasts the rejoin (the "new
-// ring" announcement), the ring re-enables the machine, and — unless
-// disabled — its slate cache is warmed from the durable store for the
-// keys it now owns again.
+// ring" announcement), the ring re-enables the machine, and its slate
+// cache is warmed from the durable store for the keys it now owns
+// again.
 func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 	mach := m.deps.Cluster.Machine(machine)
 	if mach == nil {
@@ -550,8 +539,8 @@ func (m *Manager) onRejoin(machine string) {
 	m.deps.Adapter.RestoreToRing(machine)
 	m.deps.Adapter.DropMisplacedSlates()
 	warmedN := 0
-	if !m.cfg.DisableRejoinWarm && m.deps.Store != nil {
-		warmedN = m.deps.Adapter.WarmSlates(machine, m.cfg.WarmLimit)
+	if m.deps.Store != nil {
+		warmedN = m.deps.Adapter.WarmSlates(machine, warmLimit)
 	}
 	m.warmed.Add(uint64(warmedN))
 	m.rejoins.Add(1)

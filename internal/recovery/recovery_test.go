@@ -260,6 +260,15 @@ func TestStockCrashLosesQueuedAndReplaysWAL(t *testing.T) {
 			t.Fatalf("loss reason = %v, want crashed-queue", e.Reason)
 		}
 	}
+	// With no send to fail, a PingAll sweep (the operator fallback) is
+	// what reports the crash and drives the failover.
+	clu.Master().PingAll()
+	if ad.inRing(victim) {
+		t.Fatal("PingAll did not drive failover")
+	}
+	if ad.drainCount(victim) != 1 {
+		t.Fatalf("failover after the stock crash re-drained queues: %d drains", ad.drainCount(victim))
+	}
 }
 
 func TestDetectOnSendDrivesFailover(t *testing.T) {
@@ -293,24 +302,6 @@ func TestDetectOnSendDrivesFailover(t *testing.T) {
 	}
 	if m.Detector().Observed() != 1 || m.Detector().Detected() != 1 {
 		t.Fatalf("detector counts = %d/%d", m.Detector().Observed(), m.Detector().Detected())
-	}
-}
-
-func TestDetectorDisabled(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{DisableDetector: true})
-	const victim = "machine-00"
-	clu.Crash(victim)
-	m.Detector().ObserveSendFailure(victim)
-	if got := clu.Master().FailedMachines(); len(got) != 0 {
-		t.Fatalf("disabled detector reported to master: %v", got)
-	}
-	if !ad.inRing(victim) {
-		t.Fatal("ring changed with detector disabled")
-	}
-	// A PingAll sweep (the operator fallback) still drives failover.
-	clu.Master().PingAll()
-	if ad.inRing(victim) {
-		t.Fatal("PingAll did not drive failover")
 	}
 }
 
@@ -422,8 +413,11 @@ func TestRejoinRestartsWarmsAndRestoresRing(t *testing.T) {
 	}
 }
 
+// TestRejoinWarmDisabled: without a durable store there is nothing to
+// warm a rejoined machine's cache from; the cache refills on demand.
 func TestRejoinWarmDisabled(t *testing.T) {
-	m, ad, _, _, _ := harness(false, Config{DisableRejoinWarm: true})
+	m, ad, _, _, _ := harness(false, Config{})
+	m.deps.Store = nil
 	const victim = "machine-00"
 	ad.warm[victim] = 9
 	m.Crash(victim)
@@ -432,7 +426,7 @@ func TestRejoinWarmDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Warmed != 0 {
-		t.Fatalf("warmed = %d with warm-up disabled", rep.Warmed)
+		t.Fatalf("warmed = %d without a store", rep.Warmed)
 	}
 }
 
@@ -599,7 +593,7 @@ func TestStatusMachinesView(t *testing.T) {
 	if !h.Alive || !h.InRing || h.Failed {
 		t.Fatalf("healthy status = %+v", h)
 	}
-	if !st.DetectorEnabled || !st.WALReplay {
+	if !st.WALReplay {
 		t.Fatalf("feature flags wrong: %+v", st)
 	}
 	if got := clu.Master().FailedMachines(); len(got) != 1 {

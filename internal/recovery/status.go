@@ -66,7 +66,6 @@ type MachineStatus struct {
 // /recovery HTTP endpoint for operators.
 type Status struct {
 	Machines        []MachineStatus `json:"machines"`
-	DetectorEnabled bool            `json:"detector_enabled"`
 	WALReplay       bool            `json:"wal_replay_enabled"`
 	SendFailures    uint64          `json:"send_failures_observed"`
 	TransientFails  uint64          `json:"transient_failures_observed"`
@@ -108,22 +107,21 @@ func (m *Manager) Status() Status {
 		})
 	}
 	st := Status{
-		Machines:        machines,
-		DetectorEnabled: m.det.Enabled(),
-		WALReplay:       !m.cfg.DisableWALReplay && m.deps.Store != nil,
-		SendFailures:    m.det.Observed(),
-		TransientFails:  m.det.TransientObserved(),
-		Escalations:     m.det.Escalated(),
-		SuspicionK:      m.cfg.SuspicionK,
-		Failovers:       m.failovers.Load(),
-		Rejoins:         m.rejoins.Load(),
-		QueuedLost:      m.queuedLost.Load(),
-		DirtyLost:       m.dirtyLost.Load(),
-		WALBatches:      m.walBatches.Load(),
-		WALRecords:      m.walRecords.Load(),
-		WALErrors:       m.walErrors.Load(),
-		Redelivered:     m.redelivered.Load(),
-		Warmed:          m.warmed.Load(),
+		Machines:       machines,
+		WALReplay:      !m.cfg.DisableWALReplay && m.deps.Store != nil,
+		SendFailures:   m.det.Observed(),
+		TransientFails: m.det.TransientObserved(),
+		Escalations:    m.det.Escalated(),
+		SuspicionK:     m.cfg.SuspicionK,
+		Failovers:      m.failovers.Load(),
+		Rejoins:        m.rejoins.Load(),
+		QueuedLost:     m.queuedLost.Load(),
+		DirtyLost:      m.dirtyLost.Load(),
+		WALBatches:     m.walBatches.Load(),
+		WALRecords:     m.walRecords.Load(),
+		WALErrors:      m.walErrors.Load(),
+		Redelivered:    m.redelivered.Load(),
+		Warmed:         m.warmed.Load(),
 	}
 	if m.failoverLatency.Count() > 0 {
 		st.FailoverLatency = m.failoverLatency.Summary()

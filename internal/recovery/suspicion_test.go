@@ -113,26 +113,6 @@ func TestSuspicionAuthoritativeVerdictPreempts(t *testing.T) {
 	}
 }
 
-// TestSuspicionDisabledDetector: with the detector disabled, transient
-// observations are counted but never escalate.
-func TestSuspicionDisabledDetector(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{DisableDetector: true, SuspicionK: 1})
-	const victim = "machine-02"
-	det := m.Detector()
-	for i := 0; i < 4; i++ {
-		det.ObserveTransientFailure(victim)
-	}
-	if !clu.Machine(victim).Alive() || !ad.inRing(victim) {
-		t.Fatal("disabled detector escalated suspicion")
-	}
-	if det.TransientObserved() != 4 {
-		t.Fatalf("transient observations = %d, want 4", det.TransientObserved())
-	}
-	if det.SuspicionLevel(victim) != 0 {
-		t.Fatal("disabled detector accumulated suspicion state")
-	}
-}
-
 // TestRejoinClearsSuspicion: the rejoin protocol hands the machine back
 // with a clean slate — no residual suspicion from before the crash, and
 // the full K budget available against fresh blips.

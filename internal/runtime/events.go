@@ -184,7 +184,7 @@ func (r *Runtime) Begin(ev *event.Event) *obs.Span {
 // exec stage first. One allocation holds every copied value; the
 // derived events slice it. The emitter's scratch arena cannot be handed
 // out directly — the next invocation reuses it, while queues, the
-// replay log, and the egress sink retain the events indefinitely.
+// replay log, and output subscribers keep the events indefinitely.
 func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 	sp.MarkExec()
 	if len(em.outputs) == 0 {
@@ -316,9 +316,6 @@ func (r *Runtime) AttachOutput(stream string, h engine.OutputHandler) {
 	}
 	r.sink.Attach(stream, h)
 }
-
-// Output returns the recorded events of a declared output stream.
-func (r *Runtime) Output(stream string) []event.Event { return r.sink.Events(stream) }
 
 // LostEvents exposes the log of abandoned deliveries ("logged as
 // lost", §4.3) for later processing and debugging.

@@ -71,13 +71,10 @@ func (r *Runtime) registerObs() error {
 		}
 	}
 
-	reg.Counter("muppet_cluster_sends_total", "Machine-addressed sends issued by this node.", transport,
-		func() uint64 { sends, _ := clu.NetworkStats(); return sends })
+	reg.Counter("muppet_cluster_sends_total", "Machine-addressed sends issued by this node.", transport, clu.Sends)
 	reg.Counter("muppet_cluster_recvs_total", "Remote-origin deliveries received by this node.", transport, clu.Recvs)
 	reg.Counter("muppet_cluster_recv_deliveries_total",
 		"Deliveries carried by the remote-origin batches this node received (recvs_total counts the batches).", transport, clu.RecvDeliveries)
-	reg.Gauge("muppet_cluster_sim_network_seconds", "Accumulated simulated network latency.", transport,
-		func() float64 { _, simTime := clu.NetworkStats(); return simTime.Seconds() })
 	reg.Counter("muppet_cluster_master_failure_reports_total",
 		"Failure reports accepted by the master.", nil, clu.Master().Reports)
 	reg.Counter("muppet_cluster_master_rejoin_reports_total",

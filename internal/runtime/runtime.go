@@ -56,8 +56,6 @@ type Config struct {
 	// queue is full instead of applying the overflow policy — the
 	// paper's source throttling, safe only at external inputs.
 	SourceThrottle bool
-	// SendLatency is the simulated per-hop network latency.
-	SendLatency time.Duration
 	// DisableDualQueue (2.0) restricts dispatch to the primary queue
 	// only, restoring the 1.0-style single-owner behavior; experiment E6
 	// uses it as the ablation baseline. Per-<function, key> order holds
@@ -76,10 +74,6 @@ type Config struct {
 	// FlushBatch bounds the records per group-commit multi-put when
 	// dirty slates are flushed (default 256).
 	FlushBatch int
-	// OutputCapacity bounds the events retained per declared output
-	// stream (a ring keeping the newest; overwrites are counted in
-	// Stats.OutputDropped). Zero or negative retains everything.
-	OutputCapacity int
 	// Recovery tunes the failure-recovery subsystem (detector, WAL
 	// replay on failover, cache warm-up on rejoin). The zero value
 	// enables everything.
@@ -87,7 +81,7 @@ type Config struct {
 	// Cluster, when non-nil, is an externally wired cluster node (node
 	// mode): the engine hosts cells only for the cluster's local
 	// machines and reaches the rest through its transport. Nil builds
-	// the single-process simulation from Machines/SendLatency. The
+	// the single-process simulation from Machines. The
 	// engine owns the cluster's lifecycle either way: Stop closes it.
 	Cluster *cluster.Cluster
 	// Observability tunes the sampled event-lifecycle tracer. The zero
@@ -217,14 +211,14 @@ func (r *Runtime) Init(app *core.App, cfg Config) error {
 	}
 	r.app, r.cfg, r.clu = app, cfg, cfg.Cluster
 	if r.clu == nil {
-		r.clu = cluster.New(cluster.Config{Machines: cfg.Machines, SendLatency: cfg.SendLatency})
+		r.clu = cluster.New(cluster.Config{Machines: cfg.Machines})
 	}
 	r.byMachine = make(map[string][]*Cell)
 	r.reg = obs.NewRegistry()
 	r.tracer = obs.NewTracer(app.Name(), cfg.Observability)
 	r.counters = engine.NewCounters()
 	r.tracker = engine.NewTracker()
-	r.sink = engine.NewSink(cfg.OutputCapacity)
+	r.sink = engine.NewSink()
 	r.lost = engine.NewLostLog(0)
 	r.queries = query.NewCounters()
 	r.done = make(chan struct{})

@@ -97,11 +97,7 @@ func (r *Runtime) FlushSlates() {
 }
 
 // Stats snapshots the engine counters.
-func (r *Runtime) Stats() engine.Stats {
-	s := r.counters.Snapshot()
-	s.OutputDropped = r.sink.Dropped()
-	return s
-}
+func (r *Runtime) Stats() engine.Stats { return r.counters.Snapshot() }
 
 // Counters exposes the live counters (for latency percentiles).
 func (r *Runtime) Counters() *engine.Counters { return r.counters }

@@ -384,12 +384,6 @@ type Config struct {
 	// (its disparate caches), per machine under 2.0 (its central
 	// cache).
 	CacheCapacity int
-	// OutputCapacity bounds the events retained per declared output
-	// stream for Output() polling (a ring keeping the newest;
-	// overwrites are counted in Stats.OutputDropped). Zero retains
-	// everything — the legacy unbounded behavior. Production streams
-	// should set a cap and read outputs through Subscribe instead.
-	OutputCapacity int
 	// SlateShards is the number of stripes in each slate store (2.0:
 	// per-machine central store, default 16; 1.0: per-worker store,
 	// default 4). Zero keeps the defaults.
@@ -408,8 +402,6 @@ type Config struct {
 	// SourceThrottle slows Ingest instead of dropping when queues fill
 	// (safe only at external inputs, Section 5).
 	SourceThrottle bool
-	// SendLatency is the simulated per-hop network latency.
-	SendLatency time.Duration
 	// DisableDualQueue restores single-queue dispatch under 2.0 (the
 	// E6 ablation). With a single queue each <function, key>'s events
 	// are applied in the order they arrived; the dual-queue spill gives
@@ -423,9 +415,9 @@ type Config struct {
 	// detect-on-send.
 	ReplayLog bool
 	// Recovery tunes the unified recovery subsystem shared by both
-	// engines: detect-on-send failure reporting, slate group-commit WAL
-	// replay during failover, and slate-cache warm-up when a machine
-	// rejoins. The zero value enables all three.
+	// engines: slate group-commit WAL replay during failover (on by
+	// default) and the failure-suspicion thresholds. Detect-on-send and
+	// slate-cache warm-up on rejoin always run.
 	Recovery RecoveryConfig
 	// Network, when non-nil, switches the engine into node mode: this
 	// process hosts one machine of a real networked cluster and reaches
@@ -518,7 +510,7 @@ type DeliveryStats = cluster.DeliveryStats
 
 // buildNode binds the TCP transport, builds this node's view of the
 // cluster, and starts serving peer traffic into it.
-func (n *NetworkConfig) buildNode(sendLatency time.Duration) (*cluster.Cluster, error) {
+func (n *NetworkConfig) buildNode() (*cluster.Cluster, error) {
 	if n.Node == "" {
 		return nil, fmt.Errorf("muppet: network config: Node must name the machine this process hosts")
 	}
@@ -556,17 +548,15 @@ func (n *NetworkConfig) buildNode(sendLatency time.Duration) (*cluster.Cluster, 
 			MaxBackoff: n.SendRetryMaxBackoff,
 		},
 		DedupWindow: n.DedupWindow,
-		SendLatency: sendLatency,
 	})
 	tr.Serve(clu)
 	return clu, nil
 }
 
-// RecoveryConfig holds the recovery subsystem's knobs: DisableDetector,
-// DisableWALReplay, DisableRejoinWarm, WarmLimit, and the failure-
-// suspicion thresholds SuspicionK and SuspicionWindow (a machine is
-// reported down after K consecutive exhausted-retry sends within the
-// window; defaults 3 / 10s).
+// RecoveryConfig holds the recovery subsystem's knobs: DisableWALReplay
+// and the failure-suspicion thresholds SuspicionK and SuspicionWindow (a
+// machine is reported down after K consecutive exhausted-retry sends
+// within the window; defaults 3 / 10s).
 type RecoveryConfig = recovery.Config
 
 // RecoveryStatus is the recovery subsystem's operator view: ring
@@ -624,12 +614,6 @@ type Engine interface {
 	Slate(updater, key string) []byte
 	// Slates returns the cached slates of an updater by event key.
 	Slates(updater string) map[string][]byte
-	// Output returns the retained events of a declared output stream —
-	// all of them when OutputCapacity is unset, the newest
-	// OutputCapacity otherwise. It is the legacy poll surface, kept as
-	// a compatibility shim over the capped ring; streaming consumers
-	// should Subscribe instead.
-	Output(stream string) []Event
 	// Stats snapshots the engine counters.
 	Stats() Stats
 	// Counters exposes live counters including the latency histogram.
@@ -722,14 +706,12 @@ func NewEngine(app *App, cfg Config) (Engine, error) {
 		QueuePolicy:        cfg.QueuePolicy,
 		OverflowStream:     cfg.OverflowStream,
 		CacheCapacity:      cfg.CacheCapacity,
-		OutputCapacity:     cfg.OutputCapacity,
 		SlateShards:        cfg.SlateShards,
 		FlushBatch:         cfg.FlushBatch,
 		FlushPolicy:        cfg.FlushPolicy,
 		FlushInterval:      cfg.FlushEvery,
 		StoreLevel:         cfg.StoreLevel,
 		SourceThrottle:     cfg.SourceThrottle,
-		SendLatency:        cfg.SendLatency,
 		DisableDualQueue:   cfg.DisableDualQueue,
 		ReplayLog:          cfg.ReplayLog,
 		Recovery:           cfg.Recovery,
@@ -740,7 +722,7 @@ func NewEngine(app *App, cfg Config) (Engine, error) {
 	}
 	if cfg.Network != nil {
 		var err error
-		if rc.Cluster, err = cfg.Network.buildNode(cfg.SendLatency); err != nil {
+		if rc.Cluster, err = cfg.Network.buildNode(); err != nil {
 			return nil, err
 		}
 	}

@@ -11,6 +11,15 @@ import (
 
 func run(t *testing.T, app *muppet.App, events []muppet.Event, cfg muppet.Config) muppet.Engine {
 	t.Helper()
+	e := start(t, app, cfg)
+	feed(e, events)
+	return e
+}
+
+// start builds an engine without feeding it, so a test can subscribe to
+// its output streams first.
+func start(t *testing.T, app *muppet.App, cfg muppet.Config) muppet.Engine {
+	t.Helper()
 	if cfg.Machines == 0 {
 		cfg.Machines = 3
 	}
@@ -24,11 +33,14 @@ func run(t *testing.T, app *muppet.App, events []muppet.Event, cfg muppet.Config
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+func feed(e muppet.Engine, events []muppet.Event) {
 	for _, ev := range events {
 		e.Ingest(ev)
 	}
 	e.Drain()
-	return e
 }
 
 func TestCanonicalRetailerRegexes(t *testing.T) {
@@ -93,10 +105,11 @@ func TestHotTopicsDetectsPlantedBurst(t *testing.T) {
 		EventsPerSecond: 10, // 600 events/minute of stream time
 	})
 	events := gen.Tweets("S1", 3000) // 5 stream minutes
-	e := run(t, HotTopicsApp(HotTopicsConfig{Threshold: 3, MinCount: 20}), events, muppet.Config{})
+	e := start(t, HotTopicsApp(HotTopicsConfig{Threshold: 3, MinCount: 20}), muppet.Config{})
 	defer e.Stop()
-	verdicts := HotVerdicts(e.Output("S4"))
-	if !verdicts[TopicMinuteKey("tech", 3)] {
+	hot := WatchHotVerdicts(e)
+	feed(e, events)
+	if verdicts := hot(); !verdicts[TopicMinuteKey("tech", 3)] {
 		t.Fatalf("planted burst not detected; verdicts = %v", verdicts)
 	}
 }
@@ -104,9 +117,11 @@ func TestHotTopicsDetectsPlantedBurst(t *testing.T) {
 func TestHotTopicsQuietOnUniformTraffic(t *testing.T) {
 	gen := NewGenerator(GenConfig{Seed: 13, EventsPerSecond: 100})
 	events := gen.Tweets("S1", 3000)
-	e := run(t, HotTopicsApp(HotTopicsConfig{Threshold: 4, MinCount: 30}), events, muppet.Config{})
+	e := start(t, HotTopicsApp(HotTopicsConfig{Threshold: 4, MinCount: 30}), muppet.Config{})
 	defer e.Stop()
-	if n := len(e.Output("S4")); n > 3 {
+	sub := e.Subscribe("S4", 64)
+	feed(e, events)
+	if n := len(sub.C()) + int(sub.Dropped()); n > 3 {
 		t.Fatalf("%d hot verdicts on uniform traffic, want ~0", n)
 	}
 }

@@ -2,6 +2,8 @@ package muppetapps
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 
 	"muppet"
 	"muppet/internal/workload"
@@ -154,12 +156,20 @@ func splitTopicMinute(key string) (topic string, minute int, ok bool) {
 	return "", 0, false
 }
 
-// HotVerdicts decodes the distinct <topic, minute> pairs an engine
-// reported hot on S4.
-func HotVerdicts(events []muppet.Event) map[string]bool {
-	out := make(map[string]bool)
-	for _, e := range events {
-		out[e.Key] = true
+// WatchHotVerdicts attaches a collector to the engine's S4 output
+// stream, before any event is ingested, and returns a function
+// reporting the distinct <topic, minute> pairs reported hot so far.
+func WatchHotVerdicts(eng muppet.Engine) func() map[string]bool {
+	var mu sync.Mutex
+	verdicts := make(map[string]bool)
+	eng.AttachOutput("S4", muppet.OutputHandlerFunc(func(ev muppet.Event) {
+		mu.Lock()
+		verdicts[ev.Key] = true
+		mu.Unlock()
+	}))
+	return func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(verdicts)
 	}
-	return out
 }

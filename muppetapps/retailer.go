@@ -57,27 +57,12 @@ func RetailerApp() *muppet.App {
 
 // Counting returns the Counter updater of Figure 4 on the typed API:
 // the slate is an int, mutated in place. At rest it is JSON-encoded —
-// the same ASCII decimal the classic CountingUpdate wrote, so typed
-// and untyped counters produce byte-identical slates (and Count reads
-// both).
+// the ASCII decimal count, the same bytes a byte-slate counter writes
+// with strconv.Itoa, so Count reads either.
 func Counting(name string) muppet.Updater {
 	return muppet.Update[int](name, func(emit muppet.Emitter, in muppet.Event, n *int) {
 		*n++
 	})
-}
-
-// CountingUpdate is the same Counter on the classic byte-slate API:
-// the slate is the ASCII decimal count of events seen for the key.
-// Kept for the untyped-API ablations and compatibility tests.
-func CountingUpdate(emit muppet.Emitter, in muppet.Event, sl []byte) {
-	count := 0
-	if sl != nil {
-		if n, err := strconv.Atoi(string(sl)); err == nil {
-			count = n
-		}
-	}
-	count++
-	emit.ReplaceSlate([]byte(strconv.Itoa(count)))
 }
 
 // Count parses a counting slate; missing slates read as zero.

@@ -83,7 +83,6 @@ var extraNonzero = []string{
 var mustBePresent = []string{
 	"muppet_engine_inflight",
 	"muppet_queue_depth",
-	"muppet_cluster_sim_network_seconds",
 	"muppet_outbox_depth",
 	"muppet_outbox_full_waits_total",
 	"muppet_slate_cache_evictions_total",
@@ -185,7 +184,7 @@ func checkLostLog(t *testing.T, eng muppet.Engine, lines map[string]float64) {
 }
 
 // obsConformanceApp is a two-stage workflow with a declared output:
-// S1 -> M1 -> {S2 -> U1 (counting byte slate), SOUT (output ring)}.
+// S1 -> M1 -> {S2 -> U1 (counting byte slate), SOUT (declared output)}.
 func obsConformanceApp() *muppet.App {
 	m1 := muppet.MapFunc{FName: "M1", Fn: func(emit muppet.Emitter, in muppet.Event) {
 		emit.Publish("S2", in.Key, in.Value)
@@ -258,16 +257,15 @@ func TestMetricsConformance(t *testing.T) {
 // durable store.
 func runBaseScenario(t *testing.T, version muppet.EngineVersion) map[string]float64 {
 	eng, err := muppet.NewEngine(obsConformanceApp(), muppet.Config{
-		Engine:         version,
-		Machines:       2,
-		QueueCapacity:  2,
-		QueuePolicy:    muppet.DropOverflow,
-		OutputCapacity: 1,
-		FlushPolicy:    muppet.FlushInterval,
-		FlushEvery:     2 * time.Millisecond,
-		Store:          muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true}),
-		StoreLevel:     muppet.One,
-		Observability:  muppet.ObservabilityConfig{Tracing: true, SampleRate: 1},
+		Engine:        version,
+		Machines:      2,
+		QueueCapacity: 2,
+		QueuePolicy:   muppet.DropOverflow,
+		FlushPolicy:   muppet.FlushInterval,
+		FlushEvery:    2 * time.Millisecond,
+		Store:         muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true}),
+		StoreLevel:    muppet.One,
+		Observability: muppet.ObservabilityConfig{Tracing: true, SampleRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +335,6 @@ func runDivertScenario(t *testing.T) map[string]float64 {
 		QueueCapacity:  2,
 		QueuePolicy:    muppet.DivertOverflow,
 		OverflowStream: "SOUT",
-		OutputCapacity: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

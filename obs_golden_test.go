@@ -38,14 +38,13 @@ func expositionShape(t *testing.T, eng muppet.Engine) string {
 func goldenEngine(t *testing.T, version muppet.EngineVersion, store *muppet.Store) string {
 	t.Helper()
 	eng, err := muppet.NewEngine(obsConformanceApp(), muppet.Config{
-		Engine:         version,
-		Machines:       2,
-		QueueCapacity:  2,
-		QueuePolicy:    muppet.DropOverflow,
-		OutputCapacity: 1,
-		Store:          store,
-		StoreLevel:     muppet.One,
-		Observability:  muppet.ObservabilityConfig{Tracing: true, SampleRate: 1},
+		Engine:        version,
+		Machines:      2,
+		QueueCapacity: 2,
+		QueuePolicy:   muppet.DropOverflow,
+		Store:         store,
+		StoreLevel:    muppet.One,
+		Observability: muppet.ObservabilityConfig{Tracing: true, SampleRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

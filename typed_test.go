@@ -84,26 +84,26 @@ func feedStats(t *testing.T, eng muppet.Engine) {
 	eng.Drain()
 }
 
-// outputCounts tallies a stream's events by key and value, ignoring
-// ordering (the distributed engines interleave legally).
-func outputCounts(evs []muppet.Event) map[string]int {
-	out := map[string]int{}
-	for _, e := range evs {
-		out[e.Key+"="+string(e.Value)]++
-	}
-	return out
-}
-
+// runStats returns the app's slates and its S_out events tallied by key
+// and value, ignoring ordering (the distributed engines interleave
+// legally).
 func runStats(t *testing.T, app *muppet.App, cfg muppet.Config) (map[string][]byte, map[string]int) {
 	t.Helper()
 	eng, err := muppet.NewEngine(app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := eng.Subscribe("S_out", 1024)
 	feedStats(t, eng)
 	slates := eng.Slates("U_stats")
-	outs := outputCounts(eng.Output("S_out"))
 	eng.Stop()
+	outs := map[string]int{}
+	for e := range sub.C() {
+		outs[e.Key+"="+string(e.Value)]++
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("S_out subscriber dropped %d events", sub.Dropped())
+	}
 	return slates, outs
 }
 
