@@ -431,17 +431,22 @@ func (c *Cluster) Scan(column string, fn func(key string, value []byte)) error {
 // The first node whose scan fails ends the scan with its error: the
 // rows seen so far are not the column.
 func (c *Cluster) ScanUntil(column string, fn func(key string, value []byte) bool) error {
-	seen := make(map[string]bool)
+	var seen map[string]bool
+	if len(c.nodes) > 1 { // one node's scan holds each key once already
+		seen = make(map[string]bool)
+	}
 	more := true
 	for _, name := range c.Nodes() {
 		if !more {
 			return nil
 		}
 		err := c.nodes[name].ScanUntil(column, func(k string, v []byte) bool {
-			if seen[k] {
-				return true
+			if seen != nil {
+				if seen[k] {
+					return true
+				}
+				seen[k] = true
 			}
-			seen[k] = true
 			more = fn(k, v)
 			return more
 		})

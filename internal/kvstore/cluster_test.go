@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +191,28 @@ func TestClusterScanDeduplicates(t *testing.T) {
 	c.Scan("U", func(k string, v []byte) { seen[k]++ })
 	if len(seen) != 2 || seen["a"] != 1 || seen["b"] != 1 {
 		t.Fatalf("scan = %v", seen)
+	}
+}
+
+// A one-node cluster scans without a dedup set: rows still arrive once
+// each, in key order, and an early stop ends the scan at that row.
+func TestSingleNodeScanStopsEarly(t *testing.T) {
+	c := testCluster(1, 1)
+	for _, k := range []string{"d", "b", "a", "c"} {
+		c.Put(k, "U", []byte(k), 0, One)
+	}
+	c.Put("a", "U", []byte("a2"), 0, One)
+	c.Put("z", "V", []byte("other column"), 0, One)
+	var got []string
+	err := c.ScanUntil("U", func(k string, v []byte) bool {
+		got = append(got, k+"="+string(v))
+		return len(got) < 3
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a=a2 b=b c=c"; strings.Join(got, " ") != want {
+		t.Fatalf("scan = %q, want %q", strings.Join(got, " "), want)
 	}
 }
 

@@ -293,10 +293,12 @@ func (n *Node) Compact() time.Duration {
 
 // Stats returns a snapshot of the node's internals, including a merged
 // live-row count (memtable over sstables, TTL and tombstones applied).
+// The count is a full scan, so it runs after the node lock is released:
+// a metrics scrape delays no Put or Get.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	es := n.eng.Stats()
+	n.mu.Unlock()
 	s := NodeStats{
 		MemtableRows:   es.MemtableRows,
 		MemtableBytes:  es.MemtableBytes,

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -421,6 +422,44 @@ func TestScanCallbackMayUseTheNode(t *testing.T) {
 	}
 	if v, _, ok, _, _ := n.Get("k4+", "U1"); !ok || string(v) != "added" {
 		t.Fatalf("write made inside the scan is missing: %q, %v", v, ok)
+	}
+}
+
+// Stats counts live rows with a full scan outside the node lock; run
+// beside PutBatch (under -race in CI) it must stay race-free and count
+// at least every row acknowledged before it was called.
+func TestStatsBesidePutBatch(t *testing.T) {
+	n := testNode(t, NodeConfig{MemtableFlushBytes: 2 << 10, CompactionThreshold: 3})
+	const batches = 200
+	var acked atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			entries := make([]BatchEntry, 5)
+			for i := range entries {
+				entries[i] = BatchEntry{Key: fmt.Sprintf("k%03d-%d", b, i), Column: "U", Value: []byte("slate")}
+			}
+			if _, err := n.PutBatch(entries); err != nil {
+				t.Errorf("PutBatch: %v", err)
+				return
+			}
+			acked.Add(int64(len(entries)))
+		}
+	}()
+	for stopped := false; !stopped; {
+		select {
+		case <-done:
+			stopped = true
+		default:
+		}
+		before := acked.Load()
+		if s := n.Stats(); int64(s.LiveRows) < before {
+			t.Errorf("Stats counted %d live rows, %d were acknowledged before it ran", s.LiveRows, before)
+		}
+	}
+	if s := n.Stats(); s.LiveRows != batches*5 || s.Flushes == 0 {
+		t.Fatalf("final stats %+v, want %d live rows over flushed sstables", s, batches*5)
 	}
 }
 

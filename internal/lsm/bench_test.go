@@ -136,6 +136,51 @@ func BenchmarkLSMGet(b *testing.B) {
 	})
 }
 
+// BenchmarkLSMScan measures a full scan of 10k live rows held in the
+// memtable alone, and spread over four segments with a quarter of the
+// keys rewritten in the memtable on top.
+func BenchmarkLSMScan(b *testing.B) {
+	const n = 10_000
+	scan := func(b *testing.B, e *Engine) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows := 0
+			if err := e.Scan(func(Row) bool { rows++; return true }); err != nil || rows != n {
+				b.Fatalf("scan: %d rows, %v", rows, err)
+			}
+		}
+	}
+	b.Run("memtable", func(b *testing.B) {
+		e := benchEngine(b, NewMemFS())
+		for _, rows := range benchRows(n, 100) {
+			if _, err := e.Put(rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		scan(b, e)
+	})
+	b.Run("segments", func(b *testing.B) {
+		e := benchEngine(b, NewMemFS())
+		for i, rows := range benchRows(n, 100) {
+			if _, err := e.Put(rows); err != nil {
+				b.Fatal(err)
+			}
+			if i%25 == 24 {
+				if _, err := e.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, rows := range benchRows(n/4, 100) {
+			if _, err := e.Put(rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		scan(b, e)
+	})
+}
+
 // BenchmarkLSMCompact measures merging 4 overlapping 2.5k-row segments
 // into one.
 func BenchmarkLSMCompact(b *testing.B) {

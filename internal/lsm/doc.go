@@ -40,6 +40,12 @@
 //
 // One mutex guards engine state. Segments are immutable once written,
 // so compaction merges outside the lock (concurrent flushes only
-// prepend segments) and swaps the list under it. Scan builds its merged
-// snapshot under the lock and runs its callbacks after releasing it.
+// prepend segments) and swaps the list under it. Scan holds the lock
+// only to pin its view: the memtable's rows copied in key order (the
+// memtable keeps that order incrementally, sorting only the keys new
+// since the last pin) and one reference to each segment. The k-way
+// merge of those sorted sources, every segment read and every callback
+// run after the lock is released. Segments are reference counted, so a
+// segment compaction retires is closed and removed only once the last
+// scan over it has let go. Compaction and LiveRows run the same merge.
 package lsm

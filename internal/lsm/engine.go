@@ -2,10 +2,12 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"muppet/internal/clock"
 )
@@ -94,14 +96,13 @@ type Engine struct {
 	opt Options
 	fs  FS
 
-	mu       sync.Mutex
-	mem      map[string]Row
-	memBytes int64
-	segs     []*segment // newest first
-	wal      *walWriter
-	next     uint64 // next file sequence number
-	stats    Stats
-	closed   bool
+	mu     sync.Mutex
+	mem    *memtable
+	segs   []*segment // newest first
+	wal    *walWriter
+	next   uint64 // next file sequence number
+	stats  Stats
+	closed bool
 	// broken is set when a WAL sync or manifest commit fails and the
 	// on-disk state is no longer known to match memory. The engine goes
 	// fail-stop for writes: acknowledging anything more could be lost on
@@ -135,7 +136,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open %s: %w", dir, err)
 	}
-	e := &Engine{dir: dir, opt: opt, fs: fs, mem: make(map[string]Row)}
+	e := &Engine{dir: dir, opt: opt, fs: fs, mem: newMemtable()}
 	// Never reuse a sequence number, even one belonging to an orphan
 	// file about to be swept.
 	e.next = man.Next
@@ -168,7 +169,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 	// overwrite older ones in the memtable.
 	sort.Slice(walSeqs, func(i, j int) bool { return walSeqs[i] < walSeqs[j] })
 	for _, seq := range walSeqs {
-		err := readWAL(fs, dir, seq, func(r Row) { e.memApply(r) })
+		err := readWAL(fs, dir, seq, e.mem.put)
 		if err != nil {
 			e.closeFiles()
 			return nil, err
@@ -177,8 +178,8 @@ func Open(dir string, opt Options) (*Engine, error) {
 	// Persist the recovered memtable as a segment so the old WALs can
 	// be retired; then open a fresh WAL and commit the whole new state
 	// with one manifest rename.
-	if len(e.mem) > 0 {
-		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.memSorted(), opt.IndexEvery, opt.BloomFPRate)
+	if e.mem.len() > 0 {
+		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.mem.sorted(), opt.IndexEvery, opt.BloomFPRate)
 		if err != nil {
 			e.closeFiles()
 			return nil, err
@@ -188,8 +189,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 		e.stats.SegmentBytes += seg.bytes
 		e.stats.Flushes++
 		e.segs = append([]*segment{seg}, e.segs...)
-		e.mem = make(map[string]Row)
-		e.memBytes = 0
+		e.mem = newMemtable()
 	}
 	wal, err := newWAL(fs, dir, e.nextSeq())
 	if err != nil {
@@ -243,30 +243,6 @@ func parseFileName(name string) (uint64, string) {
 
 func (e *Engine) nextSeq() uint64 { seq := e.next; e.next++; return seq }
 
-// memApply inserts r into the memtable, newest-wins.
-func (e *Engine) memApply(r Row) {
-	if old, ok := e.mem[r.Key]; ok {
-		if r.WriteTime.Before(old.WriteTime) {
-			return
-		}
-		e.memBytes -= rowMemBytes(old)
-	}
-	e.mem[r.Key] = r
-	e.memBytes += rowMemBytes(r)
-}
-
-func rowMemBytes(r Row) int64 { return int64(len(r.Key) + len(r.Value) + 48) }
-
-// memSorted snapshots the memtable as rows sorted by key.
-func (e *Engine) memSorted() []Row {
-	rows := make([]Row, 0, len(e.mem))
-	for _, r := range e.mem {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	return rows
-}
-
 // commitManifestLocked writes the manifest describing current state.
 func (e *Engine) commitManifestLocked() error {
 	m := manifest{Next: e.next, WALSeq: e.wal.seq, Segments: make([]uint64, len(e.segs))}
@@ -306,9 +282,9 @@ func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 	e.stats.Fsyncs++
 	e.stats.BytesWritten += n
 	for _, r := range rows {
-		e.memApply(r)
+		e.mem.put(r)
 	}
-	if e.memBytes >= e.opt.MemtableFlushBytes {
+	if e.mem.bytes >= e.opt.MemtableFlushBytes {
 		return e.flushLocked()
 	}
 	return 0, nil
@@ -325,7 +301,7 @@ func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 		return Row{}, false, 0, fmt.Errorf("lsm: engine closed")
 	}
 	e.stats.Reads++
-	if r, ok := e.mem[key]; ok {
+	if r, ok := e.mem.get(key); ok {
 		e.stats.ReadsFromMem++
 		return r, true, 0, nil
 	}
@@ -350,53 +326,129 @@ func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 
 // Scan calls fn for every live row (tombstones and expired rows
 // resolved away, newest version wins) in ascending key order, stopping
-// early if fn returns false. The merged view is taken under the engine
-// lock and iterated after it is released — it is a private slice of
-// immutable rows — so fn sees the snapshot as of the call, may itself
-// call Get or Put, and delays no writer, flush or cache-miss load.
+// early if fn returns false. The engine lock is held only to pin the
+// view — a copy of the memtable's rows in key order plus a reference to
+// each segment — and the merge, every segment read and every callback
+// run after it is released. So fn sees the snapshot as of the call, may
+// itself call Get or Put, and delays no writer, flush or cache-miss
+// load; a compaction meanwhile retires the segments only when the scan
+// lets go of them.
 func (e *Engine) Scan(fn func(Row) bool) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return fmt.Errorf("lsm: engine closed")
-	}
-	merged, err := e.mergedLocked()
-	now := e.opt.Clock.Now()
-	e.mu.Unlock()
+	v, err := e.pin()
 	if err != nil {
 		return err
 	}
-	for _, r := range merged {
-		if !r.Deleted(now) && !fn(r) {
-			break
+	defer e.unpin(v)
+	return v.merge(func(c *cursor) (bool, error) {
+		if c.row.Deleted(v.now) {
+			return true, nil
+		}
+		r := c.row
+		var err error
+		if r.Value, err = c.value(); err != nil {
+			return false, err
+		}
+		return fn(r), nil
+	})
+}
+
+// view is a pinned read view of the engine: the memtable's rows in key
+// order as of the pin, and the segments then live, each held open by a
+// reference until the view is unpinned.
+type view struct {
+	mem  []Row
+	segs []*segment // newest first
+	now  time.Time
+	read int64 // segment bytes the merge read
+}
+
+// pin takes a read view under the engine lock.
+func (e *Engine) pin() (*view, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, fmt.Errorf("lsm: engine closed")
+	}
+	return &view{mem: e.mem.sorted(), segs: e.refSegsLocked(), now: e.opt.Clock.Now()}, nil
+}
+
+// refSegsLocked returns the live segment list, each segment referenced
+// once more for the caller to release.
+func (e *Engine) refSegsLocked() []*segment {
+	segs := append([]*segment(nil), e.segs...)
+	for _, s := range segs {
+		s.refs.Add(1)
+	}
+	return segs
+}
+
+// unpin releases the view's segments and books what the merge read.
+func (e *Engine) unpin(v *view) {
+	for _, s := range v.segs {
+		s.release()
+	}
+	if v.read > 0 {
+		e.mu.Lock()
+		e.stats.BytesRead += v.read
+		e.mu.Unlock()
+	}
+}
+
+// merge k-way merges the view's sorted sources, calling fn with the
+// cursor that holds the newest version of each key, in ascending key
+// order and with tombstones and expired rows included, until fn returns
+// false. Sources rank newest first — the memtable, then the segments
+// newest to oldest — so on equal keys the first ranked wins, and the
+// versions it shadows are stepped past without decoding their values.
+func (v *view) merge(fn func(c *cursor) (bool, error)) error {
+	cs := make([]cursor, 1, 1+len(v.segs))
+	cs[0].mem = v.mem
+	for _, s := range v.segs {
+		cs = append(cs, cursor{seg: s})
+	}
+	defer func() {
+		for i := range cs {
+			v.read += cs[i].read
+		}
+	}()
+	heads := make([]*cursor, 0, len(cs))
+	for i := range cs {
+		ok, err := cs[i].next()
+		if err != nil {
+			return err
+		}
+		if ok {
+			heads = append(heads, &cs[i])
+		}
+	}
+	for len(heads) > 0 {
+		best := heads[0]
+		for _, c := range heads[1:] {
+			if c.row.Key < best.row.Key {
+				best = c
+			}
+		}
+		if more, err := fn(best); err != nil || !more {
+			return err
+		}
+		key := best.row.Key
+		for i := 0; i < len(heads); {
+			if heads[i].row.Key != key {
+				i++
+				continue
+			}
+			ok, err := heads[i].next()
+			if err != nil {
+				return err
+			}
+			if ok {
+				i++
+			} else {
+				heads = slices.Delete(heads, i, i+1)
+			}
 		}
 	}
 	return nil
-}
-
-// mergedLocked materializes the newest-wins view of memtable plus all
-// segments, sorted by key, still including tombstones and expired rows.
-func (e *Engine) mergedLocked() ([]Row, error) {
-	view := make(map[string]Row)
-	for i := len(e.segs) - 1; i >= 0; i-- { // oldest → newest overwrites
-		rows, err := e.segs[i].load()
-		if err != nil {
-			return nil, err
-		}
-		e.stats.BytesRead += e.segs[i].dataEnd
-		for _, r := range rows {
-			view[r.Key] = r
-		}
-	}
-	for k, r := range e.mem {
-		view[k] = r
-	}
-	out := make([]Row, 0, len(view))
-	for _, r := range view {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }
 
 // Flush forces the memtable to a segment regardless of size.
@@ -418,10 +470,10 @@ func (e *Engine) flushLocked() (int64, error) {
 	if e.broken != nil {
 		return 0, fmt.Errorf("lsm: engine failed, reopen to recover: %w", e.broken)
 	}
-	if len(e.mem) == 0 {
+	if e.mem.len() == 0 {
 		return 0, nil
 	}
-	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.memSorted(), e.opt.IndexEvery, e.opt.BloomFPRate)
+	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.mem.sorted(), e.opt.IndexEvery, e.opt.BloomFPRate)
 	if err != nil {
 		return 0, err
 	}
@@ -430,7 +482,7 @@ func (e *Engine) flushLocked() (int64, error) {
 	oldWAL := e.wal
 	wal, err := newWAL(e.fs, e.dir, e.nextSeq())
 	if err != nil {
-		seg.close()
+		seg.release()
 		return 0, err
 	}
 	e.stats.Fsyncs++
@@ -442,14 +494,13 @@ func (e *Engine) flushLocked() (int64, error) {
 		e.broken = err
 		e.segs = e.segs[1:]
 		e.wal = oldWAL
-		seg.close()
+		seg.release()
 		wal.close()
 		return 0, err
 	}
 	e.stats.SegmentBytes += seg.bytes
 	e.stats.Flushes++
-	e.mem = make(map[string]Row)
-	e.memBytes = 0
+	e.mem = newMemtable()
 	oldWAL.close()
 	e.fs.Remove(oldWAL.path) // best effort: manifest already retired it
 	if len(e.segs) >= e.opt.CompactionThreshold && !e.opt.DisableAutoCompact && !e.compactPending {
@@ -501,35 +552,33 @@ func (e *Engine) compact(background bool) (read, written int64, err error) {
 		e.mu.Unlock()
 		return 0, 0, nil
 	}
-	snapshot := append([]*segment(nil), e.segs...)
+	v := &view{segs: e.refSegsLocked(), now: e.opt.Clock.Now()}
+	snapshot := v.segs
 	newSeq := e.nextSeq()
-	now := e.opt.Clock.Now()
 	e.mu.Unlock()
+	defer e.unpin(v)
 
-	view := make(map[string]Row)
-	for i := len(snapshot) - 1; i >= 0; i-- { // oldest → newest overwrites
-		rows, err := snapshot[i].load()
-		if err != nil {
-			return read, 0, err
-		}
-		read += snapshot[i].dataEnd
-		for _, r := range rows {
-			view[r.Key] = r
-		}
-	}
 	var dropped int64
-	merged := make([]Row, 0, len(view))
-	for _, r := range view {
-		if r.Tombstone {
-			continue
-		}
-		if r.expired(now) {
+	var merged []Row
+	err = v.merge(func(c *cursor) (bool, error) {
+		switch {
+		case c.row.Tombstone:
+		case c.row.expired(v.now):
 			dropped++
-			continue
+		default:
+			r := c.row
+			var err error
+			if r.Value, err = c.value(); err != nil {
+				return false, err
+			}
+			merged = append(merged, r)
 		}
-		merged = append(merged, r)
+		return true, nil
+	})
+	read = v.read
+	if err != nil {
+		return read, 0, err
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
 
 	var newSegs []*segment
 	if len(merged) > 0 {
@@ -548,10 +597,7 @@ func (e *Engine) compact(background bool) (read, written int64, err error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		for _, s := range newSegs {
-			s.close()
-			e.fs.Remove(s.path)
-		}
+		retire(newSegs)
 		return read, written, fmt.Errorf("lsm: engine closed")
 	}
 	// Flushes during the merge prepended segments; keep those, replace
@@ -564,13 +610,9 @@ func (e *Engine) compact(background bool) (read, written int64, err error) {
 		e.broken = err
 		e.segs = append(append([]*segment(nil), keep...), snapshot...)
 		e.mu.Unlock()
-		for _, s := range newSegs {
-			s.close()
-			e.fs.Remove(s.path)
-		}
+		retire(newSegs)
 		return read, written, err
 	}
-	e.stats.BytesRead += read
 	e.stats.Compactions++
 	e.stats.ExpiredDropped += dropped
 	var segBytes int64
@@ -579,12 +621,17 @@ func (e *Engine) compact(background bool) (read, written int64, err error) {
 	}
 	e.stats.SegmentBytes = segBytes
 	e.mu.Unlock()
-
-	for _, s := range snapshot {
-		s.close()
-		e.fs.Remove(s.path) // best effort: manifest no longer owns them
-	}
+	retire(snapshot)
 	return read, written, nil
+}
+
+// retire drops the engine's reference to segments the manifest does not
+// own; the last reference, perhaps a scan's, closes and removes each.
+func retire(segs []*segment) {
+	for _, s := range segs {
+		s.retired.Store(true)
+		s.release()
+	}
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -592,8 +639,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	s.MemtableRows = len(e.mem)
-	s.MemtableBytes = e.memBytes
+	s.MemtableRows = e.mem.len()
+	s.MemtableBytes = e.mem.bytes
 	s.Segments = len(e.segs)
 	var segBytes int64
 	for _, seg := range e.segs {
@@ -610,11 +657,22 @@ func (e *Engine) Stats() Stats {
 }
 
 // LiveRows counts rows visible right now (newest-wins, tombstones and
-// expired excluded). It materializes the merged view; use for tests
-// and stats, not hot paths.
+// expired excluded). It runs Scan's merge without decoding any value,
+// outside the engine lock, but still reads every segment: use for
+// tests and stats, not hot paths.
 func (e *Engine) LiveRows() (int, error) {
+	v, err := e.pin()
+	if err != nil {
+		return 0, err
+	}
+	defer e.unpin(v)
 	n := 0
-	err := e.Scan(func(Row) bool { n++; return true })
+	err = v.merge(func(c *cursor) (bool, error) {
+		if !c.row.Deleted(v.now) {
+			n++
+		}
+		return true, nil
+	})
 	return n, err
 }
 
@@ -648,7 +706,7 @@ func (e *Engine) Close() error {
 func (e *Engine) closeSegsLocked() error {
 	var first error
 	for _, s := range e.segs {
-		if err := s.close(); err != nil && first == nil {
+		if err := s.release(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"muppet/internal/bloom"
@@ -72,44 +73,61 @@ func appendRow(dst, scratch []byte, r Row) (out, scratchOut []byte) {
 // and the remaining bytes. The value is decoded out of its frame into
 // fresh memory (rows outlive the read buffer).
 func decodeRow(data []byte) (Row, []byte, error) {
-	var r Row
+	r, enc, rest, err := decodeRowHead(data)
+	if err != nil {
+		return r, nil, err
+	}
+	if r.Value, err = decodeValue(r, enc); err != nil {
+		return r, nil, err
+	}
+	return r, rest, nil
+}
+
+// decodeRowHead decodes the row at the front of data except its value,
+// which it returns still framed (enc aliases data), with the remaining
+// bytes. Readers that may skip the row pay no frame decode for it.
+func decodeRowHead(data []byte) (r Row, enc, rest []byte, err error) {
 	klen, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < klen {
-		return r, nil, fmt.Errorf("lsm: row: truncated key")
+		return r, nil, nil, fmt.Errorf("lsm: row: truncated key")
 	}
 	r.Key = string(data[n : n+int(klen)])
 	data = data[n+int(klen):]
 	wt, n := binary.Uvarint(data)
 	if n <= 0 {
-		return r, nil, fmt.Errorf("lsm: row: truncated write time")
+		return r, nil, nil, fmt.Errorf("lsm: row: truncated write time")
 	}
 	r.WriteTime = time.Unix(0, int64(wt))
 	data = data[n:]
 	ttl, n := binary.Uvarint(data)
 	if n <= 0 {
-		return r, nil, fmt.Errorf("lsm: row: truncated ttl")
+		return r, nil, nil, fmt.Errorf("lsm: row: truncated ttl")
 	}
 	r.TTL = time.Duration(ttl)
 	data = data[n:]
 	if len(data) < 1 {
-		return r, nil, fmt.Errorf("lsm: row: truncated flags")
+		return r, nil, nil, fmt.Errorf("lsm: row: truncated flags")
 	}
 	r.Tombstone = data[0]&rowFlagTombstone != 0
 	data = data[1:]
 	vlen, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < vlen {
-		return r, nil, fmt.Errorf("lsm: row: truncated value")
+		return r, nil, nil, fmt.Errorf("lsm: row: truncated value")
 	}
-	enc := data[n : n+int(vlen)]
-	data = data[n+int(vlen):]
-	if vlen > 0 || !r.Tombstone {
-		v, err := frame.Decode(enc)
-		if err != nil {
-			return r, nil, fmt.Errorf("lsm: row %q: %w", r.Key, err)
-		}
-		r.Value = v
+	return r, data[n : n+int(vlen)], data[n+int(vlen):], nil
+}
+
+// decodeValue decodes the framed value enc of row r (as decodeRowHead
+// returned them) into fresh memory.
+func decodeValue(r Row, enc []byte) ([]byte, error) {
+	if len(enc) == 0 && r.Tombstone {
+		return nil, nil
 	}
-	return r, data, nil
+	v, err := frame.Decode(enc)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: row %q: %w", r.Key, err)
+	}
+	return v, nil
 }
 
 // Segment file layout
@@ -128,18 +146,25 @@ const (
 	segFooterSize = 8*3 + len(segMagic)
 )
 
-// segment is one immutable sorted run, open for positional reads.
+// segment is one immutable sorted run, open for positional reads. It
+// is reference counted: the engine's segment list holds one reference
+// and every pinned read view one more, so a compaction that retires the
+// segment closes and removes its file only after the last scan over it
+// has finished.
 type segment struct {
 	seq  uint64
 	path string
+	fs   FS
 	f    File
 
 	indexKeys []string
-	indexOffs []int64
-	dataEnd   int64 // first byte past the row region (= index offset)
+	indexOffs []int64 // ascending; the first is the first row's offset
+	dataEnd   int64   // first byte past the row region (= index offset)
 	filter    *bloom.Filter
-	rows      int
 	bytes     int64 // total file size
+
+	refs    atomic.Int32
+	retired atomic.Bool // the manifest no longer owns the file
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("seg-%06d.sst", seq) }
@@ -288,16 +313,23 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 		keys = append(keys, key)
 		offs = append(offs, prev)
 	}
+	// The index blocks tile the row region: the first row is indexed,
+	// and only an empty region has no entries. A cursor reads the rows
+	// block by block and a point read trusts the first block's start.
+	if (count == 0) != (indexOff == int64(len(segMagic))) || (count > 0 && offs[0] != int64(len(segMagic))) {
+		return fail("index does not start at the first row")
+	}
 	filter, err := bloom.Unmarshal(meta[bloomOff-indexOff:])
 	if err != nil {
 		return fail("%v", err)
 	}
-	return &segment{
-		seq: seq, path: path, f: f,
+	s := &segment{
+		seq: seq, path: path, fs: fs, f: f,
 		indexKeys: keys, indexOffs: offs,
-		dataEnd: indexOff, filter: filter,
-		rows: int(rowCount), bytes: size,
-	}, nil
+		dataEnd: indexOff, filter: filter, bytes: size,
+	}
+	s.refs.Store(1)
+	return s, nil
 }
 
 // get returns the newest stored version of key in this segment (which
@@ -326,11 +358,14 @@ func (s *segment) get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	}
 	bytesRead = int64(len(block))
 	for len(block) > 0 {
-		row, rest, err := decodeRow(block)
+		row, enc, rest, err := decodeRowHead(block)
 		if err != nil {
 			return Row{}, false, bytesRead, fmt.Errorf("lsm: segment %s: %w", s.path, err)
 		}
 		if row.Key == key {
+			if row.Value, err = decodeValue(row, enc); err != nil {
+				return Row{}, false, bytesRead, fmt.Errorf("lsm: segment %s: %w", s.path, err)
+			}
 			return row, true, bytesRead, nil
 		}
 		if row.Key > key {
@@ -341,22 +376,104 @@ func (s *segment) get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	return Row{}, false, bytesRead, nil
 }
 
-// load reads and decodes every row in key order.
-func (s *segment) load() ([]Row, error) {
-	data := make([]byte, s.dataEnd-int64(len(segMagic)))
-	if _, err := s.f.ReadAt(data, int64(len(segMagic))); err != nil {
-		return nil, fmt.Errorf("lsm: segment %s: read rows: %w", s.path, err)
+// release drops one reference. The last one closes the file, and
+// removes it too once compaction has retired the segment.
+func (s *segment) release() error {
+	if s.refs.Add(-1) != 0 {
+		return nil
 	}
-	rows := make([]Row, 0, s.rows)
-	for len(data) > 0 {
-		row, rest, err := decodeRow(data)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: segment %s: %w", s.path, err)
-		}
-		rows = append(rows, row)
-		data = rest
+	err := s.f.Close()
+	if s.retired.Load() {
+		s.fs.Remove(s.path) // best effort: the manifest no longer owns it
 	}
-	return rows, nil
+	return err
 }
 
-func (s *segment) close() error { return s.f.Close() }
+// scanChunk is how many bytes of whole index blocks a cursor reads off
+// a segment at a time (at least one block, however large).
+const scanChunk = 64 << 10
+
+// cursor is one sorted source of a merge: the pinned memtable rows, or
+// a segment's row region, read a chunk of whole index blocks at a time
+// and decoded one row at a time. A segment row's value stays framed
+// until value is called, so a row the merge steps past costs no frame
+// decode.
+type cursor struct {
+	row Row    // current row; from a segment, its Value is still framed in enc
+	enc []byte // aliases buf
+
+	mem []Row // memtable source: the rows after row
+
+	seg     *segment // segment source
+	block   int      // next index block to read
+	buf     []byte   // read buffer, reused chunk to chunk
+	data    []byte   // undecoded rest of the chunk in buf
+	started bool     // row holds a decoded row
+	read    int64    // bytes read off the file
+}
+
+// next advances to the following row, reporting false at the end.
+func (c *cursor) next() (bool, error) {
+	if c.seg == nil {
+		if len(c.mem) == 0 {
+			return false, nil
+		}
+		c.row, c.mem = c.mem[0], c.mem[1:]
+		return true, nil
+	}
+	if len(c.data) == 0 {
+		if c.block == len(c.seg.indexOffs) {
+			return false, nil
+		}
+		if err := c.fill(); err != nil {
+			return false, err
+		}
+	}
+	r, enc, rest, err := decodeRowHead(c.data)
+	if err != nil {
+		return false, fmt.Errorf("lsm: segment %s: %w", c.seg.path, err)
+	}
+	// A damaged file must not break the merge's order contract quietly.
+	if c.started && r.Key <= c.row.Key {
+		return false, fmt.Errorf("lsm: segment %s: row %q out of order", c.seg.path, r.Key)
+	}
+	c.row, c.enc, c.data, c.started = r, enc, rest, true
+	return true, nil
+}
+
+// fill reads the next run of whole index blocks, up to scanChunk bytes.
+func (c *cursor) fill() error {
+	offs := c.seg.indexOffs
+	start, j := offs[c.block], c.block+1
+	for j < len(offs) && offs[j]-start < scanChunk {
+		j++
+	}
+	end := c.seg.dataEnd
+	if j < len(offs) {
+		end = offs[j]
+	}
+	if n := int(end - start); cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	} else {
+		c.buf = c.buf[:n]
+	}
+	if _, err := c.seg.f.ReadAt(c.buf, start); err != nil {
+		return fmt.Errorf("lsm: segment %s: read rows: %w", c.seg.path, err)
+	}
+	c.read += int64(len(c.buf))
+	c.block, c.data = j, c.buf
+	return nil
+}
+
+// value returns the current row's value, decoding it out of its frame
+// into fresh memory when it came from a segment.
+func (c *cursor) value() ([]byte, error) {
+	if c.seg == nil {
+		return c.row.Value, nil
+	}
+	v, err := decodeValue(c.row, c.enc)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: segment %s: %w", c.seg.path, err)
+	}
+	return v, nil
+}

@@ -100,6 +100,8 @@ func TestOpenRejectsDamagedSegment(t *testing.T) {
 	past[2] = uint64(len(segMagic) + len(rowRegion)) // first byte of the index block
 	inMagic := append([]uint64(nil), offs...)
 	inMagic[0] = 0
+	skipsFirst := append([]uint64(nil), offs...)
+	skipsFirst[0]++ // still ascending, but the first row is unindexed
 	cases := map[string][]byte{
 		"index count 2^62":            segImage(rowRegion, 1<<62, keys, offs, bl, n),
 		"index count past its block":  segImage(rowRegion, uint64(len(keys))+1, keys, offs, bl, n),
@@ -108,12 +110,14 @@ func TestOpenRejectsDamagedSegment(t *testing.T) {
 		"index offsets swapped":       segImage(rowRegion, uint64(len(keys)), keys, swapped, bl, n),
 		"index offset past the rows":  segImage(rowRegion, uint64(len(keys)), keys, past, bl, n),
 		"index offset inside a magic": segImage(rowRegion, uint64(len(keys)), keys, inMagic, bl, n),
+		"index skips the first row":   segImage(rowRegion, uint64(len(keys)), keys, skipsFirst, bl, n),
+		"rows but an empty index":     segImage(rowRegion, 0, nil, nil, bl, n),
 	}
 	for name, img := range cases {
 		t.Run(name, func(t *testing.T) {
 			fs := writeSegFile(t, img)
 			if seg, err := openSegment(fs, "/db", 1); err == nil {
-				seg.close()
+				seg.release()
 				t.Fatal("openSegment accepted the damaged file")
 			}
 			// The same through the engine: a manifest that names the file.
@@ -133,8 +137,8 @@ func TestOpenRejectsDamagedSegment(t *testing.T) {
 }
 
 // FuzzOpenSegment: arbitrary bytes as a segment file. openSegment, get
-// and load return errors, never panic or size an allocation from a
-// number the file merely claims.
+// and a scan cursor driven to its end return errors, never panic or
+// size an allocation from a number the file merely claims.
 func FuzzOpenSegment(f *testing.F) {
 	rowRegion, keys, offs, bl, n := segParts()
 	valid := segImage(rowRegion, uint64(len(keys)), keys, offs, bl, n)
@@ -151,16 +155,28 @@ func FuzzOpenSegment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer seg.close()
-		rows, err := seg.load()
-		if err == nil && len(rows) > len(img)/minRowBytes {
-			t.Fatalf("load returned %d rows from %d bytes", len(rows), len(img))
+		defer seg.release()
+		var keys []string
+		c := &cursor{seg: seg}
+		for {
+			ok, err := c.next()
+			if err != nil || !ok {
+				break
+			}
+			if len(keys) > 0 && c.row.Key <= keys[len(keys)-1] {
+				t.Fatalf("cursor row %q after %q", c.row.Key, keys[len(keys)-1])
+			}
+			keys = append(keys, c.row.Key)
+			c.value()
+		}
+		if len(keys) > len(img)/minRowBytes {
+			t.Fatalf("cursor returned %d rows from %d bytes", len(keys), len(img))
 		}
 		for _, k := range append([]string{"", "key-a", "key-f", "zzz"}, seg.indexKeys...) {
 			seg.get(k)
 		}
-		for _, r := range rows {
-			seg.get(r.Key)
+		for _, k := range keys {
+			seg.get(k)
 		}
 	})
 }
