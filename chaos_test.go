@@ -61,10 +61,9 @@ func startChaosApp(t *testing.T, app func() *muppet.App, threads int, members []
 				// A retry budget comfortably above the chaos layer's
 				// MaxFaultsPerDelivery, so every batch that is not
 				// partitioned away eventually gets a clean exchange.
-				SendRetries:         6,
-				SendRetryBackoff:    time.Millisecond,
-				SendRetryMaxBackoff: 10 * time.Millisecond,
-				Chaos:               chaosFor(m),
+				SendRetries:      6,
+				SendRetryBackoff: time.Millisecond,
+				Chaos:            chaosFor(m),
 			},
 		})
 		if err != nil {

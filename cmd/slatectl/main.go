@@ -35,8 +35,8 @@
 // every two seconds, a live top-like view of a running node.
 //
 // The recovery command prints the engine's recovery-subsystem status:
-// ring membership, failover and rejoin counts, WAL replay totals, and
-// the latest incident reports.
+// ring membership, failover and rejoin counts, loss totals, and the
+// latest incident reports.
 //
 // The slate command pretty-prints JSON slate payloads (the output of
 // the typed API's JSONCodec, and of hand-rolled JSON slates); -raw

@@ -62,15 +62,11 @@ type NetworkFileConfig struct {
 	RetryBackoff string `json:"retry_backoff,omitempty"`
 	MaxBackoff   string `json:"max_backoff,omitempty"`
 	// SendRetries is the delivery attempts per remote batch including
-	// the first (default 3; 1 disables retry); SendRetryBackoff and
-	// SendRetryMaxBackoff are Go durations tuning the jittered doubling
-	// pause between attempts (defaults 5ms / 100ms).
-	SendRetries         int    `json:"send_retries,omitempty"`
-	SendRetryBackoff    string `json:"send_retry_backoff,omitempty"`
-	SendRetryMaxBackoff string `json:"send_retry_max_backoff,omitempty"`
-	// DedupWindow is the receiver-side per-sender dedup window in
-	// batches (default 4096; negative disables).
-	DedupWindow int `json:"dedup_window,omitempty"`
+	// the first (default 3; 1 disables retry); SendRetryBackoff is a Go
+	// duration, the first pause between attempts (default 5ms, doubled
+	// per retry with jitter up to 100ms).
+	SendRetries      int    `json:"send_retries,omitempty"`
+	SendRetryBackoff string `json:"send_retry_backoff,omitempty"`
 	// Chaos, when present, wraps the node's transport in the seeded
 	// fault injector — a soak/testing facility, not for production.
 	Chaos *ChaosFileConfig `json:"chaos,omitempty"`
@@ -154,7 +150,6 @@ func (n *NetworkFileConfig) BuildNetwork(node, listen string) (*NetworkConfig, e
 		Listen:      listen,
 		Peers:       peers,
 		SendRetries: n.SendRetries,
-		DedupWindow: n.DedupWindow,
 	}
 	for _, d := range []struct {
 		s   string
@@ -165,7 +160,6 @@ func (n *NetworkFileConfig) BuildNetwork(node, listen string) (*NetworkConfig, e
 		{n.RetryBackoff, &cfg.RetryBackoff},
 		{n.MaxBackoff, &cfg.MaxBackoff},
 		{n.SendRetryBackoff, &cfg.SendRetryBackoff},
-		{n.SendRetryMaxBackoff, &cfg.SendRetryMaxBackoff},
 	} {
 		if d.s == "" {
 			continue
@@ -233,14 +227,12 @@ type EngineConfig struct {
 	Tracing         bool `json:"tracing,omitempty"`
 	TraceSampleRate int  `json:"trace_sample_rate,omitempty"`
 	// Recovery holds the recovery-subsystem knobs; omit for defaults
-	// (WAL replay on failover, suspicion 3 strikes in 10s).
+	// (suspicion 3 strikes in 10s).
 	Recovery *RecoveryFileConfig `json:"recovery,omitempty"`
 }
 
 // RecoveryFileConfig is the recovery section of a configuration file.
 type RecoveryFileConfig struct {
-	// DisableWALReplay skips slate group-commit WAL replay on failover.
-	DisableWALReplay bool `json:"disable_wal_replay,omitempty"`
 	// SuspicionK is the consecutive exhausted-retry send failures that
 	// confirm a machine down (default 3; 1 escalates on the first).
 	SuspicionK int `json:"suspicion_k,omitempty"`
@@ -394,8 +386,7 @@ func (c *AppConfig) engineConfig() (Config, error) {
 	}
 	if r := e.Recovery; r != nil {
 		cfg.Recovery = RecoveryConfig{
-			DisableWALReplay: r.DisableWALReplay,
-			SuspicionK:       r.SuspicionK,
+			SuspicionK: r.SuspicionK,
 		}
 		if r.SuspicionWindow != "" {
 			d, err := time.ParseDuration(r.SuspicionWindow)

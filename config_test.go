@@ -189,7 +189,7 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 	    {"kind": "update", "name": "U_count", "code": "counter", "subscribes": ["words"]}
 	  ],
 	  "engine": {"machines": 2, "replay_log": true,
-	    "recovery": {"disable_wal_replay": true, "suspicion_k": 5, "suspicion_window": "2s"}}
+	    "recovery": {"suspicion_k": 5, "suspicion_window": "2s"}}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +202,6 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 		t.Fatal("replay_log not mapped")
 	}
 	r := ecfg.Recovery
-	if !r.DisableWALReplay {
-		t.Fatalf("recovery cfg = %+v", r)
-	}
 	if r.SuspicionK != 5 || r.SuspicionWindow != 2*time.Second {
 		t.Fatalf("suspicion knobs = %d/%v, want 5/2s", r.SuspicionK, r.SuspicionWindow)
 	}
@@ -219,6 +216,9 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"disable_detector", `"engine": {"recovery": {"disable_detector": true}}`},
 		{"disable_rejoin_warm", `"engine": {"recovery": {"disable_rejoin_warm": true}}`},
 		{"warm_limit", `"engine": {"recovery": {"warm_limit": 500}}`},
+		{"disable_wal_replay", `"engine": {"recovery": {"disable_wal_replay": true}}`},
+		{"dedup_window", `"network": {"nodes": {}, "dedup_window": 512}`},
+		{"send_retry_max_backoff", `"network": {"nodes": {}, "send_retry_max_backoff": "40ms"}`},
 		{"machnes", `"engine": {"machnes": 4}`},
 	} {
 		_, err := muppet.ParseAppConfig([]byte(`{"name": "x", "inputs": ["S1"], "functions": [], ` + c.section + `}`))
@@ -246,8 +246,7 @@ func TestConfigNetworkSection(t *testing.T) {
 	      "machine-02": "10.0.0.3:7070"
 	    },
 	    "dial_timeout": "250ms", "retry_backoff": "10ms",
-	    "send_retries": 4, "send_retry_backoff": "2ms", "send_retry_max_backoff": "40ms",
-	    "dedup_window": 512,
+	    "send_retries": 4, "send_retry_backoff": "2ms",
 	    "chaos": {"seed": 42, "drop_request": 0.1, "drop_response": 0.05,
 	      "duplicate": 0.02, "delay": 0.2, "max_delay": "3ms", "max_faults": 2,
 	      "partitions": [{"machine": "machine-02", "from": 10, "to": 20}]}
@@ -278,9 +277,8 @@ func TestConfigNetworkSection(t *testing.T) {
 	if n.IOTimeout != 0 || n.MaxBackoff != 0 {
 		t.Fatalf("unset durations should stay zero, got %v/%v", n.IOTimeout, n.MaxBackoff)
 	}
-	if n.SendRetries != 4 || n.SendRetryBackoff != 2*time.Millisecond ||
-		n.SendRetryMaxBackoff != 40*time.Millisecond || n.DedupWindow != 512 {
-		t.Fatalf("delivery knobs = %d/%v/%v/%d", n.SendRetries, n.SendRetryBackoff, n.SendRetryMaxBackoff, n.DedupWindow)
+	if n.SendRetries != 4 || n.SendRetryBackoff != 2*time.Millisecond {
+		t.Fatalf("delivery knobs = %d/%v", n.SendRetries, n.SendRetryBackoff)
 	}
 	ch := n.Chaos
 	if ch == nil || ch.Seed != 42 || ch.DropRequest != 0.1 || ch.DropResponse != 0.05 ||

@@ -6,9 +6,7 @@
 //     whose broadcast drives the failover — the ring reroutes, queued
 //     events are lost (and logged), dirty slates die with the cache —
 //     and counting resumes from the state persisted in the replicated
-//     slate store. Flush batches retained in the slate group-commit
-//     WAL are replayed into the store, so no acknowledged flush is
-//     lost.
+//     slate store, the one durability a flushed slate has.
 //  2. With the replay-log extension (the §4.3 future-work item): the
 //     same organic crash and detection, but the failover redelivers
 //     the dead machine's unacknowledged backlog to the keys' new
@@ -81,8 +79,8 @@ func run(n int, victim string, replay bool) {
 			// The machine dies without ceremony — no operator cleanup.
 			// The next send to it fails, the detector reports to the
 			// master, and the broadcast drives the full failover:
-			// queues drained, slates crashed, group-commit WAL replayed
-			// into the store, ring rerouted, and (in replay mode) the
+			// queues drained, slates crashed once any group commit under
+			// way is stored, ring rerouted, and (in replay mode) the
 			// backlog redelivered to the new owners.
 			eng.Cluster().Crash(victim)
 			fmt.Printf("killed %s mid-stream; detection is on the next send\n", victim)
@@ -108,8 +106,8 @@ func run(n int, victim string, replay bool) {
 		expected, counted, expected-counted)
 	fmt.Printf("ingress errors reported to the source: %d\n", reported)
 	if fo := rst.LastFailover; fo != nil {
-		fmt.Printf("failover of %s: detected=%v queuedLost=%d dirtyLost=%d walRecordsReplayed=%d redelivered=%d\n",
-			fo.Machine, fo.Detected, fo.QueuedLost, fo.DirtyLost, fo.WALRecordsReplayed, fo.Redelivered)
+		fmt.Printf("failover of %s: detected=%v queuedLost=%d dirtyLost=%d redelivered=%d\n",
+			fo.Machine, fo.Detected, fo.QueuedLost, fo.DirtyLost, fo.Redelivered)
 	}
 	fmt.Printf("recovery: failovers=%d rejoins=%d sendFailuresObserved=%d slatesWarmed=%d\n",
 		rst.Failovers, rst.Rejoins, rst.SendFailures, rst.Warmed)

@@ -136,10 +136,11 @@ type Config struct {
 	Transport Transport
 	// Retry bounds the transient-fault retry loop on remote sends.
 	Retry RetryConfig
-	// DedupWindow is the per-sender receiver-side dedup window size in
-	// batches (default 4096). Negative disables deduplication.
-	DedupWindow int
 }
+
+// dedupWindow is how many batches per sender the receiver-side dedup
+// window remembers.
+const dedupWindow = 4096
 
 // Cluster is one node's view of the cluster: the full member list, the
 // machines this node hosts, the master, and the transport to everyone
@@ -157,7 +158,7 @@ type Cluster struct {
 	epoch uint64 // sender incarnation (larger after restart)
 	seq   atomic.Uint64
 	retry RetryConfig
-	dedup *dedupTable // nil when deduplication is disabled
+	dedup *dedupTable
 
 	sends  atomic.Uint64
 	recvs  atomic.Uint64 // remote-origin batches delivered locally
@@ -193,18 +194,15 @@ type DeliveryStats struct {
 
 // DeliveryStats reports the node's resilient-delivery counters.
 func (c *Cluster) DeliveryStats() DeliveryStats {
-	s := DeliveryStats{
+	return DeliveryStats{
 		Sequenced:         c.seq.Load(),
 		TransientErrors:   c.transientErrs.Load(),
 		Retries:           c.retries.Load(),
 		RetryExhausted:    c.exhausted.Load(),
 		DedupHits:         c.dedupHits.Load(),
 		IndeterminateLost: c.indetLost.Load(),
+		DedupEntries:      c.dedup.size(),
 	}
-	if c.dedup != nil {
-		s.DedupEntries = c.dedup.size()
-	}
-	return s
 }
 
 // New builds a cluster node. With no Names/Local/Transport it is the
@@ -238,13 +236,7 @@ func New(cfg Config) *Cluster {
 		machines: make(map[string]*Machine, len(names)),
 		retry:    cfg.Retry.withDefaults(),
 		epoch:    uint64(time.Now().UnixNano()),
-	}
-	window := cfg.DedupWindow
-	if window == 0 {
-		window = 4096
-	}
-	if window > 0 {
-		c.dedup = newDedupTable(window)
+		dedup:    newDedupTable(dedupWindow),
 	}
 	remote := 0
 	for _, name := range names {
@@ -375,35 +367,14 @@ func (c *Cluster) Query(machine string, req []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: transport %s does not carry queries", c.TransportName())
 	}
-	backoff := c.retry.Backoff
-	var lastErr error
-	for attempt := 0; attempt < c.retry.Attempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			time.Sleep(jitterBackoff(backoff))
-			backoff *= 2
-			if backoff > c.retry.MaxBackoff {
-				backoff = c.retry.MaxBackoff
-			}
-			if !m.alive.Load() {
-				return nil, ErrMachineDown
-			}
-		}
-		resp, err := qt.Query(machine, req)
-		if err == nil {
-			return resp, nil
-		}
-		if !IsTransient(err) {
-			if errors.Is(err, ErrMachineDown) {
-				m.alive.Store(false)
-			}
-			return nil, err
-		}
-		c.transientErrs.Add(1)
-		lastErr = err
+	var resp []byte
+	if _, err := c.withRetry(m, func() (err error) {
+		resp, err = qt.Query(machine, req)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	c.exhausted.Add(1)
-	return nil, lastErr
+	return resp, nil
 }
 
 // DeliverQuery is the receiving half of a query exchange: it runs the
@@ -453,55 +424,65 @@ func (c *Cluster) SendBatch(machine string, ds []Delivery) (accepted int, reject
 // stamped with a fresh BatchID once; every attempt reuses it, so the
 // receiving node's dedup window collapses retries whose earlier
 // attempt did land (a lost response, a chaos duplicate) into a single
-// application. Only transient faults are retried; a fatal answer —
-// the peer reporting its machine crashed — records the down
-// presumption and fails immediately, preserving detect-on-send.
+// application.
 func (c *Cluster) sendRemote(m *Machine, ds []Delivery) (int, []BatchReject, error) {
 	if !m.alive.Load() {
 		return 0, nil, ErrMachineDown
 	}
 	id := BatchID{Sender: c.node, Epoch: c.epoch, Seq: c.seq.Add(1)}
+	var (
+		accepted int
+		rejects  []BatchReject
+	)
+	indeterminate, err := c.withRetry(m, func() (err error) {
+		accepted, rejects, err = c.tr.SendBatch(m.name, id, ds)
+		return err
+	})
+	if err != nil {
+		if indeterminate {
+			// Some attempt got a whole request out without an answer: the
+			// caller will count these events lost, but the receiver may
+			// have applied them. Track the overcount bound exactly.
+			c.indetLost.Add(uint64(len(ds)))
+		}
+		return 0, nil, err
+	}
+	return accepted, rejects, nil
+}
+
+// withRetry runs one exchange with m on the node's retry budget. Only
+// transient faults are retried, after a jittered pause that doubles up
+// to the cap; a machine declared down meanwhile (by the recovery
+// detector or a concurrent fatal send) fails the rest fast. A fatal
+// answer — the peer reporting its machine crashed — records the down
+// presumption and fails at once, preserving detect-on-send. On a spent
+// budget, indeterminate reports whether some attempt got a whole
+// request out without an answer.
+func (c *Cluster) withRetry(m *Machine, attempt func() error) (indeterminate bool, err error) {
 	backoff := c.retry.Backoff
-	var lastErr error
-	indeterminate := false
-	for attempt := 0; attempt < c.retry.Attempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < c.retry.Attempts; i++ {
+		if i > 0 {
 			c.retries.Add(1)
 			time.Sleep(jitterBackoff(backoff))
-			backoff *= 2
-			if backoff > c.retry.MaxBackoff {
-				backoff = c.retry.MaxBackoff
-			}
+			backoff = min(2*backoff, c.retry.MaxBackoff)
 			if !m.alive.Load() {
-				// Someone (the recovery detector, a concurrent fatal
-				// send) declared the machine down mid-retry.
-				return 0, nil, ErrMachineDown
+				return false, ErrMachineDown
 			}
 		}
-		accepted, rejects, err := c.tr.SendBatch(m.name, id, ds)
-		if err == nil {
-			return accepted, rejects, nil
+		if err = attempt(); err == nil {
+			return false, nil
 		}
 		if !IsTransient(err) {
 			if errors.Is(err, ErrMachineDown) {
 				m.alive.Store(false)
 			}
-			return 0, nil, err
+			return false, err
 		}
 		c.transientErrs.Add(1)
-		if IsIndeterminate(err) {
-			indeterminate = true
-		}
-		lastErr = err
+		indeterminate = indeterminate || IsIndeterminate(err)
 	}
 	c.exhausted.Add(1)
-	if indeterminate {
-		// Some attempt got a whole request out without an answer: the
-		// caller will count these events lost, but the receiver may
-		// have applied them. Track the overcount bound exactly.
-		c.indetLost.Add(uint64(len(ds)))
-	}
-	return 0, nil, lastErr
+	return indeterminate, err
 }
 
 // jitterBackoff spreads a retry pause over [d/2, 3d/2) so concurrent
@@ -559,7 +540,7 @@ func (c *Cluster) DeliverLocal(machine string, id BatchID, ds []Delivery) (accep
 		return 0, nil, nil
 	}
 	var entry *dedupEntry
-	if c.dedup != nil && id.sequenced() {
+	if id.sequenced() {
 		e, dup := c.dedup.begin(id)
 		if dup {
 			<-e.done

@@ -45,8 +45,7 @@
 //
 // A machine crash loses its queued events and its dirty (unflushed)
 // slates; both are counted exactly in the failover Report. The
-// write-through flush policy (or the slate group-commit WAL) closes
-// the dirty-slate window; the event replay log (Config.ReplayLog,
+// write-through flush policy closes the dirty-slate window; the event replay log (Config.ReplayLog,
 // CrashMachineAndReplay) closes the queued window with at-least-once
 // redelivery. Failover ordering is owned by internal/recovery.
 package engine2

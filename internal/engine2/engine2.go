@@ -478,8 +478,8 @@ func (e *Engine) process(m *machine, em *runtime.Emitter, env *engine.Envelope, 
 // as future work (§4.3). Replay is at-least-once: deliveries that were
 // mid-process at crash time are applied again. It panics if ReplayLog
 // is not configured. Unflushed slates are still lost (the slate store,
-// not the event log, is their durability), but WAL-retained flush
-// batches are restored before the new owners read the store.
+// not the event log, is their durability); a group commit under way is
+// stored before the new owners read the store.
 func (e *Engine) CrashMachineAndReplay(name string) (replayed, lostDirtySlates int) {
 	m := e.machines[name]
 	if m == nil {

@@ -4,153 +4,11 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
-	"time"
 
 	"muppet/internal/event"
 	"muppet/internal/kvstore"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
-
-// stagedBatch plants a group-commit flush batch in the victim
-// machine's slate WAL that never reached the store — the "crash
-// between the WAL append and the store write" window the group-commit
-// protocol exists for. The keys are chosen so the victim owns them on
-// the current ring.
-func stageInFlightBatch(t *testing.T, e *Engine, victim string, n int) []wal.SlateRecord {
-	t.Helper()
-	var recs []wal.SlateRecord
-	for i := 0; len(recs) < n; i++ {
-		key := fmt.Sprintf("inflight-%d", i)
-		if e.MachineFor("U", key) != victim {
-			continue
-		}
-		recs = append(recs, wal.SlateRecord{Updater: "U", Key: key, Value: []byte(strconv.Itoa(100 + i))})
-		if i > 10_000 {
-			t.Fatal("could not find victim-owned keys")
-		}
-	}
-	vm := e.machines[victim]
-	vm.Cache.WAL().AppendBatch(recs)
-	return recs
-}
-
-// TestCrashRecoversInFlightFlushBatch is the subsystem's core
-// guarantee: a crash with dirty slates and an in-flight flush batch
-// loses zero flushed records. The WAL batch is replayed into the
-// key-value store during failover — before the keys' new ring owners
-// read them — and the dead machine's unacknowledged events are
-// redelivered to those new owners, with both halves driven by the
-// shared recovery code path.
-func TestCrashRecoversInFlightFlushBatch(t *testing.T) {
-	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	var backlog hold
-	e, err := New(heldReplayApp(&backlog), Config{
-		Machines: 4, ThreadsPerMachine: 2,
-		Store: store, StoreLevel: kvstore.Quorum,
-		// A far-future flush interval keeps every slate dirty, so the
-		// staged WAL batch is the only durable trace of flushed state.
-		FlushPolicy: slate.Interval, FlushInterval: time.Hour,
-		QueueCapacity: 1 << 15, ReplayLog: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-
-	const victim = "machine-02"
-	const n = 2000
-	// First wave fully processed: the victim's cache now holds dirty
-	// (never-flushed) slates for its share of the keys.
-	for i := 0; i < n/2; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
-	}
-	e.Drain()
-	staged := stageInFlightBatch(t, e, victim, 3)
-	// Second wave builds a backlog — the workers are held, so it is there
-	// whatever the scheduler does — then the machine dies mid-stream. The
-	// kill waits for the updates in process, so they are let go as soon
-	// as it has drained the victim's queues.
-	backlog.arm()
-	for i := n / 2; i < n*3/4; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
-	}
-	go func() {
-		for e.LargestQueues()[victim] > 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		backlog.release()
-	}()
-
-	replayed, lostDirty := e.CrashMachineAndReplay(victim)
-	t.Logf("failover: replayed %d events, lost %d dirty slates", replayed, lostDirty)
-	for i := n * 3 / 4; i < n; i++ {
-		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%50)})
-	}
-	e.Drain()
-
-	// Zero flushed records lost: every staged record is readable
-	// through its key's NEW owner, which load-throughs from the store
-	// the WAL replay restored.
-	for _, r := range staged {
-		owner := e.MachineFor("U", r.Key)
-		if owner == victim || owner == "" {
-			t.Fatalf("key %s still routes to %q after failover", r.Key, owner)
-		}
-		got := e.Slate("U", r.Key)
-		if string(got) != string(r.Value) {
-			t.Fatalf("flushed record %s lost: got %q, want %q", r.Key, got, r.Value)
-		}
-	}
-
-	st := e.RecoveryStatus()
-	if st.WALBatches != 1 || st.WALRecords != uint64(len(staged)) {
-		t.Fatalf("WAL replay counters = %d batches / %d records, want 1/%d",
-			st.WALBatches, st.WALRecords, len(staged))
-	}
-	if st.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", st.Failovers)
-	}
-	if replayed == 0 || st.Redelivered != uint64(replayed) {
-		t.Fatalf("redelivered = %d (report %d), want > 0 and equal", st.Redelivered, replayed)
-	}
-	// The dirty (never-flushed) slates are accounted, not silently
-	// dropped.
-	if st.DirtyLost == 0 || int(st.DirtyLost) != lostDirty {
-		t.Fatalf("dirty lost = %d (report %d)", st.DirtyLost, lostDirty)
-	}
-}
-
-// TestDisableWALReplayLosesInFlightBatch shows the gap the subsystem
-// closes: with replay disabled, the staged batch never reaches the
-// store and its records are gone.
-func TestDisableWALReplayLosesInFlightBatch(t *testing.T) {
-	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	cfg := Config{
-		Machines: 4, ThreadsPerMachine: 2,
-		Store: store, StoreLevel: kvstore.Quorum,
-		FlushPolicy: slate.Interval, FlushInterval: time.Hour,
-		QueueCapacity: 1 << 15,
-	}
-	cfg.Recovery.DisableWALReplay = true
-	e, err := New(replayApp(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	const victim = "machine-01"
-	staged := stageInFlightBatch(t, e, victim, 2)
-	e.CrashMachine(victim)
-	// Force detection so the ring reroutes, then read through the new
-	// owner: the record is not in the store.
-	e.Cluster().Master().PingAll()
-	e.Drain()
-	for _, r := range staged {
-		if got := e.Slate("U", r.Key); got != nil {
-			t.Fatalf("record %s survived with WAL replay disabled: %q", r.Key, got)
-		}
-	}
-}
 
 // TestRejoinMachineRestoresService drives the full crash → failover →
 // rejoin lifecycle: after RejoinMachine the revived machine is back on

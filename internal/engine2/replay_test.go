@@ -3,7 +3,6 @@ package engine2
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"muppet/internal/core"
@@ -12,27 +11,8 @@ import (
 	"muppet/internal/slate"
 )
 
-func replayApp() *core.App { return heldReplayApp(nil) }
-
-// hold parks every update while armed, so a test can build a backlog
-// that does not depend on ingest outrunning the workers.
-type hold struct{ gate atomic.Pointer[chan struct{}] }
-
-func (h *hold) arm() {
-	c := make(chan struct{})
-	h.gate.Store(&c)
-}
-
-func (h *hold) release() { close(*h.gate.Swap(nil)) }
-
-// heldReplayApp is replayApp whose updates wait out h (nil: never).
-func heldReplayApp(h *hold) *core.App {
+func replayApp() *core.App {
 	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
-		if h != nil {
-			if c := h.gate.Load(); c != nil {
-				<-*c
-			}
-		}
 		n := 0
 		if sl != nil {
 			n, _ = strconv.Atoi(string(sl))

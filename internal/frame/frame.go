@@ -1,7 +1,7 @@
 // Package frame is the storage framing codec shared by every durable
-// byte surface of the system: slate values in the key-value store and
-// the WAL (internal/slate delegates here), and row values inside the
-// LSM engine's segment and log files (internal/lsm).
+// byte surface of the system: slate values in the key-value store
+// (internal/slate delegates here), and row values inside the LSM
+// engine's segment and log files (internal/lsm).
 //
 // The stored form of a value is one header byte followed by the
 // payload, either verbatim or deflate-compressed; small values skip

@@ -100,8 +100,8 @@ type NodeInfo interface {
 
 // RecoveryReporter is implemented by engines running the unified
 // recovery subsystem; when available, GET /recovery serves its status
-// (ring membership, failover and rejoin counts, WAL replay totals, and
-// the latest incident reports) so operators can observe failover.
+// (ring membership, failover and rejoin counts, loss totals, and the
+// latest incident reports) so operators can observe failover.
 type RecoveryReporter interface {
 	RecoveryStatus() recovery.Status
 }

@@ -131,9 +131,8 @@ func TestRecoveryStatusServed(t *testing.T) {
 			{Name: "machine-00", Alive: true, InRing: true},
 			{Name: "machine-01", Alive: false, InRing: false, Failed: true},
 		},
-		WALReplay:  true,
-		Failovers:  1,
-		WALRecords: 3,
+		Failovers: 1,
+		DirtyLost: 3,
 	}}
 	srv := httptest.NewServer(Handler(f))
 	defer srv.Close()
@@ -149,7 +148,7 @@ func TestRecoveryStatusServed(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.WALReplay || got.Failovers != 1 || got.WALRecords != 3 || len(got.Machines) != 2 {
+	if got.Failovers != 1 || got.DirtyLost != 3 || len(got.Machines) != 2 {
 		t.Fatalf("decoded status = %+v", got)
 	}
 	if !got.Machines[1].Failed || got.Machines[1].Alive {

@@ -3,8 +3,8 @@ package microbatch
 // This file generalizes the package's batching machinery for use
 // outside the map/reduce baseline: the slate layer's group-commit
 // flush pipeline chunks drained dirty slates through these helpers
-// before handing each chunk to the WAL and the key-value store as a
-// single multi-record operation.
+// before handing each chunk to the key-value store as a single
+// multi-record operation.
 
 // Chunk splits items into consecutive batches of at most max items.
 // With max <= 0 everything lands in one batch. The returned batches

@@ -1,5 +1,5 @@
 // Recovery-time benchmarks: crash a machine under load and measure
-// the wall-clock cost of the failover protocol (drain + WAL replay +
+// the wall-clock cost of the failover protocol (drain + cache crash +
 // redelivery) and of the rejoin handover (quiesce + flush + warm).
 package recovery_test
 
@@ -45,8 +45,8 @@ func loadUp(eng muppet.Engine, n, keys int) {
 }
 
 // BenchmarkFailoverStock measures the stock crash path under a live
-// backlog: drain the victim's queues, account the losses, replay the
-// slate WAL.
+// backlog: drain the victim's queues, account the losses, crash the
+// slate cache.
 func BenchmarkFailoverStock(b *testing.B) {
 	const events, keys = 20_000, 200
 	for i := 0; i < b.N; i++ {
@@ -61,7 +61,7 @@ func BenchmarkFailoverStock(b *testing.B) {
 }
 
 // BenchmarkFailoverReplay measures the full master-coordinated
-// failover with redelivery: drain, WAL replay, ring update, and
+// failover with redelivery: drain, cache crash, ring update, and
 // redelivery of the unacknowledged backlog to the new owners.
 func BenchmarkFailoverReplay(b *testing.B) {
 	const events, keys = 20_000, 200

@@ -1,20 +1,19 @@
 // Package recovery owns Muppet's crash-to-healthy lifecycle
 // (Section 4.3 of the paper) for both execution engines: failure
 // detection on failed sends, the master-coordinated failover protocol
-// (ring update, slate group-commit WAL replay, redelivery of
-// unacknowledged events, loss accounting), and machine revival —
-// rejoining the ring and warming the rejoined shard's slate cache from
-// the durable store.
+// (ring update, redelivery of unacknowledged events, loss accounting),
+// and machine revival — rejoining the ring and warming the rejoined
+// shard's slate cache from the durable store.
 //
 // The paper's protocol is: a worker that fails to contact a machine
 // reports it to the master; the master broadcasts the failure to every
 // worker; each worker removes the machine from its hash ring, so the
-// dead machine's keys move to ring successors. This package adds the
-// two recovery capabilities the paper leaves open — replaying the
-// slate group-commit WAL so in-flight flush batches reach the
-// key-value store before the keys' new owners read them, and
-// redelivering unacknowledged events from the per-machine replay log —
-// plus the rejoin path the stock system lacks entirely.
+// dead machine's keys move to ring successors. As in the paper, the
+// key-value store is a slate's only durability: what the machine had
+// flushed survives, what it had not is lost. This package adds the
+// recovery capability the paper leaves open — redelivering
+// unacknowledged events from the per-machine replay log — plus the
+// rejoin path the stock system lacks entirely.
 //
 // # Contract
 //
@@ -22,9 +21,9 @@
 // Adapter interface (Deps), so the ordering guarantees are enforced in
 // exactly one place, whichever Muppet version dispatches:
 //
-//  1. cleanup (queue close, worker drain) and slate-WAL replay complete
-//     before the machine leaves the ring — the keys' new owners must
-//     not read the store before in-flight flush batches land;
+//  1. cleanup (queue close, worker drain, cache crash) completes before
+//     the machine leaves the ring — the cache crash waits out a group
+//     commit in flight, so the keys' new owners read it from the store;
 //  2. the ring reroutes before unacknowledged events are redelivered —
 //     redelivery targets the new owners;
 //  3. loss counters (queued, dirty, redelivered, warmed) are settled

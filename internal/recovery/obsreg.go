@@ -26,12 +26,6 @@ func (m *Manager) RegisterObs(r *obs.Registry) {
 		"Queued events lost with crashed machines.", nil, m.queuedLost.Load)
 	r.Counter("muppet_recovery_dirty_slates_lost_total",
 		"Dirty slates lost with crashed caches.", nil, m.dirtyLost.Load)
-	r.Counter("muppet_recovery_wal_batches_replayed_total",
-		"Group-commit flush batches replayed from the slate WAL.", nil, m.walBatches.Load)
-	r.Counter("muppet_recovery_wal_records_replayed_total",
-		"Slate records replayed from the group-commit WAL.", nil, m.walRecords.Load)
-	r.Counter("muppet_recovery_wal_replay_errors_total",
-		"Slate-WAL replays that failed (retained for retry).", nil, m.walErrors.Load)
 	r.Counter("muppet_recovery_redelivered_total",
 		"Unacknowledged events redelivered to new ring owners.", nil, m.redelivered.Load)
 	r.Counter("muppet_recovery_slates_warmed_total",

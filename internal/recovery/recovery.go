@@ -11,21 +11,16 @@ import (
 	"muppet/internal/event"
 	"muppet/internal/metrics"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
 // warmLimit bounds the slates pre-loaded into a rejoined machine's
 // cache from the durable store; the rest refill on demand.
 const warmLimit = 10_000
 
-// Config tunes the recovery subsystem. The zero value enables WAL
-// replay on failover; detect-on-send and cache warm-up on rejoin are
-// always on.
+// Config tunes the recovery subsystem's failure detector; the zero
+// value picks the defaults. Detect-on-send and cache warm-up on rejoin
+// are always on.
 type Config struct {
-	// DisableWALReplay skips replaying the slate group-commit WAL
-	// during failover, restoring the stock §4.3 behavior in which a
-	// flush batch in flight at crash time is lost.
-	DisableWALReplay bool
 	// SuspicionK is the number of consecutive exhausted-retry sends to
 	// one machine that confirm suspicion and escalate to machine-down
 	// (default 3). 1 restores pre-suspicion behavior: the first
@@ -66,9 +61,10 @@ type Adapter interface {
 	// was running and exited.
 	AwaitWorkers(machine string)
 	// CrashSlates drops the machine's slate caches without flushing,
-	// returning the group-commit batch logs retained at crash time
-	// (for WAL replay) and the number of dirty slates lost.
-	CrashSlates(machine string) (wals []*wal.SlateBatchLog, dirtyLost int)
+	// returning the number of dirty slates lost. A group commit under way
+	// is in the store before it returns, and the caches refuse writes
+	// until RestartWorkers.
+	CrashSlates(machine string) (dirtyLost int)
 	// UnackedEvents drains the machine's delivery replay log, returning
 	// every unacknowledged delivery; engines without a replay log
 	// return nil.
@@ -77,9 +73,8 @@ type Adapter interface {
 	// (function, key).
 	Redeliver(function string, ev event.Event)
 	// RestartWorkers recreates the machine's queues and worker
-	// goroutines after revival, discarding any slate-cache residue the
-	// machine's final in-flight updates re-inserted after the crash
-	// cleanup (dead-lineage values that must not shadow the store).
+	// goroutines after revival and lets its slate caches take writes
+	// again.
 	RestartWorkers(machine string)
 	// FlushSlates persists every dirty cached slate cluster-wide. The
 	// rejoin protocol calls it before the ring flips back, so the
@@ -113,8 +108,8 @@ type Deps struct {
 	// open while a failover is pending so Drain cannot pass between a
 	// queue drain and the redelivery of its events.
 	Tracker *engine.Tracker
-	// Store is the durable slate store WAL batches are replayed into
-	// and caches are warmed from; nil disables both.
+	// Store is the durable slate store caches are warmed from; nil
+	// disables warming and the rejoin handover flush.
 	Store slate.Store
 	// Redeliver reports whether the engine keeps a delivery replay log:
 	// if so, failover redelivers a dead machine's unacknowledged events
@@ -124,7 +119,7 @@ type Deps struct {
 
 // incident is the per-machine recovery state between crash and rejoin.
 type incident struct {
-	cleaned    bool // cleanup claimed (queues drained, slates crashed, WAL replayed)
+	cleaned    bool // cleanup claimed (queues drained, slates crashed)
 	cleanDone  bool // cleanup finished
 	failedOver bool // failover claimed (ring update + redelivery)
 	done       bool // failover finished
@@ -154,9 +149,6 @@ type Manager struct {
 	rejoins     atomic.Uint64
 	queuedLost  atomic.Uint64
 	dirtyLost   atomic.Uint64
-	walBatches  atomic.Uint64
-	walRecords  atomic.Uint64
-	walErrors   atomic.Uint64
 	redelivered atomic.Uint64
 	warmed      atomic.Uint64
 
@@ -196,11 +188,11 @@ func NewManager(deps Deps, cfg Config) *Manager {
 func (m *Manager) Detector() *Detector { return m.det }
 
 // Crash is the stock §4.3 operator kill: the machine stops accepting
-// events, its queued events and dirty slates are lost (and logged),
-// its delivery replay log is discarded — but flush batches retained in
-// the slate group-commit WAL are replayed into the store, so no
-// acknowledged flush is lost. The master is not notified; detection is
-// left to the next failed send, exactly as in the paper.
+// events, its queued events and dirty slates are lost (and logged), and
+// its delivery replay log is discarded. A group commit under way when
+// the kill lands is in the store before Crash returns. The master is
+// not notified; detection is left to the next failed send, exactly as
+// in the paper.
 func (m *Manager) Crash(machine string) Report {
 	if !m.claimCleanup(machine) {
 		m.deps.Cluster.Crash(machine)
@@ -210,7 +202,7 @@ func (m *Manager) Crash(machine string) Report {
 }
 
 // CrashAndFailover kills the machine and immediately drives the full
-// master-coordinated failover: cleanup and WAL replay first, then an
+// master-coordinated failover: cleanup first, then an
 // operator failure report to the master, whose broadcast removes the
 // machine from the ring and — when the engine keeps a replay log —
 // redelivers its unacknowledged events to the keys' new owners. It
@@ -263,11 +255,11 @@ func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 		m.mu.Unlock()
 	}()
 	// Quiesce before touching caches or the ring: in-flight events —
-	// including any update that was mid-process on the dying machine —
-	// must finish first, so the residue purge below cannot race a
-	// straggler's cache re-insert, and the keys' interim owners stop
-	// writing before ownership moves back (two concurrent writers would
-	// silently lose the interim owner's tail of updates). The machine
+	// including any update that was mid-process on the dying machine,
+	// which its dead cache refuses — must finish first, so the keys'
+	// interim owners stop writing before ownership moves back (two
+	// concurrent writers would silently lose the interim owner's tail of
+	// updates). The machine
 	// is still down here, so deliveries racing the rejoin keep failing
 	// as machine-down — the §4.3 pre-detection disposition.
 	if m.deps.Tracker != nil {
@@ -275,8 +267,8 @@ func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 	}
 	if restart {
 		// The crash cleanup closed the machine's queues and its worker
-		// goroutines exited; bring them back (dropping the crashed
-		// cache's dead-lineage residue) before traffic returns.
+		// goroutines exited; bring them back, and revive the crashed
+		// caches, before traffic returns.
 		m.deps.Adapter.RestartWorkers(machine)
 	}
 	// Revive only once the workers can accept traffic again: an alive
@@ -353,8 +345,8 @@ func (m *Manager) incidentLocked(machine string) *incident {
 }
 
 // doCleanup runs the local half of recovery after claimCleanup: drain
-// the dead machine's queues, crash its slate caches, and replay the
-// retained group-commit WAL batches into the store. With discard set,
+// the dead machine's queues and crash its slate caches, which waits out
+// a group commit under way. With discard set,
 // queued events are recorded lost (LossCrashedQueue) and the delivery
 // replay log is dropped — the stock §4.3 disposition; otherwise both
 // are left to the failover's redelivery step. With quiesce set (the
@@ -382,11 +374,8 @@ func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
 	if discard {
 		m.deps.Adapter.UnackedEvents(machine) // the replay log dies with the machine
 	}
-	wals, dirtyLost := m.deps.Adapter.CrashSlates(machine)
+	dirtyLost := m.deps.Adapter.CrashSlates(machine)
 	rep.DirtyLost = dirtyLost
-	if !m.cfg.DisableWALReplay && m.deps.Store != nil {
-		rep.WALBatchesReplayed, rep.WALRecordsReplayed, rep.WALReplayErrors = m.replayWALs(wals)
-	}
 	rep.Took = time.Since(start)
 	m.queuedLost.Add(uint64(rep.QueuedLost))
 	m.dirtyLost.Add(uint64(dirtyLost))
@@ -397,40 +386,6 @@ func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	return rep
-}
-
-// replayWALs writes every retained group-commit batch into the durable
-// store, oldest first, so a flush batch that was in flight at crash
-// time lands before the keys' new owners read them. Successfully
-// replayed logs are truncated (their contents are now durable); a
-// failed replay keeps its log for a later retry and is surfaced
-// through the errors count, so an operator can tell a clean
-// empty-WAL failover from one that could not restore in-flight
-// batches.
-func (m *Manager) replayWALs(wals []*wal.SlateBatchLog) (batches, records, errors int) {
-	for _, l := range wals {
-		if l == nil {
-			continue
-		}
-		_, _, retained := l.Stats()
-		if retained == 0 {
-			continue
-		}
-		applied, err := l.Replay(func(r wal.SlateRecord) error {
-			return m.deps.Store.Save(slate.Key{Updater: r.Updater, Key: r.Key}, r.Value, r.TTL)
-		})
-		records += applied
-		if err == nil {
-			batches += retained
-			l.Truncate()
-		} else {
-			errors++
-		}
-	}
-	m.walBatches.Add(uint64(batches))
-	m.walRecords.Add(uint64(records))
-	m.walErrors.Add(uint64(errors))
-	return batches, records, errors
 }
 
 // onFailure is the master failure-broadcast handler: it queues the
@@ -494,7 +449,7 @@ func (m *Manager) onFailure(machine string) {
 }
 
 // failover runs the cluster half of recovery: ensure the local cleanup
-// (and its WAL replay) has finished, remove the machine from the ring
+// has finished, remove the machine from the ring
 // so keys reroute, then redeliver its unacknowledged events to the new
 // owners.
 func (m *Manager) failover(machine string) {

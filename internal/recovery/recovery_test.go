@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -10,14 +9,12 @@ import (
 	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
 // fakeStore is a map-backed slate.Store.
 type fakeStore struct {
-	mu        sync.Mutex
-	failSaves bool
-	data      map[slate.Key][]byte
+	mu   sync.Mutex
+	data map[slate.Key][]byte
 }
 
 func newFakeStore() *fakeStore { return &fakeStore{data: make(map[slate.Key][]byte)} }
@@ -32,18 +29,8 @@ func (s *fakeStore) Load(k slate.Key) ([]byte, bool, error) {
 func (s *fakeStore) Save(k slate.Key, value []byte, _ time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failSaves {
-		return errors.New("fakeStore: store unavailable")
-	}
 	s.data[k] = append([]byte(nil), value...)
 	return nil
-}
-
-func (s *fakeStore) get(k slate.Key) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.data[k]
-	return v, ok
 }
 
 // fakeAdapter is a scriptable engine stand-in.
@@ -52,7 +39,6 @@ type fakeAdapter struct {
 	ring        map[string]bool
 	queued      map[string][]engine.Envelope
 	unacked     map[string][]engine.Envelope
-	wals        map[string][]*wal.SlateBatchLog
 	dirty       map[string]int
 	drains      map[string]int
 	awaited     map[string]int // AwaitWorkers calls per machine
@@ -71,7 +57,6 @@ func newFakeAdapter(machines ...string) *fakeAdapter {
 		ring:    make(map[string]bool),
 		queued:  make(map[string][]engine.Envelope),
 		unacked: make(map[string][]engine.Envelope),
-		wals:    make(map[string][]*wal.SlateBatchLog),
 		dirty:   make(map[string]int),
 		drains:  make(map[string]int),
 		awaited: make(map[string]int),
@@ -112,12 +97,12 @@ func (a *fakeAdapter) AwaitWorkers(machine string) {
 	a.awaited[machine]++
 }
 
-func (a *fakeAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
+func (a *fakeAdapter) CrashSlates(machine string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	d := a.dirty[machine]
 	a.dirty[machine] = 0
-	return a.wals[machine], d
+	return d
 }
 
 func (a *fakeAdapter) UnackedEvents(machine string) []engine.Envelope {
@@ -215,30 +200,15 @@ func harness(redeliver bool, cfg Config) (*Manager, *fakeAdapter, *fakeStore, *c
 	return m, ad, store, clu, lost
 }
 
-func TestStockCrashLosesQueuedAndReplaysWAL(t *testing.T) {
-	m, ad, store, clu, lost := harness(false, Config{})
+func TestStockCrashLosesQueued(t *testing.T) {
+	m, ad, _, clu, lost := harness(false, Config{})
 	const victim = "machine-01"
 	ad.queued[victim] = []engine.Envelope{env("U", "a"), env("U", "b")}
 	ad.dirty[victim] = 5
-	log := wal.NewSlateBatchLog()
-	log.AppendBatch([]wal.SlateRecord{
-		{Updater: "U", Key: "flushed-1", Value: []byte("v1")},
-		{Updater: "U", Key: "flushed-2", Value: []byte("v2")},
-	})
-	ad.wals[victim] = []*wal.SlateBatchLog{log}
 
 	rep := m.Crash(victim)
 	if rep.QueuedLost != 2 || rep.DirtyLost != 5 {
 		t.Fatalf("report = %+v, want 2 queued / 5 dirty lost", rep)
-	}
-	if rep.WALBatchesReplayed != 1 || rep.WALRecordsReplayed != 2 {
-		t.Fatalf("WAL replay = %d batches / %d records, want 1/2", rep.WALBatchesReplayed, rep.WALRecordsReplayed)
-	}
-	if v, ok := store.get(slate.Key{Updater: "U", Key: "flushed-1"}); !ok || string(v) != "v1" {
-		t.Fatalf("flushed-1 not restored into store: %q %v", v, ok)
-	}
-	if _, _, retained := log.Stats(); retained != 0 {
-		t.Fatalf("WAL not truncated after replay: %d batches retained", retained)
 	}
 	// Stock crash: the master is NOT notified, and the ring unchanged.
 	if got := clu.Master().FailedMachines(); len(got) != 0 {
@@ -430,31 +400,6 @@ func TestRejoinWarmDisabled(t *testing.T) {
 	}
 }
 
-// TestWALReplayErrorSurfacedAndLogKept: a store outage during replay
-// must be visible to operators (not look like an empty WAL) and must
-// keep the log so a later failover can retry.
-func TestWALReplayErrorSurfaced(t *testing.T) {
-	m, ad, store, _, _ := harness(false, Config{})
-	const victim = "machine-00"
-	log := wal.NewSlateBatchLog()
-	log.AppendBatch([]wal.SlateRecord{{Updater: "U", Key: "k", Value: []byte("v")}})
-	ad.wals[victim] = []*wal.SlateBatchLog{log}
-	store.mu.Lock()
-	store.failSaves = true
-	store.mu.Unlock()
-
-	rep := m.Crash(victim)
-	if rep.WALReplayErrors != 1 || rep.WALBatchesReplayed != 0 {
-		t.Fatalf("report = %+v, want 1 replay error / 0 batches", rep)
-	}
-	if _, _, retained := log.Stats(); retained != 1 {
-		t.Fatalf("failed replay truncated the log: %d retained", retained)
-	}
-	if st := m.Status(); st.WALErrors != 1 {
-		t.Fatalf("status WAL errors = %d, want 1", st.WALErrors)
-	}
-}
-
 // TestStaleFailureReportAfterRejoinIgnored: a send that failed before
 // a rejoin but was reported after it must not tear down the healthy
 // machine — and must not poison the master so a future real failure
@@ -492,21 +437,6 @@ func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	}
 	if ad.drainCount(victim) != 2 {
 		t.Fatalf("second failure did not drain: %d drains", ad.drainCount(victim))
-	}
-}
-
-func TestWALReplayDisabled(t *testing.T) {
-	m, ad, store, _, _ := harness(false, Config{DisableWALReplay: true})
-	const victim = "machine-00"
-	log := wal.NewSlateBatchLog()
-	log.AppendBatch([]wal.SlateRecord{{Updater: "U", Key: "k", Value: []byte("v")}})
-	ad.wals[victim] = []*wal.SlateBatchLog{log}
-	rep := m.Crash(victim)
-	if rep.WALRecordsReplayed != 0 {
-		t.Fatalf("WAL replayed despite being disabled: %+v", rep)
-	}
-	if _, ok := store.get(slate.Key{Updater: "U", Key: "k"}); ok {
-		t.Fatal("record reached store with replay disabled")
 	}
 }
 
@@ -592,9 +522,6 @@ func TestStatusMachinesView(t *testing.T) {
 	h := byName["machine-00"]
 	if !h.Alive || !h.InRing || h.Failed {
 		t.Fatalf("healthy status = %+v", h)
-	}
-	if !st.WALReplay {
-		t.Fatalf("feature flags wrong: %+v", st)
 	}
 	if got := clu.Master().FailedMachines(); len(got) != 1 {
 		t.Fatalf("master failed set = %v", got)

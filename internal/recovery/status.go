@@ -2,8 +2,8 @@ package recovery
 
 import "time"
 
-// Report summarizes one machine failure's recovery: what was lost,
-// what the WAL restored, and what was redelivered.
+// Report summarizes one machine failure's recovery: what was lost and
+// what was redelivered.
 type Report struct {
 	// Machine is the failed machine.
 	Machine string `json:"machine"`
@@ -16,12 +16,6 @@ type Report struct {
 	QueuedLost int `json:"queued_lost"`
 	// DirtyLost counts dirty (unflushed) slates lost with the cache.
 	DirtyLost int `json:"dirty_slates_lost"`
-	// WALBatchesReplayed and WALRecordsReplayed count the group-commit
-	// flush batches restored into the durable store; WALReplayErrors
-	// counts logs whose replay failed (they are retained for retry).
-	WALBatchesReplayed int `json:"wal_batches_replayed"`
-	WALRecordsReplayed int `json:"wal_records_replayed"`
-	WALReplayErrors    int `json:"wal_replay_errors,omitempty"`
 	// Redelivered counts unacknowledged events redelivered to the keys'
 	// new ring owners.
 	Redelivered int `json:"events_redelivered"`
@@ -66,7 +60,6 @@ type MachineStatus struct {
 // /recovery HTTP endpoint for operators.
 type Status struct {
 	Machines        []MachineStatus `json:"machines"`
-	WALReplay       bool            `json:"wal_replay_enabled"`
 	SendFailures    uint64          `json:"send_failures_observed"`
 	TransientFails  uint64          `json:"transient_failures_observed"`
 	Escalations     uint64          `json:"suspicion_escalations"`
@@ -75,9 +68,6 @@ type Status struct {
 	Rejoins         uint64          `json:"rejoins"`
 	QueuedLost      uint64          `json:"queued_lost"`
 	DirtyLost       uint64          `json:"dirty_slates_lost"`
-	WALBatches      uint64          `json:"wal_batches_replayed"`
-	WALRecords      uint64          `json:"wal_records_replayed"`
-	WALErrors       uint64          `json:"wal_replay_errors,omitempty"`
 	Redelivered     uint64          `json:"events_redelivered"`
 	Warmed          uint64          `json:"slates_warmed"`
 	FailoverLatency string          `json:"failover_latency,omitempty"`
@@ -108,7 +98,6 @@ func (m *Manager) Status() Status {
 	}
 	st := Status{
 		Machines:       machines,
-		WALReplay:      !m.cfg.DisableWALReplay && m.deps.Store != nil,
 		SendFailures:   m.det.Observed(),
 		TransientFails: m.det.TransientObserved(),
 		Escalations:    m.det.Escalated(),
@@ -117,9 +106,6 @@ func (m *Manager) Status() Status {
 		Rejoins:        m.rejoins.Load(),
 		QueuedLost:     m.queuedLost.Load(),
 		DirtyLost:      m.dirtyLost.Load(),
-		WALBatches:     m.walBatches.Load(),
-		WALRecords:     m.walRecords.Load(),
-		WALErrors:      m.walErrors.Load(),
 		Redelivered:    m.redelivered.Load(),
 		Warmed:         m.warmed.Load(),
 	}

@@ -52,23 +52,15 @@ func (r *Runtime) registerObs() error {
 		"End-to-end query latency, scatter to merged answer.", nil, r.queries.Latency)
 	reg.GaugeInt("muppet_engine_inflight", "Deliveries accepted but not yet fully processed.", nil, r.tracker.InFlight)
 
-	// Each cell's cache registers its flush histograms and slate-WAL
-	// counters under the cell's name: per worker under 1.0's disparate
-	// caches, per machine under 2.0's central one.
+	// Each cell's cache registers its flush histograms under the cell's
+	// name: per worker under 1.0's disparate caches, per machine under
+	// 2.0's central one.
 	for _, c := range r.cells {
 		ls := obs.L("machine", c.Name())
 		reg.DurationSummary("muppet_slate_flush_latency_seconds",
 			"Group-commit flush round latency per machine.", ls, c.Cache.FlushLatency())
 		reg.IntSummary("muppet_slate_flush_batch_size",
 			"Records per group-commit multi-put.", ls, c.Cache.BatchSizes())
-		if w := c.Cache.WAL(); w != nil {
-			reg.Register(obs.CollectorFunc(func(emit func(obs.Metric)) {
-				batches, records, retained := w.Stats()
-				emit(obs.Sample("muppet_slate_wal_batches_total", "Flush batches appended to the slate group-commit WAL.", ls, float64(batches)))
-				emit(obs.Sample("muppet_slate_wal_records_total", "Slate records appended to the group-commit WAL.", ls, float64(records)))
-				emit(obs.Sample("muppet_slate_wal_retained", "Flush batches currently retained in the WAL.", ls, float64(retained)))
-			}))
-		}
 	}
 
 	reg.Counter("muppet_cluster_sends_total", "Machine-addressed sends issued by this node.", transport, clu.Sends)

@@ -7,15 +7,14 @@ import (
 	"muppet/internal/event"
 	"muppet/internal/recovery"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
 // CrashMachine simulates a machine failure with the stock §4.3
 // disposition, via the recovery subsystem: the machine stops accepting
 // events, every queued event and dirty slate on it is lost (and
-// logged), a replay log is discarded, and flush batches retained in the
-// slate group-commit WAL are replayed into the store. Detection is left
-// to the next failed send. An unknown machine is a (0, 0) no-op.
+// logged), and a replay log is discarded. A group commit under way is
+// in the store before CrashMachine returns. Detection is left to the
+// next failed send. An unknown machine is a (0, 0) no-op.
 func (r *Runtime) CrashMachine(machine string) (lostQueued, lostDirtySlates int) {
 	if r.clu.Machine(machine) == nil {
 		return 0, 0
@@ -33,8 +32,8 @@ func (r *Runtime) RejoinMachine(machine string) (recovery.RejoinReport, error) {
 }
 
 // RecoveryStatus snapshots the recovery subsystem: per-machine
-// liveness and ring membership, failover/rejoin counters, WAL replay
-// totals, and the latest incident reports.
+// liveness and ring membership, failover/rejoin counters, loss totals,
+// and the latest incident reports.
 func (r *Runtime) RecoveryStatus() recovery.Status { return r.rec.Status() }
 
 // Recovery exposes the engine's recovery manager (for latency
@@ -72,14 +71,11 @@ func (a recoveryAdapter) AwaitWorkers(machine string) {
 	}
 }
 
-func (a recoveryAdapter) CrashSlates(machine string) ([]*wal.SlateBatchLog, int) {
-	var wals []*wal.SlateBatchLog
-	dirtyLost := 0
+func (a recoveryAdapter) CrashSlates(machine string) (dirtyLost int) {
 	for _, c := range a.r.byMachine[machine] {
-		wals = append(wals, c.Cache.WAL())
 		dirtyLost += c.Cache.Crash()
 	}
-	return wals, dirtyLost
+	return dirtyLost
 }
 
 func (a recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
@@ -100,13 +96,7 @@ func (a recoveryAdapter) RestartWorkers(machine string) {
 		return
 	}
 	for _, c := range a.r.byMachine[machine] {
-		// Updates mid-process at crash time completed against the
-		// already-crashed cache and re-inserted dead-lineage values;
-		// drop them so they cannot shadow the store once the ring
-		// routes the keys back here.
-		for _, k := range c.Cache.Keys() {
-			c.Cache.Delete(k)
-		}
+		c.Cache.Revive()
 		for i := range c.Queues {
 			c.Queues[i].Replace(a.r.newQueue())
 		}

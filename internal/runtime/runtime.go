@@ -16,7 +16,6 @@ import (
 	"muppet/internal/queue"
 	"muppet/internal/recovery"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
 // Config tunes an engine: the runtime's knobs plus the few only one
@@ -74,9 +73,8 @@ type Config struct {
 	// FlushBatch bounds the records per group-commit multi-put when
 	// dirty slates are flushed (default 256).
 	FlushBatch int
-	// Recovery tunes the failure-recovery subsystem (detector, WAL
-	// replay on failover, cache warm-up on rejoin). The zero value
-	// enables everything.
+	// Recovery tunes the failure-recovery subsystem's detector; the
+	// zero value picks its defaults.
 	Recovery recovery.Config
 	// Cluster, when non-nil, is an externally wired cluster node (node
 	// mode): the engine hosts cells only for the cluster's local
@@ -230,26 +228,19 @@ func (r *Runtime) Init(app *core.App, cfg Config) error {
 }
 
 // AddCell builds one cell on a hosted machine: its queues and its slate
-// cache, which flushes through the group-commit (WAL + multi-put)
-// pipeline whichever version runs.
+// cache, which flushes through the group-commit (multi-put) pipeline
+// whichever version runs.
 func (r *Runtime) AddCell(machine, address string, queues int) *Cell {
 	c := &Cell{Machine: machine, Address: address, Queues: make([]queue.Slot[engine.Envelope], queues)}
 	for i := range c.Queues {
 		c.Queues[i].Store(r.newQueue())
 	}
-	store := r.slateStore()
-	var slateWAL *wal.SlateBatchLog
-	if store != nil {
-		slateWAL = wal.NewSlateBatchLog()
-	}
 	c.Cache = slate.NewSharded(slate.ShardedConfig{
 		Shards:        r.cfg.SlateShards,
 		Capacity:      r.cfg.CacheCapacity,
 		Policy:        r.cfg.FlushPolicy,
-		Store:         store,
-		WAL:           slateWAL,
+		Store:         r.slateStore(),
 		MaxFlushBatch: r.cfg.FlushBatch,
-		WALCheckpoint: true,
 		TTLFor:        r.app.TTLFor,
 		OnPoison: func(k slate.Key) {
 			r.lost.Record(k.Updater, event.Event{Key: k.Key}, engine.LossEncode)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +22,6 @@ import (
 	"muppet/internal/kvstore"
 	"muppet/internal/runtime"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
 // strategies builds an engine of each Muppet version and hands back the
@@ -195,30 +195,82 @@ func TestStopRacesFailureBroadcastAndRejoin(t *testing.T) {
 	}
 }
 
-// TestCrashReplaysWALThroughRecoverySubsystem proves both versions ride
-// one recovery code path: a flush batch sitting in a cell's
-// group-commit WAL at crash time (appended, store write never landed)
-// is replayed into the key-value store by CrashMachine, so the key's
-// new owner reads it after the ring reroutes.
-func TestCrashReplaysWALThroughRecoverySubsystem(t *testing.T) {
+// parker parks the first update that runs after arm until the channel
+// arm returned is closed, announcing itself on entered.
+type parker struct {
+	armed   atomic.Pointer[chan struct{}]
+	entered chan struct{}
+}
+
+func (p *parker) arm() chan struct{} {
+	c := make(chan struct{})
+	p.armed.Store(&c)
+	return c
+}
+
+// countApp is one updater U counting S1's events per key; every update
+// first passes p.
+func countApp(p *parker) *core.App {
 	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
+		if c := p.armed.Swap(nil); c != nil {
+			p.entered <- struct{}{}
+			<-*c
+		}
 		n := 0
 		if sl != nil {
 			n, _ = strconv.Atoi(string(sl))
 		}
 		emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
 	}}
+	return core.NewApp("count").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+}
+
+// keyOwnedBy finds a key of fn that the ring routes to machine.
+func keyOwnedBy(t *testing.T, e *runtime.Runtime, fn, machine string) string {
+	t.Helper()
+	for i := 0; i < 10_000; i++ {
+		if key := fmt.Sprintf("k%d", i); e.OwnerMachine(fn, key) == machine {
+			return key
+		}
+	}
+	t.Fatalf("no key of %s routes to %s", fn, machine)
+	return ""
+}
+
+// storedSlate reads <U, key> straight from the durable store.
+func storedSlate(store *kvstore.Cluster, key string) string {
+	v, _, _ := (&slate.KVStore{Cluster: store, Level: kvstore.Quorum}).Load(slate.Key{Updater: "U", Key: key})
+	return string(v)
+}
+
+// gatedStore holds a slate store's multi-puts at a gate: the window in
+// which a group commit has left the cache and is not in the store yet,
+// held open.
+type gatedStore struct {
+	slate.BatchStore
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedStore) SaveBatch(recs []slate.BatchRecord) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.BatchStore.SaveBatch(recs)
+}
+
+// TestCrashWaitsOutInFlightCommit: a machine killed while one of its
+// group commits is in the store's hands returns from CrashMachine only
+// once that commit is stored, so the key's new owner reads it after the
+// ring reroutes.
+func TestCrashWaitsOutInFlightCommit(t *testing.T) {
 	for _, s := range strategies {
 		t.Run(s.name, func(t *testing.T) {
 			store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-			app := core.NewApp("recovery").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
-			e, err := s.new(app, runtime.Config{
+			e, err := s.new(countApp(new(parker)), runtime.Config{
 				Machines: 4, WorkersPerFunction: 4, ThreadsPerMachine: 2,
 				Store: store, StoreLevel: kvstore.Quorum,
-				// A far-future flush interval keeps slates dirty, so the
-				// staged WAL batch is the only durable trace of flushed state.
+				// Only the test flushes.
 				FlushPolicy: slate.Interval, FlushInterval: time.Hour,
-				QueueCapacity: 1 << 15,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -226,49 +278,93 @@ func TestCrashReplaysWALThroughRecoverySubsystem(t *testing.T) {
 			defer e.Stop()
 
 			const victim = "machine-01"
-			for i := 0; i < 800; i++ {
-				e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%40)})
+			key := keyOwnedBy(t, e, "U", victim)
+			gated := &gatedStore{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+			e.WrapStoreOf("U", key, func(st slate.Store) slate.Store {
+				gated.BatchStore = st.(slate.BatchStore)
+				return gated
+			})
+			for i := 0; i < 3; i++ {
+				e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: key})
 			}
 			e.Drain()
+			go e.CacheOf("U", key).FlushDirty()
+			<-gated.entered // the commit carrying the count 3 is in flight
+			time.AfterFunc(20*time.Millisecond, func() { close(gated.gate) })
 
-			// Find a key a cell on the victim machine owns, and stage an
-			// in-flight flush batch in that cell's WAL.
-			stagedKey := ""
-			for i := 0; i < 10_000 && stagedKey == ""; i++ {
-				key := fmt.Sprintf("inflight-%d", i)
-				if e.OwnerMachine("U", key) == victim {
-					stagedKey = key
+			if _, lostDirty := e.CrashMachine(victim); lostDirty != 0 {
+				t.Fatalf("crash lost %d dirty slates; the only one was in flight", lostDirty)
+			}
+			if got := storedSlate(store, key); got != "3" {
+				t.Fatalf("store holds %q when CrashMachine returns, want the in-flight 3", got)
+			}
+			e.Cluster().Master().PingAll()
+			if m := e.OwnerMachine("U", key); m == victim || m == "" {
+				t.Fatalf("key still routes to %q", m)
+			}
+			if got := e.Slate("U", key); string(got) != "3" {
+				t.Fatalf("new owner reads %q, want 3", got)
+			}
+		})
+	}
+}
+
+// TestStragglerCannotOverwriteNewOwner: an update the dead machine was
+// still running when a detection-driven failover crashed its cache
+// finishes into that dead cache, and must not write the dead machine's
+// history over the row the key's new owner has stored since — neither
+// through the dead cell's flusher nor through Stop's final flush.
+func TestStragglerCannotOverwriteNewOwner(t *testing.T) {
+	for _, s := range strategies {
+		t.Run(s.name, func(t *testing.T) {
+			store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
+			p := &parker{entered: make(chan struct{}, 1)}
+			e, err := s.new(countApp(p), runtime.Config{
+				Machines: 3, WorkersPerFunction: 3, ThreadsPerMachine: 2,
+				Store: store, StoreLevel: kvstore.Quorum,
+				FlushPolicy: slate.Interval, FlushInterval: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Stop()
+
+			const victim = "machine-01"
+			key := keyOwnedBy(t, e, "U", victim)
+			ts := 0
+			ingest := func(n int) {
+				for range n {
+					ts++
+					e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(ts), Key: key})
 				}
 			}
-			if stagedKey == "" {
-				t.Fatal("no key owned by the victim machine")
-			}
-			e.CacheOf("U", stagedKey).WAL().AppendBatch([]wal.SlateRecord{
-				{Updater: "U", Key: stagedKey, Value: []byte("271828")},
-			})
+			ingest(2)
+			e.Drain()
+			e.FlushSlates() // the store holds 2
 
-			lostQ, lostDirty := e.CrashMachine(victim)
-			if lostDirty == 0 {
-				t.Fatal("expected dirty slates on the crashed machine")
+			release := p.arm()
+			ingest(1) // the victim's update parks; it will write 3
+			<-p.entered
+			e.Cluster().Crash(victim)
+			ingest(1) // this send fails, and detection fails the victim over
+			if m := e.OwnerMachine("U", key); m == victim || m == "" {
+				t.Fatalf("key still routes to %q", m)
 			}
-			t.Logf("crash: %d queued, %d dirty lost", lostQ, lostDirty)
+			ingest(4) // the new owner counts on from the stored 2
+			deadline := time.Now().Add(5 * time.Second)
+			for string(e.Slate("U", key)) != "6" {
+				if time.Now().After(deadline) {
+					t.Fatalf("new owner reads %q, want 6", e.Slate("U", key))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			e.FlushSlates() // the store holds 6
 
-			// Force detection so the ring reroutes, then read through the
-			// new owner: the WAL-replayed record is in the store.
-			e.Cluster().Master().PingAll()
-			if m := e.OwnerMachine("U", stagedKey); m == victim || m == "" {
-				t.Fatalf("staged key still routes to %q", m)
-			}
-			if got := e.Slate("U", stagedKey); string(got) != "271828" {
-				t.Fatalf("flushed record lost: got %q", got)
-			}
-
-			st := e.RecoveryStatus()
-			if st.WALBatches != 1 || st.WALRecords != 1 {
-				t.Fatalf("WAL replay counters = %d/%d, want 1/1", st.WALBatches, st.WALRecords)
-			}
-			if st.DirtyLost == 0 {
-				t.Fatal("dirty loss not accounted in recovery status")
+			close(release)
+			e.Drain()
+			e.Stop()
+			if got := storedSlate(store, key); got != "6" {
+				t.Fatalf("store holds %q after the straggler finished, want the new owner's 6", got)
 			}
 		})
 	}

@@ -234,6 +234,20 @@ func TestCrashLosesDirtySlates(t *testing.T) {
 	if _, ok := st.data[k("U", "c")]; ok {
 		t.Fatal("unflushed slate magically survived")
 	}
+	// Until Revive the crashed cache reads through without caching and
+	// drops every write, counting it lost.
+	if v, _ := c.Get(k("U", "a")); string(v) != "1" {
+		t.Fatalf("read through a crashed cache = %q, want 1", v)
+	}
+	c.Put(k("U", "a"), []byte("9"))
+	if c.Len() != 0 || c.Stats().DirtyLost != 2 {
+		t.Fatalf("crashed cache holds %d slates, %d lost; want 0, 2", c.Len(), c.Stats().DirtyLost)
+	}
+	c.Revive()
+	c.Put(k("U", "a"), []byte("9"))
+	if v, ok := c.Peek(k("U", "a")); !ok || string(v) != "9" {
+		t.Fatalf("revived cache reads %q, %v; want 9", v, ok)
+	}
 }
 
 func TestTTLPassedPerUpdater(t *testing.T) {

@@ -31,8 +31,7 @@
 // A byte-level Put on the same key drops the decoded object and makes
 // the bytes the source of truth again, so classic and typed updaters
 // compose against one cache. Slates at rest are unaffected: what
-// reaches the Store (and the group-commit WAL) is always the codec's
-// plain output.
+// reaches the Store is always the codec's plain output.
 //
 // # Reading decoded slates without encoding them (the query path)
 //
@@ -73,12 +72,16 @@
 //     that long exempt from eviction, like a pinned entry),
 //  2. chunks the drained records into bounded batches via
 //     internal/microbatch (MaxFlushBatch records / MaxFlushBytes bytes),
-//  3. appends each batch to an optional internal/wal.SlateBatchLog as
-//     one record batch (WAL first, store second — replaying the log
-//     restores every flushed slate),
-//  4. writes each batch to the store with a single multi-put when the
+//  3. writes each batch to the store with a single multi-put when the
 //     backing Store implements BatchStore (the kvstore adapter does,
 //     via Cluster.PutBatch), falling back to per-record Save otherwise.
+//
+// The store is a flushed slate's one durability. Crash, the machine
+// failure of Section 4.3, waits out the round in flight, so every batch
+// the round carries is stored before the failover reroutes the keys;
+// the cache then stays dead, caching nothing and dropping writes, until
+// Revive. (ShardedConfig.WAL, an extra in-memory copy of each batch, is
+// set by no engine.)
 //
 // When a batch's store write returns, its entries leave the flushing
 // state and any shard they held over capacity is trimmed back. Until

@@ -26,19 +26,20 @@ type ShardedConfig struct {
 	// Store is the durable backing; nil disables persistence. When it
 	// also implements BatchStore, group-commit flushes use SaveBatch.
 	Store Store
-	// WAL, when set, receives every flush batch as one record batch
-	// before the batch is written to the store; replaying it restores
-	// all flushed slates.
+	// WAL, when set, receives a copy of every flush batch before the
+	// batch is written to the store. No engine sets it: the store's own
+	// write-ahead log is a flushed slate's durability, and Crash waits
+	// out the commit in flight. It remains only because the flush driver
+	// of the load harness (bench/) still sets it; it goes when that
+	// driver stops.
 	WAL *wal.SlateBatchLog
 	// MaxFlushBatch bounds records per group-commit batch (default 256).
 	MaxFlushBatch int
 	// MaxFlushBytes bounds a batch's total slate bytes (default 1MiB).
 	MaxFlushBytes int64
 	// WALCheckpoint truncates the WAL after a fully successful flush,
-	// so the log retains only batches not yet known durable in the
-	// store (the group-commit checkpoint long-running engines need to
-	// bound log memory). Leave false to retain the full flush history,
-	// e.g. for replay tests.
+	// so it retains only batches not yet known durable in the store.
+	// Kept for the same reason as WAL.
 	WALCheckpoint bool
 	// TTLFor returns the slate TTL for an updater; nil means forever.
 	TTLFor func(updater string) time.Duration
@@ -78,6 +79,9 @@ type shard struct {
 	lru      *list.List // front = most recently used
 	dirty    map[Key]*entry
 	stats    CacheStats
+	// dead is set by Crash and cleared by Revive: the shard caches
+	// nothing and refuses writes in between.
+	dead bool
 }
 
 // FlushStats counts group-commit activity.
@@ -208,7 +212,9 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 	if !found {
 		return nil, nil
 	}
-	s.insertLocked(sh, &entry{key: k, value: v})
+	if !sh.dead {
+		s.insertLocked(sh, &entry{key: k, value: v})
+	}
 	return v, nil
 }
 
@@ -227,10 +233,16 @@ func (s *Sharded) Peek(k Key) ([]byte, bool) {
 }
 
 // Put replaces the slate for k (the updater's replaceSlate call). With
-// WriteThrough the new value is persisted before Put returns.
+// WriteThrough the new value is persisted before Put returns. A crashed
+// cache drops it (see Crash).
 func (s *Sharded) Put(k Key, value []byte) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
+	if sh.dead {
+		sh.stats.DirtyLost++
+		sh.mu.Unlock()
+		return nil
+	}
 	e, ok := sh.items[k]
 	if ok {
 		e.setBytesLocked(value)
@@ -302,6 +314,9 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 		sh.stats.DecodeErrors++
 		return nil, err
 	}
+	if sh.dead {
+		return v, nil // nothing to pin: PutDecoded will drop it
+	}
 	e := s.insertLocked(sh, &entry{key: k, value: raw})
 	e.decoded = v
 	e.codec = codec
@@ -313,10 +328,16 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 // mutated-in-place) decoded object, mark the entry dirty, and defer the
 // encode to the next flush or external read. It releases the pin taken
 // by GetDecoded. Under WriteThrough the object is encoded and persisted
-// before PutDecoded returns, exactly like Put.
+// before PutDecoded returns, exactly like Put, and a crashed cache drops
+// it, exactly like Put.
 func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
+	if sh.dead {
+		sh.stats.DirtyLost++
+		sh.mu.Unlock()
+		return nil
+	}
 	e, ok := sh.items[k]
 	if ok {
 		e.setDecodedLocked(v, codec)
@@ -418,9 +439,9 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 // FlushDirty persists every dirty slate (the periodic flush of the
 // Interval policy, driven by the engine's background I/O thread)
 // through the group-commit pipeline: drain every shard's dirty list,
-// chunk the records through internal/microbatch, append each chunk to
-// the WAL as one record batch, and write it to the store with a single
-// multi-put. It returns the number of slates durably written. An entry
+// chunk the records through internal/microbatch, and write each chunk to
+// the store with a single multi-put (copying it into cfg.WAL first, when
+// one is set). It returns the number of slates durably written. An entry
 // handed to a batch is marked flushing — un-evictable — until its
 // batch's store write has returned; failed batches are re-marked dirty
 // and retried by the next flush.
@@ -542,8 +563,16 @@ func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
 // Crash drops the entire cache without flushing, counting the dirty
 // slates whose updates are lost — the failure mode Section 4.3
 // accepts: "whatever changes that it has made to the slates and that
-// have not yet been flushed to the key-value store are lost."
+// have not yet been flushed to the key-value store are lost." A group
+// commit under way is waited out first: every slate it carries is in
+// the store when Crash returns, before a failover can reroute the
+// machine's keys to owners that read them from there. Until Revive the
+// cache stays dead — it caches nothing and drops every Put, counting it
+// in DirtyLost — so an update the dead machine was still running cannot
+// write its history over what the keys' new owners have stored since.
 func (s *Sharded) Crash() (dirtyLost int) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.items {
@@ -556,9 +585,19 @@ func (s *Sharded) Crash() (dirtyLost int) {
 		sh.dirty = make(map[Key]*entry)
 		sh.lru = list.New()
 		sh.stats.Poisoned = 0
+		sh.dead = true
 		sh.mu.Unlock()
 	}
 	return dirtyLost
+}
+
+// Revive ends a Crash: the cache takes slates again.
+func (s *Sharded) Revive() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.dead = false
+		sh.mu.Unlock()
+	}
 }
 
 // Len reports the number of cached slates.
@@ -731,11 +770,6 @@ func (s *Sharded) FlushStats() FlushStats {
 		Errors:  s.flushErrors.Load(),
 	}
 }
-
-// WAL exposes the group-commit batch log (nil when not configured) so
-// recovery tooling and status endpoints can reach the batches retained
-// since the last checkpoint.
-func (s *Sharded) WAL() *wal.SlateBatchLog { return s.cfg.WAL }
 
 // FlushLatency is the histogram of FlushDirty wall-clock durations.
 func (s *Sharded) FlushLatency() *metrics.Histogram { return s.flushLatency }

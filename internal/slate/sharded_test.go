@@ -446,3 +446,23 @@ func TestShardedFlushingEntryIsNotEvictable(t *testing.T) {
 		t.Fatalf("cache holds %d slates past the flush, capacity 2", n)
 	}
 }
+
+// TestShardedCrashWaitsOutFlush: a crash that lands while a group commit
+// is in the store's hands returns only once that commit is stored.
+func TestShardedCrashWaitsOutFlush(t *testing.T) {
+	store := &gatedBatchStore{newFakeBatchStore(), make(chan struct{}, 1), make(chan struct{})}
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: Interval, Store: store})
+	s.Put(k("U", "a"), []byte("1"))
+	go s.FlushDirty()
+	<-store.entered
+	time.AfterFunc(20*time.Millisecond, func() { close(store.gate) })
+	if lost := s.Crash(); lost != 0 {
+		t.Fatalf("crash lost %d dirty slates, want 0: the only one was in flight", lost)
+	}
+	store.mu.Lock()
+	stored := string(store.data[k("U", "a")])
+	store.mu.Unlock()
+	if stored != "1" {
+		t.Fatalf("store holds %q when Crash returns, want the in-flight 1", stored)
+	}
+}

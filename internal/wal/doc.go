@@ -6,10 +6,11 @@
 // acknowledges it once the event is fully processed. When the machine
 // dies, the unacknowledged suffix is exactly the set of events the
 // stock Muppet would lose (queued plus in-flight); the engine replays
-// them to the keys' new owners. The package also holds the slate
-// group-commit batch log: the flusher records a dirty-slate batch
-// before writing it to the store, and recovery replays incomplete
-// batches so a crash between "flushed" and "stored" loses nothing.
+// them to the keys' new owners. The package also holds SlateBatchLog,
+// a copy of each slate group-commit batch, which no engine wires: the
+// key-value store's own write-ahead log is a flushed slate's
+// durability, and a machine crash waits out the commit in flight. Only
+// the load harness's flush driver still builds one.
 //
 // # Contract
 //

@@ -1,15 +1,10 @@
-// Slate group-commit batch log. Where Log (replay.go's concern) records
-// individual event deliveries, SlateBatchLog records whole flush
-// batches: every group-commit of dirty slates appends one record batch
-// before the batch is written to the key-value store. Replaying the log
-// into a store reconstructs every slate the flusher ever persisted,
-// which is what makes batch flushing verifiable: a crash between the
-// WAL append and the store write loses no acknowledged flush.
-//
-// Substitution note: like Log, the batch log is in-memory because the
-// "machine" is simulated; a deployment would put it on durable local
-// storage. The preserved behavior is the group-commit protocol —
-// WAL-append first, store-write second, replay on recovery.
+// Slate group-commit batch log. Where Log records individual event
+// deliveries, SlateBatchLog records whole flush batches: a
+// slate.Sharded configured with one appends each group commit before
+// writing it to the key-value store, and replaying the log into a store
+// reconstructs every slate the flusher persisted. No engine configures
+// one (see the package documentation); it stays until the load
+// harness's flush driver stops building it.
 
 package wal
 

@@ -415,9 +415,9 @@ type Config struct {
 	// detect-on-send.
 	ReplayLog bool
 	// Recovery tunes the unified recovery subsystem shared by both
-	// engines: slate group-commit WAL replay during failover (on by
-	// default) and the failure-suspicion thresholds. Detect-on-send and
-	// slate-cache warm-up on rejoin always run.
+	// engines: its failure-suspicion thresholds. Detect-on-send,
+	// slate-cache warm-up on rejoin, and a crash that waits out the
+	// group commit in flight always run.
 	Recovery RecoveryConfig
 	// Network, when non-nil, switches the engine into node mode: this
 	// process hosts one machine of a real networked cluster and reaches
@@ -475,15 +475,10 @@ type NetworkConfig struct {
 	// retried; an authoritative machine-down answer fails immediately.
 	SendRetries int
 	// SendRetryBackoff is the pause before the first retry, doubled per
-	// further retry with jitter and capped at SendRetryMaxBackoff
-	// (defaults 5ms / 100ms).
-	SendRetryBackoff    time.Duration
-	SendRetryMaxBackoff time.Duration
-	// DedupWindow is the receiver-side per-sender dedup window in
-	// batches (default 4096; negative disables). It is what makes
-	// retries idempotent: a batch retried after a lost response is
-	// recognized by its BatchID and absorbed instead of applied twice.
-	DedupWindow int
+	// further retry with jitter up to 100ms (default 5ms). Retries are
+	// idempotent: the receiver remembers each sender's last 4096 batch
+	// IDs and absorbs a batch retried after a lost response.
+	SendRetryBackoff time.Duration
 	// Chaos, when non-nil, wraps the TCP transport in the seeded
 	// fault-injection layer: scripted drops, delays, duplicates, flaky
 	// dials, and one-way partitions, deterministic per seed. A testing
@@ -543,25 +538,23 @@ func (n *NetworkConfig) buildNode() (*cluster.Cluster, error) {
 		Node:      n.Node,
 		Transport: wired,
 		Retry: cluster.RetryConfig{
-			Attempts:   n.SendRetries,
-			Backoff:    n.SendRetryBackoff,
-			MaxBackoff: n.SendRetryMaxBackoff,
+			Attempts: n.SendRetries,
+			Backoff:  n.SendRetryBackoff,
 		},
-		DedupWindow: n.DedupWindow,
 	})
 	tr.Serve(clu)
 	return clu, nil
 }
 
-// RecoveryConfig holds the recovery subsystem's knobs: DisableWALReplay
-// and the failure-suspicion thresholds SuspicionK and SuspicionWindow (a
-// machine is reported down after K consecutive exhausted-retry sends
-// within the window; defaults 3 / 10s).
+// RecoveryConfig holds the recovery subsystem's knobs, the
+// failure-suspicion thresholds SuspicionK and SuspicionWindow: a machine
+// is reported down after K consecutive exhausted-retry sends within the
+// window (defaults 3 / 10s).
 type RecoveryConfig = recovery.Config
 
 // RecoveryStatus is the recovery subsystem's operator view: ring
-// membership, failover and rejoin counts, WAL replay totals, and the
-// latest incident reports. Served over HTTP at GET /recovery.
+// membership, failover and rejoin counts, loss totals, and the latest
+// incident reports. Served over HTTP at GET /recovery.
 type RecoveryStatus = recovery.Status
 
 // FailoverReport summarizes one machine failure's recovery.
@@ -622,9 +615,9 @@ type Engine interface {
 	// injection.
 	Cluster() *cluster.Cluster
 	// CrashMachine kills a machine, returning how many queued events
-	// and dirty slates died with it. Flush batches retained in the
-	// slate group-commit WAL are replayed into the store (unless
-	// disabled via Config.Recovery), so no acknowledged flush is lost.
+	// and dirty slates died with it. A group commit under way when the
+	// kill lands is in the store before CrashMachine returns, so the
+	// keys' new owners read every slate the machine flushed.
 	CrashMachine(machine string) (lostQueued, lostDirtySlates int)
 	// RejoinMachine revives a crashed machine: its workers restart, the
 	// master broadcasts the rejoin, the ring re-enables it, and its
