@@ -1,10 +1,11 @@
 // Package muppet_test hosts the benchmark harness: one testing.B
 // benchmark per experiment in the package experiments index (the paper
-// has no numbered result tables; E01–E17 cover every quantitative claim and
-// design argument in its evaluation, Sections 4–5). Each benchmark
-// runs its experiment and reports the headline figures as custom
-// metrics, so `go test -bench=.` regenerates the paper's evaluation.
-// cmd/mupbench prints the full tables.
+// has no numbered result tables; E01–E17 and E19 cover every
+// quantitative claim and design argument in its evaluation, Sections
+// 4–5, and E18 is retired). Each benchmark runs its experiment and
+// reports the headline figures as custom metrics, so `go test -bench=.`
+// regenerates the paper's evaluation. cmd/mupbench prints the full
+// tables.
 package muppet_test
 
 import (
@@ -163,14 +164,6 @@ func BenchmarkE17SlateSize(b *testing.B) {
 		t := experiments.E17SlateSize(benchScale)
 		reportCell(b, t, 0, 2, "100B-events/s")
 		reportCell(b, t, len(t.Rows)-1, 2, "1MB-events/s")
-	}
-}
-
-func BenchmarkE18Replay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.E18Replay(benchScale)
-		reportCell(b, t, 0, 2, "stock-deficit")
-		reportCell(b, t, 1, 2, "replay-deficit")
 	}
 }
 

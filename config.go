@@ -218,9 +218,6 @@ type EngineConfig struct {
 	FlushEvery  string `json:"flush_every,omitempty"`
 	// SourceThrottle enables wait-and-retry ingestion.
 	SourceThrottle bool `json:"source_throttle,omitempty"`
-	// ReplayLog enables the event replay log (engine 2): failover then
-	// redelivers a dead machine's unacknowledged events.
-	ReplayLog bool `json:"replay_log,omitempty"`
 	// Tracing enables the sampled event-lifecycle tracer feeding the
 	// muppet_trace_* latency histograms; TraceSampleRate traces one in
 	// N deliveries (default 256).
@@ -378,7 +375,6 @@ func (c *AppConfig) engineConfig() (Config, error) {
 		CacheCapacity:      e.CacheCapacity,
 		OverflowStream:     e.OverflowStream,
 		SourceThrottle:     e.SourceThrottle,
-		ReplayLog:          e.ReplayLog,
 		Observability: ObservabilityConfig{
 			Tracing:    e.Tracing,
 			SampleRate: e.TraceSampleRate,

@@ -188,7 +188,7 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 	    {"kind": "map", "name": "M_split", "code": "splitter", "subscribes": ["lines"], "publishes": ["words"]},
 	    {"kind": "update", "name": "U_count", "code": "counter", "subscribes": ["words"]}
 	  ],
-	  "engine": {"machines": 2, "replay_log": true,
+	  "engine": {"machines": 2,
 	    "recovery": {"suspicion_k": 5, "suspicion_window": "2s"}}
 	}`))
 	if err != nil {
@@ -197,9 +197,6 @@ func TestConfigRecoveryKnobs(t *testing.T) {
 	_, ecfg, err := cfg.Build(testRegistry())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ecfg.ReplayLog {
-		t.Fatal("replay_log not mapped")
 	}
 	r := ecfg.Recovery
 	if r.SuspicionK != 5 || r.SuspicionWindow != 2*time.Second {
@@ -217,6 +214,7 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"disable_rejoin_warm", `"engine": {"recovery": {"disable_rejoin_warm": true}}`},
 		{"warm_limit", `"engine": {"recovery": {"warm_limit": 500}}`},
 		{"disable_wal_replay", `"engine": {"recovery": {"disable_wal_replay": true}}`},
+		{"replay_log", `"engine": {"replay_log": true}`},
 		{"dedup_window", `"network": {"nodes": {}, "dedup_window": 512}`},
 		{"send_retry_max_backoff", `"network": {"nodes": {}, "send_retry_max_backoff": "40ms"}`},
 		{"machnes", `"engine": {"machnes": 4}`},

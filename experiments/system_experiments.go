@@ -371,71 +371,6 @@ func E17SlateSize(s Scale) Table {
 	return t
 }
 
-// E18Replay measures the replay-log extension — the future-work item
-// §4.3 names ("developing a replay capability to recover the lost
-// events"). The same crash is injected with and without replay; the
-// shape to reproduce is that replay recovers the would-be-lost counts
-// at the price of a small at-least-once duplication window.
-func E18Replay(s Scale) Table {
-	t := Table{
-		ID:     "E18",
-		Title:  "machine crash: stock loss vs replay-log recovery (extension)",
-		Claim:  "future work in §4.3: replay lost queued events after a failure",
-		Header: []string{"mode", "events", "final count deficit", "duplicates", "replayed"},
-	}
-	n := s.N(20_000)
-	for _, replay := range []bool{false, true} {
-		store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
-		eng, err := muppet.NewEngine(counterOnlyApp(), muppet.Config{
-			Machines: 4, Store: store, StoreLevel: muppet.Quorum,
-			FlushPolicy: muppet.WriteThrough, QueueCapacity: 1 << 16,
-			ReplayLog: replay,
-		})
-		if err != nil {
-			panic(err)
-		}
-		events := keyedEvents(18, n, 500)
-		want := map[string]int{}
-		for _, ev := range events {
-			want[ev.Key]++
-		}
-		// Stream the first half, crash a machine mid-stream (with a
-		// backlog enqueued), stream the rest.
-		half := len(events) / 2
-		for _, ev := range events[:half] {
-			eng.Ingest(ev)
-		}
-		replayed := 0
-		if replay {
-			r, _ := eng.(muppet.Replayer).CrashMachineAndReplay("machine-01")
-			replayed = r
-		} else {
-			eng.CrashMachine("machine-01")
-		}
-		for _, ev := range events[half:] {
-			eng.Ingest(ev)
-		}
-		eng.Drain()
-		deficit, dups := 0, 0
-		for k, w := range want {
-			got := muppetapps.Count(eng.Slate("U", k))
-			if got < w {
-				deficit += w - got
-			} else {
-				dups += got - w
-			}
-		}
-		mode := "stock (events lost)"
-		if replay {
-			mode = "replay log"
-		}
-		t.Add(mode, n, deficit, dups, replayed)
-		eng.Stop()
-	}
-	t.Note("replay recovers the crashed machine's backlog at-least-once; duplicates are events that were mid-process at crash time")
-	return t
-}
-
 func sizeName(n int) string {
 	switch {
 	case n >= 1<<20:

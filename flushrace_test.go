@@ -3,7 +3,6 @@ package muppet_test
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"testing"
 	"time"
 
@@ -22,23 +21,13 @@ import (
 // executor's — the fold of exactly the accepted events — on both
 // engine versions.
 func TestEvictingCacheUnderIntervalFlushMatchesReference(t *testing.T) {
-	countApp := func() *muppet.App {
-		u := muppet.UpdateFunc{FName: "U", Fn: func(emit muppet.Emitter, in muppet.Event, sl []byte) {
-			n := 0
-			if sl != nil {
-				n, _ = strconv.Atoi(string(sl))
-			}
-			emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
-		}}
-		return muppet.NewApp("flushrace").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
-	}
 	const keys, events = 48, 12_000
 	rng := rand.New(rand.NewSource(1))
 	evs := make([]muppet.Event, events)
 	for i := range evs {
 		evs[i] = muppet.Event{Stream: "S1", TS: muppet.Timestamp(i + 1), Key: fmt.Sprintf("k%d", rng.Intn(keys))}
 	}
-	ref := core.NewReference(countApp())
+	ref := core.NewReference(keyCountApp())
 	if err := ref.Process(evs); err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +41,9 @@ func TestEvictingCacheUnderIntervalFlushMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			eng, err := muppet.NewEngine(countApp(), muppet.Config{
+			eng, err := muppet.NewEngine(keyCountApp(), muppet.Config{
 				Engine: tc.version, Machines: 1, WorkersPerFunction: 1, ThreadsPerMachine: 2,
-				Store: store, StoreLevel: muppet.One,
-				CacheCapacity: 4, SlateShards: 1,
+				Store: store, StoreLevel: muppet.One, CacheCapacity: 4,
 				FlushPolicy: muppet.FlushInterval, FlushEvery: 200 * time.Microsecond,
 				QueueCapacity: 1 << 15,
 			})

@@ -26,9 +26,6 @@ type Envelope struct {
 	Func string
 	// Ev is the event to process.
 	Ev event.Event
-	// WalSeq is the envelope's sequence number in the machine's replay
-	// log; zero when replay logging is disabled.
-	WalSeq uint64
 }
 
 // Tracker counts in-flight events for quiescence detection: an event is

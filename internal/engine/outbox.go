@@ -18,9 +18,9 @@ type Origin uint8
 
 const (
 	// FromWorker is a delivery a worker produced: published by a map or
-	// update invocation, forwarded after a ring change, or redelivered by
-	// recovery. A worker never waits on a worker queue — a full queue
-	// rejects it whatever the policy — only for room in an outbox.
+	// update invocation, or forwarded after a ring change. A worker never
+	// waits on a worker queue — a full queue rejects it whatever the
+	// policy — only for room in an outbox.
 	FromWorker Origin = iota
 	// FromSource is an external input event offered through
 	// fire-and-forget Ingest. The Block policy and SourceThrottle slow it.
@@ -72,8 +72,8 @@ type CourierConfig struct {
 }
 
 // Courier carries every delivery that does not come through the batched
-// ingress driver — worker emits, ring-change forwards, recovery
-// redeliveries, fire-and-forget Ingest — to the machine owning its
+// ingress driver — worker emits, ring-change forwards, fire-and-forget
+// Ingest — to the machine owning its
 // <function, key>, and is the one place a send outcome, the driver's
 // included, reaches the failure detector (Observe) and becomes a counter,
 // a loss reason or a divert (Settle).

@@ -34,6 +34,6 @@
 // Failure handling follows Section 4.3: a failed send marks the
 // machine dead at the master, which broadcasts it to every node; each
 // disables the machine's workers on its rings. The event that failed
-// to reach the dead worker is lost and logged, not resent — 1.0 keeps
-// no delivery replay log.
+// to reach the dead worker is lost and logged, not resent — as under
+// 2.0, no path delivers an event twice.
 package engine1

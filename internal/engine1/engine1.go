@@ -216,10 +216,6 @@ func (e *Engine) StartCell(c *runtime.Cell) {
 	e.Go(c, func() { e.taskProcessorLoop(w, req, resp) })
 }
 
-// Unacked implements runtime.Dispatcher: Muppet 1.0 keeps no delivery
-// replay log.
-func (e *Engine) Unacked(string) []engine.Envelope { return nil }
-
 // conductorLoop is the Perl-conductor half of a 1.0 worker: it owns
 // the queue, the slate cache, and all event logistics.
 func (e *Engine) conductorLoop(w *worker, q *queue.Queue[engine.Envelope], req chan taskRequest, resp chan *runtime.Emitter) {

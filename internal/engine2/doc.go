@@ -44,8 +44,9 @@
 // # Failure invariants
 //
 // A machine crash loses its queued events and its dirty (unflushed)
-// slates; both are counted exactly in the failover Report. The
-// write-through flush policy closes the dirty-slate window; the event replay log (Config.ReplayLog,
-// CrashMachineAndReplay) closes the queued window with at-least-once
-// redelivery. Failover ordering is owned by internal/recovery.
+// slates; both are counted exactly in the failover Report, and each
+// lost queued event is in the lost log. The write-through flush policy
+// closes the dirty-slate window; replaying the queued events is the
+// paper's future work (§4.3), so no path delivers an event twice.
+// Failover ordering is owned by internal/recovery.
 package engine2

@@ -12,11 +12,10 @@ import (
 	"muppet/internal/queue"
 	"muppet/internal/runtime"
 	"muppet/internal/slate"
-	"muppet/internal/wal"
 )
 
-// Config tunes an engine; Muppet 2.0 reads ThreadsPerMachine,
-// DisableDualQueue and ReplayLog on top of the runtime's knobs.
+// Config tunes an engine; Muppet 2.0 reads ThreadsPerMachine and
+// DisableDualQueue on top of the runtime's knobs.
 type Config = runtime.Config
 
 // fk is the (function, key) pair dispatch decisions are made on.
@@ -141,9 +140,6 @@ type machine struct {
 	// acquisition instead of a machine-wide one).
 	locks *slateLockTable
 
-	// log is the replay log, nil unless Config.ReplayLog is set.
-	log *wal.Log
-
 	// scratchPool recycles batch-dispatch scratch space.
 	scratchPool sync.Pool
 }
@@ -180,14 +176,6 @@ func (m *machine) release(sc *dispatchScratch) {
 	m.scratchPool.Put(sc)
 }
 
-// ack retires a delivery from the replay log, if there is one and the
-// delivery is in it.
-func (m *machine) ack(env *engine.Envelope) {
-	if m.log != nil && env.WalSeq != 0 {
-		m.log.Ack(env.WalSeq)
-	}
-}
-
 // Engine is Muppet 2.0: the shared runtime dispatching into one thread
 // pool per hosted machine.
 type Engine struct {
@@ -216,15 +204,11 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 	// machines this node hosts.
 	e.ring = hashring.New(e.Cluster().MachineNames(), 0)
 	for _, name := range e.Cluster().LocalNames() {
-		m := &machine{
+		e.machines[name] = &machine{
 			Cell:    e.AddCell(name, "", cfg.ThreadsPerMachine),
 			current: make([]atomic.Uint64, cfg.ThreadsPerMachine),
 			locks:   newSlateLockTable(),
 		}
-		if cfg.ReplayLog {
-			m.log = wal.New()
-		}
-		e.machines[name] = m
 	}
 	return e, e.Start(e)
 }
@@ -266,14 +250,6 @@ func (e *Engine) StartCell(c *runtime.Cell) {
 	}
 }
 
-// Unacked implements runtime.Dispatcher.
-func (e *Engine) Unacked(machine string) []engine.Envelope {
-	if m := e.machines[machine]; m != nil && m.log != nil {
-		return m.log.Unacked()
-	}
-	return nil
-}
-
 // selectThread implements the 2.0 queue-selection rule: follow the
 // thread already processing this (function, key) if any, otherwise the
 // primary unless it is heavily loaded and the secondary is free to
@@ -313,31 +289,22 @@ func (m *machine) depth(sc *dispatchScratch, i int) int {
 	return sc.lens[i]
 }
 
-// envelope wraps a delivery for a thread queue, stamped for the tracer
-// and logged for replay — before the enqueue, so the consumer can
-// acknowledge as soon as it finishes, whatever the interleaving.
-func (e *Engine) envelope(m *machine, d *cluster.Delivery) engine.Envelope {
+// envelope wraps a delivery for a thread queue, stamped for the tracer.
+func (e *Engine) envelope(d *cluster.Delivery) engine.Envelope {
 	env := engine.Envelope{Func: d.Worker, Ev: d.Ev}
 	e.Stamp(&env.Ev)
-	if m.log != nil {
-		env.WalSeq = m.log.Append(env)
-	}
 	return env
 }
 
 // enqueue offers envs to thread queue t under one lock acquisition,
-// non-waiting for a no-wait frame. The rejected leave the replay log:
-// they are accounted by the overflow path.
+// non-waiting for a no-wait frame; the overflow path accounts the
+// rejected.
 func (m *machine) enqueue(t int, envs []engine.Envelope, noWait bool) (accepted int, err error) {
-	if q := m.Queues[t].Queue(); noWait {
-		accepted, err = q.OfferBatch(envs)
-	} else {
-		accepted, err = q.PutBatch(envs)
+	q := m.Queues[t].Queue()
+	if noWait {
+		return q.OfferBatch(envs)
 	}
-	for i := accepted; i < len(envs); i++ {
-		m.ack(&envs[i])
-	}
-	return accepted, err
+	return q.PutBatch(envs)
 }
 
 // dispatch places a machine-addressed frame — a single emit is a frame
@@ -350,7 +317,7 @@ func (e *Engine) dispatch(m *machine, ds []cluster.Delivery) []error {
 	if len(ds) == 1 {
 		// Nothing to group by thread: no scratch, live queue depths.
 		t := e.selectThread(m, fk{fn: ds[0].Worker, key: ds[0].Ev.Key}, nil)
-		one := [1]engine.Envelope{e.envelope(m, &ds[0])}
+		one := [1]engine.Envelope{e.envelope(&ds[0])}
 		if _, err := m.enqueue(t, one[:], ds[0].NoWait); err != nil {
 			return []error{err}
 		}
@@ -363,7 +330,7 @@ func (e *Engine) dispatch(m *machine, ds []cluster.Delivery) []error {
 		t := e.selectThread(m, fk{fn: ds[i].Worker, key: ds[i].Ev.Key}, sc)
 		sc.lens[t]++
 		noWait = noWait || ds[i].NoWait
-		sc.envs[t] = append(sc.envs[t], e.envelope(m, &ds[i]))
+		sc.envs[t] = append(sc.envs[t], e.envelope(&ds[i]))
 		sc.idxs[t] = append(sc.idxs[t], i)
 	}
 	var errs []error
@@ -434,7 +401,6 @@ func (e *Engine) threadLoop(m *machine, idx int, q *queue.Queue[engine.Envelope]
 		// key: forward it to the current owner rather than break the
 		// single-writer property.
 		if e.ring.LookupRoute(env.Func, env.Ev.Key) != m.Machine {
-			m.ack(&env) // handled here by forwarding
 			e.Forward(env.Func, env.Ev)
 			continue
 		}
@@ -445,7 +411,6 @@ func (e *Engine) threadLoop(m *machine, idx int, q *queue.Queue[engine.Envelope]
 		m.current[idx].Store(h)
 		e.process(m, &em, &env, sp)
 		m.current[idx].CompareAndSwap(h, 0)
-		m.ack(&env)
 		e.Done(sp)
 	}
 }
@@ -469,27 +434,6 @@ func (e *Engine) process(m *machine, em *runtime.Emitter, env *engine.Envelope, 
 		em.Run(f, env.Ev, nil, nil)
 	}
 	e.Emit(em, &env.Ev, sp)
-}
-
-// CrashMachineAndReplay crashes a machine and drives the full
-// master-coordinated failover through the recovery subsystem,
-// redelivering the machine's unacknowledged deliveries from the replay
-// log to the keys' new owners — the replay capability the paper names
-// as future work (§4.3). Replay is at-least-once: deliveries that were
-// mid-process at crash time are applied again. It panics if ReplayLog
-// is not configured. Unflushed slates are still lost (the slate store,
-// not the event log, is their durability); a group commit under way is
-// stored before the new owners read the store.
-func (e *Engine) CrashMachineAndReplay(name string) (replayed, lostDirtySlates int) {
-	m := e.machines[name]
-	if m == nil {
-		return 0, 0
-	}
-	if m.log == nil {
-		panic("engine2: CrashMachineAndReplay requires Config.ReplayLog")
-	}
-	rep := e.Recovery().CrashAndFailover(name)
-	return rep.Redelivered, rep.DirtyLost
 }
 
 // MachineFor reports which machine owns <key, fn> on the current

@@ -5,10 +5,23 @@ import (
 	"strconv"
 	"testing"
 
+	"muppet/internal/core"
 	"muppet/internal/event"
 	"muppet/internal/kvstore"
 	"muppet/internal/slate"
 )
+
+// keyCountApp counts S1 events per key in a decimal slate.
+func keyCountApp() *core.App {
+	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) {
+		n := 0
+		if sl != nil {
+			n, _ = strconv.Atoi(string(sl))
+		}
+		emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
+	}}
+	return core.NewApp("counter").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+}
 
 // TestRejoinMachineRestoresService drives the full crash → failover →
 // rejoin lifecycle: after RejoinMachine the revived machine is back on
@@ -16,7 +29,7 @@ import (
 // reaches it again without losses.
 func TestRejoinMachineRestoresService(t *testing.T) {
 	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 3})
-	e, err := New(replayApp(), Config{
+	e, err := New(keyCountApp(), Config{
 		Machines: 4, ThreadsPerMachine: 2,
 		Store: store, StoreLevel: kvstore.Quorum, FlushPolicy: slate.WriteThrough,
 		QueueCapacity: 1 << 15,

@@ -26,8 +26,6 @@ func (m *Manager) RegisterObs(r *obs.Registry) {
 		"Queued events lost with crashed machines.", nil, m.queuedLost.Load)
 	r.Counter("muppet_recovery_dirty_slates_lost_total",
 		"Dirty slates lost with crashed caches.", nil, m.dirtyLost.Load)
-	r.Counter("muppet_recovery_redelivered_total",
-		"Unacknowledged events redelivered to new ring owners.", nil, m.redelivered.Load)
 	r.Counter("muppet_recovery_slates_warmed_total",
 		"Slates pre-loaded into rejoined machines' caches.", nil, m.warmed.Load)
 	r.DurationSummary("muppet_recovery_failover_seconds",

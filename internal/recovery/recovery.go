@@ -53,8 +53,7 @@ type Adapter interface {
 	// DrainQueues empties and closes every event queue on the machine,
 	// calling drained for each removed event with its destination
 	// function. The adapter retires the events from the engine's
-	// in-flight tracker; the manager decides whether they are lost or
-	// left to the replay log.
+	// in-flight tracker; the manager records them lost.
 	DrainQueues(machine string, drained func(function string, ev event.Event))
 	// AwaitWorkers blocks until the machine's worker goroutines, whose
 	// queues DrainQueues has closed, have finished the invocation each
@@ -65,13 +64,6 @@ type Adapter interface {
 	// is in the store before it returns, and the caches refuse writes
 	// until RestartWorkers.
 	CrashSlates(machine string) (dirtyLost int)
-	// UnackedEvents drains the machine's delivery replay log, returning
-	// every unacknowledged delivery; engines without a replay log
-	// return nil.
-	UnackedEvents(machine string) []engine.Envelope
-	// Redeliver routes an event to the current ring owner of
-	// (function, key).
-	Redeliver(function string, ev event.Event)
 	// RestartWorkers recreates the machine's queues and worker
 	// goroutines after revival and lets its slate caches take writes
 	// again.
@@ -105,31 +97,29 @@ type Deps struct {
 	// Counters are the engine's lifetime counters (FailureReports).
 	Counters *engine.Counters
 	// Tracker is the engine's in-flight tracker; the manager holds it
-	// open while a failover is pending so Drain cannot pass between a
-	// queue drain and the redelivery of its events.
+	// open from a failure report until that machine's failover has
+	// finished, so Drain cannot return while the ring still routes to
+	// the dead machine or its losses are still being counted.
 	Tracker *engine.Tracker
 	// Store is the durable slate store caches are warmed from; nil
 	// disables warming and the rejoin handover flush.
 	Store slate.Store
-	// Redeliver reports whether the engine keeps a delivery replay log:
-	// if so, failover redelivers a dead machine's unacknowledged events
-	// instead of recording them lost.
-	Redeliver bool
 }
 
 // incident is the per-machine recovery state between crash and rejoin.
 type incident struct {
 	cleaned    bool // cleanup claimed (queues drained, slates crashed)
 	cleanDone  bool // cleanup finished
-	failedOver bool // failover claimed (ring update + redelivery)
+	failedOver bool // failover claimed (ring update)
 	done       bool // failover finished
 	report     Report
 }
 
 // Manager runs the recovery protocol for one engine. All methods are
-// safe for concurrent use; failovers for distinct machines are
-// serialized through a pending queue so a redelivery that hits another
-// dead machine cannot deadlock the subsystem.
+// safe for concurrent use; failovers for distinct machines run one at a
+// time through a pending queue, so a sender that detects a second dead
+// machine queues it and returns instead of blocking on the first
+// machine's failover.
 type Manager struct {
 	cfg  Config
 	deps Deps
@@ -145,12 +135,11 @@ type Manager struct {
 	lastFail  *Report
 	lastJoin  *RejoinReport
 
-	failovers   atomic.Uint64
-	rejoins     atomic.Uint64
-	queuedLost  atomic.Uint64
-	dirtyLost   atomic.Uint64
-	redelivered atomic.Uint64
-	warmed      atomic.Uint64
+	failovers  atomic.Uint64
+	rejoins    atomic.Uint64
+	queuedLost atomic.Uint64
+	dirtyLost  atomic.Uint64
+	warmed     atomic.Uint64
 
 	failoverLatency *metrics.Histogram
 	rejoinLatency   *metrics.Histogram
@@ -188,37 +177,16 @@ func NewManager(deps Deps, cfg Config) *Manager {
 func (m *Manager) Detector() *Detector { return m.det }
 
 // Crash is the stock §4.3 operator kill: the machine stops accepting
-// events, its queued events and dirty slates are lost (and logged), and
-// its delivery replay log is discarded. A group commit under way when
-// the kill lands is in the store before Crash returns. The master is
-// not notified; detection is left to the next failed send, exactly as
-// in the paper.
+// events, and its queued events and dirty slates are lost (and
+// logged). A group commit under way when the kill lands is in the store
+// before Crash returns. The master is not notified; detection is left
+// to the next failed send, exactly as in the paper.
 func (m *Manager) Crash(machine string) Report {
 	if !m.claimCleanup(machine) {
 		m.deps.Cluster.Crash(machine)
 		return m.waitCleanup(machine)
 	}
-	return m.doCleanup(machine, true, true)
-}
-
-// CrashAndFailover kills the machine and immediately drives the full
-// master-coordinated failover: cleanup first, then an
-// operator failure report to the master, whose broadcast removes the
-// machine from the ring and — when the engine keeps a replay log —
-// redelivers its unacknowledged events to the keys' new owners. It
-// returns once the failover has completed.
-func (m *Manager) CrashAndFailover(machine string) Report {
-	if m.claimCleanup(machine) {
-		m.doCleanup(machine, !m.deps.Redeliver, true)
-	} else {
-		m.deps.Cluster.Crash(machine)
-		m.waitCleanup(machine)
-	}
-	if m.deps.Counters != nil {
-		m.deps.Counters.FailureReports.Add(1)
-	}
-	m.deps.Cluster.Master().ReportFailure(machine)
-	return m.waitFailover(machine)
+	return m.doCleanup(machine, true)
 }
 
 // Rejoin revives a crashed machine and re-integrates it: workers
@@ -321,18 +289,6 @@ func (m *Manager) waitCleanup(machine string) Report {
 	return inc.report
 }
 
-// waitFailover blocks until the machine's failover (ring update and
-// redelivery) completes and returns the final report.
-func (m *Manager) waitFailover(machine string) Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	inc := m.incidentLocked(machine)
-	for !inc.done {
-		m.cond.Wait()
-	}
-	return inc.report
-}
-
 // incidentLocked returns (creating if needed) the machine's incident.
 // Caller holds m.mu.
 func (m *Manager) incidentLocked(machine string) *incident {
@@ -345,23 +301,19 @@ func (m *Manager) incidentLocked(machine string) *incident {
 }
 
 // doCleanup runs the local half of recovery after claimCleanup: drain
-// the dead machine's queues and crash its slate caches, which waits out
-// a group commit under way. With discard set,
-// queued events are recorded lost (LossCrashedQueue) and the delivery
-// replay log is dropped — the stock §4.3 disposition; otherwise both
-// are left to the failover's redelivery step. With quiesce set (the
-// operator kills, never a worker's own detection) the kill lands between
-// invocations: the machine's workers finish the update each was running
-// before the machine is marked down — before any sender can detect the
-// death and route the keys elsewhere — so a straggler's write can never
-// race, and silently overwrite, the new owner's on the same slate.
-func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
+// the dead machine's queues, recording each queued event lost
+// (LossCrashedQueue), and crash its slate caches, which waits out a
+// group commit under way — the stock §4.3 disposition. With quiesce set
+// (the operator kills, never a worker's own detection) the kill lands
+// between invocations: the machine's workers finish the update each was
+// running before the machine is marked down — before any sender can
+// detect the death and route the keys elsewhere — so a straggler's
+// write can never race, and silently overwrite, the new owner's on the
+// same slate.
+func (m *Manager) doCleanup(machine string, quiesce bool) Report {
 	start := time.Now()
 	rep := Report{Machine: machine, At: start}
 	m.deps.Adapter.DrainQueues(machine, func(function string, ev event.Event) {
-		if !discard {
-			return // the event stays in the replay log; failover redelivers it
-		}
 		rep.QueuedLost++
 		if m.deps.Lost != nil {
 			m.deps.Lost.Record(function, ev, engine.LossCrashedQueue)
@@ -371,9 +323,6 @@ func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
 		m.deps.Adapter.AwaitWorkers(machine)
 	}
 	m.deps.Cluster.Crash(machine)
-	if discard {
-		m.deps.Adapter.UnackedEvents(machine) // the replay log dies with the machine
-	}
 	dirtyLost := m.deps.Adapter.CrashSlates(machine)
 	rep.DirtyLost = dirtyLost
 	rep.Took = time.Since(start)
@@ -388,12 +337,12 @@ func (m *Manager) doCleanup(machine string, discard, quiesce bool) Report {
 	return rep
 }
 
-// onFailure is the master failure-broadcast handler: it queues the
-// machine for failover and runs the queue unless another goroutine
-// already is. Queuing (rather than recursing) lets a redelivery that
-// hits a second dead machine schedule that machine's failover without
-// deadlocking, and the tracker hold keeps Drain blocked until every
-// pending failover — including its redeliveries — has completed.
+// onFailure is the master failure-broadcast handler, run on the
+// reporting sender's goroutine: it queues the machine for failover and
+// runs the queue unless another goroutine already is. Queuing lets
+// concurrent detections of distinct machines run one failover at a time
+// without holding up the later reporters, and the tracker hold keeps
+// Drain blocked until every queued failover has completed.
 func (m *Manager) onFailure(machine string) {
 	if mach := m.deps.Cluster.Machine(machine); mach != nil && mach.Alive() {
 		// Stale report: the send failed before a rejoin revived the
@@ -449,32 +398,21 @@ func (m *Manager) onFailure(machine string) {
 }
 
 // failover runs the cluster half of recovery: ensure the local cleanup
-// has finished, remove the machine from the ring
-// so keys reroute, then redeliver its unacknowledged events to the new
-// owners.
+// has finished, then remove the machine from the ring so keys reroute.
 func (m *Manager) failover(machine string) {
 	start := time.Now()
 	if m.claimCleanup(machine) {
 		// Detection can fire on one of the machine's own workers, so this
 		// path must not wait for them.
-		m.doCleanup(machine, !m.deps.Redeliver, false)
+		m.doCleanup(machine, false)
 	} else {
 		m.waitCleanup(machine)
 	}
 	m.deps.Adapter.RemoveFromRing(machine)
-	redelivered := 0
-	if m.deps.Redeliver {
-		for _, env := range m.deps.Adapter.UnackedEvents(machine) {
-			m.deps.Adapter.Redeliver(env.Func, env.Ev)
-			redelivered++
-		}
-		m.redelivered.Add(uint64(redelivered))
-	}
 	m.failovers.Add(1)
 	m.failoverLatency.Observe(time.Since(start))
 	m.mu.Lock()
 	inc := m.incidentLocked(machine)
-	inc.report.Redelivered += redelivered
 	inc.report.Detected = true
 	inc.done = true
 	cp := inc.report

@@ -35,28 +35,22 @@ func (s *fakeStore) Save(k slate.Key, value []byte, _ time.Duration) error {
 
 // fakeAdapter is a scriptable engine stand-in.
 type fakeAdapter struct {
-	mu          sync.Mutex
-	ring        map[string]bool
-	queued      map[string][]engine.Envelope
-	unacked     map[string][]engine.Envelope
-	dirty       map[string]int
-	drains      map[string]int
-	awaited     map[string]int // AwaitWorkers calls per machine
-	redelivered []engine.Envelope
-	restarted   []string
-	flushes     int
-	drops       int
-	warm        map[string]int // machine -> slates "warmed" per call
-	// redeliverHook, when set, runs on every Redeliver (to simulate a
-	// redelivery hitting another dead machine).
-	redeliverHook func(function string, ev event.Event)
+	mu        sync.Mutex
+	ring      map[string]bool
+	queued    map[string][]engine.Envelope
+	dirty     map[string]int
+	drains    map[string]int
+	awaited   map[string]int // AwaitWorkers calls per machine
+	restarted []string
+	flushes   int
+	drops     int
+	warm      map[string]int // machine -> slates "warmed" per call
 }
 
 func newFakeAdapter(machines ...string) *fakeAdapter {
 	a := &fakeAdapter{
 		ring:    make(map[string]bool),
 		queued:  make(map[string][]engine.Envelope),
-		unacked: make(map[string][]engine.Envelope),
 		dirty:   make(map[string]int),
 		drains:  make(map[string]int),
 		awaited: make(map[string]int),
@@ -103,24 +97,6 @@ func (a *fakeAdapter) CrashSlates(machine string) int {
 	d := a.dirty[machine]
 	a.dirty[machine] = 0
 	return d
-}
-
-func (a *fakeAdapter) UnackedEvents(machine string) []engine.Envelope {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	u := a.unacked[machine]
-	a.unacked[machine] = nil
-	return u
-}
-
-func (a *fakeAdapter) Redeliver(function string, ev event.Event) {
-	a.mu.Lock()
-	a.redelivered = append(a.redelivered, engine.Envelope{Func: function, Ev: ev})
-	hook := a.redeliverHook
-	a.mu.Unlock()
-	if hook != nil {
-		hook(function, ev)
-	}
 }
 
 func (a *fakeAdapter) RestartWorkers(machine string) {
@@ -173,35 +149,28 @@ func (a *fakeAdapter) drainCount(machine string) int {
 	return a.drains[machine]
 }
 
-func (a *fakeAdapter) redeliveredCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.redelivered)
-}
-
 func env(fn, key string) engine.Envelope {
 	return engine.Envelope{Func: fn, Ev: event.Event{Stream: "S1", Key: key}}
 }
 
-func harness(redeliver bool, cfg Config) (*Manager, *fakeAdapter, *fakeStore, *cluster.Cluster, *engine.LostLog) {
+func harness(cfg Config) (*Manager, *fakeAdapter, *fakeStore, *cluster.Cluster, *engine.LostLog) {
 	clu := cluster.New(cluster.Config{Machines: 3})
 	ad := newFakeAdapter(clu.MachineNames()...)
 	store := newFakeStore()
 	lost := engine.NewLostLog(0)
 	m := NewManager(Deps{
-		Cluster:   clu,
-		Adapter:   ad,
-		Lost:      lost,
-		Counters:  engine.NewCounters(),
-		Tracker:   engine.NewTracker(),
-		Store:     store,
-		Redeliver: redeliver,
+		Cluster:  clu,
+		Adapter:  ad,
+		Lost:     lost,
+		Counters: engine.NewCounters(),
+		Tracker:  engine.NewTracker(),
+		Store:    store,
 	}, cfg)
 	return m, ad, store, clu, lost
 }
 
 func TestStockCrashLosesQueued(t *testing.T) {
-	m, ad, _, clu, lost := harness(false, Config{})
+	m, ad, _, clu, lost := harness(Config{})
 	const victim = "machine-01"
 	ad.queued[victim] = []engine.Envelope{env("U", "a"), env("U", "b")}
 	ad.dirty[victim] = 5
@@ -242,7 +211,7 @@ func TestStockCrashLosesQueued(t *testing.T) {
 }
 
 func TestDetectOnSendDrivesFailover(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{})
+	m, ad, _, clu, _ := harness(Config{})
 	const victim = "machine-02"
 	ad.queued[victim] = []engine.Envelope{env("U", "x")}
 	clu.Crash(victim)
@@ -275,35 +244,8 @@ func TestDetectOnSendDrivesFailover(t *testing.T) {
 	}
 }
 
-func TestCrashAndFailoverRedelivers(t *testing.T) {
-	m, ad, _, _, lost := harness(true, Config{})
-	const victim = "machine-01"
-	ad.queued[victim] = []engine.Envelope{env("U", "q1")}
-	ad.unacked[victim] = []engine.Envelope{env("U", "q1"), env("U", "p1")}
-
-	rep := m.CrashAndFailover(victim)
-	if rep.QueuedLost != 0 {
-		t.Fatalf("queued events recorded lost despite replay log: %d", rep.QueuedLost)
-	}
-	if rep.Redelivered != 2 {
-		t.Fatalf("redelivered = %d, want 2", rep.Redelivered)
-	}
-	if !rep.Detected {
-		t.Fatal("CrashAndFailover did not complete the failover")
-	}
-	if ad.inRing(victim) {
-		t.Fatal("machine still in ring after failover")
-	}
-	if lost.Total() != 0 {
-		t.Fatalf("lost log total = %d, want 0", lost.Total())
-	}
-	if got := ad.redeliveredCount(); got != 2 {
-		t.Fatalf("adapter saw %d redeliveries, want 2", got)
-	}
-}
-
 func TestFailoverIdempotent(t *testing.T) {
-	m, ad, _, _, _ := harness(false, Config{})
+	m, ad, _, _, _ := harness(Config{})
 	const victim = "machine-00"
 	ad.queued[victim] = []engine.Envelope{env("U", "a")}
 
@@ -325,7 +267,7 @@ func TestFailoverIdempotent(t *testing.T) {
 }
 
 func TestRejoinRestartsWarmsAndRestoresRing(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{})
+	m, ad, _, clu, _ := harness(Config{})
 	const victim = "machine-02"
 	ad.warm[victim] = 7
 	m.Crash(victim)
@@ -386,7 +328,7 @@ func TestRejoinRestartsWarmsAndRestoresRing(t *testing.T) {
 // TestRejoinWarmDisabled: without a durable store there is nothing to
 // warm a rejoined machine's cache from; the cache refills on demand.
 func TestRejoinWarmDisabled(t *testing.T) {
-	m, ad, _, _, _ := harness(false, Config{})
+	m, ad, _, _, _ := harness(Config{})
 	m.deps.Store = nil
 	const victim = "machine-00"
 	ad.warm[victim] = 9
@@ -405,7 +347,7 @@ func TestRejoinWarmDisabled(t *testing.T) {
 // machine — and must not poison the master so a future real failure
 // goes undetected.
 func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{})
+	m, ad, _, clu, _ := harness(Config{})
 	const victim = "machine-01"
 	m.Crash(victim)
 	m.Detector().ObserveSendFailure(victim)
@@ -440,45 +382,49 @@ func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	}
 }
 
-// TestNestedFailureDuringRedelivery simulates a redelivery that hits a
-// second dead machine: the nested failure must schedule that machine's
-// failover without deadlocking the manager.
-func TestNestedFailureDuringRedelivery(t *testing.T) {
-	m, ad, _, clu, _ := harness(true, Config{})
+// TestTwoMachinesDetectedConcurrently: senders detect two dead
+// machines at once. The pending queue runs one failover at a time, so
+// the later reporter queues its machine and returns; both machines
+// must fail over, and the tracker hold must keep Drain's wait open
+// until they have.
+func TestTwoMachinesDetectedConcurrently(t *testing.T) {
+	m, ad, _, clu, _ := harness(Config{})
 	const first, second = "machine-00", "machine-01"
-	ad.unacked[first] = []engine.Envelope{env("U", "k1")}
+	ad.queued[first] = []engine.Envelope{env("U", "a")}
+	ad.queued[second] = []engine.Envelope{env("U", "b"), env("U", "c")}
+	clu.Crash(first)
 	clu.Crash(second)
-	ad.redeliverHook = func(string, event.Event) {
-		// The redelivered event lands on another dead machine.
-		m.Detector().ObserveSendFailure(second)
-	}
 
-	done := make(chan Report, 1)
-	go func() { done <- m.CrashAndFailover(first) }()
+	var wg sync.WaitGroup
+	for _, victim := range []string{first, second} {
+		wg.Add(1)
+		go func(victim string) {
+			defer wg.Done()
+			m.Detector().ObserveSendFailure(victim)
+		}(victim)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		m.deps.Tracker.Wait()
+		close(done)
+	}()
 	select {
-	case rep := <-done:
-		if rep.Redelivered != 1 {
-			t.Fatalf("redelivered = %d, want 1", rep.Redelivered)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("nested failure deadlocked the manager")
+		t.Fatal("concurrent detections deadlocked the manager")
 	}
-	// The nested machine's failover completed too (it may have been
-	// queued behind the first).
-	deadline := time.Now().Add(2 * time.Second)
-	for ad.inRing(second) {
-		if time.Now().After(deadline) {
-			t.Fatal("second machine never failed over")
-		}
-		time.Sleep(time.Millisecond)
+	if ad.inRing(first) || ad.inRing(second) {
+		t.Fatal("a detected machine is still in the ring")
 	}
-	if st := m.Status(); st.Failovers != 2 {
-		t.Fatalf("failovers = %d, want 2", st.Failovers)
+	st := m.Status()
+	if st.Failovers != 2 || st.QueuedLost != 3 {
+		t.Fatalf("status = failovers %d queuedLost %d, want 2/3", st.Failovers, st.QueuedLost)
 	}
 }
 
 func TestConcurrentDetectionSingleFailover(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{})
+	m, ad, _, clu, _ := harness(Config{})
 	const victim = "machine-01"
 	ad.queued[victim] = []engine.Envelope{env("U", "a"), env("U", "b"), env("U", "c")}
 	clu.Crash(victim)
@@ -504,7 +450,7 @@ func TestConcurrentDetectionSingleFailover(t *testing.T) {
 }
 
 func TestStatusMachinesView(t *testing.T) {
-	m, _, _, clu, _ := harness(false, Config{})
+	m, _, _, clu, _ := harness(Config{})
 	m.Crash("machine-01")
 	m.Detector().ObserveSendFailure("machine-01")
 	st := m.Status()

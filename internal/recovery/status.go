@@ -2,23 +2,19 @@ package recovery
 
 import "time"
 
-// Report summarizes one machine failure's recovery: what was lost and
-// what was redelivered.
+// Report summarizes one machine failure's recovery: what was lost.
 type Report struct {
 	// Machine is the failed machine.
 	Machine string `json:"machine"`
 	// Detected is true once the master's failure broadcast has driven
-	// the full failover (ring update and redelivery); a stock operator
-	// crash before detection leaves it false.
+	// the full failover (ring update); a stock operator crash before
+	// detection leaves it false.
 	Detected bool `json:"detected"`
 	// QueuedLost counts queued events that died with the machine and
 	// were recorded in the lost log.
 	QueuedLost int `json:"queued_lost"`
 	// DirtyLost counts dirty (unflushed) slates lost with the cache.
 	DirtyLost int `json:"dirty_slates_lost"`
-	// Redelivered counts unacknowledged events redelivered to the keys'
-	// new ring owners.
-	Redelivered int `json:"events_redelivered"`
 	// Took is the wall-clock duration of the recovery work so far.
 	Took time.Duration `json:"took_ns"`
 	// At is when the recovery began.
@@ -68,7 +64,6 @@ type Status struct {
 	Rejoins         uint64          `json:"rejoins"`
 	QueuedLost      uint64          `json:"queued_lost"`
 	DirtyLost       uint64          `json:"dirty_slates_lost"`
-	Redelivered     uint64          `json:"events_redelivered"`
 	Warmed          uint64          `json:"slates_warmed"`
 	FailoverLatency string          `json:"failover_latency,omitempty"`
 	RejoinLatency   string          `json:"rejoin_latency,omitempty"`
@@ -106,7 +101,6 @@ func (m *Manager) Status() Status {
 		Rejoins:        m.rejoins.Load(),
 		QueuedLost:     m.queuedLost.Load(),
 		DirtyLost:      m.dirtyLost.Load(),
-		Redelivered:    m.redelivered.Load(),
 		Warmed:         m.warmed.Load(),
 	}
 	if m.failoverLatency.Count() > 0 {

@@ -10,7 +10,7 @@ import (
 // cluster crash presumption, master report, ring removal — exactly as
 // an authoritative detect-on-send would.
 func TestSuspicionEscalatesAfterK(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{SuspicionK: 3})
+	m, ad, _, clu, _ := harness(Config{SuspicionK: 3})
 	const victim = "machine-01"
 	det := m.Detector()
 
@@ -54,7 +54,7 @@ func TestSuspicionEscalatesAfterK(t *testing.T) {
 // "consecutive" means consecutive, so a delivered batch between blips
 // restarts the count and no failover ever fires.
 func TestSuspicionClearedBySendOK(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{SuspicionK: 3})
+	m, ad, _, clu, _ := harness(Config{SuspicionK: 3})
 	const victim = "machine-02"
 	det := m.Detector()
 
@@ -77,7 +77,7 @@ func TestSuspicionClearedBySendOK(t *testing.T) {
 // TestSuspicionWindowExpiry: a run that goes stale without confirming
 // restarts from the next failure instead of accumulating forever.
 func TestSuspicionWindowExpiry(t *testing.T) {
-	m, _, _, _, _ := harness(false, Config{SuspicionK: 3, SuspicionWindow: 30 * time.Millisecond})
+	m, _, _, _, _ := harness(Config{SuspicionK: 3, SuspicionWindow: 30 * time.Millisecond})
 	const victim = "machine-00"
 	det := m.Detector()
 
@@ -97,7 +97,7 @@ func TestSuspicionWindowExpiry(t *testing.T) {
 // supersedes any partial suspicion tally — and clears it, so the count
 // cannot linger past the failover.
 func TestSuspicionAuthoritativeVerdictPreempts(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{SuspicionK: 5})
+	m, ad, _, clu, _ := harness(Config{SuspicionK: 5})
 	const victim = "machine-01"
 	det := m.Detector()
 
@@ -117,7 +117,7 @@ func TestSuspicionAuthoritativeVerdictPreempts(t *testing.T) {
 // with a clean slate — no residual suspicion from before the crash, and
 // the full K budget available against fresh blips.
 func TestRejoinClearsSuspicion(t *testing.T) {
-	m, ad, _, clu, _ := harness(false, Config{SuspicionK: 3})
+	m, ad, _, clu, _ := harness(Config{SuspicionK: 3})
 	const victim = "machine-01"
 	det := m.Detector()
 
@@ -161,7 +161,7 @@ func TestRejoinClearsSuspicion(t *testing.T) {
 // TestSuspicionStatusView: /recovery surfaces per-machine suspicion
 // levels while a run is open.
 func TestSuspicionStatusView(t *testing.T) {
-	m, _, _, _, _ := harness(false, Config{SuspicionK: 4})
+	m, _, _, _, _ := harness(Config{SuspicionK: 4})
 	det := m.Detector()
 	det.ObserveTransientFailure("machine-00")
 	det.ObserveTransientFailure("machine-00")

@@ -21,16 +21,15 @@
 //
 // # Dispatcher
 //
-// What differs per version is behind the Dispatcher interface, eight
+// What differs per version is behind the Dispatcher interface, seven
 // methods: where <function, key> lives (Route, FuncOf), how a batch of
 // deliveries addressed to a hosted machine — the only hand-off there is;
 // a single emit is a batch of one — reaches its queues (EnqueueBatch),
 // ring membership (SetRing, RingMembers), which machines a query scatters
-// to (Scatter), which goroutines consume a cell's queues (StartCell), and
-// the delivery replay log only 2.0 keeps (Unacked). Everything else —
-// cluster wiring, counters, tracker, egress sink, lost log, metrics
-// registry and tracer, the recovery manager and its adapter, the
-// courier, the batched-ingress driver, Ingest*, output routing, the
+// to (Scatter) and which goroutines consume a cell's queues (StartCell).
+// Everything else — cluster wiring, counters, tracker, egress sink, lost
+// log, metrics registry and tracer, the recovery manager and its adapter,
+// the courier, the batched-ingress driver, Ingest*, output routing, the
 // background flusher, Subscribe/Drain/Stop, crash and rejoin, slate
 // reads, relational queries and every statistics accessor — is written
 // here once. A strategy embeds Runtime, so the shared API is promoted

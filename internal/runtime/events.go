@@ -183,8 +183,8 @@ func (r *Runtime) Begin(ev *event.Event) *obs.Span {
 // Emit routes everything an invocation published, closing the span's
 // exec stage first. One allocation holds every copied value; the
 // derived events slice it. The emitter's scratch arena cannot be handed
-// out directly — the next invocation reuses it, while queues, the
-// replay log, and output subscribers keep the events indefinitely.
+// out directly — the next invocation reuses it, while queues and output
+// subscribers keep the events indefinitely.
 func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 	sp.MarkExec()
 	if len(em.outputs) == 0 {

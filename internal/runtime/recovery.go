@@ -3,7 +3,6 @@ package runtime
 import (
 	"log"
 
-	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/recovery"
 	"muppet/internal/slate"
@@ -11,8 +10,8 @@ import (
 
 // CrashMachine simulates a machine failure with the stock §4.3
 // disposition, via the recovery subsystem: the machine stops accepting
-// events, every queued event and dirty slate on it is lost (and
-// logged), and a replay log is discarded. A group commit under way is
+// events, and every queued event and dirty slate on it is lost (and
+// logged). A group commit under way is
 // in the store before CrashMachine returns. Detection is left to the
 // next failed send. An unknown machine is a (0, 0) no-op.
 func (r *Runtime) CrashMachine(machine string) (lostQueued, lostDirtySlates int) {
@@ -37,12 +36,12 @@ func (r *Runtime) RejoinMachine(machine string) (recovery.RejoinReport, error) {
 func (r *Runtime) RecoveryStatus() recovery.Status { return r.rec.Status() }
 
 // Recovery exposes the engine's recovery manager (for latency
-// histograms, replaying failovers and tests).
+// histograms and tests).
 func (r *Runtime) Recovery() *recovery.Manager { return r.rec }
 
 // recoveryAdapter is the engine-facing surface the recovery manager
 // drives (recovery.Adapter), written once over the cells a machine
-// hosts; only ring membership and the replay log are the dispatcher's.
+// hosts; only ring membership is the dispatcher's.
 type recoveryAdapter struct {
 	r *Runtime
 }
@@ -76,14 +75,6 @@ func (a recoveryAdapter) CrashSlates(machine string) (dirtyLost int) {
 		dirtyLost += c.Cache.Crash()
 	}
 	return dirtyLost
-}
-
-func (a recoveryAdapter) UnackedEvents(machine string) []engine.Envelope {
-	return a.r.disp.Unacked(machine)
-}
-
-func (a recoveryAdapter) Redeliver(function string, ev event.Event) {
-	a.r.out.Deliver(function, ev, engine.FromWorker, nil)
 }
 
 func (a recoveryAdapter) RestartWorkers(machine string) {

@@ -60,12 +60,6 @@ type Config struct {
 	// uses it as the ablation baseline. Per-<function, key> order holds
 	// only with the single queue; the dual-queue spill gives it up.
 	DisableDualQueue bool
-	// ReplayLog (2.0) enables the event replay capability the paper
-	// lists as future work (§4.3): every accepted delivery is logged
-	// until fully processed, and CrashMachineAndReplay redelivers a dead
-	// machine's unacknowledged events to the keys' new owners
-	// (at-least-once semantics).
-	ReplayLog bool
 	// SlateShards is the number of stripes in each cell's slate store
 	// (default 4 under 1.0, whose workers are single-threaded, and 16
 	// under 2.0, whose threads contend on per-shard locks).
@@ -152,8 +146,6 @@ type Dispatcher interface {
 	// the cell's current queues: at start, and again after a revival
 	// replaced the queues a crash had closed.
 	StartCell(c *Cell)
-	// Unacked drains a machine's delivery replay log; nil without one.
-	Unacked(machine string) []engine.Envelope
 }
 
 // Runtime is everything an engine is apart from its Dispatcher. The
@@ -292,13 +284,12 @@ func (r *Runtime) Start(d Dispatcher) error {
 	// (ring updates included); the engine only reports failed sends
 	// through its detector.
 	r.rec = recovery.NewManager(recovery.Deps{
-		Cluster:   r.clu,
-		Adapter:   recoveryAdapter{r},
-		Lost:      r.lost,
-		Counters:  r.counters,
-		Tracker:   r.tracker,
-		Store:     r.slateStore(),
-		Redeliver: r.cfg.ReplayLog,
+		Cluster:  r.clu,
+		Adapter:  recoveryAdapter{r},
+		Lost:     r.lost,
+		Counters: r.counters,
+		Tracker:  r.tracker,
+		Store:    r.slateStore(),
 	}, r.cfg.Recovery)
 	r.out = engine.NewCourier(engine.CourierConfig{
 		Cluster:        r.clu,

@@ -1,11 +1,3 @@
-// Slate group-commit batch log. Where Log records individual event
-// deliveries, SlateBatchLog records whole flush batches: a
-// slate.Sharded configured with one appends each group commit before
-// writing it to the key-value store, and replaying the log into a store
-// reconstructs every slate the flusher persisted. No engine configures
-// one (see the package documentation); it stays until the load
-// harness's flush driver stops building it.
-
 package wal
 
 import (

@@ -384,10 +384,6 @@ type Config struct {
 	// (its disparate caches), per machine under 2.0 (its central
 	// cache).
 	CacheCapacity int
-	// SlateShards is the number of stripes in each slate store (2.0:
-	// per-machine central store, default 16; 1.0: per-worker store,
-	// default 4). Zero keeps the defaults.
-	SlateShards int
 	// FlushBatch bounds the slates per group-commit multi-put when
 	// dirty slates are flushed to the store (default 256).
 	FlushBatch int
@@ -407,13 +403,6 @@ type Config struct {
 	// are applied in the order they arrived; the dual-queue spill gives
 	// that order up for hotspot relief.
 	DisableDualQueue bool
-	// ReplayLog enables event replay after machine failure (2.0 only):
-	// the capability the paper lists as future work in Section 4.3.
-	// With it, CrashAndReplay redelivers a dead machine's queued and
-	// in-flight events to the keys' new owners with at-least-once
-	// semantics — and so does the master-driven failover triggered by
-	// detect-on-send.
-	ReplayLog bool
 	// Recovery tunes the unified recovery subsystem shared by both
 	// engines: its failure-suspicion thresholds. Detect-on-send,
 	// slate-cache warm-up on rejoin, and a crash that waits out the
@@ -563,15 +552,6 @@ type FailoverReport = recovery.Report
 // RejoinReport summarizes one machine revival.
 type RejoinReport = recovery.RejoinReport
 
-// Replayer is implemented by engines that support the replay-log
-// extension (Muppet 2.0 with Config.ReplayLog set).
-type Replayer interface {
-	// CrashMachineAndReplay crashes a machine and redelivers its
-	// unacknowledged events, returning how many were replayed and how
-	// many dirty slates were lost.
-	CrashMachineAndReplay(machine string) (replayed, lostDirtySlates int)
-}
-
 // Engine is a running MapUpdate application. Both Muppet engines
 // satisfy it.
 type Engine interface {
@@ -699,14 +679,12 @@ func NewEngine(app *App, cfg Config) (Engine, error) {
 		QueuePolicy:        cfg.QueuePolicy,
 		OverflowStream:     cfg.OverflowStream,
 		CacheCapacity:      cfg.CacheCapacity,
-		SlateShards:        cfg.SlateShards,
 		FlushBatch:         cfg.FlushBatch,
 		FlushPolicy:        cfg.FlushPolicy,
 		FlushInterval:      cfg.FlushEvery,
 		StoreLevel:         cfg.StoreLevel,
 		SourceThrottle:     cfg.SourceThrottle,
 		DisableDualQueue:   cfg.DisableDualQueue,
-		ReplayLog:          cfg.ReplayLog,
 		Recovery:           cfg.Recovery,
 		Observability:      cfg.Observability,
 	}

@@ -102,7 +102,6 @@ var mustBePresent = []string{
 	"muppet_kvstore_expired_dropped_total",
 	"muppet_recovery_queued_lost_total",
 	"muppet_recovery_dirty_slates_lost_total",
-	"muppet_recovery_redelivered_total",
 	"muppet_recovery_transient_failures_total",
 	"muppet_recovery_suspicion_escalations_total",
 	"muppet_recovery_suspected_machines",

@@ -20,20 +20,10 @@ import (
 // both engines' per-key counts equal a plain map's. Counting is
 // commutative, so this holds despite the engines' reordering.
 func TestPropertyEngineCountsMatchOracle(t *testing.T) {
-	countApp := func() *muppet.App {
-		u := muppet.UpdateFunc{FName: "U", Fn: func(emit muppet.Emitter, in muppet.Event, sl []byte) {
-			n := 0
-			if sl != nil {
-				n, _ = strconv.Atoi(string(sl))
-			}
-			emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
-		}}
-		return muppet.NewApp("prop").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
-	}
 	for _, version := range []muppet.EngineVersion{muppet.EngineV1, muppet.EngineV2} {
 		version := version
 		f := func(keys []uint8) bool {
-			eng, err := muppet.NewEngine(countApp(), muppet.Config{
+			eng, err := muppet.NewEngine(keyCountApp(), muppet.Config{
 				Engine: version, Machines: 3, QueueCapacity: 1 << 14,
 			})
 			if err != nil {

@@ -175,7 +175,7 @@ echo "ok: /metrics up on 3 nodes; $frames_out cross-node frames written = $frame
 # Durable restart: kill the node that owns the Target slate, restart it
 # on the same data directory, and assert the fresh process serves the
 # pre-crash count straight off its own LSM files — no events are
-# re-ingested and the replay log is off, so disk is the only possible
+# re-ingested and nothing replays them, so disk is the only possible
 # source.
 owner=""
 for i in 0 1 2; do
