@@ -166,6 +166,14 @@ func runChaosSoak(t *testing.T) chaosSummary {
 	if chA.Stats().PartitionDrops == 0 {
 		t.Fatal("scripted partition window never fired")
 	}
+	// Every chaos count is a /metrics family, so none is observable only
+	// through ChaosStats.
+	for _, name := range []string{"muppet_chaos_attempts_total", "muppet_chaos_flaky_dials_total",
+		"muppet_chaos_delays_total", "muppet_chaos_clean_passes_total"} {
+		if metric(t, a, name, "transport", "chaos+tcp")+metric(t, b, name, "transport", "chaos+tcp") == 0 {
+			t.Errorf("%s stayed zero through the soak", name)
+		}
+	}
 	// A transient blip alone must never fail a machine over.
 	if st := a.RecoveryStatus(); st.Failovers != 0 || st.Escalations != 0 {
 		t.Fatalf("phase 1 caused failover: %+v", st)

@@ -29,6 +29,9 @@
 // request open as a continuous query and streams one line per changed
 // answer (re-evaluated per flush epoch, or -interval).
 //
+// The status command prints the largest queue per hosted machine
+// (Section 4.5), the updaters and the node's identity; counters: stats.
+//
 // The stats command fetches /statsz and renders every metric as a
 // table row — counters and gauges with their value, latency summaries
 // with count/p50/p95/p99/max. -watch clears the screen and refreshes

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"muppet"
+	"muppet/internal/obs"
 	"muppet/muppetapps"
 )
 
@@ -72,9 +73,9 @@ func E02Latency(s Scale) Table {
 			}
 		}
 		eng.Drain()
-		h := eng.Counters().Latency
-		under := h.Quantile(0.99) < 2*time.Second
-		t.Add(mode.name, n, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max(), under)
+		h := latency(eng)
+		q := func(x float64) time.Duration { return obs.Duration(h.Quantile(x)) }
+		t.Add(mode.name, n, q(0.50), q(0.95), q(0.99), obs.Duration(h.Max), q(0.99) < 2*time.Second)
 		eng.Stop()
 	}
 	return t
@@ -230,33 +231,22 @@ func E05CacheWorkingSet(s Scale) Table {
 			panic(err)
 		}
 		ingest(eng, events)
-		loads, hits, misses := cacheCounters(eng)
+		loads := metric(eng, "muppet_slate_store_loads_total").Value
+		hits := metric(eng, "muppet_slate_cache_hits_total").Value
+		misses := metric(eng, "muppet_slate_cache_misses_total").Value
 		hitRate := 0.0
 		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
+			hitRate = hits / (hits + misses)
 		}
 		totalCap := v.cfg.CacheCapacity
 		if v.cfg.Engine == muppet.EngineV1 {
 			totalCap *= v.cfg.WorkersPerFunction
 		}
-		t.Add(v.name, totalCap, loads, fmt.Sprintf("%.3f", hitRate))
+		t.Add(v.name, totalCap, uint64(loads), fmt.Sprintf("%.3f", hitRate))
 		eng.Stop()
 	}
 	t.Note("same 100-hot-key workload in all rows; disparate 20-slate caches thrash, the central cache of the same total size does not")
 	return t
-}
-
-// cacheCounters extracts cache statistics through the concrete engine
-// types.
-func cacheCounters(eng muppet.Engine) (loads, hits, misses uint64) {
-	switch e := eng.(type) {
-	case interface {
-		CacheTotals() (uint64, uint64, uint64)
-	}:
-		return e.CacheTotals()
-	default:
-		return 0, 0, 0
-	}
 }
 
 // E06HotspotDualQueue reproduces the §4.5/§5 hotspot argument: with a
@@ -294,10 +284,7 @@ func E06HotspotDualQueue(s Scale) Table {
 			}
 			elapsed := ingest(eng, events)
 			st := eng.Stats()
-			maxDepth := 0
-			if mq, ok := eng.(interface{ MaxQueueDepth() int }); ok {
-				maxDepth = mq.MaxQueueDepth()
-			}
+			maxDepth := int(metric(eng, "muppet_queue_max_depth").Value)
 			name := "single-queue"
 			if dual {
 				name = "dual-queue"

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"muppet"
+	"muppet/internal/obs"
 	"muppet/muppetapps"
 )
 
@@ -173,6 +174,22 @@ func ingestPerEvent(e muppet.Engine, events []muppet.Event) time.Duration {
 	}
 	e.Drain()
 	return time.Since(start)
+}
+
+// metric reads one sample of an engine's registry. It gathers every
+// collector, so read it after a run, outside any timed section. A
+// missing family is a wiring fault: it panics rather than read 0.
+func metric(e muppet.Engine, name string, labels ...string) obs.Metric {
+	m, ok := e.Metrics().Find(name, labels...)
+	if !ok {
+		panic(fmt.Sprintf("experiments: engine exposes no %s%v", name, labels))
+	}
+	return m
+}
+
+// latency reads the end-to-end ingress -> slate-update latency summary.
+func latency(e muppet.Engine) *obs.HistSample {
+	return metric(e, "muppet_update_latency_seconds").Hist
 }
 
 // rate formats events/second.

@@ -111,7 +111,7 @@ func E09FlushPolicy(s Scale) Table {
 		}
 		ingest(eng, events[len(events)-burst:])
 		st := eng.Stats()
-		saves := storeSaves(eng)
+		saves := uint64(metric(eng, "muppet_slate_store_saves_total").Value)
 		perUpdate := 0.0
 		if st.SlateUpdates > 0 {
 			perUpdate = float64(saves) / float64(st.SlateUpdates)
@@ -123,13 +123,6 @@ func E09FlushPolicy(s Scale) Table {
 	}
 	t.Note("write-through loses nothing but writes per update; evict-only writes least and loses the most on failure")
 	return t
-}
-
-func storeSaves(eng muppet.Engine) uint64 {
-	if e, ok := eng.(interface{ StoreSaves() uint64 }); ok {
-		return e.StoreSaves()
-	}
-	return 0
 }
 
 // E10Quorum reproduces the §4.2 consistency knob: with replicas

@@ -9,6 +9,7 @@ import (
 	"muppet/internal/core"
 	"muppet/internal/event"
 	"muppet/internal/microbatch"
+	"muppet/internal/obs"
 	"muppet/muppetapps"
 )
 
@@ -265,14 +266,14 @@ func E16VsMicroBatch(s Scale) Table {
 		panic(err)
 	}
 	ingest(eng, events)
-	h := eng.Counters().Latency
+	h := latency(eng)
 	exact := true
 	for k, w := range want {
 		if muppetapps.Count(eng.Slate("U", k)) != w {
 			exact = false
 		}
 	}
-	t.Add("Muppet 2.0 (measured)", h.Mean(), h.Quantile(0.99), exact)
+	t.Add("Muppet 2.0 (measured)", obs.Duration(h.Sum)/time.Duration(h.Count), obs.Duration(h.Quantile(0.99)), exact)
 	eng.Stop()
 
 	// Micro-batch baseline: result latency is stream time to batch

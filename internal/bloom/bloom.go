@@ -82,9 +82,6 @@ func (f *Filter) MayContain(key string) bool {
 	return true
 }
 
-// SizeBytes reports the filter's bit-array footprint.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
 // Serialized form: a fixed header (version, hash count, bit count)
 // followed by the bit array as little-endian 64-bit words. The hash
 // function is part of the format contract — a filter unmarshalled by a

@@ -62,12 +62,6 @@ func TestPropertyAddedAlwaysFound(t *testing.T) {
 	}
 }
 
-func TestSizeBytesPositive(t *testing.T) {
-	if New(1000, 0.01).SizeBytes() <= 0 {
-		t.Fatal("SizeBytes must be positive")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 10, 1000, 50_000} {
 		f := New(n, 0.01)

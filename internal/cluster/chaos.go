@@ -106,14 +106,14 @@ func (cfg *ChaosConfig) fill() {
 // ChaosStats counts injected faults by class, so a soak can reconcile
 // injected vs surfaced faults exactly.
 type ChaosStats struct {
-	Attempts       uint64 `metric:"-"` // SendBatch attempts seen
-	FlakyDials     uint64 `metric:"-"` // determinate pre-wire dial faults
+	Attempts       uint64 `metric:"muppet_chaos_attempts_total" help:"Send attempts the chaos layer saw."`
+	FlakyDials     uint64 `metric:"muppet_chaos_flaky_dials_total" help:"Determinate pre-wire dial faults injected by chaos."`
 	DroppedReqs    uint64 `metric:"muppet_chaos_dropped_requests_total" help:"Request frames dropped by chaos."`
 	DroppedResps   uint64 `metric:"muppet_chaos_dropped_responses_total" help:"Response frames dropped by chaos after delivery."`
 	Duplicates     uint64 `metric:"muppet_chaos_duplicates_total" help:"Batches duplicated on the wire by chaos."`
-	Delays         uint64 `metric:"-"` // delayed attempts
+	Delays         uint64 `metric:"muppet_chaos_delays_total" help:"Send attempts delayed by chaos."`
 	PartitionDrops uint64 `metric:"muppet_chaos_partition_drops_total" help:"Sends dropped by scripted partitions."`
-	CleanPasses    uint64 `metric:"-"` // attempts forwarded untouched
+	CleanPasses    uint64 `metric:"muppet_chaos_clean_passes_total" help:"Send attempts chaos forwarded untouched."`
 }
 
 // Injected returns the total injected faults (delays and duplicates

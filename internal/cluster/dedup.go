@@ -22,9 +22,11 @@ type dedupEntry struct {
 	err      error
 }
 
-// senderWindow is one sender's recent delivery history.
+// senderWindow is one sender's recent delivery history. Every sequence
+// number below low has been evicted.
 type senderWindow struct {
 	epoch   uint64
+	low     uint64
 	maxSeq  uint64
 	entries map[uint64]*dedupEntry
 }
@@ -47,8 +49,9 @@ func newDedupTable(window int) *dedupTable {
 // returns (entry, false) when the caller must apply the batch and
 // commit the outcome into entry, and (entry, true) when the batch is a
 // duplicate — the caller waits on entry.done and returns the cached
-// outcome. A nil entry means the batch must be applied without caching
-// (stale epoch: a previous incarnation of the sender).
+// outcome. A nil entry means the batch must be applied without caching:
+// a stale epoch (a previous incarnation of the sender), or a sequence
+// number already below the window.
 func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -60,7 +63,7 @@ func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 		sw = &senderWindow{epoch: id.Epoch, entries: make(map[uint64]*dedupEntry)}
 		t.senders[id.Sender] = sw
 	}
-	if id.Epoch < sw.epoch {
+	if id.Epoch < sw.epoch || id.Seq < sw.low {
 		return nil, false
 	}
 	if e := sw.entries[id.Seq]; e != nil {
@@ -71,18 +74,32 @@ func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 	if id.Seq > sw.maxSeq {
 		sw.maxSeq = id.Seq
 	}
-	// Evict entries that have fallen out of the window. Seqs are issued
-	// densely per sender, so the resident set stays ~window even though
-	// eviction only walks candidates below the new watermark.
-	if sw.maxSeq > t.window {
-		low := sw.maxSeq - t.window
+	if sw.maxSeq >= t.window {
+		sw.evictBelow(sw.maxSeq - t.window + 1)
+	}
+	return e, false
+}
+
+// evictBelow raises the low watermark, dropping the entries it passes.
+// Seqs are issued densely per sender, so stepping from the old mark
+// deletes about one entry per batch; a jump wider than the resident set
+// walks the map instead.
+func (sw *senderWindow) evictBelow(low uint64) {
+	if low <= sw.low {
+		return
+	}
+	if low-sw.low > uint64(len(sw.entries)) {
 		for seq := range sw.entries {
 			if seq < low {
 				delete(sw.entries, seq)
 			}
 		}
+	} else {
+		for seq := sw.low; seq < low; seq++ {
+			delete(sw.entries, seq)
+		}
 	}
-	return e, false
+	sw.low = low
 }
 
 // commit records the applied batch's outcome and releases any

@@ -297,6 +297,38 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 }
 
+// A long-lived receiver slides its window by a low watermark: through
+// many windows of sequenced batches it never holds more than one window,
+// a duplicate inside the window is absorbed with the original outcome,
+// and a retry below it is applied uncached and leaves nothing resident.
+func TestDedupWindowSlidesByWatermark(t *testing.T) {
+	const window = 64
+	tab := newDedupTable(window)
+	id := func(seq uint64) BatchID { return BatchID{Sender: "node-a", Epoch: 1, Seq: seq} }
+	const last = 50 * window
+	for seq := uint64(1); seq <= last; seq++ {
+		e, dup := tab.begin(id(seq))
+		if dup || e == nil {
+			t.Fatalf("seq %d: entry=%v dup=%v, want a fresh entry", seq, e, dup)
+		}
+		e.commit(int(seq), nil, nil)
+		if n := tab.size(); n > window {
+			t.Fatalf("seq %d: %d entries resident, want <= %d", seq, n, window)
+		}
+	}
+	inside := uint64(last - window/2)
+	if e, dup := tab.begin(id(inside)); !dup || e.accepted != int(inside) {
+		t.Fatalf("duplicate of seq %d inside the window: entry=%+v dup=%v", inside, e, dup)
+	}
+	before := tab.size()
+	if e, dup := tab.begin(id(last - window)); dup || e != nil {
+		t.Fatalf("retry below the window: entry=%v dup=%v, want uncached apply", e, dup)
+	}
+	if n := tab.size(); n != before {
+		t.Fatalf("retry below the window left %d entries, want %d", n, before)
+	}
+}
+
 // The fault schedule is a pure function of the seed and the workload's
 // batch identities: replaying the same single-threaded workload yields
 // byte-identical chaos stats — the property that lets a failing soak

@@ -264,8 +264,8 @@ func TestCentralCacheSharedAcrossThreads(t *testing.T) {
 		e.Ingest(checkin(i+1, fmt.Sprintf("r%d", i%10)))
 	}
 	e.Drain()
-	if cs := e.SlateCacheStats(); cs.Size != 10 {
-		t.Fatalf("central cache holds %d slates, want 10", cs.Size)
+	if n := metric(t, e, "muppet_slate_cache_size"); n != 10 {
+		t.Fatalf("central cache holds %v slates, want 10", n)
 	}
 }
 

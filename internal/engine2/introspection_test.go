@@ -28,6 +28,17 @@ func TestMachineAcceptedSumsDeliveries(t *testing.T) {
 	}
 }
 
+// metric reads one sample of the engine's registry, failing the test
+// when the family is missing.
+func metric(t *testing.T, e *Engine, name string) float64 {
+	t.Helper()
+	m, ok := e.Metrics().Find(name)
+	if !ok {
+		t.Fatalf("no %s in the registry", name)
+	}
+	return m.Value
+}
+
 func TestCacheTotalsConsistentWithStats(t *testing.T) {
 	e, err := New(counterApp(), Config{Machines: 2, QueueCapacity: 1 << 14})
 	if err != nil {
@@ -38,13 +49,10 @@ func TestCacheTotalsConsistentWithStats(t *testing.T) {
 		e.Ingest(checkin(i+1, fmt.Sprintf("r%d", i%5)))
 	}
 	e.Drain()
-	_, hits, misses := e.CacheTotals()
-	if hits+misses == 0 {
-		t.Fatal("no cache activity recorded")
-	}
+	hits, misses := metric(t, e, "muppet_slate_cache_hits_total"), metric(t, e, "muppet_slate_cache_misses_total")
 	// 5 distinct keys miss once each; the rest hit.
-	if misses != 5 {
-		t.Fatalf("misses = %d, want 5", misses)
+	if misses != 5 || hits != 95 {
+		t.Fatalf("hits, misses = %v, %v; want 95, 5", hits, misses)
 	}
 }
 
@@ -58,8 +66,8 @@ func TestMaxQueueDepthAndAcceptedPerQueue(t *testing.T) {
 		e.Ingest(checkin(i+1, "walmart"))
 	}
 	e.Drain()
-	if e.MaxQueueDepth() <= 0 {
-		t.Fatal("MaxQueueDepth never rose above zero")
+	if metric(t, e, "muppet_queue_max_depth") <= 0 {
+		t.Fatal("muppet_queue_max_depth never rose above zero")
 	}
 	per := e.AcceptedPerQueue()
 	if len(per) != 4 {
@@ -82,8 +90,8 @@ func TestStoreSavesZeroWithoutStore(t *testing.T) {
 	defer e.Stop()
 	e.Ingest(checkin(1, "walmart"))
 	e.Drain()
-	if e.StoreSaves() != 0 {
-		t.Fatalf("StoreSaves = %d without a store", e.StoreSaves())
+	if n := metric(t, e, "muppet_slate_store_saves_total"); n != 0 {
+		t.Fatalf("muppet_slate_store_saves_total = %v without a store", n)
 	}
 }
 

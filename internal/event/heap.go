@@ -47,21 +47,3 @@ func (h *eventHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return e
 }
-
-// Merge returns the events of all input slices merged into one slice in
-// the global deterministic order. Inputs need not be sorted.
-func Merge(streams ...[]Event) []Event {
-	h := NewMinHeap()
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-		for _, e := range s {
-			h.Push(e)
-		}
-	}
-	out := make([]Event, 0, total)
-	for h.Len() > 0 {
-		out = append(out, h.Pop())
-	}
-	return out
-}

@@ -7,30 +7,84 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"muppet/internal/cluster"
 	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/ingress"
+	"muppet/internal/obs"
 	"muppet/internal/query"
 	"muppet/internal/recovery"
 )
 
+// fakeEngine implements Engine with canned answers; each test sets the
+// fields its endpoint reads.
 type fakeEngine struct {
-	slates map[string][]byte
-	queues map[string]int
+	slates   map[string][]byte
+	queues   map[string]int
+	status   recovery.Status
+	reg      *obs.Registry
+	clu      *cluster.Cluster
+	got      []event.Event
+	ingest   func(evs []event.Event) (int, error)
+	spec     query.Spec
+	res      *query.Result
+	queryErr error
+	sink     *engine.Sink
 }
 
-func (f *fakeEngine) Slate(updater, key string) []byte { return f.slates[updater+"/"+key] }
-func (f *fakeEngine) LargestQueues() map[string]int    { return f.queues }
-func (f *fakeEngine) Updaters() []string               { return []string{"U1", "U2"} }
+func (f *fakeEngine) Slate(updater, key string) []byte              { return f.slates[updater+"/"+key] }
+func (f *fakeEngine) LargestQueues() map[string]int                 { return f.queues }
+func (f *fakeEngine) Updaters() []string                            { return []string{"U1", "U2"} }
+func (f *fakeEngine) FlushSlates()                                  {}
+func (f *fakeEngine) StoredSlates(updater string) map[string][]byte { return nil }
+func (f *fakeEngine) RecoveryStatus() recovery.Status               { return f.status }
+func (f *fakeEngine) Metrics() *obs.Registry                        { return f.reg }
+func (f *fakeEngine) Cluster() *cluster.Cluster                     { return f.clu }
 
-func newServer() (*httptest.Server, *fakeEngine) {
-	f := &fakeEngine{
+func (f *fakeEngine) IngestBatch(evs []event.Event) (int, error) {
+	f.got = append(f.got, evs...)
+	if f.ingest != nil {
+		return f.ingest(evs)
+	}
+	return len(evs), nil
+}
+
+func (f *fakeEngine) Query(spec query.Spec) (*query.Result, error) {
+	f.spec = spec
+	return f.res, f.queryErr
+}
+
+func (f *fakeEngine) QueryWatch(spec query.Spec, buf int) (*engine.Subscription, func(), error) {
+	if err := spec.Normalize(); err != nil {
+		return nil, nil, err
+	}
+	f.spec = spec
+	sub := f.sink.Subscribe("_query/1", buf)
+	return sub, func() { sub.Cancel() }, nil
+}
+
+// newFake returns a fake node hosting machine-00 of a two-machine
+// cluster, with one slate and one queue depth.
+func newFake() *fakeEngine {
+	return &fakeEngine{
 		slates: map[string][]byte{"U1/walmart": []byte(`{"count":42}`)},
 		queues: map[string]int{"machine-00": 7},
+		reg:    obs.NewRegistry(),
+		clu: cluster.New(cluster.Config{
+			Names:     []string{"machine-00", "machine-01"},
+			Local:     []string{"machine-00"},
+			Transport: cluster.NewInProc(),
+		}),
+		sink: engine.NewSink(),
 	}
+}
+
+func newServer() (*httptest.Server, *fakeEngine) {
+	f := newFake()
 	return httptest.NewServer(Handler(f)), f
 }
 
@@ -94,6 +148,8 @@ func TestSlateKeyMayContainSlashes(t *testing.T) {
 	}
 }
 
+// /status is the basic status of Section 4.5 plus the node's identity,
+// and nothing else: every counter is read from /metrics.
 func TestStatusEndpoint(t *testing.T) {
 	srv, _ := newServer()
 	defer srv.Close()
@@ -102,40 +158,42 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st struct {
-		Queues   map[string]int `json:"queues"`
-		Updaters []string       `json:"updaters"`
-	}
+	var st map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Queues["machine-00"] != 7 {
-		t.Fatalf("queues = %v", st.Queues)
+	var keys []string
+	for k := range st {
+		keys = append(keys, k)
 	}
-	if len(st.Updaters) != 2 {
-		t.Fatalf("updaters = %v", st.Updaters)
+	slices.Sort(keys)
+	if want := []string{"local", "machines", "queues", "transport", "updaters"}; !slices.Equal(keys, want) {
+		t.Fatalf("/status keys = %v, want %v", keys, want)
+	}
+	for key, want := range map[string]string{
+		"queues":    `{"machine-00":7}`,
+		"updaters":  `["U1","U2"]`,
+		"transport": `"in-process"`,
+		"machines":  `["machine-00","machine-01"]`,
+		"local":     `["machine-00"]`,
+	} {
+		if got := string(st[key]); got != want {
+			t.Errorf("/status %s = %s, want %s", key, got, want)
+		}
 	}
 }
-
-// recoveryEngine adds the RecoveryReporter surface to the fake.
-type recoveryEngine struct {
-	fakeEngine
-	status recovery.Status
-}
-
-func (r *recoveryEngine) RecoveryStatus() recovery.Status { return r.status }
 
 func TestRecoveryStatusServed(t *testing.T) {
-	f := &recoveryEngine{status: recovery.Status{
+	srv, f := newServer()
+	defer srv.Close()
+	f.status = recovery.Status{
 		Machines: []recovery.MachineStatus{
 			{Name: "machine-00", Alive: true, InRing: true},
 			{Name: "machine-01", Alive: false, InRing: false, Failed: true},
 		},
 		Failovers: 1,
 		DirtyLost: 3,
-	}}
-	srv := httptest.NewServer(Handler(f))
-	defer srv.Close()
+	}
 	resp, err := http.Get(srv.URL + "/recovery")
 	if err != nil {
 		t.Fatal(err)
@@ -156,50 +214,32 @@ func TestRecoveryStatusServed(t *testing.T) {
 	}
 }
 
-func TestRecoveryStatusNotSupported(t *testing.T) {
-	srv, _ := newServer()
+func TestMetricsEndpoints(t *testing.T) {
+	srv, f := newServer()
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/recovery")
+	f.reg.GaugeInt("muppet_outbox_depth", "Deliveries queued.", obs.L("machine", "machine-01"), func() int64 { return 4 })
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", resp.StatusCode)
+	if !strings.Contains(string(body), `muppet_outbox_depth{machine="machine-01"} 4`) {
+		t.Fatalf("/metrics = %s", body)
 	}
-}
-
-// ingestingEngine extends fakeEngine with the batched-ingress surface.
-type ingestingEngine struct {
-	fakeEngine
-	got  []event.Event
-	fail error
-}
-
-func (f *ingestingEngine) IngestBatch(evs []event.Event) (int, error) {
-	f.got = append(f.got, evs...)
-	if f.fail != nil {
-		return 0, f.fail
-	}
-	return len(evs), nil
-}
-
-func TestIngestNotSupportedWithoutIngester(t *testing.T) {
-	srv, _ := newServer()
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(`[]`))
+	resp, err = http.Get(srv.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", resp.StatusCode)
+	defer resp.Body.Close()
+	var snap []obs.SnapshotEntry
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || len(snap) != 1 || snap[0].Name != "muppet_outbox_depth" {
+		t.Fatalf("/statsz = %+v, %v", snap, err)
 	}
 }
 
 func TestIngestRoundTrip(t *testing.T) {
-	f := &ingestingEngine{}
-	srv := httptest.NewServer(Handler(f))
+	srv, f := newServer()
 	defer srv.Close()
 	body := `[{"stream":"S1","ts":5,"key":"a","value":"checkin:Walmart"},{"stream":"S1","ts":6,"key":"b"}]`
 	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body))
@@ -228,10 +268,17 @@ func TestIngestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIngestPartialBatchReportsReasons: an engine that accepts all but
+// one delivery of every batch answers 200 with the loss accounting.
 func TestIngestPartialBatchReportsReasons(t *testing.T) {
-	f := &ingestingEngine{}
-	srv := httptest.NewServer(Handler(&partialEngine{inner: f}))
+	srv, f := newServer()
 	defer srv.Close()
+	f.ingest = func(evs []event.Event) (int, error) {
+		return len(evs) - 1, &ingress.BatchError{
+			Events: len(evs), Accepted: len(evs) - 1, Dropped: 1,
+			Reasons: map[string]int{"batch-partial": 1},
+		}
+	}
 	resp, err := http.Post(srv.URL+"/ingest", "application/json",
 		strings.NewReader(`[{"stream":"S1","key":"a"},{"stream":"S1","key":"b"}]`))
 	if err != nil {
@@ -248,21 +295,8 @@ func TestIngestPartialBatchReportsReasons(t *testing.T) {
 	}
 }
 
-// partialEngine accepts all but one delivery of every batch.
-type partialEngine struct{ inner *ingestingEngine }
-
-func (p *partialEngine) Slate(updater, key string) []byte { return p.inner.Slate(updater, key) }
-func (p *partialEngine) LargestQueues() map[string]int    { return p.inner.LargestQueues() }
-func (p *partialEngine) IngestBatch(evs []event.Event) (int, error) {
-	return len(evs) - 1, &ingress.BatchError{
-		Events: len(evs), Accepted: len(evs) - 1, Dropped: 1,
-		Reasons: map[string]int{"batch-partial": 1},
-	}
-}
-
 func TestIngestBadJSON(t *testing.T) {
-	f := &ingestingEngine{}
-	srv := httptest.NewServer(Handler(f))
+	srv, _ := newServer()
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(`{not json`))
 	if err != nil {
@@ -274,10 +308,15 @@ func TestIngestBadJSON(t *testing.T) {
 	}
 }
 
+// failWith makes every ingest fail with err.
+func (f *fakeEngine) failWith(err error) {
+	f.ingest = func([]event.Event) (int, error) { return 0, err }
+}
+
 func TestIngestNotInputStream(t *testing.T) {
-	f := &ingestingEngine{fail: &ingress.NotInputError{Stream: "S9"}}
-	srv := httptest.NewServer(Handler(f))
+	srv, f := newServer()
 	defer srv.Close()
+	f.failWith(&ingress.NotInputError{Stream: "S9"})
 	resp, err := http.Post(srv.URL+"/ingest", "application/json",
 		strings.NewReader(`[{"stream":"S9","key":"a"}]`))
 	if err != nil {
@@ -295,9 +334,9 @@ func TestIngestNotInputStream(t *testing.T) {
 }
 
 func TestIngestStoppedEngineIs503(t *testing.T) {
-	f := &ingestingEngine{fail: ingress.ErrStopped}
-	srv := httptest.NewServer(Handler(f))
+	srv, f := newServer()
 	defer srv.Close()
+	f.failWith(ingress.ErrStopped)
 	resp, err := http.Post(srv.URL+"/ingest", "application/json",
 		strings.NewReader(`[{"stream":"S1","key":"a"}]`))
 	if err != nil {
@@ -310,8 +349,7 @@ func TestIngestStoppedEngineIs503(t *testing.T) {
 }
 
 func TestIngestRejectsGet(t *testing.T) {
-	f := &ingestingEngine{}
-	srv := httptest.NewServer(Handler(f))
+	srv, _ := newServer()
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/ingest")
 	if err != nil {
@@ -323,18 +361,16 @@ func TestIngestRejectsGet(t *testing.T) {
 	}
 }
 
-// nodeEngine adds the NodeInfo surface to the fake.
-type nodeEngine struct {
-	fakeEngine
-}
-
-func (n *nodeEngine) TransportName() string  { return "tcp" }
-func (n *nodeEngine) MachineNames() []string { return []string{"machine-00", "machine-01"} }
-func (n *nodeEngine) LocalNames() []string   { return []string{"machine-00"} }
-
+// TestStatusReportsNodeInfo: on a networked node the identity fields
+// name the transport, the whole member list, and the hosted subset.
 func TestStatusReportsNodeInfo(t *testing.T) {
-	srv := httptest.NewServer(Handler(&nodeEngine{}))
+	srv, f := newServer()
 	defer srv.Close()
+	f.clu = cluster.New(cluster.Config{
+		Names:     []string{"machine-00", "machine-01", "machine-02"},
+		Local:     []string{"machine-01"},
+		Transport: cluster.NewChaos(cluster.NewInProc(), cluster.ChaosConfig{}),
+	})
 	resp, err := http.Get(srv.URL + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -348,56 +384,21 @@ func TestStatusReportsNodeInfo(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Transport != "tcp" {
+	if st.Transport != "chaos+in-process" {
 		t.Fatalf("transport = %q", st.Transport)
 	}
-	if len(st.Machines) != 2 || st.Machines[0] != "machine-00" {
+	if len(st.Machines) != 3 || st.Machines[0] != "machine-00" {
 		t.Fatalf("machines = %v", st.Machines)
 	}
-	if len(st.Local) != 1 || st.Local[0] != "machine-00" {
+	if len(st.Local) != 1 || st.Local[0] != "machine-01" {
 		t.Fatalf("local = %v", st.Local)
 	}
 }
 
-// queryEngine adds the Querier and QueryWatcher surfaces to the fake.
-type queryEngine struct {
-	fakeEngine
-	spec query.Spec
-	res  *query.Result
-	err  error
-	sink *engine.Sink
-}
-
-func (q *queryEngine) Query(spec query.Spec) (*query.Result, error) {
-	q.spec = spec
-	return q.res, q.err
-}
-
-func (q *queryEngine) QueryWatch(spec query.Spec, buf int) (*engine.Subscription, func(), error) {
-	if err := spec.Normalize(); err != nil {
-		return nil, nil, err
-	}
-	q.spec = spec
-	sub := q.sink.Subscribe("_query/1", buf)
-	return sub, func() { sub.Cancel() }, nil
-}
-
-func TestQueryNotSupportedWithoutQuerier(t *testing.T) {
-	srv, _ := newServer()
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"updater":"U1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", resp.StatusCode)
-	}
-}
-
 func TestQueryRejectsGetAndBadSpec(t *testing.T) {
-	srv := httptest.NewServer(Handler(&queryEngine{res: &query.Result{}}))
+	srv, f := newServer()
 	defer srv.Close()
+	f.res = &query.Result{}
 	resp, err := http.Get(srv.URL + "/query")
 	if err != nil {
 		t.Fatal(err)
@@ -417,13 +418,13 @@ func TestQueryRejectsGetAndBadSpec(t *testing.T) {
 }
 
 func TestQueryStreamsRowsGroupsAndStats(t *testing.T) {
-	f := &queryEngine{res: &query.Result{
+	srv, f := newServer()
+	defer srv.Close()
+	f.res = &query.Result{
 		Rows:   []query.Row{{Key: "a", Value: json.RawMessage(`1`)}},
 		Groups: []query.Group{{Key: "Walmart", Count: 10}},
 		Stats:  query.ExecStats{RowsScanned: 3, RowsReturned: 2},
-	}}
-	srv := httptest.NewServer(Handler(f))
-	defer srv.Close()
+	}
 	resp, err := http.Post(srv.URL+"/query", "application/json",
 		strings.NewReader(`{"updater":"U1","agg":"topk","k":3}`))
 	if err != nil {
@@ -459,9 +460,9 @@ func TestQueryStreamsRowsGroupsAndStats(t *testing.T) {
 }
 
 func TestQueryErrorIs400(t *testing.T) {
-	f := &queryEngine{err: errors.New("no updater \"U9\"")}
-	srv := httptest.NewServer(Handler(f))
+	srv, f := newServer()
 	defer srv.Close()
+	f.queryErr = errors.New("no updater \"U9\"")
 	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"updater":"U9"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -474,8 +475,7 @@ func TestQueryErrorIs400(t *testing.T) {
 }
 
 func TestQueryWatchStreamsChangedAnswers(t *testing.T) {
-	f := &queryEngine{sink: engine.NewSink()}
-	srv := httptest.NewServer(Handler(f))
+	srv, f := newServer()
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/query", "application/json",
 		strings.NewReader(`{"updater":"U1","watch":true}`))
@@ -502,19 +502,5 @@ func TestQueryWatchStreamsChangedAnswers(t *testing.T) {
 		if res.Stats.RowsReturned != uint64(i) {
 			t.Fatalf("line %d = %s", i, sc.Text())
 		}
-	}
-}
-
-func TestStatusOmitsNodeInfoWhenUnsupported(t *testing.T) {
-	srv, _ := newServer()
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if strings.Contains(string(body), `"transport"`) {
-		t.Fatalf("transport reported by an engine without NodeInfo: %s", body)
 	}
 }

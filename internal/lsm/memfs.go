@@ -6,7 +6,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -293,16 +292,4 @@ func (fs *MemFS) SyncDir(dir string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.check(OpSyncDir, dir)
-}
-
-// Dump returns every file's durable (synced) length keyed by base
-// name; tests use it to assert what would survive a power cut.
-func (fs *MemFS) Dump() map[string]int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make(map[string]int, len(fs.files))
-	for name, f := range fs.files {
-		out[strings.TrimPrefix(name, "/")] = f.synced
-	}
-	return out
 }

@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // IntHistogram records integer-valued samples (batch sizes, queue
 // depths) and reports percentiles over a bounded reservoir (see
 // reservoir.go, shared with Histogram). It is safe for concurrent use.
@@ -50,9 +48,3 @@ func (h *IntHistogram) Max() int64 { return h.r.maximum() }
 // Quantile reports the q-quantile (0 <= q <= 1) over the retained
 // samples.
 func (h *IntHistogram) Quantile(q float64) int64 { return h.r.quantile(q) }
-
-// Summary renders count/mean/p50/p95/max on one line.
-func (h *IntHistogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d max=%d",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Max())
-}

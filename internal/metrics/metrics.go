@@ -58,9 +58,6 @@ func (h *Histogram) Snapshot() Snapshot[time.Duration] {
 // Max reports the largest observation.
 func (h *Histogram) Max() time.Duration { return h.r.maximum() }
 
-// Min reports the smallest observation (zero when empty).
-func (h *Histogram) Min() time.Duration { return h.Snapshot().Min }
-
 // Quantile reports the q-quantile (0 <= q <= 1) over the retained
 // samples.
 func (h *Histogram) Quantile(q float64) time.Duration { return h.r.quantile(q) }
@@ -69,39 +66,4 @@ func (h *Histogram) Quantile(q float64) time.Duration { return h.r.quantile(q) }
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
-}
-
-// Meter measures throughput: events counted over a wall-clock window.
-type Meter struct {
-	count atomic.Uint64
-	start time.Time
-}
-
-// NewMeter returns a meter whose window starts now.
-func NewMeter() *Meter {
-	return &Meter{start: time.Now()}
-}
-
-// Mark counts one event.
-func (m *Meter) Mark() { m.count.Add(1) }
-
-// MarkN counts n events.
-func (m *Meter) MarkN(n uint64) { m.count.Add(n) }
-
-// Count returns the events counted so far.
-func (m *Meter) Count() uint64 { return m.count.Load() }
-
-// Rate returns events per second since the meter was created.
-func (m *Meter) Rate() float64 {
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count.Load()) / elapsed
-}
-
-// PerDay converts an events/second rate into the events/day framing the
-// paper reports ("over 100 million tweets per day").
-func PerDay(ratePerSec float64) float64 {
-	return ratePerSec * 86400
 }

@@ -110,23 +110,3 @@ func TestHistogramSummaryFormat(t *testing.T) {
 		t.Fatalf("unexpected summary %q", s)
 	}
 }
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter()
-	m.MarkN(100)
-	m.Mark()
-	if m.Count() != 101 {
-		t.Fatalf("Count = %d, want 101", m.Count())
-	}
-	time.Sleep(10 * time.Millisecond)
-	if m.Rate() <= 0 {
-		t.Fatal("Rate should be positive")
-	}
-}
-
-func TestPerDay(t *testing.T) {
-	// The paper's 100M tweets/day is ~1157 events/s.
-	if got := PerDay(1157.4); got < 99_000_000 || got > 101_000_000 {
-		t.Fatalf("PerDay(1157.4) = %v, want ~100M", got)
-	}
-}

@@ -32,6 +32,30 @@ func TestRegistryGatherSorted(t *testing.T) {
 	}
 }
 
+func TestRegistryFind(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeInt("depth", "", L("transport", "tcp", "machine", "m-00"), func() int64 { return 3 })
+	r.GaugeInt("depth", "", L("transport", "tcp", "machine", "m-01"), func() int64 { return 5 })
+	h := metrics.NewHistogram(0)
+	h.Observe(1500 * time.Millisecond)
+	r.DurationSummary("lat_seconds", "", nil, h)
+	if m, ok := r.Find("depth", "machine", "m-01"); !ok || m.Value != 5 {
+		t.Fatalf("Find(depth, machine=m-01) = %+v, %v; want 5", m, ok)
+	}
+	if m, ok := r.Find("depth"); !ok || m.Value != 3 {
+		t.Fatalf("Find(depth) = %+v, %v; want the first sample, 3", m, ok)
+	}
+	for _, miss := range [][]string{{"depth", "machine", "m-02"}, {"depth", "node", "m-00"}, {"nosuch_total"}} {
+		if m, ok := r.Find(miss[0], miss[1:]...); ok {
+			t.Errorf("Find%v = %+v, want no sample", miss, m)
+		}
+	}
+	m, ok := r.Find("lat_seconds")
+	if !ok || m.Hist.Count != 1 || Duration(m.Hist.Quantile(0.99)) != 1500*time.Millisecond || m.Hist.Quantile(0.42) != 0 {
+		t.Fatalf("Find(lat_seconds) = %+v, %v", m.Hist, ok)
+	}
+}
+
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	r.Register(CollectorFunc(func(emit func(Metric)) {}))

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -207,4 +209,45 @@ func (r *Registry) Gather() []Metric {
 		return ms[i].Labels.key() < ms[j].Labels.key()
 	})
 	return ms
+}
+
+// Find returns the first gathered sample named name whose labels include
+// every pair of the alternating key/value strings in labels. It gathers
+// every collector — a durable store's scans its live rows — so read it
+// after a run, never inside a timed section or on a request path.
+func (r *Registry) Find(name string, labels ...string) (Metric, bool) {
+	want := L(labels...)
+	for _, m := range r.Gather() {
+		if m.Name == name && m.Labels.include(want) {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}
+
+// include reports whether every label of want is in ls.
+func (ls Labels) include(want Labels) bool {
+	for _, w := range want {
+		if !slices.Contains(ls, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// Quantile returns the sample's q-quantile, or 0 when the summary does
+// not carry q.
+func (h *HistSample) Quantile(q float64) float64 {
+	for _, x := range h.Quantiles {
+		if x.Q == q {
+			return x.V
+		}
+	}
+	return 0
+}
+
+// Duration converts a value exposed in seconds back to a time.Duration,
+// exactly for any duration under 52 days.
+func Duration(seconds float64) time.Duration {
+	return time.Duration(math.Round(seconds * float64(time.Second)))
 }

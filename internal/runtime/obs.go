@@ -21,7 +21,7 @@ type liveMaps struct {
 
 // slateCacheStats is the cache snapshot a scrape reads; a variable so a
 // test can count the reads one scrape makes.
-var slateCacheStats = (*Runtime).SlateCacheStats
+var slateCacheStats = (*Runtime).cacheStats
 
 // registerObs wires every subsystem the engine owns into its metrics
 // registry. A stats struct is its own registration: obs.Struct exposes
@@ -40,7 +40,7 @@ func (r *Runtime) registerObs() error {
 		obs.Struct(reg, nil, r.out.OutboxStats),
 		obs.Struct(reg, nil, r.queries.Snapshot),
 		obs.Struct(reg, nil, func() liveMaps {
-			return liveMaps{Lost: r.lost.Totals(), QueueDepth: r.LargestQueues(), OutboxDepth: r.OutboxDepths()}
+			return liveMaps{Lost: r.lost.Totals(), QueueDepth: r.LargestQueues(), OutboxDepth: r.out.OutboxDepths()}
 		}),
 		obs.Struct(reg, transport, clu.DeliveryStats),
 	}
@@ -120,7 +120,3 @@ func (r *Runtime) Metrics() *obs.Registry { return r.reg }
 
 // Tracer exposes the lifecycle tracer, nil when tracing is disabled.
 func (r *Runtime) Tracer() *obs.Tracer { return r.tracer }
-
-// OutboxDepths reports the deliveries queued per remote machine's
-// sender (nil on an all-local engine); httpapi serves it in /status.
-func (r *Runtime) OutboxDepths() map[string]int { return r.out.OutboxDepths() }

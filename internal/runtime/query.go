@@ -121,7 +121,3 @@ func (r *Runtime) QueryWatch(spec query.Spec, buf int) (*engine.Subscription, fu
 	}
 	return sub, stop, nil
 }
-
-// QueryCounters exposes the query subsystem's counters (for metrics
-// registration and tests).
-func (r *Runtime) QueryCounters() *query.Counters { return r.queries }

@@ -396,13 +396,3 @@ func (r *Runtime) Updaters() []string { return r.app.Updaters() }
 // Cluster exposes the machine cluster (for failure injection in tests
 // and benches).
 func (r *Runtime) Cluster() *cluster.Cluster { return r.clu }
-
-// TransportName, MachineNames and LocalNames describe the cluster node
-// to the HTTP status endpoint.
-func (r *Runtime) TransportName() string { return r.clu.TransportName() }
-
-// MachineNames lists every member machine of the cluster.
-func (r *Runtime) MachineNames() []string { return r.clu.MachineNames() }
-
-// LocalNames lists the machines this node hosts.
-func (r *Runtime) LocalNames() []string { return r.clu.LocalNames() }

@@ -99,28 +99,18 @@ func (r *Runtime) FlushSlates() {
 // Stats snapshots the engine counters.
 func (r *Runtime) Stats() engine.Stats { return r.counters.Snapshot() }
 
-// Counters exposes the live counters (for latency percentiles).
+// Counters exposes the live counters the strategies feed.
 func (r *Runtime) Counters() *engine.Counters { return r.counters }
 
-// SlateCacheStats aggregates slate-cache statistics across every cell.
-func (r *Runtime) SlateCacheStats() slate.CacheStats {
+// cacheStats aggregates slate-cache statistics across every cell; the
+// registry exposes them as the muppet_slate_* family.
+func (r *Runtime) cacheStats() slate.CacheStats {
 	var total slate.CacheStats
 	for _, c := range r.cells {
 		total.Add(c.Cache.Stats())
 	}
 	return total
 }
-
-// CacheTotals returns aggregate (store loads, hits, misses) across the
-// slate caches.
-func (r *Runtime) CacheTotals() (loads, hits, misses uint64) {
-	s := r.SlateCacheStats()
-	return s.StoreLoads, s.Hits, s.Misses
-}
-
-// StoreSaves returns the total slate writes issued to the durable
-// store.
-func (r *Runtime) StoreSaves() uint64 { return r.SlateCacheStats().StoreSaves }
 
 // FlushStats aggregates the caches' group-commit counters (flush
 // rounds, batches, records, failed batches).
@@ -165,17 +155,6 @@ func (r *Runtime) MachineAccepted() map[string]uint64 {
 	out := make(map[string]uint64)
 	r.eachQueue(func(c *Cell, _ int, s queue.Stats) { out[c.Machine] += s.Accepted })
 	return out
-}
-
-// MaxQueueDepth returns the deepest any queue ever got.
-func (r *Runtime) MaxQueueDepth() int {
-	max := 0
-	r.eachQueue(func(_ *Cell, _ int, s queue.Stats) {
-		if s.MaxDepth > max {
-			max = s.MaxDepth
-		}
-	})
-	return max
 }
 
 // AcceptedPerQueue returns the accepted-delivery count of every queue.

@@ -69,7 +69,6 @@ import (
 	"muppet/internal/httpapi"
 	"muppet/internal/ingress"
 	"muppet/internal/kvstore"
-	"muppet/internal/metrics"
 	"muppet/internal/obs"
 	"muppet/internal/query"
 	"muppet/internal/queue"
@@ -485,13 +484,6 @@ type ChaosConfig = cluster.ChaosConfig
 // [From, To).
 type ChaosPartition = cluster.Partition
 
-// ChaosStats counts the faults a chaos transport injected.
-type ChaosStats = cluster.ChaosStats
-
-// DeliveryStats counts the resilient-delivery layer's work: transient
-// faults, retries, exhausted budgets, and dedup-window absorption.
-type DeliveryStats = cluster.DeliveryStats
-
 // buildNode binds the TCP transport, builds this node's view of the
 // cluster, and starts serving peer traffic into it.
 func (n *NetworkConfig) buildNode() (*cluster.Cluster, error) {
@@ -589,8 +581,6 @@ type Engine interface {
 	Slates(updater string) map[string][]byte
 	// Stats snapshots the engine counters.
 	Stats() Stats
-	// Counters exposes live counters including the latency histogram.
-	Counters() *engine.Counters
 	// Cluster exposes the simulated machine cluster for failure
 	// injection.
 	Cluster() *cluster.Cluster
@@ -618,11 +608,10 @@ type Engine interface {
 	// LostEvents exposes the log of abandoned deliveries ("logged as
 	// lost", Section 4.3) for later processing and debugging.
 	LostEvents() *engine.LostLog
-	// Metrics exposes the engine's observability registry (served as
-	// /metrics and /statsz by Handler).
+	// Metrics exposes the engine's observability registry, the one read
+	// path for its statistics (served as /metrics and /statsz by
+	// Handler; read one sample with Metrics().Find).
 	Metrics() *MetricsRegistry
-	// SlateCacheStats aggregates the engine's slate-cache counters.
-	SlateCacheStats() slate.CacheStats
 	// Query answers one relational query (scan, filter, project,
 	// aggregate) over an updater's live slates, cluster-wide: the whole
 	// pipeline is pushed down to each owning node and only the reduced
@@ -718,16 +707,28 @@ func NewEngine(app *App, cfg Config) (Engine, error) {
 }
 
 // Handler returns the HTTP handler serving live slate fetches
-// (GET /slate/{updater}/{key}), engine status (GET /status), the
-// service of Section 4.4 of the paper, batched event ingestion
-// (POST /ingest, a JSON array of {stream, ts, key, value}), and
-// relational queries over live slates (POST /query, a JSON QuerySpec;
-// answers stream as NDJSON, continuously with "watch": true).
+// (GET /slate/{updater}/{key}) and bulk dumps (GET /slates/{updater}),
+// the service of Section 4.4 of the paper; the largest queues and the
+// node's identity (GET /status); every engine statistic (GET /metrics,
+// GET /statsz); recovery status (GET /recovery); batched event
+// ingestion (POST /ingest, a JSON array of {stream, ts, key, value});
+// and relational queries over live slates (POST /query, a JSON
+// QuerySpec; answers stream as NDJSON, continuously with "watch": true).
 func Handler(e Engine) http.Handler { return httpapi.Handler(e) }
 
-// LatencySummary renders an engine's end-to-end latency histogram
-// (event ingress to slate update) on one line.
-func LatencySummary(e Engine) string { return e.Counters().Latency.Summary() }
-
-// Histogram is re-exported for benchmark harnesses.
-type Histogram = metrics.Histogram
+// LatencySummary renders an engine's end-to-end latency (event ingress
+// to slate update, muppet_update_latency_seconds) on one line. It
+// gathers the registry, so call it after a run.
+func LatencySummary(e Engine) string {
+	m, ok := e.Metrics().Find("muppet_update_latency_seconds")
+	if !ok {
+		return "no muppet_update_latency_seconds in the registry"
+	}
+	h, sec := m.Hist, obs.Duration
+	mean := time.Duration(0)
+	if h.Count > 0 {
+		mean = sec(h.Sum) / time.Duration(h.Count)
+	}
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
+		h.Count, mean, sec(h.Quantile(0.50)), sec(h.Quantile(0.95)), sec(h.Quantile(0.99)), sec(h.Max))
+}

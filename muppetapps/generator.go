@@ -28,8 +28,5 @@ func ParseTweet(v []byte) (Tweet, error) { return workload.ParseTweet(v) }
 // ParseCheckin decodes a checkin payload.
 func ParseCheckin(v []byte) (Checkin, error) { return workload.ParseCheckin(v) }
 
-// Topics is the pre-defined topic vocabulary.
-func TopicSet() []string { return workload.Topics }
-
 // RetailerSet is the recognized retailer brands.
 func RetailerSet() []string { return workload.Retailers }

@@ -167,6 +167,17 @@ func sumMatching(lines map[string]float64, base string) float64 {
 	return total
 }
 
+// metric reads one sample through the registry's lookup, failing the
+// test when the family (with those labels) is missing.
+func metric(t *testing.T, eng muppet.Engine, name string, labels ...string) float64 {
+	t.Helper()
+	m, ok := eng.Metrics().Find(name, labels...)
+	if !ok {
+		t.Fatalf("no %s%v sample in the registry", name, labels)
+	}
+	return m.Value
+}
+
 // checkLostLog reconciles the engine's lost log against the exposed
 // per-reason counters; call only on a quiescent (drained) engine.
 func checkLostLog(t *testing.T, eng muppet.Engine, lines map[string]float64) {
@@ -484,7 +495,7 @@ func runTCPScenario(t *testing.T) []map[string]float64 {
 
 	la, lb := scrapeMetrics(t, a), scrapeMetrics(t, b)
 	// A drained node's outboxes are empty, every queued delivery went
-	// out in some frame, and /status names the outbox per remote machine.
+	// out in some frame, and /metrics names the outbox per remote machine.
 	for name, lines := range map[string]map[string]float64{"a": la, "b": lb} {
 		frames, ds := lines["muppet_outbox_frames_total"], lines["muppet_outbox_deliveries_total"]
 		if frames == 0 || ds < frames {
@@ -494,10 +505,8 @@ func runTCPScenario(t *testing.T) []map[string]float64 {
 			t.Errorf("node %s outbox depth %v after drain", name, depth)
 		}
 	}
-	rr := httptest.NewRecorder()
-	muppet.Handler(a).ServeHTTP(rr, httptest.NewRequest("GET", "/status", nil))
-	if !strings.Contains(rr.Body.String(), `"outbox":{"machine-01":0}`) {
-		t.Errorf("/status does not report the outbox depth: %s", rr.Body.String())
+	if depth, ok := la[`muppet_outbox_depth{machine="machine-01"}`]; !ok || depth != 0 {
+		t.Errorf("/metrics reports outbox depth %v (present %v) toward machine-01, want 0", depth, ok)
 	}
 	// Sends are synchronous request/response, so after a drain every
 	// frame one node wrote has been served by the other.

@@ -92,8 +92,11 @@ func drainWithin(t *testing.T, nodes map[string]muppet.Engine, d time.Duration) 
 	}
 }
 
-func outboxDepths(eng muppet.Engine) map[string]int {
-	return eng.(interface{ OutboxDepths() map[string]int }).OutboxDepths()
+// outboxDepth reads the deliveries eng has queued toward machine from
+// its registry (muppet_outbox_depth).
+func outboxDepth(t *testing.T, eng muppet.Engine, machine string) int {
+	t.Helper()
+	return int(metric(t, eng, "muppet_outbox_depth", "machine", machine))
 }
 
 // TestChaosWorkerEmitsKeepOrderAndAccounting is invariant test (b):
@@ -241,7 +244,7 @@ func TestCrashedDestinationCostsSendersAFrameNotTheQueue(t *testing.T) {
 		}()
 	}
 	<-crashAt
-	queuedAtCrash := outboxDepths(nodes["machine-00"])["machine-02"] + outboxDepths(nodes["machine-01"])["machine-02"]
+	queuedAtCrash := outboxDepth(t, nodes["machine-00"], "machine-02") + outboxDepth(t, nodes["machine-01"], "machine-02")
 	recvAtCrash := victim.Cluster().RecvDeliveries()
 	victim.CrashMachine("machine-02")
 	wg.Wait()
@@ -288,7 +291,7 @@ func TestCrashedDestinationCostsSendersAFrameNotTheQueue(t *testing.T) {
 			t.Errorf("%s lost nothing to the dead machine, want at least the machine-down frame", name)
 		}
 		lostBySenders += n
-		if d := outboxDepths(e)["machine-02"]; d != 0 {
+		if d := outboxDepth(t, e, "machine-02"); d != 0 {
 			t.Errorf("%s still holds %d deliveries for the dead machine", name, d)
 		}
 	}
@@ -327,7 +330,7 @@ func TestDrainAndStopCoverQueuedEmits(t *testing.T) {
 		// Nothing is queued, and b has acknowledged — so has received —
 		// everything a's sender shipped.
 		shipped := scrapeMetrics(t, a)["muppet_outbox_deliveries_total"]
-		if d := outboxDepths(a)["machine-01"]; d != 0 || shipped == 0 || float64(b.Cluster().RecvDeliveries()) != shipped {
+		if d := outboxDepth(t, a, "machine-01"); d != 0 || shipped == 0 || float64(b.Cluster().RecvDeliveries()) != shipped {
 			t.Fatalf("after Drain: %d queued, %v shipped, %d received by the peer", d, shipped, b.Cluster().RecvDeliveries())
 		}
 		b.Drain()

@@ -490,8 +490,8 @@ func TestPropertyStructQueryMatchesBruteForce(t *testing.T) {
 				eng.Drain()
 				checkAccountOracle(t, eng, model, fmt.Sprintf("round-%d", round))
 			}
-			if st := eng.SlateCacheStats(); (tc.capacity < 10) != (st.Evictions > 0) {
-				t.Fatalf("capacity %d: %d evictions — the residency this case is named for did not happen", tc.capacity, st.Evictions)
+			if n := metric(t, eng, "muppet_slate_cache_evictions_total"); (tc.capacity < 10) != (n > 0) {
+				t.Fatalf("capacity %d: %v evictions — the residency this case is named for did not happen", tc.capacity, n)
 			}
 		})
 	}

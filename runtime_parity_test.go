@@ -66,16 +66,9 @@ func TestEngineMethodSetParity(t *testing.T) {
 		t.Fatalf("engine method sets drifted (move the method into internal/runtime, or list it in strategyOnly):\n%s",
 			strings.Join(drift, "\n"))
 	}
-	// The engine-wide cache aggregate has one spelling on both; the bare
-	// CacheStats name belongs to 1.0's per-updater breakdown alone.
-	for _, v := range engineVersions {
-		if !sets[v.name]["SlateCacheStats"] {
-			t.Errorf("%s lacks SlateCacheStats", v.name)
-		}
-	}
-	if sets["engine2"]["CacheStats"] {
-		t.Error("engine2 grew a second spelling of SlateCacheStats")
-	}
+	// The engine-wide cache aggregate is read from the registry
+	// (muppet_slate_*); the CacheStats name belongs to 1.0's per-updater
+	// breakdown alone.
 	if _, ok := engs["engine1"].(interface {
 		CacheStats(updater string) slate.CacheStats
 	}); !ok {

@@ -336,8 +336,8 @@ func TestPoisonedSlateIsReported(t *testing.T) {
 			t.Fatalf("engine %v: store holds %s while poisoned, want the last value that encoded", version, got)
 		}
 		send("reset")
-		if n := eng.SlateCacheStats().Poisoned; n != 0 {
-			t.Fatalf("engine %v: %d slates still poisoned after a finite write", version, n)
+		if n := metric(t, eng, "muppet_slate_poisoned_slates"); n != 0 {
+			t.Fatalf("engine %v: %v slates still poisoned after a finite write", version, n)
 		}
 		if got := eng.StoredSlates("U")["k"]; string(got) != `{"X":1}` {
 			t.Fatalf("engine %v: store holds %s after the finite write, want {\"X\":1}", version, got)
