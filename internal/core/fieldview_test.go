@@ -169,7 +169,7 @@ func checkViews(t *testing.T, codec SlateCodec, obj any, paths []string, nExec i
 			if string(got) != string(want) {
 				t.Errorf("spec %+v over %s:\n typed view %s\n JSON view  %s", spec, enc, got, want)
 			}
-			x := query.Compile(&spec, codec, false)
+			x := query.Compile(&spec, codec, query.NoOverlay)
 			if read, n := x.Reader(); read != nil {
 				vals := make([]slate.Scalar, n)
 				x.Cached(slate.CacheRow{Key: "k<1>", Vals: vals, Encodes: read(obj, vals), Size: len(enc)})

@@ -99,11 +99,20 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 // function's own ring to a worker ID, the address on that worker's
 // machine.
 func (e *Engine) Route(fn, key string) (string, string) {
+	return e.RouteOf(fn, hashring.Hash(key))
+}
+
+// RouteHash implements runtime.Dispatcher: each function has a ring of
+// its own, so the position is the key's alone.
+func (e *Engine) RouteHash(_, key string) uint64 { return hashring.Hash(key) }
+
+// RouteOf implements runtime.Dispatcher.
+func (e *Engine) RouteOf(fn string, h uint64) (string, string) {
 	ring := e.rings[fn]
 	if ring == nil {
 		return "", ""
 	}
-	wid := ring.Lookup(key)
+	wid := ring.LookupHash(h)
 	if wid == "" {
 		return "", ""
 	}

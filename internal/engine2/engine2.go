@@ -217,6 +217,13 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 // to a machine, and the address on that machine is the function name.
 func (e *Engine) Route(fn, key string) (string, string) { return e.ring.LookupRoute(fn, key), fn }
 
+// RouteHash implements runtime.Dispatcher: the ring position of the
+// <function, key> pair, as LookupRoute hashes it.
+func (e *Engine) RouteHash(fn, key string) uint64 { return hashring.HashPair(fn, 0x00, key) }
+
+// RouteOf implements runtime.Dispatcher.
+func (e *Engine) RouteOf(fn string, h uint64) (string, string) { return e.ring.LookupHash(h), fn }
+
 // FuncOf implements runtime.Dispatcher.
 func (e *Engine) FuncOf(address string) string { return address }
 

@@ -29,6 +29,6 @@ func BenchmarkLookupNReplicas(b *testing.B) {
 	r := New(nodes(16), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.LookupN("user12345", 3)
+		r.AppendN(nil, Hash("user12345"), 3)
 	}
 }

@@ -2,6 +2,7 @@ package hashring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -42,6 +43,11 @@ func New(nodes []string, vnodes int) *Ring {
 	}
 	return r
 }
+
+// Hash is the ring position of a key, the hash Lookup resolves. It is a
+// pure function of the key, so a caller may keep it and resolve it later
+// with LookupHash against whatever membership the ring has by then.
+func Hash(s string) uint64 { return hash64(s) }
 
 func hash64(s string) uint64 {
 	var h uint64 = fnvOffset64
@@ -142,6 +148,14 @@ func (r *Ring) lookupLocked(key string) string {
 	return r.lookupHashLocked(hash64(key))
 }
 
+// LookupHash is Lookup for a key whose position (Hash, or HashPair for a
+// routing pair) the caller already holds.
+func (r *Ring) LookupHash(h uint64) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.lookupHashLocked(h)
+}
+
 func (r *Ring) lookupHashLocked(h uint64) string {
 	n := len(r.points)
 	if n == 0 {
@@ -163,35 +177,32 @@ func (r *Ring) lookupHashLocked(h uint64) string {
 // differently. It hashes the pair without concatenating it — this is
 // the per-delivery routing step of the ingress hot path.
 func (r *Ring) LookupRoute(function, key string) string {
-	h := HashPair(function, 0x00, key)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.lookupHashLocked(h)
+	return r.LookupHash(HashPair(function, 0x00, key))
 }
 
-// LookupN returns the first n distinct live nodes clockwise from the
-// key's position. The replicated key-value store uses it to choose
-// replica sets.
-func (r *Ring) LookupN(key string, n int) []string {
+// AppendN appends to dst the first n distinct live nodes clockwise from
+// position h and returns the extended slice. The replicated key-value
+// store chooses replica sets with it, into a slice it owns: n is a
+// replication factor, so a linear search of what was appended dedupes
+// virtual nodes without a set, and the lookup allocates nothing when dst
+// has room.
+func (r *Ring) AppendN(dst []string, h uint64, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	total := len(r.points)
 	if total == 0 || n <= 0 {
-		return nil
+		return dst
 	}
-	h := hash64(key)
+	base := len(dst)
 	i := sort.Search(total, func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[string]bool, n)
-	var out []string
-	for probes := 0; probes < total && len(out) < n; probes++ {
+	for probes := 0; probes < total && len(dst)-base < n; probes++ {
 		p := r.points[(i+probes)%total]
-		if r.disabled[p.node] || seen[p.node] {
+		if r.disabled[p.node] || slices.Contains(dst[base:], p.node) {
 			continue
 		}
-		seen[p.node] = true
-		out = append(out, p.node)
+		dst = append(dst, p.node)
 	}
-	return out
+	return dst
 }
 
 // Members reports every node on the ring and whether it is currently

@@ -122,9 +122,9 @@ func TestLookupRouteSeparatesFunctions(t *testing.T) {
 
 func TestLookupNReturnsDistinctLiveNodes(t *testing.T) {
 	r := New(nodes(5), 0)
-	reps := r.LookupN("some-key", 3)
+	reps := r.AppendN(nil, Hash("some-key"), 3)
 	if len(reps) != 3 {
-		t.Fatalf("LookupN returned %d nodes, want 3", len(reps))
+		t.Fatalf("AppendN returned %d nodes, want 3", len(reps))
 	}
 	seen := map[string]bool{}
 	for _, n := range reps {
@@ -137,9 +137,9 @@ func TestLookupNReturnsDistinctLiveNodes(t *testing.T) {
 
 func TestLookupNSkipsDisabled(t *testing.T) {
 	r := New(nodes(4), 0)
-	full := r.LookupN("k", 4)
+	full := r.AppendN(nil, Hash("k"), 4)
 	r.Disable(full[0])
-	reps := r.LookupN("k", 3)
+	reps := r.AppendN(nil, Hash("k"), 3)
 	for _, n := range reps {
 		if n == full[0] {
 			t.Fatalf("disabled node %s appears in replica set", n)
@@ -149,8 +149,8 @@ func TestLookupNSkipsDisabled(t *testing.T) {
 
 func TestLookupNMoreThanNodes(t *testing.T) {
 	r := New(nodes(2), 0)
-	if got := r.LookupN("k", 5); len(got) != 2 {
-		t.Fatalf("LookupN(5) on 2 nodes returned %d", len(got))
+	if got := r.AppendN(nil, Hash("k"), 5); len(got) != 2 {
+		t.Fatalf("AppendN(5) on 2 nodes returned %d", len(got))
 	}
 }
 
@@ -207,5 +207,16 @@ func TestPropertyConsistencyUnderFailure(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A pair hashes to the position of the two strings joined around the
+// separator, so a caller may route a composite key without composing it
+// and land where the composed key always has.
+func TestHashPairIsTheJoinedKeysHash(t *testing.T) {
+	for _, p := range [][2]string{{"", ""}, {"user1", "U1"}, {"k", ""}, {"", "col"}, {"a\x00b", "c"}} {
+		if got, want := HashPair(p[0], 0, p[1]), hash64(p[0]+"\x00"+p[1]); got != want {
+			t.Fatalf("HashPair(%q, 0, %q) = %x, hash of the joined key %x", p[0], p[1], got, want)
+		}
 	}
 }

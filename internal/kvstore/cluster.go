@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"muppet/internal/clock"
@@ -100,6 +101,11 @@ type Cluster struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
+
+	// attached counts the engines writing through the cluster now,
+	// attaches every Attach ever made (see Attach).
+	attached atomic.Int64
+	attaches atomic.Uint64
 }
 
 // NewCluster builds a cluster of cfg.Nodes nodes named node-00..node-NN.
@@ -183,9 +189,49 @@ func (c *Cluster) Nodes() []string {
 	return names
 }
 
-// Replicas returns the replica set for a row key.
-func (c *Cluster) Replicas(key string) []string {
-	return c.ring.LookupN(key, c.cfg.ReplicationFactor)
+// replicas appends the replica set of <key, column> to dst: the ring
+// position of the row key, hashed from the pair without composing it
+// (hashring.HashPair equals the hash of key + "\x00" + column), so
+// placement is the row key's and routing a row allocates nothing when
+// dst has room.
+func (c *Cluster) replicas(dst []string, key, column string) []string {
+	return c.ring.AppendN(dst, hashring.HashPair(key, 0, column), c.cfg.ReplicationFactor)
+}
+
+// stackReplicas is the replica count a routing step holds without
+// allocating; a larger replication factor grows the slice.
+const stackReplicas = 8
+
+// VisibilityChanges counts the times a node went down or came back up.
+// It is the one way the rows Scan shows can change without a write or a
+// delete — a revived replica serves the rows it held — so a reader that
+// keeps a conclusion drawn from a scan compares it before and after.
+func (c *Cluster) VisibilityChanges() uint64 {
+	var n uint64
+	for _, node := range c.nodes {
+		n += node.flips.Load()
+	}
+	return n
+}
+
+// Attach registers one more engine writing through the cluster and
+// returns the func that unregisters it. An engine that keeps a
+// conclusion drawn from a scan — every stored row it owns is one it
+// wrote — keeps it only while it is the one engine attached, and drops
+// it once Attached shows another attach since.
+func (c *Cluster) Attach() (detach func()) {
+	c.attached.Add(1)
+	c.attaches.Add(1)
+	var once sync.Once
+	return func() { once.Do(func() { c.attached.Add(-1) }) }
+}
+
+// Attached reports how many Attach calls were ever made and how many
+// engines are attached now. It reads the first count before the second,
+// so an attach it misses in one shows in the other's next read.
+func (c *Cluster) Attached() (attaches uint64, now int64) {
+	attaches = c.attaches.Load()
+	return attaches, c.attached.Load()
 }
 
 // KillNode simulates a crash of the named node.
@@ -231,7 +277,8 @@ func kthFastest(lat []time.Duration, k int) time.Duration {
 // for the number of acknowledgements the consistency level requires.
 // It returns the simulated operation latency.
 func (c *Cluster) Put(key, column string, value []byte, ttl time.Duration, level Consistency) (time.Duration, error) {
-	reps := c.Replicas(rowKey(key, column))
+	var buf [stackReplicas]string
+	reps := c.replicas(buf[:0], key, column)
 	need := level.required(c.cfg.ReplicationFactor)
 	var lats []time.Duration
 	acks := 0
@@ -264,8 +311,9 @@ func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Durati
 	need := level.required(c.cfg.ReplicationFactor)
 	perNode := make(map[string][]BatchEntry)
 	perNodeIdx := make(map[string][]int)
+	var buf [stackReplicas]string
 	for i, e := range entries {
-		for _, name := range c.Replicas(rowKey(e.Key, e.Column)) {
+		for _, name := range c.replicas(buf[:0], e.Key, e.Column) {
 			perNode[name] = append(perNode[name], e)
 			perNodeIdx[name] = append(perNodeIdx[name], i)
 		}
@@ -304,7 +352,8 @@ func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Durati
 // (performing read repair on stale live replicas). The boolean reports
 // whether a live row was found.
 func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time.Duration, error) {
-	reps := c.Replicas(rowKey(key, column))
+	var buf [stackReplicas]string
+	reps := c.replicas(buf[:0], key, column)
 	need := level.required(c.cfg.ReplicationFactor)
 
 	type reply struct {
@@ -356,7 +405,8 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 
 // Delete tombstones <key, column> at the required consistency.
 func (c *Cluster) Delete(key, column string, level Consistency) (time.Duration, error) {
-	reps := c.Replicas(rowKey(key, column))
+	var buf [stackReplicas]string
+	reps := c.replicas(buf[:0], key, column)
 	need := level.required(c.cfg.ReplicationFactor)
 	var lats []time.Duration
 	acks := 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"muppet/internal/hashring"
 	"muppet/internal/storage"
 )
 
@@ -65,7 +66,7 @@ func TestConsistencyString(t *testing.T) {
 func TestWriteSurvivesMinorityFailureAtQuorum(t *testing.T) {
 	c := testCluster(5, 3)
 	c.Put("k", "U", []byte("v"), 0, All)
-	reps := c.Replicas(rowKey("k", "U"))
+	reps := c.replicas(nil, "k", "U")
 	c.KillNode(reps[0])
 	v, found, _, err := c.Get("k", "U", Quorum)
 	if err != nil || !found || string(v) != "v" {
@@ -143,7 +144,7 @@ func TestQuorumLatencyOrdering(t *testing.T) {
 func TestReadRepairHealsStaleReplica(t *testing.T) {
 	c := testCluster(5, 3)
 	c.Put("k", "U", []byte("v1"), 0, All)
-	reps := c.Replicas(rowKey("k", "U"))
+	reps := c.replicas(nil, "k", "U")
 	// Take one replica down, write a newer version at quorum, revive.
 	c.KillNode(reps[2])
 	if _, err := c.Put("k", "U", []byte("v2"), 0, Quorum); err != nil {
@@ -178,7 +179,7 @@ func TestKillAndReviveNode(t *testing.T) {
 
 func TestRFClampedToNodeCount(t *testing.T) {
 	c := NewCluster(ClusterConfig{Nodes: 2, ReplicationFactor: 5})
-	if got := len(c.Replicas("k")); got != 2 {
+	if got := len(c.replicas(nil, "k", "U")); got != 2 {
 		t.Fatalf("replica set size %d, want 2", got)
 	}
 }
@@ -268,5 +269,63 @@ func TestCompactAllShrinksRuns(t *testing.T) {
 	c.CompactAll()
 	if s := c.TotalStats(); s.SSTables != 2 {
 		t.Fatalf("SSTables after compaction = %d, want 2", s.SSTables)
+	}
+}
+
+// Routing a row hashes the <key, column> pair in place: the replica set
+// is exactly the one the composed row key names — placement, and so
+// every persisted store, is unchanged — and choosing it allocates
+// nothing.
+func TestReplicasRouteThePairWithoutAllocating(t *testing.T) {
+	for _, rf := range []int{1, 3} {
+		c := testCluster(5, rf)
+		c.KillNode("node-02") // a disabled node is skipped the same way
+		var buf [stackReplicas]string
+		for i := 0; i < 200; i++ {
+			key, column := fmt.Sprintf("user%d", i), fmt.Sprintf("U%d", i%3)
+			got := c.replicas(buf[:0], key, column)
+			want := c.ring.AppendN(nil, hashring.Hash(rowKey(key, column)), rf)
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("rf %d: %s/%s routes to %v, the row key to %v", rf, key, column, got, want)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if len(c.replicas(buf[:0], "user12345", "U1")) != rf {
+				t.Fatal("short replica set")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rf %d: routing a row allocated %.1f times, want 0", rf, allocs)
+		}
+	}
+}
+
+// A node going down or coming back is a visibility change; setting the
+// state it already has is not.
+func TestVisibilityChangesCountNodeFlips(t *testing.T) {
+	c := testCluster(3, 3)
+	c.KillNode("node-01")
+	c.KillNode("node-01")
+	c.ReviveNode("node-01")
+	c.Node("node-02").SetDown(false)
+	if got := c.VisibilityChanges(); got != 2 {
+		t.Fatalf("VisibilityChanges = %d, want 2", got)
+	}
+}
+
+// Attached counts the engines attached now and every attach ever made;
+// a detach lowers only the first, and a second call of it does nothing.
+func TestAttachCountsEngines(t *testing.T) {
+	c := testCluster(1, 1)
+	first := c.Attach()
+	second := c.Attach()
+	second()
+	second()
+	if ever, now := c.Attached(); ever != 2 || now != 1 {
+		t.Fatalf("Attached = %d ever, %d now; want 2, 1", ever, now)
+	}
+	first()
+	if ever, now := c.Attached(); ever != 2 || now != 0 {
+		t.Fatalf("Attached = %d ever, %d now; want 2, 0", ever, now)
 	}
 }

@@ -58,7 +58,9 @@
 // resolve replica divergence by last-write-wins on write timestamp.
 // In a multi-process Muppet deployment each node runs its own store;
 // a shared store across engines stands in for the paper's shared
-// Cassandra cluster and is what cross-node slate reads rely on.
+// Cassandra cluster and is what cross-node slate reads rely on. An
+// engine attaches to the store it writes through (Attach), so it can
+// tell whether it is the store's only writer.
 //
 // # Concurrency
 //

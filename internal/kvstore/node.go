@@ -3,6 +3,7 @@ package kvstore
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"muppet/internal/clock"
@@ -94,6 +95,8 @@ type Node struct {
 	mu   sync.Mutex
 	eng  *lsm.Engine
 	down bool
+	// flips counts SetDown's changes of state.
+	flips atomic.Uint64
 }
 
 // NewNode returns a node with the given name and configuration. It
@@ -143,10 +146,17 @@ func (n *Node) Device() *storage.Device { return n.cfg.Device }
 // was in the write-ahead log before its put returned, like a Cassandra
 // restart replaying its commit log. (What a Muppet failure loses is the
 // unflushed slate changes in the cache above the store, §4.3.)
+//
+// A change of state is counted (Cluster.VisibilityChanges) under the
+// lock Scan reads the state through: a scan that saw the new state sees
+// the count moved.
 func (n *Node) SetDown(down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.down = down
+	if n.down != down {
+		n.down = down
+		n.flips.Add(1)
+	}
 }
 
 // Down reports whether the node is marked crashed.

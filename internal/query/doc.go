@@ -81,7 +81,10 @@
 // or the store's last flushed one), but rows are collected while
 // ingest runs, so two slates may be observed at different flush
 // epochs. There is no cross-slate transaction — the same model as the
-// paper's slate reads, widened from one key to a scan. Ownership
+// paper's slate reads, widened from one key to a scan. A node whose
+// caches provably hold every stored slate it owns skips the store pass,
+// which could only have skipped rows the cache answered (see the
+// runtime's queryLocal). Ownership
 // filtering (each node contributes only keys its ring currently routes
 // to it) plus coordinator-side key dedup keep a key from being counted
 // twice during failover handoffs.

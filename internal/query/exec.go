@@ -87,7 +87,7 @@ type Result struct {
 // Compile, Raw per row, Result. The caller has already range- and
 // ownership-filtered rows, one per key.
 func Execute(spec *Spec, codec slate.Codec, rows []InputRow) *NodeResult {
-	x := Compile(spec, codec, false)
+	x := Compile(spec, codec, NoOverlay)
 	for _, in := range rows {
 		x.Raw(in.Key, in.Raw)
 	}
@@ -152,14 +152,18 @@ type Executor struct {
 	pending []pending
 }
 
+// NoOverlay is Compile's overlay for an executor no store pass follows.
+const NoOverlay = -1
+
 // Compile plans spec (already Normalized) for slates of codec: paths
 // split and literals parsed once, and the typed view taken if the codec
-// offers one for exactly these fields. overlay makes the executor
-// remember the keys of Cached rows so a store pass can skip them.
-func Compile(spec *Spec, codec slate.Codec, overlay bool) *Executor {
+// offers one for exactly these fields. An overlay of n >= 0 makes the
+// executor remember the keys of Cached rows, in a set sized for n of
+// them (the rows the cache holds), so a store pass can skip them.
+func Compile(spec *Spec, codec slate.Codec, overlay int) *Executor {
 	x := &Executor{spec: spec, codec: codec, group: refNone, by: refNone}
-	if overlay {
-		x.seen = make(map[string]struct{})
+	if overlay >= 0 {
+		x.seen = make(map[string]struct{}, overlay)
 	}
 	for _, p := range spec.Where {
 		f, err := strconv.ParseFloat(p.Value, 64)

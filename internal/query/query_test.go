@@ -185,7 +185,7 @@ func TestMergeRowsCacheWins(t *testing.T) {
 	stored := []InputRow{{Key: "a", Raw: []byte("olda")}, {Key: "b", Raw: []byte("stale")}}
 	// The overlay that replaced MergeRows: cache rows first, then the
 	// store rows the executor has not Seen.
-	x := Compile(&Spec{Updater: "U"}, nil, true)
+	x := Compile(&Spec{Updater: "U"}, nil, len(cached))
 	for _, r := range cached {
 		x.Cached(slate.CacheRow{Key: r.Key, Raw: r.Raw})
 	}

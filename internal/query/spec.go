@@ -116,6 +116,10 @@ func (s *Spec) Kind() string {
 	return s.Agg
 }
 
+// FullRange reports whether the scan covers every key: no prefix, no
+// bounds.
+func (s *Spec) FullRange() bool { return s.Prefix == "" && s.Start == "" && s.End == "" }
+
 // KeyInRange reports whether a slate key falls inside the scan's
 // prefix/range bounds. Scan sources apply it before decoding a row.
 func (s *Spec) KeyInRange(k string) bool {

@@ -21,8 +21,10 @@
 //
 // # Dispatcher
 //
-// What differs per version is behind the Dispatcher interface, seven
-// methods: where <function, key> lives (Route, FuncOf), how a batch of
+// What differs per version is behind the Dispatcher interface, nine
+// methods: where <function, key> lives (Route, FuncOf, and RouteHash and
+// RouteOf, the two halves of Route that let a slate cache keep a slate's
+// ring hash for its life), how a batch of
 // deliveries addressed to a hosted machine — the only hand-off there is;
 // a single emit is a batch of one — reaches its queues (EnqueueBatch),
 // ring membership (SetRing, RingMembers), which machines a query scatters

@@ -13,7 +13,7 @@ func (r *Runtime) CacheOf(fn, key string) *slate.Sharded {
 // cell's group commits open. Call it before any event reaches the cell.
 func (r *Runtime) WrapStoreOf(fn, key string, wrap func(slate.Store) slate.Store) {
 	c := r.cellAt(r.disp.Route(fn, key))
-	c.Cache = slate.NewSharded(slate.ShardedConfig{Policy: r.cfg.FlushPolicy, Store: wrap(r.slateStore())})
+	c.Cache = slate.NewSharded(slate.ShardedConfig{Policy: r.cfg.FlushPolicy, Store: wrap(r.slateStore()), RouteHash: r.routeHash})
 }
 
 // OwnerMachine reports the machine Route names for <fn, key>.
@@ -28,4 +28,27 @@ func CountCacheStatsReads(n *int) (restore func()) {
 	read := slateCacheStats
 	slateCacheStats = func(r *Runtime) slate.CacheStats { *n++; return read(r) }
 	return func() { slateCacheStats = read }
+}
+
+// SkippedStorePasses counts the node-local query passes of machine's
+// answered from the caches alone, its coverage record holding.
+func (r *Runtime) SkippedStorePasses(machine string) uint64 {
+	r.cover.mu.Lock()
+	defer r.cover.mu.Unlock()
+	return r.cover.skipped[machine]
+}
+
+// RemoveFromRing, RestoreToRing and DropMisplacedSlates run one step of
+// the recovery protocol on their own, as the recovery manager would.
+func (r *Runtime) RemoveFromRing(machine string) { recoveryAdapter{r}.RemoveFromRing(machine) }
+func (r *Runtime) RestoreToRing(machine string)  { recoveryAdapter{r}.RestoreToRing(machine) }
+func (r *Runtime) DropMisplacedSlates()          { recoveryAdapter{r}.DropMisplacedSlates() }
+
+// CacheEvictions counts the capacity evictions of machine's caches.
+func (r *Runtime) CacheEvictions(machine string) uint64 {
+	var n uint64
+	for _, c := range r.byMachine[machine] {
+		n += c.Cache.Stats().Evictions
+	}
+	return n
 }

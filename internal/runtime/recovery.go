@@ -41,14 +41,27 @@ func (r *Runtime) Recovery() *recovery.Manager { return r.rec }
 
 // recoveryAdapter is the engine-facing surface the recovery manager
 // drives (recovery.Adapter), written once over the cells a machine
-// hosts; only ring membership is the dispatcher's.
+// hosts; only ring membership is the dispatcher's. Its ring flips are
+// the engine's only ones, and each is bracketed for query coverage (see
+// coverage); a rejoin also opens a handover, which DropMisplacedSlates
+// closes once it has evicted the interim owners' copies — until then one
+// of them may still flush a key the rejoined machine owns again.
 type recoveryAdapter struct {
 	r *Runtime
 }
 
-func (a recoveryAdapter) RemoveFromRing(machine string) { a.r.disp.SetRing(machine, false) }
-func (a recoveryAdapter) RestoreToRing(machine string)  { a.r.disp.SetRing(machine, true) }
-func (a recoveryAdapter) RingMembers() map[string]bool  { return a.r.disp.RingMembers() }
+func (a recoveryAdapter) RemoveFromRing(machine string) {
+	a.r.cover.flip(func() { a.r.disp.SetRing(machine, false) })
+}
+
+func (a recoveryAdapter) RestoreToRing(machine string) {
+	a.r.cover.flip(func() {
+		a.r.disp.SetRing(machine, true)
+		a.r.cover.rejoins.Add(1)
+	})
+}
+
+func (a recoveryAdapter) RingMembers() map[string]bool { return a.r.disp.RingMembers() }
 
 func (a recoveryAdapter) DrainQueues(machine string, drained func(function string, ev event.Event)) {
 	for _, c := range a.r.byMachine[machine] {
@@ -97,11 +110,17 @@ func (a recoveryAdapter) RestartWorkers(machine string) {
 
 func (a recoveryAdapter) FlushSlates() { a.r.FlushSlates() }
 
+// DropMisplacedSlates closes every handover a RestoreToRing opened
+// before it started, unless a cell had to keep misplaced entries: then
+// they stay open, and no query skips its store pass, until a later
+// DropMisplacedSlates succeeds — slower, not wrong.
 func (a recoveryAdapter) DropMisplacedSlates() {
+	rejoins := a.r.cover.rejoins.Load()
+	kept := false
 	for _, c := range a.r.cells {
 		var misplaced []slate.Key
 		for _, k := range c.Cache.Keys() {
-			if !a.r.owns(c, k.Updater, k.Key) {
+			if !a.r.owns(c, k.Updater, a.r.disp.RouteHash(k.Updater, k.Key)) {
 				misplaced = append(misplaced, k)
 			}
 		}
@@ -114,11 +133,15 @@ func (a recoveryAdapter) DropMisplacedSlates() {
 		// is unreachable, keep the entries — a stale-copy hazard beats
 		// dropping dirty data, and the next ring change retries.
 		if _, err := c.Cache.FlushDirty(); err != nil {
+			kept = true
 			continue
 		}
 		for _, k := range misplaced {
 			c.Cache.Delete(k)
 		}
+	}
+	if !kept {
+		a.r.cover.handOver(rejoins)
 	}
 }
 

@@ -125,6 +125,13 @@ type Dispatcher interface {
 	// Route resolves the owner of <fn, key>: the machine and the address
 	// on it. An empty machine means no live owner.
 	Route(fn, key string) (machine, address string)
+	// RouteHash is the ring position Route resolves <fn, key> from. It
+	// is a pure function of the pair, so a slate cache keeps it for the
+	// slate's life (slate.ShardedConfig.RouteHash).
+	RouteHash(fn, key string) uint64
+	// RouteOf resolves a RouteHash of fn's to its owner exactly as Route
+	// would, against the ring(s) as they stand: one ring lookup.
+	RouteOf(fn string, h uint64) (machine, address string)
 	// FuncOf maps an address back to its function name.
 	FuncOf(address string) string
 	// EnqueueBatch places a machine-addressed batch (a single emit is a
@@ -175,6 +182,8 @@ type Runtime struct {
 	queries  *query.Counters
 	seq      atomic.Uint64
 	watchSeq atomic.Uint64
+	cover    coverage
+	detach   func() // undoes Start's Store.Attach; nil without a store
 	stopped  atomic.Bool
 	done     chan struct{} // closed by Stop; ends the flusher loops
 	wg       sync.WaitGroup
@@ -237,11 +246,17 @@ func (r *Runtime) AddCell(machine, address string, queues int) *Cell {
 		OnPoison: func(k slate.Key) {
 			r.lost.Record(k.Updater, event.Event{Key: k.Key}, engine.LossEncode)
 		},
+		RouteHash: r.routeHash,
 	})
 	r.cells = append(r.cells, c)
 	r.byMachine[machine] = append(r.byMachine[machine], c)
 	return c
 }
+
+// routeHash is every cell cache's RouteHash: the dispatcher's, read
+// when a Scan first needs it (the cells are built before Start plugs the
+// dispatcher in).
+func (r *Runtime) routeHash(fn, key string) uint64 { return r.disp.RouteHash(fn, key) }
 
 func (r *Runtime) newQueue() *queue.Queue[engine.Envelope] {
 	return queue.New[engine.Envelope](r.cfg.QueueCapacity, r.cfg.QueuePolicy)
@@ -255,12 +270,16 @@ func (r *Runtime) slateStore() slate.Store {
 	return &slate.KVStore{Cluster: r.cfg.Store, Level: r.cfg.StoreLevel}
 }
 
-// Start plugs the dispatcher in, wires the node — delivery and query
-// handlers, recovery manager, courier, ingress driver, metrics — and
+// Start plugs the dispatcher in, attaches to the store (see coverage),
+// wires the node — delivery and query handlers, recovery manager,
+// courier, ingress driver, metrics — and
 // starts every cell's loops and, under slate.Interval, its flusher. The
 // only error is a stats struct with a field obs.Struct cannot expose.
 func (r *Runtime) Start(d Dispatcher) error {
 	r.disp = d
+	if r.cfg.Store != nil {
+		r.detach = r.cfg.Store.Attach()
+	}
 	for _, name := range r.clu.LocalNames() {
 		r.clu.SetBatchHandler(name, func(ds []cluster.Delivery) []error {
 			return d.EnqueueBatch(name, ds)
@@ -361,8 +380,8 @@ func (r *Runtime) flusherLoop(c *Cell) {
 // Drain blocks until every accepted event has been fully processed.
 func (r *Runtime) Drain() { r.tracker.Wait() }
 
-// Stop drains, halts every loop, flushes dirty slates to the store, and
-// closes the cluster transport. It is idempotent.
+// Stop drains, halts every loop, flushes dirty slates to the store and
+// detaches from it, and closes the cluster transport. It is idempotent.
 func (r *Runtime) Stop() {
 	if r.stopped.Swap(true) {
 		return
@@ -381,6 +400,9 @@ func (r *Runtime) Stop() {
 	// the stop may still have queued, while the transport is open.
 	r.out.Close()
 	r.FlushSlates()
+	if r.detach != nil {
+		r.detach()
+	}
 	// Close the egress sink last: subscriber channels close only after
 	// every in-flight event has been recorded.
 	r.sink.Close()

@@ -19,10 +19,10 @@ func (r *Runtime) cellAt(machine, address string) *Cell {
 	return nil
 }
 
-// owns reports whether c owns <fn, key> on the current ring: Route
-// names its machine and an address it serves.
-func (r *Runtime) owns(c *Cell, fn, key string) bool {
-	machine, address := r.disp.Route(fn, key)
+// owns reports whether c owns the <fn, key> whose RouteHash is h on the
+// current ring: the owner is c's machine and an address c serves.
+func (r *Runtime) owns(c *Cell, fn string, h uint64) bool {
+	machine, address := r.disp.RouteOf(fn, h)
 	return machine == c.Machine && c.serves(address)
 }
 

@@ -114,4 +114,9 @@ type entry struct {
 	// row, and evicting it re-dirtied would let the batch overwrite the
 	// eviction's newer save — until its batch's write returns.
 	flushing bool
+
+	// route memoizes ShardedConfig.RouteHash for the entry's key; 0 is
+	// not yet computed (Scan fills it), and a key that hashes to 0 is
+	// merely hashed again on every scan.
+	route uint64
 }

@@ -47,7 +47,11 @@
 // under the lock exactly as Get and Peek always have. A slate caught
 // mid-update is revisited once its updater lets go rather than served
 // from an encoding older than an earlier read showed, so successive
-// scans never see a slate go backwards.
+// scans never see a slate go backwards. Each row also carries the
+// entry's route memo (ShardedConfig.RouteHash, computed once per
+// entry), and Removals counts the slates that stopped being resident,
+// so a reader can tell whether the cache still holds everything a
+// previous scan found stored.
 //
 // # The cache
 //

@@ -47,6 +47,10 @@ type ShardedConfig struct {
 	// just failed for the first time since it last succeeded — once per
 	// poisoning, not per retry. It runs under the shard lock.
 	OnPoison func(Key)
+	// RouteHash, when set, is the owner's ring hash of <updater, key>, a
+	// pure function of the pair: Scan computes it once per resident
+	// slate, keeps it on the entry, and hands it out as CacheRow.Route.
+	RouteHash func(updater, key string) uint64
 }
 
 func (c *ShardedConfig) fill() {
@@ -119,6 +123,7 @@ type Sharded struct {
 	records      atomic.Uint64
 	flushErrors  atomic.Uint64
 	flushSaves   atomic.Uint64 // StoreSaves issued by the flush path
+	removals     atomic.Uint64 // see Removals
 	flushLatency *metrics.Histogram
 	batchSizes   *metrics.IntHistogram
 }
@@ -380,8 +385,17 @@ func (s *Sharded) Delete(k Key) {
 		sh.lru.Remove(e.elem)
 		delete(sh.items, k)
 		delete(sh.dirty, k)
+		s.removals.Add(1)
 	}
 }
+
+// Removals counts the slates that have stopped being resident: evicted,
+// deleted or crashed away. It is bumped under the lock of the shard the
+// slate left, so a Scan that missed a slate for that reason finds the
+// count moved when it reads it afterwards. Inserts never move it: a
+// reader that has shown every stored slate to be resident may keep that
+// conclusion while the count holds.
+func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 
 // insertLocked adds a new entry to sh, evicting as needed. Caller
 // holds sh.mu.
@@ -431,6 +445,7 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 		delete(sh.items, e.key)
 		delete(sh.dirty, e.key)
 		sh.stats.Evictions++
+		s.removals.Add(1)
 		return true
 	}
 	return false
@@ -581,6 +596,7 @@ func (s *Sharded) Crash() (dirtyLost int) {
 				sh.stats.DirtyLost++
 			}
 		}
+		s.removals.Add(uint64(len(sh.items)))
 		sh.items = make(map[Key]*entry)
 		sh.dirty = make(map[Key]*entry)
 		sh.lru = list.New()
@@ -654,28 +670,36 @@ func (s *Sharded) Keys() []Key {
 // CacheRow is one cached slate as Scan hands it out: its encoding
 // (Raw), or — Raw nil — what a FieldReader read off the decoded object
 // (Vals, valid only during the callback; Encodes, the reader's verdict)
-// and Size, the length of the entry's last materialized encoding.
+// and Size, the length of the entry's last materialized encoding. Route
+// is the entry's memo of ShardedConfig.RouteHash (0 without one).
 type CacheRow struct {
 	Key     string
 	Raw     []byte
 	Vals    []Scalar
 	Encodes bool
 	Size    int
+	Route   uint64
 }
 
 // Scan is the query path's read of the cache: fn is called once per
 // cached slate of the updater, shard by shard, in no order, and never
 // under a shard lock — so the caller's ring lookups, codec.Decode,
 // predicates and aggregation cost the shard's writers nothing. Under
-// the lock Scan only copies out: the key and, for a decoded slate no
-// updater has pinned, the n scalars read reads off the object (a few
-// field loads: a FieldReader neither encodes nor allocates); a byte
-// entry, or a pinned one whose encoding is current, hands out that
-// encoding, which is immutable. Nothing is encoded, decoded or routed
-// there, with one exception: a nil read (the codec declined the query's
-// fields) asks for encodings only, and then a stale unpinned entry is
-// encoded under the lock as Peek does — its object cannot be read once
-// the lock is gone, and the encoding is kept for the next flush.
+// the lock Scan only copies out: the key, the route memo and, for a
+// decoded slate no updater has pinned, the n scalars read reads off the
+// object (a few field loads: a FieldReader neither encodes nor
+// allocates); a byte entry, or a pinned one whose encoding is current,
+// hands out that encoding, which is immutable. Nothing is encoded or
+// decoded there, with one exception: a nil read (the codec declined the
+// query's fields) asks for encodings only, and then a stale unpinned
+// entry is encoded under the lock as Peek does — its object cannot be
+// read once the lock is gone, and the encoding is kept for the next
+// flush.
+//
+// The route memo is the entry's RouteHash, computed under the lock the
+// first time a Scan reads the entry and kept for the entry's life: it is
+// a hash, not an owner, so the caller still resolves it against the
+// ring as it stands, and a ring change shows on the very next row.
 //
 // A pinned entry whose object is newer than its encoding is mid-update:
 // the object cannot be read, and the encoding may be older than what an
@@ -693,13 +717,16 @@ func (s *Sharded) Scan(updater string, read FieldReader, n int, fn func(CacheRow
 	for _, sh := range s.shards {
 		// take copies e out under sh.mu; false means no slate to show.
 		take := func(k Key, e *entry) (CacheRow, bool) {
+			if e.route == 0 && s.cfg.RouteHash != nil {
+				e.route = s.cfg.RouteHash(k.Updater, k.Key)
+			}
 			if read != nil && e.decoded != nil && e.pins == 0 {
 				off := len(vals)
 				vals = slices.Grow(vals, n)[:off+n]
-				return CacheRow{Key: k.Key, Vals: vals[off:], Encodes: read(e.decoded, vals[off:]), Size: len(e.value)}, true
+				return CacheRow{Key: k.Key, Vals: vals[off:], Encodes: read(e.decoded, vals[off:]), Size: len(e.value), Route: e.route}, true
 			}
 			raw := s.snapshotLocked(sh, e)
-			return CacheRow{Key: k.Key, Raw: raw}, raw != nil
+			return CacheRow{Key: k.Key, Raw: raw, Route: e.route}, raw != nil
 		}
 		rows, vals, busy = rows[:0], vals[:0], busy[:0]
 		sh.mu.Lock()

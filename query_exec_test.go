@@ -56,7 +56,12 @@ func ingestKeys(t *testing.T, eng muppet.Engine, keys, rounds int) {
 
 // A store scan that fails must fail the query: with most slates evicted
 // to the store and the store's engines closed under the runtime, the
-// rows that can still be read are an under-count, not an answer.
+// rows that can still be read are an under-count, not an answer. Only a
+// query that runs the store pass can fail this way: while a machine's
+// caches provably hold every stored slate it owns, its passes skip the
+// store (Runtime.queryLocal) and answer from the caches whatever state
+// the store is in. Here a 4-slate cache holds 4 of 40 stored slates, so
+// every pass reads the store.
 func TestQueryFailsWhenStoreScanFails(t *testing.T) {
 	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
 	eng, err := muppet.NewEngine(hitApp(nil), muppet.Config{Machines: 1, CacheCapacity: 4, Store: store})
