@@ -6,8 +6,7 @@
 // leaves to future work, is retired and its ID not reused).
 // ARCHITECTURE.md places the package in the system.
 // Each experiment returns a Table of the series it reports;
-// `go run ./cmd/mupbench` prints them and bench_test.go wraps them as
-// testing.B benchmarks.
+// `go run ./cmd/mupbench` prints them.
 //
 // Absolute numbers will not match the paper — the substrate is an
 // in-process simulation on one host, not the authors' cluster — but

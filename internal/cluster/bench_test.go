@@ -6,30 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"muppet/internal/event"
 	"muppet/internal/frame"
 	"muppet/internal/workload"
 )
-
-// benchDeliveries builds one machine-addressed batch shaped like the
-// engines' ingress batches: small keys, short payloads.
-func benchDeliveries(n int) []Delivery {
-	ds := make([]Delivery, n)
-	for i := range ds {
-		ds[i] = Delivery{
-			Worker: "U1#0",
-			Ev: event.Event{
-				Stream:  "S1",
-				TS:      event.Timestamp(i),
-				Key:     fmt.Sprintf("key-%04d", i%64),
-				Value:   []byte("sf,retailer,checkin"),
-				Ingress: int64(i),
-			},
-			Tag: i,
-		}
-	}
-	return ds
-}
 
 // tweetDeliveries builds one batch out of the load harness's own
 // events: the workload generator's tweets over 100 k Zipf users, about
@@ -73,77 +52,19 @@ func tcpPair(b *testing.B) (*Cluster, *TCP) {
 	trA.Serve(a)
 	b.Cleanup(func() { a.Close(); h.Close() })
 	// Warm the pooled connection so b.N measures exchanges, not the dial.
-	if _, _, err := a.SendBatch("machine-01", benchDeliveries(1)); err != nil {
+	if _, _, err := a.SendBatch("machine-01", tweetDeliveries(1)); err != nil {
 		b.Fatal(err)
 	}
 	return a, trA
 }
 
-// BenchmarkTransportSendBatch measures one machine-addressed batch
-// through each transport topology: the single-process direct call, the
-// InProc transport between two nodes, and TCP over loopback (a full
-// encode -> frame -> socket -> decode -> deliver -> respond exchange).
+// BenchmarkTransportSendBatch measures one machine-addressed batch of
+// tweets over loopback TCP (a full encode -> frame -> socket -> decode
+// -> deliver -> respond exchange). It is the curve the emit outbox
+// rides: what one delivery costs, both ends included, as a frame
+// carries more of them. batch=1 is a worker emit before the outbox; a
+// busy sender ships 32 and up.
 func BenchmarkTransportSendBatch(b *testing.B) {
-	const batch = 256
-	sink := func(host *Cluster) {
-		host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
-	}
-
-	b.Run("in-process/direct", func(b *testing.B) {
-		c := New(Config{Names: conformanceNames})
-		defer c.Close()
-		sink(c)
-		ds := benchDeliveries(batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.SendBatch("machine-01", ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(batch), "events/op")
-	})
-
-	b.Run("in-process/transport", func(b *testing.B) {
-		reg := NewInProc()
-		a := New(Config{Names: conformanceNames, Local: []string{"machine-00"}, Transport: reg})
-		h := New(Config{Names: conformanceNames, Local: []string{"machine-01"}, Transport: reg})
-		reg.Register(a)
-		reg.Register(h)
-		defer a.Close()
-		defer h.Close()
-		sink(h)
-		ds := benchDeliveries(batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := a.SendBatch("machine-01", ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(batch), "events/op")
-	})
-
-	b.Run("tcp/loopback", func(b *testing.B) {
-		a, trA := tcpPair(b)
-		ds := benchDeliveries(batch)
-		before := trA.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := a.SendBatch("machine-01", ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(batch), "events/op")
-		st := trA.Stats()
-		b.ReportMetric(float64(st.BytesOut-before.BytesOut)/float64(st.FramesOut-before.FramesOut), "frame-bytes")
-	})
-
-	// The curve the emit outbox rides: what one delivery costs, both
-	// ends included, as a frame carries more of them. batch=1 is a worker
-	// emit before the outbox; a busy sender ships 32 and up.
 	for _, n := range []int{1, 8, 32, 256} {
 		b.Run(fmt.Sprintf("tcp/tweets/batch=%d", n), func(b *testing.B) {
 			a, trA := tcpPair(b)

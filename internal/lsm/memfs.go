@@ -57,16 +57,6 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile), count: make(map[Op]int)}
 }
 
-// SetFault installs a hook consulted before every operation; returning
-// a non-nil error fails that operation and marks the FS dead (every
-// later operation returns ErrCrashed) — the moment the hook fires is
-// the moment the simulated power cut happens. A nil hook clears it.
-func (fs *MemFS) SetFault(f func(op Op, name string) error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.fault = f
-}
-
 // FailAt arms a one-shot fault: the nth (1-based) operation of the
 // given kind fails, counting from now.
 func (fs *MemFS) FailAt(op Op, nth int) {

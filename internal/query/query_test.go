@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -356,70 +355,24 @@ func TestCountersSnapshot(t *testing.T) {
 	}
 }
 
-func benchRows(n int) []InputRow {
-	rows := make([]InputRow, n)
+// TestCoordinatorPushdownShipsLessThanScan: a top-k over two machines'
+// object slates ships the remote machine's k partials, not its rows, so
+// the coordinator's wire bytes stay below the bytes the scan read.
+func TestCoordinatorPushdownShipsLessThanScan(t *testing.T) {
+	rows := make([]InputRow, 1000)
 	for i := range rows {
 		rows[i] = row(fmt.Sprintf("http://site-%05d", i), map[string]any{"count": i % 997, "kind": "url"})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	return rows
-}
-
-// BenchmarkQueryScan measures node-local pipeline throughput: decode,
-// filter, and top-k aggregate over 10k object slates.
-func BenchmarkQueryScan(b *testing.B) {
-	rows := benchRows(10_000)
 	spec := &Spec{Updater: "U", Agg: AggTopK, By: "count", K: 10}
-	if err := spec.Normalize(); err != nil {
-		b.Fatal(err)
+	byMachine := map[string][]InputRow{"m0": rows[:500], "m1": rows[500:]}
+	res, err := twoMachineCoordinator(t, spec, byMachine).Run(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := Execute(spec, nil, rows)
-		if len(res.Groups) != 10 {
-			b.Fatalf("groups = %d", len(res.Groups))
-		}
+	if len(res.Groups) != 10 {
+		t.Fatalf("groups = %d, want 10", len(res.Groups))
 	}
-	b.ReportMetric(float64(len(rows)*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkQueryPushdown measures the pushdown win: coordinator-side
-// wire bytes for an aggregated scatter-gather vs the bytes a fetch-all
-// would have shipped, reported as metrics per op.
-func BenchmarkQueryPushdown(b *testing.B) {
-	rows := benchRows(10_000)
-	half := len(rows) / 2
-	byMachine := map[string][]InputRow{"m0": rows[:half], "m1": rows[half:]}
-	local := func(m string, sp *Spec) (*NodeResult, error) { return Execute(sp, nil, byMachine[m]), nil }
-	c := &Coordinator{
-		Machines: []string{"m0", "m1"},
-		IsLocal:  func(m string) bool { return m == "m0" },
-		Local:    local,
-		Remote: func(m string, req []byte) ([]byte, error) {
-			sp, err := DecodeRequest(req)
-			if err != nil {
-				return nil, err
-			}
-			nr, err := local(m, sp)
-			if err != nil {
-				return nil, err
-			}
-			return EncodeResponse(nr)
-		},
+	if res.Stats.WireBytes == 0 || res.Stats.WireBytes >= res.Stats.BytesScanned {
+		t.Fatalf("pushdown shipped %d wire bytes for a %d-byte scan", res.Stats.WireBytes, res.Stats.BytesScanned)
 	}
-	spec := &Spec{Updater: "U", Agg: AggTopK, By: "count", K: 10}
-	var wire, scanned uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := c.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wire, scanned = res.Stats.WireBytes, res.Stats.BytesScanned
-	}
-	if wire == 0 || wire >= scanned {
-		b.Fatalf("pushdown regressed: wire %d vs fetch-all %d", wire, scanned)
-	}
-	b.ReportMetric(float64(wire), "wire-B/op")
-	b.ReportMetric(float64(scanned), "fetchall-B/op")
 }

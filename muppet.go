@@ -290,15 +290,9 @@ type StoreConfig struct {
 	UseSSD bool
 	// NoDevice disables device cost simulation entirely.
 	NoDevice bool
-	// MemtableFlushBytes and CompactionThreshold tune each node's LSM
-	// behavior; zero means defaults.
-	MemtableFlushBytes  int64
-	CompactionThreshold int
-	// NetworkRTT and RTTJitter shape simulated replica latency.
-	NetworkRTT time.Duration
-	RTTJitter  time.Duration
-	// Seed makes jitter deterministic.
-	Seed int64
+	// MemtableFlushBytes is each node's memtable size before it flushes
+	// to a segment; zero means the default.
+	MemtableFlushBytes int64
 	// Dir, when non-empty, makes every store node durable: node-NN keeps
 	// its rows under Dir/node-NN via the internal/lsm engine, fsync'd
 	// before acknowledgement, and a store reopened on the same Dir
@@ -329,14 +323,8 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	kcfg := kvstore.ClusterConfig{
 		Nodes:             cfg.Nodes,
 		ReplicationFactor: cfg.ReplicationFactor,
-		NetworkRTT:        cfg.NetworkRTT,
-		RTTJitter:         cfg.RTTJitter,
-		Seed:              cfg.Seed,
 		Dir:               cfg.Dir,
-		Node: kvstore.NodeConfig{
-			MemtableFlushBytes:  cfg.MemtableFlushBytes,
-			CompactionThreshold: cfg.CompactionThreshold,
-		},
+		Node:              kvstore.NodeConfig{MemtableFlushBytes: cfg.MemtableFlushBytes},
 	}
 	if !cfg.NoDevice {
 		p := storage.HDD()
