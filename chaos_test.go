@@ -35,7 +35,7 @@ func startChaosApp(t *testing.T, app func() *muppet.App, threads int, members []
 	for i, m := range members {
 		all[m] = addrs[i]
 	}
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	nodes := make(map[string]muppet.Engine, len(members))
 	for _, m := range members {
 		peers := make(map[string]string, len(all)-1)

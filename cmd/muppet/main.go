@@ -62,7 +62,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "workers per function (engine 1; default = machines)")
 		engineV   = flag.Int("engine", 2, "engine version: 1 (process workers) or 2 (thread pool)")
 		persist   = flag.Bool("persist", true, "persist slates to a replicated key-value store")
-		ssd       = flag.Bool("ssd", true, "simulate SSDs (vs HDDs) for the store")
 		dataDir   = flag.String("data-dir", "", "durable store: keep slate data in LSM files under this directory (survives restarts); empty = in-memory")
 		httpAddr  = flag.String("http", "", "serve the slate-fetch API on this address while running (e.g. 127.0.0.1:8080)")
 		seed      = flag.Int64("seed", 2012, "workload seed")
@@ -115,7 +114,7 @@ func main() {
 		if dir != "" && *node != "" {
 			dir = filepath.Join(dir, *node)
 		}
-		store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, UseSSD: *ssd, Dir: dir})
+		store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, Dir: dir})
 		if err != nil {
 			log.Fatal(err)
 		}

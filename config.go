@@ -244,8 +244,6 @@ type StoreFileConfig struct {
 	ReplicationFactor int `json:"replication_factor,omitempty"`
 	// Consistency is "one", "quorum" or "all".
 	Consistency string `json:"consistency,omitempty"`
-	// Device is "ssd", "hdd" or "none".
-	Device string `json:"device,omitempty"`
 	// Dir, when set, makes the store durable: each node persists its
 	// rows in an LSM engine under a per-node subdirectory of Dir and
 	// recovers them when reopened on the same path. Empty keeps the
@@ -427,23 +425,10 @@ func (c *AppConfig) engineConfig() (Config, error) {
 		}
 		cfg.FlushEvery = d
 	}
-	if c.Store != nil {
-		s := *c.Store
-		scfg := StoreConfig{Nodes: s.Nodes, ReplicationFactor: s.ReplicationFactor, Dir: s.Dir}
-		switch s.Device {
-		case "", "ssd":
-			scfg.UseSSD = true
-		case "hdd":
-		case "none":
-			scfg.NoDevice = true
-		default:
-			return Config{}, fmt.Errorf("muppet: unknown store device %q", s.Device)
-		}
-		store, err := OpenStore(scfg)
-		if err != nil {
-			return Config{}, fmt.Errorf("muppet: open store: %w", err)
-		}
-		cfg.Store = store
+	if s := c.Store; s != nil {
+		// Every store key is checked before the store opens: a durable
+		// store opened for a configuration that then fails would be left
+		// open, holding its files.
 		switch s.Consistency {
 		case "one":
 			cfg.StoreLevel = One
@@ -454,6 +439,11 @@ func (c *AppConfig) engineConfig() (Config, error) {
 		default:
 			return Config{}, fmt.Errorf("muppet: unknown consistency %q", s.Consistency)
 		}
+		store, err := OpenStore(StoreConfig{Nodes: s.Nodes, ReplicationFactor: s.ReplicationFactor, Dir: s.Dir})
+		if err != nil {
+			return Config{}, fmt.Errorf("muppet: open store: %w", err)
+		}
+		cfg.Store = store
 	}
 	return cfg, nil
 }

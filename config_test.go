@@ -42,7 +42,7 @@ const wordCountConfig = `{
     {"kind": "update", "name": "U_count", "code": "counter", "subscribes": ["words"], "ttl": "72h"}
   ],
   "engine": {"version": 2, "machines": 2, "queue_policy": "drop", "flush_policy": "interval", "flush_every": "50ms"},
-  "store": {"nodes": 3, "replication_factor": 3, "consistency": "quorum", "device": "none"}
+  "store": {"nodes": 3, "replication_factor": 3, "consistency": "quorum"}
 }`
 
 func TestConfigBuildAndRun(t *testing.T) {
@@ -127,7 +127,6 @@ func TestConfigErrors(t *testing.T) {
 		{"bad policy", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{"queue_policy":"explode"}}`, "queue policy"},
 		{"bad flush", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{"flush_policy":"sometimes"}}`, "flush policy"},
 		{"bad flush_every", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{"flush_every":"often"}}`, "flush_every"},
-		{"bad device", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{},"store":{"device":"tape"}}`, "device"},
 		{"bad consistency", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{},"store":{"consistency":"hopeful"}}`, "consistency"},
 		{"invalid graph", `{"name":"x","inputs":["S1"],"functions":[{"kind":"update","name":"U","code":"counter","subscribes":["ghost"]}],"engine":{}}`, "ghost"},
 	}
@@ -139,6 +138,25 @@ func TestConfigErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: err = %v, want containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestConfigBuildFailureOpensNoStore: Build checks every store key
+// before it opens the store, so a configuration it rejects leaves no
+// durable store open and no node directory behind.
+func TestConfigBuildFailureOpensNoStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg, err := muppet.ParseAppConfig([]byte(`{"name":"x","inputs":["S1"],
+	  "functions":[{"kind":"update","name":"U","code":"counter","subscribes":["S1"]}],"engine":{},
+	  "store":{"consistency":"bogus","dir":` + strconv.Quote(dir) + `}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cfg.Build(testRegistry()); err == nil || !strings.Contains(err.Error(), "consistency") {
+		t.Fatalf("Build err = %v, want the bad consistency named", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "node-00")); !os.IsNotExist(err) {
+		t.Fatalf("failed Build left %s/node-00 behind (stat err %v)", dir, err)
 	}
 }
 
@@ -215,6 +233,7 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"warm_limit", `"engine": {"recovery": {"warm_limit": 500}}`},
 		{"disable_wal_replay", `"engine": {"recovery": {"disable_wal_replay": true}}`},
 		{"replay_log", `"engine": {"replay_log": true}`},
+		{"device", `"store": {"device": "hdd"}`},
 		{"dedup_window", `"network": {"nodes": {}, "dedup_window": 512}`},
 		{"send_retry_max_backoff", `"network": {"nodes": {}, "send_retry_max_backoff": "40ms"}`},
 		{"machnes", `"engine": {"machnes": 4}`},

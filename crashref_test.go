@@ -43,7 +43,7 @@ func TestCrashSlatesEqualReferenceOverUnloggedEvents(t *testing.T) {
 		version muppet.EngineVersion
 	}{{"engine1", muppet.EngineV1}, {"engine2", muppet.EngineV2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+			store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 			eng, err := muppet.NewEngine(keyCountApp(), muppet.Config{
 				Engine: tc.version, Machines: 4, WorkersPerFunction: 4, ThreadsPerMachine: 2,
 				Store: store, StoreLevel: muppet.Quorum, FlushPolicy: muppet.WriteThrough,

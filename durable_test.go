@@ -22,7 +22,7 @@ import (
 // engine standing in for Cassandra.
 
 func durableStoreConfig(dir string) muppet.StoreConfig {
-	return muppet.StoreConfig{Nodes: 3, ReplicationFactor: 2, NoDevice: true, Dir: dir}
+	return muppet.StoreConfig{Nodes: 3, ReplicationFactor: 2, Dir: dir}
 }
 
 func TestDurableStoreSurvivesRestart(t *testing.T) {

@@ -121,7 +121,7 @@ func ExampleUpdateFunc() {
 // story. Typed slates are stored as plain codec output (here JSON), so
 // a restarted engine decodes them straight back into live objects.
 func ExampleNewStore() {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	count := muppet.Update[int]("U", func(emit muppet.Emitter, in muppet.Event, n *int) {
 		*n++
 	})

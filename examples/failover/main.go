@@ -37,7 +37,7 @@ func main() {
 }
 
 func run(n int, victim string) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, UseSSD: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(muppetapps.RetailerApp(), muppet.Config{
 		Machines:      6,
 		Store:         store,

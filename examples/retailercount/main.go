@@ -28,10 +28,9 @@ func main() {
 		version = muppet.EngineV1
 	}
 
-	// The durable slate store: a 3-node replicated cluster on simulated
-	// SSDs, quorum reads/writes — the configuration Section 4.2
-	// describes.
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, UseSSD: true})
+	// The durable slate store: a 3-node replicated cluster with quorum
+	// reads/writes — the configuration Section 4.2 describes.
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 
 	eng, err := muppet.NewEngine(muppetapps.RetailerApp(), muppet.Config{
 		Engine:      version,

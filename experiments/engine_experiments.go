@@ -202,7 +202,7 @@ func E05CacheWorkingSet(s Scale) Table {
 		return muppet.NewApp("ws").Input("S1").AddUpdate(muppetapps.Counting("U"), []string{"S1"}, nil, 0)
 	}
 	store := func() *muppet.Store {
-		return muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+		return muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	}
 	type variant struct {
 		name string

@@ -1,22 +1,24 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"muppet"
 	"muppet/internal/clock"
 	"muppet/internal/kvstore"
-	"muppet/internal/storage"
+	"muppet/internal/lsm"
 	"muppet/muppetapps"
 )
 
 // E08SSDvsHDD reproduces the §4.2 argument for running the slate store
 // on SSDs: warming an empty slate cache triggers a burst of random
 // row fetches, and compactions consume additional I/O capacity; a
-// spinning disk's per-seek cost makes both far more expensive. The
-// simulated devices charge each operation from a seek+bandwidth cost
-// model; the reported figures are the devices' accumulated busy time.
+// spinning disk's per-seek cost makes both far more expensive. One LSM
+// engine runs the workload and counts its real I/O: the segment reads
+// and bytes of the cold fetches, the bytes a full compaction reads and
+// writes. Each device profile turns those counts into busy time.
 func E08SSDvsHDD(s Scale) Table {
 	t := Table{
 		ID:     "E08",
@@ -26,46 +28,76 @@ func E08SSDvsHDD(s Scale) Table {
 	}
 	rows := s.N(20_000)
 	reads := s.N(5_000)
-	for _, profile := range []storage.Profile{storage.SSD(), storage.HDD()} {
-		p := profile
-		cl := kvstore.NewCluster(kvstore.ClusterConfig{
-			Nodes: 1, ReplicationFactor: 1,
-			DeviceProfile: &p,
-			Node:          kvstore.NodeConfig{MemtableFlushBytes: 256 << 10, CompactionThreshold: 1 << 30},
-		})
-		slateBlob := make([]byte, 256)
-		for i := 0; i < rows; i++ {
-			cl.Put(fmt.Sprintf("user%06d", i), "U", slateBlob, 0, kvstore.One)
+	eng, err := lsm.Open("/e08", lsm.Options{FS: lsm.NewMemFS(), MemtableFlushBytes: 256 << 10, DisableAutoCompact: true})
+	if err != nil {
+		panic(err)
+	}
+	defer eng.Close()
+	// A slate row is keyed by user and updater column; every row is one
+	// put, as a write-through flusher issues them.
+	rowKey := func(i int) string { return fmt.Sprintf("user%06d/U", i) }
+	writeTime := time.Date(2012, 8, 27, 0, 0, 0, 0, time.UTC)
+	slateBlob := make([]byte, 256)
+	for i := 0; i < rows; i++ {
+		if _, err := eng.Put([]lsm.Row{{Key: rowKey(i), Value: slateBlob, WriteTime: writeTime}}); err != nil {
+			panic(err)
 		}
-		cl.FlushAll()
-		node := cl.Node("node-00")
-		dev := devOf(cl)
-		dev.Reset()
-		// Cold start: the slate cache is empty, so every fetch is a
-		// random row read against the store.
-		for i := 0; i < reads; i++ {
-			key := fmt.Sprintf("user%06d", (i*7919)%rows)
-			if _, _, found, _, err := node.Get(key, "U"); err != nil || !found {
-				panic(fmt.Sprintf("cold read lost row %s: %v", key, err))
-			}
+	}
+	if _, err := eng.Flush(); err != nil {
+		panic(err)
+	}
+	// Cold start: the slate cache is empty, so every fetch is a random
+	// row read against the store.
+	start := eng.Stats()
+	for i := 0; i < reads; i++ {
+		key := rowKey((i * 7919) % rows)
+		if _, found, _, err := eng.Get(key); err != nil || !found {
+			panic(fmt.Sprintf("cold read lost row %s: %v", key, err))
 		}
-		readBusy := dev.Stats().BusyTime
+	}
+	cold := eng.Stats()
+	if _, _, err := eng.Compact(); err != nil {
+		panic(err)
+	}
+	compacted := eng.Stats()
+	// A read the memtable answers costs nothing; any other is one seek
+	// plus the bytes it read off segments. A compaction is a sequential
+	// read of every segment and a sequential write of the merged one.
+	segmentReads := (cold.Reads - cold.ReadsFromMem) - (start.Reads - start.ReadsFromMem)
+	for _, d := range disks {
+		readBusy := time.Duration(segmentReads)*d.seek + d.read(cold.BytesRead-start.BytesRead)
 		perRead := time.Duration(0)
 		if reads > 0 {
 			perRead = readBusy / time.Duration(reads)
 		}
-		dev.Reset()
-		node.Compact()
-		compactBusy := dev.Stats().BusyTime
-		t.Add(p.Name, rows, reads, readBusy, perRead, compactBusy)
+		compactBusy := 2*d.seek + d.read(compacted.BytesRead-cold.BytesRead) + d.write(compacted.BytesWritten-cold.BytesWritten)
+		t.Add(d.name, rows, reads, readBusy, perRead, compactBusy)
 	}
 	t.Note("HDD pays ~8ms seek per uncached row read; at a few thousand cold fetches/s that alone exceeds one disk's capacity")
 	return t
 }
 
-// devOf digs the single node's device out of a one-node cluster.
-func devOf(cl *kvstore.Cluster) *storage.Device {
-	return cl.Node("node-00").Device()
+// disk is a block device's cost model: a seek charged once per I/O
+// operation, and sequential transfer rates in bytes per second.
+type disk struct {
+	name            string
+	seek            time.Duration
+	readBW, writeBW float64
+}
+
+// disks are E08's two profiles: the 2012-era SATA flash the paper
+// deployed (~100µs access, several hundred MB/s) and a 7200rpm SATA
+// disk (~8ms seek and rotate, ~150MB/s).
+var disks = []disk{
+	{name: "ssd", seek: 100 * time.Microsecond, readBW: 500 << 20, writeBW: 300 << 20},
+	{name: "hdd", seek: 8 * time.Millisecond, readBW: 150 << 20, writeBW: 150 << 20},
+}
+
+func (d disk) read(n int64) time.Duration  { return transfer(n, d.readBW) }
+func (d disk) write(n int64) time.Duration { return transfer(n, d.writeBW) }
+
+func transfer(n int64, bw float64) time.Duration {
+	return time.Duration(float64(n) / bw * float64(time.Second))
 }
 
 // E09FlushPolicy reproduces the §4.2 flushing spectrum ("from
@@ -89,7 +121,7 @@ func E09FlushPolicy(s Scale) Table {
 		{"interval 50ms", muppet.FlushInterval, 50 * time.Millisecond},
 		{"on-evict only", muppet.FlushOnEvict, 0},
 	} {
-		store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+		store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 		eng, err := muppet.NewEngine(counterOnlyApp(), muppet.Config{
 			Machines: 2, Store: store, StoreLevel: muppet.One,
 			FlushPolicy: pol.policy, FlushEvery: pol.every,
@@ -195,8 +227,9 @@ func E11TTL(s Scale) Table {
 			}
 			fake.Advance(24 * time.Hour)
 		}
-		cl.FlushAll()
-		cl.CompactAll()
+		if err := errors.Join(cl.FlushAll(), cl.CompactAll()); err != nil {
+			panic(err)
+		}
 		live := cl.TotalStats().LiveRows
 		name := "forever"
 		if ttl > 0 {

@@ -30,7 +30,7 @@ func E12Failure(s Scale) Table {
 
 	// Detect-on-send (Muppet).
 	{
-		store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+		store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 		eng, err := muppet.NewEngine(muppetapps.RetailerApp(), muppet.Config{
 			Machines: 8, Store: store, StoreLevel: muppet.Quorum,
 			FlushPolicy: muppet.WriteThrough, QueueCapacity: 1 << 16,
@@ -329,7 +329,7 @@ func E17SlateSize(s Scale) Table {
 			panic(err)
 		}
 		store, err := muppet.OpenStore(muppet.StoreConfig{
-			Nodes: 1, ReplicationFactor: 1, NoDevice: true,
+			Nodes: 1, ReplicationFactor: 1,
 			Dir: dir, MemtableFlushBytes: 256 << 10,
 		})
 		if err != nil {

@@ -36,7 +36,7 @@ func TestEvictingCacheUnderIntervalFlushMatchesReference(t *testing.T) {
 		version muppet.EngineVersion
 	}{{"engine1", muppet.EngineV1}, {"engine2", muppet.EngineV2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true, Dir: t.TempDir()})
+			store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

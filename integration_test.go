@@ -81,7 +81,7 @@ func TestHTTPStatusEndToEnd(t *testing.T) {
 }
 
 func TestBulkSlateDumpEndToEnd(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng := startRetailer(t, muppet.Config{
 		Machines: 3, Store: store, StoreLevel: muppet.Quorum,
 		FlushPolicy: muppet.FlushInterval, FlushEvery: time.Hour, // flusher idle: dump must flush
@@ -133,7 +133,7 @@ func TestBulkDumpWithoutStore404s(t *testing.T) {
 }
 
 func TestStoredSlatesMatchCacheAfterFlush(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	eng := startRetailer(t, muppet.Config{
 		Machines: 2, Store: store, StoreLevel: muppet.One,
 		FlushPolicy: muppet.FlushInterval, FlushEvery: time.Hour,
@@ -154,7 +154,7 @@ func TestStoredSlatesMatchCacheAfterFlush(t *testing.T) {
 }
 
 func TestEngine1BulkDump(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	eng := startRetailer(t, muppet.Config{
 		Engine: muppet.EngineV1, Machines: 2,
 		Store: store, StoreLevel: muppet.One,
@@ -172,7 +172,7 @@ func TestEngine1BulkDump(t *testing.T) {
 // API: persist at quorum, kill a machine, keep streaming, verify the
 // counts recover from the store on the new owner.
 func TestCrashRecoveryEndToEnd(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(muppetapps.RetailerApp(), muppet.Config{
 		Machines: 6, Store: store, StoreLevel: muppet.Quorum,
 		FlushPolicy: muppet.WriteThrough, QueueCapacity: 1 << 15,

@@ -316,7 +316,7 @@ func TestSlateTTLConfiguredPerUpdater(t *testing.T) {
 	e.Stop()
 	// The row must carry the updater's TTL.
 	n := store.Node("node-00")
-	_, row, found, _, _ := n.Get("k", "U")
+	_, row, found, _ := n.Get("k", "U")
 	if !found || row.TTL != time.Minute {
 		t.Fatalf("row TTL = %v found=%v, want 1m", row.TTL, found)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"muppet/internal/storage"
 )
 
 func TestNodePutBatchWritesAllRows(t *testing.T) {
@@ -16,11 +14,11 @@ func TestNodePutBatchWritesAllRows(t *testing.T) {
 		{Key: "b", Column: "U", Value: []byte("2")},
 		{Key: "c", Column: "V", Value: []byte("3"), TTL: time.Hour},
 	}
-	if _, err := n.PutBatch(entries); err != nil {
+	if err := n.PutBatch(entries); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		v, _, found, _, err := n.Get(e.Key, e.Column)
+		v, _, found, err := n.Get(e.Key, e.Column)
 		if err != nil || !found || string(v) != string(e.Value) {
 			t.Fatalf("%s/%s = %q, %v, %v", e.Key, e.Column, v, found, err)
 		}
@@ -30,38 +28,38 @@ func TestNodePutBatchWritesAllRows(t *testing.T) {
 func TestNodePutBatchDown(t *testing.T) {
 	n := NewNode("n0", NodeConfig{})
 	n.SetDown(true)
-	_, err := n.PutBatch([]BatchEntry{{Key: "a", Column: "U", Value: []byte("1")}})
+	err := n.PutBatch([]BatchEntry{{Key: "a", Column: "U", Value: []byte("1")}})
 	var down ErrNodeDown
 	if !errors.As(err, &down) {
 		t.Fatalf("err = %v, want ErrNodeDown", err)
 	}
 }
 
+// TestNodePutBatchAmortizesSeeks: one batch of 100 rows is one WAL
+// record and one fsync; 100 singleton puts are 100 of each. The fsync
+// is the per-commit device round trip that group commit amortizes.
 func TestNodePutBatchAmortizesSeeks(t *testing.T) {
-	// One batch of 100 rows pays one commit-log seek; 100 singleton
-	// puts pay 100. On the HDD profile that is the difference between
-	// ~8ms and ~800ms of simulated device time.
-	profile := storage.HDD()
-	batched := NewNode("b", NodeConfig{Device: storage.NewDevice(profile)})
+	batched := testNode(t, NodeConfig{})
 	var entries []BatchEntry
 	for i := 0; i < 100; i++ {
 		entries = append(entries, BatchEntry{Key: fmt.Sprintf("k%d", i), Column: "U", Value: []byte("v")})
 	}
-	batchCost, err := batched.PutBatch(entries)
-	if err != nil {
+	before := batched.eng.Stats().Fsyncs
+	if err := batched.PutBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	single := NewNode("s", NodeConfig{Device: storage.NewDevice(profile)})
-	var singleCost time.Duration
+	if got := batched.eng.Stats().Fsyncs - before; got != 1 {
+		t.Fatalf("100-row batch issued %d fsyncs, want 1", got)
+	}
+	single := testNode(t, NodeConfig{})
+	before = single.eng.Stats().Fsyncs
 	for _, e := range entries {
-		c, err := single.Put(e.Key, e.Column, e.Value, 0)
-		if err != nil {
+		if err := single.Put(e.Key, e.Column, e.Value, 0); err != nil {
 			t.Fatal(err)
 		}
-		singleCost += c
 	}
-	if batchCost*10 > singleCost {
-		t.Fatalf("batch cost %v not ~100x cheaper than %v", batchCost, singleCost)
+	if got := single.eng.Stats().Fsyncs - before; got != 100 {
+		t.Fatalf("100 singleton puts issued %d fsyncs, want 100", got)
 	}
 }
 

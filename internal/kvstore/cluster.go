@@ -13,7 +13,6 @@ import (
 	"muppet/internal/clock"
 	"muppet/internal/hashring"
 	"muppet/internal/lsm"
-	"muppet/internal/storage"
 )
 
 // Consistency is the quorum level for cluster reads and writes,
@@ -81,12 +80,8 @@ type ClusterConfig struct {
 	// Dir recovers every node's acknowledged rows. Empty runs each node
 	// over its own in-memory filesystem.
 	Dir string
-	// Node is the per-node configuration template. Each node gets its
-	// own device instance with the same profile.
+	// Node is the per-node configuration template.
 	Node NodeConfig
-	// DeviceProfile, when set, gives every node a fresh simulated
-	// device with this profile (overrides Node.Device).
-	DeviceProfile *storage.Profile
 	// Clock supplies time; nil means the real clock.
 	Clock clock.Clock
 }
@@ -146,9 +141,6 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 		names = append(names, name)
 		ncfg := cfg.Node
 		ncfg.Clock = cfg.Clock
-		if cfg.DeviceProfile != nil {
-			ncfg.Device = storage.NewDevice(*cfg.DeviceProfile)
-		}
 		if cfg.Dir != "" {
 			ncfg.Dir = filepath.Join(cfg.Dir, name)
 		}
@@ -283,12 +275,11 @@ func (c *Cluster) Put(key, column string, value []byte, ttl time.Duration, level
 	var lats []time.Duration
 	acks := 0
 	for _, name := range reps {
-		cost, err := c.nodes[name].Put(key, column, value, ttl)
-		if err != nil {
+		if err := c.nodes[name].Put(key, column, value, ttl); err != nil {
 			continue
 		}
 		acks++
-		lats = append(lats, c.cfg.NetworkRTT+c.jitter()+cost)
+		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
 	}
 	if acks < need {
 		return 0, fmt.Errorf("%w: got %d acks, need %d", ErrUnavailable, acks, need)
@@ -327,14 +318,13 @@ func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Durati
 	acks := make([]int, len(entries))
 	var maxLat time.Duration
 	for _, name := range names {
-		cost, err := c.nodes[name].PutBatch(perNode[name])
-		if err != nil {
+		if err := c.nodes[name].PutBatch(perNode[name]); err != nil {
 			continue
 		}
 		for _, i := range perNodeIdx[name] {
 			acks[i]++
 		}
-		if lat := c.cfg.NetworkRTT + c.jitter() + cost; lat > maxLat {
+		if lat := c.cfg.NetworkRTT + c.jitter(); lat > maxLat {
 			maxLat = lat
 		}
 	}
@@ -365,12 +355,12 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 	var lats []time.Duration
 	var replies []reply
 	for _, name := range reps {
-		v, row, found, cost, err := c.nodes[name].Get(key, column)
+		v, row, found, err := c.nodes[name].Get(key, column)
 		if err != nil {
 			continue
 		}
 		replies = append(replies, reply{name, v, row, found})
-		lats = append(lats, c.cfg.NetworkRTT+c.jitter()+cost)
+		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
 		if len(replies) == need {
 			break
 		}
@@ -393,11 +383,16 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 		return nil, false, lat, nil
 	}
 	winner := replies[best]
-	// Read repair: push the newest version to replicas that returned an
-	// older one.
+	// Read repair: copy the newest version, write time and TTL as
+	// stored, to replicas whose version is older (an absent row has the
+	// zero write time). A newer tombstone or expired row is left alone:
+	// the repaired copy would shadow it. Repair is best effort: a
+	// replica that misses it is repaired by a later read.
 	for _, r := range replies {
-		if r.node != winner.node && (!r.found || r.row.WriteTime.Before(winner.row.WriteTime)) {
-			c.nodes[r.node].Put(key, column, winner.value, winner.row.TTL)
+		if r.node != winner.node && r.row.WriteTime.Before(winner.row.WriteTime) {
+			row := winner.row
+			row.Value = append([]byte(nil), row.Value...)
+			c.nodes[r.node].write([]lsm.Row{row}, false)
 		}
 	}
 	return winner.value, true, lat, nil
@@ -411,12 +406,11 @@ func (c *Cluster) Delete(key, column string, level Consistency) (time.Duration, 
 	var lats []time.Duration
 	acks := 0
 	for _, name := range reps {
-		cost, err := c.nodes[name].Delete(key, column)
-		if err != nil {
+		if err := c.nodes[name].Delete(key, column); err != nil {
 			continue
 		}
 		acks++
-		lats = append(lats, c.cfg.NetworkRTT+c.jitter()+cost)
+		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
 	}
 	if acks < need {
 		return 0, fmt.Errorf("%w: got %d acks, need %d", ErrUnavailable, acks, need)
@@ -424,18 +418,24 @@ func (c *Cluster) Delete(key, column string, level Consistency) (time.Duration, 
 	return kthFastest(lats, need), nil
 }
 
-// FlushAll forces every node's memtable to disk.
-func (c *Cluster) FlushAll() {
+// FlushAll forces every node's memtable to disk, and reports every
+// node's failure.
+func (c *Cluster) FlushAll() error {
+	var errs []error
 	for _, n := range c.nodes {
-		n.Flush()
+		errs = append(errs, n.Flush())
 	}
+	return errors.Join(errs...)
 }
 
-// CompactAll forces a full compaction on every node.
-func (c *Cluster) CompactAll() {
+// CompactAll forces a full compaction on every node, and reports every
+// node's failure.
+func (c *Cluster) CompactAll() error {
+	var errs []error
 	for _, n := range c.nodes {
-		n.Compact()
+		errs = append(errs, n.Compact())
 	}
+	return errors.Join(errs...)
 }
 
 // TotalStats sums node statistics across the cluster.

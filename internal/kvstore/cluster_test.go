@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"muppet/internal/clock"
 	"muppet/internal/hashring"
-	"muppet/internal/storage"
 )
 
 func testCluster(nodes, rf int) *Cluster {
@@ -39,7 +39,7 @@ func TestReplicationFactorRespected(t *testing.T) {
 	c.Put("k", "U", []byte("v"), 0, All)
 	holders := 0
 	for _, name := range c.Nodes() {
-		if _, _, found, _, _ := c.Node(name).Get("k", "U"); found {
+		if _, _, found, _ := c.Node(name).Get("k", "U"); found {
 			holders++
 		}
 	}
@@ -159,9 +159,67 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 			t.Fatalf("read %d after repair: %q found=%v err=%v", i, v, found, err)
 		}
 	}
-	v, _, found, _, _ := c.Node(reps[2]).Get("k", "U")
+	v, _, found, _ := c.Node(reps[2]).Get("k", "U")
 	if !found || string(v) != "v2" {
 		t.Fatalf("stale replica not repaired: %q found=%v", v, found)
+	}
+}
+
+// TestReadRepairKeepsWriteTimeAndTTL: repair copies the winning row as
+// stored, so a row repaired onto the replica that missed its write
+// expires with its source, not a TTL after the repair.
+func TestReadRepairKeepsWriteTimeAndTTL(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	fake := clock.NewFake(t0)
+	c := NewCluster(ClusterConfig{Nodes: 3, ReplicationFactor: 3, Clock: fake})
+	c.KillNode("node-02")
+	if _, err := c.Put("k", "U", []byte("v"), 10*time.Second, Quorum); err != nil {
+		t.Fatal(err)
+	}
+	c.ReviveNode("node-02")
+	fake.Advance(5 * time.Second)
+	if _, found, _, err := c.Get("k", "U", All); err != nil || !found {
+		t.Fatalf("read at 5s: found=%v err=%v", found, err)
+	}
+	_, row, found, _ := c.Node("node-02").Get("k", "U")
+	if !found || !row.WriteTime.Equal(t0) || row.TTL != 10*time.Second {
+		t.Fatalf("repaired row: found=%v write time %v ttl %v, want %v and 10s", found, row.WriteTime, row.TTL, t0)
+	}
+	fake.Advance(6 * time.Second)
+	if _, found, _, err := c.Get("k", "U", All); err != nil || found {
+		t.Fatalf("read at 11s, past the 10s TTL: found=%v err=%v", found, err)
+	}
+	fake.Advance(8 * time.Second)
+	if _, found, _, err := c.Get("k", "U", Quorum); err != nil || found {
+		t.Fatalf("quorum read at 19s: found=%v err=%v", found, err)
+	}
+}
+
+// TestReadRepairLeavesNewerTombstone: a replica whose version is a
+// newer tombstone, flushed to a segment, is not repaired with an older
+// live version, which would shadow it from the memtable.
+func TestReadRepairLeavesNewerTombstone(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	c := NewCluster(ClusterConfig{Nodes: 3, ReplicationFactor: 3, Clock: fake})
+	if _, err := c.Put("k", "U", []byte("v"), 0, All); err != nil {
+		t.Fatal(err)
+	}
+	c.KillNode("node-02")
+	fake.Advance(time.Second)
+	if _, err := c.Delete("k", "U", Quorum); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	c.ReviveNode("node-02")
+	if _, _, _, err := c.Get("k", "U", All); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"node-00", "node-01"} {
+		if _, row, found, _ := c.Node(name).Get("k", "U"); found || !row.Tombstone {
+			t.Fatalf("%s after repair: found=%v tombstone=%v, want the tombstone", name, found, row.Tombstone)
+		}
 	}
 }
 
@@ -227,22 +285,6 @@ func TestTotalStatsAggregates(t *testing.T) {
 	}
 	if s.LiveRows != 3 {
 		t.Fatalf("LiveRows = %d, want 3 replicas", s.LiveRows)
-	}
-}
-
-func TestDeviceProfileAppliedPerNode(t *testing.T) {
-	p := storage.HDD()
-	c := NewCluster(ClusterConfig{Nodes: 2, ReplicationFactor: 1, DeviceProfile: &p})
-	c.Put("k", "U", []byte("v"), 0, One)
-	c.FlushAll()
-	var busy time.Duration
-	for _, n := range c.Nodes() {
-		// Get through sstable to charge reads.
-		c.Node(n).Get("k", "U")
-		busy += time.Duration(c.Node(n).cfg.Device.Stats().BusyTime)
-	}
-	if busy == 0 {
-		t.Fatal("HDD device never charged")
 	}
 }
 

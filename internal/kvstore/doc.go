@@ -22,7 +22,7 @@
 // The log-structured parts are not modelled here: every Node owns one
 // internal/lsm engine and this package adds what sits above a storage
 // engine — row-key composition, the down flag, replication and
-// consistency, and the device cost model. NodeConfig.Dir (or
+// consistency. NodeConfig.Dir (or
 // ClusterConfig.Dir) says where the engine keeps its files. With a
 // directory it runs over the operating system's filesystem: a node
 // reopened on the same directory recovers exactly its acknowledged
@@ -41,13 +41,11 @@
 // crash" mode; what a Muppet failure loses is the unflushed slate
 // changes in the cache above the store (§4.3).
 //
-// Real disks are replaced by the internal/storage cost model so that
-// the SSD-vs-HDD argument of §4.2 is measurable without hardware. The
-// model is charged with what the engine really did — commit-log bytes
-// per put, the block bytes a segment probe read (a memtable hit is
-// free), the bytes a flush or a forced compaction wrote — and never
-// sleeps; the engine's own byte and fsync counts are reported beside it
-// in NodeStats.
+// No disk is simulated: a node's I/O is what its engine really did,
+// and NodeStats reports the engine's fsync, byte and segment-probe
+// counts. The one simulated cost is the network: NetworkRTT and
+// RTTJitter give each replica request a deterministic delay, and an
+// operation reports the k-th fastest replica's (experiment E10).
 //
 // # Contract
 //
@@ -55,7 +53,9 @@
 // hashing and answers Put/Get/Delete at the requested consistency
 // level; an operation succeeds once the required number of replicas
 // acknowledge, and fails when live replicas are insufficient. Reads
-// resolve replica divergence by last-write-wins on write timestamp.
+// resolve replica divergence by last-write-wins on write timestamp,
+// and read repair copies the winning row, its write time and TTL
+// unchanged, to the replicas that answered with an older version.
 // In a multi-process Muppet deployment each node runs its own store;
 // a shared store across engines stands in for the paper's shared
 // Cassandra cluster and is what cross-node slate reads rely on. An

@@ -38,23 +38,23 @@ func TestInMemoryAndDurableConformance(t *testing.T) {
 	// at different points in each node's lifetime.
 	for i := 0; i < 40; i++ {
 		k, v := fmt.Sprintf("slate-%02d", i), fmt.Sprintf("v%d", i)
-		step("put", func(n *Node) error { _, err := n.Put(k, "state", []byte(v), 0); return err })
+		step("put", func(n *Node) error { err := n.Put(k, "state", []byte(v), 0); return err })
 	}
-	step("flush", func(n *Node) error { n.Flush(); return nil })
-	step("overwrite", func(n *Node) error { _, err := n.Put("slate-00", "state", []byte("rewritten"), 0); return err })
-	step("delete", func(n *Node) error { _, err := n.Delete("slate-01", "state"); return err })
+	step("flush", func(n *Node) error { return n.Flush() })
+	step("overwrite", func(n *Node) error { err := n.Put("slate-00", "state", []byte("rewritten"), 0); return err })
+	step("delete", func(n *Node) error { err := n.Delete("slate-01", "state"); return err })
 	step("ttl put", func(n *Node) error {
-		_, err := n.Put("ephemeral", "state", []byte("temp"), time.Minute)
+		err := n.Put("ephemeral", "state", []byte("temp"), time.Minute)
 		return err
 	})
-	step("other column", func(n *Node) error { _, err := n.Put("slate-02", "meta", []byte("m"), 0); return err })
+	step("other column", func(n *Node) error { err := n.Put("slate-02", "meta", []byte("m"), 0); return err })
 
 	compare := func(label string) {
 		t.Helper()
 		for i := 0; i < 40; i++ {
 			k := fmt.Sprintf("slate-%02d", i)
-			mv, _, mok, _, merr := mem.Get(k, "state")
-			dv, _, dok, _, derr := dur.Get(k, "state")
+			mv, _, mok, merr := mem.Get(k, "state")
+			dv, _, dok, derr := dur.Get(k, "state")
 			if merr != nil || derr != nil {
 				t.Fatalf("%s: Get(%s): mem err %v, dur err %v", label, k, merr, derr)
 			}
@@ -62,8 +62,8 @@ func TestInMemoryAndDurableConformance(t *testing.T) {
 				t.Fatalf("%s: Get(%s) diverged: mem (%q,%v) vs durable (%q,%v)", label, k, mv, mok, dv, dok)
 			}
 		}
-		_, _, mok, _, _ := mem.Get("ephemeral", "state")
-		_, _, dok, _, _ := dur.Get("ephemeral", "state")
+		_, _, mok, _ := mem.Get("ephemeral", "state")
+		_, _, dok, _ := dur.Get("ephemeral", "state")
 		if mok != dok {
 			t.Fatalf("%s: TTL visibility diverged: mem %v vs durable %v", label, mok, dok)
 		}
@@ -99,8 +99,8 @@ func TestInMemoryAndDurableConformance(t *testing.T) {
 	compare("before expiry")
 	ck.Advance(2 * time.Minute) // expire "ephemeral" on both
 	compare("after expiry")
-	step("flush again", func(n *Node) error { n.Flush(); return nil })
-	step("compact", func(n *Node) error { n.Compact(); return nil })
+	step("flush again", func(n *Node) error { return n.Flush() })
+	step("compact", func(n *Node) error { return n.Compact() })
 	compare("after compaction")
 
 	ms, ds := mem.Stats(), dur.Stats()
@@ -125,12 +125,12 @@ func TestDurableNodeReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := n.Put(fmt.Sprintf("k%d", i), "state", []byte("v"), 0); err != nil {
+		if err := n.Put(fmt.Sprintf("k%d", i), "state", []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n.Flush()
-	if _, err := n.Put("unflushed", "state", []byte("wal-only"), 0); err != nil {
+	if err := n.Put("unflushed", "state", []byte("wal-only"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Close(); err != nil {
@@ -143,11 +143,11 @@ func TestDurableNodeReopen(t *testing.T) {
 	}
 	defer n.Close()
 	for i := 0; i < 10; i++ {
-		if _, _, ok, _, _ := n.Get(fmt.Sprintf("k%d", i), "state"); !ok {
+		if _, _, ok, _ := n.Get(fmt.Sprintf("k%d", i), "state"); !ok {
 			t.Fatalf("k%d lost across restart", i)
 		}
 	}
-	v, _, ok, _, _ := n.Get("unflushed", "state")
+	v, _, ok, _ := n.Get("unflushed", "state")
 	if !ok || string(v) != "wal-only" {
 		t.Fatal("WAL-only row lost across restart")
 	}

@@ -8,7 +8,6 @@ import (
 
 	"muppet/internal/clock"
 	"muppet/internal/lsm"
-	"muppet/internal/storage"
 )
 
 // rowKey composes the <key, column> pair into a single map key. The
@@ -38,10 +37,6 @@ type NodeConfig struct {
 	// acknowledgement. Empty runs the same engine over a private
 	// in-memory filesystem (lsm.MemFS) that lives as long as the node.
 	Dir string
-	// Device models the node's disk; nil means a free (instant) device.
-	// It is a simulated cost model charged with the engine's real byte
-	// counts; those are reported separately in NodeStats.
-	Device *storage.Device
 	// Clock supplies time for TTL bookkeeping; nil means the real clock.
 	Clock clock.Clock
 }
@@ -52,9 +47,6 @@ func (c *NodeConfig) fill() {
 	}
 	if c.CompactionThreshold <= 0 {
 		c.CompactionThreshold = 4
-	}
-	if c.Device == nil {
-		c.Device = storage.NewDevice(storage.Profile{Name: "null"})
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
@@ -138,9 +130,6 @@ func (n *Node) Close() error { return n.eng.Close() }
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
 
-// Device returns the node's simulated storage device.
-func (n *Node) Device() *storage.Device { return n.cfg.Device }
-
 // SetDown marks the node crashed (true) or recovered (false). A node
 // that recovers serves every row it acknowledged, flushed or not: each
 // was in the write-ahead log before its put returned, like a Cassandra
@@ -172,32 +161,29 @@ type ErrNodeDown struct{ Node string }
 func (e ErrNodeDown) Error() string { return "kvstore: node " + e.Node + " is down" }
 
 // Put writes value at <key, column> with the given TTL (0 = forever).
-// It returns the simulated device time consumed.
-func (n *Node) Put(key, column string, value []byte, ttl time.Duration) (time.Duration, error) {
+func (n *Node) Put(key, column string, value []byte, ttl time.Duration) error {
+	return n.write([]lsm.Row{{Key: rowKey(key, column), Value: append([]byte(nil), value...), TTL: ttl}}, true)
+}
+
+// write hands rows to the engine as one WAL group commit, synced
+// before acknowledgement. stamp sets each row's write time to the
+// node's clock; read repair writes another replica's row verbatim
+// instead (value, write time and TTL), so the repaired copy expires
+// when its source does.
+func (n *Node) write(rows []lsm.Row, stamp bool) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
-		return 0, ErrNodeDown{n.name}
+		return ErrNodeDown{n.name}
 	}
-	// Commit-log append: sequential write of the mutation.
-	cost := n.cfg.Device.SequentialWrite(int64(len(key) + len(column) + len(value)))
-	return n.putLocked(cost, []lsm.Row{{
-		Key: rowKey(key, column), Value: append([]byte(nil), value...), WriteTime: n.cfg.Clock.Now(), TTL: ttl,
-	}})
-}
-
-// putLocked forwards rows to the engine — one WAL group commit, synced
-// before acknowledgement — and folds any triggered memtable flush into
-// the simulated device cost.
-func (n *Node) putLocked(cost time.Duration, rows []lsm.Row) (time.Duration, error) {
-	flushed, err := n.eng.Put(rows)
-	if err != nil {
-		return 0, err
+	if stamp {
+		now := n.cfg.Clock.Now()
+		for i := range rows {
+			rows[i].WriteTime = now
+		}
 	}
-	if flushed > 0 {
-		cost += n.cfg.Device.SequentialWrite(flushed)
-	}
-	return cost, nil
+	_, err := n.eng.Put(rows)
+	return err
 }
 
 // BatchEntry is one write inside a multi-put batch.
@@ -210,95 +196,65 @@ type BatchEntry struct {
 }
 
 // PutBatch applies a batch of writes under a single lock acquisition
-// and a single commit-log append — the group-commit device win: the
-// per-operation seek is paid once for the whole batch instead of once
-// per row. It returns the simulated device time consumed.
-func (n *Node) PutBatch(entries []BatchEntry) (time.Duration, error) {
+// and a single commit-log append: one WAL record and one fsync for the
+// whole batch instead of one per row.
+func (n *Node) PutBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
-		return 0, nil
+		return nil
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return 0, ErrNodeDown{n.name}
-	}
-	now := n.cfg.Clock.Now()
-	var logBytes int64
-	for _, e := range entries {
-		logBytes += int64(len(e.Key) + len(e.Column) + len(e.Value))
-	}
-	cost := n.cfg.Device.SequentialWrite(logBytes)
 	rows := make([]lsm.Row, len(entries))
 	for i, e := range entries {
-		rows[i] = lsm.Row{Key: rowKey(e.Key, e.Column), Value: append([]byte(nil), e.Value...), WriteTime: now, TTL: e.TTL}
+		rows[i] = lsm.Row{Key: rowKey(e.Key, e.Column), Value: append([]byte(nil), e.Value...), TTL: e.TTL}
 	}
-	return n.putLocked(cost, rows)
+	return n.write(rows, true)
 }
 
 // Delete writes a tombstone for <key, column>.
-func (n *Node) Delete(key, column string) (time.Duration, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return 0, ErrNodeDown{n.name}
-	}
-	cost := n.cfg.Device.SequentialWrite(int64(len(key) + len(column)))
-	return n.putLocked(cost, []lsm.Row{{Key: rowKey(key, column), WriteTime: n.cfg.Clock.Now(), Tombstone: true}})
+func (n *Node) Delete(key, column string) error {
+	return n.write([]lsm.Row{{Key: rowKey(key, column), Tombstone: true}}, true)
 }
 
 // Get reads <key, column>, returning the value and the stored row
 // (write time and TTL, for read repair). The boolean reports whether a
 // live row was found. Expired and tombstoned rows read as absent.
-func (n *Node) Get(key, column string) ([]byte, lsm.Row, bool, time.Duration, error) {
+func (n *Node) Get(key, column string) ([]byte, lsm.Row, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
-		return nil, lsm.Row{}, false, 0, ErrNodeDown{n.name}
+		return nil, lsm.Row{}, false, ErrNodeDown{n.name}
 	}
-	r, ok, bytesRead, err := n.eng.Get(rowKey(key, column))
+	r, ok, _, err := n.eng.Get(rowKey(key, column))
 	if err != nil {
-		return nil, lsm.Row{}, false, 0, err
-	}
-	// A read the memtable answers is free; a segment probe costs a
-	// device read of the block it fetched, hit or bloom false positive.
-	var cost time.Duration
-	if bytesRead > 0 {
-		cost = n.cfg.Device.Read(bytesRead)
+		return nil, lsm.Row{}, false, err
 	}
 	if !ok || r.Deleted(n.cfg.Clock.Now()) {
-		return nil, r, false, cost, nil
+		return nil, r, false, nil
 	}
-	return r.Value, r, true, cost, nil
+	return r.Value, r, true, nil
 }
 
-// Flush forces the memtable to disk as a new sstable and returns the
-// simulated device time.
-func (n *Node) Flush() time.Duration {
+// Flush forces the memtable to disk as a new sstable. A down node
+// flushes nothing.
+func (n *Node) Flush() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
-		return 0
+		return nil
 	}
-	written, err := n.eng.Flush()
-	if err != nil || written == 0 {
-		return 0
-	}
-	return n.cfg.Device.SequentialWrite(written)
+	_, err := n.eng.Flush()
+	return err
 }
 
 // Compact merges all sstables into one, dropping tombstones and
-// TTL-expired rows, and returns the simulated device time.
-func (n *Node) Compact() time.Duration {
+// TTL-expired rows. A down node compacts nothing.
+func (n *Node) Compact() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
-		return 0
+		return nil
 	}
-	read, written, err := n.eng.Compact()
-	if err != nil {
-		return 0
-	}
-	return n.cfg.Device.Read(read) + n.cfg.Device.SequentialWrite(written)
+	_, _, err := n.eng.Compact()
+	return err
 }
 
 // Stats returns a snapshot of the node's internals, including a merged

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"muppet/internal/clock"
-	"muppet/internal/storage"
 )
 
 func testNode(t *testing.T, cfg NodeConfig) *Node {
@@ -34,10 +33,10 @@ func onBothFilesystems(t *testing.T, cfg NodeConfig, fn func(t *testing.T, n *No
 
 func TestPutGetRoundTrip(t *testing.T) {
 	n := testNode(t, NodeConfig{})
-	if _, err := n.Put("user1", "U1", []byte("slate-data"), 0); err != nil {
+	if err := n.Put("user1", "U1", []byte("slate-data"), 0); err != nil {
 		t.Fatal(err)
 	}
-	v, _, found, _, err := n.Get("user1", "U1")
+	v, _, found, err := n.Get("user1", "U1")
 	if err != nil || !found {
 		t.Fatalf("Get: found=%v err=%v", found, err)
 	}
@@ -48,7 +47,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissingRow(t *testing.T) {
 	n := testNode(t, NodeConfig{})
-	_, _, found, _, err := n.Get("nope", "U1")
+	_, _, found, err := n.Get("nope", "U1")
 	if err != nil || found {
 		t.Fatalf("found=%v err=%v, want absent", found, err)
 	}
@@ -60,8 +59,8 @@ func TestColumnsAreIndependent(t *testing.T) {
 	n := testNode(t, NodeConfig{})
 	n.Put("k", "U1", []byte("one"), 0)
 	n.Put("k", "U2", []byte("two"), 0)
-	v1, _, _, _, _ := n.Get("k", "U1")
-	v2, _, _, _, _ := n.Get("k", "U2")
+	v1, _, _, _ := n.Get("k", "U1")
+	v2, _, _, _ := n.Get("k", "U2")
 	if string(v1) != "one" || string(v2) != "two" {
 		t.Fatalf("v1=%q v2=%q", v1, v2)
 	}
@@ -71,7 +70,7 @@ func TestOverwriteReturnsNewest(t *testing.T) {
 	n := testNode(t, NodeConfig{})
 	n.Put("k", "U", []byte("v1"), 0)
 	n.Put("k", "U", []byte("v2"), 0)
-	v, _, _, _, _ := n.Get("k", "U")
+	v, _, _, _ := n.Get("k", "U")
 	if string(v) != "v2" {
 		t.Fatalf("value = %q, want v2", v)
 	}
@@ -84,11 +83,10 @@ func TestReadAfterFlush(t *testing.T) {
 	if s := n.Stats(); s.SSTables != 1 || s.MemtableRows != 0 {
 		t.Fatalf("stats after flush: %+v", s)
 	}
-	v, _, found, cost, _ := n.Get("k", "U")
+	v, _, found, _ := n.Get("k", "U")
 	if !found || string(v) != "v" {
 		t.Fatalf("found=%v v=%q", found, v)
 	}
-	_ = cost
 }
 
 func TestMemtableShadowsSSTable(t *testing.T) {
@@ -96,7 +94,7 @@ func TestMemtableShadowsSSTable(t *testing.T) {
 	n.Put("k", "U", []byte("old"), 0)
 	n.Flush()
 	n.Put("k", "U", []byte("new"), 0)
-	v, _, _, _, _ := n.Get("k", "U")
+	v, _, _, _ := n.Get("k", "U")
 	if string(v) != "new" {
 		t.Fatalf("value = %q, want memtable version", v)
 	}
@@ -108,7 +106,7 @@ func TestNewerSSTableShadowsOlder(t *testing.T) {
 	n.Flush()
 	n.Put("k", "U", []byte("new"), 0)
 	n.Flush()
-	v, _, _, _, _ := n.Get("k", "U")
+	v, _, _, _ := n.Get("k", "U")
 	if string(v) != "new" {
 		t.Fatalf("value = %q, want newer sstable version", v)
 	}
@@ -140,7 +138,7 @@ func TestCompactionMergesRuns(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 compaction into 1 sstable", s)
 	}
 	for _, k := range []string{"a", "b", "c"} {
-		if _, _, found, _, _ := n.Get(k, "U"); !found {
+		if _, _, found, _ := n.Get(k, "U"); !found {
 			t.Fatalf("key %s lost by compaction", k)
 		}
 	}
@@ -151,12 +149,12 @@ func TestDeleteTombstones(t *testing.T) {
 	n.Put("k", "U", []byte("v"), 0)
 	n.Flush()
 	n.Delete("k", "U")
-	if _, _, found, _, _ := n.Get("k", "U"); found {
+	if _, _, found, _ := n.Get("k", "U"); found {
 		t.Fatal("deleted row still readable")
 	}
 	n.Flush()
 	n.Compact()
-	if _, _, found, _, _ := n.Get("k", "U"); found {
+	if _, _, found, _ := n.Get("k", "U"); found {
 		t.Fatal("deleted row resurfaced after compaction")
 	}
 }
@@ -165,11 +163,11 @@ func TestTTLExpiry(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
 	n := testNode(t, NodeConfig{Clock: fake})
 	n.Put("k", "U", []byte("v"), 10*time.Second)
-	if _, _, found, _, _ := n.Get("k", "U"); !found {
+	if _, _, found, _ := n.Get("k", "U"); !found {
 		t.Fatal("fresh row should be live")
 	}
 	fake.Advance(11 * time.Second)
-	if _, _, found, _, _ := n.Get("k", "U"); found {
+	if _, _, found, _ := n.Get("k", "U"); found {
 		t.Fatal("expired row still live")
 	}
 }
@@ -179,7 +177,7 @@ func TestTTLZeroMeansForever(t *testing.T) {
 	n := testNode(t, NodeConfig{Clock: fake})
 	n.Put("k", "U", []byte("v"), 0)
 	fake.Advance(1000 * time.Hour)
-	if _, _, found, _, _ := n.Get("k", "U"); !found {
+	if _, _, found, _ := n.Get("k", "U"); !found {
 		t.Fatal("TTL=0 row expired")
 	}
 }
@@ -203,7 +201,7 @@ func TestCompactionGCsExpiredRows(t *testing.T) {
 		if s.LiveRows != 0 || s.SSTables != 0 {
 			t.Fatalf("LiveRows = %d in %d sstables, want none", s.LiveRows, s.SSTables)
 		}
-		if _, _, found, _, _ := n.Get("k3", "U"); found {
+		if _, _, found, _ := n.Get("k3", "U"); found {
 			t.Fatal("TTL-expired row resurfaced after compaction")
 		}
 	})
@@ -217,7 +215,7 @@ func TestExpiredRowNeverResurfacesAfterRewrite(t *testing.T) {
 	n.Put("k", "U", []byte("old"), time.Second)
 	fake.Advance(2 * time.Second)
 	n.Put("k", "U", []byte("new"), time.Second)
-	v, _, found, _, _ := n.Get("k", "U")
+	v, _, found, _ := n.Get("k", "U")
 	if !found || string(v) != "new" {
 		t.Fatalf("found=%v v=%q, want fresh row", found, v)
 	}
@@ -230,10 +228,10 @@ func TestDownNodeRejectsOps(t *testing.T) {
 	if !n.Down() {
 		t.Fatal("node should report down")
 	}
-	if _, err := n.Put("k", "U", []byte("v2"), 0); err == nil {
+	if err := n.Put("k", "U", []byte("v2"), 0); err == nil {
 		t.Fatal("Put on down node should fail")
 	}
-	if _, _, _, _, err := n.Get("k", "U"); err == nil {
+	if _, _, _, err := n.Get("k", "U"); err == nil {
 		t.Fatal("Get on down node should fail")
 	}
 }
@@ -249,7 +247,7 @@ func TestCrashKeepsAcknowledgedRows(t *testing.T) {
 		n.SetDown(true)
 		n.SetDown(false)
 		for _, k := range []string{"flushed", "memtable-only"} {
-			if _, _, found, _, _ := n.Get(k, "U"); !found {
+			if _, _, found, _ := n.Get(k, "U"); !found {
 				t.Fatalf("acknowledged row %q lost on crash", k)
 			}
 		}
@@ -271,7 +269,7 @@ func TestBloomFilterSkipsIrrelevantRuns(t *testing.T) {
 	}
 	// A key in the oldest run should skip the four newer runs.
 	before := n.Stats().BloomSkips
-	if _, _, found, _, _ := n.Get("run0-key", "U"); !found {
+	if _, _, found, _ := n.Get("run0-key", "U"); !found {
 		t.Fatal("run0-key lost")
 	}
 	if n.Stats().BloomSkips <= before {
@@ -279,25 +277,38 @@ func TestBloomFilterSkipsIrrelevantRuns(t *testing.T) {
 	}
 }
 
+// TestDeviceChargedForSSTableReads: a read the memtable cannot answer
+// probes a segment, and the engine counts the bytes it read off it.
 func TestDeviceChargedForSSTableReads(t *testing.T) {
-	dev := storage.NewDevice(storage.SSD())
-	n := testNode(t, NodeConfig{Device: dev, CompactionThreshold: 100})
+	n := testNode(t, NodeConfig{CompactionThreshold: 100})
 	n.Put("k", "U", []byte("v"), 0)
 	n.Flush()
-	n.Get("k", "U")
-	if dev.Stats().ReadOps == 0 {
-		t.Fatal("sstable read did not touch the device")
+	before := n.eng.Stats()
+	if _, _, found, _ := n.Get("k", "U"); !found {
+		t.Fatal("flushed row lost")
+	}
+	after := n.eng.Stats()
+	if after.SegmentProbes != before.SegmentProbes+1 || after.BytesRead <= before.BytesRead {
+		t.Fatalf("segment read: probes %d -> %d, bytes read %d -> %d",
+			before.SegmentProbes, after.SegmentProbes, before.BytesRead, after.BytesRead)
 	}
 }
 
+// TestMemtableReadIsFree: a read the memtable answers probes no segment
+// and reads no byte.
 func TestMemtableReadIsFree(t *testing.T) {
-	dev := storage.NewDevice(storage.SSD())
-	n := testNode(t, NodeConfig{Device: dev})
+	n := testNode(t, NodeConfig{})
 	n.Put("k", "U", []byte("v"), 0)
-	before := dev.Stats().ReadOps
-	n.Get("k", "U")
-	if dev.Stats().ReadOps != before {
-		t.Fatal("memtable read charged a device read")
+	n.Flush()
+	n.Put("k", "U", []byte("v2"), 0)
+	before := n.eng.Stats()
+	if v, _, _, _ := n.Get("k", "U"); string(v) != "v2" {
+		t.Fatalf("memtable read = %q, want v2", v)
+	}
+	after := n.eng.Stats()
+	if after.ReadsFromMem != before.ReadsFromMem+1 || after.SegmentProbes != before.SegmentProbes ||
+		after.BytesRead != before.BytesRead {
+		t.Fatalf("memtable read touched a segment: %+v -> %+v", before, after)
 	}
 }
 
@@ -341,7 +352,7 @@ func TestPropertyNodeMatchesModelMap(t *testing.T) {
 		}
 		for j := 0; j < 8; j++ {
 			k := fmt.Sprintf("k%d", j)
-			v, _, found, _, _ := n.Get(k, "U")
+			v, _, found, _ := n.Get(k, "U")
 			want, ok := model[k]
 			if found != ok || (found && string(v) != want) {
 				return false
@@ -359,7 +370,7 @@ func TestPutCopiesValue(t *testing.T) {
 	buf := []byte("original")
 	n.Put("k", "U", buf, 0)
 	buf[0] = 'X'
-	v, _, _, _, _ := n.Get("k", "U")
+	v, _, _, _ := n.Get("k", "U")
 	if string(v) != "original" {
 		t.Fatalf("stored value aliases caller buffer: %q", v)
 	}
@@ -396,13 +407,13 @@ func TestScanCallbackMayUseTheNode(t *testing.T) {
 		var got string
 		err := n.ScanUntil("U1", func(k string, v []byte) bool {
 			got += k + "=" + string(v) + " "
-			if cur, _, ok, _, err := n.Get(k, "U1"); err != nil || !ok || string(cur) != "old" {
+			if cur, _, ok, err := n.Get(k, "U1"); err != nil || !ok || string(cur) != "old" {
 				t.Errorf("Get(%s) inside scan = %q, %v, %v", k, cur, ok, err)
 			}
-			if _, err := n.Put(k, "U1", []byte("new"), 0); err != nil {
+			if err := n.Put(k, "U1", []byte("new"), 0); err != nil {
 				t.Errorf("Put(%s) inside scan: %v", k, err)
 			}
-			if _, err := n.Put(k+"+", "U1", []byte("added"), 0); err != nil {
+			if err := n.Put(k+"+", "U1", []byte("added"), 0); err != nil {
 				t.Errorf("Put(%s+) inside scan: %v", k, err)
 			}
 			return true
@@ -420,7 +431,7 @@ func TestScanCallbackMayUseTheNode(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a scan callback using its own node deadlocked")
 	}
-	if v, _, ok, _, _ := n.Get("k4+", "U1"); !ok || string(v) != "added" {
+	if v, _, ok, _ := n.Get("k4+", "U1"); !ok || string(v) != "added" {
 		t.Fatalf("write made inside the scan is missing: %q, %v", v, ok)
 	}
 }
@@ -440,7 +451,7 @@ func TestStatsBesidePutBatch(t *testing.T) {
 			for i := range entries {
 				entries[i] = BatchEntry{Key: fmt.Sprintf("k%03d-%d", b, i), Column: "U", Value: []byte("slate")}
 			}
-			if _, err := n.PutBatch(entries); err != nil {
+			if err := n.PutBatch(entries); err != nil {
 				t.Errorf("PutBatch: %v", err)
 				return
 			}

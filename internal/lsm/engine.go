@@ -60,8 +60,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats are the engine's cheap counters, copied under the engine lock.
-// Byte and fsync counts are real I/O issued to the FS, not the
-// simulated device-cost model the kvstore layers on top.
+// Byte and fsync counts are real I/O issued to the FS.
 type Stats struct {
 	MemtableRows  int
 	MemtableBytes int64
@@ -292,8 +291,9 @@ func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 
 // Get returns the newest stored version of key, including tombstones
 // and expired rows — visibility is the caller's decision (Row.Deleted;
-// Scan applies it). bytesRead is real disk bytes for the probe, for
-// device-cost accounting.
+// Scan applies it). bytesRead is the segment bytes the probe read off
+// the FS, the same bytes Stats.BytesRead counts; a memtable hit reads
+// none.
 func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -335,7 +335,7 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 // get returns the newest stored version of key in this segment (which
 // is the only one: segments hold one version per key). ok reports
 // whether the key is present; bytesRead is the data read off the
-// device for the probe. The bloom filter must be consulted by the
+// FS for the probe. The bloom filter must be consulted by the
 // caller (the engine counts skips).
 func (s *segment) get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	// Largest indexed key <= key bounds the block to read.

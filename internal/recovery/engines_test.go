@@ -27,7 +27,7 @@ func countApp() *muppet.App {
 
 func testLifecycle(t *testing.T, version muppet.EngineVersion) {
 	t.Helper()
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(countApp(), muppet.Config{
 		Engine: version, Machines: 5,
 		Store: store, StoreLevel: muppet.Quorum, FlushPolicy: muppet.WriteThrough,
@@ -126,7 +126,7 @@ func TestEngine2RecoveryLifecycle(t *testing.T) { testLifecycle(t, muppet.Engine
 // race on the same slates, and the interim owners' tail of updates is
 // silently lost.
 func TestMidStreamCrashRejoinExactAccounting(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(countApp(), muppet.Config{
 		Machines: 6, Store: store, StoreLevel: muppet.Quorum,
 		FlushPolicy: muppet.WriteThrough, QueueCapacity: 1 << 15,
@@ -174,7 +174,7 @@ func TestMidStreamCrashRejoinExactAccounting(t *testing.T) {
 // it (queued events, deliveries in flight, dirty cache state) must be
 // rerouted, flushed, or accounted — never silently dropped.
 func TestConcurrentIngestAcrossCrashAndRejoin(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(countApp(), muppet.Config{
 		Machines: 6, Store: store, StoreLevel: muppet.Quorum,
 		FlushPolicy: muppet.WriteThrough, QueueCapacity: 1 << 15,
@@ -224,7 +224,7 @@ func TestConcurrentIngestAcrossCrashAndRejoin(t *testing.T) {
 // otherwise the revived machine warm-loads stale state and the interim
 // owners' counts silently vanish.
 func TestRejoinHandoverFlushesInterimDirtySlates(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	eng, err := muppet.NewEngine(countApp(), muppet.Config{
 		Machines: 6, Store: store, StoreLevel: muppet.Quorum,
 		// A far-future interval means nothing flushes on its own.

@@ -86,10 +86,6 @@ func (r *Runtime) registerObs() error {
 		// live-row view: the muppet_lsm_* names read the snapshot the
 		// muppet_kvstore_* fields were read from.
 		errs = append(errs, obs.Struct(reg, nil, store.TotalStats, lsmMetrics))
-		for _, name := range store.Nodes() {
-			dev := store.Node(name).Device()
-			errs = append(errs, obs.Struct(reg, obs.L("node", name, "profile", dev.Stats().ProfileName), dev.Stats))
-		}
 	}
 	r.rec.RegisterObs(reg)
 	if r.tracer != nil {

@@ -75,7 +75,6 @@ import (
 	"muppet/internal/recovery"
 	"muppet/internal/runtime"
 	"muppet/internal/slate"
-	"muppet/internal/storage"
 )
 
 // Event is the unit of data flowing through an application: the tuple
@@ -285,10 +284,9 @@ type StoreConfig struct {
 	Nodes int
 	// ReplicationFactor is the replicas per slate row (default 3).
 	ReplicationFactor int
-	// UseSSD selects the simulated device profile: true for the SSD
-	// cost model the paper deploys, false for a spinning disk.
-	UseSSD bool
-	// NoDevice disables device cost simulation entirely.
+	// NoDevice is ignored: the store simulates no device. It remains
+	// only because the load harness (bench/) still sets it; it goes
+	// when that harness stops.
 	NoDevice bool
 	// MemtableFlushBytes is each node's memtable size before it flushes
 	// to a segment; zero means the default.
@@ -320,20 +318,12 @@ func NewStore(cfg StoreConfig) *Store {
 // OpenStore builds a replicated slate store, opening (and recovering)
 // per-node durable storage under cfg.Dir when it is set.
 func OpenStore(cfg StoreConfig) (*Store, error) {
-	kcfg := kvstore.ClusterConfig{
+	kc, err := kvstore.OpenCluster(kvstore.ClusterConfig{
 		Nodes:             cfg.Nodes,
 		ReplicationFactor: cfg.ReplicationFactor,
 		Dir:               cfg.Dir,
 		Node:              kvstore.NodeConfig{MemtableFlushBytes: cfg.MemtableFlushBytes},
-	}
-	if !cfg.NoDevice {
-		p := storage.HDD()
-		if cfg.UseSSD {
-			p = storage.SSD()
-		}
-		kcfg.DeviceProfile = &p
-	}
-	kc, err := kvstore.OpenCluster(kcfg)
+	})
 	if err != nil {
 		return nil, err
 	}

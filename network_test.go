@@ -56,7 +56,7 @@ func startNetNodes(t *testing.T, version muppet.EngineVersion, app func() *muppe
 	for i, m := range members {
 		all[m] = addrs[i]
 	}
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 	nodes := make(map[string]muppet.Engine, len(members))
 	for _, m := range members {
 		peers := make(map[string]string, len(all)-1)

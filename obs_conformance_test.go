@@ -270,7 +270,7 @@ func runBaseScenario(t *testing.T, version muppet.EngineVersion) map[string]floa
 		QueuePolicy:   muppet.DropOverflow,
 		FlushPolicy:   muppet.FlushInterval,
 		FlushEvery:    2 * time.Millisecond,
-		Store:         muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true}),
+		Store:         muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3}),
 		StoreLevel:    muppet.One,
 		Observability: muppet.ObservabilityConfig{Tracing: true, SampleRate: 1},
 	})
@@ -400,7 +400,7 @@ func runCrashRejoinScenario(t *testing.T) map[string]float64 {
 		Machines:      4,
 		QueueCapacity: 1 << 12,
 		FlushPolicy:   muppet.WriteThrough,
-		Store:         muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true}),
+		Store:         muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3}),
 		StoreLevel:    muppet.One,
 	})
 	if err != nil {

@@ -80,10 +80,10 @@ func TestMetricsGolden(t *testing.T) {
 		{"engine2", func(t *testing.T) string { return goldenEngine(t, muppet.EngineV2, nil) }},
 		{"engine1", func(t *testing.T) string { return goldenEngine(t, muppet.EngineV1, nil) }},
 		{"engine2-store", func(t *testing.T) string {
-			return goldenEngine(t, muppet.EngineV2, muppet.NewStore(muppet.StoreConfig{Nodes: 2, ReplicationFactor: 2, UseSSD: true}))
+			return goldenEngine(t, muppet.EngineV2, muppet.NewStore(muppet.StoreConfig{Nodes: 2, ReplicationFactor: 2}))
 		}},
 		{"engine1-durable-store", func(t *testing.T) string {
-			store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 2, ReplicationFactor: 2, NoDevice: true, Dir: t.TempDir()})
+			store, err := muppet.OpenStore(muppet.StoreConfig{Nodes: 2, ReplicationFactor: 2, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

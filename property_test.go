@@ -87,7 +87,7 @@ func TestPropertyPersistenceRoundTrip(t *testing.T) {
 		if len(payloads) == 0 {
 			return true
 		}
-		store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true})
+		store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
 		u := muppet.UpdateFunc{FName: "U", Fn: func(emit muppet.Emitter, in muppet.Event, sl []byte) {
 			emit.ReplaceSlate(in.Value)
 		}}

@@ -63,7 +63,7 @@ func ingestKeys(t *testing.T, eng muppet.Engine, keys, rounds int) {
 // the store is in. Here a 4-slate cache holds 4 of 40 stored slates, so
 // every pass reads the store.
 func TestQueryFailsWhenStoreScanFails(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	eng, err := muppet.NewEngine(hitApp(nil), muppet.Config{Machines: 1, CacheCapacity: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestQueryFloatSumsAreDeterministic(t *testing.T) {
 // overlaps the updater's writes; in any mode a per-key counter must
 // never go backwards between successive answers.
 func TestQueryRacesTypedUpdaters(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	defer store.Close()
 	eng, err := muppet.NewEngine(hitApp(nil), muppet.Config{
 		Machines: 2, ThreadsPerMachine: 2, CacheCapacity: 24, Store: store,

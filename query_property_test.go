@@ -164,7 +164,7 @@ func TestPropertyQueryMatchesBruteForce(t *testing.T) {
 				// crash loses no acknowledged update and the oracle stays
 				// exact across failover.
 				FlushPolicy: muppet.WriteThrough,
-				Store:       muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3, NoDevice: true}),
+				Store:       muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3}),
 				StoreLevel:  muppet.One,
 			})
 			if err != nil {
@@ -481,7 +481,7 @@ func TestPropertyStructQueryMatchesBruteForce(t *testing.T) {
 				// Write-through keeps the store exactly current, so what a
 				// small cache evicts is read back whole.
 				FlushPolicy: muppet.WriteThrough,
-				Store:       muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true}),
+				Store:       muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1}),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -149,7 +149,7 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 // decodes from the store equals what the live engine serves — and it
 // is valid JSON for the default JSONCodec.
 func TestTypedSlatesPersistAsPlainCodecOutput(t *testing.T) {
-	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+	store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 	cfg := muppet.Config{
 		Machines: 2, Store: store, StoreLevel: muppet.One,
 		FlushPolicy: muppet.FlushInterval, FlushEvery: 5 * time.Millisecond,
@@ -222,7 +222,7 @@ func TestUntypedSlatesStayByteForByte(t *testing.T) {
 		{"engine1", muppet.Config{Engine: muppet.EngineV1, Machines: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+			store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 			cfg := tc.cfg
 			cfg.Store = store
 			cfg.StoreLevel = muppet.One
@@ -307,7 +307,7 @@ func TestPoisonedSlateIsReported(t *testing.T) {
 		}
 	})
 	for _, version := range []muppet.EngineVersion{muppet.EngineV1, muppet.EngineV2} {
-		store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1, NoDevice: true})
+		store := muppet.NewStore(muppet.StoreConfig{Nodes: 1, ReplicationFactor: 1})
 		eng, err := muppet.NewEngine(muppet.NewApp("poison").Input("S").AddUpdate(u, []string{"S"}, nil, 0),
 			muppet.Config{Engine: version, Store: store, StoreLevel: muppet.One})
 		if err != nil {
