@@ -543,9 +543,8 @@ func (c *Cluster) DeliverLocal(machine string, id BatchID, ds []Delivery) (accep
 	if id.sequenced() {
 		e, dup := c.dedup.begin(id)
 		if dup {
-			<-e.done
 			c.dedupHits.Add(1)
-			return e.accepted, e.rejects, e.err
+			return e.wait()
 		}
 		entry = e
 	}

@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Receiver-side delivery deduplication. Retried batches (and chaos
 // duplicates) arrive carrying the same BatchID; the hosting node must
@@ -12,46 +15,60 @@ import "sync"
 // retry never lags thousands of batches behind; the window only needs
 // to out-live the sender's bounded retry horizon).
 
-// dedupEntry caches one sequenced batch's delivery outcome. done is
-// closed when the first delivery finishes, so a duplicate racing the
-// original waits for the real outcome instead of re-applying.
+// dedupEntry caches one sequenced batch's delivery outcome. It is
+// guarded by its table's mutex. A duplicate racing the original waits on
+// the table's condition until done, instead of re-applying.
 type dedupEntry struct {
-	done     chan struct{}
+	tab      *dedupTable
+	seq      uint64
+	done     bool
+	waiters  int // duplicates waiting for done
 	accepted int
 	rejects  []BatchReject
 	err      error
 }
 
-// senderWindow is one sender's recent delivery history. Every sequence
-// number below low has been evicted.
+// senderWindow is one sender's recent delivery history: a ring of the
+// last window sequence numbers, seq at seq%window. A slot's entry is
+// live if its seq is at least low; every sequence number below low has
+// been evicted. An evicted entry is reused for the seq that takes its
+// slot, so a steady stream of batches allocates no entries, and the
+// ring fills from blocks of dedupBlock entries (spare), so a filling
+// window allocates once per block.
 type senderWindow struct {
-	epoch   uint64
-	low     uint64
-	maxSeq  uint64
-	entries map[uint64]*dedupEntry
+	epoch  uint64
+	low    uint64
+	maxSeq uint64
+	ring   []*dedupEntry
+	spare  []dedupEntry
 }
+
+const dedupBlock = 64
 
 // dedupTable is a cluster node's per-sender dedup state.
 type dedupTable struct {
 	mu      sync.Mutex
+	settled sync.Cond // signalled when an entry's outcome is committed
 	window  uint64
 	senders map[string]*senderWindow
 }
 
 func newDedupTable(window int) *dedupTable {
-	return &dedupTable{
+	t := &dedupTable{
 		window:  uint64(window),
 		senders: make(map[string]*senderWindow),
 	}
+	t.settled.L = &t.mu
+	return t
 }
 
 // begin claims the right to apply the batch identified by id. It
 // returns (entry, false) when the caller must apply the batch and
 // commit the outcome into entry, and (entry, true) when the batch is a
-// duplicate — the caller waits on entry.done and returns the cached
-// outcome. A nil entry means the batch must be applied without caching:
-// a stale epoch (a previous incarnation of the sender), or a sequence
-// number already below the window.
+// duplicate — the caller takes the cached outcome from entry.wait. A
+// nil entry means the batch must be applied without caching: a stale
+// epoch (a previous incarnation of the sender), or a sequence number
+// already below the window.
 func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -59,56 +76,64 @@ func (t *dedupTable) begin(id BatchID) (*dedupEntry, bool) {
 	if sw == nil || sw.epoch < id.Epoch {
 		// First contact with this sender incarnation: any previous
 		// incarnation's window is stale (its seq counter restarted), so
-		// it is dropped whole.
-		sw = &senderWindow{epoch: id.Epoch, entries: make(map[uint64]*dedupEntry)}
-		t.senders[id.Sender] = sw
+		// it is dropped whole. The sender's name may alias a frame; the
+		// table keeps its own copy.
+		sw = &senderWindow{epoch: id.Epoch, ring: make([]*dedupEntry, t.window)}
+		t.senders[strings.Clone(id.Sender)] = sw
 	}
 	if id.Epoch < sw.epoch || id.Seq < sw.low {
 		return nil, false
 	}
-	if e := sw.entries[id.Seq]; e != nil {
+	slot := &sw.ring[id.Seq%t.window]
+	e := *slot
+	if e != nil && e.seq == id.Seq {
+		e.waiters++
 		return e, true
 	}
-	e := &dedupEntry{done: make(chan struct{})}
-	sw.entries[id.Seq] = e
 	if id.Seq > sw.maxSeq {
 		sw.maxSeq = id.Seq
+		if sw.maxSeq >= t.window {
+			sw.low = sw.maxSeq - t.window + 1
+		}
 	}
-	if sw.maxSeq >= t.window {
-		sw.evictBelow(sw.maxSeq - t.window + 1)
+	// The slot holds nothing or an evicted seq's entry. That entry is
+	// reused unless its batch is still being applied or a duplicate
+	// still has to read its outcome.
+	if e == nil || !e.done || e.waiters > 0 {
+		if len(sw.spare) == 0 {
+			sw.spare = make([]dedupEntry, dedupBlock)
+		}
+		e, sw.spare = &sw.spare[0], sw.spare[1:]
+		*slot = e
 	}
+	*e = dedupEntry{tab: t, seq: id.Seq}
 	return e, false
-}
-
-// evictBelow raises the low watermark, dropping the entries it passes.
-// Seqs are issued densely per sender, so stepping from the old mark
-// deletes about one entry per batch; a jump wider than the resident set
-// walks the map instead.
-func (sw *senderWindow) evictBelow(low uint64) {
-	if low <= sw.low {
-		return
-	}
-	if low-sw.low > uint64(len(sw.entries)) {
-		for seq := range sw.entries {
-			if seq < low {
-				delete(sw.entries, seq)
-			}
-		}
-	} else {
-		for seq := sw.low; seq < low; seq++ {
-			delete(sw.entries, seq)
-		}
-	}
-	sw.low = low
 }
 
 // commit records the applied batch's outcome and releases any
 // duplicates waiting on it.
 func (e *dedupEntry) commit(accepted int, rejects []BatchReject, err error) {
-	e.accepted = accepted
-	e.rejects = rejects
-	e.err = err
-	close(e.done)
+	t := e.tab
+	t.mu.Lock()
+	e.accepted, e.rejects, e.err = accepted, rejects, err
+	e.done = true
+	if e.waiters > 0 {
+		t.settled.Broadcast()
+	}
+	t.mu.Unlock()
+}
+
+// wait returns the outcome of the batch a duplicate's begin found,
+// once the original's commit has recorded it.
+func (e *dedupEntry) wait() (accepted int, rejects []BatchReject, err error) {
+	t := e.tab
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for !e.done {
+		t.settled.Wait()
+	}
+	e.waiters--
+	return e.accepted, e.rejects, e.err
 }
 
 // forget drops a sender's window (a restarted receiver starts empty
@@ -125,7 +150,11 @@ func (t *dedupTable) size() int {
 	defer t.mu.Unlock()
 	n := 0
 	for _, sw := range t.senders {
-		n += len(sw.entries)
+		for _, e := range sw.ring {
+			if e != nil && e.seq >= sw.low {
+				n++
+			}
+		}
 	}
 	return n
 }

@@ -68,4 +68,18 @@
 // SendBatch so the batch amortization survives the socket hop. A
 // response is checked against the request before SendBatch's caller sees
 // it. See wire.go for the exact layout.
+//
+// # Received deliveries share their frame
+//
+// A received request is copied once, and the Key and Value of every
+// delivery decoded from it alias that copy: a frame costs one allocation
+// for its bytes and one for its delivery slice, whatever it carries. The
+// names (sender, machine, worker, stream) come from the connection's
+// interner and alias nothing, and the dedup window reuses its entries,
+// so the rest of the receive path allocates nothing per frame in steady
+// state. The bytes never change, so the sharing is safe; its cost is
+// that a held Key or Value keeps the whole frame alive. A
+// BatchHandler's queue may hold deliveries for as long as their events
+// live; anything that keeps an event longer — a cache key, a log entry,
+// an event handed to a subscriber — keeps a copy (event.Event.Clone).
 package cluster

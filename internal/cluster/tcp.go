@@ -532,11 +532,11 @@ func (t *TCP) serveConn(conn net.Conn) {
 
 // writeFrame stages the length prefix plus body on the buffered writer
 // and flushes once: a batch costs one coalesced write however many
-// deliveries it carries.
+// deliveries it carries. The prefix is built in the writer's own buffer
+// (every frame starts on a flushed writer), so a frame allocates
+// nothing.
 func writeFrame(bw *bufio.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := bw.Write(binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(body)))); err != nil {
 		return err
 	}
 	if _, err := bw.Write(body); err != nil {
@@ -546,13 +546,15 @@ func writeFrame(bw *bufio.Writer, body []byte) error {
 }
 
 // readFrameInto reads one length-prefixed frame body, reusing dst's
-// capacity.
+// capacity. The prefix is read in place in the reader's buffer, so a
+// frame that fits dst allocates nothing.
 func readFrameInto(br *bufio.Reader, dst []byte, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(4)
 	if int64(n) > int64(maxFrame) {
 		return nil, errors.New("cluster: oversized frame")
 	}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"muppet/internal/event"
 	"muppet/internal/queue"
@@ -238,11 +240,23 @@ func (r *wireReader) take(n uint64) []byte {
 
 func (r *wireReader) str() string { return string(r.take(r.uvarint())) }
 
+// aliasStr is str sharing the reader's bytes: no copy, so the bytes
+// must never change afterwards.
+func (r *wireReader) aliasStr() string {
+	b := r.take(r.uvarint())
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 // interner shares one copy of each small-vocabulary string (sender,
 // machine, worker and stream names) among all the deliveries decoded
 // off one connection, instead of allocating them afresh per delivery.
 // It is bounded in entries and in entry length: once full, unseen
 // strings are allocated as before. A nil interner interns nothing.
+// Names never alias a frame: the engine keeps them (a worker name is
+// half of every slate key), so each is interned or its own copy.
 type interner map[string]string
 
 const (
@@ -262,6 +276,16 @@ func (in interner) str(b []byte) string {
 }
 
 func (r *wireReader) blob() []byte {
+	b := r.aliasBlob()
+	if b == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// aliasBlob is blob sharing the reader's bytes, capped at its length so
+// an append to it reallocates instead of overwriting what follows it.
+func (r *wireReader) aliasBlob() []byte {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
 		return nil
@@ -270,9 +294,7 @@ func (r *wireReader) blob() []byte {
 	if r.err != nil {
 		return nil
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }
 
 // minDeliveryBytes is the encoded size of an all-empty delivery: it
@@ -310,6 +332,15 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 // decodeRequest parses a plain request. The deliveries' Tag fields are
 // their batch positions, so server-side rejects report the right index,
 // and NoWait is the frame's kind.
+//
+// The request is copied once, and every delivery's Key and Value alias
+// that copy: a frame costs one allocation for its bytes and one for its
+// deliveries, however many it carries, and p may be reused as soon as
+// the call returns. A delivery therefore pins its whole frame for as
+// long as something holds its Key or Value. Queues hold them for the
+// event's lifetime, which is what the sharing is for; whatever keeps an
+// event longer (the slate cache's key, the lost log, the egress sink)
+// keeps its own copy.
 func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
 	return interner(nil).decodeRequest(p)
 }
@@ -333,6 +364,7 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 	if n > uint64(len(r.p))/minDeliveryBytes {
 		return BatchID{}, "", nil, errWireTruncated
 	}
+	r.p = bytes.Clone(r.p)
 	ds = make([]Delivery, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var d Delivery
@@ -340,8 +372,8 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 		d.Ev.Stream = in.str(r.take(r.uvarint()))
 		d.Ev.TS = event.Timestamp(r.varint())
 		d.Ev.Seq = r.uvarint()
-		d.Ev.Key = r.str()
-		d.Ev.Value = r.blob()
+		d.Ev.Key = r.aliasStr()
+		d.Ev.Value = r.aliasBlob()
 		d.Ev.Ingress = r.varint()
 		d.Tag = int(i)
 		d.NoWait = k == wireReqNoWait

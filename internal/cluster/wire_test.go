@@ -239,8 +239,10 @@ func TestWireDecodesPreNoWaitFrame(t *testing.T) {
 
 // FuzzWireFrame: the four decoders take bytes off a socket. Arbitrary
 // input never panics them and never yields more than its length could
-// describe; and decodeRequest undoes encodeRequest for any delivery,
-// the no-wait mark and the nil/empty value distinction included.
+// describe; what decodeRequest returns is its own, so the caller may
+// overwrite the bytes it decoded at once; and decodeRequest undoes
+// encodeRequest for any delivery, the no-wait mark and the nil/empty
+// value distinction included.
 func FuzzWireFrame(f *testing.F) {
 	golden, _ := hex.DecodeString(goldenPreNoWaitRequest)
 	one := []Delivery{{Worker: "U1", Ev: event.Event{Stream: "S1", TS: 5, Seq: 6, Key: "k", Value: []byte("v"), Ingress: 7}}}
@@ -263,8 +265,24 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{}, "w", "s", "k", []byte{}, int64(1), uint64(1), int64(1), false)
 	f.Fuzz(func(t *testing.T, data []byte, worker, stream, key string, value []byte, ts int64, seq uint64, ingress int64, noWait bool) {
 		for _, in := range []interner{nil, make(interner)} {
-			if _, _, ds, err := in.decodeRequest(data); err == nil && len(ds)*minDeliveryBytes > len(data) {
+			buf := bytes.Clone(data)
+			_, _, ds, err := in.decodeRequest(buf)
+			if err != nil {
+				continue
+			}
+			if len(ds)*minDeliveryBytes > len(data) {
 				t.Fatalf("decodeRequest returned %d deliveries from %d bytes", len(ds), len(data))
+			}
+			want := make([]Delivery, len(ds))
+			for i, d := range ds {
+				want[i] = d
+				want[i].Ev = d.Ev.Clone()
+			}
+			for i := range buf {
+				buf[i] ^= 0xff
+			}
+			if !reflect.DeepEqual(ds, want) {
+				t.Fatalf("overwriting the decoded bytes changed the deliveries: %+v, want %+v", ds, want)
 			}
 		}
 		if _, _, rejects, err := decodeResponse(data); err == nil && len(rejects)*2 > len(data) {
@@ -282,10 +300,12 @@ func FuzzWireFrame(f *testing.F) {
 			{Worker: worker, Ev: event.Event{Key: key}, Tag: 1, NoWait: noWait},
 		}
 		bid := BatchID{Sender: worker, Epoch: seq, Seq: uint64(ts)}
-		gotID, machine, out, err := decodeRequest(encodeRequest(nil, bid, stream, in))
+		enc := encodeRequest(nil, bid, stream, in)
+		gotID, machine, out, err := make(interner).decodeRequest(enc)
 		if err != nil {
 			t.Fatalf("decode of encodeRequest output: %v", err)
 		}
+		clear(enc)
 		if gotID != bid || machine != stream {
 			t.Fatalf("decoded id %+v machine %q, want %+v %q", gotID, machine, bid, stream)
 		}

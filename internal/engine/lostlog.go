@@ -105,8 +105,11 @@ func NewLostLog(capacity int) *LostLog {
 	}
 }
 
-// Record logs one abandoned delivery.
+// Record logs one abandoned delivery. The log keeps its own copy of
+// the event's key and value: a delivery's may share the memory of the
+// frame it arrived in, which a retained entry must not keep alive.
 func (l *LostLog) Record(fn string, ev event.Event, reason LossReason) {
+	ev = ev.Clone()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.count++

@@ -307,6 +307,7 @@ func (c *Courier) senderLoop(ob *outbox) {
 			c.reroute(ob, ds)
 		}
 		c.cfg.Tracker.Add(-len(ds))
+		clear(ds) // the idle sender must not keep the frame's events alive
 	}
 }
 

@@ -118,6 +118,9 @@ func (s *Sink) Record(e event.Event) {
 		s.mu.Unlock()
 		return
 	}
+	// Subscribers keep what they are given, and the key and value may
+	// share the memory of the frame the event's input arrived in.
+	e = e.Clone()
 	for _, sub := range st.subs {
 		select {
 		case sub.ch <- e:

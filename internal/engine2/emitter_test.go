@@ -43,25 +43,30 @@ func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 // slice contract). The input value re-published as is is shared, not
 // copied, under the same contract; anything else — a sub-slice of it,
 // a modified copy — still goes through the arena. The derived events
-// are read back off a subscription to a declared output stream, which
-// Emit feeds as it routes them.
+// are read back as the update consuming them receives them off its
+// queue. (Not off an output stream: the egress sink hands subscribers
+// their own copies.)
 func TestEmitterArenaIsolation(t *testing.T) {
 	var body func(core.Emitter, event.Event)
 	m := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) { body(emit, in) }}
-	app := core.NewApp("arena").Input("S1").Output("S2").AddMap(m, []string{"S1"}, []string{"S2"})
+	received := make(chan event.Event, 8)
+	u := core.UpdateFunc{FName: "U1", Fn: func(_ core.Emitter, in event.Event, _ []byte) { received <- in }}
+	app := core.NewApp("arena").Input("S1").
+		AddMap(m, []string{"S1"}, []string{"S2"}).
+		AddUpdate(u, []string{"S2"}, nil, 0)
 	e, err := New(app, Config{Machines: 1, ThreadsPerMachine: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	sub := e.Subscribe("S2", 8)
 	emitted := func(want int) []event.Event {
-		if got := len(sub.C()); got != want {
-			t.Fatalf("Emit recorded %d events, want %d", got, want)
+		e.Drain()
+		if got := len(received); got != want {
+			t.Fatalf("Emit delivered %d events, want %d", got, want)
 		}
 		out := make([]event.Event, want)
 		for i := range out {
-			out[i] = <-sub.C()
+			out[i] = <-received
 		}
 		return out
 	}

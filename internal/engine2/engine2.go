@@ -170,6 +170,7 @@ func (m *machine) scratch() *dispatchScratch {
 
 func (m *machine) release(sc *dispatchScratch) {
 	for i := range sc.envs {
+		clear(sc.envs[i]) // a pooled envelope must not keep its frame alive
 		sc.envs[i] = sc.envs[i][:0]
 		sc.idxs[i] = sc.idxs[i][:0]
 	}

@@ -10,6 +10,7 @@
 package event
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -98,6 +99,16 @@ func (e Event) String() string {
 		v = v[:29] + "..."
 	}
 	return fmt.Sprintf("event{sid=%s ts=%d seq=%d key=%q value=%q}", e.Stream, e.TS, e.Seq, e.Key, v)
+}
+
+// Clone returns e with its own copies of Key and Value. A received
+// event's key and value may share the memory of the whole frame it
+// arrived in; a holder that keeps the event past its delivery keeps a
+// clone, so the frame can be freed.
+func (e Event) Clone() Event {
+	e.Key = strings.Clone(e.Key)
+	e.Value = bytes.Clone(e.Value)
+	return e
 }
 
 // Size returns the approximate in-memory footprint of the event in

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,9 +255,14 @@ func (c *Cluster) jitter() time.Duration {
 }
 
 // kthFastest returns the k-th smallest latency: with replicas contacted
-// in parallel, an operation completes when the k-th ack arrives.
+// in parallel, an operation completes when the k-th ack arrives. It
+// sorts lat in place; there are at most a replica set's worth.
 func kthFastest(lat []time.Duration, k int) time.Duration {
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	for i := 1; i < len(lat); i++ {
+		for j := i; j > 0 && lat[j] < lat[j-1]; j-- {
+			lat[j], lat[j-1] = lat[j-1], lat[j]
+		}
+	}
 	if k > len(lat) {
 		k = len(lat)
 	}
@@ -269,20 +276,30 @@ func kthFastest(lat []time.Duration, k int) time.Duration {
 // for the number of acknowledgements the consistency level requires.
 // It returns the simulated operation latency.
 func (c *Cluster) Put(key, column string, value []byte, ttl time.Duration, level Consistency) (time.Duration, error) {
+	return c.each(key, column, level, func(n *Node) error { return n.Put(key, column, value, ttl) })
+}
+
+// Delete tombstones <key, column> at the required consistency.
+func (c *Cluster) Delete(key, column string, level Consistency) (time.Duration, error) {
+	return c.each(key, column, level, func(n *Node) error { return n.Delete(key, column) })
+}
+
+// each applies op to every replica of <key, column> and succeeds once
+// the consistency level's count of them has, returning the simulated
+// latency of the slowest replica it waited for.
+func (c *Cluster) each(key, column string, level Consistency, op func(*Node) error) (time.Duration, error) {
 	var buf [stackReplicas]string
-	reps := c.replicas(buf[:0], key, column)
+	var lbuf [stackReplicas]time.Duration
+	lats := lbuf[:0]
 	need := level.required(c.cfg.ReplicationFactor)
-	var lats []time.Duration
-	acks := 0
-	for _, name := range reps {
-		if err := c.nodes[name].Put(key, column, value, ttl); err != nil {
+	for _, name := range c.replicas(buf[:0], key, column) {
+		if err := op(c.nodes[name]); err != nil {
 			continue
 		}
-		acks++
 		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
 	}
-	if acks < need {
-		return 0, fmt.Errorf("%w: got %d acks, need %d", ErrUnavailable, acks, need)
+	if len(lats) < need {
+		return 0, fmt.Errorf("%w: got %d acks, need %d", ErrUnavailable, len(lats), need)
 	}
 	return kthFastest(lats, need), nil
 }
@@ -294,34 +311,61 @@ func (c *Cluster) Put(key, column string, value []byte, ttl time.Duration, level
 // sum over entries. The batch succeeds when every entry has the number
 // of acknowledgements the consistency level requires; otherwise the
 // first under-replicated entry is reported (writes that did land are
-// not rolled back, matching per-entry Put semantics).
+// not rolled back, matching per-entry Put semantics). Grouping costs a
+// fixed number of allocations per batch, whatever its size.
 func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Duration, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
 	need := level.required(c.cfg.ReplicationFactor)
-	perNode := make(map[string][]BatchEntry)
-	perNodeIdx := make(map[string][]int)
+	// Count each node's share first, so that every group is a window of
+	// one backing array and grouping allocates per batch, not per row.
+	type group struct {
+		name    string
+		n       int
+		entries []BatchEntry
+		idx     []int
+	}
+	groups := make([]group, 0, len(c.nodes))
+	find := func(name string) *group {
+		for i := range groups {
+			if groups[i].name == name {
+				return &groups[i]
+			}
+		}
+		groups = append(groups, group{name: name})
+		return &groups[len(groups)-1]
+	}
 	var buf [stackReplicas]string
-	for i, e := range entries {
+	total := 0
+	for _, e := range entries {
 		for _, name := range c.replicas(buf[:0], e.Key, e.Column) {
-			perNode[name] = append(perNode[name], e)
-			perNodeIdx[name] = append(perNodeIdx[name], i)
+			find(name).n++
+			total++
 		}
 	}
 	// Sorted node order keeps the jitter sequence deterministic.
-	names := make([]string, 0, len(perNode))
-	for name := range perNode {
-		names = append(names, name)
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.name, b.name) })
+	all, idx := make([]BatchEntry, total), make([]int, total)
+	for i := range groups {
+		g := &groups[i]
+		g.entries, all = all[:0:g.n], all[g.n:]
+		g.idx, idx = idx[:0:g.n], idx[g.n:]
 	}
-	sort.Strings(names)
+	for i, e := range entries {
+		for _, name := range c.replicas(buf[:0], e.Key, e.Column) {
+			g := find(name)
+			g.entries = append(g.entries, e)
+			g.idx = append(g.idx, i)
+		}
+	}
 	acks := make([]int, len(entries))
 	var maxLat time.Duration
-	for _, name := range names {
-		if err := c.nodes[name].PutBatch(perNode[name]); err != nil {
+	for _, g := range groups {
+		if err := c.nodes[g.name].PutBatch(g.entries); err != nil {
 			continue
 		}
-		for _, i := range perNodeIdx[name] {
+		for _, i := range g.idx {
 			acks[i]++
 		}
 		if lat := c.cfg.NetworkRTT + c.jitter(); lat > maxLat {
@@ -338,28 +382,34 @@ func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Durati
 }
 
 // Get reads <key, column> from enough replicas to satisfy the
-// consistency level and returns the newest version among the replies
-// (performing read repair on stale live replicas). The boolean reports
-// whether a live row was found.
+// consistency level and answers with the newest version among the
+// replies, last write wins: the reply with the latest write time,
+// whether it is a live row, a tombstone or an expired row. A dead
+// newest version reads as absent, however many older live ones
+// answered. Stale replicas are read-repaired with it. The boolean
+// reports whether a live row was found. A read that finds nothing
+// allocates nothing while the replica set fits stackReplicas.
 func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time.Duration, error) {
 	var buf [stackReplicas]string
 	reps := c.replicas(buf[:0], key, column)
 	need := level.required(c.cfg.ReplicationFactor)
 
 	type reply struct {
-		node  string
+		node  *Node
 		value []byte
 		row   lsm.Row
 		found bool
 	}
-	var lats []time.Duration
-	var replies []reply
+	var rbuf [stackReplicas]reply
+	var lbuf [stackReplicas]time.Duration
+	replies, lats := rbuf[:0], lbuf[:0]
 	for _, name := range reps {
-		v, row, found, err := c.nodes[name].Get(key, column)
+		n := c.nodes[name]
+		v, row, found, err := n.Get(key, column)
 		if err != nil {
 			continue
 		}
-		replies = append(replies, reply{name, v, row, found})
+		replies = append(replies, reply{n, v, row, found})
 		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
 		if len(replies) == need {
 			break
@@ -368,54 +418,34 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 	if len(replies) < need {
 		return nil, false, 0, fmt.Errorf("%w: got %d replies, need %d", ErrUnavailable, len(replies), need)
 	}
-	// Pick the newest version among replies.
-	best := -1
-	for i, r := range replies {
-		if !r.found {
-			continue
-		}
-		if best < 0 || r.row.WriteTime.After(replies[best].row.WriteTime) {
+	// The newest version wins; on a tie a dead one does, as a deletion
+	// stamped in the same instant as a write shadows it on one replica.
+	best := 0
+	for i := 1; i < len(replies); i++ {
+		r, b := &replies[i].row, &replies[best].row
+		if r.WriteTime.After(b.WriteTime) || (r.WriteTime.Equal(b.WriteTime) && !replies[i].found && replies[best].found) {
 			best = i
 		}
 	}
-	lat := kthFastest(lats, need)
-	if best < 0 {
-		return nil, false, lat, nil
-	}
 	winner := replies[best]
 	// Read repair: copy the newest version, write time and TTL as
-	// stored, to replicas whose version is older (an absent row has the
-	// zero write time). A newer tombstone or expired row is left alone:
-	// the repaired copy would shadow it. Repair is best effort: a
-	// replica that misses it is repaired by a later read.
+	// stored (a tombstone or an expired row too, so the stale replica
+	// stops serving the version it shadows), to replicas whose version
+	// is older. An absent row has the zero write time, so nothing found
+	// anywhere repairs nothing. Repair is best effort: a replica that
+	// misses it is repaired by a later read.
 	for _, r := range replies {
-		if r.node != winner.node && r.row.WriteTime.Before(winner.row.WriteTime) {
-			row := winner.row
-			row.Value = append([]byte(nil), row.Value...)
-			c.nodes[r.node].write([]lsm.Row{row}, false)
+		if r.row.WriteTime.Before(winner.row.WriteTime) {
+			row := newRow(key, column, winner.row.Value, winner.row.TTL)
+			row.WriteTime, row.Tombstone = winner.row.WriteTime, winner.row.Tombstone
+			r.node.write([]lsm.Row{row}, false)
 		}
+	}
+	lat := kthFastest(lats, need)
+	if !winner.found {
+		return nil, false, lat, nil
 	}
 	return winner.value, true, lat, nil
-}
-
-// Delete tombstones <key, column> at the required consistency.
-func (c *Cluster) Delete(key, column string, level Consistency) (time.Duration, error) {
-	var buf [stackReplicas]string
-	reps := c.replicas(buf[:0], key, column)
-	need := level.required(c.cfg.ReplicationFactor)
-	var lats []time.Duration
-	acks := 0
-	for _, name := range reps {
-		if err := c.nodes[name].Delete(key, column); err != nil {
-			continue
-		}
-		acks++
-		lats = append(lats, c.cfg.NetworkRTT+c.jitter())
-	}
-	if acks < need {
-		return 0, fmt.Errorf("%w: got %d acks, need %d", ErrUnavailable, acks, need)
-	}
-	return kthFastest(lats, need), nil
 }
 
 // FlushAll forces every node's memtable to disk, and reports every

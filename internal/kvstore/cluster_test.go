@@ -197,7 +197,9 @@ func TestReadRepairKeepsWriteTimeAndTTL(t *testing.T) {
 
 // TestReadRepairLeavesNewerTombstone: a replica whose version is a
 // newer tombstone, flushed to a segment, is not repaired with an older
-// live version, which would shadow it from the memtable.
+// live version, which would shadow it from the memtable; and the read
+// answers with the tombstone, last write wins, not with the older live
+// version the revived replica still serves.
 func TestReadRepairLeavesNewerTombstone(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1_000_000, 0))
 	c := NewCluster(ClusterConfig{Nodes: 3, ReplicationFactor: 3, Clock: fake})
@@ -213,13 +215,39 @@ func TestReadRepairLeavesNewerTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ReviveNode("node-02")
-	if _, _, _, err := c.Get("k", "U", All); err != nil {
-		t.Fatal(err)
+	if v, found, _, err := c.Get("k", "U", All); err != nil || found {
+		t.Fatalf("read after the quorum delete: %q found=%v err=%v, want absent", v, found, err)
 	}
 	for _, name := range []string{"node-00", "node-01"} {
 		if _, row, found, _ := c.Node(name).Get("k", "U"); found || !row.Tombstone {
 			t.Fatalf("%s after repair: found=%v tombstone=%v, want the tombstone", name, found, row.Tombstone)
 		}
+	}
+}
+
+// TestExpiredRowShadowsOlderLiveRow: a newer version that has expired
+// reads as absent even where a replica that missed it still serves an
+// older live version. An expired row is a deletion with a delay, and
+// the newest write wins whether or not it is still live; the read
+// repairs it onto the stale replica.
+func TestExpiredRowShadowsOlderLiveRow(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	c := NewCluster(ClusterConfig{Nodes: 3, ReplicationFactor: 3, Clock: fake})
+	if _, err := c.Put("k", "U", []byte("old"), 0, All); err != nil {
+		t.Fatal(err)
+	}
+	c.KillNode("node-02")
+	fake.Advance(time.Second)
+	if _, err := c.Put("k", "U", []byte("new"), 5*time.Second, Quorum); err != nil {
+		t.Fatal(err)
+	}
+	c.ReviveNode("node-02")
+	fake.Advance(10 * time.Second)
+	if v, found, _, err := c.Get("k", "U", All); err != nil || found {
+		t.Fatalf("read after expiry: %q found=%v err=%v, want absent, not the older live version", v, found, err)
+	}
+	if v, _, found, _ := c.Node("node-02").Get("k", "U"); found {
+		t.Fatalf("stale replica still serves %q after the read repaired it", v)
 	}
 }
 
@@ -326,7 +354,7 @@ func TestReplicasRouteThePairWithoutAllocating(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			key, column := fmt.Sprintf("user%d", i), fmt.Sprintf("U%d", i%3)
 			got := c.replicas(buf[:0], key, column)
-			want := c.ring.AppendN(nil, hashring.Hash(rowKey(key, column)), rf)
+			want := c.ring.AppendN(nil, hashring.Hash(string(appendRowKey(nil, key, column))), rf)
 			if strings.Join(got, ",") != strings.Join(want, ",") {
 				t.Fatalf("rf %d: %s/%s routes to %v, the row key to %v", rf, key, column, got, want)
 			}

@@ -54,7 +54,9 @@
 // level; an operation succeeds once the required number of replicas
 // acknowledge, and fails when live replicas are insufficient. Reads
 // resolve replica divergence by last-write-wins on write timestamp,
-// and read repair copies the winning row, its write time and TTL
+// counting tombstones and expired rows as writes: a dead newest version
+// reads as absent, whatever older live versions other replicas hold.
+// Read repair copies the winning row, its write time and TTL
 // unchanged, to the replicas that answered with an older version.
 // In a multi-process Muppet deployment each node runs its own store;
 // a shared store across engines stands in for the paper's shared

@@ -5,14 +5,36 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"muppet/internal/clock"
 	"muppet/internal/lsm"
 )
 
-// rowKey composes the <key, column> pair into a single map key. The
-// NUL separator cannot appear in Muppet function names.
-func rowKey(key, column string) string { return key + "\x00" + column }
+// appendRowKey appends the row key of <key, column> to dst: the pair
+// composed into a single engine key. The NUL separator cannot appear in
+// Muppet function names.
+func appendRowKey(dst []byte, key, column string) []byte {
+	dst = append(dst, key...)
+	dst = append(dst, 0)
+	return append(dst, column...)
+}
+
+// newRow builds the row stored at <key, column> in one allocation: the
+// row key and a private copy of value share one buffer, which lives as
+// long as the row does (the memtable re-keys an overwritten row, so a
+// replaced version frees its buffer whole). An empty value is stored
+// as nil.
+func newRow(key, column string, value []byte, ttl time.Duration) lsm.Row {
+	buf := appendRowKey(make([]byte, 0, len(key)+1+len(column)+len(value)), key, column)
+	k := len(buf)
+	r := lsm.Row{Key: unsafe.String(&buf[0], k), TTL: ttl}
+	if len(value) > 0 {
+		buf = append(buf, value...)
+		r.Value = buf[k:len(buf):len(buf)]
+	}
+	return r
+}
 
 func splitRowKey(rk string) (key, column string) {
 	i := strings.IndexByte(rk, 0)
@@ -87,6 +109,9 @@ type Node struct {
 	mu   sync.Mutex
 	eng  *lsm.Engine
 	down bool
+	// key is Get's scratch for the row key it looks up, so a read
+	// allocates nothing of its own; guarded by mu.
+	key []byte
 	// flips counts SetDown's changes of state.
 	flips atomic.Uint64
 }
@@ -162,7 +187,7 @@ func (e ErrNodeDown) Error() string { return "kvstore: node " + e.Node + " is do
 
 // Put writes value at <key, column> with the given TTL (0 = forever).
 func (n *Node) Put(key, column string, value []byte, ttl time.Duration) error {
-	return n.write([]lsm.Row{{Key: rowKey(key, column), Value: append([]byte(nil), value...), TTL: ttl}}, true)
+	return n.write([]lsm.Row{newRow(key, column, value, ttl)}, true)
 }
 
 // write hands rows to the engine as one WAL group commit, synced
@@ -197,33 +222,41 @@ type BatchEntry struct {
 
 // PutBatch applies a batch of writes under a single lock acquisition
 // and a single commit-log append: one WAL record and one fsync for the
-// whole batch instead of one per row.
+// whole batch instead of one per row. It allocates one buffer per row
+// (its key and its copy of the value) and one row slice per batch.
 func (n *Node) PutBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	rows := make([]lsm.Row, len(entries))
 	for i, e := range entries {
-		rows[i] = lsm.Row{Key: rowKey(e.Key, e.Column), Value: append([]byte(nil), e.Value...), TTL: e.TTL}
+		rows[i] = newRow(e.Key, e.Column, e.Value, e.TTL)
 	}
 	return n.write(rows, true)
 }
 
 // Delete writes a tombstone for <key, column>.
 func (n *Node) Delete(key, column string) error {
-	return n.write([]lsm.Row{{Key: rowKey(key, column), Tombstone: true}}, true)
+	row := newRow(key, column, nil, 0)
+	row.Tombstone = true
+	return n.write([]lsm.Row{row}, true)
 }
 
 // Get reads <key, column>, returning the value and the stored row
 // (write time and TTL, for read repair). The boolean reports whether a
-// live row was found. Expired and tombstoned rows read as absent.
+// live row was found. Expired and tombstoned rows read as absent, but
+// their row is returned, so a replicated read can tell a newer
+// deletion from an older write. A miss allocates nothing.
 func (n *Node) Get(key, column string) ([]byte, lsm.Row, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return nil, lsm.Row{}, false, ErrNodeDown{n.name}
 	}
-	r, ok, _, err := n.eng.Get(rowKey(key, column))
+	// The engine only compares the key (the row it returns has its own),
+	// so the lookup can borrow the scratch buffer.
+	n.key = appendRowKey(n.key[:0], key, column)
+	r, ok, _, err := n.eng.Get(unsafe.String(unsafe.SliceData(n.key), len(n.key)))
 	if err != nil {
 		return nil, lsm.Row{}, false, err
 	}

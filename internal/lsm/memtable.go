@@ -21,7 +21,10 @@ type memtable struct {
 
 func newMemtable() *memtable { return &memtable{index: make(map[string]int)} }
 
-// put applies r, newest write time wins.
+// put applies r, newest write time wins. An overwrite re-keys the
+// index with r's key string too: a row's key may share one allocation
+// with its value, and the replaced version must not stay reachable
+// through the index.
 func (m *memtable) put(r Row) {
 	if i, ok := m.index[r.Key]; ok {
 		old := &m.rows[i]
@@ -30,6 +33,7 @@ func (m *memtable) put(r Row) {
 		}
 		m.bytes += rowMemBytes(r) - rowMemBytes(*old)
 		*old = r
+		m.index[r.Key] = i
 		return
 	}
 	m.index[r.Key] = len(m.rows)

@@ -23,11 +23,12 @@ func walName(seq uint64) string { return fmt.Sprintf("wal-%06d.log", seq) }
 
 // walWriter appends group-commit records to one WAL file.
 type walWriter struct {
-	f     File
-	path  string
-	seq   uint64
-	buf   []byte // reused record-build buffer
-	bytes int64  // total bytes written to this file
+	f       File
+	path    string
+	seq     uint64
+	buf     []byte // reused record-build buffer
+	scratch []byte // reused value-framing buffer
+	bytes   int64  // total bytes written to this file
 }
 
 // newWAL creates WAL file seq under dir and makes its directory entry
@@ -52,9 +53,8 @@ func (w *walWriter) append(rows []Row) (n int64, err error) {
 	w.buf = w.buf[:0]
 	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(rows)))
-	var scratch []byte
 	for _, r := range rows {
-		w.buf, scratch = appendRow(w.buf, scratch, r)
+		w.buf, w.scratch = appendRow(w.buf, w.scratch, r)
 	}
 	payload := w.buf[walHeaderSize:]
 	binary.LittleEndian.PutUint32(w.buf[0:], uint32(len(payload)))

@@ -3,6 +3,7 @@ package slate
 import (
 	"container/list"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,7 +255,7 @@ func (s *Sharded) Put(k Key, value []byte) error {
 		sh.unpoisonLocked(e)
 		if !e.dirty {
 			e.dirty = true
-			sh.dirty[k] = e
+			sh.dirty[e.key] = e
 		}
 		sh.lru.MoveToFront(e.elem)
 	} else {
@@ -348,7 +349,7 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 		e.setDecodedLocked(v, codec)
 		if !e.dirty {
 			e.dirty = true
-			sh.dirty[k] = e
+			sh.dirty[e.key] = e
 		}
 		sh.lru.MoveToFront(e.elem)
 	} else {
@@ -398,8 +399,12 @@ func (s *Sharded) Delete(k Key) {
 func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 
 // insertLocked adds a new entry to sh, evicting as needed. Caller
-// holds sh.mu.
+// holds sh.mu. The entry keeps its own copy of the key: a key taken off
+// an event may share the memory of the frame or document it arrived in,
+// which a resident slate must not keep alive. So every map assignment
+// keys by e.key, never by the caller's k.
 func (s *Sharded) insertLocked(sh *shard, e *entry) *entry {
+	e.key.Key = strings.Clone(e.key.Key)
 	e.elem = sh.lru.PushFront(e)
 	sh.items[e.key] = e
 	if e.dirty {
@@ -567,7 +572,7 @@ func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
 			e.flushing = false
 			if failed {
 				e.dirty = true
-				sh.dirty[r.K] = e
+				sh.dirty[e.key] = e
 			}
 		}
 		s.trimLocked(sh)
