@@ -3,6 +3,7 @@ package muppet_test
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,6 +188,99 @@ func TestBlockPolicyCrossNodeNeverDeadlocks(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestBlockPolicySourceWaitsInItsOwnProcess: under Block a source frame
+// never parks on a peer's queue. The source waits at home and resends,
+// so the connection it shares with Query and the outbox stays free while
+// a slow updater on the peer keeps its queue full, and once the updater
+// moves again every event lands.
+func TestBlockPolicySourceWaitsInItsOwnProcess(t *testing.T) {
+	release := make(chan struct{})
+	parkedApp := func() *muppet.App {
+		u := muppet.UpdateFunc{FName: "U1", Fn: func(emit muppet.Emitter, in muppet.Event, sl []byte) {
+			<-release
+			n, _ := strconv.Atoi(string(sl))
+			emit.ReplaceSlate([]byte(strconv.Itoa(n + 1)))
+		}}
+		return muppet.NewApp("parked").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
+	}
+	members := []string{"machine-00", "machine-01"}
+	addrs := reserveAddrs(t, len(members))
+	var nodes []muppet.Engine
+	for i, m := range members {
+		eng, err := muppet.NewEngine(parkedApp(), muppet.Config{
+			ThreadsPerMachine: 1,
+			QueueCapacity:     1,
+			QueuePolicy:       muppet.BlockOverflow,
+			Network:           &muppet.NetworkConfig{Node: m, Listen: addrs[i], Peers: map[string]string{members[1-i]: addrs[1-i]}},
+		})
+		if err != nil {
+			t.Fatalf("start %s: %v", m, err)
+		}
+		defer eng.Stop()
+		nodes = append(nodes, eng)
+	}
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+
+	ring := nodes[0].(interface{ MachineFor(fn, key string) string })
+	key := "k0"
+	for i := 1; ring.MachineFor("U1", key) != "machine-01"; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	evs := make([]muppet.Event, 4)
+	for i := range evs {
+		evs[i] = muppet.Event{Stream: "S1", TS: muppet.Timestamp(i + 1), Key: key}
+	}
+	ingested := make(chan error, 1)
+	go func() {
+		_, err := nodes[0].IngestBatch(evs)
+		ingested <- err
+	}()
+	// The updater holds one event and its queue the next: the source is
+	// waiting on the rest.
+	for deadline := time.Now().Add(5 * time.Second); nodes[1].LargestQueues()["machine-01"] < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("machine-01's queue never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		_, err := nodes[0].Query(muppet.QuerySpec{Updater: "U1", Agg: "count"})
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("query: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Query blocked for 1s behind a source frame parked on a peer's full queue")
+	}
+
+	unpark()
+	select {
+	case err := <-ingested:
+		if err != nil {
+			t.Fatalf("IngestBatch: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("source still waiting 5s after the updater was released")
+	}
+	for _, eng := range nodes {
+		eng.Drain()
+	}
+	if got := string(nodes[1].Slate("U1", key)); got != "4" {
+		t.Fatalf("slate = %q, want 4 applied events", got)
+	}
+	for i, eng := range nodes {
+		if n := eng.LostEvents().Total(); n != 0 {
+			t.Fatalf("%s lost %d events: %v", members[i], n, eng.LostEvents().Totals())
 		}
 	}
 }

@@ -216,8 +216,6 @@ type EngineConfig struct {
 	// FlushEvery is a duration for the interval policy.
 	FlushPolicy string `json:"flush_policy,omitempty"`
 	FlushEvery  string `json:"flush_every,omitempty"`
-	// SourceThrottle enables wait-and-retry ingestion.
-	SourceThrottle bool `json:"source_throttle,omitempty"`
 	// Tracing enables the sampled event-lifecycle tracer feeding the
 	// muppet_trace_* latency histograms; TraceSampleRate traces one in
 	// N deliveries (default 256).
@@ -372,7 +370,6 @@ func (c *AppConfig) engineConfig() (Config, error) {
 		QueueCapacity:      e.QueueCapacity,
 		CacheCapacity:      e.CacheCapacity,
 		OverflowStream:     e.OverflowStream,
-		SourceThrottle:     e.SourceThrottle,
 		Observability: ObservabilityConfig{
 			Tracing:    e.Tracing,
 			SampleRate: e.TraceSampleRate,

@@ -233,6 +233,7 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"warm_limit", `"engine": {"recovery": {"warm_limit": 500}}`},
 		{"disable_wal_replay", `"engine": {"recovery": {"disable_wal_replay": true}}`},
 		{"replay_log", `"engine": {"replay_log": true}`},
+		{"source_throttle", `"engine": {"source_throttle": true}`},
 		{"device", `"store": {"device": "hdd"}`},
 		{"dedup_window", `"network": {"nodes": {}, "dedup_window": 512}`},
 		{"send_retry_max_backoff", `"network": {"nodes": {}, "send_retry_max_backoff": "40ms"}`},

@@ -95,14 +95,13 @@ func E13Overflow(s Scale) Table {
 	}
 	n := s.N(4_000)
 	type variant struct {
-		name     string
-		policy   muppet.OverflowPolicy
-		throttle bool
+		name   string
+		policy muppet.OverflowPolicy
 	}
 	for _, v := range []variant{
-		{"drop + log", muppet.DropOverflow, false},
-		{"overflow stream", muppet.DivertOverflow, false},
-		{"source throttling", muppet.DropOverflow, true},
+		{"drop + log", muppet.DropOverflow},
+		{"overflow stream", muppet.DivertOverflow},
+		{"source throttling", muppet.BlockOverflow},
 	} {
 		slow := muppet.Update[int]("U_full", func(emit muppet.Emitter, in muppet.Event, n *int) {
 			time.Sleep(200 * time.Microsecond) // expensive main-path operator
@@ -122,7 +121,7 @@ func E13Overflow(s Scale) Table {
 			Engine:   muppet.EngineV1,
 			Machines: 1, WorkersPerFunction: 1,
 			QueueCapacity: 16, QueuePolicy: v.policy,
-			OverflowStream: "S_ovf", SourceThrottle: v.throttle,
+			OverflowStream: "S_ovf",
 		})
 		if err != nil {
 			panic(err)

@@ -26,10 +26,11 @@
 //   - Per-delivery rejections carry the queue sentinel errors
 //     (queue.ErrOverflow, queue.ErrClosed) across the wire, so
 //     overflow disposition is transport-independent.
-//   - Delivery.NoWait — this producer must not be slowed — reaches the
-//     receiving handler on every transport, so a worker's emit is
-//     rejected by a full queue, never parked on it, whichever node owns
-//     the queue (the Block policy binds sources only, §4.3/§5).
+//   - Delivery.NoWait — this producer must not wait on the queue —
+//     reaches the receiving handler on every transport, so a full queue
+//     rejects the delivery instead of parking it. The engines mark a
+//     worker's emit no-wait (Block binds sources only, §4.3/§5), and
+//     every delivery for another node: a source waits in its own process.
 //
 // # Concurrency
 //

@@ -28,12 +28,13 @@ import (
 //	blob     = uvarint(0) for nil, uvarint(len+1) ++ bytes otherwise
 //
 // The request kind is the frame's wait/no-wait bit: 'Q' carries
-// deliveries whose producer may be slowed (a source's), 'O' deliveries
-// whose producer must not be (everything an outbox ships). decodeRequest
-// restores it as Delivery.NoWait on every delivery, so the receiver's
-// full queue comes back as a reject for the sender to settle. A peer
-// built before 'O' existed sends only 'Q', which is what its frames
-// always were: may-wait.
+// deliveries whose producer may be slowed, 'O' deliveries whose producer
+// must not be. decodeRequest restores it as Delivery.NoWait on every
+// delivery, so the receiver's full queue comes back as a reject for the
+// sender to settle. The engines send every event frame 'O' (a source
+// waits in its own process, not on a peer), but the decoder still
+// accepts 'Q': a peer built before 'O' existed sends only 'Q', which is
+// what its frames always were, may-wait.
 //
 // Event frames skip the codec, trading bytes for CPU. A one-delivery
 // frame of a tweet-sized event barely shrinks under deflate (156 bytes

@@ -23,7 +23,7 @@ const (
 	// policy — only for room in an outbox.
 	FromWorker Origin = iota
 	// FromSource is an external input event offered through
-	// fire-and-forget Ingest. The Block policy and SourceThrottle slow it.
+	// fire-and-forget Ingest. The Block policy slows it.
 	FromSource
 	// FromBatch is an input event the batched ingress driver sent itself
 	// and settles here: a source (its diverted copy goes out FromSource)
@@ -56,9 +56,6 @@ type CourierConfig struct {
 	// Policy and OverflowStream are the queue-overflow disposition.
 	Policy         queue.OverflowPolicy
 	OverflowStream string
-	// SourceThrottle makes FromSource deliveries wait-and-retry on a full
-	// queue; they stay synchronous, because the retry needs the outcome.
-	SourceThrottle bool
 	// OutboxCapacity bounds each outbox (the engine's QueueCapacity).
 	OutboxCapacity int
 	// Route resolves the owner of <fn, key>: the destination machine and
@@ -88,9 +85,10 @@ type CourierConfig struct {
 // wire, the peer's full queue rejects instead of parking the frame, and
 // the reject is settled (and logged) here. A sender parked on a peer's
 // queue while that peer's workers wait on their outbox back is the
-// cross-node form of the §4.3/§5 throttling deadlock, so the sources that
-// may be slowed (SourceThrottle, the Block policy) bypass the outbox
-// with a synchronous may-wait frame of one. What the outbox guarantees:
+// cross-node form of the §4.3/§5 throttling deadlock. A source under Block
+// bypasses the outbox with a synchronous frame of one, no-wait too, and
+// resends it after SourcePause until the peer accepts: nothing parks
+// across the wire. What the outbox guarantees:
 //
 //   - Order: per destination, deliveries leave in append order with one
 //     frame in flight (retries stay inside SendBatch under the frame's
@@ -123,6 +121,10 @@ type Courier struct {
 // maxFrameDeliveries caps one frame, bounding its size on the wire and
 // how much a lost frame can lose.
 const maxFrameDeliveries = 256
+
+// SourcePause is how long a source that may be slowed waits before it
+// resends what a full queue rejected.
+const SourcePause = 200 * time.Microsecond
 
 // outboxSampleEvery thins the append timestamps behind the wait
 // histogram to one append in this many.
@@ -167,15 +169,14 @@ func (c *Courier) Close() {
 // reusable frame of one (the consuming loops pass theirs), free again when
 // Deliver returns; nil allocates one if the hand-off is synchronous.
 func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluster.Delivery) {
-	if c.cfg.Stopped.Load() {
-		c.cfg.Lost.Record(fn, ev, LossStopped)
-		return
-	}
-	// A source that may be slowed is slowed by its own synchronous frame:
-	// retried on overflow under SourceThrottle, parked on it under Block.
-	throttle := from == FromSource && c.cfg.SourceThrottle
-	direct := throttle || from == FromSource && c.cfg.Policy == queue.Block
+	// A source under Block is slowed by its own synchronous frame: parked
+	// on a local queue, sent again while a remote one is full.
+	block := from == FromSource && c.cfg.Policy == queue.Block
 	for {
+		if c.cfg.Stopped.Load() {
+			c.cfg.Lost.Record(fn, ev, LossStopped)
+			return
+		}
 		machine, worker := c.cfg.Route(fn, ev.Key)
 		if machine == "" {
 			c.cfg.Counters.LostMachineDown.Add(1)
@@ -184,7 +185,7 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluste
 		}
 		c.cfg.Tracker.Inc()
 		ob := c.outboxes[machine]
-		if ob != nil && !direct {
+		if ob != nil && !block {
 			if !ob.put(cluster.Delivery{Worker: worker, Ev: ev, NoWait: true}, from != fromSender) {
 				c.cfg.Tracker.Dec()
 				c.cfg.Lost.Record(fn, ev, LossStopped)
@@ -194,7 +195,7 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluste
 		if one == nil {
 			one = new([1]cluster.Delivery)
 		}
-		one[0] = cluster.Delivery{Worker: worker, Ev: ev, NoWait: from != FromSource}
+		one[0] = cluster.Delivery{Worker: worker, Ev: ev, NoWait: from != FromSource || ob != nil}
 		_, rejects, err := c.cfg.Cluster.SendBatch(machine, one[:])
 		if err == nil && len(rejects) > 0 {
 			err = rejects[0].Err
@@ -204,11 +205,11 @@ func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluste
 			c.cfg.Counters.Emitted.Add(1)
 			return
 		}
-		if err == queue.ErrOverflow && throttle {
+		if err == queue.ErrOverflow && block {
 			// Source throttling: slow the input stream down until the
-			// queue accepts (Section 5).
+			// queue accepts (Section 5), or the engine stops.
 			c.cfg.Tracker.Dec()
-			time.Sleep(200 * time.Microsecond)
+			time.Sleep(SourcePause)
 			continue
 		}
 		c.Observe(machine, err)

@@ -319,8 +319,7 @@ func TestSourceThrottling(t *testing.T) {
 	app := core.NewApp("throttle").Input("S1").AddUpdate(slow, []string{"S1"}, nil, 0)
 	e, err := New(app, Config{
 		Machines: 1, WorkersPerFunction: 1,
-		QueueCapacity: 2, QueuePolicy: queue.Drop,
-		SourceThrottle: true,
+		QueueCapacity: 2, QueuePolicy: queue.Block,
 	})
 	if err != nil {
 		t.Fatal(err)

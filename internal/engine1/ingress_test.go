@@ -83,6 +83,39 @@ func TestIngestCtxBlocksUntilAcceptedOrExpired(t *testing.T) {
 	}
 }
 
+// TestIngestCtxDeadlineHoldsUnderBlock: a source with a deadline never
+// parks on a queue, so under Block too IngestCtx gives up with
+// ErrBackpressure once its deadline passes while the queue stays full.
+func TestIngestCtxDeadlineHoldsUnderBlock(t *testing.T) {
+	release := make(chan struct{})
+	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) { <-release }}
+	e, err := New(core.NewApp("parked").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0), Config{
+		Machines: 1, WorkersPerFunction: 1,
+		QueueCapacity: 1, QueuePolicy: queue.Block,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	defer close(release)
+	// One event parks the updater, the next fills its queue.
+	for i := 0; i < 2; i++ {
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "hot"})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- e.IngestCtx(ctx, event.Event{Stream: "S1", TS: 3, Key: "hot"}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ingress.ErrBackpressure) {
+			t.Fatalf("IngestCtx = %v, want ErrBackpressure", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("IngestCtx ignored its 50ms deadline: still waiting on a full queue after 1s")
+	}
+}
+
 // TestSubscribeAndBoundedOutput: the bound on egress is each
 // subscriber's buffer. A roomy subscription and a handler see every
 // output event; a tiny subscription sheds the overflow and counts it.

@@ -373,7 +373,7 @@ func TestOverflowPolicies(t *testing.T) {
 		}
 	})
 	t.Run("throttle", func(t *testing.T) {
-		e, err := New(mkApp(), Config{Machines: 1, ThreadsPerMachine: 1, QueueCapacity: 2, QueuePolicy: queue.Drop, SourceThrottle: true})
+		e, err := New(mkApp(), Config{Machines: 1, ThreadsPerMachine: 1, QueueCapacity: 2, QueuePolicy: queue.Block})
 		if err != nil {
 			t.Fatal(err)
 		}

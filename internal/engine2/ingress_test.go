@@ -173,29 +173,6 @@ func TestIngestBatchBlockPolicyAcceptsEverything(t *testing.T) {
 	}
 }
 
-func TestIngestBatchSourceThrottleLosesNothing(t *testing.T) {
-	e, err := New(sleepyApp(), Config{
-		Machines: 1, ThreadsPerMachine: 1,
-		QueueCapacity: 8, QueuePolicy: queue.Drop, SourceThrottle: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	evs := make([]event.Event, 300)
-	for i := range evs {
-		evs[i] = event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "hot"}
-	}
-	accepted, ierr := e.IngestBatch(evs)
-	if ierr != nil || accepted != len(evs) {
-		t.Fatalf("throttled ingest: accepted=%d err=%v", accepted, ierr)
-	}
-	e.Drain()
-	if got, _ := strconv.Atoi(string(e.Slate("U", "hot"))); got != len(evs) {
-		t.Fatalf("count = %d, want %d", got, len(evs))
-	}
-}
-
 func TestIngestBatchRejectsNonInputStreamWhole(t *testing.T) {
 	e, err := New(counterApp(), Config{Machines: 1})
 	if err != nil {
@@ -314,6 +291,39 @@ func TestIngestCtxDeliversUnderPressure(t *testing.T) {
 	e.Drain()
 	if got, _ := strconv.Atoi(string(e.Slate("U", "hot"))); got != n {
 		t.Fatalf("count = %d, want %d — IngestCtx dropped under pressure", got, n)
+	}
+}
+
+// TestIngestCtxDeadlineHoldsUnderBlock: a source with a deadline never
+// parks on a queue, so under Block too IngestCtx gives up with
+// ErrBackpressure once its deadline passes while the queue stays full.
+func TestIngestCtxDeadlineHoldsUnderBlock(t *testing.T) {
+	release := make(chan struct{})
+	u := core.UpdateFunc{FName: "U", Fn: func(emit core.Emitter, in event.Event, sl []byte) { <-release }}
+	e, err := New(core.NewApp("parked").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0), Config{
+		Machines: 1, ThreadsPerMachine: 1,
+		QueueCapacity: 1, QueuePolicy: queue.Block,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	defer close(release)
+	// One event parks the updater, the next fills its queue.
+	for i := 0; i < 2; i++ {
+		e.Ingest(event.Event{Stream: "S1", TS: event.Timestamp(i + 1), Key: "hot"})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- e.IngestCtx(ctx, event.Event{Stream: "S1", TS: 3, Key: "hot"}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ingress.ErrBackpressure) {
+			t.Fatalf("IngestCtx = %v, want ErrBackpressure", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("IngestCtx ignored its 50ms deadline: still waiting on a full queue after 1s")
 	}
 }
 

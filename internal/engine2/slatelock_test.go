@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"muppet/internal/event"
+	"muppet/internal/queue"
 	"muppet/internal/slate"
 )
 
@@ -148,7 +149,7 @@ func TestDualQueueContentionBoundWithStripedLocks(t *testing.T) {
 		Machines:          1,
 		ThreadsPerMachine: 8,
 		QueueCapacity:     4096,
-		SourceThrottle:    true,
+		QueuePolicy:       queue.Block,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"muppet/internal/core"
 	"muppet/internal/event"
 	"muppet/internal/kvstore"
+	"muppet/internal/queue"
 	"muppet/internal/slate"
 )
 
@@ -64,8 +65,8 @@ func profileBench(b *testing.B, app *core.App) {
 	store := kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: 2})
 	e, err := New(app, Config{
 		Machines: 1, ThreadsPerMachine: 8, QueueCapacity: 4096,
-		SourceThrottle: true,
-		Store:          store, StoreLevel: kvstore.One,
+		QueuePolicy: queue.Block,
+		Store:       store, StoreLevel: kvstore.One,
 		FlushPolicy: slate.Interval, FlushInterval: 5 * time.Millisecond,
 	})
 	if err != nil {

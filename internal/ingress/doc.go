@@ -14,7 +14,7 @@
 //     check, one latency charge) and one queue.PutBatch per local
 //     queue (one mutex acquisition) carry the whole group — the same
 //     hand-off a worker's emit takes as a batch of one, except that a
-//     source's batch may wait on a full queue under the Block policy;
+//     source's batch may wait, in its own process, under Block;
 //   - Driver, which runs IngestBatch and IngestCtx over a Plan and
 //     leaves what each send outcome means — detector report, counter,
 //     loss reason, divert — to the engine courier's Observe and Settle;

@@ -25,8 +25,8 @@ import (
 type Driver struct {
 	App *core.App
 	// Courier is the engine's courier: the driver sends on its wiring
-	// (cluster, counters, tracker, lost log, stop flag, SourceThrottle,
-	// Route, FuncOf) and has it observe every exchange and settle every
+	// (cluster, counters, tracker, lost log, stop flag, policy, Route,
+	// FuncOf) and has it observe every exchange and settle every
 	// delivery that was not accepted.
 	Courier *engine.Courier
 	// Sink records events ingested on a declared output stream.
@@ -54,19 +54,14 @@ func (d *Driver) IngestBatch(evs []event.Event) (int, error) {
 
 // IngestCtx ingests one event, reporting backpressure and overflow
 // instead of silently dropping: while the destination queue is full
-// the call retries until the context is done, then fails with an error
-// wrapping ErrBackpressure. Failures that are not queue pressure — a
-// dead destination machine, a non-input stream, a stopped engine —
-// surface as themselves even when the context has expired.
+// the call resends until the context is done, then fails with an error
+// wrapping ErrBackpressure. Its frames never wait on a queue, so the
+// deadline holds under every policy. Failures that are not queue
+// pressure — a dead destination machine, a non-input stream, a stopped
+// engine — surface as themselves even when the context has expired.
 func (d *Driver) IngestCtx(ctx context.Context, ev event.Event) error {
 	one := [1]event.Event{ev}
-	_, err := d.ingest(one[:], func() bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-		return true
-	})
+	_, err := d.ingest(one[:], func() bool { return ctx.Err() == nil })
 	var be *BatchError
 	if err != nil && ctx.Err() != nil && errors.As(err, &be) && be.Reasons[engine.LossBatchPartial.String()] > 0 {
 		return fmt.Errorf("%w: %w", ErrBackpressure, ctx.Err())
@@ -74,19 +69,22 @@ func (d *Driver) IngestCtx(ctx context.Context, ev event.Event) error {
 	return err
 }
 
-// ingest is the batched-ingress path. wait, when non-nil, is consulted
-// before retrying a delivery rejected for queue overflow; returning
-// false abandons the retry and the delivery is dropped and logged.
+// ingest is the batched-ingress path. wait, when non-nil, is the
+// caller's deadline: no frame waits on a queue, and while wait holds,
+// the deliveries a full queue rejected are routed again and resent after
+// a pause; then they settle as overflow. Without one, a frame for a
+// machine this node hosts may wait on its queue, and under Block the
+// deliveries a peer's full queue rejected are resent until accepted —
+// a source waits only in its own process. A source still waiting when
+// the engine stops gives up, logged stopped.
 func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	if len(evs) == 0 {
 		return 0, nil
 	}
 	cfg := d.Courier.Config()
-	if wait == nil && cfg.SourceThrottle {
-		wait = func() bool {
-			time.Sleep(200 * time.Microsecond)
-			return true
-		}
+	park := wait == nil
+	if park && cfg.Policy == queue.Block {
+		wait = func() bool { return true }
 	}
 	if cfg.Stopped.Load() {
 		for i := range evs {
@@ -130,45 +128,36 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 			d.Sink.Record(ev)
 		}
 		for _, fn := range subs {
-			machine, worker := cfg.Route(fn, ev.Key)
-			if machine == "" {
-				cfg.Counters.LostMachineDown.Add(1)
-				cfg.Lost.Record(fn, ev, engine.LossNoRoute)
-				tally.Drop(i, engine.LossNoRoute.String())
-				continue
-			}
-			plan.Add(machine, cluster.Delivery{Worker: worker, Ev: ev, Tag: i})
+			d.add(&cfg, plan, fn, ev, i, tally)
 		}
 	}
 	cfg.Counters.Ingested.Add(uint64(len(evs)))
-	plan.Each(func(machine string, ds []cluster.Delivery) {
-		cfg.Tracker.Add(len(ds))
-		accepted, rejects, err := cfg.Cluster.SendBatch(machine, ds)
-		d.Courier.Observe(machine, err)
-		if err != nil {
-			cfg.Tracker.Add(-len(ds))
-			for _, del := range ds {
-				d.settle(cfg.FuncOf(del.Worker), del, err, tally)
-			}
-			return
+	var held []cluster.Delivery
+	for {
+		held = d.send(&cfg, plan, park, held[:0], tally)
+		plan.Release()
+		if len(held) == 0 || wait == nil || !wait() {
+			break
 		}
-		if !cfg.Cluster.IsLocal(machine) {
-			// The tracker was charged for the whole batch before the send;
-			// accepted deliveries now belong to the hosting node's tracker
-			// (it charged itself on landing), so retire them here. The
-			// rejects are retired below.
-			cfg.Tracker.Add(-accepted)
+		time.Sleep(engine.SourcePause)
+		if cfg.Stopped.Load() {
+			break
 		}
-		cfg.Counters.Emitted.Add(uint64(accepted))
-		for _, rj := range rejects {
-			cfg.Tracker.Add(-1)
-			del := ds[rj.Index]
-			if rj.Err != queue.ErrOverflow || wait == nil || !d.retry(del, wait, tally) {
-				d.settle(cfg.FuncOf(del.Worker), del, rj.Err, tally)
-			}
+		// The ring may have moved a key while its delivery waited.
+		plan = NewPlan(len(held), d.Machines)
+		for _, del := range held {
+			d.add(&cfg, plan, cfg.FuncOf(del.Worker), del.Ev, del.Tag, tally)
 		}
-	})
-	plan.Release()
+	}
+	stopped := wait != nil && cfg.Stopped.Load()
+	for _, del := range held {
+		if fn := cfg.FuncOf(del.Worker); stopped {
+			cfg.Lost.Record(fn, del.Ev, engine.LossStopped)
+			tally.Drop(del.Tag, engine.LossStopped.String())
+		} else {
+			d.settle(fn, del, queue.ErrOverflow, tally)
+		}
+	}
 	if traced {
 		d.Tracer.ObserveIngestAccept(time.Since(traceStart))
 	}
@@ -183,41 +172,56 @@ func (d *Driver) settle(fn string, del cluster.Delivery, cause error, tally *Dro
 	}
 }
 
-// retry re-sends one delivery a full queue rejected, as a frame of one,
-// while the caller's backpressure waiter allows and the queue stays full.
-// It reports whether that disposed of the delivery (it landed, or was lost
-// to something other than overflow); false leaves it to settle.
-func (d *Driver) retry(del cluster.Delivery, wait func() bool, tally *DropTally) bool {
-	cfg := d.Courier.Config()
-	fn := cfg.FuncOf(del.Worker)
-	one := []cluster.Delivery{del}
-	for wait() {
-		// The ring may have moved the key while we waited.
-		machine, worker := cfg.Route(fn, del.Ev.Key)
-		if machine == "" {
-			cfg.Counters.LostMachineDown.Add(1)
-			cfg.Lost.Record(fn, del.Ev, engine.LossNoRoute)
-			tally.Drop(del.Tag, engine.LossNoRoute.String())
-			return true
-		}
-		// Track before sending: the consumer may process (and retire) the
-		// delivery the instant it lands.
-		cfg.Tracker.Inc()
-		one[0].Worker = worker
-		_, rejects, err := cfg.Cluster.SendBatch(machine, one)
-		d.Courier.Observe(machine, err)
-		if err == nil && len(rejects) > 0 {
-			err = rejects[0].Err
-		}
-		if err == nil && cfg.Cluster.IsLocal(machine) {
-			cfg.Counters.Emitted.Add(1) // its consumer retires the charge
-			return true
-		}
-		cfg.Tracker.Dec() // lost, or a remote node tracks it from here
-		if err != queue.ErrOverflow {
-			d.settle(fn, one[0], err, tally)
-			return true
-		}
+// add routes fn's delivery of the batch's tag-th event into plan, or
+// logs it lost when its key has no live owner.
+func (d *Driver) add(cfg *engine.CourierConfig, plan *Plan, fn string, ev event.Event, tag int, tally *DropTally) {
+	machine, worker := cfg.Route(fn, ev.Key)
+	if machine == "" {
+		cfg.Counters.LostMachineDown.Add(1)
+		cfg.Lost.Record(fn, ev, engine.LossNoRoute)
+		tally.Drop(tag, engine.LossNoRoute.String())
+		return
 	}
-	return false
+	plan.Add(machine, cluster.Delivery{Worker: worker, Ev: ev, Tag: tag})
+}
+
+// send ships each machine group of plan as one frame and settles every
+// delivery that was not accepted, except those a full queue rejected:
+// it appends them to held, in plan order, for the caller. Only a frame
+// for a machine this node hosts, and only when park is set, may wait on
+// a queue.
+func (d *Driver) send(cfg *engine.CourierConfig, plan *Plan, park bool, held []cluster.Delivery, tally *DropTally) []cluster.Delivery {
+	plan.Each(func(machine string, ds []cluster.Delivery) {
+		local := cfg.Cluster.IsLocal(machine)
+		if !park || !local {
+			ds[0].NoWait = true // makes the whole frame no-wait
+		}
+		cfg.Tracker.Add(len(ds))
+		accepted, rejects, err := cfg.Cluster.SendBatch(machine, ds)
+		d.Courier.Observe(machine, err)
+		if err != nil {
+			cfg.Tracker.Add(-len(ds))
+			for _, del := range ds {
+				d.settle(cfg.FuncOf(del.Worker), del, err, tally)
+			}
+			return
+		}
+		if !local {
+			// The tracker was charged for the whole batch before the send;
+			// accepted deliveries now belong to the hosting node's tracker
+			// (it charged itself on landing), so retire them here. The
+			// rejects are retired below.
+			cfg.Tracker.Add(-accepted)
+		}
+		cfg.Counters.Emitted.Add(uint64(accepted))
+		for _, rj := range rejects {
+			cfg.Tracker.Add(-1)
+			if del := ds[rj.Index]; rj.Err == queue.ErrOverflow {
+				held = append(held, del)
+			} else {
+				d.settle(cfg.FuncOf(del.Worker), del, rj.Err, tally)
+			}
+		}
+	})
+	return held
 }

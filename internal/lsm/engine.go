@@ -25,9 +25,6 @@ type Options struct {
 	// a segment is indexed, bounding a point read to one stride of rows.
 	// Default 16.
 	IndexEvery int
-	// BloomFPRate is the per-segment bloom filter false positive rate.
-	// Default 0.01.
-	BloomFPRate float64
 	// FS is the filesystem to write through. Default OSFS.
 	FS FS
 	// Clock supplies time for TTL expiry. Default the real clock.
@@ -46,9 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IndexEvery <= 0 {
 		o.IndexEvery = 16
-	}
-	if o.BloomFPRate <= 0 || o.BloomFPRate >= 1 {
-		o.BloomFPRate = 0.01
 	}
 	if o.FS == nil {
 		o.FS = OSFS{}
@@ -178,7 +172,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 	// be retired; then open a fresh WAL and commit the whole new state
 	// with one manifest rename.
 	if e.mem.len() > 0 {
-		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.mem.sorted(), opt.IndexEvery, opt.BloomFPRate)
+		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.mem.sorted(), opt.IndexEvery)
 		if err != nil {
 			e.closeFiles()
 			return nil, err
@@ -473,7 +467,7 @@ func (e *Engine) flushLocked() (int64, error) {
 	if e.mem.len() == 0 {
 		return 0, nil
 	}
-	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.mem.sorted(), e.opt.IndexEvery, e.opt.BloomFPRate)
+	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.mem.sorted(), e.opt.IndexEvery)
 	if err != nil {
 		return 0, err
 	}
@@ -582,7 +576,7 @@ func (e *Engine) compact(background bool) (read, written int64, err error) {
 
 	var newSegs []*segment
 	if len(merged) > 0 {
-		seg, n, err := writeSegment(e.fs, e.dir, newSeq, merged, e.opt.IndexEvery, e.opt.BloomFPRate)
+		seg, n, err := writeSegment(e.fs, e.dir, newSeq, merged, e.opt.IndexEvery)
 		if err != nil {
 			return read, 0, err
 		}

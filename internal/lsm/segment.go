@@ -169,10 +169,13 @@ type segment struct {
 
 func segName(seq uint64) string { return fmt.Sprintf("seg-%06d.sst", seq) }
 
+// bloomFPRate is the false positive rate of a segment's bloom filter.
+const bloomFPRate = 0.01
+
 // buildSegment encodes sorted rows into a complete segment file image.
 // Rows must be sorted by Key and contain no duplicates.
-func buildSegment(rows []Row, indexEvery int, fpRate float64) []byte {
-	filter := bloom.New(len(rows), fpRate)
+func buildSegment(rows []Row, indexEvery int) []byte {
+	filter := bloom.New(len(rows), bloomFPRate)
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, segMagic...)
 	var scratch []byte
@@ -206,8 +209,8 @@ func buildSegment(rows []Row, indexEvery int, fpRate float64) []byte {
 // fsyncing file and directory, and returns the opened segment. The
 // caller owns removing the file again if a later step of its state
 // change fails.
-func writeSegment(fs FS, dir string, seq uint64, rows []Row, indexEvery int, fpRate float64) (*segment, int64, error) {
-	img := buildSegment(rows, indexEvery, fpRate)
+func writeSegment(fs FS, dir string, seq uint64, rows []Row, indexEvery int) (*segment, int64, error) {
+	img := buildSegment(rows, indexEvery)
 	path := dir + "/" + segName(seq)
 	f, err := fs.Create(path)
 	if err != nil {

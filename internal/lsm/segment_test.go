@@ -49,7 +49,7 @@ func segImage(rowRegion []byte, idxCount uint64, idxKeys []string, idxOffs []uin
 // and returns the pieces segImage takes.
 func segParts() (rowRegion []byte, idxKeys []string, idxOffs []uint64, bloomBlock []byte, rowCount uint64) {
 	rows := segRows()
-	filter := bloom.New(len(rows), 0.01)
+	filter := bloom.New(len(rows), bloomFPRate)
 	var scratch []byte
 	for i, r := range rows {
 		if i%4 == 0 {
@@ -84,7 +84,7 @@ func writeSegFile(t testing.TB, img []byte) *MemFS {
 func TestSegImageMatchesBuildSegment(t *testing.T) {
 	rowRegion, keys, offs, bl, n := segParts()
 	got := segImage(rowRegion, uint64(len(keys)), keys, offs, bl, n)
-	if want := buildSegment(segRows(), 4, 0.01); !bytes.Equal(got, want) {
+	if want := buildSegment(segRows(), 4); !bytes.Equal(got, want) {
 		t.Fatal("segImage of undamaged parts differs from buildSegment")
 	}
 }

@@ -12,12 +12,13 @@
 // then applies its overflow policy: Drop rejects with ErrOverflow,
 // Divert rejects likewise but counts the envelope for redirection to the
 // caller's overflow stream, Block parks the producer until space frees.
-// PutBatch is the enqueue for producers that may be slowed (the
-// sources); OfferBatch is its twin for producers that must never be —
-// the workers themselves, whose full queue may be their own (throttling
-// inside a workflow deadlocks, §4.3/§5) — on this node or, marked
-// no-wait on the wire, on another: it never waits, and under Block a
-// full queue rejects it as Drop would. Offered == Accepted + Dropped +
+// PutBatch is the enqueue for producers that may be slowed: a source on
+// the queue's own node. OfferBatch is its twin for producers that must
+// never wait here — the workers themselves, whose full queue may be
+// their own (throttling inside a workflow deadlocks, §4.3/§5), and any
+// producer on another node, whose frame arrives marked no-wait (a source
+// there waits in its own process and resends). It never waits, and under
+// Block a full queue rejects it as Drop would. Offered == Accepted + Dropped +
 // Diverted holds at all times. ErrOverflow and ErrClosed are sentinel
 // errors; they are part of the wire contract — the TCP transport
 // round-trips them across nodes so a remote rejection is

@@ -287,8 +287,8 @@ func (r *Runtime) IngestBatch(evs []event.Event) (int, error) {
 
 // IngestCtx ingests one event, reporting backpressure and overflow
 // instead of silently dropping: while the destination queue is full
-// the call retries until the context is done, then fails with an error
-// wrapping ingress.ErrBackpressure.
+// the call resends until the context is done, then fails with an error
+// wrapping ingress.ErrBackpressure, under every overflow policy.
 func (r *Runtime) IngestCtx(ctx context.Context, ev event.Event) error {
 	return r.ing.IngestCtx(ctx, ev)
 }

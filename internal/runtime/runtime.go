@@ -51,10 +51,6 @@ type Config struct {
 	Store *kvstore.Cluster
 	// StoreLevel is the consistency level for slate I/O.
 	StoreLevel kvstore.Consistency
-	// SourceThrottle makes Ingest wait-and-retry when the destination
-	// queue is full instead of applying the overflow policy — the
-	// paper's source throttling, safe only at external inputs.
-	SourceThrottle bool
 	// DisableDualQueue (2.0) restricts dispatch to the primary queue
 	// only, restoring the 1.0-style single-owner behavior; experiment E6
 	// uses it as the ablation baseline. Per-<function, key> order holds
@@ -319,7 +315,6 @@ func (r *Runtime) Start(d Dispatcher) error {
 		Stopped:        &r.stopped,
 		Policy:         r.cfg.QueuePolicy,
 		OverflowStream: r.cfg.OverflowStream,
-		SourceThrottle: r.cfg.SourceThrottle,
 		OutboxCapacity: r.cfg.QueueCapacity,
 		Route:          d.Route,
 		FuncOf:         d.FuncOf,

@@ -75,7 +75,7 @@
 //     the entries flushing: no longer dirty, not yet durable, and for
 //     that long exempt from eviction, like a pinned entry),
 //  2. chunks the drained records into bounded batches via
-//     internal/microbatch (MaxFlushBatch records / MaxFlushBytes bytes),
+//     internal/microbatch (MaxFlushBatch records / maxFlushBytes bytes),
 //  3. writes each batch to the store with a single multi-put when the
 //     backing Store implements BatchStore (the kvstore adapter does,
 //     via Cluster.PutBatch), falling back to per-record Save otherwise.

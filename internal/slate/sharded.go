@@ -36,8 +36,6 @@ type ShardedConfig struct {
 	WAL *wal.SlateBatchLog
 	// MaxFlushBatch bounds records per group-commit batch (default 256).
 	MaxFlushBatch int
-	// MaxFlushBytes bounds a batch's total slate bytes (default 1MiB).
-	MaxFlushBytes int64
 	// WALCheckpoint truncates the WAL after a fully successful flush,
 	// so it retains only batches not yet known durable in the store.
 	// Kept for the same reason as WAL.
@@ -70,10 +68,10 @@ func (c *ShardedConfig) fill() {
 	if c.MaxFlushBatch <= 0 {
 		c.MaxFlushBatch = 256
 	}
-	if c.MaxFlushBytes <= 0 {
-		c.MaxFlushBytes = 1 << 20
-	}
 }
+
+// maxFlushBytes bounds a group-commit batch's total slate bytes.
+const maxFlushBytes = 1 << 20
 
 // shard is one stripe: a small LRU cache with its own mutex and dirty
 // list.
@@ -503,7 +501,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 	s.flushSaves.Add(uint64(len(recs)))
 	var firstErr error
 	flushed := 0
-	chunks := microbatch.ChunkBy(recs, s.cfg.MaxFlushBatch, s.cfg.MaxFlushBytes,
+	chunks := microbatch.ChunkBy(recs, s.cfg.MaxFlushBatch, maxFlushBytes,
 		func(r BatchRecord) int64 { return int64(len(r.Value)) })
 	for _, chunk := range chunks {
 		var walSeq uint64

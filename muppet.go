@@ -227,9 +227,11 @@ const (
 	DropOverflow = queue.Drop
 	// DivertOverflow redirects them to Config.OverflowStream.
 	DivertOverflow = queue.Divert
-	// BlockOverflow applies backpressure to sources: Ingest* wait for
-	// room, on whichever node owns the key. A worker's own emits never
-	// wait on a worker queue, local or remote (that is the
+	// BlockOverflow applies backpressure to sources: Ingest and
+	// IngestBatch wait for room in their own process — parked on a queue
+	// this node hosts, resending to one another node hosts — and lose
+	// nothing to a full queue unless the engine stops. A worker's own
+	// emits never wait on a worker queue, local or remote (that is the
 	// workflow-internal throttling deadlock of Section 4.3); finding one
 	// full they are dropped and logged, as under DropOverflow.
 	BlockOverflow = queue.Block
@@ -372,9 +374,6 @@ type Config struct {
 	Store *Store
 	// StoreLevel is the consistency level for slate I/O.
 	StoreLevel Consistency
-	// SourceThrottle slows Ingest instead of dropping when queues fill
-	// (safe only at external inputs, Section 5).
-	SourceThrottle bool
 	// DisableDualQueue restores single-queue dispatch under 2.0 (the
 	// E6 ablation). With a single queue each <function, key>'s events
 	// are applied in the order they arrived; the dual-queue spill gives
@@ -527,7 +526,8 @@ type RejoinReport = recovery.RejoinReport
 type Engine interface {
 	// Ingest feeds one external input event into the application,
 	// fire-and-forget: drops are counted and logged but not reported
-	// to the caller. Production sources should prefer IngestBatch or
+	// to the caller, and under BlockOverflow it waits instead of
+	// dropping. Production sources should prefer IngestBatch or
 	// IngestCtx, which return the losses.
 	Ingest(Event)
 	// IngestBatch feeds a batch of external input events, grouping the
@@ -535,12 +535,13 @@ type Engine interface {
 	// are paid per batch rather than per event. It returns how many
 	// events were fully accepted; dropped deliveries are reported via
 	// a *BatchError (and recorded in LostEvents with distinct
-	// reasons). A non-input stream rejects the whole batch before any
-	// side effects.
+	// reasons). Under BlockOverflow it waits for room instead. A
+	// non-input stream rejects the whole batch before any side effects.
 	IngestBatch(evs []Event) (accepted int, err error)
 	// IngestCtx ingests one event with backpressure: while the
-	// destination queue is full it retries until ctx is done, then
-	// fails with an error wrapping ErrBackpressure.
+	// destination queue is full it resends until ctx is done, then
+	// fails with an error wrapping ErrBackpressure. It never waits on a
+	// queue, so the deadline holds under every overflow policy.
 	IngestCtx(ctx context.Context, ev Event) error
 	// Subscribe attaches a live bounded-buffer feed to a declared
 	// output stream; buf <= 0 selects the default buffer (256).
@@ -650,7 +651,6 @@ func NewEngine(app *App, cfg Config) (Engine, error) {
 		FlushPolicy:        cfg.FlushPolicy,
 		FlushInterval:      cfg.FlushEvery,
 		StoreLevel:         cfg.StoreLevel,
-		SourceThrottle:     cfg.SourceThrottle,
 		DisableDualQueue:   cfg.DisableDualQueue,
 		Recovery:           cfg.Recovery,
 		Observability:      cfg.Observability,

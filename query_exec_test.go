@@ -175,7 +175,7 @@ func TestQueryRacesTypedUpdaters(t *testing.T) {
 	defer store.Close()
 	eng, err := muppet.NewEngine(hitApp(nil), muppet.Config{
 		Machines: 2, ThreadsPerMachine: 2, CacheCapacity: 24, Store: store,
-		FlushPolicy: muppet.FlushInterval, QueueCapacity: 1 << 12, SourceThrottle: true,
+		FlushPolicy: muppet.FlushInterval, QueueCapacity: 1 << 12, QueuePolicy: muppet.BlockOverflow,
 	})
 	if err != nil {
 		t.Fatal(err)
