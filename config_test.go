@@ -1,8 +1,10 @@
 package muppet_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -329,5 +331,61 @@ func TestConfigNetworkBadDuration(t *testing.T) {
 	}
 	if _, err := n.BuildNetwork("machine-00", ""); err == nil {
 		t.Fatal("bad duration accepted")
+	}
+}
+
+// FuzzParseAppConfig: ParseAppConfig never panics, and a configuration
+// it accepts survives an encoding round trip: json.Marshal and a second
+// parse give back an equal AppConfig. Without a store section (Build
+// would open store files under whatever dir the input names) it also
+// builds against an empty registry without panicking.
+func FuzzParseAppConfig(f *testing.F) {
+	f.Add([]byte(wordCountConfig))
+	f.Add([]byte(`{"name": "x", "inputs": ["S1"], "outputs": [], "functions": [],
+	  "engine": {"version": 1, "queue_policy": "block", "flush_policy": "on-evict", "tracing": true,
+	    "recovery": {"suspicion_k": 2, "suspicion_window": "2s"}}}`))
+	f.Add([]byte(`{"name": "x", "inputs": ["lines"], "functions": [
+	    {"kind": "update", "name": "U", "subscribes": ["lines"], "publishes": [], "ttl": "1h"}],
+	  "network": {"nodes": {"machine-00": "127.0.0.1:7070"}, "io_timeout": "1s", "send_retries": 2,
+	    "chaos": {"seed": 7, "flaky_dial": 0.5, "max_delay": "1ms", "partitions": []}}}`))
+	f.Add([]byte(`{"name": "x"} {"name": "y"}`))
+	f.Add([]byte(`{"engine": {"machnes": 4}}`))
+	f.Add([]byte(`{"store": null, "network": null, "engine": {"recovery": null}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := muppet.ParseAppConfig(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("accepted config does not marshal: %v", err)
+		}
+		again, err := muppet.ParseAppConfig(enc)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", enc, err)
+		}
+		dropEmpty(cfg)
+		if !reflect.DeepEqual(cfg, again) {
+			t.Fatalf("round trip changed the config:\n%+v\n%+v", cfg, again)
+		}
+		if cfg.Store == nil {
+			cfg.Build(muppet.NewRegistry())
+		}
+	})
+}
+
+// dropEmpty nils the empty omitempty slices of c, which an encoding
+// leaves out: the one difference a round trip may make.
+func dropEmpty(c *muppet.AppConfig) {
+	if len(c.Outputs) == 0 {
+		c.Outputs = nil
+	}
+	for i := range c.Functions {
+		if len(c.Functions[i].Publishes) == 0 {
+			c.Functions[i].Publishes = nil
+		}
+	}
+	if c.Network != nil && c.Network.Chaos != nil && len(c.Network.Chaos.Partitions) == 0 {
+		c.Network.Chaos.Partitions = nil
 	}
 }

@@ -1,7 +1,7 @@
 // Command failover demonstrates the unified recovery subsystem end to
-// end — crash, master-coordinated failover, rejoin — with stock Muppet's
-// Section 4.3 semantics: a machine dies mid-stream without warning; the
-// first failed send reports it to the master, whose broadcast drives the
+// end — crash, failover, rejoin — with stock Muppet's Section 4.3
+// semantics: a machine dies mid-stream without warning; the first
+// failed send reports it to the recovery manager, which drives the
 // failover — the ring reroutes, queued events are lost (and logged),
 // dirty slates die with the cache — and counting resumes from the state
 // persisted in the replicated slate store, the one durability a flushed
@@ -12,8 +12,8 @@
 // drops.
 //
 // The run finishes by rejoining the dead machine: workers restart, the
-// master broadcasts the new ring, and the machine's slate cache is
-// warmed from the backing store before traffic returns to it.
+// ring takes it back, and the machine's slate cache is warmed from the
+// backing store before traffic returns to it.
 package main
 
 import (
@@ -67,8 +67,8 @@ func run(n int, victim string) {
 		switch i {
 		case n / 3:
 			// The machine dies without ceremony — no operator cleanup.
-			// The next send to it fails, the detector reports to the
-			// master, and the broadcast drives the full failover:
+			// The next send to it fails, the detector reports it, and
+			// the recovery manager runs the full failover:
 			// queues drained, slates crashed once any group commit under
 			// way is stored, ring rerouted.
 			eng.Cluster().Crash(victim)

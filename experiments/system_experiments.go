@@ -10,12 +10,13 @@ import (
 	"muppet/internal/event"
 	"muppet/internal/microbatch"
 	"muppet/internal/obs"
+	"muppet/internal/recovery"
 	"muppet/muppetapps"
 )
 
 // E12Failure reproduces the §4.3 failure-handling argument: because a
 // worker contacts its peers constantly, a dead machine is detected on
-// the first failed send and broadcast by the master — far faster than
+// the first failed send and dropped from the ring — far faster than
 // the MapReduce-style periodic ping the paper rejects. The event that
 // hit the dead machine is lost, along with the machine's queued events
 // and unflushed slates, and the key reroutes to a live worker.
@@ -51,7 +52,7 @@ func E12Failure(s Scale) Table {
 		}
 		eng.Drain()
 		detect := time.Duration(-1)
-		if at, ok := eng.Cluster().Master().DetectionTime(victim); ok {
+		if at, ok := recoveryOf(eng).DetectionTime(victim); ok {
 			detect = at.Sub(crashAt)
 		}
 		st := eng.Stats()
@@ -74,13 +75,19 @@ func E12Failure(s Scale) Table {
 			panic(err)
 		}
 		eng.CrashMachine("machine-05")
-		newly := eng.Cluster().Master().PingAll()
+		newly := recoveryOf(eng).PingAll()
 		found := len(newly) == 1 && newly[0] == "machine-05"
 		t.Add(fmt.Sprintf("ping every %v", interval), interval/2, "(same loss model)", "-", found)
 		eng.Stop()
 	}
 	t.Note("on-send detection is bounded by the inter-event gap (microseconds here, milliseconds in production), not a ping period")
 	return t
+}
+
+// recoveryOf is the engine's recovery manager, the node's failure
+// authority.
+func recoveryOf(eng muppet.Engine) *recovery.Manager {
+	return eng.(interface{ Recovery() *recovery.Manager }).Recovery()
 }
 
 // E13Overflow reproduces the §4.3/§5 queue-overflow mechanisms: drop

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -125,4 +126,32 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: Unmarshal accepted corrupt input", name)
 		}
 	}
+}
+
+// FuzzBloomUnmarshal: Unmarshal never panics, and whatever it accepts
+// is exactly one serialized filter — it re-marshals to the same bytes —
+// that MayContain can probe.
+func FuzzBloomUnmarshal(f *testing.F) {
+	filter := New(100, 0.01)
+	filter.Add("k")
+	good := filter.Marshal()
+	f.Add(good)
+	f.Add(good[:marshalHeader-1])                                                          // short header
+	f.Add(append([]byte{marshalVersion + 1}, good[1:]...))                                 // bad version
+	f.Add(append([]byte{marshalVersion, 17}, good[2:]...))                                 // too many hashes
+	f.Add([]byte{marshalVersion, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})       // bits cannot fit
+	f.Add(append(append([]byte(nil), good...), 0xAA))                                      // trailing byte
+	f.Add([]byte{marshalVersion, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 0, 0, 0, 0x80}) // one bit, junk above it
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if out := g.Marshal(); !bytes.Equal(out, data) {
+			t.Fatalf("Unmarshal accepted %x, which re-marshals to %x", data, out)
+		}
+		for _, k := range []string{"", "k", "key-1", string(data)} {
+			g.MayContain(k)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,12 +142,10 @@ type Config struct {
 const dedupWindow = 4096
 
 // Cluster is one node's view of the cluster: the full member list, the
-// machines this node hosts, the master, and the transport to everyone
-// else.
+// machines this node hosts, and the transport to everyone else.
 type Cluster struct {
 	cfg          Config
 	machines     map[string]*Machine
-	master       *Master
 	tr           Transport
 	inflight     atomic.Value // func(delta int): remote-origin in-flight hook
 	queryHandler atomic.Value // QueryHandler
@@ -262,15 +259,11 @@ func New(cfg Config) *Cluster {
 			c.node = "node"
 		}
 	}
-	c.master = newMaster(c)
 	return c
 }
 
 // Node returns this node's sender identity.
 func (c *Cluster) Node() string { return c.node }
-
-// Master returns the node's master replica.
-func (c *Cluster) Master() *Master { return c.master }
 
 // Machine returns the named machine, or nil.
 func (c *Cluster) Machine(name string) *Machine { return c.machines[name] }
@@ -612,140 +605,3 @@ func (c *Cluster) Sends() uint64 { return c.sends.Load() }
 // from its transport, and RecvDeliveries the deliveries they carried.
 func (c *Cluster) Recvs() uint64          { return c.recvs.Load() }
 func (c *Cluster) RecvDeliveries() uint64 { return c.recvDs.Load() }
-
-// Master implements the paper's failure protocol: workers that fail to
-// contact a machine report it; the master broadcasts the failure to
-// all workers, which update their lists of failed machines. The master
-// never sits on the event data path.
-//
-// In a multi-node cluster each node runs its own master replica, and
-// broadcasts are node-local: a node learns of a peer's failure through
-// its own failed sends (detect-on-send reaches every sender quickly,
-// because the dead machine stops answering everyone), not through
-// cross-node master gossip. See the package documentation for the
-// rejoin ordering this implies.
-type Master struct {
-	c *Cluster
-
-	mu              sync.Mutex
-	failed          map[string]time.Time // machine -> detection time
-	listeners       []func(machine string)
-	rejoinListeners []func(machine string)
-	reports         uint64
-	rejoinReports   uint64
-}
-
-func newMaster(c *Cluster) *Master {
-	return &Master{c: c, failed: make(map[string]time.Time)}
-}
-
-// Subscribe registers a callback invoked (synchronously) whenever a
-// machine failure is broadcast. Engines subscribe their hash rings.
-func (m *Master) Subscribe(fn func(machine string)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.listeners = append(m.listeners, fn)
-}
-
-// ReportFailure is called by a worker that could not contact the given
-// machine. The first report triggers the broadcast; duplicates are
-// absorbed. It returns true if this report was the first.
-func (m *Master) ReportFailure(machine string) bool {
-	m.mu.Lock()
-	m.reports++
-	if _, known := m.failed[machine]; known {
-		m.mu.Unlock()
-		return false
-	}
-	m.failed[machine] = time.Now()
-	listeners := make([]func(string), len(m.listeners))
-	copy(listeners, m.listeners)
-	m.mu.Unlock()
-	for _, fn := range listeners {
-		fn(machine)
-	}
-	return true
-}
-
-// FailedMachines returns the machines known failed, sorted.
-func (m *Master) FailedMachines() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for n := range m.failed {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DetectionTime returns when the machine's failure was first reported;
-// ok is false if it never was.
-func (m *Master) DetectionTime(machine string) (time.Time, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.failed[machine]
-	return t, ok
-}
-
-// Reports returns the total failure reports received, including
-// duplicates.
-func (m *Master) Reports() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reports
-}
-
-// Forget clears a machine's failed state (used after revival).
-func (m *Master) Forget(machine string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.failed, machine)
-}
-
-// SubscribeRejoin registers a callback invoked (synchronously)
-// whenever a machine rejoin is broadcast. The recovery subsystem
-// subscribes its ring-restore and cache-warming steps.
-func (m *Master) SubscribeRejoin(fn func(machine string)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejoinListeners = append(m.rejoinListeners, fn)
-}
-
-// ReportRejoin clears the machine's failed state and broadcasts the
-// rejoin to every subscriber — the "new ring" announcement that brings
-// a revived machine back onto the data path.
-func (m *Master) ReportRejoin(machine string) {
-	m.mu.Lock()
-	delete(m.failed, machine)
-	m.rejoinReports++
-	listeners := make([]func(string), len(m.rejoinListeners))
-	copy(listeners, m.rejoinListeners)
-	m.mu.Unlock()
-	for _, fn := range listeners {
-		fn(machine)
-	}
-}
-
-// RejoinReports returns the total rejoin broadcasts made.
-func (m *Master) RejoinReports() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rejoinReports
-}
-
-// PingAll is the MapReduce-style alternative the paper argues against:
-// the master probes every machine and reports the dead ones. It
-// returns the newly detected failures. Experiment E12 compares the
-// latency of this periodic detection against Muppet's detect-on-send.
-func (m *Master) PingAll() []string {
-	var newly []string
-	for _, name := range m.c.MachineNames() {
-		if !m.c.Machine(name).Alive() {
-			if m.ReportFailure(name) {
-				newly = append(newly, name)
-			}
-		}
-	}
-	return newly
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"muppet/internal/event"
 )
@@ -98,71 +97,6 @@ func TestMachineNamesSorted(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("names = %v", names)
 		}
-	}
-}
-
-func TestMasterBroadcastsFirstReportOnly(t *testing.T) {
-	c := New(Config{Machines: 3})
-	var mu sync.Mutex
-	var broadcasts []string
-	c.Master().Subscribe(func(m string) {
-		mu.Lock()
-		broadcasts = append(broadcasts, m)
-		mu.Unlock()
-	})
-	if !c.Master().ReportFailure("machine-01") {
-		t.Fatal("first report should return true")
-	}
-	if c.Master().ReportFailure("machine-01") {
-		t.Fatal("duplicate report should return false")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(broadcasts) != 1 || broadcasts[0] != "machine-01" {
-		t.Fatalf("broadcasts = %v", broadcasts)
-	}
-	if c.Master().Reports() != 2 {
-		t.Fatalf("Reports = %d, want 2", c.Master().Reports())
-	}
-}
-
-func TestMasterDetectionTime(t *testing.T) {
-	c := New(Config{Machines: 2})
-	before := time.Now()
-	c.Master().ReportFailure("machine-00")
-	dt, ok := c.Master().DetectionTime("machine-00")
-	if !ok || dt.Before(before) {
-		t.Fatalf("detection time = %v ok=%v", dt, ok)
-	}
-	if _, ok := c.Master().DetectionTime("machine-01"); ok {
-		t.Fatal("undetected machine has detection time")
-	}
-}
-
-func TestMasterFailedMachinesAndForget(t *testing.T) {
-	c := New(Config{Machines: 3})
-	c.Master().ReportFailure("machine-02")
-	c.Master().ReportFailure("machine-00")
-	got := c.Master().FailedMachines()
-	if len(got) != 2 || got[0] != "machine-00" || got[1] != "machine-02" {
-		t.Fatalf("failed = %v", got)
-	}
-	c.Master().Forget("machine-00")
-	if got := c.Master().FailedMachines(); len(got) != 1 {
-		t.Fatalf("failed after forget = %v", got)
-	}
-}
-
-func TestPingAllDetectsCrashed(t *testing.T) {
-	c := New(Config{Machines: 4})
-	c.Crash("machine-01")
-	c.Crash("machine-03")
-	newly := c.Master().PingAll()
-	if len(newly) != 2 {
-		t.Fatalf("newly detected = %v", newly)
-	}
-	if again := c.Master().PingAll(); len(again) != 0 {
-		t.Fatalf("second ping re-detected: %v", again)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package cluster is the "cluster of commodity machines" Muppet runs
-// on (Section 4.1 of the paper): named machines, the master whose only
-// data-path role is failure handling (Section 4.3), and a pluggable
-// Transport that decides whether "the network" is an in-process
-// function call or a real TCP socket.
+// on (Section 4.1 of the paper): named machines, their liveness, and a
+// pluggable Transport that decides whether "the network" is an
+// in-process function call or a real TCP socket. Acting on a failure
+// (Section 4.3) is internal/recovery's job.
 //
 // # Contract
 //
@@ -34,12 +34,7 @@
 //
 // # Concurrency
 //
-// All Cluster and Master methods are safe for concurrent use. Master
-// failure/rejoin listeners are invoked synchronously, outside the
-// master's lock, on the goroutine that reported; listeners must not
-// call back into Master methods that take the same lock reentrantly
-// (none do today) and must tolerate concurrent invocations for
-// different machines.
+// All Cluster and Machine methods are safe for concurrent use.
 //
 // # Failure model across nodes
 //
@@ -50,11 +45,11 @@
 // and rejoin logic of internal/recovery run unchanged on both
 // transports.
 //
-// Each node runs its own Master replica and broadcasts are node-local;
-// there is no cross-node master gossip. Every sender discovers a dead
-// peer through its own failed sends, so detection reaches exactly the
-// nodes that talk to the victim — which is also the set that needs to
-// know. The consequence for rejoin ordering: revive the machine on its
+// Each node decides a peer's failure on its own, in its recovery
+// manager; no node tells another. Every sender discovers a dead peer
+// through its own failed sends, so detection reaches exactly the nodes
+// that talk to the victim — which is also the set that needs to know.
+// The consequence for rejoin ordering: revive the machine on its
 // HOSTING node first (workers up, queues open), then rejoin it on the
 // sender nodes (flush interim slates, re-enable the ring, resume
 // sending). Flipping a sender's ring before the host is serving again

@@ -232,8 +232,8 @@ func (c *Courier) Observe(machine string, err error) {
 		// run it had accumulated resets.
 		c.cfg.Detector.ObserveSendOK(machine)
 	case err == cluster.ErrMachineDown:
-		// Detect-on-send: the detector notifies the master, whose
-		// broadcast drives the failover protocol.
+		// Detect-on-send: the detector reports the machine to the
+		// recovery manager, which drives the failover protocol.
 		c.cfg.Detector.ObserveSendFailure(machine)
 	case cluster.IsTransient(err):
 		// The bounded retry budget was exhausted by network blips; the
@@ -342,7 +342,7 @@ func (c *Courier) ship(ob *outbox, ds []cluster.Delivery, stamps []int64) {
 // that escalated, or another path on this node found out first. Nothing
 // of theirs has been on the wire, so none need be lost: the death is
 // reported (the first report runs the failover, ring update included,
-// inside the call; the master absorbs the rest), then each follows the
+// inside the call; the recovery manager absorbs the rest), then each follows the
 // ring if it now names another machine and is otherwise lost to the dead
 // one and logged. A failover so costs a sender at most the one frame
 // that was in flight.

@@ -31,9 +31,9 @@
 //
 // # Failure invariants
 //
-// Failure handling follows Section 4.3: a failed send marks the
-// machine dead at the master, which broadcasts it to every node; each
-// disables the machine's workers on its rings. The event that failed
+// Failure handling follows Section 4.3: a failed send reports the
+// machine to the node's recovery manager, which disables the machine's
+// workers on the node's rings. The event that failed
 // to reach the dead worker is lost and logged, not resent — as under
 // 2.0, no path delivers an event twice.
 package engine1

@@ -193,10 +193,10 @@ func TestMachineCrashLosesEventsAndReroutes(t *testing.T) {
 		t.Fatal("no events counted lost to the crash")
 	}
 	if e.Stats().FailureReports == 0 {
-		t.Fatal("failure never reported to master")
+		t.Fatal("failure never reported")
 	}
-	if _, ok := e.Cluster().Master().DetectionTime(machine); !ok {
-		t.Fatal("master does not know about the failure")
+	if _, ok := e.Recovery().DetectionTime(machine); !ok {
+		t.Fatal("the recovery manager does not know about the failure")
 	}
 	// Subsequent events flow to the new owner.
 	for i := 0; i < 10; i++ {

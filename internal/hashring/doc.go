@@ -4,10 +4,10 @@
 // Every worker holds the same ring, so after producing an event any
 // worker can instantly calculate which worker the pair <event key,
 // destination function> hashes to, then contact that worker directly —
-// no master on the data path. When the master broadcasts a machine
-// failure, each worker removes the failed node from its ring; keys
-// that hashed to the failed node move to the next node on the ring
-// and, by consistency, no other key moves (Section 4.3).
+// no master on the data path. When a machine's failure is reported,
+// the failed node is removed from the ring; keys that hashed to it
+// move to the next node on the ring and, by consistency, no other key
+// moves (Section 4.3).
 //
 // # Contract
 //

@@ -4,18 +4,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"muppet/internal/cluster"
-	"muppet/internal/engine"
 )
 
 // Detector is the failure detector of Section 4.3: Muppet detects
 // failures on the data path, when a send to a machine fails, rather
-// than by periodic pings. PR 9 splits the signal in two:
+// than by periodic pings. The signal comes in two kinds:
 //
 //   - Fatal observations (cluster.ErrMachineDown — the hosting node
-//     answered that the machine is crashed) are forwarded to the
-//     master immediately, exactly as before.
+//     answered that the machine is crashed) are reported to the
+//     Manager immediately.
 //
 //   - Transient observations (a send whose bounded retry budget was
 //     exhausted by network blips) only raise *suspicion*. The machine
@@ -25,14 +22,12 @@ import (
 //     instead of tearing down a healthy machine's ring position.
 //
 // When suspicion confirms, the detector records the crash presumption
-// on the local cluster view *before* reporting to the master: the
-// manager's stale-report guard drops failure reports for machines
-// still presumed alive, and the ordering makes an escalated suspicion
+// on the local cluster view *before* reporting: the manager's
+// stale-report guard drops failure reports for machines still presumed
+// alive, and the ordering makes an escalated suspicion
 // indistinguishable from an authoritative detect-on-send.
 type Detector struct {
-	master   *cluster.Master
-	clu      *cluster.Cluster
-	counters *engine.Counters
+	mgr *Manager
 
 	k      int
 	window time.Duration
@@ -40,7 +35,6 @@ type Detector struct {
 	observed  atomic.Uint64
 	transient atomic.Uint64
 	escalated atomic.Uint64
-	detected  atomic.Uint64
 
 	suspectedN atomic.Int64 // fast-path gate for ObserveSendOK
 	mu         sync.Mutex
@@ -54,18 +48,12 @@ type suspicion struct {
 }
 
 // ObserveSendFailure records one authoritatively failed send
-// (ErrMachineDown) to the machine and reports it to the master. The
-// master absorbs duplicate reports; only the first triggers the failure
-// broadcast.
+// (ErrMachineDown) to the machine and reports it. The manager absorbs
+// duplicate reports; only the first starts a failover.
 func (d *Detector) ObserveSendFailure(machine string) {
 	d.observed.Add(1)
 	d.clearSuspicion(machine) // the verdict is in; the tally is moot
-	if d.counters != nil {
-		d.counters.FailureReports.Add(1)
-	}
-	if d.master.ReportFailure(machine) {
-		d.detected.Add(1)
-	}
+	d.mgr.ReportFailure(machine)
 }
 
 // ObserveTransientFailure records one send whose retry budget was
@@ -101,13 +89,8 @@ func (d *Detector) ObserveTransientFailure(machine string) {
 	d.escalated.Add(1)
 	// Record the presumption locally first: the manager drops failure
 	// reports for machines its cluster view still calls alive.
-	d.clu.Crash(machine)
-	if d.counters != nil {
-		d.counters.FailureReports.Add(1)
-	}
-	if d.master.ReportFailure(machine) {
-		d.detected.Add(1)
-	}
+	d.mgr.deps.Cluster.Crash(machine)
+	d.mgr.ReportFailure(machine)
 }
 
 // ObserveSendOK clears the machine's suspicion: consecutive means
@@ -170,7 +153,3 @@ func (d *Detector) TransientObserved() uint64 { return d.transient.Load() }
 // Escalated returns the number of suspicion confirmations — transient
 // runs that crossed SuspicionK and were escalated to machine-down.
 func (d *Detector) Escalated() uint64 { return d.escalated.Load() }
-
-// Detected returns the number of first reports — failures this
-// detector was the first to notify the master about.
-func (d *Detector) Detected() uint64 { return d.detected.Load() }

@@ -6,6 +6,7 @@ package recovery_test
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,5 +261,73 @@ func TestRejoinHandoverFlushesInterimDirtySlates(t *testing.T) {
 	lost := int(eng.Stats().LostMachineDown) + int(eng.RecoveryStatus().QueuedLost)
 	if counted+lost != n {
 		t.Fatalf("counted %d + lost %d != ingested %d (interim owners' dirty slates lost in handover)", counted, lost, n)
+	}
+}
+
+// TestConcurrentRejoinRestartsOnce: two RejoinMachine calls for one
+// crashed machine restart it once; the second waits for the first and
+// returns its report, or an error. Were both to restart it, the second
+// would replace the queues the first had just started loops on, and
+// Stop would wait on those loops forever.
+func TestConcurrentRejoinRestartsOnce(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		version muppet.EngineVersion
+	}{{"engine1", muppet.EngineV1}, {"engine2", muppet.EngineV2}} {
+		t.Run(v.name, func(t *testing.T) {
+			eng, err := muppet.NewEngine(countApp(), muppet.Config{
+				Engine: v.version, Machines: 4,
+				Store:      muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3}),
+				StoreLevel: muppet.Quorum, FlushPolicy: muppet.WriteThrough,
+				QueueCapacity: 1 << 12,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const victim = "machine-03"
+			eng.CrashMachine(victim)
+			for i := 0; eng.RecoveryStatus().Failovers == 0; i++ {
+				if i >= 100_000 {
+					t.Fatal("the crash was never detected")
+				}
+				eng.Ingest(muppet.Event{Stream: "S1", TS: muppet.Timestamp(i + 1), Key: fmt.Sprintf("k%d", i%64)})
+				if i%16 == 15 {
+					eng.Drain()
+				}
+			}
+
+			var wg sync.WaitGroup
+			reps, errs := make([]muppet.RejoinReport, 2), make([]error, 2)
+			for i := range reps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					reps[i], errs[i] = eng.RejoinMachine(victim)
+				}()
+			}
+			wg.Wait()
+			if errs[0] != nil && errs[1] != nil {
+				t.Fatalf("both rejoins failed: %v; %v", errs[0], errs[1])
+			}
+			for i, rep := range reps {
+				if errs[i] == nil && (!rep.Restarted || rep != reps[1-i] && errs[1-i] == nil) {
+					t.Errorf("rejoin reports %+v and %+v, want the one restart's report", reps[0], reps[1])
+				}
+			}
+			if n := eng.RecoveryStatus().Rejoins; n != 1 {
+				t.Errorf("rejoins = %d, want 1", n)
+			}
+
+			stopped := make(chan struct{})
+			go func() {
+				eng.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stop hung after concurrent rejoins")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +89,7 @@ type Adapter interface {
 
 // Deps are the engine-provided collaborators of a Manager.
 type Deps struct {
-	// Cluster is the simulated machine cluster (and its master).
+	// Cluster is the simulated machine cluster.
 	Cluster *cluster.Cluster
 	// Adapter is the engine's recovery surface.
 	Adapter Adapter
@@ -108,18 +109,27 @@ type Deps struct {
 
 // incident is the per-machine recovery state between crash and rejoin.
 type incident struct {
-	cleaned    bool // cleanup claimed (queues drained, slates crashed)
-	cleanDone  bool // cleanup finished
-	failedOver bool // failover claimed (ring update)
-	done       bool // failover finished
+	cleaned    bool      // cleanup claimed (queues drained, slates crashed)
+	cleanDone  bool      // cleanup finished
+	failedOver bool      // failure report accepted, failover claimed
+	done       bool      // failover finished (ring update)
+	detected   time.Time // when the failure report was accepted
 	report     Report
 }
 
-// Manager runs the recovery protocol for one engine. All methods are
-// safe for concurrent use; failovers for distinct machines run one at a
-// time through a pending queue, so a sender that detects a second dead
-// machine queues it and returns instead of blocking on the first
-// machine's failover.
+// rejoin is one machine's revival in progress; a concurrent Rejoin of
+// the same machine waits for done and returns rep.
+type rejoin struct {
+	done chan struct{}
+	rep  RejoinReport
+}
+
+// Manager runs the recovery protocol for one engine and is the node's
+// one failure authority: the failure reports of every sender on this
+// node meet in its incident map. All methods are safe for concurrent
+// use; failovers for distinct machines run one at a time through a
+// pending queue, so a sender that detects a second dead machine queues
+// it and returns instead of blocking on the first machine's failover.
 type Manager struct {
 	cfg  Config
 	deps Deps
@@ -130,8 +140,7 @@ type Manager struct {
 	incidents map[string]*incident
 	pending   []string
 	running   bool
-	rejoining map[string]bool
-	rejoined  map[string]*RejoinReport
+	rejoining map[string]*rejoin
 	lastFail  *Report
 	lastJoin  *RejoinReport
 
@@ -145,30 +154,24 @@ type Manager struct {
 	rejoinLatency   *metrics.Histogram
 }
 
-// NewManager builds a manager, its failure detector, and subscribes to
-// the master's failure and rejoin broadcasts.
+// NewManager builds a manager and its failure detector.
 func NewManager(deps Deps, cfg Config) *Manager {
 	cfg.fill()
 	m := &Manager{
 		cfg:             cfg,
 		deps:            deps,
 		incidents:       make(map[string]*incident),
-		rejoining:       make(map[string]bool),
-		rejoined:        make(map[string]*RejoinReport),
+		rejoining:       make(map[string]*rejoin),
 		failoverLatency: metrics.NewHistogram(0),
 		rejoinLatency:   metrics.NewHistogram(0),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.det = &Detector{
-		master:   deps.Cluster.Master(),
-		clu:      deps.Cluster,
-		counters: deps.Counters,
+		mgr:      m,
 		k:        cfg.SuspicionK,
 		window:   cfg.SuspicionWindow,
 		suspects: make(map[string]*suspicion),
 	}
-	deps.Cluster.Master().Subscribe(m.onFailure)
-	deps.Cluster.Master().SubscribeRejoin(m.onRejoin)
 	return m
 }
 
@@ -179,8 +182,8 @@ func (m *Manager) Detector() *Detector { return m.det }
 // Crash is the stock §4.3 operator kill: the machine stops accepting
 // events, and its queued events and dirty slates are lost (and
 // logged). A group commit under way when the kill lands is in the store
-// before Crash returns. The master is not notified; detection is left
-// to the next failed send, exactly as in the paper.
+// before Crash returns. No failure is reported; detection is left to
+// the next failed send, exactly as in the paper.
 func (m *Manager) Crash(machine string) Report {
 	if !m.claimCleanup(machine) {
 		m.deps.Cluster.Crash(machine)
@@ -190,46 +193,48 @@ func (m *Manager) Crash(machine string) Report {
 }
 
 // Rejoin revives a crashed machine and re-integrates it: workers
-// restart on fresh queues, the master broadcasts the rejoin (the "new
-// ring" announcement), the ring re-enables the machine, and its slate
-// cache is warmed from the durable store for the keys it now owns
-// again.
+// restart on fresh queues, the ring re-enables the machine (the "new
+// ring" announcement), and its slate cache is warmed from the durable
+// store for the keys it now owns again. A Rejoin of a machine another
+// Rejoin is already reviving waits for that one and returns its report.
 func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 	mach := m.deps.Cluster.Machine(machine)
 	if mach == nil {
 		return RejoinReport{}, fmt.Errorf("recovery: unknown machine %s", machine)
-	}
-	if mach.Alive() {
-		return RejoinReport{}, fmt.Errorf("recovery: machine %s is not down", machine)
 	}
 	m.mu.Lock()
 	// A cleanup or detection-driven failover for this machine may still
 	// be in flight; let it finish, or its queue drain would close the
 	// fresh queues the restart below installs.
 	inc := m.incidents[machine]
-	for inc != nil && (inc.failedOver && !inc.done || inc.cleaned && !inc.cleanDone) {
+	for m.rejoining[machine] == nil && inc != nil && (inc.failedOver && !inc.done || inc.cleaned && !inc.cleanDone) {
 		m.cond.Wait()
 		inc = m.incidents[machine]
+	}
+	if r := m.rejoining[machine]; r != nil {
+		m.mu.Unlock()
+		<-r.done
+		return r.rep, nil
+	}
+	if mach.Alive() {
+		m.mu.Unlock()
+		return RejoinReport{}, fmt.Errorf("recovery: machine %s is not down", machine)
 	}
 	// Shield the rejoin window: a failure report racing the revival
 	// (a send that failed just before Revive landed) must not start a
 	// failover for a machine that is coming back.
-	m.rejoining[machine] = true
+	r := &rejoin{done: make(chan struct{})}
+	m.rejoining[machine] = r
 	restart := inc != nil && inc.cleaned
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.rejoining, machine)
-		m.mu.Unlock()
-	}()
 	// Quiesce before touching caches or the ring: in-flight events —
 	// including any update that was mid-process on the dying machine,
 	// which its dead cache refuses — must finish first, so the keys'
 	// interim owners stop writing before ownership moves back (two
 	// concurrent writers would silently lose the interim owner's tail of
-	// updates). The machine
-	// is still down here, so deliveries racing the rejoin keep failing
-	// as machine-down — the §4.3 pre-detection disposition.
+	// updates). The machine is still down here, so deliveries racing the
+	// rejoin keep failing as machine-down — the §4.3 pre-detection
+	// disposition.
 	if m.deps.Tracker != nil {
 		m.deps.Tracker.Wait()
 	}
@@ -253,15 +258,30 @@ func (m *Manager) Rejoin(machine string) (RejoinReport, error) {
 	if m.deps.Store != nil {
 		m.deps.Adapter.FlushSlates()
 	}
-	m.deps.Cluster.Master().ReportRejoin(machine)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rep := RejoinReport{Machine: machine}
-	if r := m.rejoined[machine]; r != nil {
-		rep = *r
+	// Restore the machine to the ring, evict the interim owners'
+	// now-misplaced cache entries (a stale copy must never shadow the
+	// store if the key fails back to them later), then warm the
+	// machine's cache for the keys it owns again.
+	start := time.Now()
+	m.det.Reset(machine) // the new incarnation starts unsuspected
+	m.deps.Adapter.RestoreToRing(machine)
+	m.deps.Adapter.DropMisplacedSlates()
+	warmedN := 0
+	if m.deps.Store != nil {
+		warmedN = m.deps.Adapter.WarmSlates(machine, warmLimit)
 	}
-	rep.Restarted = restart
-	return rep, nil
+	m.warmed.Add(uint64(warmedN))
+	m.rejoins.Add(1)
+	took := time.Since(start)
+	m.rejoinLatency.Observe(took)
+	r.rep = RejoinReport{Machine: machine, Restarted: restart, Warmed: warmedN, Took: took, At: time.Now()}
+	m.mu.Lock()
+	delete(m.incidents, machine)
+	delete(m.rejoining, machine)
+	m.lastJoin = &r.rep
+	m.mu.Unlock()
+	close(r.done)
+	return r.rep, nil
 }
 
 // claimCleanup marks the machine's cleanup as owned by the caller,
@@ -337,46 +357,40 @@ func (m *Manager) doCleanup(machine string, quiesce bool) Report {
 	return rep
 }
 
-// onFailure is the master failure-broadcast handler, run on the
-// reporting sender's goroutine: it queues the machine for failover and
-// runs the queue unless another goroutine already is. Queuing lets
-// concurrent detections of distinct machines run one failover at a time
-// without holding up the later reporters, and the tracker hold keeps
-// Drain blocked until every queued failover has completed.
-func (m *Manager) onFailure(machine string) {
-	if mach := m.deps.Cluster.Machine(machine); mach != nil && mach.Alive() {
-		// Stale report: the send failed before a rejoin revived the
-		// machine, but the reporter only reached the master afterwards.
-		// Tearing down a healthy machine would strand it (RejoinMachine
-		// refuses alive machines), so drop the report — and clear the
-		// master's failed mark so a future real failure is not absorbed
-		// as a duplicate.
-		m.deps.Cluster.Master().Forget(machine)
-		return
+// ReportFailure is how a sender that could not contact the machine
+// reports it; the Detector calls it, and so does PingAll. The first
+// report of a down machine queues its failover and returns true; a
+// duplicate, a report for a machine that is alive again (the send
+// failed before a rejoin revived it), and one for a machine being
+// revived return false and change nothing. The report runs the pending
+// queue on the reporter's goroutine unless another goroutine already
+// is: concurrent detections of distinct machines run one failover at a
+// time without holding up the later reporters, and the tracker hold
+// keeps Drain blocked until every queued failover has completed.
+func (m *Manager) ReportFailure(machine string) bool {
+	if m.deps.Counters != nil {
+		m.deps.Counters.FailureReports.Add(1)
 	}
+	mach := m.deps.Cluster.Machine(machine)
 	m.mu.Lock()
-	if m.rejoining[machine] {
-		// The machine is being revived; a report from a send that
-		// failed just before Revive must not tear down the fresh
-		// workers. If it truly dies again, the next failed send after
-		// the rejoin (which Forgets the old failure at the master)
-		// re-triggers detection.
+	if mach == nil || mach.Alive() || m.rejoining[machine] != nil {
 		m.mu.Unlock()
-		return
+		return false
 	}
 	inc := m.incidentLocked(machine)
 	if inc.failedOver {
 		m.mu.Unlock()
-		return
+		return false
 	}
 	inc.failedOver = true
+	inc.detected = time.Now()
 	m.pending = append(m.pending, machine)
 	if m.deps.Tracker != nil {
 		m.deps.Tracker.Inc()
 	}
 	if m.running {
 		m.mu.Unlock()
-		return
+		return true
 	}
 	m.running = true
 	m.mu.Unlock()
@@ -385,7 +399,7 @@ func (m *Manager) onFailure(machine string) {
 		if len(m.pending) == 0 {
 			m.running = false
 			m.mu.Unlock()
-			return
+			return true
 		}
 		next := m.pending[0]
 		m.pending = m.pending[1:]
@@ -395,6 +409,46 @@ func (m *Manager) onFailure(machine string) {
 			m.deps.Tracker.Dec()
 		}
 	}
+}
+
+// PingAll is the MapReduce-style alternative the paper argues against:
+// probe every machine and report the dead ones. It returns the newly
+// detected failures. Experiment E12 compares the latency of this
+// periodic detection against Muppet's detect-on-send.
+func (m *Manager) PingAll() []string {
+	var newly []string
+	for _, name := range m.deps.Cluster.MachineNames() {
+		if !m.deps.Cluster.Machine(name).Alive() && m.ReportFailure(name) {
+			newly = append(newly, name)
+		}
+	}
+	return newly
+}
+
+// FailedMachines returns the machines whose failure has been reported
+// and not yet rejoined, sorted.
+func (m *Manager) FailedMachines() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for name, inc := range m.incidents {
+		if inc.failedOver {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// DetectionTime returns when the machine's failure was first reported;
+// ok is false if it has not been since its last rejoin.
+func (m *Manager) DetectionTime(machine string) (time.Time, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if inc := m.incidents[machine]; inc != nil && inc.failedOver {
+		return inc.detected, true
+	}
+	return time.Time{}, false
 }
 
 // failover runs the cluster half of recovery: ensure the local cleanup
@@ -418,32 +472,6 @@ func (m *Manager) failover(machine string) {
 	cp := inc.report
 	m.lastFail = &cp
 	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// onRejoin is the master rejoin-broadcast handler: restore the machine
-// to the ring, evict the interim owners' now-misplaced cache entries
-// (a stale copy must never shadow the store if the key fails back to
-// them later), then warm the machine's cache for the keys it owns
-// again.
-func (m *Manager) onRejoin(machine string) {
-	start := time.Now()
-	m.det.Reset(machine) // the new incarnation starts unsuspected
-	m.deps.Adapter.RestoreToRing(machine)
-	m.deps.Adapter.DropMisplacedSlates()
-	warmedN := 0
-	if m.deps.Store != nil {
-		warmedN = m.deps.Adapter.WarmSlates(machine, warmLimit)
-	}
-	m.warmed.Add(uint64(warmedN))
-	m.rejoins.Add(1)
-	took := time.Since(start)
-	m.rejoinLatency.Observe(took)
-	rep := &RejoinReport{Machine: machine, Warmed: warmedN, Took: took, At: time.Now()}
-	m.mu.Lock()
-	delete(m.incidents, machine)
-	m.rejoined[machine] = rep
-	m.lastJoin = rep
 	m.mu.Unlock()
 }
 

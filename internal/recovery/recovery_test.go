@@ -170,7 +170,7 @@ func harness(cfg Config) (*Manager, *fakeAdapter, *fakeStore, *cluster.Cluster, 
 }
 
 func TestStockCrashLosesQueued(t *testing.T) {
-	m, ad, _, clu, lost := harness(Config{})
+	m, ad, _, _, lost := harness(Config{})
 	const victim = "machine-01"
 	ad.queued[victim] = []engine.Envelope{env("U", "a"), env("U", "b")}
 	ad.dirty[victim] = 5
@@ -179,9 +179,9 @@ func TestStockCrashLosesQueued(t *testing.T) {
 	if rep.QueuedLost != 2 || rep.DirtyLost != 5 {
 		t.Fatalf("report = %+v, want 2 queued / 5 dirty lost", rep)
 	}
-	// Stock crash: the master is NOT notified, and the ring unchanged.
-	if got := clu.Master().FailedMachines(); len(got) != 0 {
-		t.Fatalf("master learned of stock crash: %v", got)
+	// Stock crash: no failure is reported, and the ring is unchanged.
+	if got := m.FailedMachines(); len(got) != 0 {
+		t.Fatalf("stock crash reported as a failure: %v", got)
 	}
 	if !ad.inRing(victim) {
 		t.Fatal("stock crash removed machine from ring before detection")
@@ -201,7 +201,7 @@ func TestStockCrashLosesQueued(t *testing.T) {
 	}
 	// With no send to fail, a PingAll sweep (the operator fallback) is
 	// what reports the crash and drives the failover.
-	clu.Master().PingAll()
+	m.PingAll()
 	if ad.inRing(victim) {
 		t.Fatal("PingAll did not drive failover")
 	}
@@ -218,8 +218,8 @@ func TestDetectOnSendDrivesFailover(t *testing.T) {
 
 	m.Detector().ObserveSendFailure(victim)
 
-	if got := clu.Master().FailedMachines(); len(got) != 1 || got[0] != victim {
-		t.Fatalf("master failed set = %v", got)
+	if got := m.FailedMachines(); len(got) != 1 || got[0] != victim {
+		t.Fatalf("failed set = %v", got)
 	}
 	if ad.inRing(victim) {
 		t.Fatal("failover did not remove machine from ring")
@@ -239,8 +239,8 @@ func TestDetectOnSendDrivesFailover(t *testing.T) {
 	if st.LastFailover == nil || st.LastFailover.Machine != victim || !st.LastFailover.Detected {
 		t.Fatalf("last failover = %+v", st.LastFailover)
 	}
-	if m.Detector().Observed() != 1 || m.Detector().Detected() != 1 {
-		t.Fatalf("detector counts = %d/%d", m.Detector().Observed(), m.Detector().Detected())
+	if m.Detector().Observed() != 1 || m.deps.Counters.FailureReports.Load() != 1 {
+		t.Fatalf("observed %d sends, made %d reports, want 1/1", m.Detector().Observed(), m.deps.Counters.FailureReports.Load())
 	}
 }
 
@@ -298,8 +298,8 @@ func TestRejoinRestartsWarmsAndRestoresRing(t *testing.T) {
 	if !clu.Machine(victim).Alive() {
 		t.Fatal("machine not revived")
 	}
-	if got := clu.Master().FailedMachines(); len(got) != 0 {
-		t.Fatalf("master still thinks %v failed", got)
+	if got := m.FailedMachines(); len(got) != 0 {
+		t.Fatalf("still listed failed after rejoin: %v", got)
 	}
 	st := m.Status()
 	if st.Rejoins != 1 || st.Warmed != 7 || st.LastRejoin == nil || st.LastRejoin.Machine != victim {
@@ -342,10 +342,11 @@ func TestRejoinWarmDisabled(t *testing.T) {
 	}
 }
 
-// TestStaleFailureReportAfterRejoinIgnored: a send that failed before
-// a rejoin but was reported after it must not tear down the healthy
-// machine — and must not poison the master so a future real failure
-// goes undetected.
+// TestStaleFailureReportAfterRejoinIgnored: a rejoin clears the
+// machine's failure, and a send that failed before the rejoin but was
+// reported after it must not tear down the healthy machine — nor leave
+// it listed failed, so a future real failure is not absorbed as a
+// duplicate.
 func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	m, ad, _, clu, _ := harness(Config{})
 	const victim = "machine-01"
@@ -357,8 +358,14 @@ func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	if !ad.inRing(victim) || !clu.Machine(victim).Alive() {
 		t.Fatal("setup: machine not healthy after rejoin")
 	}
+	if got := m.FailedMachines(); len(got) != 0 {
+		t.Fatalf("rejoin left %v listed failed", got)
+	}
+	if _, ok := m.DetectionTime(victim); ok {
+		t.Fatal("rejoin left the old detection time")
+	}
 
-	// The stale report arrives now, after the rejoin Forgot the
+	// The stale report arrives now, after the rejoin cleared the
 	// original failure.
 	m.Detector().ObserveSendFailure(victim)
 	if !ad.inRing(victim) {
@@ -367,8 +374,8 @@ func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	if ad.drainCount(victim) != 1 {
 		t.Fatalf("stale report re-drained queues: %d drains", ad.drainCount(victim))
 	}
-	if got := clu.Master().FailedMachines(); len(got) != 0 {
-		t.Fatalf("master still lists %v failed after stale report", got)
+	if got := m.FailedMachines(); len(got) != 0 {
+		t.Fatalf("%v listed failed after stale report", got)
 	}
 
 	// A real second failure is still detected and handled.
@@ -376,6 +383,9 @@ func TestStaleFailureReportAfterRejoinIgnored(t *testing.T) {
 	m.Detector().ObserveSendFailure(victim)
 	if ad.inRing(victim) {
 		t.Fatal("real second failure not failed over")
+	}
+	if got := m.FailedMachines(); len(got) != 1 || got[0] != victim {
+		t.Fatalf("failed set after the second failure = %v", got)
 	}
 	if ad.drainCount(victim) != 2 {
 		t.Fatalf("second failure did not drain: %d drains", ad.drainCount(victim))
@@ -450,7 +460,7 @@ func TestConcurrentDetectionSingleFailover(t *testing.T) {
 }
 
 func TestStatusMachinesView(t *testing.T) {
-	m, _, _, clu, _ := harness(Config{})
+	m, _, _, _, _ := harness(Config{})
 	m.Crash("machine-01")
 	m.Detector().ObserveSendFailure("machine-01")
 	st := m.Status()
@@ -469,7 +479,72 @@ func TestStatusMachinesView(t *testing.T) {
 	if !h.Alive || !h.InRing || h.Failed {
 		t.Fatalf("healthy status = %+v", h)
 	}
-	if got := clu.Master().FailedMachines(); len(got) != 1 {
-		t.Fatalf("master failed set = %v", got)
+	if got := m.FailedMachines(); len(got) != 1 {
+		t.Fatalf("failed set = %v", got)
+	}
+}
+
+// TestManagerReportsFirstFailureOnly: the first report of a down
+// machine fails it over; a duplicate is counted and absorbed.
+func TestManagerReportsFirstFailureOnly(t *testing.T) {
+	m, ad, _, clu, _ := harness(Config{})
+	const victim = "machine-01"
+	clu.Crash(victim)
+	if !m.ReportFailure(victim) {
+		t.Fatal("first report should return true")
+	}
+	if m.ReportFailure(victim) {
+		t.Fatal("duplicate report should return false")
+	}
+	if ad.inRing(victim) || ad.drainCount(victim) != 1 {
+		t.Fatalf("in ring %v after %d drains, want a single failover", ad.inRing(victim), ad.drainCount(victim))
+	}
+	if st := m.Status(); st.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", st.Failovers)
+	}
+	if n := m.deps.Counters.FailureReports.Load(); n != 2 {
+		t.Fatalf("FailureReports = %d, want 2", n)
+	}
+}
+
+func TestManagerDetectionTime(t *testing.T) {
+	m, _, _, clu, _ := harness(Config{})
+	before := time.Now()
+	clu.Crash("machine-00")
+	m.ReportFailure("machine-00")
+	dt, ok := m.DetectionTime("machine-00")
+	if !ok || dt.Before(before) {
+		t.Fatalf("detection time = %v ok=%v", dt, ok)
+	}
+	if _, ok := m.DetectionTime("machine-01"); ok {
+		t.Fatal("undetected machine has detection time")
+	}
+}
+
+func TestManagerFailedMachines(t *testing.T) {
+	m, _, _, clu, _ := harness(Config{})
+	for _, victim := range []string{"machine-02", "machine-00"} {
+		clu.Crash(victim)
+		m.ReportFailure(victim)
+	}
+	got := m.FailedMachines()
+	if len(got) != 2 || got[0] != "machine-00" || got[1] != "machine-02" {
+		t.Fatalf("failed = %v", got)
+	}
+}
+
+func TestManagerPingAllDetectsCrashed(t *testing.T) {
+	m, _, _, clu, _ := harness(Config{})
+	clu.Crash("machine-00")
+	clu.Crash("machine-02")
+	newly := m.PingAll()
+	if len(newly) != 2 {
+		t.Fatalf("newly detected = %v", newly)
+	}
+	if again := m.PingAll(); len(again) != 0 {
+		t.Fatalf("second ping re-detected: %v", again)
+	}
+	if n := m.deps.Counters.FailureReports.Load(); n != 4 {
+		t.Fatalf("FailureReports = %d, want one per dead machine per sweep (4)", n)
 	}
 }

@@ -6,9 +6,9 @@ import "time"
 type Report struct {
 	// Machine is the failed machine.
 	Machine string `json:"machine"`
-	// Detected is true once the master's failure broadcast has driven
-	// the full failover (ring update); a stock operator crash before
-	// detection leaves it false.
+	// Detected is true once a failure report has driven the full
+	// failover (ring update); a stock operator crash before detection
+	// leaves it false.
 	Detected bool `json:"detected"`
 	// QueuedLost counts queued events that died with the machine and
 	// were recorded in the lost log.
@@ -44,7 +44,8 @@ type MachineStatus struct {
 	Alive bool `json:"alive"`
 	// InRing reports whether the engine's ring still routes to it.
 	InRing bool `json:"in_ring"`
-	// Failed reports whether the master currently knows it as failed.
+	// Failed reports whether its failure has been reported and it has
+	// not rejoined since.
 	Failed bool `json:"failed"`
 	// Suspicion is the machine's current run of consecutive
 	// exhausted-retry send failures (0 when unsuspected; reaching the
@@ -53,22 +54,41 @@ type MachineStatus struct {
 }
 
 // Status is a snapshot of the recovery subsystem, served by the
-// /recovery HTTP endpoint for operators.
+// /recovery HTTP endpoint for operators. Its counters name the metrics
+// they are exposed as; Counters is the snapshot a scrape reads.
 type Status struct {
 	Machines        []MachineStatus `json:"machines"`
-	SendFailures    uint64          `json:"send_failures_observed"`
-	TransientFails  uint64          `json:"transient_failures_observed"`
-	Escalations     uint64          `json:"suspicion_escalations"`
-	SuspicionK      int             `json:"suspicion_k"`
-	Failovers       uint64          `json:"failovers"`
-	Rejoins         uint64          `json:"rejoins"`
-	QueuedLost      uint64          `json:"queued_lost"`
-	DirtyLost       uint64          `json:"dirty_slates_lost"`
-	Warmed          uint64          `json:"slates_warmed"`
+	SendFailures    uint64          `json:"send_failures_observed" metric:"muppet_recovery_send_failures_total" help:"Failed sends observed by the failure detector."`
+	TransientFails  uint64          `json:"transient_failures_observed" metric:"muppet_recovery_transient_failures_total" help:"Exhausted-retry (transient) send failures observed by the detector."`
+	Escalations     uint64          `json:"suspicion_escalations" metric:"muppet_recovery_suspicion_escalations_total" help:"Suspicion confirmations escalated to machine-down reports."`
+	Suspected       int             `json:"-" metric:"muppet_recovery_suspected_machines" help:"Machines currently under transient-failure suspicion."`
+	SuspicionK      int             `json:"suspicion_k" metric:"-"`
+	Failovers       uint64          `json:"failovers" metric:"muppet_recovery_failovers_total" help:"Master-coordinated failovers completed."`
+	Rejoins         uint64          `json:"rejoins" metric:"muppet_recovery_rejoins_total" help:"Machine rejoins completed."`
+	QueuedLost      uint64          `json:"queued_lost" metric:"muppet_recovery_queued_lost_total" help:"Queued events lost with crashed machines."`
+	DirtyLost       uint64          `json:"dirty_slates_lost" metric:"muppet_recovery_dirty_slates_lost_total" help:"Dirty slates lost with crashed caches."`
+	Warmed          uint64          `json:"slates_warmed" metric:"muppet_recovery_slates_warmed_total" help:"Slates pre-loaded into rejoined machines' caches."`
 	FailoverLatency string          `json:"failover_latency,omitempty"`
 	RejoinLatency   string          `json:"rejoin_latency,omitempty"`
 	LastFailover    *Report         `json:"last_failover,omitempty"`
 	LastRejoin      *RejoinReport   `json:"last_rejoin,omitempty"`
+}
+
+// Counters snapshots the subsystem's lifetime counters alone, without
+// the per-machine view, the latency summaries or the last reports.
+func (m *Manager) Counters() Status {
+	return Status{
+		SendFailures:   m.det.Observed(),
+		TransientFails: m.det.TransientObserved(),
+		Escalations:    m.det.Escalated(),
+		Suspected:      int(m.det.suspectedN.Load()),
+		SuspicionK:     m.cfg.SuspicionK,
+		Failovers:      m.failovers.Load(),
+		Rejoins:        m.rejoins.Load(),
+		QueuedLost:     m.queuedLost.Load(),
+		DirtyLost:      m.dirtyLost.Load(),
+		Warmed:         m.warmed.Load(),
+	}
 }
 
 // Status snapshots the subsystem: per-machine liveness and ring
@@ -77,31 +97,19 @@ type Status struct {
 func (m *Manager) Status() Status {
 	members := m.deps.Adapter.RingMembers()
 	failed := make(map[string]bool)
-	for _, f := range m.deps.Cluster.Master().FailedMachines() {
+	for _, f := range m.FailedMachines() {
 		failed[f] = true
 	}
 	suspects := m.det.Suspects()
-	var machines []MachineStatus
+	st := m.Counters()
 	for _, name := range m.deps.Cluster.MachineNames() {
-		machines = append(machines, MachineStatus{
+		st.Machines = append(st.Machines, MachineStatus{
 			Name:      name,
 			Alive:     m.deps.Cluster.Machine(name).Alive(),
 			InRing:    members[name],
 			Failed:    failed[name],
 			Suspicion: suspects[name],
 		})
-	}
-	st := Status{
-		Machines:       machines,
-		SendFailures:   m.det.Observed(),
-		TransientFails: m.det.TransientObserved(),
-		Escalations:    m.det.Escalated(),
-		SuspicionK:     m.cfg.SuspicionK,
-		Failovers:      m.failovers.Load(),
-		Rejoins:        m.rejoins.Load(),
-		QueuedLost:     m.queuedLost.Load(),
-		DirtyLost:      m.dirtyLost.Load(),
-		Warmed:         m.warmed.Load(),
 	}
 	if m.failoverLatency.Count() > 0 {
 		st.FailoverLatency = m.failoverLatency.Summary()

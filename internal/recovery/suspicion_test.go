@@ -7,7 +7,7 @@ import (
 
 // TestSuspicionEscalatesAfterK: K consecutive exhausted-retry
 // observations confirm the suspicion and drive a full failover —
-// cluster crash presumption, master report, ring removal — exactly as
+// cluster crash presumption, failure report, ring removal — exactly as
 // an authoritative detect-on-send would.
 func TestSuspicionEscalatesAfterK(t *testing.T) {
 	m, ad, _, clu, _ := harness(Config{SuspicionK: 3})
@@ -22,8 +22,8 @@ func TestSuspicionEscalatesAfterK(t *testing.T) {
 	if lvl := det.SuspicionLevel(victim); lvl != 2 {
 		t.Fatalf("suspicion level = %d, want 2", lvl)
 	}
-	if got := clu.Master().FailedMachines(); len(got) != 0 {
-		t.Fatalf("master notified before confirmation: %v", got)
+	if got := m.FailedMachines(); len(got) != 0 {
+		t.Fatalf("failure reported before confirmation: %v", got)
 	}
 
 	det.ObserveTransientFailure(victim)
@@ -33,8 +33,8 @@ func TestSuspicionEscalatesAfterK(t *testing.T) {
 	if ad.inRing(victim) {
 		t.Fatal("confirmed suspicion did not drive failover")
 	}
-	if got := clu.Master().FailedMachines(); len(got) != 1 || got[0] != victim {
-		t.Fatalf("master failed set = %v, want [%s]", got, victim)
+	if got := m.FailedMachines(); len(got) != 1 || got[0] != victim {
+		t.Fatalf("failed set = %v, want [%s]", got, victim)
 	}
 	if det.Escalated() != 1 || det.TransientObserved() != 3 {
 		t.Fatalf("detector counts: escalated=%d transient=%d, want 1/3",

@@ -43,6 +43,7 @@ func (r *Runtime) registerObs() error {
 			return liveMaps{Lost: r.lost.Totals(), QueueDepth: r.LargestQueues(), OutboxDepth: r.out.OutboxDepths()}
 		}),
 		obs.Struct(reg, transport, clu.DeliveryStats),
+		obs.Struct(reg, nil, r.rec.Counters),
 	}
 	reg.DurationSummary("muppet_update_latency_seconds",
 		"End-to-end latency from external ingress to slate update.", nil, r.counters.Latency)
@@ -51,6 +52,10 @@ func (r *Runtime) registerObs() error {
 	reg.DurationSummary("muppet_query_latency_seconds",
 		"End-to-end query latency, scatter to merged answer.", nil, r.queries.Latency)
 	reg.GaugeInt("muppet_engine_inflight", "Deliveries accepted but not yet fully processed.", nil, r.tracker.InFlight)
+	reg.DurationSummary("muppet_recovery_failover_seconds",
+		"Wall-clock latency of completed failovers.", nil, r.rec.FailoverLatency())
+	reg.DurationSummary("muppet_recovery_rejoin_seconds",
+		"Wall-clock latency of completed rejoins.", nil, r.rec.RejoinLatency())
 
 	// Each cell's cache registers its flush histograms under the cell's
 	// name: per worker under 1.0's disparate caches, per machine under
@@ -67,10 +72,6 @@ func (r *Runtime) registerObs() error {
 	reg.Counter("muppet_cluster_recvs_total", "Remote-origin deliveries received by this node.", transport, clu.Recvs)
 	reg.Counter("muppet_cluster_recv_deliveries_total",
 		"Deliveries carried by the remote-origin batches this node received (recvs_total counts the batches).", transport, clu.RecvDeliveries)
-	reg.Counter("muppet_cluster_master_failure_reports_total",
-		"Failure reports accepted by the master.", nil, clu.Master().Reports)
-	reg.Counter("muppet_cluster_master_rejoin_reports_total",
-		"Rejoin broadcasts issued by the master.", nil, clu.Master().RejoinReports)
 	if ch := cluster.UnwrapChaos(clu.Transport()); ch != nil {
 		ls := obs.L("transport", ch.Name())
 		errs = append(errs, obs.Struct(reg, ls, ch.Stats, func(s cluster.ChaosStats, emit func(obs.Metric)) {
@@ -87,7 +88,6 @@ func (r *Runtime) registerObs() error {
 		// muppet_kvstore_* fields were read from.
 		errs = append(errs, obs.Struct(reg, nil, store.TotalStats, lsmMetrics))
 	}
-	r.rec.RegisterObs(reg)
 	if r.tracer != nil {
 		reg.Register(r.tracer)
 	}

@@ -23,9 +23,8 @@ func (r *Runtime) CrashMachine(machine string) (lostQueued, lostDirtySlates int)
 }
 
 // RejoinMachine revives a crashed machine through the recovery
-// subsystem: its cells restart on fresh queues, the master broadcasts
-// the rejoin, the ring re-enables it, and its slate caches are warmed
-// from the durable store (unless disabled by Config.Recovery).
+// subsystem: its cells restart on fresh queues, the ring re-enables it,
+// and its slate caches are warmed from the durable store.
 func (r *Runtime) RejoinMachine(machine string) (recovery.RejoinReport, error) {
 	return r.rec.Rejoin(machine)
 }
@@ -35,8 +34,8 @@ func (r *Runtime) RejoinMachine(machine string) (recovery.RejoinReport, error) {
 // and the latest incident reports.
 func (r *Runtime) RecoveryStatus() recovery.Status { return r.rec.Status() }
 
-// Recovery exposes the engine's recovery manager (for latency
-// histograms and tests).
+// Recovery exposes the engine's recovery manager, the node's failure
+// authority (failure reports, PingAll, detection times).
 func (r *Runtime) Recovery() *recovery.Manager { return r.rec }
 
 // recoveryAdapter is the engine-facing surface the recovery manager

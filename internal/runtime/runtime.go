@@ -294,8 +294,7 @@ func (r *Runtime) Start(d Dispatcher) error {
 		}
 		return query.EncodeResponse(nr)
 	})
-	// The recovery manager subscribes to the master's failure and
-	// rejoin broadcasts and owns the whole crash-to-healthy protocol
+	// The recovery manager owns the whole crash-to-healthy protocol
 	// (ring updates included); the engine only reports failed sends
 	// through its detector.
 	r.rec = recovery.NewManager(recovery.Deps{

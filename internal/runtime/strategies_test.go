@@ -126,8 +126,8 @@ func TestIngestBatchMatchesPerEventResults(t *testing.T) {
 }
 
 // Regression test for the Stop-window hazards the networked mode hits
-// harder: a master failure broadcast (the path a remote peer's failed
-// send triggers at any moment), a rejoin's worker restart, live
+// harder: a failure report (the path a remote peer's failed send
+// triggers at any moment), a rejoin's worker restart, live
 // subscribers, and ingestion all racing Stop. The failure modes this
 // pins down are panics — send on a closed subscription channel, and
 // wg.Add racing wg.Wait when a rejoin restarts a cell's loops while
@@ -169,12 +169,12 @@ func TestStopRacesFailureBroadcastAndRejoin(t *testing.T) {
 					}
 				}()
 
-				// The master broadcast a remote sender would trigger, racing Stop.
+				// The failure report a remote sender would trigger, racing Stop.
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					<-start
-					e.Cluster().Master().ReportFailure("machine-01")
+					e.Recovery().ReportFailure("machine-01")
 				}()
 
 				// A crash + rejoin cycle: the rejoin's RestartWorkers must not
@@ -298,7 +298,7 @@ func TestCrashWaitsOutInFlightCommit(t *testing.T) {
 			if got := storedSlate(store, key); got != "3" {
 				t.Fatalf("store holds %q when CrashMachine returns, want the in-flight 3", got)
 			}
-			e.Cluster().Master().PingAll()
+			e.Recovery().PingAll()
 			if m := e.OwnerMachine("U", key); m == victim || m == "" {
 				t.Fatalf("key still routes to %q", m)
 			}

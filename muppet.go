@@ -569,8 +569,9 @@ type Engine interface {
 	// keys' new owners read every slate the machine flushed.
 	CrashMachine(machine string) (lostQueued, lostDirtySlates int)
 	// RejoinMachine revives a crashed machine: its workers restart, the
-	// master broadcasts the rejoin, the ring re-enables it, and its
-	// slate cache is warmed from the durable store.
+	// ring re-enables it, and its slate cache is warmed from the durable
+	// store. Concurrent calls for one machine revive it once and return
+	// the same report.
 	RejoinMachine(machine string) (RejoinReport, error)
 	// RecoveryStatus snapshots the recovery subsystem.
 	RecoveryStatus() RecoveryStatus

@@ -63,8 +63,6 @@ var extraNonzero = []string{
 	"muppet_outbox_frames_total",
 	"muppet_outbox_deliveries_total",
 	"muppet_outbox_wait_seconds_count",
-	"muppet_cluster_master_failure_reports_total",
-	"muppet_cluster_master_rejoin_reports_total",
 	"muppet_recovery_send_failures_total",
 	"muppet_recovery_failovers_total",
 	"muppet_recovery_rejoins_total",
@@ -452,8 +450,6 @@ func runCrashRejoinScenario(t *testing.T) map[string]float64 {
 	for _, name := range []string{
 		"muppet_engine_lost_machine_down_total",
 		"muppet_engine_failure_reports_total",
-		"muppet_cluster_master_failure_reports_total",
-		"muppet_cluster_master_rejoin_reports_total",
 		"muppet_recovery_send_failures_total",
 		"muppet_recovery_failovers_total",
 		"muppet_recovery_rejoins_total",
