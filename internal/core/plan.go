@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"muppet/internal/slate"
 )
@@ -44,6 +45,9 @@ type fieldPlan struct {
 	// slice anywhere in the type, so every field is a scalar that is
 	// always present in the JSON view, or a struct of them.
 	reads bool
+	// strs: the type holds a string (or a slice of them) somewhere, so a
+	// decode may hand out slices of the document.
+	strs bool
 }
 
 // planField is one struct field: its JSON name and the plan of its type.
@@ -91,14 +95,16 @@ func buildPlan(t reflect.Type) *fieldPlan {
 		p.floats = [][]int{nil}
 	case k >= reflect.Int && k <= reflect.Uintptr:
 		p.bits = t.Bits()
-	case k == reflect.Bool, k == reflect.String:
+	case k == reflect.Bool:
+	case k == reflect.String:
+		p.strs = true
 	case k == reflect.Slice:
 		// The element kind is checked first: a struct holding a slice of
 		// itself must not recurse.
 		if t.Elem().Kind() != reflect.String || planOf(t.Elem()) == nil {
 			return nil
 		}
-		p.reads = false
+		p.reads, p.strs = false, true
 	case k == reflect.Struct:
 		for i := range t.NumField() {
 			f := t.Field(i)
@@ -115,6 +121,7 @@ func buildPlan(t reflect.Type) *fieldPlan {
 			}
 			p.fields = append(p.fields, planField{name, `"` + name + `":`, i, opt != "", sub})
 			p.reads = p.reads && sub.reads && opt == ""
+			p.strs = p.strs || sub.strs
 			for _, fl := range sub.floats {
 				p.floats = append(p.floats, append([]int{i}, fl...))
 			}
@@ -233,13 +240,12 @@ func scalarOf(v reflect.Value) slate.Scalar {
 	return slate.Scalar{Kind: slate.Number, Num: float64(v.Uint())}
 }
 
-// decode parses data into v, the zero value of the plan's type. On
+// decode parses d.data into v, the zero value of the plan's type. On
 // false v may hold part of the document: the caller re-zeroes it.
-func (p *fieldPlan) decode(data []byte, v reflect.Value) bool {
-	d := decoder{data: data}
+func (p *fieldPlan) decode(d decoder, v reflect.Value) bool {
 	ok := d.value(p, v)
 	d.space()
-	return ok && d.i == len(data)
+	return ok && d.i == len(d.data)
 }
 
 // decoder reads the subset of JSON the plan accepts:
@@ -256,13 +262,17 @@ func (p *fieldPlan) decode(data []byte, v reflect.Value) bool {
 // the wrong type. A duplicate key is accepted: the last one wins, and a
 // repeated object merges into the first, as in encoding/json.
 //
-// Decoded strings are slices of one string copy of the document, made
-// on the first non-empty string: one allocation per decode, not one per
-// field. The copy lives as long as any string decoded from it.
+// Decoded strings are slices of one string copy of the document, never
+// one allocation per field. The copy is doc, which decodeJSON places in
+// one block with the decoded struct and strs, the room string arrays
+// take their backing from (see stringArray); or, with doc left empty, a
+// copy made on the first non-empty string. A decoded string keeps its
+// copy alive, and in the block case the struct too.
 type decoder struct {
 	data []byte
 	i    int
 	doc  string
+	strs []string
 }
 
 func (d *decoder) space() {
@@ -462,33 +472,44 @@ func (d *decoder) scalar() bool {
 }
 
 // stringArray decodes an array of strings into the slice v, reusing its
-// array as encoding/json does when a key repeats.
+// array as encoding/json does when a key repeats. A new array is built
+// in d.strs while the room lasts, and its capacity is clipped to its
+// length, so an append to the decoded slice reallocates instead of
+// writing into the room of the next array; an array that outgrows the
+// room moves to the heap.
 func (d *decoder) stringArray(v reflect.Value) bool {
 	if !d.eat('[') {
 		return false
 	}
+	// A slice of a named string type has the layout of []string.
+	dst := (*[]string)(v.Addr().UnsafePointer())
 	if d.space(); d.eat(']') {
-		v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+		*dst = []string{}
 		return true
 	}
-	v.SetLen(0)
+	a, room := (*dst)[:0], d.strs
+	if cap(a) == 0 {
+		a = room[:0]
+	}
 	for {
 		d.space()
 		i, j, ok := d.str()
 		if !ok {
 			return false
 		}
-		n := v.Len()
-		v.Grow(1)
-		v.SetLen(n + 1)
-		v.Index(n).SetString(d.text(i, j))
+		a = append(a, d.text(i, j))
 		if d.space(); d.eat(']') {
-			return true
+			break
 		}
 		if !d.eat(',') {
 			return false
 		}
 	}
+	if len(room) > 0 && unsafe.SliceData(a) == unsafe.SliceData(room) {
+		a, d.strs = a[:len(a):len(a)], room[len(a):]
+	}
+	*dst = a
+	return true
 }
 
 // encode appends v as json.Marshal writes it, or reports false where

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,6 +193,10 @@ func FuzzJSONCodec(f *testing.F) {
 	for _, s := range codecEdgeStrings {
 		f.Add([]byte(`{}`), s, int64(0), uint64(0), 0.0, float32(0), true)
 	}
+	for _, n := range blockLadder(f) {
+		f.Add(sizedDoc(n), "", int64(0), uint64(0), 0.0, float32(0), false)
+		f.Add(sizedDoc(n+1), "", int64(0), uint64(0), 0.0, float32(0), false)
+	}
 	f.Fuzz(func(t *testing.T, doc []byte, s string, i int64, u uint64, f64 float64, f32 float32, b bool) {
 		diffAll(t, doc)
 		v := kindsOf(s, i, u, f64, f32, b)
@@ -235,7 +240,7 @@ func declinedDoc[T any](doc string) func(*testing.T) {
 		if p == nil {
 			t.Fatalf("%T: no plan", *new(T))
 		}
-		if p.decode([]byte(doc), reflect.ValueOf(new(T)).Elem()) {
+		if p.decode(decoder{data: []byte(doc)}, reflect.ValueOf(new(T)).Elem()) {
 			t.Fatalf("%T: the plan accepted %q", *new(T), doc)
 		}
 		diffDecode[T](t, []byte(doc))
@@ -344,19 +349,26 @@ func TestJSONCodecAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	// A tweet: the struct, the one string copy of the document, and the
-	// URLs slice when there is one.
+	// A tweet: one block holds the struct, the document its strings
+	// slice and the backing of a URLs array of up to blockStrings.
 	g := workload.New(workload.Config{Seed: 3, Users: 1000, URLFraction: 0.5})
 	for _, ev := range g.Tweets("S", 40) {
-		var tw *workload.Tweet
-		n := testing.AllocsPerRun(20, func() { tw, _ = JSONCodec[workload.Tweet]{}.Decode(ev.Value) })
-		if budget := 2 + float64(len(tw.URLs)); n > budget {
-			t.Fatalf("decoding %s: %.1f allocations, budget %.0f", ev.Value, n, budget)
+		if n := testing.AllocsPerRun(20, func() { JSONCodec[workload.Tweet]{}.Decode(ev.Value) }); n != 1 {
+			t.Fatalf("decoding %s: %.1f allocations, budget 1", ev.Value, n)
 		}
 	}
+	full := []byte(`{"urls":["a"` + strings.Repeat(`,"a"`, blockStrings-1) + `]}`)
+	if n := testing.AllocsPerRun(20, func() { JSONCodec[workload.Tweet]{}.Decode(full) }); n != 1 {
+		t.Errorf("decoding %s: %.1f allocations, budget 1", full, n)
+	}
 	d := []byte(`{"from":"user00042","delta":0.1234}`)
-	if n := testing.AllocsPerRun(100, func() { JSONCodec[repDelta]{}.Decode(d) }); n > 2 {
-		t.Errorf("decoding a delta: %.1f allocations, budget 2", n)
+	if n := testing.AllocsPerRun(100, func() { JSONCodec[repDelta]{}.Decode(d) }); n != 1 {
+		t.Errorf("decoding a delta: %.1f allocations, budget 1", n)
+	}
+	// Past the block: the struct, the document copy and the URLs array.
+	big := sizedDoc(maxBlockDoc + 1)
+	if n := testing.AllocsPerRun(20, func() { JSONCodec[workload.Tweet]{}.Decode(big) }); n > 3 {
+		t.Errorf("decoding a %d-byte tweet: %.1f allocations, budget 3", len(big), n)
 	}
 	buf := make([]byte, 0, 64)
 	rs := &repSlate{Score: 12.375, Tweets: 40}
@@ -366,5 +378,81 @@ func TestJSONCodecAllocBudgets(t *testing.T) {
 	// Into nil, as a flush and a publish encode: the result, once.
 	if n := testing.AllocsPerRun(100, func() { JSONCodec[repSlate]{}.AppendEncode(nil, rs) }); n != 1 {
 		t.Errorf("encoding a slate into nil: %.1f allocations, budget 1", n)
+	}
+}
+
+// blockLadder is the document room of every step of newBlock's ladder.
+func blockLadder(t testing.TB) []int {
+	var sizes []int
+	for n := 0; n < maxBlockDoc; {
+		_, doc, _ := newBlock[workload.Tweet](n + 1)
+		if len(doc) <= n {
+			t.Fatalf("a %d-byte document got %d bytes of room", n+1, len(doc))
+		}
+		n = len(doc)
+		sizes = append(sizes, n)
+	}
+	return sizes
+}
+
+// sizedDoc is a tweet document of exactly n bytes (at least 24).
+func sizedDoc(n int) []byte {
+	const head, tail = `{"urls":["a"],"text":"`, `"}`
+	pad := strings.Repeat("muppet ", n/7+1)[:n-len(head)-len(tail)]
+	return []byte(head + pad + tail)
+}
+
+// At each step of the block ladder, one byte past it, and one byte past
+// the largest block, the codec still decodes what encoding/json does.
+func TestJSONCodecBlockLadder(t *testing.T) {
+	ladder := blockLadder(t)
+	if last := ladder[len(ladder)-1]; last != maxBlockDoc {
+		t.Fatalf("the ladder ends at %d, want %d", last, maxBlockDoc)
+	}
+	for _, room := range ladder {
+		for _, n := range []int{room, room + 1} {
+			doc := sizedDoc(n)
+			diffAll(t, doc)
+			diffAll(t, []byte(`[`+strings.Repeat(`"ab",`, (n-4)/5)+`"`+strings.Repeat("x", (n-4)%5)+`"]`))
+			if !planOf(reflect.TypeFor[workload.Tweet]()).decode(decoder{data: doc}, reflect.ValueOf(new(workload.Tweet)).Elem()) {
+				t.Fatalf("the plan declined a %d-byte tweet", n)
+			}
+		}
+	}
+}
+
+// A decoded value shares nothing with the caller's bytes and stays
+// whole through a collection: its strings are slices of the block's
+// copy of the document, and an append to one decoded array does not
+// write into another's.
+func TestDecodedValueOutlivesItsDocument(t *testing.T) {
+	for _, n := range append(blockLadder(t), maxBlockDoc+1) {
+		src := sizedDoc(n)
+		want := new(workload.Tweet)
+		json.Unmarshal(src, want)
+		got, err := JSONCodec[workload.Tweet]{}.Decode(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range src {
+			src[i] = 'x'
+		}
+		runtime.GC()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d bytes: after the source was overwritten and a GC: %+v, want %+v", n, got, want)
+		}
+	}
+	src := []byte(`{"s":"abc","l":["a"],"lo":["c"],"in":{"zone":"z"}}`)
+	v, err := JSONCodec[codecKinds]{}.Decode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(src)
+	v.L = append(v.L, "appended")
+	v.S = strings.Repeat("new", 3) // a heap string stored into the block
+	runtime.GC()
+	want := codecKinds{S: "newnewnew", L: []string{"a", "appended"}, LO: []string{"c"}, In: codecInner{Zone: "z"}}
+	if !reflect.DeepEqual(*v, want) {
+		t.Fatalf("after an append, a store and a GC: %+v, want %+v", *v, want)
 	}
 }

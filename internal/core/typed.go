@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"unsafe"
 
 	"muppet/internal/event"
 	"muppet/internal/slate"
@@ -51,9 +52,29 @@ func (JSONCodec[S]) AppendEncode(dst []byte, s *S) ([]byte, error) {
 }
 
 // decodeJSON is JSONCodec[S].Decode with S's plan (nil: none) in hand.
+//
+// When S holds a string and the document is at most maxBlockDoc bytes,
+// the value, a copy of the document and room for short string arrays
+// are one allocation (newBlock): the decoded strings are slices of that
+// copy, so any one of them keeps the whole block, the value included,
+// alive. Nothing writes to the copy once the decode is done. The block
+// is typed, so storing another string into a decoded field later is as
+// safe as in any other value. A declined document goes to encoding/json
+// whole, into a fresh *S.
 func decodeJSON[S any](p *fieldPlan, data []byte) (*S, error) {
+	if p != nil && p.strs && len(data) <= maxBlockDoc {
+		s, doc, strs := newBlock[S](len(data))
+		d := decoder{data: doc[:copy(doc, data)], strs: strs}
+		if len(data) > 0 {
+			d.doc = unsafe.String(&doc[0], len(data))
+		}
+		if p.decode(d, reflect.ValueOf(s).Elem()) {
+			return s, nil
+		}
+		p = nil // declined: straight to encoding/json
+	}
 	s := new(S)
-	if p != nil && p.decode(data, reflect.ValueOf(s).Elem()) {
+	if p != nil && p.decode(decoder{data: data}, reflect.ValueOf(s).Elem()) {
 		return s, nil
 	}
 	var zero S
@@ -62,6 +83,51 @@ func decodeJSON[S any](p *fieldPlan, data []byte) (*S, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// maxBlockDoc is the largest document decodeJSON places in one block
+// with its value; blockStrings is the room a block keeps for the
+// strings of short string arrays. Both stay small: every block pays
+// 16 bytes a string, the largest payload the benchmark's workloads send
+// is under 200 bytes, and a process's peak memory follows the bytes its
+// payloads take. A larger document keeps a separate value and copy.
+const (
+	maxBlockDoc  = 256
+	blockStrings = 2
+)
+
+// newBlock allocates a value of S together with room for blockStrings
+// strings and for an n-byte document, rounded up a ladder of sizes. It
+// returns the value, the document room and the string room. Each step
+// of the ladder is at most half again the one below, so a document
+// fills more than two thirds of its room once it is past the first.
+func newBlock[S any](n int) (*S, []byte, []string) {
+	switch {
+	case n <= 32:
+		return block[S, [32]byte]()
+	case n <= 48:
+		return block[S, [48]byte]()
+	case n <= 64:
+		return block[S, [64]byte]()
+	case n <= 96:
+		return block[S, [96]byte]()
+	case n <= 128:
+		return block[S, [128]byte]()
+	case n <= 192:
+		return block[S, [192]byte]()
+	}
+	return block[S, [maxBlockDoc]byte]()
+}
+
+// block allocates struct{ v S; strs [blockStrings]string; doc D } — D
+// an array of bytes — and returns its three parts.
+func block[S, D any]() (*S, []byte, []string) {
+	b := new(struct {
+		v    S
+		strs [blockStrings]string
+		doc  D
+	})
+	return &b.v, unsafe.Slice((*byte)(unsafe.Pointer(&b.doc)), unsafe.Sizeof(b.doc)), b.strs[:]
 }
 
 // encodeJSON is JSONCodec[S].AppendEncode with S's plan in hand.
@@ -107,7 +173,11 @@ func (RawCodec) AppendEncode(dst []byte, s *[]byte) ([]byte, error) {
 // The object is shared like in.Value, possibly across threads, and must
 // not be modified. Other emitters (the Reference's) decode every call.
 // The decode is JSONCodec's, so the object and the error are exactly
-// json.Unmarshal's.
+// json.Unmarshal's. For a small document one allocation holds the
+// object and the bytes its strings are slices of: a string kept from it
+// (in a slate, say) keeps the whole object and document alive. topurls'
+// U_top does so: each of its at most 4K map keys holds the block of the
+// last count report for its URL.
 func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 	memo, _ := emit.(payloadMemo)
 	if memo != nil {

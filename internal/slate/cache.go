@@ -1,9 +1,6 @@
 package slate
 
-import (
-	"container/list"
-	"time"
-)
+import "time"
 
 // FlushPolicy selects when dirty slates are written to the durable
 // key-value store. Section 4.2: "The application can set the flushing
@@ -89,7 +86,9 @@ type entry struct {
 	key   Key
 	value []byte
 	dirty bool
-	elem  *list.Element
+	// prev and next link the entry into its shard's LRU list (see
+	// shard.lru).
+	prev, next *entry
 
 	// Typed-slate state. decoded is the live object of a typed update
 	// function's slate (nil for classic byte slates); codec encodes it

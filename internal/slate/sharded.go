@@ -1,7 +1,6 @@
 package slate
 
 import (
-	"container/list"
 	"slices"
 	"strings"
 	"sync"
@@ -79,9 +78,11 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	items    map[Key]*entry
-	lru      *list.List // front = most recently used
-	dirty    map[Key]*entry
-	stats    CacheStats
+	// lru is the sentinel of a circular list through every entry in
+	// items: lru.next is the most recently used, lru.prev the least.
+	lru   entry
+	dirty map[Key]*entry
+	stats CacheStats
 	// dead is set by Crash and cleared by Revive: the shard caches
 	// nothing and refuses writes in between.
 	dead bool
@@ -148,14 +149,35 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		s.shards[i] = &shard{
 			capacity: capacity,
 			items:    make(map[Key]*entry),
-			lru:      list.New(),
 			dirty:    make(map[Key]*entry),
 		}
+		s.shards[i].clearLRU()
 	}
 	if bs, ok := cfg.Store.(BatchStore); ok {
 		s.batch = bs
 	}
 	return s
+}
+
+// clearLRU empties sh's LRU list. Caller holds sh.mu (or owns sh).
+func (sh *shard) clearLRU() { sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru }
+
+// pushFront links e in as sh's most recently used entry.
+func (sh *shard) pushFront(e *entry) {
+	e.prev, e.next = &sh.lru, sh.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the LRU list it is in.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// touch makes e, which is in sh's LRU list, its most recently used.
+func (sh *shard) touch(e *entry) {
+	e.unlink()
+	sh.pushFront(e)
 }
 
 // shardFor stripes a key over the shards with FNV-1a.
@@ -192,7 +214,7 @@ func (s *Sharded) Get(k Key) ([]byte, error) {
 	sh.mu.Lock()
 	if e, ok := sh.items[k]; ok {
 		sh.stats.Hits++
-		sh.lru.MoveToFront(e.elem)
+		sh.touch(e)
 		v := s.snapshotLocked(sh, e)
 		sh.mu.Unlock()
 		return v, nil
@@ -255,7 +277,7 @@ func (s *Sharded) Put(k Key, value []byte) error {
 			e.dirty = true
 			sh.dirty[e.key] = e
 		}
-		sh.lru.MoveToFront(e.elem)
+		sh.touch(e)
 	} else {
 		e = s.insertLocked(sh, &entry{key: k, value: value, dirty: true})
 	}
@@ -285,7 +307,7 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[k]; ok {
 		sh.stats.Hits++
-		sh.lru.MoveToFront(e.elem)
+		sh.touch(e)
 		if e.decoded == nil {
 			v, err := codec.Decode(e.value)
 			if err != nil {
@@ -349,7 +371,7 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 			e.dirty = true
 			sh.dirty[e.key] = e
 		}
-		sh.lru.MoveToFront(e.elem)
+		sh.touch(e)
 	} else {
 		// The object goes in before the insert: making room may evict
 		// this very entry (every other one pinned or flushing), and
@@ -381,7 +403,7 @@ func (s *Sharded) Delete(k Key) {
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[k]; ok {
 		sh.unpoisonLocked(e)
-		sh.lru.Remove(e.elem)
+		e.unlink()
 		delete(sh.items, k)
 		delete(sh.dirty, k)
 		s.removals.Add(1)
@@ -403,7 +425,7 @@ func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 // keys by e.key, never by the caller's k.
 func (s *Sharded) insertLocked(sh *shard, e *entry) *entry {
 	e.key.Key = strings.Clone(e.key.Key)
-	e.elem = sh.lru.PushFront(e)
+	sh.pushFront(e)
 	sh.items[e.key] = e
 	if e.dirty {
 		sh.dirty[e.key] = e
@@ -427,8 +449,7 @@ func (s *Sharded) trimLocked(sh *shard) {
 // or the write's milliseconds; settleChunk trims it back). It reports
 // whether a victim was found.
 func (s *Sharded) evictLocked(sh *shard) bool {
-	for el := sh.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
+	for e := sh.lru.prev; e != &sh.lru; e = e.prev {
 		if e.pins > 0 || e.flushing {
 			continue
 		}
@@ -444,7 +465,7 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 			s.cfg.Store.Save(e.key, e.value, s.ttl(e.key))
 		}
 		sh.unpoisonLocked(e)
-		sh.lru.Remove(el)
+		e.unlink()
 		delete(sh.items, e.key)
 		delete(sh.dirty, e.key)
 		sh.stats.Evictions++
@@ -602,7 +623,7 @@ func (s *Sharded) Crash() (dirtyLost int) {
 		s.removals.Add(uint64(len(sh.items)))
 		sh.items = make(map[Key]*entry)
 		sh.dirty = make(map[Key]*entry)
-		sh.lru = list.New()
+		sh.clearLRU()
 		sh.stats.Poisoned = 0
 		sh.dead = true
 		sh.mu.Unlock()
@@ -625,17 +646,6 @@ func (s *Sharded) Len() int {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// DirtyCount reports the number of dirty cached slates.
-func (s *Sharded) DirtyCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.dirty)
 		sh.mu.Unlock()
 	}
 	return n
@@ -778,18 +788,6 @@ const pinWait = 10 * time.Millisecond
 // Shards reports the number of stripes (for distribution tests and
 // status endpoints).
 func (s *Sharded) Shards() int { return len(s.shards) }
-
-// ShardSizes reports each shard's resident slate count, the
-// distribution signal the shard-balance test asserts on.
-func (s *Sharded) ShardSizes() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = len(sh.items)
-		sh.mu.Unlock()
-	}
-	return out
-}
 
 // FlushStats snapshots the group-commit counters.
 func (s *Sharded) FlushStats() FlushStats {
