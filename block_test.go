@@ -193,10 +193,11 @@ func TestBlockPolicyCrossNodeNeverDeadlocks(t *testing.T) {
 }
 
 // TestBlockPolicySourceWaitsInItsOwnProcess: under Block a source frame
-// never parks on a peer's queue. The source waits at home and resends,
-// so the connection it shares with Query and the outbox stays free while
-// a slow updater on the peer keeps its queue full, and once the updater
-// moves again every event lands.
+// never parks on a peer's queue. Both kinds of source — IngestBatch and
+// fire-and-forget Ingest — wait at home and resend, so the connection
+// they share with Query and the outbox stays free while a slow updater
+// on the peer keeps its queue full, and once the updater moves again
+// every event lands.
 func TestBlockPolicySourceWaitsInItsOwnProcess(t *testing.T) {
 	release := make(chan struct{})
 	parkedApp := func() *muppet.App {
@@ -232,17 +233,26 @@ func TestBlockPolicySourceWaitsInItsOwnProcess(t *testing.T) {
 	for i := 1; ring.MachineFor("U1", key) != "machine-01"; i++ {
 		key = fmt.Sprintf("k%d", i)
 	}
-	evs := make([]muppet.Event, 4)
+	// Each source offers more events than the updater and its queue hold.
+	const perSource = 4
+	evs := make([]muppet.Event, 2*perSource)
 	for i := range evs {
 		evs[i] = muppet.Event{Stream: "S1", TS: muppet.Timestamp(i + 1), Key: key}
 	}
 	ingested := make(chan error, 1)
 	go func() {
-		_, err := nodes[0].IngestBatch(evs)
+		_, err := nodes[0].IngestBatch(evs[:perSource])
 		ingested <- err
 	}()
-	// The updater holds one event and its queue the next: the source is
-	// waiting on the rest.
+	fired := make(chan struct{})
+	go func() {
+		defer close(fired)
+		for _, ev := range evs[perSource:] {
+			nodes[0].Ingest(ev)
+		}
+	}()
+	// The updater holds one event and its queue the next: both sources
+	// are waiting on the rest.
 	for deadline := time.Now().Add(5 * time.Second); nodes[1].LargestQueues()["machine-01"] < 1; {
 		if time.Now().After(deadline) {
 			t.Fatal("machine-01's queue never filled")
@@ -262,21 +272,34 @@ func TestBlockPolicySourceWaitsInItsOwnProcess(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Query blocked for 1s behind a source frame parked on a peer's full queue")
 	}
+	select {
+	case <-ingested:
+		t.Fatal("IngestBatch returned while the peer's queue was full")
+	case <-fired:
+		t.Fatal("Ingest returned while the peer's queue was full")
+	default:
+	}
 
 	unpark()
+	deadline := time.After(5 * time.Second)
 	select {
 	case err := <-ingested:
 		if err != nil {
 			t.Fatalf("IngestBatch: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("source still waiting 5s after the updater was released")
+	case <-deadline:
+		t.Fatal("IngestBatch still waiting 5s after the updater was released")
+	}
+	select {
+	case <-fired:
+	case <-deadline:
+		t.Fatal("Ingest still waiting 5s after the updater was released")
 	}
 	for _, eng := range nodes {
 		eng.Drain()
 	}
-	if got := string(nodes[1].Slate("U1", key)); got != "4" {
-		t.Fatalf("slate = %q, want 4 applied events", got)
+	if got, want := string(nodes[1].Slate("U1", key)), strconv.Itoa(len(evs)); got != want {
+		t.Fatalf("slate = %q, want %s applied events", got, want)
 	}
 	for i, eng := range nodes {
 		if n := eng.LostEvents().Total(); n != 0 {

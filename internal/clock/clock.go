@@ -96,11 +96,3 @@ func (f *Fake) Advance(d time.Duration) {
 		w.ch <- now
 	}
 }
-
-// PendingWaiters reports how many sleepers are blocked; tests use it to
-// synchronize with goroutines that are about to sleep.
-func (f *Fake) PendingWaiters() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.waiters)
-}

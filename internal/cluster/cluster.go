@@ -29,10 +29,12 @@ var ErrUnknownMachine = errors.New("cluster: unknown machine")
 // batch send. Tag is an opaque caller-side index (the engines use it
 // to map per-delivery failures back to the source event of a batch);
 // it never crosses a transport. NoWait marks a delivery whose producer
-// must not be slowed — a worker's emit, anything an outbox ships: the
-// receiving handler rejects on a full queue whatever the overflow policy.
-// One no-wait delivery makes its whole frame no-wait; the mark crosses
-// the wire as the request kind.
+// must not be slowed — a worker's emit: the receiving handler rejects on
+// a full queue whatever the overflow policy. One no-wait delivery makes
+// its whole frame no-wait. The mark does not cross a transport either:
+// DeliverLocal makes every frame from a peer no-wait, whatever its
+// deliveries say, so only a source on the queue's own node ever waits
+// on it.
 type Delivery struct {
 	Worker string
 	Ev     event.Event
@@ -524,6 +526,12 @@ func (c *Cluster) deliverBatch(m *Machine, ds []Delivery) (accepted int, rejects
 // (rejects, or the whole batch on error) are credited back, so the
 // hosting engine's in-flight tracker covers exactly the events that
 // landed.
+//
+// Every frame is no-wait, whatever its deliveries claim: a full queue
+// rejects it rather than parking this node's serving goroutine, and the
+// duplicates waiting on its dedup entry, behind a worker that may itself
+// wait on the sender's node — the cross-node form of the §4.3/§5
+// throttling deadlock.
 func (c *Cluster) DeliverLocal(machine string, id BatchID, ds []Delivery) (accepted int, rejects []BatchReject, err error) {
 	m := c.machines[machine]
 	if m == nil || !m.local {
@@ -541,6 +549,7 @@ func (c *Cluster) DeliverLocal(machine string, id BatchID, ds []Delivery) (accep
 		}
 		entry = e
 	}
+	ds[0].NoWait = true // makes the whole frame no-wait
 	c.recvs.Add(1)
 	c.recvDs.Add(uint64(len(ds)))
 	hook, _ := c.inflight.Load().(func(int))

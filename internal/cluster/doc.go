@@ -26,11 +26,12 @@
 //   - Per-delivery rejections carry the queue sentinel errors
 //     (queue.ErrOverflow, queue.ErrClosed) across the wire, so
 //     overflow disposition is transport-independent.
-//   - Delivery.NoWait — this producer must not wait on the queue —
-//     reaches the receiving handler on every transport, so a full queue
-//     rejects the delivery instead of parking it. The engines mark a
-//     worker's emit no-wait (Block binds sources only, §4.3/§5), and
-//     every delivery for another node: a source waits in its own process.
+//   - A frame from a peer never waits on a queue: DeliverLocal, the one
+//     entry for every transport's frames, makes it no-wait whatever its
+//     deliveries claim, and the wire has no may-wait request kind, so a
+//     full queue rejects the delivery instead of parking it. Block binds
+//     sources only (§4.3/§5), and a source waits in its own process: on
+//     a queue its node hosts (Delivery.NoWait unset), or between resends.
 //
 // # Concurrency
 //

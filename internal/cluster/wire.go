@@ -15,10 +15,10 @@ import (
 // request/response over one connection, so no request IDs are needed:
 //
 //	frame    = u32 big-endian length ++ body
-//	body     = frame.HeaderRaw ++ plain       (event frames 'Q'/'R')
+//	body     = frame.HeaderRaw ++ plain       (event frames 'O'/'R')
 //	         | frame.Encode(plain)            (query frames 'S'/'T')
 //	plain    = request | response
-//	request  = ('Q' | 'O') ++ str(sender) ++ uvarint(epoch) ++ uvarint(seq)
+//	request  = 'O' ++ str(sender) ++ uvarint(epoch) ++ uvarint(seq)
 //	           ++ str(machine) ++ uvarint(n) ++ n*delivery
 //	delivery = str(worker) ++ str(stream) ++ varint(ts) ++ uvarint(seq)
 //	           ++ str(key) ++ blob(value) ++ varint(ingress)
@@ -27,14 +27,13 @@ import (
 //	str      = uvarint(len) ++ bytes
 //	blob     = uvarint(0) for nil, uvarint(len+1) ++ bytes otherwise
 //
-// The request kind is the frame's wait/no-wait bit: 'Q' carries
-// deliveries whose producer may be slowed, 'O' deliveries whose producer
-// must not be. decodeRequest restores it as Delivery.NoWait on every
-// delivery, so the receiver's full queue comes back as a reject for the
-// sender to settle. The engines send every event frame 'O' (a source
-// waits in its own process, not on a peer), but the decoder still
-// accepts 'Q': a peer built before 'O' existed sends only 'Q', which is
-// what its frames always were, may-wait.
+// An event frame has one request kind, 'O' (one-way, no-wait): a frame
+// from a peer never waits on a queue, and DeliverLocal treats it so, so
+// the receiver's full queue comes back as a reject for the sender to
+// settle. decodeRequest rejects the retired may-wait kind 'Q' (a frame
+// parked on a full Block queue holds this node's serving goroutine and
+// the dedup waiters behind it), so a peer built before every frame was
+// no-wait fails its exchanges instead of wedging this node.
 //
 // Event frames skip the codec, trading bytes for CPU. A one-delivery
 // frame of a tweet-sized event barely shrinks under deflate (156 bytes
@@ -55,9 +54,8 @@ import (
 // the engines and the ingress driver behave identically on both sides
 // of a socket.
 const (
-	wireReq       = 'Q'
-	wireReqNoWait = 'O'
-	wireResp      = 'R'
+	wireReq  = 'O'
+	wireResp = 'R'
 )
 
 // Query frames share the connection (and the strict request/response
@@ -304,10 +302,9 @@ const minDeliveryBytes = 7
 
 // encodeRequest appends the plain (pre-codec) request for a batch
 // addressed to machine. The BatchID rides in front of the address so
-// the receiving node can deduplicate retried and duplicated frames. One
-// no-wait delivery makes the frame no-wait.
+// the receiving node can deduplicate retried and duplicated frames.
+// Delivery.NoWait does not cross: every frame is no-wait.
 func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte {
-	kind := len(dst)
 	dst = append(dst, wireReq)
 	dst = appendStr(dst, id.Sender)
 	dst = binary.AppendUvarint(dst, id.Epoch)
@@ -323,16 +320,12 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 		dst = appendStr(dst, d.Ev.Key)
 		dst = appendBlob(dst, d.Ev.Value)
 		dst = binary.AppendVarint(dst, d.Ev.Ingress)
-		if d.NoWait {
-			dst[kind] = wireReqNoWait
-		}
 	}
 	return dst
 }
 
 // decodeRequest parses a plain request. The deliveries' Tag fields are
-// their batch positions, so server-side rejects report the right index,
-// and NoWait is the frame's kind.
+// their batch positions, so server-side rejects report the right index.
 //
 // The request is copied once, and every delivery's Key and Value alias
 // that copy: a frame costs one allocation for its bytes and one for its
@@ -350,8 +343,7 @@ func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err err
 // connection's interner.
 func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
 	r := wireReader{p: p}
-	k := r.byte()
-	if r.err == nil && k != wireReq && k != wireReqNoWait {
+	if k := r.byte(); r.err == nil && k != wireReq {
 		return BatchID{}, "", nil, fmt.Errorf("cluster: unexpected wire kind %q", k)
 	}
 	id.Sender = in.str(r.take(r.uvarint()))
@@ -377,7 +369,6 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 		d.Ev.Value = r.aliasBlob()
 		d.Ev.Ingress = r.varint()
 		d.Tag = int(i)
-		d.NoWait = k == wireReqNoWait
 		if r.err != nil {
 			return BatchID{}, "", nil, r.err
 		}

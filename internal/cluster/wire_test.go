@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"muppet/internal/event"
 	"muppet/internal/queue"
@@ -110,7 +111,7 @@ func TestWireTruncationSafety(t *testing.T) {
 func TestWireHostileCount(t *testing.T) {
 	p := encodeRequest(nil, BatchID{}, "m", nil)
 	// Rewrite the delivery count to an absurd value: everything up to
-	// the trailing count byte is 'Q' ++ str("") ++ 0 ++ 0 ++ str("m").
+	// the trailing count byte is 'O' ++ str("") ++ 0 ++ 0 ++ str("m").
 	hostile := append([]byte{}, p[:len(p)-1]...)
 	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0x7f) // uvarint ~34G
 	if _, _, _, err := decodeRequest(hostile); err == nil {
@@ -122,7 +123,7 @@ func TestWireWrongKind(t *testing.T) {
 	if _, _, _, err := decodeRequest([]byte{'R'}); err == nil {
 		t.Fatal("response bytes accepted as request")
 	}
-	if _, _, _, err := decodeResponse([]byte{'Q'}); err == nil {
+	if _, _, _, err := decodeResponse([]byte{wireReq}); err == nil {
 		t.Fatal("request bytes accepted as response")
 	}
 }
@@ -174,89 +175,125 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 	}
 }
 
-// The frame's wait/no-wait bit is its kind byte: one no-wait delivery
-// makes the frame 'O' and every delivery decodes NoWait; a frame without
-// one is the 'Q' frame it always was.
-func TestWireNoWaitIsTheRequestKind(t *testing.T) {
-	ds := []Delivery{{Worker: "U1", Ev: event.Event{Key: "a"}}, {Worker: "U1", Ev: event.Event{Key: "b"}}}
-	for _, mark := range []int{-1, 0, 1} {
-		for i := range ds {
-			ds[i].NoWait = i == mark
-		}
-		p := encodeRequest([]byte("prefix"), BatchID{Sender: "n", Epoch: 1, Seq: 2}, "machine-01", ds)[len("prefix"):]
-		want := byte(wireReq)
-		if mark >= 0 {
-			want = wireReqNoWait
-		}
-		if p[0] != want {
-			t.Fatalf("mark %d: kind %q, want %q", mark, p[0], want)
-		}
-		_, _, got, err := decodeRequest(p)
-		if err != nil || len(got) != len(ds) {
-			t.Fatalf("mark %d: decode = %v, %v", mark, got, err)
-		}
-		for i := range got {
-			if got[i].NoWait != (mark >= 0) {
-				t.Fatalf("mark %d: delivery %d NoWait = %v", mark, i, got[i].NoWait)
-			}
-		}
-	}
-}
-
-// goldenPreNoWaitRequest is encodeRequest's output, captured at the last
+// goldenMayWaitRequest is encodeRequest's output, captured at the last
 // commit before the no-wait kind existed, for a three-delivery batch
-// from node-a (epoch 77, seq 12345) to machine-03.
-const goldenPreNoWaitRequest = "51066e6f64652d614db9600a6d616368696e652d303303045531233002533180890f09016b02760d" +
+// from node-a (epoch 77, seq 12345) to machine-03: a frame of the
+// retired may-wait kind 'Q'.
+const goldenMayWaitRequest = "51066e6f64652d614db9600a6d616368696e652d303303045531233002533180890f09016b02760d" +
 	"0255320253320900096e696c2d76616c7565000000000000000100"
 
-// A frame from a peer built before the no-wait kind still decodes, as
-// may-wait — and an unmarked batch still encodes to exactly those bytes,
-// so such a peer still decodes ours.
-func TestWireDecodesPreNoWaitFrame(t *testing.T) {
-	golden, err := hex.DecodeString(goldenPreNoWaitRequest)
+// A frame from a peer never waits on a queue. The wire has one request
+// kind, so the retired may-wait 'Q' frame is refused and no delivery
+// mark changes what is sent; and on every transport between two nodes
+// a frame that reaches a full Block queue is rejected with ErrOverflow
+// at once, although none of its deliveries is marked no-wait.
+func TestPeerFrameNeverWaits(t *testing.T) {
+	golden, err := hex.DecodeString(goldenMayWaitRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, _, err := decodeRequest(golden); err == nil {
+		t.Fatal("a may-wait 'Q' frame decoded")
+	}
+	// The format is otherwise unchanged: the same batch sent now differs
+	// from the golden frame in its kind byte only.
 	want := []Delivery{
 		{Worker: "U1#0", Ev: event.Event{Stream: "S1", TS: 123456, Seq: 9, Key: "k", Value: []byte("v"), Ingress: -7}},
 		{Worker: "U2", Ev: event.Event{Stream: "S2", TS: -5, Key: "nil-value"}, Tag: 1},
 		{Worker: "", Ev: event.Event{Key: "", Value: []byte{}}, Tag: 2},
 	}
-	id, machine, got, err := decodeRequest(golden)
-	if err != nil {
-		t.Fatal(err)
+	current := encodeRequest(nil, BatchID{Sender: "node-a", Epoch: 77, Seq: 12345}, "machine-03", want)
+	if current[0] != wireReq || !bytes.Equal(current[1:], golden[1:]) {
+		t.Fatalf("the batch now encodes to %x", current)
 	}
-	if (id != BatchID{Sender: "node-a", Epoch: 77, Seq: 12345}) || machine != "machine-03" {
-		t.Fatalf("decoded id %+v machine %q", id, machine)
+	if _, _, got, err := decodeRequest(current); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %+v, want %+v", got, want)
+	mayWait := func() []Delivery {
+		return []Delivery{{Worker: "U1", Ev: event.Event{Key: "a"}}, {Worker: "U1", Ev: event.Event{Key: "b"}, Tag: 1}}
 	}
-	if enc := encodeRequest(nil, id, machine, want); !bytes.Equal(enc, golden) {
-		t.Fatalf("an unmarked batch now encodes to %x", enc)
+	noWait := mayWait()
+	noWait[1].NoWait = true
+	id := BatchID{Sender: "n", Epoch: 1, Seq: 2}
+	if p, q := encodeRequest(nil, id, "machine-01", mayWait()), encodeRequest(nil, id, "machine-01", noWait); p[0] != wireReq || !bytes.Equal(p, q) {
+		t.Fatalf("a delivery's mark reached the wire: %x vs %x", p, q)
 	}
+
+	// machine-01 holds one Block queue, already full, and enqueues as the
+	// engines do: waiting unless a delivery is marked no-wait.
+	full := queue.New[event.Event](1, queue.Block)
+	full.PutBatch([]event.Event{{Key: "x"}})
+	defer full.Close()
+	install := func(host *Cluster) {
+		host.SetBatchHandler("machine-01", func(ds []Delivery) []error {
+			evs := make([]event.Event, len(ds))
+			put := full.PutBatch
+			for i := range ds {
+				evs[i] = ds[i].Ev
+				if ds[i].NoWait {
+					put = full.OfferBatch
+				}
+			}
+			n, err := put(evs)
+			if err == nil {
+				return nil
+			}
+			errs := make([]error, len(ds))
+			for i := n; i < len(ds); i++ {
+				errs[i] = err
+			}
+			return errs
+		})
+	}
+	forEachTransport(t, install, func(t *testing.T, fx *conformanceFixture) {
+		if fx.Sender == fx.Host {
+			return // one node: the frame is a local source's, which may wait
+		}
+		var accepted int
+		var rejects []BatchReject
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			accepted, rejects, err = fx.Sender.SendBatch("machine-01", mayWait())
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			full.Close() // let the parked frame go so the test can end
+			t.Fatal("a peer frame waited 5s on a full Block queue")
+		}
+		if err != nil || accepted != 0 || len(rejects) != 2 {
+			t.Fatalf("SendBatch = %d accepted, %v rejects, %v; want both rejected", accepted, rejects, err)
+		}
+		for _, rj := range rejects {
+			if !errors.Is(rj.Err, queue.ErrOverflow) {
+				t.Fatalf("delivery %d rejected with %v, want ErrOverflow", rj.Index, rj.Err)
+			}
+		}
+	})
 }
 
 // FuzzWireFrame: the four decoders take bytes off a socket. Arbitrary
 // input never panics them and never yields more than its length could
 // describe; what decodeRequest returns is its own, so the caller may
 // overwrite the bytes it decoded at once; and decodeRequest undoes
-// encodeRequest for any delivery, the no-wait mark and the nil/empty
-// value distinction included.
+// encodeRequest for any delivery, the nil/empty value distinction
+// included, except the no-wait mark, which never crosses.
 func FuzzWireFrame(f *testing.F) {
-	golden, _ := hex.DecodeString(goldenPreNoWaitRequest)
+	golden, _ := hex.DecodeString(goldenMayWaitRequest)
+	current := bytes.Clone(golden)
+	current[0] = wireReq
 	one := []Delivery{{Worker: "U1", Ev: event.Event{Stream: "S1", TS: 5, Seq: 6, Key: "k", Value: []byte("v"), Ingress: 7}}}
 	id := BatchID{Sender: "node-a", Epoch: 1, Seq: 2}
-	mayWait := encodeRequest(nil, id, "machine-01", one)
-	one[0].NoWait = true
 	for _, seed := range [][]byte{
-		golden,
-		mayWait,
+		golden,  // the retired kind: refused
+		current, // the same batch as it is sent now
 		encodeRequest(nil, id, "machine-01", one),
 		encodeResponse(nil, statusOK, 3, []BatchReject{{Index: 1, Err: queue.ErrOverflow}, {Index: 4, Err: queue.ErrClosed}}),
 		encodeQueryRequest(nil, "machine-01", []byte(`{"updater":"U1"}`)),
 		encodeQueryResponse(nil, statusQueryFailed, []byte("boom")),
-		{wireReqNoWait, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}, // hostile delivery count
+		{wireReq, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}, // hostile delivery count
 		{wireResp, statusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, rejectOverflow},
 	} {
 		f.Add(seed, "U1#0", "S1", "k", []byte("v"), int64(-5), uint64(9), int64(7), true)
@@ -308,6 +345,9 @@ func FuzzWireFrame(f *testing.F) {
 		clear(enc)
 		if gotID != bid || machine != stream {
 			t.Fatalf("decoded id %+v machine %q, want %+v %q", gotID, machine, bid, stream)
+		}
+		for i := range in {
+			in[i].NoWait = false
 		}
 		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("decoded %+v, want %+v", out, in)

@@ -198,6 +198,3 @@ func (r *Reference) SlateKeys(updater string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Steps returns the total function invocations so far.
-func (r *Reference) Steps() uint64 { return r.steps }

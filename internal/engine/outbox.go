@@ -13,21 +13,20 @@ import (
 )
 
 // Origin says who produced a delivery, which decides what its producer
-// may be made to wait for (§4.3/§5: only sources may be slowed).
+// may be made to wait for (§4.3/§5: only sources may be slowed, and a
+// source under Block is slowed by the ingress driver, never here).
 type Origin uint8
 
 const (
-	// FromWorker is a delivery a worker produced: published by a map or
-	// update invocation, or forwarded after a ring change. A worker never
-	// waits on a worker queue — a full queue rejects it whatever the
-	// policy — only for room in an outbox.
+	// FromWorker is a delivery a worker produced — published by a map or
+	// update invocation, or forwarded after a ring change — or a
+	// fire-and-forget Ingest outside Block. It never waits on a worker
+	// queue, whatever the policy: only for room in an outbox.
 	FromWorker Origin = iota
-	// FromSource is an external input event offered through
-	// fire-and-forget Ingest. The Block policy slows it.
-	FromSource
 	// FromBatch is an input event the batched ingress driver sent itself
-	// and settles here: a source (its diverted copy goes out FromSource)
-	// whose queue rejections are logged LossBatchPartial, not LossOverflow.
+	// and settles here: a source whose queue rejections are logged
+	// LossBatchPartial, not LossOverflow (its diverted copy goes out
+	// FromWorker).
 	FromBatch
 	// fromSender is a delivery an outbox sender re-routes while settling a
 	// frame. A sender waits for nothing but its transport.
@@ -70,25 +69,21 @@ type CourierConfig struct {
 
 // Courier carries every delivery that does not come through the batched
 // ingress driver — worker emits, ring-change forwards, fire-and-forget
-// Ingest — to the machine owning its
-// <function, key>, and is the one place a send outcome, the driver's
-// included, reaches the failure detector (Observe) and becomes a counter,
-// a loss reason or a divert (Settle).
+// Ingest outside Block — to the machine owning its <function, key>, and
+// is the one place a send outcome, the driver's included, reaches the
+// failure detector (Observe) and becomes a counter, a loss reason or a
+// divert (Settle). Nothing it carries is ever slowed by a full queue.
 //
 // Every hand-off is a Cluster.SendBatch. A machine this node hosts gets
-// a synchronous frame of one, no-wait unless a source produced it. A
-// machine another node hosts gets an outbox: a bounded FIFO drained by
-// one sender goroutine that, each time the previous exchange has
-// returned, ships everything queued (up to maxFrameDeliveries) as ONE
-// frame — batch size follows load, with no timer and no threshold.
-// Everything an outbox ships is marked no-wait: the mark crosses the
-// wire, the peer's full queue rejects instead of parking the frame, and
-// the reject is settled (and logged) here. A sender parked on a peer's
-// queue while that peer's workers wait on their outbox back is the
-// cross-node form of the §4.3/§5 throttling deadlock. A source under Block
-// bypasses the outbox with a synchronous frame of one, no-wait too, and
-// resends it after SourcePause until the peer accepts: nothing parks
-// across the wire. What the outbox guarantees:
+// a synchronous no-wait frame of one. A machine another node hosts gets
+// an outbox: a bounded FIFO drained by one sender goroutine that, each
+// time the previous exchange has returned, ships everything queued (up
+// to maxFrameDeliveries) as ONE frame — batch size follows load, with no
+// timer and no threshold. The peer treats every frame as no-wait: its
+// full queue rejects instead of parking the frame, and the reject is
+// settled (and logged) here. A sender parked on a peer's queue while
+// that peer's workers wait on their outbox back is the cross-node form
+// of the §4.3/§5 throttling deadlock. What the outbox guarantees:
 //
 //   - Order: per destination, deliveries leave in append order with one
 //     frame in flight (retries stay inside SendBatch under the frame's
@@ -121,10 +116,6 @@ type Courier struct {
 // maxFrameDeliveries caps one frame, bounding its size on the wire and
 // how much a lost frame can lose.
 const maxFrameDeliveries = 256
-
-// SourcePause is how long a source that may be slowed waits before it
-// resends what a full queue rejected.
-const SourcePause = 200 * time.Microsecond
 
 // outboxSampleEvery thins the append timestamps behind the wait
 // histogram to one append in this many.
@@ -169,56 +160,41 @@ func (c *Courier) Close() {
 // reusable frame of one (the consuming loops pass theirs), free again when
 // Deliver returns; nil allocates one if the hand-off is synchronous.
 func (c *Courier) Deliver(fn string, ev event.Event, from Origin, one *[1]cluster.Delivery) {
-	// A source under Block is slowed by its own synchronous frame: parked
-	// on a local queue, sent again while a remote one is full.
-	block := from == FromSource && c.cfg.Policy == queue.Block
-	for {
-		if c.cfg.Stopped.Load() {
-			c.cfg.Lost.Record(fn, ev, LossStopped)
-			return
-		}
-		machine, worker := c.cfg.Route(fn, ev.Key)
-		if machine == "" {
-			c.cfg.Counters.LostMachineDown.Add(1)
-			c.cfg.Lost.Record(fn, ev, LossNoRoute)
-			return
-		}
-		c.cfg.Tracker.Inc()
-		ob := c.outboxes[machine]
-		if ob != nil && !block {
-			if !ob.put(cluster.Delivery{Worker: worker, Ev: ev, NoWait: true}, from != fromSender) {
-				c.cfg.Tracker.Dec()
-				c.cfg.Lost.Record(fn, ev, LossStopped)
-			}
-			return
-		}
-		if one == nil {
-			one = new([1]cluster.Delivery)
-		}
-		one[0] = cluster.Delivery{Worker: worker, Ev: ev, NoWait: from != FromSource || ob != nil}
-		_, rejects, err := c.cfg.Cluster.SendBatch(machine, one[:])
-		if err == nil && len(rejects) > 0 {
-			err = rejects[0].Err
-		}
-		if err == nil && ob == nil {
-			// On a local queue: its consumer retires the tracker charge.
-			c.cfg.Counters.Emitted.Add(1)
-			return
-		}
-		if err == queue.ErrOverflow && block {
-			// Source throttling: slow the input stream down until the
-			// queue accepts (Section 5), or the engine stops.
-			c.cfg.Tracker.Dec()
-			time.Sleep(SourcePause)
-			continue
-		}
-		c.Observe(machine, err)
-		c.Settle(fn, ev, err, from)
-		// Retired here whether lost or handed off: a remote machine's
-		// node charged its own tracker when the event landed.
-		c.cfg.Tracker.Dec()
+	if c.cfg.Stopped.Load() {
+		c.cfg.Lost.Record(fn, ev, LossStopped)
 		return
 	}
+	machine, worker := c.cfg.Route(fn, ev.Key)
+	if machine == "" {
+		c.cfg.Counters.LostMachineDown.Add(1)
+		c.cfg.Lost.Record(fn, ev, LossNoRoute)
+		return
+	}
+	c.cfg.Tracker.Inc()
+	d := cluster.Delivery{Worker: worker, Ev: ev, NoWait: true}
+	if ob := c.outboxes[machine]; ob != nil {
+		if !ob.put(d, from != fromSender) {
+			c.cfg.Tracker.Dec()
+			c.cfg.Lost.Record(fn, ev, LossStopped)
+		}
+		return
+	}
+	if one == nil {
+		one = new([1]cluster.Delivery)
+	}
+	one[0] = d
+	_, rejects, err := c.cfg.Cluster.SendBatch(machine, one[:])
+	if err == nil && len(rejects) > 0 {
+		err = rejects[0].Err
+	}
+	if err == nil {
+		// On a local queue: its consumer retires the tracker charge.
+		c.cfg.Counters.Emitted.Add(1)
+		return
+	}
+	c.Observe(machine, err)
+	c.Settle(fn, ev, err, from)
+	c.cfg.Tracker.Dec()
 }
 
 // Observe feeds the failure detector the outcome of ONE exchange with a
@@ -265,7 +241,7 @@ func (c *Courier) Settle(fn string, ev event.Event, err error, from Origin) (rea
 		ev.Stream = c.cfg.OverflowStream
 		ct.Diverted.Add(1)
 		if from == FromBatch {
-			from = FromSource
+			from = FromWorker
 		}
 		c.cfg.Reroute(ev, from)
 		return 0, false

@@ -56,6 +56,9 @@ func TestSendOutcomeClassifier(t *testing.T) {
 		{"divert", queue.Divert, "SOVER"},
 		{"divert-without-stream", queue.Divert, ""},
 	}
+	// Producers, by the origin their deliveries settle under. A
+	// fire-and-forget source outside Block goes out as a worker's emit
+	// does; under Block it is the ingress driver's, a batch.
 	origins := []struct {
 		name string
 		from Origin
@@ -63,8 +66,9 @@ func TestSendOutcomeClassifier(t *testing.T) {
 		rerouted Origin
 	}{
 		{"worker", FromWorker, FromWorker},
-		{"source", FromSource, FromSource},
-		{"batch", FromBatch, FromSource},
+		{"source", FromWorker, FromWorker},
+		{"batch", FromBatch, FromWorker},
+		{"sender", fromSender, fromSender},
 	}
 	for _, oc := range outcomes {
 		for _, pol := range policies {

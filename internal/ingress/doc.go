@@ -15,8 +15,9 @@
 //     queue (one mutex acquisition) carry the whole group — the same
 //     hand-off a worker's emit takes as a batch of one, except that a
 //     source's batch may wait, in its own process, under Block;
-//   - Driver, which runs IngestBatch and IngestCtx over a Plan and
-//     leaves what each send outcome means — detector report, counter,
+//   - Driver, the one place a source waits, which runs IngestBatch,
+//     IngestCtx and, under Block, Ingest over a Plan and leaves what
+//     each send outcome means — detector report, counter,
 //     loss reason, divert — to the engine courier's Observe and Settle;
 //   - the error types (BatchError, ErrStopped, NotInputError,
 //     ErrBackpressure) that make ingestion report overflow and

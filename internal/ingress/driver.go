@@ -15,8 +15,13 @@ import (
 	"muppet/internal/queue"
 )
 
-// Driver is the batched-ingress front door of the engine runtime:
-// IngestBatch and IngestCtx run here. Validation, stamping, fan-out,
+// SourcePause is how long a source that may be slowed waits before it
+// resends what a full queue rejected.
+const SourcePause = 200 * time.Microsecond
+
+// Driver is the ingress front door of the engine runtime: IngestBatch,
+// IngestCtx and, under Block, fire-and-forget Ingest run here, and it is
+// the one place a source waits. Validation, stamping, fan-out,
 // grouping per destination machine and send accounting are the same
 // whichever Muppet version dispatches; what differs — who owns
 // <function, key> — is the courier's Route and FuncOf, and what a send's
@@ -139,7 +144,7 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 		if len(held) == 0 || wait == nil || !wait() {
 			break
 		}
-		time.Sleep(engine.SourcePause)
+		time.Sleep(SourcePause)
 		if cfg.Stopped.Load() {
 			break
 		}
@@ -193,9 +198,9 @@ func (d *Driver) add(cfg *engine.CourierConfig, plan *Plan, fn string, ev event.
 func (d *Driver) send(cfg *engine.CourierConfig, plan *Plan, park bool, held []cluster.Delivery, tally *DropTally) []cluster.Delivery {
 	plan.Each(func(machine string, ds []cluster.Delivery) {
 		local := cfg.Cluster.IsLocal(machine)
-		if !park || !local {
-			ds[0].NoWait = true // makes the whole frame no-wait
-		}
+		// One no-wait delivery makes the whole frame no-wait; a peer makes
+		// every frame no-wait itself.
+		ds[0].NoWait = !park
 		cfg.Tracker.Add(len(ds))
 		accepted, rejects, err := cfg.Cluster.SendBatch(machine, ds)
 		d.Courier.Observe(machine, err)

@@ -16,10 +16,10 @@
 // the queue's own node. OfferBatch is its twin for producers that must
 // never wait here — the workers themselves, whose full queue may be
 // their own (throttling inside a workflow deadlocks, §4.3/§5), and any
-// producer on another node, whose frame arrives marked no-wait (a source
-// there waits in its own process and resends). It never waits, and under
-// Block a full queue rejects it as Drop would. Offered == Accepted + Dropped +
-// Diverted holds at all times. ErrOverflow and ErrClosed are sentinel
+// producer on another node, whose frame the receiving cluster makes
+// no-wait (a source there waits in its own process and resends). It
+// never waits, and under Block a full queue rejects it as Drop would.
+// Offered == Accepted + Dropped + Diverted holds at all times. ErrOverflow and ErrClosed are sentinel
 // errors; they are part of the wire contract — the TCP transport
 // round-trips them across nodes so a remote rejection is
 // errors.Is-comparable to a local one.

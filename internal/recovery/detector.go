@@ -117,17 +117,6 @@ func (d *Detector) clearSuspicion(machine string) {
 	d.mu.Unlock()
 }
 
-// SuspicionLevel reports the machine's current run of consecutive
-// transient failures (0 when unsuspected).
-func (d *Detector) SuspicionLevel(machine string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s := d.suspects[machine]; s != nil {
-		return s.count
-	}
-	return 0
-}
-
 // Suspects returns the machines currently under suspicion and their
 // levels.
 func (d *Detector) Suspects() map[string]int {

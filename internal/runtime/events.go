@@ -10,6 +10,7 @@ import (
 	"muppet/internal/engine"
 	"muppet/internal/event"
 	"muppet/internal/obs"
+	"muppet/internal/queue"
 	"muppet/internal/slate"
 )
 
@@ -255,10 +256,17 @@ func (r *Runtime) route(ev event.Event, from engine.Origin, one *[1]cluster.Deli
 
 // Ingest feeds one external input event into the application (the
 // paper's special mapper M0 reading from the input stream). It stamps
-// the event's ingress time for latency measurement.
+// the event's ingress time for latency measurement. Outside Block it
+// goes out as a worker's emit does, through the outbox to another node;
+// under Block it is a batch of one for the ingress driver, the one place
+// a source waits, and its losses are in LostEvents only.
 func (r *Runtime) Ingest(ev event.Event) {
 	if !r.app.IsInput(ev.Stream) {
 		panic(fmt.Sprintf("muppet: Ingest on non-input stream %s", ev.Stream))
+	}
+	if r.cfg.QueuePolicy == queue.Block {
+		r.ing.IngestBatch([]event.Event{ev})
+		return
 	}
 	ev.Decoded = nil // only the engine attaches one, beside its own bytes
 	if ev.Seq == 0 {
@@ -268,7 +276,7 @@ func (r *Runtime) Ingest(ev event.Event) {
 		ev.Ingress = time.Now().UnixNano()
 	}
 	r.counters.Ingested.Add(1)
-	r.route(ev, engine.FromSource, nil)
+	r.route(ev, engine.FromWorker, nil)
 }
 
 // IngestBatch feeds a batch of external input events into the

@@ -132,9 +132,9 @@ type Dispatcher interface {
 	FuncOf(address string) string
 	// EnqueueBatch places a machine-addressed batch (a single emit is a
 	// batch of one) on cell queues, one queue lock per target queue. A
-	// batch with a delivery marked NoWait — a worker's emit, from this node
-	// or a peer: the chosen queue may be the emitter's own — takes the
-	// non-waiting enqueue. The result is parallel to ds; nil entries (or a
+	// batch with a delivery marked NoWait — a worker's emit (the chosen
+	// queue may be the emitter's own), or any frame from a peer — takes
+	// the non-waiting enqueue. The result is parallel to ds; nil entries (or a
 	// nil slice) were accepted.
 	EnqueueBatch(machine string, ds []cluster.Delivery) []error
 	// SetRing takes a machine's addresses off the ring(s), so keys
@@ -164,8 +164,8 @@ type Runtime struct {
 
 	rec *recovery.Manager
 	ing *ingress.Driver
-	// out carries worker emits and fire-and-forget ingests to their
-	// owners — a frame of one on this node, through a per-destination
+	// out carries worker emits and fire-and-forget ingests outside Block
+	// to their owners — a frame of one on this node, through a per-destination
 	// outbox to machines other nodes host — and classifies every send
 	// outcome, the ingress driver's included.
 	out      *engine.Courier

@@ -353,7 +353,8 @@ type Config struct {
 	WorkersPerFunction int
 	// ThreadsPerMachine is the 2.0 worker-thread pool size.
 	ThreadsPerMachine int
-	// QueueCapacity bounds each worker queue.
+	// QueueCapacity bounds each worker queue, and each per-peer outbox
+	// that carries worker emits to machines other nodes host.
 	QueueCapacity int
 	// QueuePolicy is the overflow behavior for internal event passing.
 	QueuePolicy OverflowPolicy
@@ -526,9 +527,10 @@ type RejoinReport = recovery.RejoinReport
 type Engine interface {
 	// Ingest feeds one external input event into the application,
 	// fire-and-forget: drops are counted and logged but not reported
-	// to the caller, and under BlockOverflow it waits instead of
-	// dropping. Production sources should prefer IngestBatch or
-	// IngestCtx, which return the losses.
+	// to the caller. Under BlockOverflow it is a batch of one for
+	// IngestBatch's path and waits as IngestBatch does, in this process;
+	// otherwise it goes out as a worker's emit does. Production sources
+	// should prefer IngestBatch or IngestCtx, which return the losses.
 	Ingest(Event)
 	// IngestBatch feeds a batch of external input events, grouping the
 	// deliveries per destination machine so ring sends and queue locks
