@@ -182,12 +182,43 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 const goldenMayWaitRequest = "51066e6f64652d614db9600a6d616368696e652d303303045531233002533180890f09016b02760d" +
 	"0255320253320900096e696c2d76616c7565000000000000000100"
 
-// A frame from a peer never waits on a queue. The wire has one request
-// kind, so the retired may-wait 'Q' frame is refused and no delivery
-// mark changes what is sent; and on every transport between two nodes
-// a frame that reaches a full Block queue is rejected with ErrOverflow
-// at once, although none of its deliveries is marked no-wait.
-func TestPeerFrameNeverWaits(t *testing.T) {
+// The wire has one request kind, 'O', and a frame of it never waits: no
+// delivery's mark changes what is sent, and every delivery decodes
+// unmarked, since the receiver treats the whole frame as no-wait.
+func TestWireNoWaitIsTheRequestKind(t *testing.T) {
+	ds := []Delivery{{Worker: "U1", Ev: event.Event{Key: "a"}}, {Worker: "U1", Ev: event.Event{Key: "b"}, Tag: 1}}
+	id := BatchID{Sender: "n", Epoch: 1, Seq: 2}
+	var unmarked []byte
+	for _, mark := range []int{-1, 0, 1} {
+		for i := range ds {
+			ds[i].NoWait = i == mark
+		}
+		p := encodeRequest([]byte("prefix"), id, "machine-01", ds)[len("prefix"):]
+		if p[0] != wireReq {
+			t.Fatalf("mark %d: kind %q, want %q", mark, p[0], wireReq)
+		}
+		if mark < 0 {
+			unmarked = p
+		} else if !bytes.Equal(p, unmarked) {
+			t.Fatalf("mark %d: a delivery's mark reached the wire: %x vs %x", mark, p, unmarked)
+		}
+		_, _, got, err := decodeRequest(p)
+		if err != nil || len(got) != len(ds) {
+			t.Fatalf("mark %d: decode = %v, %v", mark, got, err)
+		}
+		for i := range got {
+			if got[i].NoWait {
+				t.Fatalf("mark %d: delivery %d decoded NoWait", mark, i)
+			}
+		}
+	}
+}
+
+// A frame from a peer built before the no-wait kind is of the retired
+// may-wait kind 'Q' and is refused whole. Its format is otherwise
+// unchanged: the same batch sent now differs from the golden frame in
+// its kind byte only, and decodes to what was sent.
+func TestWireDecodesPreNoWaitFrame(t *testing.T) {
 	golden, err := hex.DecodeString(goldenMayWaitRequest)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +226,6 @@ func TestPeerFrameNeverWaits(t *testing.T) {
 	if _, _, _, err := decodeRequest(golden); err == nil {
 		t.Fatal("a may-wait 'Q' frame decoded")
 	}
-	// The format is otherwise unchanged: the same batch sent now differs
-	// from the golden frame in its kind byte only.
 	want := []Delivery{
 		{Worker: "U1#0", Ev: event.Event{Stream: "S1", TS: 123456, Seq: 9, Key: "k", Value: []byte("v"), Ingress: -7}},
 		{Worker: "U2", Ev: event.Event{Stream: "S2", TS: -5, Key: "nil-value"}, Tag: 1},
@@ -206,17 +235,24 @@ func TestPeerFrameNeverWaits(t *testing.T) {
 	if current[0] != wireReq || !bytes.Equal(current[1:], golden[1:]) {
 		t.Fatalf("the batch now encodes to %x", current)
 	}
-	if _, _, got, err := decodeRequest(current); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %+v, %v; want %+v", got, err, want)
+	id, machine, got, err := decodeRequest(current)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if (id != BatchID{Sender: "node-a", Epoch: 77, Seq: 12345}) || machine != "machine-03" {
+		t.Fatalf("decoded id %+v machine %q", id, machine)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// A frame from a peer never waits on a queue: on every transport between
+// two nodes a frame that reaches a full Block queue is rejected with
+// ErrOverflow at once, although none of its deliveries is marked no-wait.
+func TestPeerFrameNeverWaits(t *testing.T) {
 	mayWait := func() []Delivery {
 		return []Delivery{{Worker: "U1", Ev: event.Event{Key: "a"}}, {Worker: "U1", Ev: event.Event{Key: "b"}, Tag: 1}}
-	}
-	noWait := mayWait()
-	noWait[1].NoWait = true
-	id := BatchID{Sender: "n", Epoch: 1, Seq: 2}
-	if p, q := encodeRequest(nil, id, "machine-01", mayWait()), encodeRequest(nil, id, "machine-01", noWait); p[0] != wireReq || !bytes.Equal(p, q) {
-		t.Fatalf("a delivery's mark reached the wire: %x vs %x", p, q)
 	}
 
 	// machine-01 holds one Block queue, already full, and enqueues as the
