@@ -123,26 +123,14 @@ func TestBlockPolicyCrossNodeNeverDeadlocks(t *testing.T) {
 		} {
 			for _, capacity := range []int{1, 2} {
 				t.Run(fmt.Sprintf("engine%d/%dnodes/cap%d", version, len(members), capacity), func(t *testing.T) {
-					addrs := reserveAddrs(t, len(members))
-					var nodes []muppet.Engine
-					for i, m := range members {
-						peers := make(map[string]string)
-						for j, name := range members {
-							if j != i {
-								peers[name] = addrs[j]
-							}
-						}
-						eng, err := muppet.NewEngine(cycleApp(), muppet.Config{
+					nodes := bindNodes(t, members, func(_ string, nc *muppet.NetworkConfig) (muppet.Engine, error) {
+						return muppet.NewEngine(cycleApp(), muppet.Config{
 							Engine:        version,
 							QueueCapacity: capacity,
 							QueuePolicy:   muppet.BlockOverflow,
-							Network:       &muppet.NetworkConfig{Node: m, Listen: addrs[i], Peers: peers},
+							Network:       nc,
 						})
-						if err != nil {
-							t.Fatalf("start %s: %v", m, err)
-						}
-						nodes = append(nodes, eng)
-					}
+					})
 					ingested := func() (n uint64) {
 						for _, eng := range nodes {
 							n += eng.Stats().Ingested
@@ -209,20 +197,16 @@ func TestBlockPolicySourceWaitsInItsOwnProcess(t *testing.T) {
 		return muppet.NewApp("parked").Input("S1").AddUpdate(u, []string{"S1"}, nil, 0)
 	}
 	members := []string{"machine-00", "machine-01"}
-	addrs := reserveAddrs(t, len(members))
-	var nodes []muppet.Engine
-	for i, m := range members {
-		eng, err := muppet.NewEngine(parkedApp(), muppet.Config{
+	nodes := bindNodes(t, members, func(_ string, nc *muppet.NetworkConfig) (muppet.Engine, error) {
+		return muppet.NewEngine(parkedApp(), muppet.Config{
 			ThreadsPerMachine: 1,
 			QueueCapacity:     1,
 			QueuePolicy:       muppet.BlockOverflow,
-			Network:           &muppet.NetworkConfig{Node: m, Listen: addrs[i], Peers: map[string]string{members[1-i]: addrs[1-i]}},
+			Network:           nc,
 		})
-		if err != nil {
-			t.Fatalf("start %s: %v", m, err)
-		}
+	})
+	for _, eng := range nodes {
 		defer eng.Stop()
-		nodes = append(nodes, eng)
 	}
 	var once sync.Once
 	unpark := func() { once.Do(func() { close(release) }) }

@@ -30,47 +30,27 @@ func startChaosNodes(t *testing.T, members []string, chaosFor func(node string) 
 // ThreadsPerMachine (0 keeps the default).
 func startChaosApp(t *testing.T, app func() *muppet.App, threads int, members []string, chaosFor func(node string) *muppet.ChaosConfig) map[string]muppet.Engine {
 	t.Helper()
-	addrs := reserveAddrs(t, len(members))
-	all := make(map[string]string, len(members))
-	for i, m := range members {
-		all[m] = addrs[i]
-	}
 	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
-	nodes := make(map[string]muppet.Engine, len(members))
-	for _, m := range members {
-		peers := make(map[string]string, len(all)-1)
-		for name, a := range all {
-			if name != m {
-				peers[name] = a
-			}
-		}
-		eng, err := muppet.NewEngine(app(), muppet.Config{
+	started := bindNodes(t, members, func(m string, nc *muppet.NetworkConfig) (muppet.Engine, error) {
+		nc.IOTimeout = 2 * time.Second
+		// A retry budget comfortably above the chaos layer's
+		// MaxFaultsPerDelivery, so every batch that is not partitioned
+		// away eventually gets a clean exchange.
+		nc.SendRetries = 6
+		nc.Chaos = chaosFor(m)
+		return muppet.NewEngine(app(), muppet.Config{
 			ThreadsPerMachine: threads,
 			QueueCapacity:     1 << 14,
 			FlushPolicy:       muppet.WriteThrough,
 			Store:             store,
 			StoreLevel:        muppet.One,
-			Network: &muppet.NetworkConfig{
-				Node:         m,
-				Listen:       all[m],
-				Peers:        peers,
-				DialTimeout:  time.Second,
-				IOTimeout:    2 * time.Second,
-				RetryBackoff: time.Millisecond,
-				MaxBackoff:   20 * time.Millisecond,
-				// A retry budget comfortably above the chaos layer's
-				// MaxFaultsPerDelivery, so every batch that is not
-				// partitioned away eventually gets a clean exchange.
-				SendRetries:      6,
-				SendRetryBackoff: time.Millisecond,
-				Chaos:            chaosFor(m),
-			},
+			Network:           nc,
 		})
-		if err != nil {
-			t.Fatalf("start %s: %v", m, err)
-		}
-		nodes[m] = eng
-		t.Cleanup(eng.Stop)
+	})
+	nodes := make(map[string]muppet.Engine, len(members))
+	for i, m := range members {
+		nodes[m] = started[i]
+		t.Cleanup(started[i].Stop)
 	}
 	return nodes
 }

@@ -74,14 +74,6 @@ func main() {
 		withPprof = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -http address")
 		trace     = flag.Bool("trace", false, "enable sampled event-lifecycle tracing (muppet_trace_* metrics)")
 		traceRate = flag.Int("trace-sample", 0, "trace one in N deliveries (default 256; implies -trace when set)")
-
-		sendRetries = flag.Int("send-retries", 0, "node mode: delivery attempts per remote batch incl. the first (0 = default 3; 1 disables retry)")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "node mode: seed for the chaos fault injector (used with the -chaos-* probabilities)")
-		chaosDrop   = flag.Float64("chaos-drop", 0, "node mode: probability a request frame is dropped before the wire")
-		chaosDropRe = flag.Float64("chaos-drop-response", 0, "node mode: probability a response is lost after the batch applied")
-		chaosDup    = flag.Float64("chaos-dup", 0, "node mode: probability a successful exchange is duplicated")
-		chaosDelay  = flag.Float64("chaos-delay", 0, "node mode: probability an attempt is delayed")
-		chaosFlaky  = flag.Float64("chaos-flaky-dial", 0, "node mode: probability an attempt fails with a transient dial fault")
 	)
 	flag.Parse()
 
@@ -131,19 +123,6 @@ func main() {
 		}
 		if cfg.Network, err = ncfg.BuildNetwork(*node, *listen); err != nil {
 			log.Fatal(err)
-		}
-		if *sendRetries > 0 {
-			cfg.Network.SendRetries = *sendRetries
-		}
-		if *chaosDrop > 0 || *chaosDropRe > 0 || *chaosDup > 0 || *chaosDelay > 0 || *chaosFlaky > 0 {
-			cfg.Network.Chaos = &muppet.ChaosConfig{
-				Seed:         *chaosSeed,
-				FlakyDial:    *chaosFlaky,
-				DropRequest:  *chaosDrop,
-				DropResponse: *chaosDropRe,
-				Duplicate:    *chaosDup,
-				Delay:        *chaosDelay,
-			}
 		}
 	}
 

@@ -62,11 +62,9 @@ type NetworkFileConfig struct {
 	RetryBackoff string `json:"retry_backoff,omitempty"`
 	MaxBackoff   string `json:"max_backoff,omitempty"`
 	// SendRetries is the delivery attempts per remote batch including
-	// the first (default 3; 1 disables retry); SendRetryBackoff is a Go
-	// duration, the first pause between attempts (default 5ms, doubled
-	// per retry with jitter up to 100ms).
-	SendRetries      int    `json:"send_retries,omitempty"`
-	SendRetryBackoff string `json:"send_retry_backoff,omitempty"`
+	// the first (default 3; 1 disables retry). Attempts follow each
+	// other at once; the redial window is the only wait between them.
+	SendRetries int `json:"send_retries,omitempty"`
 	// Chaos, when present, wraps the node's transport in the seeded
 	// fault injector — a soak/testing facility, not for production.
 	Chaos *ChaosFileConfig `json:"chaos,omitempty"`
@@ -159,7 +157,6 @@ func (n *NetworkFileConfig) BuildNetwork(node, listen string) (*NetworkConfig, e
 		{n.IOTimeout, &cfg.IOTimeout},
 		{n.RetryBackoff, &cfg.RetryBackoff},
 		{n.MaxBackoff, &cfg.MaxBackoff},
-		{n.SendRetryBackoff, &cfg.SendRetryBackoff},
 	} {
 		if d.s == "" {
 			continue

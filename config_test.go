@@ -239,6 +239,7 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"device", `"store": {"device": "hdd"}`},
 		{"dedup_window", `"network": {"nodes": {}, "dedup_window": 512}`},
 		{"send_retry_max_backoff", `"network": {"nodes": {}, "send_retry_max_backoff": "40ms"}`},
+		{"send_retry_backoff", `"network": {"nodes": {}, "send_retry_backoff": "2ms"}`},
 		{"machnes", `"engine": {"machnes": 4}`},
 	} {
 		_, err := muppet.ParseAppConfig([]byte(`{"name": "x", "inputs": ["S1"], "functions": [], ` + c.section + `}`))
@@ -266,7 +267,7 @@ func TestConfigNetworkSection(t *testing.T) {
 	      "machine-02": "10.0.0.3:7070"
 	    },
 	    "dial_timeout": "250ms", "retry_backoff": "10ms",
-	    "send_retries": 4, "send_retry_backoff": "2ms",
+	    "send_retries": 4,
 	    "chaos": {"seed": 42, "drop_request": 0.1, "drop_response": 0.05,
 	      "duplicate": 0.02, "delay": 0.2, "max_delay": "3ms", "max_faults": 2,
 	      "partitions": [{"machine": "machine-02", "from": 10, "to": 20}]}
@@ -297,8 +298,8 @@ func TestConfigNetworkSection(t *testing.T) {
 	if n.IOTimeout != 0 || n.MaxBackoff != 0 {
 		t.Fatalf("unset durations should stay zero, got %v/%v", n.IOTimeout, n.MaxBackoff)
 	}
-	if n.SendRetries != 4 || n.SendRetryBackoff != 2*time.Millisecond {
-		t.Fatalf("delivery knobs = %d/%v", n.SendRetries, n.SendRetryBackoff)
+	if n.SendRetries != 4 {
+		t.Fatalf("send retries = %d", n.SendRetries)
 	}
 	ch := n.Chaos
 	if ch == nil || ch.Seed != 42 || ch.DropRequest != 0.1 || ch.DropResponse != 0.05 ||

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -91,27 +90,19 @@ func (m *Machine) Local() bool { return m.local }
 // RetryConfig bounds the sender-side retry loop for transient
 // transport faults. Retries apply only to errors classified
 // *TransientError (see faults.go); fatal errors — ErrMachineDown, an
-// unknown machine, a missing handler — fail immediately.
+// unknown machine, a missing handler — fail immediately. The loop
+// itself never waits: the only pause between attempts is the
+// transport's own redial window (TCPConfig.RetryBackoff), which a peer
+// that does not answer arms and a merely broken connection does not.
 type RetryConfig struct {
 	// Attempts is the total number of delivery attempts per batch,
 	// including the first (default 3). 1 disables retry.
 	Attempts int
-	// Backoff is the pause before the first retry, doubled per further
-	// retry with ±50% jitter (default 5ms).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 100ms).
-	MaxBackoff time.Duration
 }
 
 func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.Attempts <= 0 {
 		rc.Attempts = 3
-	}
-	if rc.Backoff <= 0 {
-		rc.Backoff = 5 * time.Millisecond
-	}
-	if rc.MaxBackoff <= 0 {
-		rc.MaxBackoff = 100 * time.Millisecond
 	}
 	return rc
 }
@@ -446,20 +437,19 @@ func (c *Cluster) sendRemote(m *Machine, ds []Delivery) (int, []BatchReject, err
 }
 
 // withRetry runs one exchange with m on the node's retry budget. Only
-// transient faults are retried, after a jittered pause that doubles up
-// to the cap; a machine declared down meanwhile (by the recovery
-// detector or a concurrent fatal send) fails the rest fast. A fatal
+// transient faults are retried, at once: a broken connection redials on
+// the next attempt, and a peer that did not answer has armed the
+// transport's redial window, inside which the remaining attempts fail
+// fast. A machine declared down meanwhile (by the recovery detector or
+// a concurrent fatal send) fails the rest fast too. A fatal
 // answer — the peer reporting its machine crashed — records the down
 // presumption and fails at once, preserving detect-on-send. On a spent
 // budget, indeterminate reports whether some attempt got a whole
 // request out without an answer.
 func (c *Cluster) withRetry(m *Machine, attempt func() error) (indeterminate bool, err error) {
-	backoff := c.retry.Backoff
 	for i := 0; i < c.retry.Attempts; i++ {
 		if i > 0 {
 			c.retries.Add(1)
-			time.Sleep(jitterBackoff(backoff))
-			backoff = min(2*backoff, c.retry.MaxBackoff)
 			if !m.alive.Load() {
 				return false, ErrMachineDown
 			}
@@ -478,16 +468,6 @@ func (c *Cluster) withRetry(m *Machine, attempt func() error) (indeterminate boo
 	}
 	c.exhausted.Add(1)
 	return indeterminate, err
-}
-
-// jitterBackoff spreads a retry pause over [d/2, 3d/2) so concurrent
-// senders retrying against the same struggling peer do not stampede in
-// lockstep.
-func jitterBackoff(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
 // deliverBatch runs the local delivery path for a batch: one liveness

@@ -380,7 +380,7 @@ func TestConformanceHungPeer(t *testing.T) {
 		Names:     conformanceNames,
 		Local:     []string{"machine-00"},
 		Transport: tr,
-		Retry:     RetryConfig{Attempts: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Retry:     RetryConfig{Attempts: 2},
 	})
 	tr.Serve(c)
 	defer c.Close()
@@ -391,9 +391,17 @@ func TestConformanceHungPeer(t *testing.T) {
 	if !IsTransient(err) {
 		t.Fatalf("hung peer: err = %v, want a transient IO-timeout fault", err)
 	}
-	// Two attempts, each bounded by the 50ms IO deadline, plus backoff:
-	// well under a second. Anything longer means the deadline is not
-	// being armed and the sender would wedge on a real hung peer.
+	// The first attempt runs out the 50ms IO deadline, which arms the
+	// redial window; the second fails fast inside it. One deadline per
+	// exhausted send. Anything near 5s means the deadline is not being
+	// armed and the sender would wedge on a real hung peer.
+	var te *TransientError
+	if !errors.As(err, &te) || te.Op != "backoff" {
+		t.Fatalf("second attempt: err = %v, want the fail-fast backoff fault", err)
+	}
+	if st := tr.Stats(); st.FramesOut != 1 {
+		t.Fatalf("frames out = %d, want 1: only the first attempt may wait on the hung peer", st.FramesOut)
+	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("hung peer held the sender for %v", elapsed)
 	}

@@ -56,15 +56,28 @@
 // sending). Flipping a sender's ring before the host is serving again
 // just re-triggers detection.
 //
+// # Retries
+//
+// A transient fault (see faults.go) is retried under the same BatchID,
+// up to RetryConfig.Attempts, and the retry loop never sleeps: the only
+// wait between attempts is the TCP transport's per-peer redial window.
+// That window opens only when the peer does not answer — a failed dial
+// or an exchange that ran out its IO deadline — and sends inside it fail
+// fast, so a blackholed or hung peer costs one DialTimeout or IOTimeout
+// per exhausted send. A connection that broke or lost protocol sync
+// before its deadline is closed and the next attempt redials at once,
+// so a cut connection under a healthy peer costs a redial, not a lost
+// batch. Revive resets the window.
+//
 // # Wire format
 //
 // The TCP transport frames strict request/response exchanges as
 // u32-length-prefixed bodies — event frames raw, query frames through
 // the pooled codec of internal/frame — over one pooled connection per
-// destination with reconnect/backoff, and one coalesced write+flush per
-// SendBatch so the batch amortization survives the socket hop. A
-// response is checked against the request before SendBatch's caller sees
-// it. See wire.go for the exact layout.
+// destination, and one coalesced write+flush per SendBatch so the batch
+// amortization survives the socket hop. A response is checked against
+// the request before SendBatch's caller sees it. See wire.go for the
+// exact layout.
 //
 // # Received deliveries share their frame
 //

@@ -45,7 +45,7 @@ func retryTestCluster(tr Transport, attempts int) *Cluster {
 		Names:     []string{"machine-00", "machine-01"},
 		Local:     []string{"machine-00"},
 		Transport: tr,
-		Retry:     RetryConfig{Attempts: attempts, Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond},
+		Retry:     RetryConfig{Attempts: attempts},
 	})
 }
 
@@ -192,7 +192,7 @@ func TestDedupAbsorbsLostResponseRetry(t *testing.T) {
 			MaxFaultsPerDelivery: 1,
 		})
 	}
-	sender, host, counts, mu := inprocPair(t, wrap, RetryConfig{Attempts: 3, Backoff: time.Microsecond})
+	sender, host, counts, mu := inprocPair(t, wrap, RetryConfig{Attempts: 3})
 
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -349,7 +349,7 @@ func TestChaosDeterminism(t *testing.T) {
 			})
 			return chaos
 		}
-		sender, _, _, _ := inprocPair(t, wrap, RetryConfig{Attempts: 6, Backoff: time.Microsecond})
+		sender, _, _, _ := inprocPair(t, wrap, RetryConfig{Attempts: 6})
 		for i := 0; i < 200; i++ {
 			sendOne(sender, "machine-01", "w", event.Event{Key: fmt.Sprintf("k%d", i)})
 		}
@@ -380,7 +380,7 @@ func TestChaosPartitionWindow(t *testing.T) {
 		})
 		return chaos
 	}
-	sender, _, counts, mu := inprocPair(t, wrap, RetryConfig{Attempts: 2, Backoff: time.Microsecond})
+	sender, _, counts, mu := inprocPair(t, wrap, RetryConfig{Attempts: 2})
 
 	// 3 sends * 2 attempts = 6 partitioned attempts: all fail.
 	for i := 0; i < 3; i++ {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +29,15 @@ type TCPConfig struct {
 	// IOTimeout bounds one request/response exchange on an established
 	// connection. Default 10s.
 	IOTimeout time.Duration
-	// RetryBackoff is the initial redial delay after a failed dial or
-	// broken connection; it doubles per consecutive failure up to
-	// MaxBackoff. While a peer is inside its backoff window sends fail
-	// fast with a transient "backoff" fault rather than waiting out a
-	// dial that is known to be hopeless. Default 50ms.
+	// RetryBackoff is the initial redial delay after the peer did not
+	// answer — a failed dial, or an exchange that ran out IOTimeout; it
+	// doubles per consecutive failure up to MaxBackoff. While a peer is
+	// inside its window sends fail fast with a transient "backoff"
+	// fault rather than waiting out a dial or deadline that is known to
+	// be hopeless. A connection that broke or lost protocol sync before
+	// its deadline is closed without arming the window, so the next
+	// attempt redials at once. This window is the only wait between the
+	// attempts of a remote send. Default 50ms.
 	RetryBackoff time.Duration
 	// MaxBackoff caps the redial delay. Default 2s.
 	MaxBackoff time.Duration
@@ -70,10 +75,10 @@ type TCPStats struct {
 }
 
 // TCP is the real-network Transport: stdlib net, one pooled connection
-// per destination with reconnect/backoff, length-prefixed frames (event
-// frames raw, query frames through the pooled frame codec — see
-// wire.go), and write coalescing so a whole SendBatch costs one buffered
-// write + flush rather than a syscall per event.
+// per destination with reconnect and a redial window, length-prefixed
+// frames (event frames raw, query frames through the pooled frame codec
+// — see wire.go), and write coalescing so a whole SendBatch costs one
+// buffered write + flush rather than a syscall per event.
 //
 // Construction is three steps, because the transport and the cluster
 // need each other: NewTCP binds the listener, cluster.New wires the
@@ -239,10 +244,11 @@ func (t *TCP) peer(machine string) *tcpPeer {
 // exchange on the peer's pooled connection: one frame out, one frame
 // back, one flush — PR 3's batch amortization carried across the
 // socket. Dial failures, broken connections, and exchange timeouts
-// close the connection, arm the redial backoff, and surface as
-// *TransientError — the peer process may be perfectly healthy behind a
-// blip, so the verdict belongs to the cluster's retry loop and the
-// recovery detector's suspicion window. Only an authoritative answer
+// close the connection and surface as *TransientError; only a failed
+// dial or a timeout, a peer that does not answer, arms the redial
+// window. The peer process may be perfectly healthy behind a blip, so
+// the verdict belongs to the cluster's retry loop and the recovery
+// detector's suspicion window. Only an authoritative answer
 // from the peer (statusMachineDown) or a closed transport surfaces as
 // ErrMachineDown.
 func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []BatchReject, error) {
@@ -263,7 +269,7 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 	p.body = encodeRequest(append(p.body[:0], frame.HeaderRaw), id, machine, ds)
 	resp, sent, err := p.exchangeLocked(t)
 	if err != nil {
-		p.failLocked(t)
+		p.failLocked(t, err)
 		if sent {
 			// The request frame was fully flushed before the exchange
 			// broke: the peer may have applied the batch.
@@ -278,7 +284,7 @@ func (t *TCP) SendBatch(machine string, id BatchID, ds []Delivery) (int, []Batch
 	if err != nil {
 		// The stream is out of protocol sync; drop the connection. The
 		// request did land, so the outcome is unknown.
-		p.failLocked(t)
+		p.closeLocked()
 		return 0, nil, transientErrIndet("protocol", err)
 	}
 	if serr := statusErr(status, machine); serr != nil {
@@ -331,12 +337,12 @@ func (t *TCP) Query(machine string, req []byte) ([]byte, error) {
 	p.body = frame.AppendEncode(p.body[:0], p.plain)
 	resp, _, err := p.exchangeLocked(t)
 	if err != nil {
-		p.failLocked(t)
+		p.failLocked(t, err)
 		return nil, transientErr("query-exchange", err)
 	}
 	status, payload, err := decodeQueryResponse(resp)
 	if err != nil {
-		p.failLocked(t)
+		p.closeLocked()
 		return nil, transientErr("query-protocol", err)
 	}
 	if serr := queryStatusErr(status, machine, payload); serr != nil {
@@ -411,10 +417,15 @@ func plainOf(body []byte) ([]byte, error) {
 	return frame.Decode(body)
 }
 
-// failLocked tears down the connection and arms the redial backoff.
-func (p *tcpPeer) failLocked(t *TCP) {
+// failLocked tears down the connection after a failed exchange. Only an
+// exchange that ran out its IO deadline arms the redial window: the
+// peer did not answer. A connection that broke before its deadline says
+// nothing about the peer, so the next attempt redials at once.
+func (p *tcpPeer) failLocked(t *TCP, err error) {
 	p.closeLocked()
-	p.armBackoffLocked(t)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		p.armBackoffLocked(t)
+	}
 }
 
 func (p *tcpPeer) closeLocked() {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -98,6 +99,53 @@ func TestTCPBackoffFailsFast(t *testing.T) {
 	}
 	if st := tr.Stats(); st.DialErrors < 2 {
 		t.Fatalf("dial errors = %d, want >= 2 (Revive must reset the backoff window)", st.DialErrors)
+	}
+}
+
+// A pooled connection that breaks under a healthy peer — the peer closed
+// it, a middlebox cut it — says nothing about whether the peer answers:
+// the failed exchange arms no redial window, and the retry redials at
+// once and lands. Batches and queries alike.
+func TestTCPBrokenConnectionRedialsOnRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(c *Cluster) error
+	}{
+		{"batch", func(c *Cluster) error {
+			accepted, _, err := c.SendBatch("machine-01", []Delivery{{Worker: "w", Ev: event.Event{Key: "k"}}})
+			if err == nil && accepted != 1 {
+				err = fmt.Errorf("accepted %d of 1", accepted)
+			}
+			return err
+		}},
+		{"query", func(c *Cluster) error {
+			_, err := c.Query("machine-01", []byte("q"))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, host, trA, trB := startTCPPair(t, TCPConfig{})
+			host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
+			host.SetQueryHandler(echoQueryHandler)
+			if err := tc.send(sender); err != nil {
+				t.Fatal(err)
+			}
+			trB.mu.Lock()
+			for conn := range trB.conns {
+				conn.Close()
+			}
+			trB.mu.Unlock()
+
+			if err := tc.send(sender); err != nil {
+				t.Fatalf("send over a broken connection: %v", err)
+			}
+			if st := sender.DeliveryStats(); st.Retries != 1 || st.RetryExhausted != 0 {
+				t.Fatalf("retries = %d, exhausted = %d; want 1 and 0", st.Retries, st.RetryExhausted)
+			}
+			if st := trA.Stats(); st.Dials != 2 {
+				t.Fatalf("dials = %d, want 2: the retry must redial at once", st.Dials)
+			}
+		})
 	}
 }
 

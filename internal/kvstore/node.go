@@ -116,17 +116,6 @@ type Node struct {
 	flips atomic.Uint64
 }
 
-// NewNode returns a node with the given name and configuration. It
-// panics if the engine fails to open (only a cfg.Dir can make it); use
-// OpenNode when the caller can handle the error.
-func NewNode(name string, cfg NodeConfig) *Node {
-	n, err := OpenNode(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // OpenNode returns a node with the given name and configuration,
 // opening (recovering if needed) its lsm engine at cfg.Dir, or over a
 // fresh in-memory filesystem when cfg.Dir is empty.

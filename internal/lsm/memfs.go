@@ -75,18 +75,6 @@ func (fs *MemFS) FailAt(op Op, nth int) {
 	}
 }
 
-// Ops reports how many operations of each kind have been issued; crash
-// tests use it to enumerate fault points exhaustively.
-func (fs *MemFS) Ops() map[Op]int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make(map[Op]int, len(fs.count))
-	for k, v := range fs.count {
-		out[k] = v
-	}
-	return out
-}
-
 // Crash simulates a power cut and restart: every file's unsynced tail
 // is discarded, handles opened before the crash are fenced off, the
 // fault hook and dead state are cleared, and the FS is ready for a

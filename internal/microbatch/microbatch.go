@@ -136,15 +136,6 @@ func (e *Engine) runBatch(batch []event.Event) {
 // Result returns the carried state for a key, or nil.
 func (e *Engine) Result(key string) []byte { return e.state[key] }
 
-// Results returns a copy of all carried state.
-func (e *Engine) Results() map[string][]byte {
-	out := make(map[string][]byte, len(e.state))
-	for k, v := range e.state {
-		out[k] = v
-	}
-	return out
-}
-
 // Stats returns the run accounting.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -214,23 +214,6 @@ func (q *Queue[T]) Get() (T, error) {
 	return e, nil
 }
 
-// TryGet removes and returns the oldest element without blocking. The
-// boolean reports whether an element was available.
-func (q *Queue[T]) TryGet() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if q.count == 0 {
-		return zero, false
-	}
-	e := q.buf[q.head]
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	q.notFull.Signal()
-	return e, true
-}
-
 // Drain atomically closes the queue and removes every buffered
 // element, returning them in FIFO order. Consumers get ErrClosed
 // immediately — they cannot race the drain for the remaining elements.
@@ -273,9 +256,6 @@ func (q *Queue[T]) Len() int {
 	defer q.mu.Unlock()
 	return q.count
 }
-
-// Cap reports the queue capacity.
-func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Stats returns a snapshot of the queue's accounting counters.
 func (q *Queue[T]) Stats() Stats {

@@ -430,7 +430,9 @@ type NetworkConfig struct {
 	Peers map[string]string
 	// DialTimeout, IOTimeout, RetryBackoff and MaxBackoff tune the
 	// transport's connection handling; zero values pick the defaults
-	// (1s, 10s, 50ms, 2s).
+	// (1s, 10s, 50ms, 2s). RetryBackoff opens a peer's redial window
+	// when it does not answer (a failed dial or an IO timeout) and
+	// doubles per further miss up to MaxBackoff.
 	DialTimeout  time.Duration
 	IOTimeout    time.Duration
 	RetryBackoff time.Duration
@@ -438,13 +440,12 @@ type NetworkConfig struct {
 	// SendRetries is the total delivery attempts per remote batch,
 	// including the first (default 3; 1 disables retry). Only transient
 	// faults — dial failures, I/O timeouts, broken connections — are
-	// retried; an authoritative machine-down answer fails immediately.
+	// retried, at once: a broken connection redials on the next
+	// attempt, and inside a peer's redial window the remaining attempts
+	// fail fast. An authoritative machine-down answer fails immediately.
+	// Retries are idempotent: the receiver remembers each sender's last
+	// 4096 batch IDs and absorbs a batch retried after a lost response.
 	SendRetries int
-	// SendRetryBackoff is the pause before the first retry, doubled per
-	// further retry with jitter up to 100ms (default 5ms). Retries are
-	// idempotent: the receiver remembers each sender's last 4096 batch
-	// IDs and absorbs a batch retried after a lost response.
-	SendRetryBackoff time.Duration
 	// Chaos, when non-nil, wraps the TCP transport in the seeded
 	// fault-injection layer: scripted drops, delays, duplicates, flaky
 	// dials, and one-way partitions, deterministic per seed. A testing
@@ -496,10 +497,7 @@ func (n *NetworkConfig) buildNode() (*cluster.Cluster, error) {
 		Local:     []string{n.Node},
 		Node:      n.Node,
 		Transport: wired,
-		Retry: cluster.RetryConfig{
-			Attempts: n.SendRetries,
-			Backoff:  n.SendRetryBackoff,
-		},
+		Retry:     cluster.RetryConfig{Attempts: n.SendRetries},
 	})
 	tr.Serve(clu)
 	return clu, nil

@@ -2,12 +2,14 @@ package muppet_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
-	"time"
 
 	"muppet"
+	"muppet/internal/cluster"
 	"muppet/internal/core"
 	"muppet/muppetapps"
 )
@@ -17,20 +19,45 @@ import (
 // Config.Network — the same code path a multi-process deployment runs,
 // minus the process boundary (which scripts/tcp_smoke.sh covers in CI).
 
-// reserveAddrs grabs n distinct loopback ports by binding and
-// immediately releasing them; node listeners re-bind the same ports.
-func reserveAddrs(t *testing.T, n int) []string {
+// bindNodes starts one engine per member, each listening on
+// 127.0.0.1:0, and wires every node's peers to the others' bound
+// addresses once all have bound, so no port is ever released between
+// choosing it and binding it. start builds member m's engine around nc,
+// whose Peers name every other member at a placeholder address that
+// TCP.AddPeer then replaces. The engines come back in member order; the
+// caller stops them.
+func bindNodes(t *testing.T, members []string, start func(m string, nc *muppet.NetworkConfig) (muppet.Engine, error)) []muppet.Engine {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	nodes := make([]muppet.Engine, len(members))
+	for i, m := range members {
+		peers := make(map[string]string, len(members)-1)
+		for _, p := range members {
+			if p != m {
+				peers[p] = "127.0.0.1:0"
+			}
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+		eng, err := start(m, &muppet.NetworkConfig{Node: m, Listen: "127.0.0.1:0", Peers: peers})
+		if err != nil {
+			for _, e := range nodes[:i] {
+				e.Stop()
+			}
+			t.Fatalf("start %s: %v", m, err)
+		}
+		nodes[i] = eng
 	}
-	return addrs
+	for i, eng := range nodes {
+		for j, m := range members {
+			if j != i {
+				nodeTCP(eng).AddPeer(m, nodeTCP(nodes[j]).Addr())
+			}
+		}
+	}
+	return nodes
+}
+
+// nodeTCP digs a networked engine's TCP transport out of any wrapper.
+func nodeTCP(eng muppet.Engine) *cluster.TCP {
+	return cluster.UnwrapTCP(eng.Cluster().Transport())
 }
 
 // netCounterApp counts events per key in U1 — one update function
@@ -51,39 +78,21 @@ func netCounterApp() *muppet.App {
 // paper's shared Cassandra cluster).
 func startNetNodes(t *testing.T, version muppet.EngineVersion, app func() *muppet.App, members []string) map[string]muppet.Engine {
 	t.Helper()
-	addrs := reserveAddrs(t, len(members))
-	all := make(map[string]string, len(members))
-	for i, m := range members {
-		all[m] = addrs[i]
-	}
 	store := muppet.NewStore(muppet.StoreConfig{Nodes: 3, ReplicationFactor: 3})
-	nodes := make(map[string]muppet.Engine, len(members))
-	for _, m := range members {
-		peers := make(map[string]string, len(all)-1)
-		for name, a := range all {
-			if name != m {
-				peers[name] = a
-			}
-		}
-		eng, err := muppet.NewEngine(app(), muppet.Config{
+	started := bindNodes(t, members, func(_ string, nc *muppet.NetworkConfig) (muppet.Engine, error) {
+		return muppet.NewEngine(app(), muppet.Config{
 			Engine:        version,
 			QueueCapacity: 1 << 14,
 			FlushPolicy:   muppet.WriteThrough,
 			Store:         store,
 			StoreLevel:    muppet.One,
-			Network: &muppet.NetworkConfig{
-				Node:         m,
-				Listen:       all[m],
-				Peers:        peers,
-				RetryBackoff: time.Millisecond,
-				MaxBackoff:   20 * time.Millisecond,
-			},
+			Network:       nc,
 		})
-		if err != nil {
-			t.Fatalf("start %s: %v", m, err)
-		}
-		nodes[m] = eng
-		t.Cleanup(eng.Stop)
+	})
+	nodes := make(map[string]muppet.Engine, len(members))
+	for i, m := range members {
+		nodes[m] = started[i]
+		t.Cleanup(started[i].Stop)
 	}
 	return nodes
 }
@@ -373,4 +382,131 @@ func TestThreeNodeReputationMatchesReference(t *testing.T) {
 		}
 	}
 	assertSlatesEqual(t, ref.Slates("U_rep"), got)
+}
+
+// cutProxy forwards loopback connections to one upstream address and can
+// cut every connection it carries at once, as a middlebox reset would;
+// connections opened after a cut pass as before.
+type cutProxy struct {
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  []net.Conn
+	pipes  sync.WaitGroup
+	served chan struct{} // closed when the accept loop has exited
+}
+
+func startCutProxy(t *testing.T, upstream string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{ln: ln, served: make(chan struct{})}
+	go func() {
+		defer close(p.served)
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, down, up)
+			p.mu.Unlock()
+			for _, pipe := range [][2]net.Conn{{up, down}, {down, up}} {
+				p.pipes.Add(1)
+				go func(dst, src net.Conn) {
+					defer p.pipes.Done()
+					io.Copy(dst, src)
+					dst.Close()
+					src.Close()
+				}(pipe[0], pipe[1])
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-p.served
+		p.cut()
+		p.pipes.Wait()
+	})
+	return p
+}
+
+// cut closes every connection carried so far and reports how many
+// client connections that was.
+func (p *cutProxy) cut() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+	n := len(p.conns) / 2
+	p.conns = nil
+	return n
+}
+
+// TestConnectionCutDoesNotFailover runs two nodes on the default network
+// settings, machine-00 reaching machine-01 through a proxy that cuts
+// their connection once under IngestBatch load. A cut connection is not
+// a peer that stopped answering: the send in flight redials at once on
+// its retry and lands, so nothing is lost and nobody fails over.
+func TestConnectionCutDoesNotFailover(t *testing.T) {
+	nodes := startNetNodes(t, muppet.EngineV2, netCounterApp, []string{"machine-00", "machine-01"})
+	a, b := nodes["machine-00"], nodes["machine-01"]
+	proxy := startCutProxy(t, nodeTCP(b).Addr())
+	nodeTCP(a).AddPeer("machine-01", proxy.ln.Addr().String())
+
+	const batches, perBatch, keys = 400, 16, 64
+	offered, accepted := 0, 0
+	quarter, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			if i == batches/4 {
+				close(quarter)
+			}
+			evs := make([]muppet.Event, perBatch)
+			for j := range evs {
+				evs[j] = muppet.Event{Stream: "S1", TS: muppet.Timestamp(offered + 1), Key: fmt.Sprintf("k%d", offered%keys)}
+				offered++
+			}
+			n, _ := a.IngestBatch(evs)
+			accepted += n
+		}
+	}()
+	<-quarter
+	if proxy.cut() == 0 {
+		t.Fatal("the proxy carried no connection to cut")
+	}
+	<-done
+	drainAll(nodes)
+
+	if lost := a.LostEvents().Totals(); len(lost) != 0 {
+		t.Fatalf("machine-00 logged losses %v after one connection cut", lost)
+	}
+	if accepted != offered {
+		t.Fatalf("accepted %d of %d", accepted, offered)
+	}
+	if st := a.RecoveryStatus(); st.Failovers != 0 {
+		t.Fatalf("one connection cut failed a healthy peer over: %+v", st)
+	}
+	if !a.Cluster().Machine("machine-01").Alive() {
+		t.Fatal("machine-00 presumes machine-01 down after one connection cut")
+	}
+	if ds := a.Cluster().DeliveryStats(); ds.Retries == 0 || ds.RetryExhausted != 0 {
+		t.Fatalf("retries = %d, exhausted = %d; want the cut send retried and landed", ds.Retries, ds.RetryExhausted)
+	}
+	sum := 0
+	for k := 0; k < keys; k++ {
+		n, _ := strconv.Atoi(string(a.Slate("U1", fmt.Sprintf("k%d", k))))
+		sum += n
+	}
+	if sum != offered {
+		t.Fatalf("slates sum to %d, want %d: a retried batch was lost or applied twice", sum, offered)
+	}
 }

@@ -522,9 +522,10 @@ func runTCPScenario(t *testing.T) []map[string]float64 {
 
 	// Kill b outright (listener included) and poke its peer slot on a's
 	// transport: the first exchange fails on the dead pooled connection,
-	// the retry redials the closed port and counts a dial error. The
-	// engine path alone would not get here — detect-on-send fails the
-	// machine over after the first error and stops addressing it.
+	// which arms no redial window, so the next call redials the closed
+	// port and counts a dial error. The engine path alone would not get
+	// here — detect-on-send fails the machine over after the first error
+	// and stops addressing it.
 	b.Stop()
 	tcp := cluster.UnwrapTCP(a.Cluster().Transport())
 	if tcp == nil {
@@ -536,7 +537,6 @@ func runTCPScenario(t *testing.T) []map[string]float64 {
 			t.Fatal("no dial error recorded after killing the peer node")
 		}
 		tcp.SendBatch("machine-01", cluster.BatchID{}, nil)
-		time.Sleep(2 * time.Millisecond) // let the redial backoff window pass
 	}
 	lerr := scrapeMetrics(t, a)
 	if sumMatching(lerr, "muppet_transport_dial_errors_total") == 0 {
