@@ -15,8 +15,9 @@ import (
 // window and the frame I/O under it cost nothing in steady state.
 
 // TestDecodeRequestAllocBudget: a 64-delivery request decoded off a
-// warm connection (its names interned) allocates one copy of the frame,
-// which every Key and Value shares, and one delivery slice.
+// warm connection (its names interned, its delivery slice reused from
+// the previous frame) allocates one copy of the frame, which every Key
+// and Value shares, and nothing else.
 func TestDecodeRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -27,11 +28,15 @@ func TestDecodeRequestAllocBudget(t *testing.T) {
 	}
 	p := encodeRequest(nil, BatchID{Sender: "machine-00", Epoch: 1, Seq: 1}, "machine-01", ds)
 	names := make(interner)
-	if _, _, _, err := names.decodeRequest(p); err != nil {
+	_, _, got, err := names.decodeRequest(p, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { names.decodeRequest(p) }); n > 2 {
-		t.Fatalf("decoding a %d-delivery request allocated %.0f times, want <= 2", len(ds), n)
+	if n := testing.AllocsPerRun(100, func() { _, _, got, _ = names.decodeRequest(p, got) }); n > 1 {
+		t.Fatalf("decoding a %d-delivery request allocated %.0f times, want <= 1", len(ds), n)
+	}
+	if len(got) != len(ds) || got[63].Ev.Key != "user63" {
+		t.Fatalf("reused decode gave %d deliveries, last %+v", len(got), got[len(got)-1])
 	}
 }
 

@@ -158,10 +158,16 @@ func (t *TCP) Addr() string {
 }
 
 // AddPeer maps a remote machine to its node's listen address,
-// replacing any previous mapping.
+// replacing any previous mapping. The replaced peer's pooled connection
+// is closed: Close reaches only the peers still mapped.
 func (t *TCP) AddPeer(machine, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if old := t.peers[machine]; old != nil {
+		old.mu.Lock()
+		old.closeLocked()
+		old.mu.Unlock()
+	}
 	t.peers[machine] = &tcpPeer{addr: addr}
 }
 
@@ -486,6 +492,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var body, plain []byte
+	var ds []Delivery
 	names := make(interner)
 	for {
 		var err error
@@ -521,7 +528,9 @@ func (t *TCP) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		id, machine, ds, err := names.decodeRequest(req)
+		var id BatchID
+		var machine string
+		id, machine, ds, err = names.decodeRequest(req, ds)
 		if err != nil {
 			return
 		}
@@ -534,6 +543,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			accepted, rejects, err = clu.DeliverLocal(machine, id, ds)
 			status = statusOf(err)
 		}
+		clear(ds) // the idle connection must not keep the frame's events alive
 		body = encodeResponse(append(body[:0], frame.HeaderRaw), status, accepted, rejects)
 		if err := writeFrame(bw, body); err != nil {
 			return

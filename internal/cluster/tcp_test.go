@@ -149,6 +149,34 @@ func TestTCPBrokenConnectionRedialsOnRetry(t *testing.T) {
 	}
 }
 
+// Re-adding a peer replaces its pooled connection: the old one is
+// closed, not left open for the life of the process, so once the sender
+// closes, the host serves nothing.
+func TestTCPAddPeerClosesReplacedConnection(t *testing.T) {
+	sender, host, trA, trB := startTCPPair(t, TCPConfig{})
+	host.SetBatchHandler("machine-01", func(ds []Delivery) []error { return nil })
+	send := func() {
+		t.Helper()
+		if _, _, err := sender.SendBatch("machine-01", []Delivery{{Worker: "w", Ev: event.Event{Key: "k"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	trA.AddPeer("machine-01", trB.Addr())
+	send()
+	trA.Close()
+	served := func() int {
+		trB.mu.Lock()
+		defer trB.mu.Unlock()
+		return len(trB.conns)
+	}
+	for deadline := time.Now().Add(time.Second); served() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("host still serves %d connections 1 s after the sender closed", served())
+		}
+	}
+}
+
 func TestTCPOversizedFrameRejected(t *testing.T) {
 	names := []string{"machine-00", "machine-01"}
 	trB, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0", MaxFrame: 256})

@@ -336,12 +336,14 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 // event longer (the slate cache's key, the lost log, the egress sink)
 // keeps its own copy.
 func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
-	return interner(nil).decodeRequest(p)
+	return interner(nil).decodeRequest(p, nil)
 }
 
 // decodeRequest is the connection-serving form: names come out of the
-// connection's interner.
-func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
+// connection's interner, and the deliveries are appended to ds[:0], so
+// a connection that passes its previous frame's slice back pays only
+// the frame copy.
+func (in interner) decodeRequest(p []byte, ds []Delivery) (id BatchID, machine string, _ []Delivery, err error) {
 	r := wireReader{p: p}
 	if k := r.byte(); r.err == nil && k != wireReq {
 		return BatchID{}, "", nil, fmt.Errorf("cluster: unexpected wire kind %q", k)
@@ -358,7 +360,10 @@ func (in interner) decodeRequest(p []byte) (id BatchID, machine string, ds []Del
 		return BatchID{}, "", nil, errWireTruncated
 	}
 	r.p = bytes.Clone(r.p)
-	ds = make([]Delivery, 0, n)
+	if ds == nil || uint64(cap(ds)) < n {
+		ds = make([]Delivery, 0, n)
+	}
+	ds = ds[:0]
 	for i := uint64(0); i < n; i++ {
 		var d Delivery
 		d.Worker = in.str(r.take(r.uvarint()))

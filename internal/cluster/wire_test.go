@@ -146,7 +146,7 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, err := names.decodeRequest(p)
+	_, _, got, err := names.decodeRequest(p, nil)
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("interned decode: %d deliveries, err %v", len(got), err)
 	}
@@ -159,7 +159,7 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 		t.Fatalf("interner holds %d names after one frame, want 4: %v", len(names), names)
 	}
 	plain := testing.AllocsPerRun(20, func() { decodeRequest(p) })
-	interned := testing.AllocsPerRun(20, func() { names.decodeRequest(p) })
+	interned := testing.AllocsPerRun(20, func() { names.decodeRequest(p, nil) })
 	if saved := plain - interned; saved < 2*n {
 		t.Fatalf("interning saved %.0f allocations on %d deliveries (%.0f -> %.0f), want >= %d", saved, n, plain, interned, 2*n)
 	}
@@ -339,7 +339,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, worker, stream, key string, value []byte, ts int64, seq uint64, ingress int64, noWait bool) {
 		for _, in := range []interner{nil, make(interner)} {
 			buf := bytes.Clone(data)
-			_, _, ds, err := in.decodeRequest(buf)
+			_, _, ds, err := in.decodeRequest(buf, nil)
 			if err != nil {
 				continue
 			}
@@ -374,7 +374,7 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		bid := BatchID{Sender: worker, Epoch: seq, Seq: uint64(ts)}
 		enc := encodeRequest(nil, bid, stream, in)
-		gotID, machine, out, err := make(interner).decodeRequest(enc)
+		gotID, machine, out, err := make(interner).decodeRequest(enc, nil)
 		if err != nil {
 			t.Fatalf("decode of encodeRequest output: %v", err)
 		}

@@ -276,15 +276,6 @@ func (e *Engine) taskProcessorLoop(w *worker, req chan taskRequest, resp chan *r
 	}
 }
 
-// WorkerFor reports which worker owns <key, fn> right now; tests use
-// it to assert the single-writer property.
-func (e *Engine) WorkerFor(fn, key string) string {
-	if r := e.rings[fn]; r != nil {
-		return r.Lookup(key)
-	}
-	return ""
-}
-
 // CacheStats aggregates slate-cache statistics across the workers of
 // one updater — the per-updater breakdown only disparate caches have.
 func (e *Engine) CacheStats(updater string) slate.CacheStats {

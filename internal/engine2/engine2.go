@@ -449,14 +449,3 @@ func (e *Engine) process(m *machine, em *runtime.Emitter, env *engine.Envelope, 
 func (e *Engine) MachineFor(fn, key string) string {
 	return e.ring.LookupRoute(fn, key)
 }
-
-// SlateCached returns the slate only if it is resident in the owning
-// machine's cache (no store fallback), with its residency flag. A
-// remotely hosted owner has no local cache: (nil, false).
-func (e *Engine) SlateCached(updater, key string) ([]byte, bool) {
-	m := e.machines[e.ring.LookupRoute(updater, key)]
-	if m == nil {
-		return nil, false
-	}
-	return m.Cache.Peek(slate.Key{Updater: updater, Key: key})
-}

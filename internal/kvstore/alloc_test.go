@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// The store path's allocation budgets: a stored row costs one buffer
-// (its key and its copy of the value), a batch a fixed few more, and a
-// read that finds nothing costs nothing.
+// The store path's allocation budgets: the node builds its rows in its
+// own scratch and the engine copies what it keeps, so an overwrite of a
+// row no reader was handed costs nothing, a new row one buffer (its key
+// and its copy of the value), a batch a fixed few more in the cluster,
+// and a read that finds nothing costs nothing.
 
 // TestGetMissAllocBudget: at RF 1, a read of an absent row allocates
 // nothing, in the node or in the cluster above it.
@@ -31,9 +33,9 @@ func TestGetMissAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPutBatchAllocBudget: a node stores n rows in at most n + 2
-// allocations, and the cluster's grouping of them by replica adds a
-// fixed few per batch, whatever n is.
+// TestPutBatchAllocBudget: a node overwrites n rows in at most 2
+// allocations in all, and the cluster's grouping of them by replica adds
+// a fixed few per batch, whatever n is.
 func TestPutBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -44,14 +46,41 @@ func TestPutBatchAllocBudget(t *testing.T) {
 			entries[i] = BatchEntry{Key: fmt.Sprintf("user%d", i), Column: "U1", Value: []byte(`{"score":1.5}`)}
 		}
 		node := NewNode("n", NodeConfig{})
-		node.PutBatch(entries) // the keys' memtable slots exist from here on
-		if n := testing.AllocsPerRun(50, func() { node.PutBatch(entries) }); n > float64(rows+2) {
-			t.Errorf("Node.PutBatch of %d rows allocated %.0f times, want <= %d", rows, n, rows+2)
+		node.PutBatch(entries) // the keys' memtable rows exist from here on
+		if n := testing.AllocsPerRun(50, func() { node.PutBatch(entries) }); n > 2 {
+			t.Errorf("Node.PutBatch of %d overwrites allocated %.0f times, want <= 2", rows, n)
 		}
-		c := testCluster(1, 1)
-		c.PutBatch(entries, One)
-		if n := testing.AllocsPerRun(50, func() { c.PutBatch(entries, One) }); n > float64(rows+6) {
-			t.Errorf("Cluster.PutBatch of %d rows allocated %.0f times, want <= %d", rows, n, rows+6)
+		for _, nodes := range []int{1, 3} {
+			c := testCluster(nodes, nodes)
+			c.PutBatch(entries, One)
+			if n := testing.AllocsPerRun(50, func() { c.PutBatch(entries, One) }); n > 6 {
+				t.Errorf("Cluster.PutBatch of %d rows at RF %d allocated %.0f times, want <= 6", rows, nodes, n)
+			}
 		}
+	}
+}
+
+// TestPutDeleteAllocBudget: a single Put that overwrites a row allocates
+// nothing, a Put of a new key one buffer, and a Delete nothing.
+func TestPutDeleteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	node := NewNode("n", NodeConfig{})
+	value := []byte(`{"score":1.5}`)
+	keys := make([]string, 200)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%d", i)
+	}
+	node.Put(keys[0], "U1", value, 0)
+	if n := testing.AllocsPerRun(100, func() { node.Put(keys[0], "U1", value, 0) }); n != 0 {
+		t.Errorf("an overwriting Put allocated %.1f times, want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(keys)-2, func() { i++; node.Put(keys[i], "U1", value, 0) }); n > 1 {
+		t.Errorf("a Put of a new key allocated %.1f times, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { node.Delete(keys[0], "U1") }); n != 0 {
+		t.Errorf("a Delete allocated %.1f times, want 0", n)
 	}
 }

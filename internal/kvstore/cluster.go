@@ -436,9 +436,8 @@ func (c *Cluster) Get(key, column string, level Consistency) ([]byte, bool, time
 	// misses it is repaired by a later read.
 	for _, r := range replies {
 		if r.row.WriteTime.Before(winner.row.WriteTime) {
-			row := newRow(key, column, winner.row.Value, winner.row.TTL)
-			row.WriteTime, row.Tombstone = winner.row.WriteTime, winner.row.Tombstone
-			r.node.write([]lsm.Row{row}, false)
+			w := winner.row
+			r.node.write([]BatchEntry{{Key: key, Column: column, Value: w.Value, TTL: w.TTL}}, w.Tombstone, w.WriteTime)
 		}
 	}
 	lat := kthFastest(lats, need)

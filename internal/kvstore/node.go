@@ -20,22 +20,6 @@ func appendRowKey(dst []byte, key, column string) []byte {
 	return append(dst, column...)
 }
 
-// newRow builds the row stored at <key, column> in one allocation: the
-// row key and a private copy of value share one buffer, which lives as
-// long as the row does (the memtable re-keys an overwritten row, so a
-// replaced version frees its buffer whole). An empty value is stored
-// as nil.
-func newRow(key, column string, value []byte, ttl time.Duration) lsm.Row {
-	buf := appendRowKey(make([]byte, 0, len(key)+1+len(column)+len(value)), key, column)
-	k := len(buf)
-	r := lsm.Row{Key: unsafe.String(&buf[0], k), TTL: ttl}
-	if len(value) > 0 {
-		buf = append(buf, value...)
-		r.Value = buf[k:len(buf):len(buf)]
-	}
-	return r
-}
-
 func splitRowKey(rk string) (key, column string) {
 	i := strings.IndexByte(rk, 0)
 	if i < 0 {
@@ -109,9 +93,12 @@ type Node struct {
 	mu   sync.Mutex
 	eng  *lsm.Engine
 	down bool
-	// key is Get's scratch for the row key it looks up, so a read
-	// allocates nothing of its own; guarded by mu.
-	key []byte
+	// key and rows are the scratch a read composes its row key in and a
+	// write builds its rows in, so neither allocates of its own: the
+	// engine only compares a read's key, and copies what a write keeps.
+	// Guarded by mu.
+	key  []byte
+	rows []lsm.Row
 	// flips counts SetDown's changes of state.
 	flips atomic.Uint64
 }
@@ -176,27 +163,38 @@ func (e ErrNodeDown) Error() string { return "kvstore: node " + e.Node + " is do
 
 // Put writes value at <key, column> with the given TTL (0 = forever).
 func (n *Node) Put(key, column string, value []byte, ttl time.Duration) error {
-	return n.write([]lsm.Row{newRow(key, column, value, ttl)}, true)
+	return n.write([]BatchEntry{{Key: key, Column: column, Value: value, TTL: ttl}}, false, time.Time{})
 }
 
-// write hands rows to the engine as one WAL group commit, synced
-// before acknowledgement. stamp sets each row's write time to the
-// node's clock; read repair writes another replica's row verbatim
-// instead (value, write time and TTL), so the repaired copy expires
-// when its source does.
-func (n *Node) write(rows []lsm.Row, stamp bool) error {
+// write stores one row per entry as one WAL group commit, synced
+// before acknowledgement. Every row gets the given tombstone flag and
+// write time; a zero time stamps the node's clock. Read repair passes
+// another replica's row instead (value, write time, TTL, tombstone),
+// so the repaired copy expires when its source does. The rows are
+// built in the node's scratch and the engine copies what it keeps, so
+// the entries' values are the caller's again when write returns.
+func (n *Node) write(entries []BatchEntry, tombstone bool, at time.Time) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return ErrNodeDown{n.name}
 	}
-	if stamp {
-		now := n.cfg.Clock.Now()
-		for i := range rows {
-			rows[i].WriteTime = now
-		}
+	if at.IsZero() {
+		at = n.cfg.Clock.Now()
+	}
+	n.key = n.key[:0]
+	for _, e := range entries {
+		n.key = appendRowKey(n.key, e.Key, e.Column)
+	}
+	rows, off := n.rows[:0], 0
+	for _, e := range entries {
+		k := len(e.Key) + 1 + len(e.Column)
+		rows = append(rows, lsm.Row{Key: unsafe.String(&n.key[off], k), Value: e.Value, WriteTime: at, TTL: e.TTL, Tombstone: tombstone})
+		off += k
 	}
 	_, err := n.eng.Put(rows)
+	clear(rows) // the scratch must not keep the callers' values alive
+	n.rows = rows[:0]
 	return err
 }
 
@@ -211,24 +209,22 @@ type BatchEntry struct {
 
 // PutBatch applies a batch of writes under a single lock acquisition
 // and a single commit-log append: one WAL record and one fsync for the
-// whole batch instead of one per row. It allocates one buffer per row
-// (its key and its copy of the value) and one row slice per batch.
+// whole batch instead of one per row. It keeps none of the entries'
+// bytes (the engine copies them), and allocates nothing per row when
+// it overwrites rows no read or scan has been handed since their last
+// write: the engine rewrites those values in place. A new key, or a row
+// a Get or a Scan has handed out, costs one buffer for its key and
+// value.
 func (n *Node) PutBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	rows := make([]lsm.Row, len(entries))
-	for i, e := range entries {
-		rows[i] = newRow(e.Key, e.Column, e.Value, e.TTL)
-	}
-	return n.write(rows, true)
+	return n.write(entries, false, time.Time{})
 }
 
 // Delete writes a tombstone for <key, column>.
 func (n *Node) Delete(key, column string) error {
-	row := newRow(key, column, nil, 0)
-	row.Tombstone = true
-	return n.write([]lsm.Row{row}, true)
+	return n.write([]BatchEntry{{Key: key, Column: column}}, true, time.Time{})
 }
 
 // Get reads <key, column>, returning the value and the stored row

@@ -20,6 +20,18 @@
 // block. Open checks every count and offset a segment file declares
 // against the bytes that could hold it before trusting it.
 //
+// # The write path's buffers
+//
+// Put copies what it keeps, so a caller may reuse its rows' bytes as
+// soon as Put returns. A memtable row's key and value share one buffer
+// the memtable made, with room for the value to grow. While that buffer
+// is private — no Get has returned the row and no Scan has pinned it —
+// an overwrite that fits rewrites the value in place and allocates
+// nothing; once a reader has been handed it, the next overwrite gets a
+// new buffer and the bytes handed out never change. What reads no
+// memtable value outside the lock leaves rows private: LiveRows, and
+// the segment flush, which writes them out under it.
+//
 // # Durability contract
 //
 // When Put returns nil, the batch is on stable storage and survives

@@ -172,7 +172,7 @@ func Open(dir string, opt Options) (*Engine, error) {
 	// be retired; then open a fresh WAL and commit the whole new state
 	// with one manifest rename.
 	if e.mem.len() > 0 {
-		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.mem.sorted(), opt.IndexEvery)
+		seg, n, err := writeSegment(fs, dir, e.nextSeq(), e.mem.sorted(false), opt.IndexEvery)
 		if err != nil {
 			e.closeFiles()
 			return nil, err
@@ -252,7 +252,9 @@ func (e *Engine) commitManifestLocked() error {
 // Put makes rows durable (WAL fsync) and visible, as one atomic batch:
 // when Put returns nil the batch survives any crash; on error none of
 // it is acknowledged. flushed reports segment bytes written if the put
-// tripped a memtable flush.
+// tripped a memtable flush. Put copies what it keeps, so the rows'
+// bytes are the caller's again when it returns (see the package doc's
+// write path).
 func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -285,9 +287,10 @@ func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 
 // Get returns the newest stored version of key, including tombstones
 // and expired rows — visibility is the caller's decision (Row.Deleted;
-// Scan applies it). bytesRead is the segment bytes the probe read off
-// the FS, the same bytes Stats.BytesRead counts; a memtable hit reads
-// none.
+// Scan applies it). The row's bytes are the caller's to keep: later
+// puts never change them. bytesRead is the segment bytes the probe read
+// off the FS, the same bytes Stats.BytesRead counts; a memtable hit
+// reads none.
 func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -328,7 +331,7 @@ func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 // load; a compaction meanwhile retires the segments only when the scan
 // lets go of them.
 func (e *Engine) Scan(fn func(Row) bool) error {
-	v, err := e.pin()
+	v, err := e.pin(true)
 	if err != nil {
 		return err
 	}
@@ -356,14 +359,16 @@ type view struct {
 	read int64 // segment bytes the merge read
 }
 
-// pin takes a read view under the engine lock.
-func (e *Engine) pin() (*view, error) {
+// pin takes a read view under the engine lock. share hands the
+// memtable rows' values out with it, for Scan's callback; LiveRows
+// reads none and leaves them private.
+func (e *Engine) pin(share bool) (*view, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, fmt.Errorf("lsm: engine closed")
 	}
-	return &view{mem: e.mem.sorted(), segs: e.refSegsLocked(), now: e.opt.Clock.Now()}, nil
+	return &view{mem: e.mem.sorted(share), segs: e.refSegsLocked(), now: e.opt.Clock.Now()}, nil
 }
 
 // refSegsLocked returns the live segment list, each segment referenced
@@ -467,7 +472,7 @@ func (e *Engine) flushLocked() (int64, error) {
 	if e.mem.len() == 0 {
 		return 0, nil
 	}
-	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.mem.sorted(), e.opt.IndexEvery)
+	seg, n, err := writeSegment(e.fs, e.dir, e.nextSeq(), e.mem.sorted(false), e.opt.IndexEvery)
 	if err != nil {
 		return 0, err
 	}
@@ -655,7 +660,7 @@ func (e *Engine) Stats() Stats {
 // outside the engine lock, but still reads every segment: use for
 // tests and stats, not hot paths.
 func (e *Engine) LiveRows() (int, error) {
-	v, err := e.pin()
+	v, err := e.pin(false)
 	if err != nil {
 		return 0, err
 	}

@@ -38,7 +38,9 @@ type Store interface {
 	// Load fetches the stored slate for k; found=false means the slate
 	// has never been written or has expired.
 	Load(k Key) (value []byte, found bool, err error)
-	// Save persists the slate with the updater's TTL.
+	// Save persists the slate with the updater's TTL. It must not keep
+	// value, or anything that aliases it, after it returns: the cache
+	// rewrites a flushed slate's encoding in place at its next flush.
 	Save(k Key, value []byte, ttl time.Duration) error
 }
 
@@ -85,7 +87,11 @@ func (t *CacheStats) Add(s CacheStats) {
 type entry struct {
 	key   Key
 	value []byte
-	dirty bool
+	// private marks a value this cache encoded into a buffer of its own
+	// and has handed to no one since, so the next encode may rewrite it
+	// in place; the package doc lists what ends it.
+	private bool
+	dirty   bool
 	// prev and next link the entry into its shard's LRU list (see
 	// shard.lru).
 	prev, next *entry

@@ -97,6 +97,18 @@
 // internal/metrics histograms (FlushLatency, BatchSizes) and counters
 // (FlushStats).
 //
+// A flush allocates nothing per slate once the slate has been flushed
+// before: a typed entry's encoding lives in a buffer the cache made,
+// and while that buffer is private — handed to no one since — the next
+// encode rewrites it in place. The batch lends the buffer to the store
+// for the length of SaveBatch, and a Store keeps no value past its
+// Save or SaveBatch, so the flush does not end the privacy; an encode
+// while the batch is in flight goes to a new buffer. What does end it
+// is handing the bytes to someone who may keep them: Get, Peek or a raw
+// Scan row, the value WriteThrough saves after unlocking, a Decode of
+// it. A value the cache did not encode (a byte Put, a store load) is
+// never private.
+//
 // # Storage framing
 //
 // The stored form of a slate (Encode/Decode) is one header byte

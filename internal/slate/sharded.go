@@ -83,6 +83,9 @@ type shard struct {
 	lru   entry
 	dirty map[Key]*entry
 	stats CacheStats
+	// enc is the scratch a typed slate is encoded into before it is
+	// copied to its entry (see encodeLocked).
+	enc []byte
 	// dead is set by Crash and cleared by Revive: the shard caches
 	// nothing and refuses writes in between.
 	dead bool
@@ -117,7 +120,8 @@ type Sharded struct {
 	shards []*shard
 	batch  BatchStore // non-nil when cfg.Store supports multi-put
 
-	flushMu      sync.Mutex // serializes group commits
+	flushMu      sync.Mutex    // serializes group commits
+	recs         []BatchRecord // FlushDirty's scratch; guarded by flushMu
 	flushes      atomic.Uint64
 	batches      atomic.Uint64
 	records      atomic.Uint64
@@ -310,6 +314,7 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 		sh.touch(e)
 		if e.decoded == nil {
 			v, err := codec.Decode(e.value)
+			e.private = false // the object may alias the bytes
 			if err != nil {
 				sh.stats.DecodeErrors++
 				return nil, err
@@ -389,6 +394,7 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 		delete(sh.dirty, k)
 		sh.stats.StoreSaves++
 		value, ttl := e.value, s.ttl(k)
+		e.private = false // saved outside the lock
 		sh.mu.Unlock()
 		return s.cfg.Store.Save(k, value, ttl)
 	}
@@ -488,7 +494,11 @@ func (s *Sharded) FlushDirty() (int, error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	start := time.Now()
-	var recs []BatchRecord
+	recs := s.recs[:0]
+	defer func() {
+		clear(recs) // the idle scratch must not keep the slates' bytes alive
+		s.recs = recs[:0]
+	}()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for k, e := range sh.dirty {

@@ -16,7 +16,8 @@ type BatchRecord struct {
 type BatchStore interface {
 	Store
 	// SaveBatch persists every record; partial failure may leave some
-	// records written (per-record Save semantics apply to each).
+	// records written (per-record Save semantics apply to each). Like
+	// Save, it must not keep a record's Value after it returns.
 	SaveBatch(recs []BatchRecord) error
 }
 

@@ -1,5 +1,7 @@
 package slate
 
+import "slices"
+
 // Codec is the erased slate codec the typed application API threads
 // through the stack: it turns a slate's at-rest byte encoding into a
 // live decoded object and back. The cache stores the decoded object
@@ -72,11 +74,16 @@ type FieldCodec interface {
 // encoding and stays stale; every failure counts in EncodeErrors, and
 // the first since the last success poisons the entry — counted in
 // Poisoned, reported to cfg.OnPoison — until an encode succeeds.
+//
+// The codec writes into the shard's scratch, so a failed encode leaves
+// e.value as it was. The encoding then overwrites a private value it
+// fits (see entry.private); otherwise it goes into a new private
+// buffer with a quarter again of room to grow.
 func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 	if !e.stale {
 		return nil
 	}
-	v, err := e.codec.AppendEncode(nil, e.decoded)
+	b, err := e.codec.AppendEncode(sh.enc[:0], e.decoded)
 	if err != nil {
 		sh.stats.EncodeErrors++
 		if !e.poisoned {
@@ -88,7 +95,13 @@ func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 		}
 		return err
 	}
-	e.value = v
+	sh.enc = b
+	if e.private && !e.flushing && len(b) <= cap(e.value) {
+		e.value = append(e.value[:0], b...)
+	} else {
+		e.value = append(slices.Grow([]byte(nil), len(b)+len(b)/4), b...)
+		e.private = true
+	}
 	e.stale = false
 	sh.unpoisonLocked(e)
 	return nil
@@ -109,19 +122,24 @@ func (sh *shard) unpoisonLocked(e *entry) {
 // holds the decoded object pinned. A pinned entry that has never been
 // encoded reads as nil — the first update for the key has not
 // completed yet, so "no slate" is a linearizable answer. An encode
-// failure also serves the last materialized encoding.
+// failure also serves the last materialized encoding. The bytes are
+// the caller's to keep: handing them out ends the value's privacy, so
+// no later encode rewrites them.
 func (s *Sharded) snapshotLocked(sh *shard, e *entry) []byte {
 	if e.pins == 0 {
 		s.encodeLocked(sh, e)
 	}
-	return e.value
+	e.private = false
+	return slices.Clip(e.value)
 }
 
 // setBytesLocked replaces the entry's contents with an encoded value
 // (the classic byte-slate Put), discarding any decoded object: the
-// bytes are now the source of truth.
+// bytes are now the source of truth. They are the caller's, so the
+// entry's value is not private.
 func (e *entry) setBytesLocked(value []byte) {
 	e.value = value
+	e.private = false
 	e.decoded = nil
 	e.codec = nil
 	e.stale = false

@@ -23,10 +23,8 @@ var engineVersions = []struct {
 // the other not: each is the paper's difference showing through, not a
 // runtime feature landed on one side.
 var strategyOnly = map[string]string{
-	"WorkerFor":   "1.0: keys are owned by workers",
-	"CacheStats":  "1.0: per-updater breakdown of its disparate caches",
-	"MachineFor":  "2.0: keys are owned by machines",
-	"SlateCached": "2.0: residency in the central cache",
+	"CacheStats": "1.0: per-updater breakdown of its disparate caches",
+	"MachineFor": "2.0: keys are owned by machines",
 }
 
 // TestEngineMethodSetParity reflects over the concrete types NewEngine
