@@ -18,12 +18,14 @@ type Emitter interface {
 	// Publish emits an event with the given key and value to a stream.
 	// The framework assigns the event a timestamp strictly greater than
 	// the input event's timestamp, which keeps cyclic workflows
-	// well-defined (Section 3). The value is copied, except the input
-	// event's own value re-published as is, which is shared: functions
-	// must not modify in.Value — it is already shared with every other
-	// subscriber of the stream and with the egress sink. A shared value
-	// carries the object Payload decoded from it, which is shared the
-	// same way and must not be modified either.
+	// well-defined (Section 3). The value is copied, so the caller may
+	// reuse it at once, except the input event's own value re-published
+	// as is, which is shared: functions must not modify in.Value — it is
+	// already shared with every other subscriber of the stream and with
+	// the egress sink. A shared value carries the object Payload decoded
+	// from it, which is shared the same way and must not be modified
+	// either. To publish a typed value, PublishPayload encodes it
+	// straight into the engines' copy, with no intermediate buffer.
 	Publish(stream, key string, value []byte) error
 	// ReplaceSlate replaces the slate of the <updater, key> pair the
 	// current update call is running for. Calling it from a map

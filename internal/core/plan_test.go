@@ -2,12 +2,15 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"muppet/internal/event"
 	"muppet/internal/workload"
 )
 
@@ -92,7 +95,7 @@ func diffDecode[T any](t *testing.T, doc []byte) {
 	got, gerr := JSONCodec[T]{}.Decode(doc)
 	want := new(T)
 	werr := json.Unmarshal(doc, want)
-	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+	if reflect.TypeOf(gerr) != reflect.TypeOf(werr) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%T from %q: codec error %v, encoding/json error %v", *want, doc, gerr, werr)
 	}
 	if werr != nil {
@@ -114,7 +117,7 @@ func diffEncode[T any](t *testing.T, v *T) {
 	t.Helper()
 	got, gerr := JSONCodec[T]{}.AppendEncode([]byte("pre"), v)
 	want, werr := json.Marshal(v)
-	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+	if reflect.TypeOf(gerr) != reflect.TypeOf(werr) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%#v: codec error %v, encoding/json error %v", *v, gerr, werr)
 	}
 	if werr == nil && string(got) != "pre"+string(want) {
@@ -375,9 +378,80 @@ func TestJSONCodecAllocBudgets(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { buf, _ = JSONCodec[repSlate]{}.AppendEncode(buf[:0], rs) }); n != 0 {
 		t.Errorf("encoding a slate into a reused buffer: %.1f allocations, budget 0", n)
 	}
-	// Into nil, as a flush and a publish encode: the result, once.
+	// A value built on the stack stays there: the codec keeps no
+	// reference to it, so a publish's delta costs nothing.
+	if n := testing.AllocsPerRun(100, func() {
+		d := repDelta{From: "user00042", Delta: 0.1234}
+		buf, _ = JSONCodec[repDelta]{}.AppendEncode(buf[:0], &d)
+	}); n != 0 {
+		t.Errorf("encoding a stack value into a roomy buffer: %.1f allocations, budget 0", n)
+	}
+	// Into nil, as a flush encode: the result, once.
 	if n := testing.AllocsPerRun(100, func() { JSONCodec[repSlate]{}.AppendEncode(nil, rs) }); n != 1 {
 		t.Errorf("encoding a slate into nil: %.1f allocations, budget 1", n)
+	}
+}
+
+// ptrMarshal has a pointer-receiver MarshalJSON, which json.Marshal
+// calls only on an addressable value; a negative N is its error.
+type ptrMarshal struct{ N int }
+
+func (p *ptrMarshal) MarshalJSON() ([]byte, error) {
+	if p.N < 0 {
+		return nil, errors.New("negative")
+	}
+	return fmt.Appendf(nil, `{"n":%d}`, p.N), nil
+}
+
+// The codec hands encoding/json a copy of what the plan declines, not
+// the caller's value: the bytes and the error are still json.Marshal's
+// of the value itself. A pointer-receiver MarshalJSON runs and its
+// error comes back, a NaN is refused, and a nil *S is null.
+func TestJSONCodecDeclinedEncodeExact(t *testing.T) {
+	diffEncode(t, &ptrMarshal{N: 3})
+	diffEncode(t, &ptrMarshal{N: -1})
+	diffEncode(t, &struct{ P ptrMarshal }{ptrMarshal{N: 4}})
+	nan := math.NaN()
+	diffEncode(t, &nan)
+	diffEncode(t, &repSlate{Score: nan, Tweets: 2})
+	diffEncodeNil[repSlate](t)
+	diffEncodeNil[ptrMarshal](t)
+}
+
+// diffEncodeNil encodes a nil *T through JSONCodec and json.Marshal.
+func diffEncodeNil[T any](t *testing.T) {
+	t.Helper()
+	got, gerr := JSONCodec[T]{}.AppendEncode([]byte("pre"), nil)
+	want, werr := json.Marshal((*T)(nil))
+	if gerr != nil || werr != nil || string(got) != "pre"+string(want) {
+		t.Fatalf("nil *%T: codec %q, %v; encoding/json %q, %v", *new(T), got, gerr, want, werr)
+	}
+}
+
+// A flush encodes a typed slate the cache already holds on the heap.
+// Where the plan declines the type or the value, encoding/json gets that
+// object itself, not a copy: the encode allocates what json.Marshal of
+// it does, no more.
+func TestDeclinedSlateEncodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	flushEncodeAllocs(t, struct{ M map[string]int }{map[string]int{"a": 1}})
+	flushEncodeAllocs(t, repDelta{From: "a<b", Delta: 0.5})
+}
+
+// flushEncodeAllocs compares a slate cache's encode of v, as the flush
+// runs it, with json.Marshal's allocations.
+func flushEncodeAllocs[S any](t *testing.T, v S) {
+	t.Helper()
+	codec := Update("U", func(Emitter, event.Event, *S) {}).(DecodedUpdater).SlateCodec()
+	obj := codec.New()
+	*obj.(*S) = v
+	buf := make([]byte, 0, 512)
+	got := testing.AllocsPerRun(100, func() { buf, _ = codec.AppendEncode(buf[:0], obj) })
+	want := testing.AllocsPerRun(100, func() { json.Marshal(obj) })
+	if got > want {
+		t.Errorf("%T: the flush encode allocates %.1f, json.Marshal %.1f", v, got, want)
 	}
 }
 

@@ -130,17 +130,41 @@ func block[S, D any]() (*S, []byte, []string) {
 	return &b.v, unsafe.Slice((*byte)(unsafe.Pointer(&b.doc)), unsafe.Sizeof(b.doc)), b.strs[:]
 }
 
-// encodeJSON is JSONCodec[S].AppendEncode with S's plan in hand.
+// encodeJSON is JSONCodec[S].AppendEncode with S's plan in hand. It
+// does not keep s, so a value built on the caller's stack stays there:
+// only what the plan declines reaches encoding/json, which keeps its
+// argument, and that gets a shallow copy of *s (behind a pointer, so a
+// pointer-receiver MarshalJSON still runs) or a nil *S.
 func encodeJSON[S any](p *fieldPlan, dst []byte, s *S) ([]byte, error) {
-	if p != nil && s != nil {
-		// Written to the stack first, the value grows dst once, as
-		// json.Marshal's exactly sized result does, not once per doubling.
-		var scratch [256]byte
-		if b, ok := p.encode(scratch[:0], reflect.ValueOf(s).Elem()); ok {
-			return append(dst, b...), nil
-		}
+	if b, ok := encodePlan(p, dst, s); ok {
+		return b, nil
 	}
-	b, err := json.Marshal(s)
+	if s == nil {
+		return marshalJSON(dst, (*S)(nil))
+	}
+	cp := *s
+	return marshalJSON(dst, &cp)
+}
+
+// encodePlan appends s's encoding by the plan, or reports false where
+// there is no plan or it declines s.
+func encodePlan[S any](p *fieldPlan, dst []byte, s *S) ([]byte, bool) {
+	if p == nil || s == nil {
+		return dst, false
+	}
+	// Written to the stack first, the value grows dst once, as
+	// json.Marshal's exactly sized result does, not once per doubling.
+	var scratch [256]byte
+	b, ok := p.encode(scratch[:0], reflect.ValueOf(s).Elem())
+	if !ok {
+		return dst, false
+	}
+	return append(dst, b...), true
+}
+
+// marshalJSON appends json.Marshal(v) to dst, or returns its error.
+func marshalJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +224,44 @@ func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 type payloadMemo interface {
 	PayloadOf(value []byte) any
 	NotePayload(value []byte, decoded any)
+}
+
+// PublishPayload publishes v, JSON-encoded, to stream under key: the
+// write side of Payload. The engines' emitter encodes v straight into
+// the arena Publish copies values into, so a steady-state publish
+// allocates nothing and v may live on the caller's stack; other
+// emitters (the Reference's) get the encoding through Publish. The
+// encoding is JSONCodec's, so the bytes and the error are exactly
+// json.Marshal's. On the engines a stream the function may not publish
+// to is refused before v is encoded; an encode error (a NaN, say)
+// publishes nothing.
+func PublishPayload[T any](emit Emitter, stream, key string, v *T) error {
+	a, ok := emit.(valueArena)
+	if !ok {
+		b, err := JSONCodec[T]{}.AppendEncode(nil, v)
+		if err != nil {
+			return err
+		}
+		return emit.Publish(stream, key, b)
+	}
+	vals, err := a.Arena(stream)
+	if err != nil {
+		return err
+	}
+	vals, err = JSONCodec[T]{}.AppendEncode(vals, v)
+	if err != nil {
+		return err
+	}
+	a.PublishArena(stream, key, vals)
+	return nil
+}
+
+// valueArena is the engines' emitter. Arena returns the arena to append
+// one value for stream to, or Publish's error for it; PublishArena
+// records that value, handed back as the extended arena.
+type valueArena interface {
+	Arena(stream string) ([]byte, error)
+	PublishArena(stream, key string, vals []byte)
 }
 
 // DecodedUpdater is implemented by update functions built with the
@@ -285,7 +347,7 @@ func (u *typedUpdater[S]) UpdateDecoded(emit Emitter, in event.Event, slate any)
 // SlateCodec implements DecodedUpdater.
 func (u *typedUpdater[S]) SlateCodec() SlateCodec {
 	e := erasedCodec[S]{c: u.codec}
-	if _, ok := u.codec.(JSONCodec[S]); ok {
+	if _, e.json = u.codec.(JSONCodec[S]); e.json {
 		e.plan = planOf(reflect.TypeFor[S]())
 	}
 	return e
@@ -301,6 +363,7 @@ func (u *typedUpdater[S]) nilFn() bool { return u.fn == nil }
 // cache fill, a flush or a store row does not look the plan up.
 type erasedCodec[S any] struct {
 	c    Codec[S]
+	json bool       // c is JSONCodec[S]
 	plan *fieldPlan // S's plan when c is JSONCodec[S], else nil
 }
 
@@ -322,9 +385,14 @@ func (e erasedCodec[S]) Decode(data []byte) (any, error) {
 	return s, nil
 }
 
+// AppendEncode encodes v, a *S the cache already holds on the heap:
+// what the plan declines goes to encoding/json as it is, not copied.
 func (e erasedCodec[S]) AppendEncode(dst []byte, v any) ([]byte, error) {
-	if e.plan != nil {
-		return encodeJSON(e.plan, dst, v.(*S))
+	if e.json {
+		if b, ok := encodePlan(e.plan, dst, v.(*S)); ok {
+			return b, nil
+		}
+		return marshalJSON(dst, v)
 	}
 	return e.c.AppendEncode(dst, v.(*S))
 }

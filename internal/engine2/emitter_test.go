@@ -2,8 +2,11 @@ package engine2
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"muppet/internal/core"
 	"muppet/internal/event"
@@ -14,9 +17,9 @@ import (
 // the zero-allocation hot path: once a thread's reusable emitter has
 // warmed its scratch (outputs slice, value arena), a map invocation's
 // publishes allocate nothing inside the emitter itself. What is left —
-// the per-invocation arena the derived events slice, and only when a
-// value was copied (a re-published input is shared) — lives in the
-// runtime's Emit, not here.
+// a fresh chunk for the derived events' values, once a chunk's worth of
+// copied values has gone out (a re-published input is shared) — lives
+// in the runtime's Emit, not here.
 func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 	app := counterApp()
 	var em runtime.Emitter
@@ -36,6 +39,36 @@ func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPublishPayloadSteadyStateZeroAllocs pins the typed publish: a
+// value built on the map's stack is encoded straight into the warm
+// emitter's arena, so neither the value nor its encoding allocates.
+func TestPublishPayloadSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	app := counterApp()
+	var em runtime.Emitter
+	publish := func() {
+		em.Reset(app, "M1", false)
+		for i := range 2 {
+			d := delta{From: "user00042", Delta: 0.25 * float64(i)}
+			if err := core.PublishPayload(&em, "S2", "walmart", &d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish() // warm-up: grow the scratch to its steady-state capacity
+	if allocs := testing.AllocsPerRun(1000, publish); allocs != 0 {
+		t.Fatalf("steady-state PublishPayload allocates %v objects per invocation, want 0", allocs)
+	}
+}
+
+// delta is a typed payload the size of reputation's score delta.
+type delta struct {
+	From  string  `json:"from"`
+	Delta float64 `json:"delta"`
+}
+
 // TestEmitterArenaIsolation guards the arena slicing: events derived
 // from one invocation must keep their bytes after the emitter is
 // reused by later invocations, and appending to one event's value
@@ -45,7 +78,10 @@ func TestEmitterSteadyStateZeroAllocs(t *testing.T) {
 // a modified copy — still goes through the arena. The derived events
 // are read back as the update consuming them receives them off its
 // queue. (Not off an output stream: the egress sink hands subscribers
-// their own copies.)
+// their own copies.) Emit copies the values of consecutive invocations
+// into one chunk; none of them grows or bleeds into another, a value
+// larger than the chunk is allocated apart, and a typed publish that
+// fails leaves nothing behind.
 func TestEmitterArenaIsolation(t *testing.T) {
 	var body func(core.Emitter, event.Event)
 	m := core.MapFunc{FName: "M1", Fn: func(emit core.Emitter, in event.Event) { body(emit, in) }}
@@ -119,6 +155,97 @@ func TestEmitterArenaIsolation(t *testing.T) {
 	if grown := append(same, '!'); &grown[0] == &in.Value[0] || string(in.Value[:6]) != "input\x00" {
 		t.Fatalf("append to a shared value grew into the input's spare capacity: %q", in.Value[:6])
 	}
+
+	// Consecutive invocations share a chunk: each value starts where the
+	// one before it ends, with cap == len.
+	var chunked runtime.Emitter
+	publishOne := func(key string, value []byte) event.Event {
+		chunked.Reset(app, "M1", false)
+		if err := chunked.Publish("S2", key, value); err != nil {
+			t.Fatal(err)
+		}
+		e.Emit(&chunked, &event.Event{Stream: "S1", TS: 3, Key: "k"}, nil)
+		return emitted(1)[0]
+	}
+	early := make([]event.Event, 3)
+	for i := range early {
+		early[i] = publishOne("early", []byte(fmt.Sprintf("early-%d", i)))
+		if v := early[i].Value; cap(v) != len(v) {
+			t.Fatalf("value %q has cap %d", v, cap(v))
+		}
+	}
+	for i := 1; i < len(early); i++ {
+		if !adjacent(early[i-1].Value, early[i].Value) {
+			t.Fatalf("values of consecutive invocations %q and %q do not share a chunk", early[i-1].Value, early[i].Value)
+		}
+	}
+	// Appending to a value must not grow into the one after it.
+	next := publishOne("next", []byte("next"))
+	_ = append(early[2].Value, "-grown"...)
+	if !adjacent(early[2].Value, next.Value) || string(next.Value) != "next" {
+		t.Fatalf("value after an appended one = %q, adjacent %v", next.Value, adjacent(early[2].Value, next.Value))
+	}
+	// A value larger than a chunk is allocated apart: the chunk goes on
+	// where it was. Then enough invocations to fill many more chunks.
+	big := bytes.Repeat([]byte("B"), 5<<10)
+	if got := publishOne("big", big); !bytes.Equal(got.Value, big) || cap(got.Value) != len(big) {
+		t.Fatalf("a %d-byte value arrived as %d bytes, cap %d", len(big), len(got.Value), cap(got.Value))
+	}
+	if after := publishOne("after", []byte("after")); !adjacent(next.Value, after.Value) {
+		t.Fatal("a value larger than the chunk took the chunk's place")
+	}
+	for i := range 1000 {
+		publishOne("later", bytes.Repeat([]byte{byte('a' + i%26)}, 40))
+	}
+	for i, ev := range early {
+		if want := fmt.Sprintf("early-%d", i); string(ev.Value) != want {
+			t.Fatalf("a chunked value read %q after later invocations, want %q", ev.Value, want)
+		}
+	}
+	if string(next.Value) != "next" {
+		t.Fatalf("a chunked value read %q after later invocations, want next", next.Value)
+	}
+
+	// A typed publish that fails, by encode error or by undeclared
+	// stream, publishes nothing and leaves the outputs around it whole;
+	// an undeclared stream is refused before the value is encoded.
+	marshals = 0
+	em.Reset(app, "M1", false)
+	em.Publish("S2", "a", []byte("first"))
+	if err := core.PublishPayload(&em, "S2", "nan", &struct{ F float64 }{math.NaN()}); err == nil {
+		t.Fatal("a NaN field published")
+	}
+	var undeclared core.ErrUndeclaredStream
+	if err := core.PublishPayload(&em, "S9", "x", &counted{}); !errors.As(err, &undeclared) || marshals != 0 {
+		t.Fatalf("publish to an undeclared stream: %v, %d encodes", err, marshals)
+	}
+	if err := core.PublishPayload(&em, "S2", "c", &counted{}); err != nil || marshals != 1 {
+		t.Fatalf("publish to a declared stream: %v, %d encodes", err, marshals)
+	}
+	em.Publish("S2", "b", []byte("second"))
+	e.Emit(&em, &event.Event{Stream: "S1", TS: 4, Key: "k"}, nil)
+	out = emitted(3)
+	for i, want := range []string{"a=first", "c=1", "b=second"} {
+		if got := out[i].Key + "=" + string(out[i].Value); got != want {
+			t.Fatalf("output %d = %s, want %s", i, got, want)
+		}
+	}
+}
+
+// adjacent reports whether b starts where a ends, in one array.
+func adjacent(a, b []byte) bool {
+	return unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), len(a)) == unsafe.Pointer(unsafe.SliceData(b))
+}
+
+// marshals counts counted's encodes.
+var marshals int
+
+// counted is a payload type encoding/json encodes, counting each time.
+type counted struct{}
+
+func (counted) MarshalJSON() ([]byte, error) {
+	marshals++
+	return []byte("1"), nil
 }
 
 // doc and otherDoc are two payload types with the same JSON shape.

@@ -19,10 +19,11 @@ import (
 // is reset between invocations: the outputs slice and the value scratch
 // arena keep their capacity, so a steady-state invocation allocates
 // nothing inside the emitter. Published values are copied once, into
-// the arena; Emit materializes them for the derived events afterwards.
-// The one exception is the invocation's input value re-published as is:
-// it is already immutable and shared, so it is shared once more, with
-// the object core.Payload decoded from it, if any.
+// the arena, or encoded straight into it (core.PublishPayload); Emit
+// moves them into the emitter's chunk for the derived events. The one
+// exception is the invocation's input value re-published as is: it is
+// already immutable and shared, so it is shared once more, with the
+// object core.Payload decoded from it, if any.
 type Emitter struct {
 	app      *core.App
 	function string
@@ -31,9 +32,9 @@ type Emitter struct {
 	decoded  any    // in's decoded payload, when known
 	outputs  []emitted
 	vals     []byte // scratch arena holding every copied value
+	chunk    []byte // the block Emit hands values out of (emitChunk)
 	newSlate []byte
 	replaced bool
-	err      error
 	// one is the frame of one each output is handed to the courier in:
 	// the loop's, not the invocation's, so a local emit allocates none.
 	one [1]cluster.Delivery
@@ -58,26 +59,38 @@ func (c *Emitter) Reset(app *core.App, function string, isUpdate bool) {
 	c.vals = c.vals[:0]
 	c.newSlate = nil
 	c.replaced = false
-	c.err = nil
 }
 
 // Publish implements core.Emitter.
 func (c *Emitter) Publish(stream, key string, value []byte) error {
-	if !c.app.MayPublish(c.function, stream) {
-		err := core.ErrUndeclaredStream{Function: c.function, Stream: stream}
-		if c.err == nil {
-			c.err = err
-		}
+	vals, err := c.Arena(stream)
+	if err != nil {
 		return err
 	}
 	if c.isInput(value) {
 		c.outputs = append(c.outputs, emitted{stream: stream, key: key, shared: value[:len(value):len(value)]})
 		return nil
 	}
-	off := len(c.vals)
-	c.vals = append(c.vals, value...)
-	c.outputs = append(c.outputs, emitted{stream: stream, key: key, off: off, end: len(c.vals)})
+	c.PublishArena(stream, key, append(vals, value...))
 	return nil
+}
+
+// Arena returns the scratch arena for core.PublishPayload to append
+// one value to, or, for a stream the function may not publish to,
+// the error Publish returns. Until PublishArena records it, an appended
+// value publishes nothing: the next one is written over it.
+func (c *Emitter) Arena(stream string) ([]byte, error) {
+	if !c.app.MayPublish(c.function, stream) {
+		return nil, core.ErrUndeclaredStream{Function: c.function, Stream: stream}
+	}
+	return c.vals, nil
+}
+
+// PublishArena records a value published to stream: vals is the arena
+// Arena returned, extended by that one value.
+func (c *Emitter) PublishArena(stream, key string, vals []byte) {
+	c.outputs = append(c.outputs, emitted{stream: stream, key: key, off: len(c.vals), end: len(vals)})
+	c.vals = vals
 }
 
 // isInput reports whether value is the input's own bytes, not a copy.
@@ -182,24 +195,47 @@ func (r *Runtime) Begin(ev *event.Event) *obs.Span {
 }
 
 // Emit routes everything an invocation published, closing the span's
-// exec stage first. One allocation holds every copied value; the
-// derived events slice it. The emitter's scratch arena cannot be handed
-// out directly — the next invocation reuses it, while queues and output
-// subscribers keep the events indefinitely.
+// exec stage first. The copied values move out of the emitter's scratch
+// arena, which the next invocation reuses, into its chunk (handOut),
+// and the derived events slice them there.
 func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 	sp.MarkExec()
 	if len(em.outputs) == 0 {
 		return
 	}
-	var arena []byte
-	if len(em.vals) > 0 {
-		arena = make([]byte, len(em.vals))
-		copy(arena, em.vals)
-	}
+	arena := em.handOut()
 	for _, out := range em.outputs {
 		r.route(r.derive(out, arena, em.decoded, in), engine.FromWorker, &em.one)
 	}
 	sp.MarkEmit()
+}
+
+// emitChunk is the size of the block Emit copies invocations' values
+// into: queues and output subscribers keep events indefinitely, so the
+// values cannot stay in the reused arena, but the events of many
+// invocations can share one allocation. Every holder that retains a
+// value past its event (the egress sink, the lost log, the slate cache)
+// copies it, so a chunk lives as long as the events still queued or in
+// flight that slice it.
+const emitChunk = 4 << 10
+
+// handOut copies the invocation's arena to the end of the emitter's
+// chunk and returns the copy, which derive slices with cap == len. A
+// fresh chunk starts only when the values do not fit; values larger
+// than a chunk get an allocation of their own.
+func (c *Emitter) handOut() []byte {
+	n := len(c.vals)
+	switch {
+	case n == 0:
+		return nil
+	case n > emitChunk:
+		return append(make([]byte, 0, n), c.vals...)
+	case cap(c.chunk)-len(c.chunk) < n:
+		c.chunk = make([]byte, 0, emitChunk)
+	}
+	off := len(c.chunk)
+	c.chunk = append(c.chunk, c.vals...)
+	return c.chunk[off:]
 }
 
 // Done retires one finished invocation: its span, the processed count,
@@ -221,10 +257,10 @@ func (r *Runtime) Forward(fn string, ev event.Event) {
 
 // derive stamps an emitted record into a routable event: timestamp
 // strictly greater than the input's, fresh sequence number, inherited
-// ingress stamp, value shared or sliced out of the invocation's arena
-// (either way cap == len, so a downstream append reallocates instead of
-// growing into bytes it does not own). A shared value is the input's
-// and carries decoded, the input's payload.
+// ingress stamp, value shared or sliced out of the invocation's values
+// handed out (either way cap == len, so a downstream append reallocates
+// instead of growing into bytes it does not own). A shared value is the
+// input's and carries decoded, the input's payload.
 func (r *Runtime) derive(out emitted, arena []byte, decoded any, in *event.Event) event.Event {
 	ev := event.Event{
 		Stream:  out.stream,

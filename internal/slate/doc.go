@@ -74,8 +74,8 @@
 //  1. drains each shard's dirty list under that shard's lock (marking
 //     the entries flushing: no longer dirty, not yet durable, and for
 //     that long exempt from eviction, like a pinned entry),
-//  2. chunks the drained records into bounded batches via
-//     internal/microbatch (MaxFlushBatch records / maxFlushBytes bytes),
+//  2. cuts the drained records into bounded batches (flushBatch:
+//     MaxFlushBatch records / maxFlushBytes bytes),
 //  3. writes each batch to the store with a single multi-put when the
 //     backing Store implements BatchStore (the kvstore adapter does,
 //     via Cluster.PutBatch), falling back to per-record Save otherwise.

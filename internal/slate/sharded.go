@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"muppet/internal/metrics"
-	"muppet/internal/microbatch"
 	"muppet/internal/wal"
 )
 
@@ -484,7 +483,7 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 // FlushDirty persists every dirty slate (the periodic flush of the
 // Interval policy, driven by the engine's background I/O thread)
 // through the group-commit pipeline: drain every shard's dirty list,
-// chunk the records through internal/microbatch, and write each chunk to
+// cut the records into batches (flushBatch), and write each batch to
 // the store with a single multi-put (copying it into cfg.WAL first, when
 // one is set). It returns the number of slates durably written. An entry
 // handed to a batch is marked flushing — un-evictable — until its
@@ -532,9 +531,9 @@ func (s *Sharded) FlushDirty() (int, error) {
 	s.flushSaves.Add(uint64(len(recs)))
 	var firstErr error
 	flushed := 0
-	chunks := microbatch.ChunkBy(recs, s.cfg.MaxFlushBatch, maxFlushBytes,
-		func(r BatchRecord) int64 { return int64(len(r.Value)) })
-	for _, chunk := range chunks {
+	for rest := recs; len(rest) > 0; {
+		chunk := flushBatch(rest, s.cfg.MaxFlushBatch, maxFlushBytes)
+		rest = rest[len(chunk):]
 		var walSeq uint64
 		if s.cfg.WAL != nil {
 			walRecs := make([]wal.SlateRecord, len(chunk))
@@ -571,6 +570,21 @@ func (s *Sharded) FlushDirty() (int, error) {
 		s.cfg.WAL.Truncate()
 	}
 	return flushed, firstErr
+}
+
+// flushBatch returns the leading batch of a flush's records: at most
+// maxItems records and maxBytes of values, but never empty, so a record
+// larger than maxBytes is a batch of its own. A bound <= 0 is off. The
+// batch aliases recs.
+func flushBatch(recs []BatchRecord, maxItems int, maxBytes int64) []BatchRecord {
+	var size int64
+	for i, r := range recs {
+		size += int64(len(r.Value))
+		if i > 0 && (maxItems > 0 && i >= maxItems || maxBytes > 0 && size > maxBytes) {
+			return recs[:i]
+		}
+	}
+	return recs
 }
 
 // saveChunk persists one batch: a single multi-put when the store

@@ -148,6 +148,14 @@ func Payload[T any](emit Emitter, in Event) (*T, error) {
 	return core.Payload[T](emit, in)
 }
 
+// PublishPayload publishes v, JSON-encoded, to stream under key: the
+// write side of Payload. The engines encode it straight into the
+// emitter's value arena, so v may live on the caller's stack and a
+// steady-state publish allocates nothing (core.PublishPayload).
+func PublishPayload[T any](emit Emitter, stream, key string, v *T) error {
+	return core.PublishPayload(emit, stream, key, v)
+}
+
 // App is a MapUpdate application: a workflow graph of map and update
 // functions connected by streams.
 type App = core.App

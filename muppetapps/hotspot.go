@@ -82,8 +82,7 @@ func SplitCountApp(cfg SplitCountConfig) *muppet.App {
 			return
 		}
 		p := partial{Part: part, Count: *count}
-		b, _ := muppet.JSONCodec[partial]{}.AppendEncode(nil, &p)
-		emit.Publish("S3", retailer, b)
+		muppet.PublishPayload(emit, "S3", retailer, &p)
 	})
 	utotal := muppet.Update[SplitSlate]("U_total", func(emit muppet.Emitter, in muppet.Event, st *SplitSlate) {
 		p, err := muppet.Payload[partial](emit, in)

@@ -110,8 +110,7 @@ func HotTopicsApp(cfg HotTopicsConfig) *muppet.App {
 			return
 		}
 		tc := topicCount{Topic: topic, Minute: minute, Count: *count}
-		b, _ := muppet.JSONCodec[topicCount]{}.AppendEncode(nil, &tc)
-		emit.Publish("S3", topic, b)
+		muppet.PublishPayload(emit, "S3", topic, &tc)
 	})
 	// U2's slate is the live u2Slate structure. The JSON codec decodes
 	// it when it enters the cache; every event after that mutates the

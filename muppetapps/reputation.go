@@ -67,8 +67,7 @@ func ReputationApp() *muppet.App {
 			}
 			if target != "" && target != t.User {
 				d := repDelta{From: t.User, Delta: weight * (1 + st.Score)}
-				b, _ := muppet.JSONCodec[repDelta]{}.AppendEncode(nil, &d)
-				emit.Publish("S3", target, b)
+				muppet.PublishPayload(emit, "S3", target, &d)
 			}
 		case "S3":
 			d, err := muppet.Payload[repDelta](emit, in)

@@ -69,8 +69,7 @@ func TopURLsApp(k int) *muppet.App {
 	ucount := muppet.Update[int]("U_count", func(emit muppet.Emitter, in muppet.Event, count *int) {
 		*count++
 		uc := urlCount{URL: in.Key, Count: *count}
-		b, _ := muppet.JSONCodec[urlCount]{}.AppendEncode(nil, &uc)
-		emit.Publish("S3", TopURLsKey, b)
+		muppet.PublishPayload(emit, "S3", TopURLsKey, &uc)
 	})
 	// The single "top" slate is the hotspot — and under the typed API
 	// also the biggest decode-once win: the whole top-K table used to
