@@ -48,6 +48,9 @@ type fieldPlan struct {
 	// strs: the type holds a string (or a slice of them) somewhere, so a
 	// decode may hand out slices of the document.
 	strs bool
+	// chunks: a cursor into a chunk of blocks per step of newBlock's
+	// ladder, which Payload's decodes of the type are carved from.
+	chunks [blockClasses]sync.Pool
 }
 
 // planField is one struct field: its JSON name and the plan of its type.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"sync"
 	"unsafe"
 
 	"muppet/internal/event"
@@ -43,7 +44,7 @@ type JSONCodec[S any] struct{}
 
 // Decode implements Codec.
 func (JSONCodec[S]) Decode(data []byte) (*S, error) {
-	return decodeJSON[S](planOf(reflect.TypeFor[S]()), data)
+	return decodeJSON[S](planOf(reflect.TypeFor[S]()), data, false)
 }
 
 // AppendEncode implements Codec.
@@ -55,15 +56,21 @@ func (JSONCodec[S]) AppendEncode(dst []byte, s *S) ([]byte, error) {
 //
 // When S holds a string and the document is at most maxBlockDoc bytes,
 // the value, a copy of the document and room for short string arrays
-// are one allocation (newBlock): the decoded strings are slices of that
+// are one block (newBlock): the decoded strings are slices of that
 // copy, so any one of them keeps the whole block, the value included,
 // alive. Nothing writes to the copy once the decode is done. The block
 // is typed, so storing another string into a decoded field later is as
-// safe as in any other value. A declined document goes to encoding/json
-// whole, into a fresh *S.
-func decodeJSON[S any](p *fieldPlan, data []byte) (*S, error) {
+// safe as in any other value. With carve the block is cut from a chunk
+// shared with other decodes of S, and keeps that chunk alive; without
+// it the block is one allocation of its own. A declined document goes
+// to encoding/json whole, into a fresh *S.
+func decodeJSON[S any](p *fieldPlan, data []byte, carve bool) (*S, error) {
 	if p != nil && p.strs && len(data) <= maxBlockDoc {
-		s, doc, strs := newBlock[S](len(data))
+		var chunks *[blockClasses]sync.Pool
+		if carve {
+			chunks = &p.chunks
+		}
+		s, doc, strs := newBlock[S](len(data), chunks)
 		d := decoder{data: doc[:copy(doc, data)], strs: strs}
 		if len(data) > 0 {
 			d.doc = unsafe.String(&doc[0], len(data))
@@ -91,43 +98,81 @@ func decodeJSON[S any](p *fieldPlan, data []byte) (*S, error) {
 // 16 bytes a string, the largest payload the benchmark's workloads send
 // is under 200 bytes, and a process's peak memory follows the bytes its
 // payloads take. A larger document keeps a separate value and copy.
+// blockClasses is the number of steps on newBlock's ladder, and
+// chunkBytes the size of a chunk carved blocks are cut from.
 const (
 	maxBlockDoc  = 256
 	blockStrings = 2
+	blockClasses = 7
+	chunkBytes   = 4096
 )
 
-// newBlock allocates a value of S together with room for blockStrings
+// newBlock returns a value of S together with room for blockStrings
 // strings and for an n-byte document, rounded up a ladder of sizes. It
 // returns the value, the document room and the string room. Each step
 // of the ladder is at most half again the one below, so a document
 // fills more than two thirds of its room once it is past the first.
-func newBlock[S any](n int) (*S, []byte, []string) {
+// The block is carved from chunks[class] when chunks is non-nil and
+// allocated alone when it is nil.
+func newBlock[S any](n int, chunks *[blockClasses]sync.Pool) (*S, []byte, []string) {
 	switch {
 	case n <= 32:
-		return block[S, [32]byte]()
+		return block[S, [32]byte](chunks, 0)
 	case n <= 48:
-		return block[S, [48]byte]()
+		return block[S, [48]byte](chunks, 1)
 	case n <= 64:
-		return block[S, [64]byte]()
+		return block[S, [64]byte](chunks, 2)
 	case n <= 96:
-		return block[S, [96]byte]()
+		return block[S, [96]byte](chunks, 3)
 	case n <= 128:
-		return block[S, [128]byte]()
+		return block[S, [128]byte](chunks, 4)
 	case n <= 192:
-		return block[S, [192]byte]()
+		return block[S, [192]byte](chunks, 5)
 	}
-	return block[S, [maxBlockDoc]byte]()
+	return block[S, [maxBlockDoc]byte](chunks, 6)
 }
 
-// block allocates struct{ v S; strs [blockStrings]string; doc D } — D
-// an array of bytes — and returns its three parts.
-func block[S, D any]() (*S, []byte, []string) {
-	b := new(struct {
-		v    S
-		strs [blockStrings]string
-		doc  D
-	})
+// blockOf is one block: a value, its string room and its document
+// room D, an array of bytes.
+type blockOf[S, D any] struct {
+	v    S
+	strs [blockStrings]string
+	doc  D
+}
+
+// block returns a blockOf[S, D]'s three parts: carved from
+// chunks[class] when chunks is non-nil, else allocated alone.
+func block[S, D any](chunks *[blockClasses]sync.Pool, class int) (*S, []byte, []string) {
+	var b *blockOf[S, D]
+	if chunks == nil {
+		b = new(blockOf[S, D])
+	} else {
+		b = carveBlock[S, D](&chunks[class])
+	}
 	return &b.v, unsafe.Slice((*byte)(unsafe.Pointer(&b.doc)), unsafe.Sizeof(b.doc)), b.strs[:]
+}
+
+// blockCursor is the unused tail of a chunk of blocks.
+type blockCursor[S, D any] struct{ free []blockOf[S, D] }
+
+// carveBlock cuts the next zero block from the cursor that pool holds,
+// and starts a chunk of about chunkBytes when that one is used up. A
+// cursor is held by one goroutine between Get and Put, so no block is
+// handed out twice; sync.Pool keeps one per P, so no lock is taken. A
+// block handed out is never written by the pool again: the decode
+// fills it, and a declined one is left as it is.
+func carveBlock[S, D any](pool *sync.Pool) *blockOf[S, D] {
+	c, _ := pool.Get().(*blockCursor[S, D])
+	if c == nil {
+		c = new(blockCursor[S, D])
+	}
+	if len(c.free) == 0 {
+		c.free = make([]blockOf[S, D], max(1, chunkBytes/unsafe.Sizeof(blockOf[S, D]{})))
+	}
+	b := &c.free[0]
+	c.free = c.free[1:]
+	pool.Put(c)
+	return b
 }
 
 // encodeJSON is JSONCodec[S].AppendEncode with S's plan in hand. It
@@ -197,11 +242,11 @@ func (RawCodec) AppendEncode(dst []byte, s *[]byte) ([]byte, error) {
 // The object is shared like in.Value, possibly across threads, and must
 // not be modified. Other emitters (the Reference's) decode every call.
 // The decode is JSONCodec's, so the object and the error are exactly
-// json.Unmarshal's. For a small document one allocation holds the
-// object and the bytes its strings are slices of: a string kept from it
-// (in a slate, say) keeps the whole object and document alive. topurls'
-// U_top does so: each of its at most 4K map keys holds the block of the
-// last count report for its URL.
+// json.Unmarshal's. For a small document the object and a copy of the
+// bytes its strings are slices of are one block, cut from a chunk of
+// about 4 KiB shared with other payloads of T: a string kept from it
+// (in a slate, say) keeps that whole chunk alive. Clone what a slate
+// keeps, as topurls' U_top does with the URLs it keys its table by.
 func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 	memo, _ := emit.(payloadMemo)
 	if memo != nil {
@@ -209,7 +254,7 @@ func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 			return p, nil
 		}
 	}
-	p, err := JSONCodec[T]{}.Decode(in.Value)
+	p, err := decodeJSON[T](planOf(reflect.TypeFor[T]()), in.Value, true)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +418,7 @@ func (e erasedCodec[S]) Decode(data []byte) (any, error) {
 	var s *S
 	var err error
 	if e.plan != nil {
-		s, err = decodeJSON[S](e.plan, data)
+		s, err = decodeJSON[S](e.plan, data, false)
 	} else {
 		s, err = e.c.Decode(data)
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"muppet"
+	"muppet/internal/core"
 	"muppet/internal/workload"
 )
 
@@ -342,4 +344,38 @@ func TestHotTopicsEmitEveryReducesS3Traffic(t *testing.T) {
 func ExampleCount() {
 	fmt.Println(Count([]byte("7")))
 	// Output: 7
+}
+
+// payloadRecorder is an Emitter that decodes every payload (it answers
+// no PayloadOf) and records each object Payload decoded.
+type payloadRecorder struct{ decoded []any }
+
+func (r *payloadRecorder) Publish(stream, key string, value []byte) error { return nil }
+func (r *payloadRecorder) ReplaceSlate(value []byte)                      {}
+func (r *payloadRecorder) PayloadOf(value []byte) any                     { return nil }
+func (r *payloadRecorder) NotePayload(value []byte, decoded any) {
+	r.decoded = append(r.decoded, decoded)
+}
+
+// U_top keeps no key that points into a decoded count report, whose
+// chunk it would keep alive: neither a new key nor one whose count a
+// later report raises (a map assignment stores the key it is given).
+func TestTopURLsKeysDoNotPinPayloads(t *testing.T) {
+	utop := TopURLsApp(10).Function("U_top").Updater.(core.DecodedUpdater)
+	emit := &payloadRecorder{}
+	st := &TopSlate{}
+	for i, count := range []int{1, 2} {
+		v := fmt.Appendf(nil, `{"url":"http://example.com/a","count":%d}`, count)
+		utop.UpdateDecoded(emit, muppet.Event{Stream: "S3", TS: muppet.Timestamp(i + 1), Key: TopURLsKey, Value: v}, st)
+	}
+	if len(emit.decoded) != 2 || st.Counts["http://example.com/a"] != 2 {
+		t.Fatalf("%d reports decoded, table %v", len(emit.decoded), st.Counts)
+	}
+	for k := range st.Counts {
+		for _, d := range emit.decoded {
+			if unsafe.StringData(k) == unsafe.StringData(d.(*urlCount).URL) {
+				t.Fatalf("the key %q points into the decoded report %+v", k, d)
+			}
+		}
+	}
 }

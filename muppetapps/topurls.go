@@ -3,6 +3,7 @@ package muppetapps
 import (
 	"encoding/json"
 	"sort"
+	"strings"
 
 	"muppet"
 	"muppet/internal/workload"
@@ -85,9 +86,12 @@ func TopURLsApp(k int) *muppet.App {
 		}
 		// Count reports can arrive out of order across the engine's
 		// parallel queues; per-URL counts only grow, so folding with
-		// max makes the table insensitive to reordering.
+		// max makes the table insensitive to reordering. The key is a
+		// clone: uc.URL is a slice of the payload's chunk, which a key
+		// would keep alive, and a map assignment stores the key it is
+		// given even where an equal one is already there.
 		if uc.Count > st.Counts[uc.URL] {
-			st.Counts[uc.URL] = uc.Count
+			st.Counts[strings.Clone(uc.URL)] = uc.Count
 		}
 		// Keep the table bounded: retain the best 4K entries.
 		if len(st.Counts) > 4*k {
