@@ -34,7 +34,7 @@
 //
 // The stats command fetches /statsz and renders every metric as a
 // table row — counters and gauges with their value, latency summaries
-// with count/p50/p95/p99/max. -watch clears the screen and refreshes
+// with count/p50/p90/p95/p99/max. -watch clears the screen and refreshes
 // every two seconds, a live top-like view of a running node.
 //
 // The recovery command prints the engine's recovery-subsystem status:
@@ -65,6 +65,10 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"muppet"
+	"muppet/internal/httpapi"
+	"muppet/internal/obs"
 )
 
 func main() {
@@ -107,92 +111,15 @@ func main() {
 	}
 }
 
-// querySpec mirrors query.Spec, the POST /query wire shape.
-type querySpec struct {
-	Updater string      `json:"updater"`
-	Prefix  string      `json:"prefix,omitempty"`
-	Start   string      `json:"start,omitempty"`
-	End     string      `json:"end,omitempty"`
-	Where   []queryPred `json:"where,omitempty"`
-	Fields  []string    `json:"fields,omitempty"`
-	Agg     string      `json:"agg,omitempty"`
-	By      string      `json:"by,omitempty"`
-	GroupBy string      `json:"group_by,omitempty"`
-	K       int         `json:"k,omitempty"`
-	Limit   int         `json:"limit,omitempty"`
-	Watch   bool        `json:"watch,omitempty"`
-	EveryMS int         `json:"every_ms,omitempty"`
-}
-
-// queryPred mirrors query.Pred.
-type queryPred struct {
-	Field string `json:"field"`
-	Op    string `json:"op"`
-	Value string `json:"value"`
-}
-
 // queryCmd parses the query subcommand's flags into a spec, posts it,
 // and streams the NDJSON answer to stdout. A one-shot query returns
 // after the stats line; -watch keeps printing changed answers until
 // interrupted.
 func queryCmd(u string, args []string, watch bool) {
-	qf := flag.NewFlagSet("query", flag.ExitOnError)
-	updater := qf.String("updater", "", "update function whose slates to query (required)")
-	stream := qf.String("stream", "", "alias for -updater")
-	prefix := qf.String("prefix", "", "restrict the scan to keys with this prefix")
-	start := qf.String("start", "", "scan range start (inclusive)")
-	end := qf.String("end", "", "scan range end (exclusive)")
-	where := qf.String("where", "", "comma-separated predicates, each field:op:value (ops: eq ne lt le gt ge contains prefix)")
-	fields := qf.String("fields", "", "comma-separated output fields (\"key\" is the slate key; dotted paths reach nested fields)")
-	agg := qf.String("agg", "", "aggregation: count, sum, min, max, or topk")
-	topk := qf.Int("topk", 0, "shorthand for -agg topk -k n")
-	by := qf.String("by", "", "field aggregated by sum/min/max and ranked by topk")
-	group := qf.String("group", "", "field to group by (topk defaults to the slate key)")
-	k := qf.Int("k", 0, "topk group count (default 10)")
-	limit := qf.Int("limit", 0, "cap a plain scan's row count (0 = unlimited)")
-	qwatch := qf.Bool("watch", false, "run as a continuous query, streaming each changed answer")
-	interval := qf.Duration("interval", 0, "-watch re-evaluation interval (default: the engine's flush interval)")
-	qf.Parse(args)
-	if qf.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "slatectl query: unexpected argument %q\n", qf.Arg(0))
+	spec, err := parseQuery(args, watch)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "slatectl query: %v\n", err)
 		os.Exit(2)
-	}
-	spec := querySpec{
-		Updater: *updater,
-		Prefix:  *prefix,
-		Start:   *start,
-		End:     *end,
-		Agg:     *agg,
-		By:      *by,
-		GroupBy: *group,
-		K:       *k,
-		Limit:   *limit,
-		Watch:   watch || *qwatch,
-		EveryMS: int((*interval).Milliseconds()),
-	}
-	if spec.Updater == "" {
-		spec.Updater = *stream
-	}
-	if spec.Updater == "" {
-		fmt.Fprintln(os.Stderr, "slatectl query: -stream (or -updater) is required")
-		os.Exit(2)
-	}
-	if *topk > 0 {
-		spec.Agg = "topk"
-		spec.K = *topk
-	}
-	if *fields != "" {
-		spec.Fields = strings.Split(*fields, ",")
-	}
-	if *where != "" {
-		for _, clause := range strings.Split(*where, ",") {
-			parts := strings.SplitN(clause, ":", 3)
-			if len(parts) != 3 {
-				fmt.Fprintf(os.Stderr, "slatectl query: bad predicate %q (want field:op:value)\n", clause)
-				os.Exit(2)
-			}
-			spec.Where = append(spec.Where, queryPred{Field: parts[0], Op: parts[1], Value: parts[2]})
-		}
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -223,21 +150,67 @@ func queryCmd(u string, args []string, watch bool) {
 	}
 }
 
-// jsonEvent mirrors httpapi.IngestEvent.
-type jsonEvent struct {
-	Stream string `json:"stream"`
-	TS     int64  `json:"ts,omitempty"`
-	Key    string `json:"key"`
-	Value  string `json:"value,omitempty"`
-}
-
-// ingestReply mirrors httpapi.IngestReply.
-type ingestReply struct {
-	Events   int            `json:"events"`
-	Accepted int            `json:"accepted"`
-	Dropped  int            `json:"dropped,omitempty"`
-	Reasons  map[string]int `json:"reasons,omitempty"`
-	Error    string         `json:"error,omitempty"`
+// parseQuery builds the POST /query spec from the query subcommand's
+// flags; watch is the global -watch flag.
+func parseQuery(args []string, watch bool) (muppet.QuerySpec, error) {
+	qf := flag.NewFlagSet("query", flag.ContinueOnError)
+	updater := qf.String("updater", "", "update function whose slates to query (required)")
+	stream := qf.String("stream", "", "alias for -updater")
+	prefix := qf.String("prefix", "", "restrict the scan to keys with this prefix")
+	start := qf.String("start", "", "scan range start (inclusive)")
+	end := qf.String("end", "", "scan range end (exclusive)")
+	where := qf.String("where", "", "comma-separated predicates, each field:op:value (ops: eq ne lt le gt ge contains prefix)")
+	fields := qf.String("fields", "", "comma-separated output fields (\"key\" is the slate key; dotted paths reach nested fields)")
+	agg := qf.String("agg", "", "aggregation: count, sum, min, max, or topk")
+	topk := qf.Int("topk", 0, "shorthand for -agg topk -k n")
+	by := qf.String("by", "", "field aggregated by sum/min/max and ranked by topk")
+	group := qf.String("group", "", "field to group by (topk defaults to the slate key)")
+	k := qf.Int("k", 0, "topk group count (default 10)")
+	limit := qf.Int("limit", 0, "cap a plain scan's row count (0 = unlimited)")
+	qwatch := qf.Bool("watch", false, "run as a continuous query, streaming each changed answer")
+	interval := qf.Duration("interval", 0, "-watch re-evaluation interval (default: the engine's flush interval)")
+	if err := qf.Parse(args); err != nil {
+		return muppet.QuerySpec{}, err
+	}
+	if qf.NArg() != 0 {
+		return muppet.QuerySpec{}, fmt.Errorf("unexpected argument %q", qf.Arg(0))
+	}
+	spec := muppet.QuerySpec{
+		Updater: *updater,
+		Prefix:  *prefix,
+		Start:   *start,
+		End:     *end,
+		Agg:     *agg,
+		By:      *by,
+		GroupBy: *group,
+		K:       *k,
+		Limit:   *limit,
+		Watch:   watch || *qwatch,
+		EveryMS: int((*interval).Milliseconds()),
+	}
+	if spec.Updater == "" {
+		spec.Updater = *stream
+	}
+	if spec.Updater == "" {
+		return muppet.QuerySpec{}, fmt.Errorf("-stream (or -updater) is required")
+	}
+	if *topk > 0 {
+		spec.Agg = "topk"
+		spec.K = *topk
+	}
+	if *fields != "" {
+		spec.Fields = strings.Split(*fields, ",")
+	}
+	if *where != "" {
+		for _, clause := range strings.Split(*where, ",") {
+			parts := strings.SplitN(clause, ":", 3)
+			if len(parts) != 3 {
+				return muppet.QuerySpec{}, fmt.Errorf("bad predicate %q (want field:op:value)", clause)
+			}
+			spec.Where = append(spec.Where, muppet.QueryPred{Field: parts[0], Op: parts[1], Value: parts[2]})
+		}
+	}
+	return spec, nil
 }
 
 // ingest reads events from r (a JSON array or a stream of objects) and
@@ -251,10 +224,10 @@ func ingest(u string, r io.Reader, batchSize int) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var total ingestReply
+	var total httpapi.IngestReply
 	batches := 0
 	for {
-		batch := make([]jsonEvent, 0, batchSize)
+		batch := make([]httpapi.IngestEvent, 0, batchSize)
 		for len(batch) < batchSize {
 			ev, ok, err := next()
 			if err != nil {
@@ -292,13 +265,13 @@ func ingest(u string, r io.Reader, batchSize int) {
 // eventReader yields events from either one JSON array or a
 // whitespace-separated stream of JSON objects, decided by peeking the
 // first non-space byte.
-func eventReader(r io.Reader) (func() (jsonEvent, bool, error), error) {
+func eventReader(r io.Reader) (func() (httpapi.IngestEvent, bool, error), error) {
 	br := bufio.NewReader(r)
 	var first byte
 	for {
 		b, err := br.ReadByte()
 		if err == io.EOF {
-			return func() (jsonEvent, bool, error) { return jsonEvent{}, false, nil }, nil
+			return func() (httpapi.IngestEvent, bool, error) { return httpapi.IngestEvent{}, false, nil }, nil
 		}
 		if err != nil {
 			return nil, err
@@ -312,47 +285,47 @@ func eventReader(r io.Reader) (func() (jsonEvent, bool, error), error) {
 	}
 	dec := json.NewDecoder(br)
 	if first == '[' {
-		var evs []jsonEvent
+		var evs []httpapi.IngestEvent
 		if err := dec.Decode(&evs); err != nil {
 			return nil, fmt.Errorf("slatectl: bad event array: %w", err)
 		}
-		return func() (jsonEvent, bool, error) {
+		return func() (httpapi.IngestEvent, bool, error) {
 			if len(evs) == 0 {
-				return jsonEvent{}, false, nil
+				return httpapi.IngestEvent{}, false, nil
 			}
 			ev := evs[0]
 			evs = evs[1:]
 			return ev, true, nil
 		}, nil
 	}
-	return func() (jsonEvent, bool, error) {
-		var ev jsonEvent
+	return func() (httpapi.IngestEvent, bool, error) {
+		var ev httpapi.IngestEvent
 		err := dec.Decode(&ev)
 		if err == io.EOF {
-			return jsonEvent{}, false, nil
+			return httpapi.IngestEvent{}, false, nil
 		}
 		if err != nil {
-			return jsonEvent{}, false, fmt.Errorf("slatectl: bad event object: %w", err)
+			return httpapi.IngestEvent{}, false, fmt.Errorf("slatectl: bad event object: %w", err)
 		}
 		return ev, true, nil
 	}, nil
 }
 
 // postBatch posts one event batch and decodes the reply.
-func postBatch(u string, batch []jsonEvent) (ingestReply, error) {
+func postBatch(u string, batch []httpapi.IngestEvent) (httpapi.IngestReply, error) {
 	body, err := json.Marshal(batch)
 	if err != nil {
-		return ingestReply{}, err
+		return httpapi.IngestReply{}, err
 	}
 	resp, err := http.Post(u, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return ingestReply{}, err
+		return httpapi.IngestReply{}, err
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	var reply ingestReply
+	var reply httpapi.IngestReply
 	if err := json.Unmarshal(data, &reply); err != nil {
-		return ingestReply{}, fmt.Errorf("%s: %s", resp.Status, data)
+		return httpapi.IngestReply{}, fmt.Errorf("%s: %s", resp.Status, data)
 	}
 	if reply.Error != "" {
 		return reply, fmt.Errorf("ingest failed: %s", reply.Error)
@@ -364,26 +337,11 @@ func get(u string) {
 	fmt.Printf("%s\n", fetch(u))
 }
 
-// statsEntry mirrors obs.SnapshotEntry, the /statsz wire shape.
-type statsEntry struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  *float64          `json:"value,omitempty"`
-	Count  *uint64           `json:"count,omitempty"`
-	Sum    *float64          `json:"sum,omitempty"`
-	Min    *float64          `json:"min,omitempty"`
-	Max    *float64          `json:"max,omitempty"`
-	P50    *float64          `json:"p50,omitempty"`
-	P95    *float64          `json:"p95,omitempty"`
-	P99    *float64          `json:"p99,omitempty"`
-}
-
 // stats renders the /statsz snapshot as a table; watch loops forever,
 // clearing the screen before each refresh (a top-like live view).
 func stats(u string, watch bool, every time.Duration) {
 	for {
-		var entries []statsEntry
+		var entries []obs.SnapshotEntry
 		if err := json.Unmarshal(fetch(u), &entries); err != nil {
 			fmt.Fprintf(os.Stderr, "slatectl: bad /statsz payload: %v\n", err)
 			os.Exit(1)
@@ -405,11 +363,11 @@ func stats(u string, watch bool, every time.Duration) {
 }
 
 // renderStats writes one aligned row per metric: counters and gauges
-// with their value, summaries with count/p50/p95/p99/max.
-func renderStats(w io.Writer, entries []statsEntry) {
+// with their value, summaries with count/p50/p90/p95/p99/max.
+func renderStats(w io.Writer, entries []obs.SnapshotEntry) {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "METRIC\tTYPE\tVALUE\tCOUNT\tP50\tP95\tP99\tMAX")
+	fmt.Fprintln(tw, "METRIC\tTYPE\tVALUE\tCOUNT\tP50\tP90\tP95\tP99\tMAX")
 	for _, e := range entries {
 		name := e.Name
 		if len(e.Labels) > 0 {
@@ -425,11 +383,11 @@ func renderStats(w io.Writer, entries []statsEntry) {
 			name += "{" + strings.Join(parts, ",") + "}"
 		}
 		if e.Count != nil {
-			fmt.Fprintf(tw, "%s\t%s\t\t%d\t%s\t%s\t%s\t%s\n", name, e.Type,
-				*e.Count, num(e.P50), num(e.P95), num(e.P99), num(e.Max))
+			fmt.Fprintf(tw, "%s\t%s\t\t%d\t%s\t%s\t%s\t%s\t%s\n", name, e.Type,
+				*e.Count, num(e.P50), num(e.P90), num(e.P95), num(e.P99), num(e.Max))
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t\t\t\t\t\n", name, e.Type, num(e.Value))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t\t\t\t\t\t\n", name, e.Type, num(e.Value))
 	}
 	tw.Flush()
 }

@@ -310,3 +310,35 @@ func TestStoredSlatesReadableAcrossCodecPlan(t *testing.T) {
 		}
 	}
 }
+
+// A metrics gather reads no stored row: two gathers with no slate
+// reads between them leave the disk-read counter where it was, however
+// many rows the store's segments hold.
+func TestMetricsGatherReadsNoSegments(t *testing.T) {
+	store, err := muppet.OpenStore(durableStoreConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := startRetailer(t, muppet.Config{
+		Machines: 3, Store: store, StoreLevel: muppet.Quorum,
+		FlushPolicy: muppet.FlushInterval, FlushEvery: time.Hour,
+		QueueCapacity: 1 << 15,
+	}, 2000)
+	defer eng.Stop()
+	eng.FlushSlates()
+	if err := store.Cluster().FlushAll(); err != nil { // the rows go to segment files
+		t.Fatal(err)
+	}
+	diskRead := func() float64 {
+		t.Helper()
+		m, ok := eng.Metrics().Find("muppet_lsm_disk_read_bytes_total")
+		if !ok {
+			t.Fatal("no muppet_lsm_disk_read_bytes_total in the gather")
+		}
+		return m.Value
+	}
+	if first, second := diskRead(), diskRead(); second != first {
+		t.Fatalf("disk bytes read went %v -> %v across two gathers with no reads between", first, second)
+	}
+}

@@ -68,6 +68,10 @@ func main() {
 	fmt.Printf("pipeline latency: %s\n", muppet.LatencySummary(eng))
 
 	st := store.Cluster().TotalStats()
+	live, err := store.Cluster().LiveRows()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("slate store: %d live rows, %d sstables, %d flushes, %d compactions\n",
-		st.LiveRows, st.SSTables, st.Flushes, st.Compactions)
+		live, st.SSTables, st.Flushes, st.Compactions)
 }

@@ -230,7 +230,10 @@ func E11TTL(s Scale) Table {
 		if err := errors.Join(cl.FlushAll(), cl.CompactAll()); err != nil {
 			panic(err)
 		}
-		live := cl.TotalStats().LiveRows
+		live, err := cl.LiveRows()
+		if err != nil {
+			panic(err)
+		}
 		name := "forever"
 		if ttl > 0 {
 			name = ttl.String()

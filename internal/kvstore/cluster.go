@@ -483,7 +483,6 @@ func (c *Cluster) TotalStats() NodeStats {
 		total.SSTableProbes += s.SSTableProbes
 		total.BloomSkips += s.BloomSkips
 		total.ExpiredDropped += s.ExpiredDropped
-		total.LiveRows += s.LiveRows
 		total.Durable = total.Durable || s.Durable
 		total.Fsyncs += s.Fsyncs
 		total.DiskBytesWritten += s.DiskBytesWritten
@@ -492,6 +491,20 @@ func (c *Cluster) TotalStats() NodeStats {
 		total.CompactionBacklog += s.CompactionBacklog
 	}
 	return total
+}
+
+// LiveRows sums Node.LiveRows over the cluster's nodes, so a row counts
+// once per replica holding it.
+func (c *Cluster) LiveRows() (int, error) {
+	total := 0
+	for _, n := range c.nodes {
+		live, err := n.LiveRows()
+		if err != nil {
+			return 0, err
+		}
+		total += live
+	}
+	return total, nil
 }
 
 // Scan calls fn for every live row with the given column on any node,

@@ -311,8 +311,8 @@ func TestTotalStatsAggregates(t *testing.T) {
 	if s.Flushes != 3 {
 		t.Fatalf("Flushes = %d, want 3 (one per replica)", s.Flushes)
 	}
-	if s.LiveRows != 3 {
-		t.Fatalf("LiveRows = %d, want 3 replicas", s.LiveRows)
+	if live, err := c.LiveRows(); live != 3 || err != nil {
+		t.Fatalf("LiveRows = %d, %v; want 3 replicas", live, err)
 	}
 }
 

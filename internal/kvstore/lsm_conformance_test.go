@@ -104,8 +104,10 @@ func TestInMemoryAndDurableConformance(t *testing.T) {
 	compare("after compaction")
 
 	ms, ds := mem.Stats(), dur.Stats()
-	if ms.LiveRows != ds.LiveRows {
-		t.Fatalf("LiveRows diverged: mem %d vs durable %d", ms.LiveRows, ds.LiveRows)
+	mLive, mErr := mem.LiveRows()
+	dLive, dErr := dur.LiveRows()
+	if mLive != dLive || mErr != nil || dErr != nil {
+		t.Fatalf("LiveRows diverged: mem %d (%v) vs durable %d (%v)", mLive, mErr, dLive, dErr)
 	}
 	if !ds.Durable || ms.Durable {
 		t.Fatalf("Durable flag wrong: mem %v, durable %v", ms.Durable, ds.Durable)

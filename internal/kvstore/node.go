@@ -72,7 +72,6 @@ type NodeStats struct {
 	SSTableProbes  uint64 `metric:"muppet_kvstore_sstable_probes_total" help:"SSTables actually read from device."`
 	BloomSkips     uint64 `metric:"muppet_kvstore_bloom_skips_total" help:"SSTable reads skipped by bloom filters."`
 	ExpiredDropped uint64 `metric:"muppet_kvstore_expired_dropped_total" help:"Rows GC'd by compaction (TTL or tombstone)."`
-	LiveRows       int    `metric:"muppet_kvstore_live_rows" help:"Live rows across memtable and SSTables."` // post-merge view
 
 	// Real I/O the engine issued to its filesystem; exposed as
 	// muppet_lsm_* only when Durable (see runtime's lsmMetrics).
@@ -303,11 +302,14 @@ func (n *Node) Stats() NodeStats {
 		WALBytes:          es.WALBytes,
 		CompactionBacklog: es.CompactionBacklog,
 	}
-	if live, err := n.eng.LiveRows(); err == nil {
-		s.LiveRows = live
-	}
 	return s
 }
+
+// LiveRows counts the node's live rows (newest-wins, tombstones and
+// expired excluded). It merges every segment, and its reads count in
+// DiskBytesRead: for tests, experiments and examples, not for a metrics
+// scrape.
+func (n *Node) LiveRows() (int, error) { return n.eng.LiveRows() }
 
 // Scan calls fn for every live row in the node whose column matches
 // the given column (the bulk slate-read path of Section 5). Rows

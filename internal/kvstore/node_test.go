@@ -198,8 +198,8 @@ func TestCompactionGCsExpiredRows(t *testing.T) {
 		if s.ExpiredDropped != 10 {
 			t.Fatalf("ExpiredDropped = %d, want 10", s.ExpiredDropped)
 		}
-		if s.LiveRows != 0 || s.SSTables != 0 {
-			t.Fatalf("LiveRows = %d in %d sstables, want none", s.LiveRows, s.SSTables)
+		if live, _ := n.LiveRows(); live != 0 || s.SSTables != 0 {
+			t.Fatalf("LiveRows = %d in %d sstables, want none", live, s.SSTables)
 		}
 		if _, _, found, _ := n.Get("k3", "U"); found {
 			t.Fatal("TTL-expired row resurfaced after compaction")
@@ -436,9 +436,9 @@ func TestScanCallbackMayUseTheNode(t *testing.T) {
 	}
 }
 
-// Stats counts live rows with a full scan outside the node lock; run
-// beside PutBatch (under -race in CI) it must stay race-free and count
-// at least every row acknowledged before it was called.
+// LiveRows counts live rows with a full scan outside the node lock; run
+// with Stats beside PutBatch (under -race in CI) it must stay race-free
+// and count at least every row acknowledged before it was called.
 func TestStatsBesidePutBatch(t *testing.T) {
 	n := testNode(t, NodeConfig{MemtableFlushBytes: 2 << 10, CompactionThreshold: 3})
 	const batches = 200
@@ -465,12 +465,13 @@ func TestStatsBesidePutBatch(t *testing.T) {
 		default:
 		}
 		before := acked.Load()
-		if s := n.Stats(); int64(s.LiveRows) < before {
-			t.Errorf("Stats counted %d live rows, %d were acknowledged before it ran", s.LiveRows, before)
+		n.Stats()
+		if live, err := n.LiveRows(); int64(live) < before || err != nil {
+			t.Errorf("LiveRows counted %d live rows (%v), %d were acknowledged before it ran", live, err, before)
 		}
 	}
-	if s := n.Stats(); s.LiveRows != batches*5 || s.Flushes == 0 {
-		t.Fatalf("final stats %+v, want %d live rows over flushed sstables", s, batches*5)
+	if live, _ := n.LiveRows(); live != batches*5 || n.Stats().Flushes == 0 {
+		t.Fatalf("final stats %+v, %d live rows; want %d live rows over flushed sstables", n.Stats(), live, batches*5)
 	}
 }
 

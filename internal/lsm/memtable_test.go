@@ -32,8 +32,7 @@ func batchRows(ck clock.Clock, n, round int) []Row {
 
 // TestOverwriteAllocBudget: a Put that overwrites rows no reader was
 // handed rewrites their values in place — nothing per row, whatever the
-// batch size — and a LiveRows between two puts (every /metrics gather
-// runs one) does not change that. The WAL's file growth is the only
+// batch size — and a LiveRows between two puts does not change that. The WAL's file growth is the only
 // allocation left, a fraction of one per Put.
 func TestOverwriteAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -26,10 +26,12 @@ func (s *fakeStore) Load(k slate.Key) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-func (s *fakeStore) Save(k slate.Key, value []byte, _ time.Duration) error {
+func (s *fakeStore) SaveBatch(recs []slate.BatchRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data[k] = append([]byte(nil), value...)
+	for _, r := range recs {
+		s.data[r.K] = append([]byte(nil), r.Value...)
+	}
 	return nil
 }
 

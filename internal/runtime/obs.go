@@ -83,9 +83,9 @@ func (r *Runtime) registerObs() error {
 	}
 
 	if store := r.cfg.Store; store != nil {
-		// TotalStats merges every node and materializes each one's
-		// live-row view: the muppet_lsm_* names read the snapshot the
-		// muppet_kvstore_* fields were read from.
+		// The muppet_lsm_* names read the snapshot the muppet_kvstore_*
+		// fields were read from: one TotalStats per gather, which reads
+		// counters only, never the stored rows.
 		errs = append(errs, obs.Struct(reg, nil, store.TotalStats, lsmMetrics))
 	}
 	if r.tracer != nil {

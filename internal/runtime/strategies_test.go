@@ -247,7 +247,7 @@ func storedSlate(store *kvstore.Cluster, key string) string {
 // which a group commit has left the cache and is not in the store yet,
 // held open.
 type gatedStore struct {
-	slate.BatchStore
+	slate.Store
 	entered chan struct{}
 	gate    chan struct{}
 }
@@ -255,7 +255,7 @@ type gatedStore struct {
 func (g *gatedStore) SaveBatch(recs []slate.BatchRecord) error {
 	g.entered <- struct{}{}
 	<-g.gate
-	return g.BatchStore.SaveBatch(recs)
+	return g.Store.SaveBatch(recs)
 }
 
 // TestCrashWaitsOutInFlightCommit: a machine killed while one of its
@@ -281,7 +281,7 @@ func TestCrashWaitsOutInFlightCommit(t *testing.T) {
 			key := keyOwnedBy(t, e, "U", victim)
 			gated := &gatedStore{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 			e.WrapStoreOf("U", key, func(st slate.Store) slate.Store {
-				gated.BatchStore = st.(slate.BatchStore)
+				gated.Store = st
 				return gated
 			})
 			for i := 0; i < 3; i++ {

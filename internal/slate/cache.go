@@ -1,7 +1,5 @@
 package slate
 
-import "time"
-
 // FlushPolicy selects when dirty slates are written to the durable
 // key-value store. Section 4.2: "The application can set the flushing
 // interval, ranging from 'immediate write-through' to 'only when
@@ -38,10 +36,13 @@ type Store interface {
 	// Load fetches the stored slate for k; found=false means the slate
 	// has never been written or has expired.
 	Load(k Key) (value []byte, found bool, err error)
-	// Save persists the slate with the updater's TTL. It must not keep
-	// value, or anything that aliases it, after it returns: the cache
-	// rewrites a flushed slate's encoding in place at its next flush.
-	Save(k Key, value []byte, ttl time.Duration) error
+	// SaveBatch persists every record, each with its updater's TTL, as
+	// one multi-put: a group-commit flush batch, or the single record of
+	// a write-through or eviction save. A failure may leave some records
+	// written. It must not keep a record's Value, or anything that
+	// aliases it, after it returns: the cache rewrites a saved slate's
+	// encoding in place at its next encode.
+	SaveBatch(recs []BatchRecord) error
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.
@@ -50,8 +51,13 @@ type CacheStats struct {
 	Misses     uint64 `metric:"muppet_slate_cache_misses_total" help:"Slate-cache misses."`
 	StoreLoads uint64 `metric:"muppet_slate_store_loads_total" help:"Slate loads from the durable store."`
 	StoreSaves uint64 `metric:"muppet_slate_store_saves_total" help:"Slate writes to the durable store."`
-	Evictions  uint64 `metric:"muppet_slate_cache_evictions_total" help:"Clean slates evicted under capacity pressure."`
-	DirtyLost  uint64 `metric:"muppet_slate_dirty_lost_total" help:"Dirty slates lost to crashes."`
+	// Evictions counts slates evicted under capacity pressure; a dirty
+	// one goes only once its save has succeeded.
+	Evictions uint64 `metric:"muppet_slate_cache_evictions_total" help:"Slates evicted under capacity pressure."`
+	// DirtyLost counts slate updates a machine crash lost: the dirty
+	// slates the crash dropped, and the writes the crashed cache refused
+	// until Revive. Nothing else drops a dirty slate.
+	DirtyLost uint64 `metric:"muppet_slate_dirty_lost_total" help:"Slate updates lost to crashes: dirty slates dropped and writes refused."`
 	// DecodeErrors counts typed reads (GetDecoded) whose codec failed
 	// to decode the stored bytes — the engine falls back to a fresh
 	// zero-value slate, so a non-zero count is the signal that stored
@@ -112,13 +118,15 @@ type entry struct {
 	// in CacheStats.Poisoned).
 	poisoned bool
 
-	// flushing marks an entry whose value a group-commit batch is
-	// carrying to the store right now (Sharded.FlushDirty): no longer
+	// flushing counts the saves carrying the entry's value to the store
+	// right now (a group-commit batch, a write-through save): no longer
 	// dirty, not yet durable. Eviction skips it exactly as it skips a
 	// pinned entry — dropping it would let a reload read the older store
-	// row, and evicting it re-dirtied would let the batch overwrite the
-	// eviction's newer save — until its batch's write returns.
-	flushing bool
+	// row, and evicting it re-dirtied would let the save in flight
+	// overwrite the eviction's newer one — until every such save has
+	// returned. (An int32 packs beside poisoned, so an entry stays in
+	// its allocation size class.)
+	flushing int32
 
 	// route memoizes ShardedConfig.RouteHash for the entry's key; 0 is
 	// not yet computed (Scan fills it), and a key that hashes to 0 is

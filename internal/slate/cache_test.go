@@ -2,6 +2,7 @@ package slate
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,13 +13,19 @@ import (
 	"muppet/internal/kvstore"
 )
 
-// fakeStore is an in-memory Store that records operations.
+// fakeStore is an in-memory Store that records operations: loads,
+// SaveBatch calls, saved records, and the size of each batch it
+// accepted.
 type fakeStore struct {
-	mu    sync.Mutex
-	data  map[Key][]byte
-	ttls  map[Key]time.Duration
-	loads int
-	saves int
+	mu         sync.Mutex
+	data       map[Key][]byte
+	ttls       map[Key]time.Duration
+	loads      int
+	calls      int // SaveBatch calls, refused ones included
+	saves      int
+	batches    int
+	batchSizes []int
+	failNext   int // fail this many SaveBatch calls
 }
 
 func newFakeStore() *fakeStore {
@@ -33,13 +40,36 @@ func (f *fakeStore) Load(k Key) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-func (f *fakeStore) Save(k Key, v []byte, ttl time.Duration) error {
+func (f *fakeStore) SaveBatch(recs []BatchRecord) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.saves++
-	f.data[k] = append([]byte(nil), v...)
-	f.ttls[k] = ttl
+	f.calls++
+	if f.failNext > 0 {
+		f.failNext--
+		return errors.New("fakeStore: injected failure")
+	}
+	f.batches++
+	f.batchSizes = append(f.batchSizes, len(recs))
+	for _, r := range recs {
+		f.saves++
+		f.data[r.K] = append([]byte(nil), r.Value...)
+		f.ttls[r.K] = r.TTL
+	}
 	return nil
+}
+
+// setFailNext makes the next n SaveBatch calls fail.
+func (f *fakeStore) setFailNext(n int) {
+	f.mu.Lock()
+	f.failNext = n
+	f.mu.Unlock()
+}
+
+// stored reads what the store holds for k.
+func (f *fakeStore) stored(k Key) string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return string(f.data[k])
 }
 
 func k(u, key string) Key { return Key{Updater: u, Key: key} }
@@ -336,7 +366,7 @@ func TestKVAdapterRoundTripCompressed(t *testing.T) {
 	st := &KVStore{Cluster: cl, Level: kvstore.Quorum}
 	key := k("U1", "user42")
 	want := []byte(`{"count": 7}`)
-	if err := st.Save(key, want, 0); err != nil {
+	if err := st.SaveBatch([]BatchRecord{{K: key, Value: want}}); err != nil {
 		t.Fatal(err)
 	}
 	got, found, err := st.Load(key)

@@ -154,16 +154,14 @@ func incompressible(n int) []byte {
 }
 
 // TestKVStoreFramedRowsReadable pins the adapter end of the framing:
-// rows written through KVStore.Save/SaveBatch decode through both
-// Load and a bare Decode of the stored row (what StoredSlates does).
+// rows written through KVStore.SaveBatch decode through both Load and
+// a bare Decode of the stored row (what StoredSlates does).
 func TestKVStoreFramedRowsReadable(t *testing.T) {
 	s, clu := kvHarness(t)
 	small := []byte(`{"n":1}`)
 	large := bytes.Repeat([]byte("hot-topic;"), 100)
-	if err := s.Save(Key{Updater: "U1", Key: "small"}, small, 0); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.SaveBatch([]BatchRecord{
+		{K: Key{Updater: "U1", Key: "small"}, Value: small},
 		{K: Key{Updater: "U1", Key: "large"}, Value: large},
 		{K: Key{Updater: "U1", Key: "small2"}, Value: small},
 	}); err != nil {

@@ -76,9 +76,17 @@
 //     that long exempt from eviction, like a pinned entry),
 //  2. cuts the drained records into bounded batches (flushBatch:
 //     MaxFlushBatch records / maxFlushBytes bytes),
-//  3. writes each batch to the store with a single multi-put when the
-//     backing Store implements BatchStore (the kvstore adapter does,
-//     via Cluster.PutBatch), falling back to per-record Save otherwise.
+//  3. writes each batch to the store with a single Store.SaveBatch, a
+//     multi-put (the kvstore adapter's is one Cluster.PutBatch).
+//
+// That is the one way a slate reaches the store. A WriteThrough update
+// is a batch of one, taken and saved the same way outside the shard
+// lock before Put or PutDecoded returns; a dirty slate's eviction is a
+// batch of one saved under the shard lock. Every save marks its entry
+// flushing while it is in flight and re-marks it dirty if it fails, so
+// a later flush, eviction or write-through save retries it: a failed
+// eviction keeps its victim resident, and nothing but a crash drops a
+// dirty slate.
 //
 // The store is a flushed slate's one durability. Crash, the machine
 // failure of Section 4.3, waits out the round in flight, so every batch
@@ -87,27 +95,24 @@
 // Revive. (ShardedConfig.WAL, an extra in-memory copy of each batch, is
 // set by no engine.)
 //
-// When a batch's store write returns, its entries leave the flushing
-// state and any shard they held over capacity is trimmed back. Until
-// then they must stay resident: evicting one let a reload read the
-// older store row (the updates since the previous flush vanished), and
-// evicting one re-dirtied let the in-flight batch overwrite the
-// eviction's newer save. A batch that fails to persist is re-marked
-// dirty so a later flush retries it. Flush latency and batch sizes are recorded with
-// internal/metrics histograms (FlushLatency, BatchSizes) and counters
-// (FlushStats).
+// When a save returns, its entries leave the flushing state and any
+// shard they held over capacity is trimmed back. Until then they must
+// stay resident: evicting one let a reload read the older store row
+// (the updates since the previous save vanished), and evicting one
+// re-dirtied let the save in flight overwrite the eviction's newer one.
+// Flush latency and batch sizes are recorded with internal/metrics
+// histograms (FlushLatency, BatchSizes) and counters (FlushStats).
 //
 // A flush allocates nothing per slate once the slate has been flushed
 // before: a typed entry's encoding lives in a buffer the cache made,
 // and while that buffer is private — handed to no one since — the next
-// encode rewrites it in place. The batch lends the buffer to the store
-// for the length of SaveBatch, and a Store keeps no value past its
-// Save or SaveBatch, so the flush does not end the privacy; an encode
-// while the batch is in flight goes to a new buffer. What does end it
-// is handing the bytes to someone who may keep them: Get, Peek or a raw
-// Scan row, the value WriteThrough saves after unlocking, a Decode of
-// it. A value the cache did not encode (a byte Put, a store load) is
-// never private.
+// encode rewrites it in place. A save lends the buffer to the store for
+// the length of SaveBatch, and a Store keeps no value past its
+// SaveBatch, so a save — flush, write-through or eviction — does not
+// end the privacy; an encode while the save is in flight goes to a new
+// buffer. What does end it is handing the bytes to someone who may keep
+// them: Get, Peek or a raw Scan row, a Decode of it. A value the cache
+// did not encode (a byte Put, a store load) is never private.
 //
 // # Storage framing
 //
@@ -136,6 +141,6 @@
 //     (a BestSpeed writer carries hundreds of KB of internal state —
 //     constructing one per save used to dominate the flush path), and
 //     AppendEncode reuses a caller-owned buffer so the kvstore
-//     adapter's Save/SaveBatch allocate nothing per record in steady
-//     state. Decode pools its flate reader and inflate scratch.
+//     adapter's SaveBatch allocates nothing per record in steady state.
+//     Decode pools its flate reader and inflate scratch.
 package slate

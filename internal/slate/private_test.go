@@ -6,16 +6,14 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
-// sinkStore is a BatchStore that keeps nothing and allocates nothing,
-// as a Store may: what a flush costs is then the cache's own.
+// sinkStore is a Store that keeps nothing and allocates nothing, as a
+// Store may: what a flush costs is then the cache's own.
 type sinkStore struct{ saves int }
 
-func (s *sinkStore) Load(Key) ([]byte, bool, error)        { return nil, false, nil }
-func (s *sinkStore) Save(Key, []byte, time.Duration) error { s.saves++; return nil }
-func (s *sinkStore) SaveBatch(recs []BatchRecord) error    { s.saves += len(recs); return nil }
+func (s *sinkStore) Load(Key) ([]byte, bool, error)     { return nil, false, nil }
+func (s *sinkStore) SaveBatch(recs []BatchRecord) error { s.saves += len(recs); return nil }
 
 // TestFlushReencodeAllocBudget: once a typed slate has been flushed,
 // its next encode rewrites the entry's own buffer, so a round of n
@@ -52,7 +50,7 @@ func TestFlushReencodeAllocBudget(t *testing.T) {
 // values still read as they did when the batch arrived; with a gate it
 // holds each batch open in between.
 type heldStore struct {
-	*fakeBatchStore
+	*fakeStore
 	entered, gate chan struct{}
 	mu            sync.Mutex
 	changed       int
@@ -74,14 +72,14 @@ func (h *heldStore) SaveBatch(recs []BatchRecord) error {
 			h.mu.Unlock()
 		}
 	}
-	return h.fakeBatchStore.SaveBatch(recs)
+	return h.fakeStore.SaveBatch(recs)
 }
 
 // TestHandedOutEncodingsNeverChange: bytes returned by Peek, Get and a
 // raw Scan row, and the values a flush batch carries, read the same
 // however the slate is updated, flushed and encoded after.
 func TestHandedOutEncodingsNeverChange(t *testing.T) {
-	store := &heldStore{fakeBatchStore: newFakeBatchStore(), entered: make(chan struct{}), gate: make(chan struct{})}
+	store := &heldStore{fakeStore: newFakeStore(), entered: make(chan struct{}), gate: make(chan struct{})}
 	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 16, Policy: Interval, Store: store})
 	c := &countingCodec{}
 	key := k("U", "x")
@@ -143,24 +141,25 @@ func TestHandedOutEncodingsNeverChange(t *testing.T) {
 	}
 }
 
-// reentrantStore's Save runs the slate's next update before it reads
-// the value it was handed: a WriteThrough save runs outside the shard
-// lock, so it may overlap the slate's next update and encode.
+// reentrantStore's SaveBatch runs the slate's next update before it
+// reads the value it was handed: a WriteThrough save runs outside the
+// shard lock, so it may overlap the slate's next update and encode.
 type reentrantStore struct {
 	*fakeStore
 	next func()
 }
 
-func (r *reentrantStore) Save(k Key, v []byte, ttl time.Duration) error {
+func (r *reentrantStore) SaveBatch(recs []BatchRecord) error {
+	v := recs[0].Value
 	want := bytes.Clone(v)
 	if next := r.next; next != nil {
 		r.next = nil
 		next()
 	}
 	if !bytes.Equal(v, want) {
-		return fmt.Errorf("saved value %q changed to %q during Save", want, v)
+		return fmt.Errorf("saved value %q changed to %q during SaveBatch", want, v)
 	}
-	return r.fakeStore.Save(k, v, ttl)
+	return r.fakeStore.SaveBatch(recs)
 }
 
 // TestWriteThroughSaveKeepsItsValue: the value a WriteThrough update
@@ -185,7 +184,7 @@ func TestWriteThroughSaveKeepsItsValue(t *testing.T) {
 func TestHandedOutEncodingsNeverChangeConcurrently(t *testing.T) {
 	for _, policy := range []FlushPolicy{Interval, WriteThrough} {
 		t.Run(policy.String(), func(t *testing.T) {
-			store := &heldStore{fakeBatchStore: newFakeBatchStore()}
+			store := &heldStore{fakeStore: newFakeStore()}
 			s := NewSharded(ShardedConfig{Shards: 2, Capacity: 64, Policy: policy, Store: store})
 			c := &countingCodec{}
 			keys := []Key{k("U", "a"), k("U", "b"), k("U", "c")}

@@ -22,8 +22,9 @@ type ShardedConfig struct {
 	Capacity int
 	// Policy selects the flush behavior.
 	Policy FlushPolicy
-	// Store is the durable backing; nil disables persistence. When it
-	// also implements BatchStore, group-commit flushes use SaveBatch.
+	// Store is the durable backing; nil disables persistence. Every save
+	// is one SaveBatch: a group-commit flush batch, or the one record of
+	// a write-through update or of a dirty slate's eviction.
 	Store Store
 	// WAL, when set, receives a copy of every flush batch before the
 	// batch is written to the store. No engine sets it: the store's own
@@ -117,7 +118,6 @@ func (t *FlushStats) Add(s FlushStats) {
 type Sharded struct {
 	cfg    ShardedConfig
 	shards []*shard
-	batch  BatchStore // non-nil when cfg.Store supports multi-put
 
 	flushMu      sync.Mutex    // serializes group commits
 	recs         []BatchRecord // FlushDirty's scratch; guarded by flushMu
@@ -125,7 +125,7 @@ type Sharded struct {
 	batches      atomic.Uint64
 	records      atomic.Uint64
 	flushErrors  atomic.Uint64
-	flushSaves   atomic.Uint64 // StoreSaves issued by the flush path
+	saves        atomic.Uint64 // StoreSaves: records issued to the store, failures taken back
 	removals     atomic.Uint64 // see Removals
 	flushLatency *metrics.Histogram
 	batchSizes   *metrics.IntHistogram
@@ -155,9 +155,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			dirty:    make(map[Key]*entry),
 		}
 		s.shards[i].clearLRU()
-	}
-	if bs, ok := cfg.Store.(BatchStore); ok {
-		s.batch = bs
 	}
 	return s
 }
@@ -215,36 +212,46 @@ func (s *Sharded) ttl(k Key) time.Duration {
 func (s *Sharded) Get(k Key) ([]byte, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, err := s.lookupLocked(sh, k)
+	if e == nil {
+		return nil, err
+	}
+	return s.snapshotLocked(sh, e), nil
+}
+
+// lookupLocked returns k's entry, promoted to most recently used: a
+// cache hit, or on a miss the store's row, inserted clean. A nil entry
+// with nil error means the store has no slate for k. A crashed cache
+// reads through without caching: the entry it returns is not resident,
+// so whatever a caller does to it (a pin, a decode) is dropped with it.
+// Caller holds sh.mu.
+//
+// The store round-trip holds the shard lock: releasing it would let a
+// concurrent Put-then-evict land a newer value in the store that this
+// load has already missed, and the re-insert would cache the stale copy
+// as clean. A slow load therefore stalls one stripe, not the whole
+// cache.
+func (s *Sharded) lookupLocked(sh *shard, k Key) (*entry, error) {
 	if e, ok := sh.items[k]; ok {
 		sh.stats.Hits++
 		sh.touch(e)
-		v := s.snapshotLocked(sh, e)
-		sh.mu.Unlock()
-		return v, nil
+		return e, nil
 	}
 	sh.stats.Misses++
 	if s.cfg.Store == nil {
-		sh.mu.Unlock()
 		return nil, nil
 	}
 	sh.stats.StoreLoads++
-	// The store round-trip holds the shard lock: releasing it would let
-	// a concurrent Put-then-evict land a newer value in the store that
-	// this load has already missed, and the re-insert would cache the
-	// stale copy as clean. A slow load therefore stalls one stripe,
-	// not the whole cache.
-	defer sh.mu.Unlock()
 	v, found, err := s.cfg.Store.Load(k)
-	if err != nil {
+	if err != nil || !found {
 		return nil, err
 	}
-	if !found {
-		return nil, nil
+	e := &entry{key: k, value: v}
+	if sh.dead {
+		return e, nil
 	}
-	if !sh.dead {
-		s.insertLocked(sh, &entry{key: k, value: v})
-	}
-	return v, nil
+	return s.insertLocked(sh, e), nil
 }
 
 // Peek returns the cached slate without promoting it or falling back
@@ -262,39 +269,9 @@ func (s *Sharded) Peek(k Key) ([]byte, bool) {
 }
 
 // Put replaces the slate for k (the updater's replaceSlate call). With
-// WriteThrough the new value is persisted before Put returns. A crashed
+// WriteThrough the new value is saved before Put returns. A crashed
 // cache drops it (see Crash).
-func (s *Sharded) Put(k Key, value []byte) error {
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	if sh.dead {
-		sh.stats.DirtyLost++
-		sh.mu.Unlock()
-		return nil
-	}
-	e, ok := sh.items[k]
-	if ok {
-		e.setBytesLocked(value)
-		sh.unpoisonLocked(e)
-		if !e.dirty {
-			e.dirty = true
-			sh.dirty[e.key] = e
-		}
-		sh.touch(e)
-	} else {
-		e = s.insertLocked(sh, &entry{key: k, value: value, dirty: true})
-	}
-	if s.cfg.Policy == WriteThrough && s.cfg.Store != nil {
-		e.dirty = false
-		delete(sh.dirty, k)
-		sh.stats.StoreSaves++
-		ttl := s.ttl(k)
-		sh.mu.Unlock()
-		return s.cfg.Store.Save(k, value, ttl)
-	}
-	sh.mu.Unlock()
-	return nil
-}
+func (s *Sharded) Put(k Key, value []byte) error { return s.put(k, value, nil, nil) }
 
 // GetDecoded is the typed read path: it returns the decoded slate
 // object for k, decoding the cached (or store-loaded) bytes through
@@ -308,59 +285,39 @@ func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.items[k]; ok {
-		sh.stats.Hits++
-		sh.touch(e)
-		if e.decoded == nil {
-			v, err := codec.Decode(e.value)
-			e.private = false // the object may alias the bytes
-			if err != nil {
-				sh.stats.DecodeErrors++
-				return nil, err
-			}
-			e.decoded = v
-			e.codec = codec
+	e, err := s.lookupLocked(sh, k)
+	if e == nil {
+		return nil, err
+	}
+	if e.decoded == nil {
+		v, err := codec.Decode(e.value)
+		e.private = false // the object may alias the bytes
+		if err != nil {
+			sh.stats.DecodeErrors++
+			return nil, err
 		}
-		e.pins++
-		return e.decoded, nil
+		e.decoded, e.codec = v, codec
 	}
-	sh.stats.Misses++
-	if s.cfg.Store == nil {
-		return nil, nil
-	}
-	sh.stats.StoreLoads++
-	// Same rationale as Get for holding the shard lock across the
-	// store round-trip: a concurrent Put-then-evict could otherwise
-	// re-cache a stale copy as clean.
-	raw, found, err := s.cfg.Store.Load(k)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, nil
-	}
-	v, err := codec.Decode(raw)
-	if err != nil {
-		sh.stats.DecodeErrors++
-		return nil, err
-	}
-	if sh.dead {
-		return v, nil // nothing to pin: PutDecoded will drop it
-	}
-	e := s.insertLocked(sh, &entry{key: k, value: raw})
-	e.decoded = v
-	e.codec = codec
 	e.pins++
-	return v, nil
+	return e.decoded, nil
 }
 
 // PutDecoded is the typed write path — install the (usually
 // mutated-in-place) decoded object, mark the entry dirty, and defer the
 // encode to the next flush or external read. It releases the pin taken
-// by GetDecoded. Under WriteThrough the object is encoded and persisted
-// before PutDecoded returns, exactly like Put, and a crashed cache drops
-// it, exactly like Put.
-func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
+// by GetDecoded. Under WriteThrough the object is encoded and saved
+// before PutDecoded returns, and a crashed cache drops it, exactly like
+// Put.
+func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error { return s.put(k, nil, v, codec) }
+
+// put is Put (codec nil: value is the slate) and PutDecoded (v is the
+// slate): install the new slate and mark its entry dirty, then, under
+// WriteThrough, save it as a one-record batch outside the shard lock.
+// While that save is in flight the entry is flushing, so it cannot be
+// evicted; a failed save leaves it dirty for the next flush, eviction
+// or write-through save of the key to retry, and is returned. A slate
+// an updater still holds pinned is left dirty, unsaved.
+func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	if sh.dead {
@@ -368,37 +325,40 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	e, ok := sh.items[k]
-	if ok {
+	e, resident := sh.items[k]
+	if !resident {
+		e = &entry{key: k}
+	}
+	if codec == nil {
+		sh.unpoisonLocked(e)
+		e.setBytesLocked(value)
+	} else {
 		e.setDecodedLocked(v, codec)
-		if !e.dirty {
-			e.dirty = true
-			sh.dirty[e.key] = e
-		}
+	}
+	if resident {
+		sh.markDirtyLocked(e)
 		sh.touch(e)
 	} else {
-		// The object goes in before the insert: making room may evict
-		// this very entry (every other one pinned or flushing), and
-		// what an eviction saves must be the object's encoding.
-		e = &entry{key: k, dirty: true}
-		e.setDecodedLocked(v, codec)
+		// The slate goes in before the insert: making room may evict
+		// this very entry (every other one pinned or flushing), and what
+		// an eviction saves must be the new slate.
+		e.dirty = true
 		s.insertLocked(sh, e)
 	}
-	if s.cfg.Policy == WriteThrough && s.cfg.Store != nil {
-		if err := s.encodeLocked(sh, e); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		e.dirty = false
-		delete(sh.dirty, k)
-		sh.stats.StoreSaves++
-		value, ttl := e.value, s.ttl(k)
-		e.private = false // saved outside the lock
+	// An entry that evicted itself was saved by the eviction: clean.
+	if s.cfg.Policy != WriteThrough || s.cfg.Store == nil || !e.dirty || e.pins > 0 {
 		sh.mu.Unlock()
-		return s.cfg.Store.Save(k, value, ttl)
+		return nil
 	}
+	rec, err := s.takeLocked(sh, e)
 	sh.mu.Unlock()
-	return nil
+	if err != nil {
+		return err
+	}
+	recs := []BatchRecord{rec}
+	err = s.save(recs)
+	s.settleChunk(recs, err != nil)
+	return err
 }
 
 // Delete removes the slate from the cache without persisting it.
@@ -449,25 +409,36 @@ func (s *Sharded) trimLocked(sh *shard) {
 // evictLocked evicts the shard's least recently used entry that is
 // neither pinned nor flushing. A pinned entry's decoded object is in an
 // updater's hands and cannot be encoded for persistence; a flushing
-// entry must stay resident until its batch is in the store. The walk
+// entry must stay resident until its save is in the store. The walk
 // skips both (the shard may exceed capacity for the pin's microseconds
 // or the write's milliseconds; settleChunk trims it back). It reports
 // whether a victim was found.
 func (s *Sharded) evictLocked(sh *shard) bool {
+	refused := false // the store failed a save in this walk
 	for e := sh.lru.prev; e != &sh.lru; e = e.prev {
-		if e.pins > 0 || e.flushing {
+		if e.pins > 0 || e.flushing > 0 {
 			continue
 		}
 		if e.dirty && s.cfg.Store != nil {
-			// Interval and OnEvict persist on eviction; WriteThrough
-			// entries are already clean. A typed entry encodes here;
-			// if the encode fails the slate cannot be persisted, so
-			// keep it resident rather than drop dirty data.
-			if s.encodeLocked(sh, e) != nil {
+			// Interval and OnEvict save a dirty slate on eviction, and
+			// so does WriteThrough one whose own save failed: a one-record
+			// batch, under the shard lock like a load. A slate that does
+			// not encode, or that the store refuses, stays resident and
+			// dirty rather than be dropped; after one refusal the walk
+			// looks for a clean victim only.
+			if refused {
 				continue
 			}
-			sh.stats.StoreSaves++
-			s.cfg.Store.Save(e.key, e.value, s.ttl(e.key))
+			rec, err := s.takeLocked(sh, e)
+			if err != nil {
+				continue
+			}
+			err = s.save([]BatchRecord{rec})
+			sh.settleLocked(e, err != nil)
+			if err != nil {
+				refused = true
+				continue
+			}
 		}
 		sh.unpoisonLocked(e)
 		e.unlink()
@@ -478,6 +449,31 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 		return true
 	}
 	return false
+}
+
+// takeLocked hands a dirty entry to a save: it materializes the
+// entry's encoding and, with a store to save to, marks the entry
+// flushing — no longer dirty, not yet durable, and until the save
+// settles exempt from eviction. A failed encode leaves the entry dirty
+// and is returned. Caller holds sh.mu and has checked e.pins == 0.
+func (s *Sharded) takeLocked(sh *shard, e *entry) (BatchRecord, error) {
+	if err := s.encodeLocked(sh, e); err != nil {
+		return BatchRecord{}, err
+	}
+	e.dirty = false
+	delete(sh.dirty, e.key)
+	if s.cfg.Store != nil {
+		e.flushing++
+	}
+	return BatchRecord{K: e.key, Value: e.value, TTL: s.ttl(e.key), e: e}, nil
+}
+
+// markDirtyLocked puts e on its shard's dirty list. Caller holds sh.mu.
+func (sh *shard) markDirtyLocked(e *entry) {
+	if !e.dirty {
+		e.dirty = true
+		sh.dirty[e.key] = e
+	}
 }
 
 // FlushDirty persists every dirty slate (the periodic flush of the
@@ -500,7 +496,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 	}()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for k, e := range sh.dirty {
+		for _, e := range sh.dirty {
 			// A pinned entry's decoded object is being mutated by an
 			// updater right now; leave it dirty for the next flush. A
 			// stale entry encodes here — once per flush batch, not per
@@ -508,13 +504,9 @@ func (s *Sharded) FlushDirty() (int, error) {
 			if e.pins > 0 {
 				continue
 			}
-			if s.encodeLocked(sh, e) != nil {
-				continue
+			if rec, err := s.takeLocked(sh, e); err == nil {
+				recs = append(recs, rec)
 			}
-			e.dirty = false
-			e.flushing = s.cfg.Store != nil
-			delete(sh.dirty, k)
-			recs = append(recs, BatchRecord{K: k, Value: e.value, TTL: s.ttl(k)})
 		}
 		sh.mu.Unlock()
 	}
@@ -525,10 +517,6 @@ func (s *Sharded) FlushDirty() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
 	}
-	// Saves are counted when issued, not when the store returns:
-	// observers (stats endpoints, experiments) read the count while a
-	// slow flush is in flight.
-	s.flushSaves.Add(uint64(len(recs)))
 	var firstErr error
 	flushed := 0
 	for rest := recs; len(rest) > 0; {
@@ -544,7 +532,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 		}
 		s.batches.Add(1)
 		s.batchSizes.Observe(int64(len(chunk)))
-		err := s.saveChunk(chunk)
+		err := s.save(chunk)
 		s.settleChunk(chunk, err != nil)
 		if err != nil {
 			s.flushErrors.Add(1)
@@ -553,10 +541,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 			}
 			// The records are dirty again and will be re-appended by the
 			// retry flush; drop the failed attempt so a long store
-			// outage cannot grow the log without bound, and take the
-			// failed writes back out of the saves count so retries do
-			// not inflate StoreSaves past actual store writes.
-			s.flushSaves.Add(^uint64(len(chunk) - 1))
+			// outage cannot grow the log without bound.
 			if s.cfg.WAL != nil {
 				s.cfg.WAL.AbortBatch(walSeq)
 			}
@@ -587,39 +572,42 @@ func flushBatch(recs []BatchRecord, maxItems int, maxBytes int64) []BatchRecord 
 	return recs
 }
 
-// saveChunk persists one batch: a single multi-put when the store
-// supports it, per-record saves otherwise.
-func (s *Sharded) saveChunk(chunk []BatchRecord) error {
-	if s.batch != nil {
-		return s.batch.SaveBatch(chunk)
+// save writes one batch to the store: the only way a slate reaches
+// it. Saves are counted when issued, not when the store returns —
+// observers (stats endpoints, experiments) read the count while a slow
+// save is in flight — and a failed batch's are taken back out, so
+// retries do not inflate StoreSaves past actual store writes.
+func (s *Sharded) save(recs []BatchRecord) error {
+	s.saves.Add(uint64(len(recs)))
+	err := s.cfg.Store.SaveBatch(recs)
+	if err != nil {
+		s.saves.Add(^uint64(len(recs) - 1))
 	}
-	var firstErr error
-	for _, r := range chunk {
-		if err := s.cfg.Store.Save(r.K, r.Value, r.TTL); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return err
 }
 
-// settleChunk ends the flushing state of a batch whose store write has
-// returned: its entries become evictable again — re-marked dirty first
-// if the write failed, so a later flush retries them — and a shard the
-// un-evictable entries let grow past its capacity is trimmed back.
-// Entries deleted or crashed away in the meantime are gone either way.
+// settleChunk settles the entries of a batch whose store write has
+// returned (see settleLocked), and trims back a shard the un-evictable
+// entries let grow past its capacity.
 func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
 	for _, r := range chunk {
 		sh := s.shardFor(r.K)
 		sh.mu.Lock()
-		if e, ok := sh.items[r.K]; ok {
-			e.flushing = false
-			if failed {
-				e.dirty = true
-				sh.dirty[e.key] = e
-			}
-		}
+		sh.settleLocked(r.e, failed)
 		s.trimLocked(sh)
 		sh.mu.Unlock()
+	}
+}
+
+// settleLocked ends one save's hold on e once the save has returned:
+// the entry is evictable again when no other save carries it, and dirty
+// again if the save failed, so a later flush, eviction or write-through
+// save retries it. An entry deleted or crashed away in the meantime is
+// gone either way. Caller holds sh.mu.
+func (sh *shard) settleLocked(e *entry, failed bool) {
+	e.flushing--
+	if failed && sh.items[e.key] == e {
+		sh.markDirtyLocked(e)
 	}
 }
 
@@ -676,7 +664,7 @@ func (s *Sharded) Len() int {
 }
 
 // Stats returns a snapshot of the cache counters: the per-shard
-// counters summed, plus the flush pipeline's saves.
+// counters summed, plus the store saves.
 func (s *Sharded) Stats() CacheStats {
 	var total CacheStats
 	for _, sh := range s.shards {
@@ -686,7 +674,7 @@ func (s *Sharded) Stats() CacheStats {
 		sh.mu.Unlock()
 		total.Add(st)
 	}
-	total.StoreSaves += s.flushSaves.Load()
+	total.StoreSaves += s.saves.Load()
 	return total
 }
 

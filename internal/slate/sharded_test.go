@@ -1,7 +1,6 @@
 package slate
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,35 +9,6 @@ import (
 	"muppet/internal/kvstore"
 	"muppet/internal/wal"
 )
-
-// fakeBatchStore is a fakeStore that also counts multi-put batches.
-type fakeBatchStore struct {
-	fakeStore
-	batches    int
-	batchSizes []int
-	failNext   int // fail this many SaveBatch calls
-}
-
-func newFakeBatchStore() *fakeBatchStore {
-	return &fakeBatchStore{fakeStore: fakeStore{data: map[Key][]byte{}, ttls: map[Key]time.Duration{}}}
-}
-
-func (f *fakeBatchStore) SaveBatch(recs []BatchRecord) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failNext > 0 {
-		f.failNext--
-		return errors.New("fakeBatchStore: injected failure")
-	}
-	f.batches++
-	f.batchSizes = append(f.batchSizes, len(recs))
-	for _, r := range recs {
-		f.saves++
-		f.data[r.K] = append([]byte(nil), r.Value...)
-		f.ttls[r.K] = r.TTL
-	}
-	return nil
-}
 
 func TestShardedBasicGetPutPeek(t *testing.T) {
 	s := NewSharded(ShardedConfig{Shards: 8, Capacity: 100})
@@ -134,7 +104,7 @@ func TestShardedDistribution(t *testing.T) {
 }
 
 func TestShardedGroupCommitBatches(t *testing.T) {
-	fs := newFakeBatchStore()
+	fs := newFakeStore()
 	log := wal.NewSlateBatchLog()
 	s := NewSharded(ShardedConfig{
 		Shards: 8, Capacity: 10_000, Policy: Interval,
@@ -175,7 +145,7 @@ func TestShardedGroupCommitBatches(t *testing.T) {
 }
 
 func TestShardedFlushFailureRetries(t *testing.T) {
-	fs := newFakeBatchStore()
+	fs := newFakeStore()
 	fs.failNext = 1
 	log := wal.NewSlateBatchLog()
 	s := NewSharded(ShardedConfig{Shards: 4, Capacity: 100, Policy: Interval, Store: fs, WAL: log, MaxFlushBatch: 100})
@@ -232,7 +202,7 @@ func TestShardedCapacityExact(t *testing.T) {
 // concurrently; run under -race it proves the striped locking and the
 // group-commit drain do not race.
 func TestShardedConcurrentRace(t *testing.T) {
-	fs := newFakeBatchStore()
+	fs := newFakeStore()
 	s := NewSharded(ShardedConfig{
 		Shards: 8, Capacity: 512, Policy: Interval,
 		Store: fs, WAL: wal.NewSlateBatchLog(), WALCheckpoint: true, MaxFlushBatch: 64,
@@ -295,7 +265,7 @@ func TestShardedConcurrentRace(t *testing.T) {
 // replaying the log into an empty store reproduces the flushed state
 // even after the original store is wiped.
 func TestCrashReplayRestoresFlushedSlates(t *testing.T) {
-	fs := newFakeBatchStore()
+	fs := newFakeStore()
 	log := wal.NewSlateBatchLog()
 	s := NewSharded(ShardedConfig{
 		Shards: 8, Capacity: 10_000, Policy: Interval,
@@ -320,7 +290,7 @@ func TestCrashReplayRestoresFlushedSlates(t *testing.T) {
 	s.Crash()
 	// Replay the WAL batches, oldest first, into the fresh store.
 	applied, err := log.Replay(func(r wal.SlateRecord) error {
-		return recovered.Save(Key{Updater: r.Updater, Key: r.Key}, r.Value, r.TTL)
+		return recovered.SaveBatch([]BatchRecord{{K: Key{Updater: r.Updater, Key: r.Key}, Value: r.Value, TTL: r.TTL}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,19 +346,25 @@ func TestShardedCapacityClamp(t *testing.T) {
 	}
 }
 
-// gatedBatchStore is a fakeBatchStore whose SaveBatch announces itself
-// and then waits for the gate: the window in which a flush batch has
-// left the cache but is not in the store yet, held open.
+// gatedBatchStore is a fakeStore whose SaveBatch calls that carry key
+// announce themselves and then wait for the gate: the window in which a
+// save has left the cache but is not in the store yet, held open. Other
+// saves, such as an eviction's of another slate meanwhile, go through.
 type gatedBatchStore struct {
-	*fakeBatchStore
-	entered chan struct{}
-	gate    chan struct{}
+	*fakeStore
+	key           Key
+	entered, gate chan struct{}
 }
 
 func (g *gatedBatchStore) SaveBatch(recs []BatchRecord) error {
-	g.entered <- struct{}{}
-	<-g.gate
-	return g.fakeBatchStore.SaveBatch(recs)
+	for _, r := range recs {
+		if r.K == g.key {
+			g.entered <- struct{}{}
+			<-g.gate
+			break
+		}
+	}
+	return g.fakeStore.SaveBatch(recs)
 }
 
 // TestShardedFlushingEntryIsNotEvictable pins the flusher's third state
@@ -398,7 +374,7 @@ func (g *gatedBatchStore) SaveBatch(recs []BatchRecord) error {
 // previous flush vanished. It must stay resident until the batch's
 // write returns.
 func TestShardedFlushingEntryIsNotEvictable(t *testing.T) {
-	store := &gatedBatchStore{newFakeBatchStore(), make(chan struct{}, 8), make(chan struct{})}
+	store := &gatedBatchStore{newFakeStore(), k("U", "hot"), make(chan struct{}, 8), make(chan struct{})}
 	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 2, Policy: Interval, Store: store})
 	hot := k("U", "hot")
 	incr := func() {
@@ -450,7 +426,7 @@ func TestShardedFlushingEntryIsNotEvictable(t *testing.T) {
 // TestShardedCrashWaitsOutFlush: a crash that lands while a group commit
 // is in the store's hands returns only once that commit is stored.
 func TestShardedCrashWaitsOutFlush(t *testing.T) {
-	store := &gatedBatchStore{newFakeBatchStore(), make(chan struct{}, 1), make(chan struct{})}
+	store := &gatedBatchStore{newFakeStore(), k("U", "a"), make(chan struct{}, 1), make(chan struct{})}
 	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 10, Policy: Interval, Store: store})
 	s.Put(k("U", "a"), []byte("1"))
 	go s.FlushDirty()

@@ -2,24 +2,18 @@ package slate
 
 import "time"
 
-// BatchRecord is one slate inside a group-commit flush batch.
+// BatchRecord is one slate a save carries to the store: one of a
+// group-commit flush batch, or the one record of a write-through or
+// eviction save.
 type BatchRecord struct {
 	K     Key
 	Value []byte
 	TTL   time.Duration
+	// e is the cache entry the record was taken from, settled when the
+	// save returns (Sharded.settleChunk); nil for a record built outside
+	// the cache.
+	e *entry
 }
 
-// BatchStore is a Store that can persist a whole flush batch as one
-// multi-put. The group-commit flusher uses SaveBatch when the backing
-// store provides it, paying the store round-trip once per batch instead
-// of once per slate.
-type BatchStore interface {
-	Store
-	// SaveBatch persists every record; partial failure may leave some
-	// records written (per-record Save semantics apply to each). Like
-	// Save, it must not keep a record's Value after it returns.
-	SaveBatch(recs []BatchRecord) error
-}
-
-// The kvstore adapter satisfies the batch flush path.
-var _ BatchStore = (*KVStore)(nil)
+// The kvstore adapter is the production Store.
+var _ Store = (*KVStore)(nil)

@@ -96,7 +96,7 @@ func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 		return err
 	}
 	sh.enc = b
-	if e.private && !e.flushing && len(b) <= cap(e.value) {
+	if e.private && e.flushing == 0 && len(b) <= cap(e.value) {
 		e.value = append(e.value[:0], b...)
 	} else {
 		e.value = append(slices.Grow([]byte(nil), len(b)+len(b)/4), b...)

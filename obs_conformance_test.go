@@ -70,7 +70,6 @@ var extraNonzero = []string{
 	"muppet_recovery_failover_seconds_count",
 	"muppet_recovery_rejoin_seconds_count",
 	"muppet_kvstore_memtable_rows",
-	"muppet_kvstore_live_rows",
 	"muppet_kvstore_reads_total",
 	"muppet_query_latency_seconds_count",
 }
