@@ -21,7 +21,10 @@ type SlateCodec = slate.Codec
 // the bytes themselves as the "object" for applications that manage
 // their own encoding.
 type Codec[S any] interface {
-	// Decode parses the at-rest encoding into a fresh *S.
+	// Decode parses the at-rest encoding into a fresh *S. It must not
+	// keep data, or anything that aliases it, once it returns (as
+	// json.Unmarshaler must not): the slate cache rewrites the encoding
+	// in place.
 	Decode(data []byte) (*S, error)
 	// AppendEncode appends the at-rest encoding of s to dst and
 	// returns the extended slice.
@@ -405,14 +408,15 @@ func (u *typedUpdater[S]) nilFn() bool { return u.fn == nil }
 
 // erasedCodec adapts the typed Codec[S] onto the erased SlateCodec the
 // slate cache stores per entry. Under JSONCodec it holds S's plan, so a
-// cache fill, a flush or a store row does not look the plan up.
+// cache fill, a flush or a store row does not look the plan up. Its
+// slate.Alloc[S] gives the cache a new slate's zero S inside the
+// slate's cache entry.
 type erasedCodec[S any] struct {
+	slate.Alloc[S]
 	c    Codec[S]
 	json bool       // c is JSONCodec[S]
 	plan *fieldPlan // S's plan when c is JSONCodec[S], else nil
 }
-
-func (e erasedCodec[S]) New() any { return new(S) }
 
 func (e erasedCodec[S]) Decode(data []byte) (any, error) {
 	var s *S

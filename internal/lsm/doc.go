@@ -23,14 +23,21 @@
 // # The write path's buffers
 //
 // Put copies what it keeps, so a caller may reuse its rows' bytes as
-// soon as Put returns. A memtable row's key and value share one buffer
-// the memtable made, with room for the value to grow. While that buffer
+// soon as Put returns. A memtable row's key and value share one slot,
+// with room for the value to grow, carved from a chunk of a few KiB the
+// memtable owns: n new rows allocate the chunks they fill, not n
+// buffers. No slot is carved twice, and the memtable's size for the
+// flush trigger counts every slot carved, so one a row has left still
+// counts until the memtable is flushed and dropped whole. While a slot
 // is private — no Get has returned the row and no Scan has pinned it —
 // an overwrite that fits rewrites the value in place and allocates
 // nothing; once a reader has been handed it, the next overwrite gets a
-// new buffer and the bytes handed out never change. What reads no
-// memtable value outside the lock leaves rows private: LiveRows, and
-// the segment flush, which writes them out under it.
+// new slot and the bytes handed out never change. A row handed out
+// keeps its whole chunk alive, as long as its holder keeps it: a
+// holder that keeps one for long (the slate cache does, for a loaded
+// slate) copies it. What reads no memtable value outside the lock
+// leaves rows private: LiveRows, and the segment flush, which writes
+// them out under it.
 //
 // # Durability contract
 //

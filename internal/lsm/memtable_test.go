@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -181,4 +182,97 @@ func TestReadersKeepTheirBytesConcurrently(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestMemtableNewRowsAllocBudget: a new row's key and value are a slot
+// carved from a chunk the memtable owns, so n new rows allocate the
+// chunks they fill, not a buffer each.
+func TestMemtableNewRowsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 1024
+	ck := clock.NewFake(t0)
+	rows := batchRows(ck, n, 0)
+	// The row list and the index are sized for n up front: what is
+	// measured is the rows' own bytes.
+	m := &memtable{rows: make([]memRow, 0, n), index: make(map[string]int, n), fresh: make([]int, 0, n)}
+	allocs := mallocs(func() {
+		for _, r := range rows {
+			m.put(r)
+		}
+	})
+	if allocs > n/32+1 {
+		t.Fatalf("%d new rows allocated %d times, want <= %d", n, allocs, n/32+1)
+	}
+	if m.len() != n {
+		t.Fatalf("%d rows, want %d", m.len(), n)
+	}
+}
+
+// TestCarvedRowsKeepTheirBytes: a row Get or a Scan handed out keeps
+// its key and value while later puts carve the rest of its chunk, while
+// it is overwritten, after the holder appends to it, and after the
+// memtable it was carved from is flushed and dropped.
+func TestCarvedRowsKeepTheirBytes(t *testing.T) {
+	ck := clock.NewFake(t0)
+	e := mustOpen(t, NewMemFS(), ck)
+	defer e.Close()
+	type held struct {
+		key, wantKey string
+		got, want    []byte
+	}
+	var kept []held
+	hold := func(r Row) {
+		kept = append(kept, held{r.Key, strings.Clone(r.Key), r.Value, bytes.Clone(r.Value)})
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, h := range kept {
+			if h.key != h.wantKey || !bytes.Equal(h.got, h.want) {
+				t.Fatalf("%s: row %d handed out as %q=%q now reads %q=%q", when, i, h.wantKey, h.want, h.key, h.got)
+			}
+		}
+	}
+	put := func(rows []Row) {
+		t.Helper()
+		if _, err := e.Put(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(batchRows(ck, 4, 0))
+	for round := 1; round <= 6; round++ {
+		r, ok, _, err := e.Get(fmt.Sprintf("user%04d\x00U1", round%4))
+		if err != nil || !ok {
+			t.Fatalf("Get: %v, %v", ok, err)
+		}
+		hold(r)
+		// A holder's append must not reach the next slot.
+		_ = append(r.Value, "garbage"...)
+		if err := e.Scan(func(r Row) bool { hold(r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		// New keys carve the rest of the chunk; the held rows are
+		// overwritten with values of the same length and longer.
+		ck.Advance(1)
+		fresh := make([]Row, 64)
+		for i := range fresh {
+			fresh[i] = Row{Key: fmt.Sprintf("new%02d-%04d", round, i), Value: bytes.Repeat([]byte{'n'}, 8+i%24), WriteTime: ck.Now()}
+		}
+		put(fresh)
+		put(batchRows(ck, 4, round))
+		long := batchRows(ck, 2, round)
+		for i := range long {
+			long[i].Value = append(long[i].Value, "-and-longer-than-before"...)
+		}
+		put(long)
+		check(fmt.Sprintf("round %d", round))
+		if round%3 == 0 {
+			if _, err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			check(fmt.Sprintf("round %d, after a flush", round))
+		}
+	}
 }

@@ -149,10 +149,10 @@ func TestExecuteSkipsUndecodableRows(t *testing.T) {
 	}
 }
 
-// jsonCodec is a minimal slate.Codec for tests.
-type jsonCodec struct{}
+// jsonCodec is a minimal slate.Codec for tests; its slate object is
+// whatever json.Unmarshal into an any makes.
+type jsonCodec struct{ slate.Alloc[any] }
 
-func (jsonCodec) New() any { return map[string]any{} }
 func (jsonCodec) Decode(b []byte) (any, error) {
 	var v any
 	err := json.Unmarshal(b, &v)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"muppet/internal/cluster"
@@ -145,10 +146,11 @@ func (c *Emitter) Run(f *core.FunctionSpec, ev event.Event, obj any, raw []byte)
 // cache fill, pinned in the cache so the flusher leaves it alone until
 // Commit, mutated in place by the updater and re-encoded once per flush
 // batch or external read, not per event. It is never nil — a missing
-// slate, or a read error (store failure, undecodable row; counted in
-// the cache's DecodeErrors), starts from a fresh zero value, the byte
-// path's disposition for an always-replacing updater. For a byte-slate
-// updater it is the raw slate, nil when missing.
+// slate starts from the zero value inside its new cache entry, and a
+// read error (store failure, undecodable row; counted in the cache's
+// DecodeErrors) from a fresh one, the byte path's disposition for an
+// always-replacing updater. For a byte-slate updater it is the raw
+// slate, nil when missing.
 func (c *Cell) Load(f *core.FunctionSpec, sk slate.Key) (obj any, raw []byte) {
 	if f.Codec == nil {
 		raw, _ = c.Cache.Get(sk)
@@ -163,15 +165,22 @@ func (c *Cell) Load(f *core.FunctionSpec, sk slate.Key) (obj any, raw []byte) {
 // Commit writes an update invocation's slate back to the cell's cache —
 // the decoded object (releasing Load's pin), or the value the updater
 // passed to ReplaceSlate, if it did — and accounts the update and its
-// end-to-end latency.
+// end-to-end latency. A write-through save that fails — the store
+// refused it, or the slate did not encode — leaves the slate dirty for a
+// retry; the cache counts it (SaveErrors, EncodeErrors), and the first
+// failure is logged.
 func (r *Runtime) Commit(c *Cell, f *core.FunctionSpec, sk slate.Key, obj any, em *Emitter, in *event.Event) {
+	var err error
 	switch {
 	case obj != nil:
-		c.Cache.PutDecoded(sk, obj, f.Codec)
+		err = c.Cache.PutDecoded(sk, obj, f.Codec)
 	case em.replaced:
-		c.Cache.Put(sk, em.newSlate)
+		err = c.Cache.Put(sk, em.newSlate)
 	default:
 		return
+	}
+	if err != nil && r.saveRefused.CompareAndSwap(false, true) {
+		log.Printf("muppet: write-through save of slate %v failed: %v (it stays dirty for a retry; the slate cache's save and encode error counters count every failure)", sk, err)
 	}
 	r.counters.SlateUpdates.Add(1)
 	r.counters.ObserveLatency(*in)

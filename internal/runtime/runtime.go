@@ -181,8 +181,11 @@ type Runtime struct {
 	cover    coverage
 	detach   func() // undoes Start's Store.Attach; nil without a store
 	stopped  atomic.Bool
-	done     chan struct{} // closed by Stop; ends the flusher loops
-	wg       sync.WaitGroup
+	// saveRefused is set by the first failed write-through save, which
+	// Commit logs; the cache counts every one.
+	saveRefused atomic.Bool
+	done        chan struct{} // closed by Stop; ends the flusher loops
+	wg          sync.WaitGroup
 	// stopMu serializes Stop against a rejoin's worker restart, so fresh
 	// loops are never added to wg while Stop is waiting on it.
 	stopMu sync.Mutex

@@ -12,16 +12,16 @@ type tweetish struct {
 	Count int
 }
 
-type tweetishCodec struct{}
+type tweetishCodec struct{ Alloc[tweetish] }
 
-func (tweetishCodec) New() any                                       { return new(tweetish) }
 func (tweetishCodec) Decode([]byte) (any, error)                     { return new(tweetish), nil }
 func (tweetishCodec) AppendEncode(dst []byte, _ any) ([]byte, error) { return append(dst, '0'), nil }
 
 // TestCacheInsertAllocBudget: a typed update of a slate the cache does
-// not hold allocates the entry, the entry's copy of the key and the
-// decoded object — nothing for the LRU list — while the cache, full,
-// evicts one slate per insert.
+// not hold allocates one block — the entry, its copy of the key, room
+// for the encoding and the zero object the updater starts from —
+// nothing for the LRU list, while the cache, full, evicts one slate per
+// insert.
 func TestCacheInsertAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -38,18 +38,18 @@ func TestCacheInsertAllocBudget(t *testing.T) {
 		k := keys[i%len(keys)]
 		i++
 		v, err := s.GetDecoded(k, c)
-		if err != nil || v != nil {
-			t.Fatalf("GetDecoded(%v) = %v, %v: want a miss", k, v, err)
+		if err != nil || v == nil || *v.(*tweetish) != (tweetish{}) {
+			t.Fatalf("GetDecoded(%v) = %v, %v: want a fresh zero slate", k, v, err)
 		}
-		if err := s.PutDecoded(k, c.New(), c); err != nil {
+		if err := s.PutDecoded(k, v, c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for range 2 * capacity { // fill the cache and its maps
 		insert()
 	}
-	if n := testing.AllocsPerRun(2*capacity, insert); n != 3 {
-		t.Fatalf("a typed insert allocated %.1f times, want 3 (entry, key clone, object)", n)
+	if n := testing.AllocsPerRun(2*capacity, insert); n != 1 {
+		t.Fatalf("a typed insert allocated %.1f times, want 1 (the entry block)", n)
 	}
 	if got := s.Len(); got != capacity {
 		t.Fatalf("%d slates resident, want %d", got, capacity)

@@ -58,6 +58,10 @@ type CacheStats struct {
 	// slates the crash dropped, and the writes the crashed cache refused
 	// until Revive. Nothing else drops a dirty slate.
 	DirtyLost uint64 `metric:"muppet_slate_dirty_lost_total" help:"Slate updates lost to crashes: dirty slates dropped and writes refused."`
+	// SaveErrors counts the slate records the store refused, on every
+	// path a save takes (a flush batch, a write-through update, a dirty
+	// eviction). Each stays dirty and resident for a later save to retry.
+	SaveErrors uint64 `metric:"muppet_slate_save_errors_total" help:"Slate records the store refused to save; each stays dirty for a retry."`
 	// DecodeErrors counts typed reads (GetDecoded) whose codec failed
 	// to decode the stored bytes — the engine falls back to a fresh
 	// zero-value slate, so a non-zero count is the signal that stored
@@ -84,6 +88,7 @@ func (t *CacheStats) Add(s CacheStats) {
 	t.StoreSaves += s.StoreSaves
 	t.Evictions += s.Evictions
 	t.DirtyLost += s.DirtyLost
+	t.SaveErrors += s.SaveErrors
 	t.DecodeErrors += s.DecodeErrors
 	t.EncodeErrors += s.EncodeErrors
 	t.Size += s.Size
@@ -93,11 +98,12 @@ func (t *CacheStats) Add(s CacheStats) {
 type entry struct {
 	key   Key
 	value []byte
-	// private marks a value this cache encoded into a buffer of its own
-	// and has handed to no one since, so the next encode may rewrite it
-	// in place; the package doc lists what ends it.
-	private bool
-	dirty   bool
+	// room is the buffer the next encode may rewrite in place: at first
+	// the room the entry's block keeps after the key, then a buffer the
+	// cache made for an encoding too large for it. Handing the value's
+	// bytes to someone who may keep them ends it (nil); the package doc
+	// lists what does.
+	room []byte
 	// prev and next link the entry into its shard's LRU list (see
 	// shard.lru).
 	prev, next *entry
@@ -112,21 +118,20 @@ type entry struct {
 	// serve the last materialized encoding instead.
 	decoded any
 	codec   Codec
-	stale   bool
-	pins    int
+	pins    int32
+
+	// flushing marks an entry whose value a save is carrying to the
+	// store right now (a group-commit batch, a write-through or
+	// eviction save): no longer dirty, not yet durable. One save at a
+	// time: takeLocked leaves a flushing entry dirty. Eviction skips it
+	// exactly as it skips a pinned entry — dropping it would let a
+	// reload read the older store row — until the save has returned.
+	flushing bool
+	dirty    bool
+	stale    bool
 	// poisoned marks a stale entry whose latest encode failed (counted
 	// in CacheStats.Poisoned).
 	poisoned bool
-
-	// flushing counts the saves carrying the entry's value to the store
-	// right now (a group-commit batch, a write-through save): no longer
-	// dirty, not yet durable. Eviction skips it exactly as it skips a
-	// pinned entry — dropping it would let a reload read the older store
-	// row, and evicting it re-dirtied would let the save in flight
-	// overwrite the eviction's newer one — until every such save has
-	// returned. (An int32 packs beside poisoned, so an entry stays in
-	// its allocation size class.)
-	flushing int32
 
 	// route memoizes ShardedConfig.RouteHash for the entry's key; 0 is
 	// not yet computed (Scan fills it), and a key that hashes to 0 is

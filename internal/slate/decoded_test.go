@@ -13,13 +13,12 @@ import (
 // rest) that counts decode and encode calls — the decode-once /
 // encode-per-flush contract is asserted on these counters.
 type countingCodec struct {
+	Alloc[int]
 	decodes atomic.Int64
 	encodes atomic.Int64
 	// failEncode forces AppendEncode errors when set.
 	failEncode atomic.Bool
 }
-
-func (c *countingCodec) New() any { return new(int) }
 
 func (c *countingCodec) Decode(data []byte) (any, error) {
 	c.decodes.Add(1)

@@ -21,7 +21,9 @@
 //     caller may mutate it in place, and until the matching PutDecoded
 //     the flusher, evictor, and byte readers leave the object alone
 //     (reads serve the last materialized encoding; flushes keep the
-//     entry dirty for the next round).
+//     entry dirty for the next round). For a slate that does not exist
+//     yet it inserts the new entry at once, holding no slate, and hands
+//     out the zero object inside it (see the entry block below).
 //   - PutDecoded(k, obj, codec) marks the entry dirty and defers the
 //     re-encode: FlushDirty, eviction, and byte reads (Get/Peek)
 //     materialize the encoding lazily — once per flush batch or read,
@@ -103,16 +105,41 @@
 // Flush latency and batch sizes are recorded with internal/metrics
 // histograms (FlushLatency, BatchSizes) and counters (FlushStats).
 //
-// A flush allocates nothing per slate once the slate has been flushed
-// before: a typed entry's encoding lives in a buffer the cache made,
-// and while that buffer is private — handed to no one since — the next
-// encode rewrites it in place. A save lends the buffer to the store for
-// the length of SaveBatch, and a Store keeps no value past its
-// SaveBatch, so a save — flush, write-through or eviction — does not
-// end the privacy; an encode while the save is in flight goes to a new
-// buffer. What does end it is handing the bytes to someone who may keep
-// them: Get, Peek or a raw Scan row, a Decode of it. A value the cache
-// did not encode (a byte Put, a store load) is never private.
+// One save of a slate is in flight at a time: takeLocked leaves an
+// entry whose save has not returned dirty, so two saves of one slate
+// cannot land out of order. A flush skips it until its next round; a
+// WriteThrough update returns, and the save in flight, once it has
+// settled, takes the entry again and saves the newer value before its
+// own caller returns (commit). A refused save, on any path, counts in
+// CacheStats.SaveErrors.
+//
+// # The entry block
+//
+// A slate the cache does not hold costs it one allocation: newEntry
+// makes the entry, its copy of the key, room for the slate's encoding
+// and — for a typed slate — the zero object the updater starts from as
+// one block, rounded up a ladder of sizes. The codec allocates it, as
+// only the codec knows the slate's type: every Codec embeds Alloc[S].
+// GetDecoded inserts the entry pinned on the miss, so the update,
+// PutDecoded and the first flush encode allocate nothing more. A byte
+// slate's entry, a store-loaded one, and one whose encoding outgrows
+// the ladder use the same block without the object, or with its room
+// unused. The key's bytes are never written after the block is made.
+//
+// A flush allocates nothing per slate: the encoding lives in the
+// entry's room — the block's at first, then a buffer the cache made for
+// an encoding too large for it — and while the room is the cache's
+// alone, the next encode rewrites it in place. A store-loaded slate is
+// copied into its block's room, so the cache keeps no store memory
+// alive (a memtable row is a slice of a shared chunk) and its first
+// re-encode is in place too. A save lends the room to the store for the
+// length of SaveBatch, and a Store keeps no value past its SaveBatch,
+// so a save — flush, write-through or eviction — does not end the room;
+// an encode while the save is in flight goes to a new one. What ends it
+// is handing the bytes to someone who may keep them: Get, Peek or a raw
+// Scan row. A decode does not, since a Codec's Decode keeps nothing of
+// the bytes it reads. A byte Put's value is the caller's and lives
+// outside the room.
 //
 // # Storage framing
 //

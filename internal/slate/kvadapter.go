@@ -66,7 +66,10 @@ func (s *KVStore) SaveBatch(recs []BatchRecord) error {
 		v := buf[offs[i]:offs[i+1]:offs[i+1]]
 		entries = append(entries, kvstore.BatchEntry{Key: r.K.Key, Column: r.K.Updater, Value: v, TTL: r.TTL})
 	}
-	sc.buf, sc.offs, sc.entries = buf, offs, entries
 	_, err := s.Cluster.PutBatch(entries, s.Level)
+	// The pooled entries must not keep the keys: each is a slice of its
+	// cache entry's block.
+	clear(entries)
+	sc.buf, sc.offs, sc.entries = buf, offs, entries
 	return err
 }

@@ -143,10 +143,12 @@ func TestHandedOutEncodingsNeverChange(t *testing.T) {
 
 // reentrantStore's SaveBatch runs the slate's next update before it
 // reads the value it was handed: a WriteThrough save runs outside the
-// shard lock, so it may overlap the slate's next update and encode.
+// shard lock, so it may overlap the slate's next update and encode. It
+// records the value each save received.
 type reentrantStore struct {
 	*fakeStore
-	next func()
+	next  func()
+	saved []string
 }
 
 func (r *reentrantStore) SaveBatch(recs []BatchRecord) error {
@@ -159,11 +161,14 @@ func (r *reentrantStore) SaveBatch(recs []BatchRecord) error {
 	if !bytes.Equal(v, want) {
 		return fmt.Errorf("saved value %q changed to %q during SaveBatch", want, v)
 	}
+	r.saved = append(r.saved, string(v))
 	return r.fakeStore.SaveBatch(recs)
 }
 
 // TestWriteThroughSaveKeepsItsValue: the value a WriteThrough update
-// saves is not rewritten by the update that follows while it is saved.
+// saves is not rewritten by the update that follows while it is saved,
+// and that update, which finds the save in flight, is saved after it
+// by the same call, so the store ends at the newest value.
 func TestWriteThroughSaveKeepsItsValue(t *testing.T) {
 	store := &reentrantStore{fakeStore: newFakeStore()}
 	s := NewSharded(ShardedConfig{Shards: 1, Capacity: 16, Policy: WriteThrough, Store: store})
@@ -172,8 +177,11 @@ func TestWriteThroughSaveKeepsItsValue(t *testing.T) {
 	typedUpdate(t, s, key, c)
 	store.next = func() { typedUpdate(t, s, key, c) }
 	typedUpdate(t, s, key, c)
-	if got := string(store.data[key]); got != "2" {
-		t.Fatalf("stored slate = %q, want the first save's 2 (the nested save of 3 landed first)", got)
+	if got, want := fmt.Sprint(store.saved), "[1 2 3]"; got != want {
+		t.Fatalf("the saves received %s, want %s", got, want)
+	}
+	if got := string(store.data[key]); got != "3" {
+		t.Fatalf("stored slate = %q, want the nested update's 3", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 package slate
 
 import (
+	"errors"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,6 +126,7 @@ type Sharded struct {
 	records      atomic.Uint64
 	flushErrors  atomic.Uint64
 	saves        atomic.Uint64 // StoreSaves: records issued to the store, failures taken back
+	refused      atomic.Uint64 // SaveErrors: records the store refused
 	removals     atomic.Uint64 // see Removals
 	flushLatency *metrics.Histogram
 	batchSizes   *metrics.IntHistogram
@@ -247,11 +248,17 @@ func (s *Sharded) lookupLocked(sh *shard, k Key) (*entry, error) {
 	if err != nil || !found {
 		return nil, err
 	}
-	e := &entry{key: k, value: v}
+	// The entry keeps a copy in its own room: the store's bytes may be
+	// part of a larger buffer (a memtable chunk) it must not keep alive,
+	// and the copy is the entry's to rewrite at its next encode.
+	e, _ := newEntry[struct{}](k, grown(len(v)))
+	e.hold(v)
 	if sh.dead {
 		return e, nil
 	}
-	return s.insertLocked(sh, e), nil
+	s.insertLocked(sh, e)
+	s.trimLocked(sh)
+	return e, nil
 }
 
 // Peek returns the cached slate without promoting it or falling back
@@ -277,21 +284,31 @@ func (s *Sharded) Put(k Key, value []byte) error { return s.put(k, value, nil, n
 // object for k, decoding the cached (or store-loaded) bytes through
 // codec at most once per cache fill. The returned object is pinned
 // until the matching PutDecoded: the caller may mutate it in place, and
-// flushes skip the entry in the meantime. A nil object with nil error
-// means the slate does not exist yet; the caller initializes a fresh
-// one (Codec.New) and hands it back through PutDecoded, which inserts
-// it.
+// flushes skip the entry in the meantime. A slate that does not exist
+// yet is a fresh zero object, the one inside the new entry the call
+// inserts for it (Alloc): the entry holds no slate — reads find none —
+// until the PutDecoded. A nil object comes only with an error, or from
+// a crashed cache, which inserts nothing; the caller then starts from
+// Codec.New.
 func (s *Sharded) GetDecoded(k Key, codec Codec) (any, error) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, err := s.lookupLocked(sh, k)
-	if e == nil {
+	if err != nil || (e == nil && sh.dead) {
 		return nil, err
+	}
+	if e == nil {
+		var v any
+		e, v = codec.newEntry(k, newSlateRoom)
+		e.decoded, e.codec, e.pins = v, codec, 1
+		// No trim: the entry is pinned, and PutDecoded trims once the
+		// update is done.
+		s.insertLocked(sh, e)
+		return v, nil
 	}
 	if e.decoded == nil {
 		v, err := codec.Decode(e.value)
-		e.private = false // the object may alias the bytes
 		if err != nil {
 			sh.stats.DecodeErrors++
 			return nil, err
@@ -312,11 +329,14 @@ func (s *Sharded) PutDecoded(k Key, v any, codec Codec) error { return s.put(k, 
 
 // put is Put (codec nil: value is the slate) and PutDecoded (v is the
 // slate): install the new slate and mark its entry dirty, then, under
-// WriteThrough, save it as a one-record batch outside the shard lock.
-// While that save is in flight the entry is flushing, so it cannot be
-// evicted; a failed save leaves it dirty for the next flush, eviction
-// or write-through save of the key to retry, and is returned. A slate
-// an updater still holds pinned is left dirty, unsaved.
+// WriteThrough, save it as a one-record batch outside the shard lock
+// (commit). While that save is in flight the entry is flushing, so it
+// cannot be evicted; a failed save leaves it dirty for the next flush,
+// eviction or write-through save of the key to retry, and is returned.
+// A slate an updater still holds pinned is left dirty, unsaved. So is
+// one whose previous save is still in flight: one save of a slate at a
+// time, or the older could land last; the save in flight saves it
+// again once it returns (settleChunk).
 func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -327,7 +347,11 @@ func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 	}
 	e, resident := sh.items[k]
 	if !resident {
-		e = &entry{key: k}
+		room := 0 // a byte slate is the caller's bytes
+		if codec != nil {
+			room = newSlateRoom
+		}
+		e, _ = newEntry[struct{}](k, room)
 	}
 	if codec == nil {
 		sh.unpoisonLocked(e)
@@ -338,12 +362,16 @@ func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 	if resident {
 		sh.markDirtyLocked(e)
 		sh.touch(e)
+		// The pin this put released may have held the shard over its
+		// capacity: a new slate's entry goes in pinned, at GetDecoded.
+		s.trimLocked(sh)
 	} else {
 		// The slate goes in before the insert: making room may evict
 		// this very entry (every other one pinned or flushing), and what
 		// an eviction saves must be the new slate.
 		e.dirty = true
 		s.insertLocked(sh, e)
+		s.trimLocked(sh)
 	}
 	// An entry that evicted itself was saved by the eviction: clean.
 	if s.cfg.Policy != WriteThrough || s.cfg.Store == nil || !e.dirty || e.pins > 0 {
@@ -352,13 +380,13 @@ func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 	}
 	rec, err := s.takeLocked(sh, e)
 	sh.mu.Unlock()
+	if errors.Is(err, errSaving) {
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	recs := []BatchRecord{rec}
-	err = s.save(recs)
-	s.settleChunk(recs, err != nil)
-	return err
+	return s.commit([]BatchRecord{rec})
 }
 
 // Delete removes the slate from the cache without persisting it.
@@ -383,20 +411,18 @@ func (s *Sharded) Delete(k Key) {
 // conclusion while the count holds.
 func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 
-// insertLocked adds a new entry to sh, evicting as needed. Caller
-// holds sh.mu. The entry keeps its own copy of the key: a key taken off
-// an event may share the memory of the frame or document it arrived in,
-// which a resident slate must not keep alive. So every map assignment
-// keys by e.key, never by the caller's k.
-func (s *Sharded) insertLocked(sh *shard, e *entry) *entry {
-	e.key.Key = strings.Clone(e.key.Key)
+// insertLocked adds a new entry to sh; the caller trims the shard back
+// to its capacity after. Caller holds sh.mu. The entry keeps its own
+// copy of the key, in its block (newEntry): a key taken off an event may
+// share the memory of the frame or document it arrived in, which a
+// resident slate must not keep alive. So every map assignment keys by
+// e.key, never by the caller's k.
+func (s *Sharded) insertLocked(sh *shard, e *entry) {
 	sh.pushFront(e)
 	sh.items[e.key] = e
 	if e.dirty {
 		sh.dirty[e.key] = e
 	}
-	s.trimLocked(sh)
-	return e
 }
 
 // trimLocked evicts until the shard is within its capacity or nothing
@@ -416,7 +442,7 @@ func (s *Sharded) trimLocked(sh *shard) {
 func (s *Sharded) evictLocked(sh *shard) bool {
 	refused := false // the store failed a save in this walk
 	for e := sh.lru.prev; e != &sh.lru; e = e.prev {
-		if e.pins > 0 || e.flushing > 0 {
+		if e.pins > 0 || e.flushing {
 			continue
 		}
 		if e.dirty && s.cfg.Store != nil {
@@ -451,20 +477,27 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 	return false
 }
 
+// errSaving is takeLocked's refusal of an entry whose save is in
+// flight.
+var errSaving = errors.New("slate: a save of this slate is in flight")
+
 // takeLocked hands a dirty entry to a save: it materializes the
 // entry's encoding and, with a store to save to, marks the entry
 // flushing — no longer dirty, not yet durable, and until the save
-// settles exempt from eviction. A failed encode leaves the entry dirty
-// and is returned. Caller holds sh.mu and has checked e.pins == 0.
+// settles exempt from eviction. An entry already flushing is left
+// dirty (errSaving): two saves of one slate in flight could land in
+// either order. A failed encode also leaves the entry dirty and is
+// returned. Caller holds sh.mu and has checked e.pins == 0.
 func (s *Sharded) takeLocked(sh *shard, e *entry) (BatchRecord, error) {
+	if e.flushing {
+		return BatchRecord{}, errSaving
+	}
 	if err := s.encodeLocked(sh, e); err != nil {
 		return BatchRecord{}, err
 	}
 	e.dirty = false
 	delete(sh.dirty, e.key)
-	if s.cfg.Store != nil {
-		e.flushing++
-	}
+	e.flushing = s.cfg.Store != nil
 	return BatchRecord{K: e.key, Value: e.value, TTL: s.ttl(e.key), e: e}, nil
 }
 
@@ -532,9 +565,7 @@ func (s *Sharded) FlushDirty() (int, error) {
 		}
 		s.batches.Add(1)
 		s.batchSizes.Observe(int64(len(chunk)))
-		err := s.save(chunk)
-		s.settleChunk(chunk, err != nil)
-		if err != nil {
+		if err := s.commit(chunk); err != nil {
 			s.flushErrors.Add(1)
 			if firstErr == nil {
 				firstErr = err
@@ -576,36 +607,60 @@ func flushBatch(recs []BatchRecord, maxItems int, maxBytes int64) []BatchRecord 
 // it. Saves are counted when issued, not when the store returns —
 // observers (stats endpoints, experiments) read the count while a slow
 // save is in flight — and a failed batch's are taken back out, so
-// retries do not inflate StoreSaves past actual store writes.
+// retries do not inflate StoreSaves past actual store writes, and
+// counted in SaveErrors.
 func (s *Sharded) save(recs []BatchRecord) error {
 	s.saves.Add(uint64(len(recs)))
 	err := s.cfg.Store.SaveBatch(recs)
 	if err != nil {
 		s.saves.Add(^uint64(len(recs) - 1))
+		s.refused.Add(uint64(len(recs)))
+	}
+	return err
+}
+
+// commit saves a batch taken outside the shard locks (a flush chunk, a
+// write-through update) and settles it, then saves what the settle took
+// again, until nothing is left. It returns the batch's own error; a
+// later save's failure leaves its records dirty and counted like any.
+func (s *Sharded) commit(recs []BatchRecord) error {
+	err := s.save(recs)
+	for again := s.settleChunk(recs, err != nil); len(again) > 0; {
+		again = s.settleChunk(again, s.save(again) != nil)
 	}
 	return err
 }
 
 // settleChunk settles the entries of a batch whose store write has
 // returned (see settleLocked), and trims back a shard the un-evictable
-// entries let grow past its capacity.
-func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) {
+// entries let grow past its capacity. Under WriteThrough it takes
+// again, for the caller to save next, each saved entry a write-through
+// update left dirty while the save was in flight (put could not take
+// it): they are returned at the front of chunk.
+func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) []BatchRecord {
+	again := chunk[:0]
 	for _, r := range chunk {
 		sh := s.shardFor(r.K)
 		sh.mu.Lock()
 		sh.settleLocked(r.e, failed)
+		if !failed && s.cfg.Policy == WriteThrough && r.e.dirty && r.e.pins == 0 && sh.items[r.K] == r.e {
+			if rec, err := s.takeLocked(sh, r.e); err == nil {
+				again = append(again, rec)
+			}
+		}
 		s.trimLocked(sh)
 		sh.mu.Unlock()
 	}
+	return again
 }
 
-// settleLocked ends one save's hold on e once the save has returned:
-// the entry is evictable again when no other save carries it, and dirty
-// again if the save failed, so a later flush, eviction or write-through
-// save retries it. An entry deleted or crashed away in the meantime is
-// gone either way. Caller holds sh.mu.
+// settleLocked ends a save's hold on e once the save has returned:
+// the entry is evictable again, and dirty again if the save failed, so
+// a later flush, eviction or write-through save retries it. An entry
+// deleted or crashed away in the meantime is gone either way. Caller
+// holds sh.mu.
 func (sh *shard) settleLocked(e *entry, failed bool) {
-	e.flushing--
+	e.flushing = false
 	if failed && sh.items[e.key] == e {
 		sh.markDirtyLocked(e)
 	}
@@ -675,6 +730,7 @@ func (s *Sharded) Stats() CacheStats {
 		total.Add(st)
 	}
 	total.StoreSaves += s.saves.Load()
+	total.SaveErrors += s.refused.Load()
 	return total
 }
 

@@ -10,18 +10,24 @@ import "slices"
 // flush or external read — not once per event.
 //
 // The concrete values behind the `any` are pointers to the
-// application's slate type; a codec only ever sees values it produced
-// itself (New or Decode), so the type assertion inside AppendEncode is
-// safe by construction.
+// application's slate type S; a codec only ever sees values it produced
+// itself (New or Decode) or the cache's zero S, so the type assertion
+// inside AppendEncode is safe by construction. A Codec embeds Alloc[S],
+// which supplies New and the cache's entry allocation.
 type Codec interface {
 	// New returns a freshly allocated zero-value slate object, the
 	// state an updater starts from when no slate exists for the key.
 	New() any
-	// Decode parses the at-rest encoding into a live object.
+	// Decode parses the at-rest encoding into a live object. It must
+	// not keep data, or anything that aliases it, once it returns: the
+	// cache rewrites a slate's encoding in place.
 	Decode(data []byte) (any, error)
 	// AppendEncode appends the at-rest encoding of v to dst and
 	// returns the extended slice.
 	AppendEncode(dst []byte, v any) ([]byte, error)
+
+	// newEntry is Alloc's: a new slate's entry with a zero S inside.
+	newEntry(k Key, room int) (*entry, any)
 }
 
 // Kind says what a Scalar holds.
@@ -76,9 +82,7 @@ type FieldCodec interface {
 // Poisoned, reported to cfg.OnPoison — until an encode succeeds.
 //
 // The codec writes into the shard's scratch, so a failed encode leaves
-// e.value as it was. The encoding then overwrites a private value it
-// fits (see entry.private); otherwise it goes into a new private
-// buffer with a quarter again of room to grow.
+// e.value as it was; a good one is copied into the entry's room (hold).
 func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 	if !e.stale {
 		return nil
@@ -96,12 +100,7 @@ func (s *Sharded) encodeLocked(sh *shard, e *entry) error {
 		return err
 	}
 	sh.enc = b
-	if e.private && e.flushing == 0 && len(b) <= cap(e.value) {
-		e.value = append(e.value[:0], b...)
-	} else {
-		e.value = append(slices.Grow([]byte(nil), len(b)+len(b)/4), b...)
-		e.private = true
-	}
+	e.hold(b)
 	e.stale = false
 	sh.unpoisonLocked(e)
 	return nil
@@ -123,23 +122,24 @@ func (sh *shard) unpoisonLocked(e *entry) {
 // encoded reads as nil — the first update for the key has not
 // completed yet, so "no slate" is a linearizable answer. An encode
 // failure also serves the last materialized encoding. The bytes are
-// the caller's to keep: handing them out ends the value's privacy, so
-// no later encode rewrites them.
+// the caller's to keep: handing them out ends the entry's room, so no
+// later encode rewrites them.
 func (s *Sharded) snapshotLocked(sh *shard, e *entry) []byte {
 	if e.pins == 0 {
 		s.encodeLocked(sh, e)
 	}
-	e.private = false
+	if e.value != nil {
+		e.room = nil
+	}
 	return slices.Clip(e.value)
 }
 
 // setBytesLocked replaces the entry's contents with an encoded value
 // (the classic byte-slate Put), discarding any decoded object: the
 // bytes are now the source of truth. They are the caller's, so the
-// entry's value is not private.
+// entry's room is left as it was.
 func (e *entry) setBytesLocked(value []byte) {
 	e.value = value
-	e.private = false
 	e.decoded = nil
 	e.codec = nil
 	e.stale = false
