@@ -10,33 +10,53 @@ import (
 	"muppet/internal/event"
 )
 
-// The receive path's allocation budgets: a frame costs its bytes and its
-// delivery slice, however many deliveries it carries, and the dedup
-// window and the frame I/O under it cost nothing in steady state.
+// The receive path's allocation budgets: a frame's keys and values are
+// carved from its connection's chunk and its delivery slice is reused,
+// so a frame costs a share of a chunk, and the dedup window and the
+// frame I/O under it cost nothing in steady state.
 
-// TestDecodeRequestAllocBudget: a 64-delivery request decoded off a
-// warm connection (its names interned, its delivery slice reused from
-// the previous frame) allocates one copy of the frame, which every Key
-// and Value shares, and nothing else.
+// TestDecodeRequestAllocBudget: tweet-sized requests decoded off one
+// connection (its names interned, its delivery slice reused from the
+// previous frame) allocate only when the connection's chunk fills, and a
+// value too large to carve costs exactly its own allocation.
 func TestDecodeRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	ds := make([]Delivery, 64)
+	// Eight deliveries of about 100 bytes: the ~870-byte frame a paced
+	// three-node round sends on average.
+	ds := make([]Delivery, 8)
 	for i := range ds {
-		ds[i] = Delivery{Worker: "U_rep", Ev: event.Event{Stream: "S2", Seq: uint64(i), Key: fmt.Sprintf("user%d", i), Value: []byte(`{"delta":1}`)}}
+		ds[i] = Delivery{Worker: "U_rep", Ev: event.Event{Stream: "S2", Seq: uint64(i), Key: fmt.Sprintf("user%06d", i),
+			Value: []byte(fmt.Sprintf(`{"user":"user%06d","text":"a tweet of some fifty bytes about #topic%02d","n":1}`, i, i))}}
 	}
-	p := encodeRequest(nil, BatchID{Sender: "machine-00", Epoch: 1, Seq: 1}, "machine-01", ds)
-	names := make(interner)
-	_, _, got, err := names.decodeRequest(p, nil)
-	if err != nil {
-		t.Fatal(err)
+	id := BatchID{Sender: "machine-00", Epoch: 1, Seq: 1}
+	p := encodeRequest(nil, id, "machine-01", ds)
+	if len(p) < 820 || len(p) > 920 {
+		t.Fatalf("the request is %d bytes, want about 870", len(p))
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _, got, _ = names.decodeRequest(p, got) }); n > 1 {
-		t.Fatalf("decoding a %d-delivery request allocated %.0f times, want <= 1", len(ds), n)
+	const frames = 1000
+	rs := newReceiver()
+	var got []Delivery
+	perFrame := testing.AllocsPerRun(1, func() {
+		for range frames {
+			_, _, got, _ = rs.decodeRequest(p, got)
+		}
+	}) / frames
+	if perFrame > 0.05 {
+		t.Fatalf("decoding a %d-byte, %d-delivery request allocated %.3f times, want <= 0.05", len(p), len(ds), perFrame)
 	}
-	if len(got) != len(ds) || got[63].Ev.Key != "user63" {
+	if len(got) != len(ds) || got[7].Ev.Key != "user000007" || !bytes.Equal(got[7].Ev.Value, ds[7].Ev.Value) {
 		t.Fatalf("reused decode gave %d deliveries, last %+v", len(got), got[len(got)-1])
+	}
+
+	big := []Delivery{{Worker: "U_rep", Ev: event.Event{Stream: "S2", Key: "k", Value: bytes.Repeat([]byte("v"), recvMaxCarve+1)}}}
+	p = encodeRequest(nil, id, "machine-01", big)
+	if n := testing.AllocsPerRun(100, func() { _, _, got, _ = rs.decodeRequest(p, got) }); n != 1 {
+		t.Fatalf("decoding a %d-byte value allocated %.0f times, want 1 (its own copy)", recvMaxCarve+1, n)
+	}
+	if !bytes.Equal(got[0].Ev.Value, big[0].Ev.Value) {
+		t.Fatal("the over-limit value decoded wrong")
 	}
 }
 

@@ -110,7 +110,7 @@ func BenchmarkEventFrameBody(b *testing.B) {
 			var body []byte
 			for i := 0; i < b.N; i++ {
 				body = append(append(body[:0], frame.HeaderRaw), plain...)
-				if _, err := plainOf(body); err != nil {
+				if _, err := frame.Payload(body); err != nil {
 					b.Fatal(err)
 				}
 			}

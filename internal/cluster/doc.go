@@ -79,16 +79,18 @@
 // the request before SendBatch's caller sees it. See wire.go for the
 // exact layout.
 //
-// # Received deliveries share their frame
+// # Received deliveries share their connection's chunk
 //
-// A received request is copied once, and the Key and Value of every
-// delivery decoded from it alias that copy: a frame costs one allocation
-// for its bytes and one for its delivery slice, whatever it carries. The
-// names (sender, machine, worker, stream) come from the connection's
-// interner and alias nothing, and the dedup window reuses its entries,
-// so the rest of the receive path allocates nothing per frame in steady
-// state. The bytes never change, so the sharing is safe; its cost is
-// that a held Key or Value keeps the whole frame alive. A
+// A received request is parsed in place, and the Key and Value of every
+// delivery decoded from it are copied into a 32 KiB chunk the serving
+// connection owns: the deliveries of many frames share one allocation,
+// and a frame costs a share of a chunk, whatever it carries. The names
+// (sender, machine, worker, stream) come from the connection's interner
+// and alias nothing, the delivery slice is reused frame to frame, and
+// the dedup window reuses its entries, so the rest of the receive path
+// allocates nothing per frame in steady state. A carved byte is never
+// written again, so the sharing is safe; its cost is that a held Key or
+// Value keeps its whole chunk alive. A
 // BatchHandler's queue may hold deliveries for as long as their events
 // live; anything that keeps an event longer — a cache key, a log entry,
 // an event handed to a subscriber — keeps a copy (event.Event.Clone).

@@ -408,19 +408,8 @@ func (p *tcpPeer) exchangeLocked(t *TCP) (resp []byte, sent bool, err error) {
 		return nil, true, err
 	}
 	p.body = body
-	dec, err := plainOf(body)
+	dec, err := frame.Payload(body)
 	return dec, true, err
-}
-
-// plainOf strips a frame body's codec: a raw body (every event frame
-// this version writes) is returned without copying — the wire decoders
-// copy out every string and blob they keep — and anything else goes
-// through the frame codec.
-func plainOf(body []byte) ([]byte, error) {
-	if len(body) > 0 && body[0] == frame.HeaderRaw {
-		return body[1:], nil
-	}
-	return frame.Decode(body)
 }
 
 // failLocked tears down the connection after a failed exchange. Only an
@@ -493,7 +482,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var body, plain []byte
 	var ds []Delivery
-	names := make(interner)
+	rs := newReceiver()
 	for {
 		var err error
 		body, err = readFrameInto(br, body[:0], t.cfg.MaxFrame)
@@ -502,7 +491,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		}
 		t.framesIn.Add(1)
 		t.bytesIn.Add(uint64(len(body)))
-		req, err := plainOf(body)
+		req, err := frame.Payload(body)
 		if err != nil || len(req) == 0 {
 			return
 		}
@@ -530,7 +519,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 		}
 		var id BatchID
 		var machine string
-		id, machine, ds, err = names.decodeRequest(req, ds)
+		id, machine, ds, err = rs.decodeRequest(req, ds)
 		if err != nil {
 			return
 		}
@@ -543,7 +532,9 @@ func (t *TCP) serveConn(conn net.Conn) {
 			accepted, rejects, err = clu.DeliverLocal(machine, id, ds)
 			status = statusOf(err)
 		}
-		clear(ds) // the idle connection must not keep the frame's events alive
+		// An idle connection keeps its current chunk, but not the older
+		// chunks and the over-limit values its last frame's events hold.
+		clear(ds)
 		body = encodeResponse(append(body[:0], frame.HeaderRaw), status, accepted, rejects)
 		if err := writeFrame(bw, body); err != nil {
 			return

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -349,5 +350,80 @@ func TestTCPGarbledResponseRefused(t *testing.T) {
 				t.Fatalf("IndeterminateLost = %d, want %d", got, len(ds))
 			}
 		})
+	}
+}
+
+// TestReceivedDeliveriesKeepTheirBytes: the deliveries of one frame sit
+// in a queue, and a consumer reads them, while the connection decodes
+// the frames after it into the same chunk. No key or value changes
+// under the consumer or while it is held, nil and empty values included,
+// whether it was carved or copied on its own past the carve limit.
+func TestReceivedDeliveriesKeepTheirBytes(t *testing.T) {
+	sender, host, _, _ := startTCPPair(t, TCPConfig{})
+	const frames, perFrame = 200, 8
+	want := func(f, i int) event.Event {
+		ev := event.Event{Key: fmt.Sprintf("f%03d/d%d", f, i), Seq: uint64(f*perFrame + i)}
+		switch {
+		case i == 5: // nil value
+		case i == 6:
+			ev.Value = []byte{}
+		case i == 7 && f%10 == 0:
+			ev.Value = bytes.Repeat([]byte{byte(f)}, recvMaxCarve+1+f)
+		default:
+			ev.Value = bytes.Repeat([]byte{byte(f*perFrame + i)}, 1+(f*131+i*977)%3000)
+		}
+		return ev
+	}
+	check := func(ev event.Event) error {
+		f, i := int(ev.Seq)/perFrame, int(ev.Seq)%perFrame
+		w := want(f, i)
+		if ev.Key != w.Key || !bytes.Equal(ev.Value, w.Value) || (ev.Value == nil) != (w.Value == nil) {
+			return fmt.Errorf("frame %d delivery %d: key %q, %d value bytes (nil %v); want %q, %d (nil %v)",
+				f, i, ev.Key, len(ev.Value), ev.Value == nil, w.Key, len(w.Value), w.Value == nil)
+		}
+		return nil
+	}
+
+	// Room for four frames: the connection decodes up to four frames
+	// ahead of the consumer into the chunk the consumer is reading.
+	queued := make(chan event.Event, 4*perFrame)
+	host.SetBatchHandler("machine-01", func(ds []Delivery) []error {
+		for _, d := range ds {
+			queued <- d.Ev
+		}
+		return nil
+	})
+	var held []event.Event
+	consumed := make(chan error, 1)
+	go func() {
+		var err error
+		for ev := range queued {
+			if e := check(ev); e != nil && err == nil {
+				err = e
+			}
+			held = append(held, ev)
+		}
+		consumed <- err
+	}()
+	for f := range frames {
+		ds := make([]Delivery, perFrame)
+		for i := range ds {
+			ds[i] = Delivery{Worker: "U1", Ev: want(f, i)}
+		}
+		if accepted, _, err := sender.SendBatch("machine-01", ds); err != nil || accepted != perFrame {
+			t.Fatalf("frame %d: accepted %d of %d, %v", f, accepted, perFrame, err)
+		}
+	}
+	close(queued)
+	if err := <-consumed; err != nil {
+		t.Fatalf("a queued delivery changed while later frames were decoded: %v", err)
+	}
+	if len(held) != frames*perFrame {
+		t.Fatalf("consumed %d deliveries, want %d", len(held), frames*perFrame)
+	}
+	for _, ev := range held {
+		if err := check(ev); err != nil {
+			t.Fatalf("a held delivery changed after all frames were decoded: %v", err)
+		}
 	}
 }

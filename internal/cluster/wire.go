@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,9 +43,10 @@ import (
 // BenchmarkTransportSendBatch/tcp/tweets). The raw body is exactly what
 // frame.Encode emits for a payload it declines to compress, so receivers
 // from before the change decode it unchanged, and this receiver
-// (plainOf) still accepts their deflated event frames. Query frames keep
-// the codec: scan results compress well and are not on the per-event
-// path.
+// (frame.Payload) still accepts their deflated event frames. Query
+// frames keep the codec: scan results compress well and are not on the
+// per-event path. Every decoder below copies out what it keeps, so a
+// frame body is read in place.
 //
 // Delivery.Tag never crosses the wire: it is a sender-side batch index
 // and rejections are reported by batch position. Reject codes map back
@@ -239,39 +239,69 @@ func (r *wireReader) take(n uint64) []byte {
 
 func (r *wireReader) str() string { return string(r.take(r.uvarint())) }
 
-// aliasStr is str sharing the reader's bytes: no copy, so the bytes
-// must never change afterwards.
-func (r *wireReader) aliasStr() string {
-	b := r.take(r.uvarint())
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
+// receiver is one served connection's decode state. Its interner
+// shares one copy of each small-vocabulary string (sender, machine,
+// worker and stream names) among all the deliveries decoded off the
+// connection, instead of allocating them afresh per delivery. It is
+// bounded in entries and in entry length: once full, unseen strings are
+// allocated as before; a receiver without a names map interns nothing.
+// Names never alias a chunk: the engine keeps them (a worker name is
+// half of every slate key), so each is interned or its own copy.
+//
+// Keys and values, which do not repeat, are carved from the chunk
+// instead, and the deliveries of many frames share its allocation.
+type receiver struct {
+	names map[string]string
+	chunk []byte // the unused tail of the chunk keys and values are carved from
 }
 
-// interner shares one copy of each small-vocabulary string (sender,
-// machine, worker and stream names) among all the deliveries decoded
-// off one connection, instead of allocating them afresh per delivery.
-// It is bounded in entries and in entry length: once full, unseen
-// strings are allocated as before. A nil interner interns nothing.
-// Names never alias a frame: the engine keeps them (a worker name is
-// half of every slate key), so each is interned or its own copy.
-type interner map[string]string
+func newReceiver() *receiver { return &receiver{names: make(map[string]string)} }
 
 const (
 	internCap    = 1024
 	internMaxLen = 64
 )
 
-func (in interner) str(b []byte) string {
-	if s, ok := in[string(b)]; ok {
+// recvChunk is the size of the chunks a connection carves received keys
+// and values from, and recvMaxCarve the largest key or value carved: a
+// larger one is an allocation of its own, so that no chunk is abandoned
+// more than a quarter empty.
+const (
+	recvChunk    = 32 << 10
+	recvMaxCarve = recvChunk / 4
+)
+
+func (rs *receiver) str(b []byte) string {
+	if s, ok := rs.names[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if in != nil && len(in) < internCap && len(s) <= internMaxLen {
-		in[s] = s
+	if rs.names != nil && len(rs.names) < internCap && len(s) <= internMaxLen {
+		rs.names[s] = s
 	}
 	return s
+}
+
+// carve copies b into the next len(b) bytes of the connection's chunk
+// and returns the copy, capped at its length so that an append to it
+// reallocates instead of overwriting the next carve. A chunk too short
+// for b is left for a new one. No byte is carved twice, so a carve is
+// never written again once it is handed out. An empty b gives an empty,
+// non-nil copy.
+func (rs *receiver) carve(b []byte) []byte {
+	n := len(b)
+	switch {
+	case n == 0:
+		return []byte{}
+	case n > recvMaxCarve:
+		return append(make([]byte, 0, n), b...)
+	case n > len(rs.chunk):
+		rs.chunk = make([]byte, recvChunk)
+	}
+	c := rs.chunk[:n:n]
+	copy(c, b)
+	rs.chunk = rs.chunk[n:]
+	return c
 }
 
 func (r *wireReader) blob() []byte {
@@ -326,32 +356,32 @@ func encodeRequest(dst []byte, id BatchID, machine string, ds []Delivery) []byte
 
 // decodeRequest parses a plain request. The deliveries' Tag fields are
 // their batch positions, so server-side rejects report the right index.
-//
-// The request is copied once, and every delivery's Key and Value alias
-// that copy: a frame costs one allocation for its bytes and one for its
-// deliveries, however many it carries, and p may be reused as soon as
-// the call returns. A delivery therefore pins its whole frame for as
-// long as something holds its Key or Value. Queues hold them for the
-// event's lifetime, which is what the sharing is for; whatever keeps an
-// event longer (the slate cache's key, the lost log, the egress sink)
-// keeps its own copy.
+// It decodes through a fresh receiver that interns nothing.
 func decodeRequest(p []byte) (id BatchID, machine string, ds []Delivery, err error) {
-	return interner(nil).decodeRequest(p, nil)
+	return new(receiver).decodeRequest(p, nil)
 }
 
-// decodeRequest is the connection-serving form: names come out of the
-// connection's interner, and the deliveries are appended to ds[:0], so
-// a connection that passes its previous frame's slice back pays only
-// the frame copy.
-func (in interner) decodeRequest(p []byte, ds []Delivery) (id BatchID, machine string, _ []Delivery, err error) {
+// decodeRequest is the connection-serving form. It parses p in place
+// and copies each delivery's Key and Value into the connection's chunk,
+// so p may be reused as soon as the call returns. Names come out of the
+// interner, and the deliveries are appended to ds[:0]: a connection
+// that passes its previous frame's slice back allocates only when its
+// chunk fills, once per recvChunk bytes of keys and values received.
+//
+// A held Key or Value therefore pins its chunk, which the deliveries of
+// the frames before and after it share, and not its frame. Queues hold
+// them for the event's lifetime, which is what the sharing is for;
+// whatever keeps an event longer (the slate cache's entry, the lost
+// log, the egress sink) keeps its own copy.
+func (rs *receiver) decodeRequest(p []byte, ds []Delivery) (id BatchID, machine string, _ []Delivery, err error) {
 	r := wireReader{p: p}
 	if k := r.byte(); r.err == nil && k != wireReq {
 		return BatchID{}, "", nil, fmt.Errorf("cluster: unexpected wire kind %q", k)
 	}
-	id.Sender = in.str(r.take(r.uvarint()))
+	id.Sender = rs.str(r.take(r.uvarint()))
 	id.Epoch = r.uvarint()
 	id.Seq = r.uvarint()
-	machine = in.str(r.take(r.uvarint()))
+	machine = rs.str(r.take(r.uvarint()))
 	n := r.uvarint()
 	if r.err != nil {
 		return BatchID{}, "", nil, r.err
@@ -359,19 +389,21 @@ func (in interner) decodeRequest(p []byte, ds []Delivery) (id BatchID, machine s
 	if n > uint64(len(r.p))/minDeliveryBytes {
 		return BatchID{}, "", nil, errWireTruncated
 	}
-	r.p = bytes.Clone(r.p)
 	if ds == nil || uint64(cap(ds)) < n {
 		ds = make([]Delivery, 0, n)
 	}
 	ds = ds[:0]
 	for i := uint64(0); i < n; i++ {
 		var d Delivery
-		d.Worker = in.str(r.take(r.uvarint()))
-		d.Ev.Stream = in.str(r.take(r.uvarint()))
+		d.Worker = rs.str(r.take(r.uvarint()))
+		d.Ev.Stream = rs.str(r.take(r.uvarint()))
 		d.Ev.TS = event.Timestamp(r.varint())
 		d.Ev.Seq = r.uvarint()
-		d.Ev.Key = r.aliasStr()
-		d.Ev.Value = r.aliasBlob()
+		key := rs.carve(r.take(r.uvarint()))
+		d.Ev.Key = unsafe.String(unsafe.SliceData(key), len(key))
+		if v := r.aliasBlob(); v != nil {
+			d.Ev.Value = rs.carve(v)
+		}
 		d.Ev.Ingress = r.varint()
 		d.Tag = int(i)
 		if r.err != nil {

@@ -141,12 +141,12 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 	}
 	p := encodeRequest(nil, BatchID{Sender: "machine-00", Epoch: 1, Seq: 1}, "machine-01", ds)
 
-	names := make(interner)
+	rs := newReceiver()
 	_, _, want, err := decodeRequest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, err := names.decodeRequest(p, nil)
+	_, _, got, err := rs.decodeRequest(p, nil)
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("interned decode: %d deliveries, err %v", len(got), err)
 	}
@@ -155,11 +155,11 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 			t.Fatalf("delivery %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if len(names) != 4 {
-		t.Fatalf("interner holds %d names after one frame, want 4: %v", len(names), names)
+	if len(rs.names) != 4 {
+		t.Fatalf("interner holds %d names after one frame, want 4: %v", len(rs.names), rs.names)
 	}
 	plain := testing.AllocsPerRun(20, func() { decodeRequest(p) })
-	interned := testing.AllocsPerRun(20, func() { names.decodeRequest(p, nil) })
+	interned := testing.AllocsPerRun(20, func() { rs.decodeRequest(p, nil) })
 	if saved := plain - interned; saved < 2*n {
 		t.Fatalf("interning saved %.0f allocations on %d deliveries (%.0f -> %.0f), want >= %d", saved, n, plain, interned, 2*n)
 	}
@@ -167,11 +167,11 @@ func TestWireInternerSharesNamesAndStaysBounded(t *testing.T) {
 	// Unbounded vocabularies stop being interned, and long strings never
 	// are; both still decode.
 	for i := 0; i < 2*internCap; i++ {
-		names.str([]byte{byte(i), byte(i >> 8), 'x'})
+		rs.str([]byte{byte(i), byte(i >> 8), 'x'})
 	}
 	long := make([]byte, internMaxLen+1)
-	if got := names.str(long); got != string(long) || len(names) != internCap {
-		t.Fatalf("interner grew to %d entries (cap %d) or mangled a long name", len(names), internCap)
+	if got := rs.str(long); got != string(long) || len(rs.names) != internCap {
+		t.Fatalf("interner grew to %d entries (cap %d) or mangled a long name", len(rs.names), internCap)
 	}
 }
 
@@ -315,7 +315,10 @@ func TestPeerFrameNeverWaits(t *testing.T) {
 // describe; what decodeRequest returns is its own, so the caller may
 // overwrite the bytes it decoded at once; and decodeRequest undoes
 // encodeRequest for any delivery, the nil/empty value distinction
-// included, except the no-wait mark, which never crosses.
+// included, except the no-wait mark, which never crosses. One
+// connection's receiver decoding a run of frames out of one reused read
+// buffer, across chunk boundaries and past the carve limit, never
+// changes what it handed out for an earlier frame.
 func FuzzWireFrame(f *testing.F) {
 	golden, _ := hex.DecodeString(goldenMayWaitRequest)
 	current := bytes.Clone(golden)
@@ -337,7 +340,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte(nil), "", "", "", []byte(nil), int64(0), uint64(0), int64(0), false)
 	f.Add([]byte{}, "w", "s", "k", []byte{}, int64(1), uint64(1), int64(1), false)
 	f.Fuzz(func(t *testing.T, data []byte, worker, stream, key string, value []byte, ts int64, seq uint64, ingress int64, noWait bool) {
-		for _, in := range []interner{nil, make(interner)} {
+		for _, in := range []*receiver{new(receiver), newReceiver()} {
 			buf := bytes.Clone(data)
 			_, _, ds, err := in.decodeRequest(buf, nil)
 			if err != nil {
@@ -374,7 +377,7 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		bid := BatchID{Sender: worker, Epoch: seq, Seq: uint64(ts)}
 		enc := encodeRequest(nil, bid, stream, in)
-		gotID, machine, out, err := make(interner).decodeRequest(enc, nil)
+		gotID, machine, out, err := newReceiver().decodeRequest(enc, nil)
 		if err != nil {
 			t.Fatalf("decode of encodeRequest output: %v", err)
 		}
@@ -387,6 +390,39 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("decoded %+v, want %+v", out, in)
+		}
+
+		// Each frame carries the fuzzed delivery, a nil and an empty value,
+		// and a pad of a byte of its own: carved pads of at least half the
+		// carve limit, so the run fills more than a chunk, and every fourth
+		// pad over the limit.
+		rs := newReceiver()
+		var read []byte
+		var sent, got []Delivery
+		for k := range 16 {
+			size := recvMaxCarve/2 + int((seq+uint64(k)*3001)%(recvMaxCarve/2))
+			if k%4 == 3 {
+				size = recvMaxCarve + 1 + k
+			}
+			pad := bytes.Repeat([]byte{byte(k + 1)}, size)
+			frame := []Delivery{
+				{Worker: worker, Ev: event.Event{Stream: stream, Key: key, Value: value}},
+				{Worker: worker, Ev: event.Event{Key: key}, Tag: 1},
+				{Worker: worker, Ev: event.Event{Value: []byte{}}, Tag: 2},
+				{Worker: worker, Ev: event.Event{Key: string(pad[:size%97]), Value: pad}, Tag: 3},
+			}
+			read = encodeRequest(read[:0], bid, stream, frame)
+			_, _, ds, err := rs.decodeRequest(read, nil)
+			if err != nil {
+				t.Fatalf("frame %d: %v", k, err)
+			}
+			for i := range read {
+				read[i] ^= 0xff
+			}
+			sent, got = append(sent, frame...), append(got, ds...)
+			if !reflect.DeepEqual(got, sent) {
+				t.Fatalf("after frame %d the decoded deliveries are %+v, want %+v", k, got, sent)
+			}
 		}
 	})
 }

@@ -102,9 +102,10 @@ func (e Event) String() string {
 }
 
 // Clone returns e with its own copies of Key and Value. A received
-// event's key and value may share the memory of the whole frame it
-// arrived in; a holder that keeps the event past its delivery keeps a
-// clone, so the frame can be freed.
+// event's key and value may share a chunk with the events of many
+// other frames, and an emitted event's value a chunk with other
+// invocations' values; a holder that keeps the event past its delivery
+// keeps a clone, so the chunk can be freed.
 func (e Event) Clone() Event {
 	e.Key = strings.Clone(e.Key)
 	e.Value = bytes.Clone(e.Value)

@@ -154,9 +154,23 @@ func firstNonNil(a, b error) error {
 	return b
 }
 
-// Decode reverses Encode. Empty input, a first byte without the frame
-// bits, and an unknown version are errors.
+// Decode reverses Encode into memory of its own: callers retain
+// decoded values (caches, update functions may mutate them in place),
+// and stored may be live storage memory. Empty input, a first byte
+// without the frame bits, and an unknown version are errors.
 func Decode(stored []byte) ([]byte, error) {
+	raw, err := Payload(stored)
+	if err == nil && stored[0] == HeaderRaw { // raw aliases stored
+		raw = append([]byte(nil), raw...)
+	}
+	return raw, err
+}
+
+// Payload is Decode without the copy: a raw payload is returned as a
+// slice of stored itself, capped at its length, so the caller must not
+// write to it and must copy what it keeps longer than stored stays
+// unchanged. A deflated payload inflates into fresh memory.
+func Payload(stored []byte) ([]byte, error) {
 	if len(stored) == 0 {
 		return nil, fmt.Errorf("frame: decode: empty stored value")
 	}
@@ -168,10 +182,7 @@ func Decode(stored []byte) ([]byte, error) {
 		return nil, fmt.Errorf("frame: decode: unsupported frame version %d", v)
 	}
 	if h&0x01 == 0 { // RawBits: raw payload follows the header
-		// Copy rather than alias stored: callers retain decoded values
-		// (caches, update functions may mutate them in place), and
-		// stored may be live storage memory.
-		return append([]byte(nil), stored[1:]...), nil
+		return stored[1:len(stored):len(stored)], nil
 	}
 	return inflate(stored[1:])
 }

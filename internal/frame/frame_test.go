@@ -71,8 +71,10 @@ func TestDecodeTruncatedFrameErrors(t *testing.T) {
 
 // FuzzDecode feeds Decode arbitrary stored bytes: it must return an
 // error or a value, never panic, and a value it returns must survive
-// Encode and Decode unchanged. (internal/slate's FuzzCodecRoundTrip
-// fuzzes the other direction, arbitrary payloads through Encode.)
+// Encode and Decode unchanged. Payload accepts exactly what Decode
+// accepts and yields the same bytes, and Decode's copy is its own.
+// (internal/slate's FuzzCodecRoundTrip fuzzes the other direction,
+// arbitrary payloads through Encode.)
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{HeaderRaw})
@@ -83,9 +85,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{RawBits | 1<<3, 'h', 'i'})
 	f.Add([]byte("definitely not a frame"))
 	f.Fuzz(func(t *testing.T, stored []byte) {
+		stored = bytes.Clone(stored) // overwritten below
 		raw, err := Decode(stored)
+		view, verr := Payload(stored)
+		if (err == nil) != (verr == nil) || !bytes.Equal(view, raw) {
+			t.Fatalf("Payload = %q, %v; Decode = %q, %v", view, verr, raw, err)
+		}
 		if err != nil {
 			return
+		}
+		want := bytes.Clone(raw)
+		for i := range stored {
+			stored[i] ^= 0xff
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatal("Decode's value changed with the stored bytes")
 		}
 		again, err := Decode(Encode(raw))
 		if err != nil || !bytes.Equal(again, raw) {

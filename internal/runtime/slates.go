@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 
 	"muppet/internal/engine"
@@ -45,7 +46,7 @@ func (r *Runtime) Slate(updater, key string) []byte {
 	}
 	if st := r.slateStore(); st != nil {
 		v, _, _ := st.Load(k)
-		return v
+		return bytes.Clone(v) // v is the store's own memory
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package slate
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"muppet/internal/kvstore"
 )
 
 // tweetish is a slate object with pointers in it, as an application's
@@ -53,5 +56,55 @@ func TestCacheInsertAllocBudget(t *testing.T) {
 	}
 	if got := s.Len(); got != capacity {
 		t.Fatalf("%d slates resident, want %d", got, capacity)
+	}
+}
+
+// TestStoreLoadAllocBudget: a cache miss on a slate the store holds
+// copies the stored row once, into the new entry's block. Loading n
+// stored slates over a real KVStore, into a cache whose map has grown
+// to hold them, allocates the n blocks and nothing else per slate.
+func TestStoreLoadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n, fixed = 512, 4
+	kv := &KVStore{Cluster: kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 1, ReplicationFactor: 1}), Level: kvstore.One}
+	keys := make([]Key, n)
+	recs := make([]BatchRecord, n)
+	for i := range keys {
+		keys[i] = Key{Updater: "U", Key: fmt.Sprintf("user%05d", i)}
+		recs[i] = BatchRecord{K: keys[i], Value: []byte(fmt.Sprintf(`{"user":"user%05d","count":%d}`, i, i))}
+	}
+	if err := kv.SaveBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharded(ShardedConfig{Shards: 1, Capacity: n, Policy: Interval, Store: kv})
+	loadAll := func() {
+		for _, k := range keys {
+			sh := s.shardFor(k)
+			sh.mu.Lock()
+			e, err := s.lookupLocked(sh, k)
+			sh.mu.Unlock()
+			if e == nil || err != nil {
+				t.Fatalf("load %v: %v", k, err)
+			}
+		}
+	}
+	// The first round, AllocsPerRun's warm-up, grows the cache's map;
+	// the slates are deleted after each round, so every load misses.
+	allocs := testing.AllocsPerRun(1, func() {
+		loadAll()
+		for _, k := range keys {
+			s.Delete(k)
+		}
+	})
+	if allocs > n+fixed {
+		t.Fatalf("loading %d stored slates allocated %.0f times, want <= %d (a block each and %d more)", n, allocs, n+fixed, fixed)
+	}
+	loadAll()
+	for i, k := range keys {
+		if v, _ := s.Peek(k); !bytes.Equal(v, recs[i].Value) {
+			t.Fatalf("slate %v = %q, want %q", k, v, recs[i].Value)
+		}
 	}
 }

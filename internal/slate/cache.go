@@ -34,7 +34,9 @@ func (p FlushPolicy) String() string {
 // wraps the kvstore cluster; tests use in-memory fakes.
 type Store interface {
 	// Load fetches the stored slate for k; found=false means the slate
-	// has never been written or has expired.
+	// has never been written or has expired. The value may be the
+	// store's own memory: the caller must not write to it, and copies
+	// what it keeps.
 	Load(k Key) (value []byte, found bool, err error)
 	// SaveBatch persists every record, each with its updater's TTL, as
 	// one multi-put: a group-commit flush batch, or the single record of

@@ -126,17 +126,18 @@
 // the ladder use the same block without the object, or with its room
 // unused. The key's bytes are never written after the block is made.
 //
-// A flush allocates nothing per slate: the encoding lives in the
-// entry's room — the block's at first, then a buffer the cache made for
-// an encoding too large for it — and while the room is the cache's
-// alone, the next encode rewrites it in place. A store-loaded slate is
-// copied into its block's room, so the cache keeps no store memory
+// A flush allocates nothing per slate: the encoding lives in the entry's
+// room — the block's at first, then a buffer the cache made for an
+// encoding too large for it — and while the room is the cache's alone,
+// the next encode rewrites it in place. A store-loaded slate is copied
+// into its block's room, the load's only copy (KVStore.Load hands back
+// the stored row's payload in place), so the cache keeps no store memory
 // alive (a memtable row is a slice of a shared chunk) and its first
 // re-encode is in place too. A save lends the room to the store for the
-// length of SaveBatch, and a Store keeps no value past its SaveBatch,
-// so a save — flush, write-through or eviction — does not end the room;
-// an encode while the save is in flight goes to a new one. What ends it
-// is handing the bytes to someone who may keep them: Get, Peek or a raw
+// length of SaveBatch, and a Store keeps no value past its SaveBatch, so
+// a save — flush, write-through or eviction — does not end the room; an
+// encode while the save is in flight goes to a new one. What ends it is
+// handing the bytes to someone who may keep them: Get, Peek or a raw
 // Scan row. A decode does not, since a Codec's Decode keeps nothing of
 // the bytes it reads. A byte Put's value is the caller's and lives
 // outside the room.

@@ -3,6 +3,7 @@ package slate
 import (
 	"sync"
 
+	"muppet/internal/frame"
 	"muppet/internal/kvstore"
 )
 
@@ -30,13 +31,17 @@ type saveScratch struct {
 
 var saveScratchPool = sync.Pool{New: func() any { return new(saveScratch) }}
 
-// Load implements Store.
+// Load implements Store. A raw row's payload is handed back in place,
+// not copied: the cache copies it into its entry's block, and the store
+// never rewrites a row it has handed out (a memtable row stays as Get
+// found it, and a segment read is fresh memory). Whoever else keeps a
+// loaded slate copies it. A deflated row inflates into fresh memory.
 func (s *KVStore) Load(k Key) ([]byte, bool, error) {
 	v, found, _, err := s.Cluster.Get(k.Key, k.Updater, s.Level)
 	if err != nil || !found {
 		return nil, false, err
 	}
-	raw, err := Decode(v)
+	raw, err := frame.Payload(v)
 	if err != nil {
 		return nil, false, err
 	}

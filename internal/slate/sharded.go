@@ -248,9 +248,10 @@ func (s *Sharded) lookupLocked(sh *shard, k Key) (*entry, error) {
 	if err != nil || !found {
 		return nil, err
 	}
-	// The entry keeps a copy in its own room: the store's bytes may be
-	// part of a larger buffer (a memtable chunk) it must not keep alive,
-	// and the copy is the entry's to rewrite at its next encode.
+	// The entry keeps a copy in its own room, the only copy the load
+	// makes: the store's bytes may be part of a larger buffer (a memtable
+	// chunk) it must not keep alive, and the copy is the entry's to
+	// rewrite at its next encode.
 	e, _ := newEntry[struct{}](k, grown(len(v)))
 	e.hold(v)
 	if sh.dead {
