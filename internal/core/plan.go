@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 	"unsafe"
 
@@ -48,9 +49,9 @@ type fieldPlan struct {
 	// strs: the type holds a string (or a slice of them) somewhere, so a
 	// decode may hand out slices of the document.
 	strs bool
-	// chunks: a cursor into a chunk of blocks per step of newBlock's
-	// ladder, which Payload's decodes of the type are carved from.
-	chunks [blockClasses]sync.Pool
+	// carve: where a PayloadChunks keeps the cursors Payload's decodes
+	// of the type are carved from; given to every plan with strs.
+	carve int
 }
 
 // planField is one struct field: its JSON name and the plan of its type.
@@ -64,6 +65,8 @@ type planField struct {
 
 var (
 	plans sync.Map // reflect.Type -> *fieldPlan; nil when the type has none
+	// carves counts the plans given a fieldPlan.carve.
+	carves atomic.Int32
 	// customJSON are the interfaces through which a type takes over its
 	// own encoding or decoding.
 	customJSON = []reflect.Type{
@@ -131,6 +134,9 @@ func buildPlan(t reflect.Type) *fieldPlan {
 		}
 	default:
 		return nil
+	}
+	if p.strs {
+		p.carve = int(carves.Add(1) - 1)
 	}
 	return p
 }

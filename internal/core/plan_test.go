@@ -89,18 +89,21 @@ func kindsOf(s string, i int64, u uint64, f64 float64, f32 float32, b bool) code
 }
 
 // diffDecode decodes doc into a T through JSONCodec, through Payload
-// (whose block is carved from a shared chunk) and through
-// json.Unmarshal; it then re-encodes encoding/json's value both ways.
+// under a foreign emitter (a block of its own), through Payload's decode
+// into a block carved from a chunk, and through json.Unmarshal; it then
+// re-encodes encoding/json's value both ways.
 func diffDecode[T any](t *testing.T, doc []byte) {
 	t.Helper()
 	want := new(T)
 	werr := json.Unmarshal(doc, want)
+	var chunks PayloadChunks
 	for _, dec := range []struct {
 		name string
 		fn   func([]byte) (*T, error)
 	}{
 		{"codec", JSONCodec[T]{}.Decode},
 		{"payload", func(b []byte) (*T, error) { return Payload[T](&captureEmitter{}, event.Event{Value: b}) }},
+		{"carved", func(b []byte) (*T, error) { return decodeJSON[T](planOf(reflect.TypeFor[T]()), b, &chunks) }},
 	} {
 		got, gerr := dec.fn(doc)
 		if reflect.TypeOf(gerr) != reflect.TypeOf(werr) || gerr != nil && gerr.Error() != werr.Error() {

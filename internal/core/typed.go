@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"reflect"
-	"sync"
 	"unsafe"
 
 	"muppet/internal/event"
@@ -47,7 +46,7 @@ type JSONCodec[S any] struct{}
 
 // Decode implements Codec.
 func (JSONCodec[S]) Decode(data []byte) (*S, error) {
-	return decodeJSON[S](planOf(reflect.TypeFor[S]()), data, false)
+	return decodeJSON[S](planOf(reflect.TypeFor[S]()), data, nil)
 }
 
 // AppendEncode implements Codec.
@@ -63,17 +62,17 @@ func (JSONCodec[S]) AppendEncode(dst []byte, s *S) ([]byte, error) {
 // copy, so any one of them keeps the whole block, the value included,
 // alive. Nothing writes to the copy once the decode is done. The block
 // is typed, so storing another string into a decoded field later is as
-// safe as in any other value. With carve the block is cut from a chunk
-// shared with other decodes of S, and keeps that chunk alive; without
-// it the block is one allocation of its own. A declined document goes
-// to encoding/json whole, into a fresh *S.
-func decodeJSON[S any](p *fieldPlan, data []byte, carve bool) (*S, error) {
+// safe as in any other value. With chunks the block is cut from a chunk
+// those chunks hold for S, shared with other decodes of S, and keeps
+// that chunk alive; without them it is one allocation of its own. A
+// declined document goes to encoding/json whole, into a fresh *S.
+func decodeJSON[S any](p *fieldPlan, data []byte, chunks *PayloadChunks) (*S, error) {
 	if p != nil && p.strs && len(data) <= maxBlockDoc {
-		var chunks *[blockClasses]sync.Pool
-		if carve {
-			chunks = &p.chunks
+		var cursors *[blockClasses]any
+		if chunks != nil {
+			cursors = chunks.of(p)
 		}
-		s, doc, strs := newBlock[S](len(data), chunks)
+		s, doc, strs := newBlock[S](len(data), cursors)
 		d := decoder{data: doc[:copy(doc, data)], strs: strs}
 		if len(data) > 0 {
 			d.doc = unsafe.String(&doc[0], len(data))
@@ -102,12 +101,15 @@ func decodeJSON[S any](p *fieldPlan, data []byte, carve bool) (*S, error) {
 // is under 200 bytes, and a process's peak memory follows the bytes its
 // payloads take. A larger document keeps a separate value and copy.
 // blockClasses is the number of steps on newBlock's ladder, and
-// chunkBytes the size of a chunk carved blocks are cut from.
+// chunkBytes the size of a chunk carved blocks are cut from: 16 KiB,
+// about fifty tweets, so a worker thread starts one every fifty or so
+// decodes of a type; a string kept from a payload keeps its whole chunk
+// alive.
 const (
 	maxBlockDoc  = 256
 	blockStrings = 2
 	blockClasses = 7
-	chunkBytes   = 4096
+	chunkBytes   = 16 << 10
 )
 
 // newBlock returns a value of S together with room for blockStrings
@@ -115,24 +117,24 @@ const (
 // returns the value, the document room and the string room. Each step
 // of the ladder is at most half again the one below, so a document
 // fills more than two thirds of its room once it is past the first.
-// The block is carved from chunks[class] when chunks is non-nil and
+// The block is carved from cursors[class] when cursors is non-nil and
 // allocated alone when it is nil.
-func newBlock[S any](n int, chunks *[blockClasses]sync.Pool) (*S, []byte, []string) {
+func newBlock[S any](n int, cursors *[blockClasses]any) (*S, []byte, []string) {
 	switch {
 	case n <= 32:
-		return block[S, [32]byte](chunks, 0)
+		return block[S, [32]byte](cursors, 0)
 	case n <= 48:
-		return block[S, [48]byte](chunks, 1)
+		return block[S, [48]byte](cursors, 1)
 	case n <= 64:
-		return block[S, [64]byte](chunks, 2)
+		return block[S, [64]byte](cursors, 2)
 	case n <= 96:
-		return block[S, [96]byte](chunks, 3)
+		return block[S, [96]byte](cursors, 3)
 	case n <= 128:
-		return block[S, [128]byte](chunks, 4)
+		return block[S, [128]byte](cursors, 4)
 	case n <= 192:
-		return block[S, [192]byte](chunks, 5)
+		return block[S, [192]byte](cursors, 5)
 	}
-	return block[S, [maxBlockDoc]byte](chunks, 6)
+	return block[S, [maxBlockDoc]byte](cursors, 6)
 }
 
 // blockOf is one block: a value, its string room and its document
@@ -144,37 +146,54 @@ type blockOf[S, D any] struct {
 }
 
 // block returns a blockOf[S, D]'s three parts: carved from
-// chunks[class] when chunks is non-nil, else allocated alone.
-func block[S, D any](chunks *[blockClasses]sync.Pool, class int) (*S, []byte, []string) {
+// cursors[class] when cursors is non-nil, else allocated alone.
+func block[S, D any](cursors *[blockClasses]any, class int) (*S, []byte, []string) {
 	var b *blockOf[S, D]
-	if chunks == nil {
+	if cursors == nil {
 		b = new(blockOf[S, D])
 	} else {
-		b = carveBlock[S, D](&chunks[class])
+		b = carveBlock[S, D](&cursors[class])
 	}
 	return &b.v, unsafe.Slice((*byte)(unsafe.Pointer(&b.doc)), unsafe.Sizeof(b.doc)), b.strs[:]
+}
+
+// PayloadChunks is the memory Payload carves one emitter's decoded
+// payloads from: per payload type and step of newBlock's ladder, a
+// cursor into a chunk of about chunkBytes. The engines' emitter holds
+// one and is used by one goroutine at a time (a worker thread's), so
+// carving takes no lock and hands no block out twice. The zero value
+// is ready to use.
+type PayloadChunks struct {
+	cursors [][blockClasses]any // by fieldPlan.carve; each a *blockCursor
+}
+
+// of returns the cursors of p's type, making room for them on the first
+// decode of that type.
+func (pc *PayloadChunks) of(p *fieldPlan) *[blockClasses]any {
+	if p.carve >= len(pc.cursors) {
+		pc.cursors = append(pc.cursors, make([][blockClasses]any, p.carve+1-len(pc.cursors))...)
+	}
+	return &pc.cursors[p.carve]
 }
 
 // blockCursor is the unused tail of a chunk of blocks.
 type blockCursor[S, D any] struct{ free []blockOf[S, D] }
 
-// carveBlock cuts the next zero block from the cursor that pool holds,
-// and starts a chunk of about chunkBytes when that one is used up. A
-// cursor is held by one goroutine between Get and Put, so no block is
-// handed out twice; sync.Pool keeps one per P, so no lock is taken. A
-// block handed out is never written by the pool again: the decode
-// fills it, and a declined one is left as it is.
-func carveBlock[S, D any](pool *sync.Pool) *blockOf[S, D] {
-	c, _ := pool.Get().(*blockCursor[S, D])
+// carveBlock cuts the next zero block from the cursor in slot, and
+// starts a chunk of about chunkBytes when that one is used up. A block
+// handed out is never written by the cursor again: the decode fills it,
+// and a declined one is left as it is.
+func carveBlock[S, D any](slot *any) *blockOf[S, D] {
+	c, _ := (*slot).(*blockCursor[S, D])
 	if c == nil {
 		c = new(blockCursor[S, D])
+		*slot = c
 	}
 	if len(c.free) == 0 {
 		c.free = make([]blockOf[S, D], max(1, chunkBytes/unsafe.Sizeof(blockOf[S, D]{})))
 	}
 	b := &c.free[0]
 	c.free = c.free[1:]
-	pool.Put(c)
 	return b
 }
 
@@ -246,18 +265,22 @@ func (RawCodec) AppendEncode(dst []byte, s *[]byte) ([]byte, error) {
 // not be modified. Other emitters (the Reference's) decode every call.
 // The decode is JSONCodec's, so the object and the error are exactly
 // json.Unmarshal's. For a small document the object and a copy of the
-// bytes its strings are slices of are one block, cut from a chunk of
-// about 4 KiB shared with other payloads of T: a string kept from it
-// (in a slate, say) keeps that whole chunk alive. Clone what a slate
-// keeps, as topurls' U_top does with the URLs it keys its table by.
+// bytes its strings are slices of are one block. Under the engines'
+// emitter that block is cut from a 16 KiB chunk the emitter's worker
+// thread owns and shares with its other payloads of T: a string kept
+// from it (in a slate, say) keeps that whole chunk alive. Clone what a
+// slate keeps, as topurls' U_top does with the URLs it keys its table
+// by. Under other emitters the block is an allocation of its own.
 func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 	memo, _ := emit.(payloadMemo)
+	var chunks *PayloadChunks
 	if memo != nil {
 		if p, ok := memo.PayloadOf(in.Value).(*T); ok {
 			return p, nil
 		}
+		chunks = memo.PayloadChunks()
 	}
-	p, err := decodeJSON[T](planOf(reflect.TypeFor[T]()), in.Value, true)
+	p, err := decodeJSON[T](planOf(reflect.TypeFor[T]()), in.Value, chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +291,12 @@ func Payload[T any](emit Emitter, in event.Event) (*T, error) {
 }
 
 // payloadMemo is the engines' emitter. It answers only for the input's
-// own bytes (same array, same length), never for a copy or sub-slice.
+// own bytes (same array, same length), never for a copy or sub-slice,
+// and holds the chunks its goroutine's payload decodes are carved from.
 type payloadMemo interface {
 	PayloadOf(value []byte) any
 	NotePayload(value []byte, decoded any)
+	PayloadChunks() *PayloadChunks
 }
 
 // PublishPayload publishes v, JSON-encoded, to stream under key: the
@@ -422,7 +447,7 @@ func (e erasedCodec[S]) Decode(data []byte) (any, error) {
 	var s *S
 	var err error
 	if e.plan != nil {
-		s, err = decodeJSON[S](e.plan, data, false)
+		s, err = decodeJSON[S](e.plan, data, nil)
 	} else {
 		s, err = e.c.Decode(data)
 	}

@@ -185,16 +185,17 @@ func TestEmitterArenaIsolation(t *testing.T) {
 	if !adjacent(early[2].Value, next.Value) || string(next.Value) != "next" {
 		t.Fatalf("value after an appended one = %q, adjacent %v", next.Value, adjacent(early[2].Value, next.Value))
 	}
-	// A value larger than a chunk is allocated apart: the chunk goes on
-	// where it was. Then enough invocations to fill many more chunks.
-	big := bytes.Repeat([]byte("B"), 5<<10)
+	// A value larger than a 16 KiB chunk is allocated apart: the chunk
+	// goes on where it was. Then enough invocations to fill several more
+	// chunks.
+	big := bytes.Repeat([]byte("B"), 17<<10)
 	if got := publishOne("big", big); !bytes.Equal(got.Value, big) || cap(got.Value) != len(big) {
 		t.Fatalf("a %d-byte value arrived as %d bytes, cap %d", len(big), len(got.Value), cap(got.Value))
 	}
 	if after := publishOne("after", []byte("after")); !adjacent(next.Value, after.Value) {
 		t.Fatal("a value larger than the chunk took the chunk's place")
 	}
-	for i := range 1000 {
+	for i := range 2000 {
 		publishOne("later", bytes.Repeat([]byte{byte('a' + i%26)}, 40))
 	}
 	for i, ev := range early {

@@ -140,13 +140,22 @@ type machine struct {
 	// acquisition instead of a machine-wide one).
 	locks *slateLockTable
 
-	// scratchPool recycles batch-dispatch scratch space.
-	scratchPool sync.Pool
+	// spare holds the batch-dispatch scratch not in use, under
+	// spareMu. A scratch keeps the capacity its slices grew to for as
+	// long as the machine lives, up to spareEnvelopes; a sync.Pool would
+	// drop it at every other GC, and each new one regrow from nothing.
+	spareMu sync.Mutex
+	spare   []*dispatchScratch
 }
+
+// spareEnvelopes is the most envelopes a spare dispatch scratch keeps
+// room for: a larger one (a bulk ingest's) is left to the GC rather
+// than kept for the machine's life.
+const spareEnvelopes = 1024
 
 // dispatchScratch is one batch dispatch's working memory: per-thread
 // cached queue depths, staged envelopes and their positions in the batch.
-// Pooled with its capacity, so steady batched ingest allocates nothing.
+// Kept with its capacity, so steady batched ingest allocates nothing.
 type dispatchScratch struct {
 	lens []int
 	envs [][]engine.Envelope
@@ -154,7 +163,12 @@ type dispatchScratch struct {
 }
 
 func (m *machine) scratch() *dispatchScratch {
-	sc, _ := m.scratchPool.Get().(*dispatchScratch)
+	var sc *dispatchScratch
+	m.spareMu.Lock()
+	if n := len(m.spare); n > 0 {
+		sc, m.spare = m.spare[n-1], m.spare[:n-1]
+	}
+	m.spareMu.Unlock()
 	if sc == nil {
 		sc = &dispatchScratch{
 			lens: make([]int, len(m.Queues)),
@@ -169,12 +183,19 @@ func (m *machine) scratch() *dispatchScratch {
 }
 
 func (m *machine) release(sc *dispatchScratch) {
+	room := 0
 	for i := range sc.envs {
-		clear(sc.envs[i]) // a pooled envelope must not keep its frame alive
+		clear(sc.envs[i]) // a kept envelope must not keep its frame alive
 		sc.envs[i] = sc.envs[i][:0]
 		sc.idxs[i] = sc.idxs[i][:0]
+		room += cap(sc.envs[i])
 	}
-	m.scratchPool.Put(sc)
+	if room > spareEnvelopes {
+		return
+	}
+	m.spareMu.Lock()
+	m.spare = append(m.spare, sc)
+	m.spareMu.Unlock()
 }
 
 // Engine is Muppet 2.0: the shared runtime dispatching into one thread

@@ -34,8 +34,9 @@ func TestGetMissAllocBudget(t *testing.T) {
 }
 
 // TestPutBatchAllocBudget: a node overwrites n rows in at most 2
-// allocations in all, and the cluster's grouping of them by replica adds
-// a fixed few per batch, whatever n is.
+// allocations in all, PutBatch's grouping of them by replica adds a
+// fixed few per batch, whatever n is, and PutBatchWith's, in scratch the
+// caller keeps, none.
 func TestPutBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -47,14 +48,22 @@ func TestPutBatchAllocBudget(t *testing.T) {
 		}
 		node := NewNode("n", NodeConfig{})
 		node.PutBatch(entries) // the keys' memtable rows exist from here on
-		if n := testing.AllocsPerRun(50, func() { node.PutBatch(entries) }); n > 2 {
-			t.Errorf("Node.PutBatch of %d overwrites allocated %.0f times, want <= 2", rows, n)
+		perNode := testing.AllocsPerRun(50, func() { node.PutBatch(entries) })
+		if perNode > 2 {
+			t.Errorf("Node.PutBatch of %d overwrites allocated %.0f times, want <= 2", rows, perNode)
 		}
 		for _, nodes := range []int{1, 3} {
 			c := testCluster(nodes, nodes)
 			c.PutBatch(entries, One)
 			if n := testing.AllocsPerRun(50, func() { c.PutBatch(entries, One) }); n > 6 {
 				t.Errorf("Cluster.PutBatch of %d rows at RF %d allocated %.0f times, want <= 6", rows, nodes, n)
+			}
+			var sc BatchScratch
+			c.PutBatchWith(&sc, entries, One)
+			n := testing.AllocsPerRun(50, func() { c.PutBatchWith(&sc, entries, One) })
+			t.Logf("%d rows at RF %d: %.0f allocations, a node's overwrite %.0f", rows, nodes, n, perNode)
+			if n > float64(nodes)*perNode {
+				t.Errorf("Cluster.PutBatchWith of %d rows at RF %d allocated %.0f times, want <= its %d nodes' %.0f", rows, nodes, n, nodes, float64(nodes)*perNode)
 			}
 		}
 	}

@@ -312,67 +312,93 @@ func (c *Cluster) each(key, column string, level Consistency, op func(*Node) err
 // of acknowledgements the consistency level requires; otherwise the
 // first under-replicated entry is reported (writes that did land are
 // not rolled back, matching per-entry Put semantics). Grouping costs a
-// fixed number of allocations per batch, whatever its size.
+// fixed number of allocations per batch, whatever its size; PutBatchWith
+// costs none once its scratch has grown.
 func (c *Cluster) PutBatch(entries []BatchEntry, level Consistency) (time.Duration, error) {
+	return c.PutBatchWith(new(BatchScratch), entries, level)
+}
+
+// BatchScratch is the working memory of a multi-put: its replica
+// groups, the one backing array the groups' entries are windows of, and
+// the acknowledgements per entry. It keeps its capacity between calls
+// and nothing of a batch once the call returns.
+type BatchScratch struct {
+	groups []batchGroup
+	all    []BatchEntry
+	idx    []int
+	acks   []int
+}
+
+// batchGroup is one replica node's share of a batch.
+type batchGroup struct {
+	name    string
+	n       int
+	entries []BatchEntry
+	idx     []int
+}
+
+// group returns the group of node name, adding it if it has none yet.
+func (sc *BatchScratch) group(name string) *batchGroup {
+	for i := range sc.groups {
+		if sc.groups[i].name == name {
+			return &sc.groups[i]
+		}
+	}
+	sc.groups = append(sc.groups, batchGroup{name: name})
+	return &sc.groups[len(sc.groups)-1]
+}
+
+// PutBatchWith is PutBatch in the caller's scratch, which one call uses
+// at a time.
+func (c *Cluster) PutBatchWith(sc *BatchScratch, entries []BatchEntry, level Consistency) (time.Duration, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
 	need := level.required(c.cfg.ReplicationFactor)
 	// Count each node's share first, so that every group is a window of
-	// one backing array and grouping allocates per batch, not per row.
-	type group struct {
-		name    string
-		n       int
-		entries []BatchEntry
-		idx     []int
-	}
-	groups := make([]group, 0, len(c.nodes))
-	find := func(name string) *group {
-		for i := range groups {
-			if groups[i].name == name {
-				return &groups[i]
-			}
-		}
-		groups = append(groups, group{name: name})
-		return &groups[len(groups)-1]
-	}
+	// one backing array.
+	sc.groups = sc.groups[:0]
 	var buf [stackReplicas]string
 	total := 0
 	for _, e := range entries {
 		for _, name := range c.replicas(buf[:0], e.Key, e.Column) {
-			find(name).n++
+			sc.group(name).n++
 			total++
 		}
 	}
 	// Sorted node order keeps the jitter sequence deterministic.
-	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.name, b.name) })
-	all, idx := make([]BatchEntry, total), make([]int, total)
-	for i := range groups {
-		g := &groups[i]
+	slices.SortFunc(sc.groups, func(a, b batchGroup) int { return strings.Compare(a.name, b.name) })
+	sc.all, sc.idx = slices.Grow(sc.all[:0], total)[:total], slices.Grow(sc.idx[:0], total)[:total]
+	all, idx := sc.all, sc.idx
+	for i := range sc.groups {
+		g := &sc.groups[i]
 		g.entries, all = all[:0:g.n], all[g.n:]
 		g.idx, idx = idx[:0:g.n], idx[g.n:]
 	}
 	for i, e := range entries {
 		for _, name := range c.replicas(buf[:0], e.Key, e.Column) {
-			g := find(name)
+			g := sc.group(name)
 			g.entries = append(g.entries, e)
 			g.idx = append(g.idx, i)
 		}
 	}
-	acks := make([]int, len(entries))
+	sc.acks = slices.Grow(sc.acks[:0], len(entries))[:len(entries)]
+	clear(sc.acks)
 	var maxLat time.Duration
-	for _, g := range groups {
+	for _, g := range sc.groups {
 		if err := c.nodes[g.name].PutBatch(g.entries); err != nil {
 			continue
 		}
 		for _, i := range g.idx {
-			acks[i]++
+			sc.acks[i]++
 		}
 		if lat := c.cfg.NetworkRTT + c.jitter(); lat > maxLat {
 			maxLat = lat
 		}
 	}
-	for i, a := range acks {
+	// The scratch must not keep the batch's keys and values alive.
+	clear(sc.all)
+	for i, a := range sc.acks {
 		if a < need {
 			return maxLat, fmt.Errorf("%w: batch entry %d (%s/%s) got %d acks, need %d",
 				ErrUnavailable, i, entries[i].Key, entries[i].Column, a, need)

@@ -237,13 +237,15 @@ func (n *Node) Get(key, column string) ([]byte, lsm.Row, bool, error) {
 	if n.down {
 		return nil, lsm.Row{}, false, ErrNodeDown{n.name}
 	}
-	// The engine only compares the key (the row it returns has its own),
-	// so the lookup can borrow the scratch buffer.
+	// The engine only compares the key, so the lookup can borrow the
+	// scratch buffer. A segment hit hands that key back as the row's,
+	// so the row leaves without it.
 	n.key = appendRowKey(n.key[:0], key, column)
 	r, ok, _, err := n.eng.Get(unsafe.String(unsafe.SliceData(n.key), len(n.key)))
 	if err != nil {
 		return nil, lsm.Row{}, false, err
 	}
+	r.Key = ""
 	if !ok || r.Deleted(n.cfg.Clock.Now()) {
 		return nil, r, false, nil
 	}

@@ -96,6 +96,8 @@ type Engine struct {
 	next   uint64 // next file sequence number
 	stats  Stats
 	closed bool
+	// readBuf is the block buffer of Get's segment reads, under mu.
+	readBuf []byte
 	// broken is set when a WAL sync or manifest commit fails and the
 	// on-disk state is no longer known to match memory. The engine goes
 	// fail-stop for writes: acknowledging anything more could be lost on
@@ -288,7 +290,8 @@ func (e *Engine) Put(rows []Row) (flushed int64, err error) {
 // Get returns the newest stored version of key, including tombstones
 // and expired rows — visibility is the caller's decision (Row.Deleted;
 // Scan applies it). The row's bytes are the caller's to keep: later
-// puts never change them. bytesRead is the segment bytes the probe read
+// puts never change them. A row found in a segment carries key itself
+// as its Key. bytesRead is the segment bytes the probe read
 // off the FS, the same bytes Stats.BytesRead counts; a memtable hit
 // reads none.
 func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
@@ -308,7 +311,7 @@ func (e *Engine) Get(key string) (r Row, ok bool, bytesRead int64, err error) {
 			continue
 		}
 		e.stats.SegmentProbes++
-		r, ok, n, err := seg.get(key)
+		r, ok, n, err := seg.get(key, &e.readBuf)
 		bytesRead += n
 		e.stats.BytesRead += n
 		if err != nil {

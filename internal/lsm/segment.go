@@ -87,34 +87,43 @@ func decodeRow(data []byte) (Row, []byte, error) {
 // which it returns still framed (enc aliases data), with the remaining
 // bytes. Readers that may skip the row pay no frame decode for it.
 func decodeRowHead(data []byte) (r Row, enc, rest []byte, err error) {
+	key, r, enc, rest, err := decodeRowKey(data)
+	r.Key = string(key)
+	return r, enc, rest, err
+}
+
+// decodeRowKey is decodeRowHead with the key left in data: r.Key is
+// empty, and key aliases data. A reader that only compares the key
+// turns no key into a string.
+func decodeRowKey(data []byte) (key []byte, r Row, enc, rest []byte, err error) {
 	klen, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < klen {
-		return r, nil, nil, fmt.Errorf("lsm: row: truncated key")
+		return nil, r, nil, nil, fmt.Errorf("lsm: row: truncated key")
 	}
-	r.Key = string(data[n : n+int(klen)])
+	key = data[n : n+int(klen)]
 	data = data[n+int(klen):]
 	wt, n := binary.Uvarint(data)
 	if n <= 0 {
-		return r, nil, nil, fmt.Errorf("lsm: row: truncated write time")
+		return nil, r, nil, nil, fmt.Errorf("lsm: row: truncated write time")
 	}
 	r.WriteTime = time.Unix(0, int64(wt))
 	data = data[n:]
 	ttl, n := binary.Uvarint(data)
 	if n <= 0 {
-		return r, nil, nil, fmt.Errorf("lsm: row: truncated ttl")
+		return nil, r, nil, nil, fmt.Errorf("lsm: row: truncated ttl")
 	}
 	r.TTL = time.Duration(ttl)
 	data = data[n:]
 	if len(data) < 1 {
-		return r, nil, nil, fmt.Errorf("lsm: row: truncated flags")
+		return nil, r, nil, nil, fmt.Errorf("lsm: row: truncated flags")
 	}
 	r.Tombstone = data[0]&rowFlagTombstone != 0
 	data = data[1:]
 	vlen, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < vlen {
-		return r, nil, nil, fmt.Errorf("lsm: row: truncated value")
+		return nil, r, nil, nil, fmt.Errorf("lsm: row: truncated value")
 	}
-	return r, data[n : n+int(vlen)], data[n+int(vlen):], nil
+	return key, r, data[n : n+int(vlen)], data[n+int(vlen):], nil
 }
 
 // decodeValue decodes the framed value enc of row r (as decodeRowHead
@@ -339,8 +348,11 @@ func openSegment(fs FS, dir string, seq uint64) (*segment, error) {
 // is the only one: segments hold one version per key). ok reports
 // whether the key is present; bytesRead is the data read off the
 // FS for the probe. The bloom filter must be consulted by the
-// caller (the engine counts skips).
-func (s *segment) get(key string) (r Row, ok bool, bytesRead int64, err error) {
+// caller (the engine counts skips). The block is read into *buf, grown
+// when it is too small, and its keys are compared in place: a miss
+// allocates nothing. Nothing returned aliases *buf: a hit's key is key
+// itself and its value is decoded into fresh memory.
+func (s *segment) get(key string, buf *[]byte) (r Row, ok bool, bytesRead int64, err error) {
 	// Largest indexed key <= key bounds the block to read.
 	i := sort.SearchStrings(s.indexKeys, key)
 	if i < len(s.indexKeys) && s.indexKeys[i] == key {
@@ -355,23 +367,27 @@ func (s *segment) get(key string) (r Row, ok bool, bytesRead int64, err error) {
 	if i+1 < len(s.indexOffs) {
 		end = s.indexOffs[i+1]
 	}
-	block := make([]byte, end-start)
+	if n := int(end - start); cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	block := (*buf)[:end-start]
 	if _, err := s.f.ReadAt(block, start); err != nil {
 		return Row{}, false, int64(len(block)), fmt.Errorf("lsm: segment %s: read block: %w", s.path, err)
 	}
 	bytesRead = int64(len(block))
 	for len(block) > 0 {
-		row, enc, rest, err := decodeRowHead(block)
+		k, row, enc, rest, err := decodeRowKey(block)
 		if err != nil {
 			return Row{}, false, bytesRead, fmt.Errorf("lsm: segment %s: %w", s.path, err)
 		}
-		if row.Key == key {
+		if string(k) == key {
+			row.Key = key
 			if row.Value, err = decodeValue(row, enc); err != nil {
 				return Row{}, false, bytesRead, fmt.Errorf("lsm: segment %s: %w", s.path, err)
 			}
 			return row, true, bytesRead, nil
 		}
-		if row.Key > key {
+		if string(k) > key {
 			return Row{}, false, bytesRead, nil
 		}
 		block = rest

@@ -3,12 +3,14 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"muppet/internal/bloom"
+	"muppet/internal/clock"
 )
 
 // segRows is a small sorted run spanning several index strides, with a
@@ -172,11 +174,12 @@ func FuzzOpenSegment(f *testing.F) {
 		if len(keys) > len(img)/minRowBytes {
 			t.Fatalf("cursor returned %d rows from %d bytes", len(keys), len(img))
 		}
+		var buf []byte
 		for _, k := range append([]string{"", "key-a", "key-f", "zzz"}, seg.indexKeys...) {
-			seg.get(k)
+			seg.get(k, &buf)
 		}
 		for _, k := range keys {
-			seg.get(k)
+			seg.get(k, &buf)
 		}
 	})
 }
@@ -235,5 +238,46 @@ func TestUnclosedEnginesHoldNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines before 1000 unclosed engines, %d after", before, after)
+	}
+}
+
+// TestSegmentGetAllocBudget: a segment point read compares the keys it
+// steps past in the read buffer the engine owns, so a hit allocates once
+// (its value's copy out of the frame) and a miss inside a block not at
+// all, however many rows it steps past.
+func TestSegmentGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ck := clock.NewFake(t0)
+	e := mustOpen(t, NewMemFS(), ck)
+	defer e.Close()
+	for i := 0; i < 64; i += 2 {
+		put(t, e, ck, fmt.Sprintf("key-%03d", i), `{"n":1}`)
+	}
+	if _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seg := e.segs[0]
+	var buf []byte
+	for _, c := range []struct {
+		key    string
+		found  bool
+		budget float64
+	}{
+		{"key-000", true, 1}, // the first row of a block
+		{"key-006", true, 1}, // the last of one, three rows stepped past
+		{"key-005", false, 0},
+		{"key-061", false, 0},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			r, ok, _, err := seg.get(c.key, &buf)
+			if err != nil || ok != c.found || ok && (r.Key != c.key || string(r.Value) != `{"n":1}`) {
+				t.Fatalf("get(%q) = %+v, %v, %v", c.key, r, ok, err)
+			}
+		})
+		if n > c.budget {
+			t.Errorf("get(%q), found %v: %.0f allocations, want <= %.0f", c.key, c.found, n, c.budget)
+		}
 	}
 }

@@ -24,7 +24,9 @@ import (
 // moves them into the emitter's chunk for the derived events. The one
 // exception is the invocation's input value re-published as is: it is
 // already immutable and shared, so it is shared once more, with the
-// object core.Payload decoded from it, if any.
+// object core.Payload decoded from it, if any. The payloads core.Payload
+// decodes are carved from chunks the emitter holds, which, like the
+// emitter, one goroutine uses at a time.
 type Emitter struct {
 	app      *core.App
 	function string
@@ -34,6 +36,7 @@ type Emitter struct {
 	outputs  []emitted
 	vals     []byte // scratch arena holding every copied value
 	chunk    []byte // the block Emit hands values out of (emitChunk)
+	payloads core.PayloadChunks
 	newSlate []byte
 	replaced bool
 	// one is the frame of one each output is handed to the courier in:
@@ -113,6 +116,10 @@ func (c *Emitter) NotePayload(value []byte, decoded any) {
 		c.decoded = decoded
 	}
 }
+
+// PayloadChunks returns the chunks core.Payload carves this emitter's
+// decodes from.
+func (c *Emitter) PayloadChunks() *core.PayloadChunks { return &c.payloads }
 
 // ReplaceSlate implements core.Emitter.
 func (c *Emitter) ReplaceSlate(value []byte) {
@@ -222,11 +229,11 @@ func (r *Runtime) Emit(em *Emitter, in *event.Event, sp *obs.Span) {
 // emitChunk is the size of the block Emit copies invocations' values
 // into: queues and output subscribers keep events indefinitely, so the
 // values cannot stay in the reused arena, but the events of many
-// invocations can share one allocation. Every holder that retains a
-// value past its event (the egress sink, the lost log, the slate cache)
-// copies it, so a chunk lives as long as the events still queued or in
-// flight that slice it.
-const emitChunk = 4 << 10
+// invocations can share one allocation, about four hundred 40-byte
+// values. Every holder that retains a value past its event (the egress
+// sink, the lost log, the slate cache) copies it, so a 16 KiB chunk
+// lives as long as the events still queued or in flight that slice it.
+const emitChunk = 16 << 10
 
 // handOut copies the invocation's arena to the end of the emitter's
 // chunk and returns the copy, which derive slices with cap == len. A

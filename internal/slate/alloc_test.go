@@ -108,3 +108,25 @@ func TestStoreLoadAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveBatchAllocBudget: KVStore.SaveBatch frames a batch and hands
+// it to the cluster in scratch the store keeps, so re-saving slates the
+// replicas already hold allocates nothing, at RF 1 and RF 3.
+func TestSaveBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	recs := make([]BatchRecord, 64)
+	for i := range recs {
+		recs[i] = BatchRecord{K: Key{Updater: "U", Key: fmt.Sprintf("user%05d", i)}, Value: []byte(fmt.Sprintf(`{"count":%d}`, i))}
+	}
+	for _, rf := range []int{1, 3} {
+		kv := &KVStore{Cluster: kvstore.NewCluster(kvstore.ClusterConfig{Nodes: 3, ReplicationFactor: rf}), Level: kvstore.One}
+		if err := kv.SaveBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { kv.SaveBatch(recs) }); n != 0 {
+			t.Errorf("re-saving %d slates at RF %d allocated %.1f times, want 0", len(recs), rf, n)
+		}
+	}
+}

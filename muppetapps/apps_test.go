@@ -347,8 +347,14 @@ func ExampleCount() {
 }
 
 // payloadRecorder is an Emitter that decodes every payload (it answers
-// no PayloadOf) and records each object Payload decoded.
-type payloadRecorder struct{ decoded []any }
+// no PayloadOf), carving it from its chunks as a worker's emitter does,
+// and records each object Payload decoded.
+type payloadRecorder struct {
+	decoded []any
+	chunks  core.PayloadChunks
+}
+
+func (r *payloadRecorder) PayloadChunks() *core.PayloadChunks { return &r.chunks }
 
 func (r *payloadRecorder) Publish(stream, key string, value []byte) error { return nil }
 func (r *payloadRecorder) ReplaceSlate(value []byte)                      {}
