@@ -307,8 +307,8 @@ func E16VsMicroBatch(s Scale) Table {
 				mexact = false
 			}
 		}
-		lh := mb.Latency()
-		t.Add(fmt.Sprintf("micro-batch %v", batch), lh.Mean(), lh.Quantile(0.99), mexact)
+		lh := mb.Latency().Snapshot()
+		t.Add(fmt.Sprintf("micro-batch %v", batch), lh.Mean(), lh.P99, mexact)
 	}
 	t.Note("both compute the same counts; only MapUpdate has them continuously fresh")
 	return t

@@ -132,12 +132,12 @@ type Counters struct {
 
 	// Latency observes end-to-end event→slate-update latencies using
 	// the events' Ingress stamps.
-	Latency *metrics.Histogram
+	Latency *metrics.Histogram[time.Duration]
 }
 
 // NewCounters returns zeroed counters with a latency histogram.
 func NewCounters() *Counters {
-	return &Counters{Latency: metrics.NewHistogram(0)}
+	return &Counters{Latency: metrics.NewHistogram[time.Duration](0)}
 }
 
 // ObserveContention records that n workers held the same slate at

@@ -109,7 +109,7 @@ type Courier struct {
 	outboxes map[string]*outbox // by remote machine; nil when there is none
 	// send ships one frame; Cluster.SendBatch outside tests.
 	send  func(machine string, ds []cluster.Delivery) (int, []cluster.BatchReject, error)
-	waits *metrics.Histogram // sampled append -> frame acknowledged
+	waits *metrics.Histogram[time.Duration] // sampled append -> frame acknowledged
 	wg    sync.WaitGroup
 }
 
@@ -124,7 +124,7 @@ const outboxSampleEvery = 64
 // NewCourier builds the courier and, per machine another node hosts,
 // one outbox with its sender running.
 func NewCourier(cfg CourierConfig) *Courier {
-	c := &Courier{cfg: cfg, send: cfg.Cluster.SendBatch, waits: metrics.NewHistogram(8192)}
+	c := &Courier{cfg: cfg, send: cfg.Cluster.SendBatch, waits: metrics.NewHistogram[time.Duration](8192)}
 	for _, name := range cfg.Cluster.MachineNames() {
 		if cfg.Cluster.IsLocal(name) {
 			continue
@@ -368,7 +368,7 @@ func (c *Courier) OutboxDepths() map[string]int {
 // OutboxWait is the sampled histogram of the time from a delivery's
 // append to the acknowledgement of the frame that carried it — the time
 // a remote emit now spends outside the tracer's emit span.
-func (c *Courier) OutboxWait() *metrics.Histogram { return c.waits }
+func (c *Courier) OutboxWait() *metrics.Histogram[time.Duration] { return c.waits }
 
 // pending is one queued delivery; at is its append time (UnixNano) when
 // it was sampled for the wait histogram, else 0.

@@ -39,11 +39,12 @@
 //
 // # Concurrency
 //
-// A Plan is single-goroutine state: it is taken from a pool
-// (NewPlan), filled, walked (Each), and Released by one caller; the
-// Driver holds no cross-call state, so distinct goroutines may ingest
-// concurrently. Pump runs on the calling goroutine until the Source
-// ends or its context is cancelled. Arrival order is preserved within
-// one batch per destination; batches from concurrent ingesters
-// interleave arbitrarily.
+// A Plan is single-goroutine state: it is taken from the driver's
+// spare list, filled, walked (Each), and released back to it by one
+// caller; that list, under its own mutex, is the Driver's only
+// cross-call state, so distinct goroutines may ingest concurrently.
+// Pump runs on the calling goroutine until the Source ends or its
+// context is cancelled. Arrival order is preserved within one batch
+// per destination; batches from concurrent ingesters interleave
+// arbitrarily.
 package ingress

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,6 +44,11 @@ type Driver struct {
 	Tracer *obs.Tracer
 	// Machines sizes the delivery plan's per-machine groups.
 	Machines int
+
+	// spare holds the delivery plans not in use, under spareMu (see
+	// Plan).
+	spareMu sync.Mutex
+	spare   []*Plan
 }
 
 // IngestBatch feeds a batch of external input events into the engine,
@@ -109,7 +115,7 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	}
 	now := time.Now().UnixNano()
 	tally := NewDropTally(len(evs))
-	plan := NewPlan(len(evs), d.Machines)
+	plan := d.plan(len(evs))
 	// Batches are usually single-stream: resolve the stream's fan-out
 	// once and reuse it until the stream changes.
 	var curStream string
@@ -140,7 +146,7 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 	var held []cluster.Delivery
 	for {
 		held = d.send(&cfg, plan, park, held[:0], tally)
-		plan.Release()
+		d.release(plan)
 		if len(held) == 0 || wait == nil || !wait() {
 			break
 		}
@@ -149,7 +155,7 @@ func (d *Driver) ingest(evs []event.Event, wait func() bool) (int, error) {
 			break
 		}
 		// The ring may have moved a key while its delivery waited.
-		plan = NewPlan(len(held), d.Machines)
+		plan = d.plan(len(held))
 		for _, del := range held {
 			d.add(&cfg, plan, cfg.FuncOf(del.Worker), del.Ev, del.Tag, tally)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"muppet/internal/cluster"
 )
@@ -66,48 +65,58 @@ func (e *BatchError) Error() string {
 // in the batch, letting engines map per-delivery rejections back to
 // events.
 //
-// Plans are pooled: Release returns one for reuse, and a reused plan
-// keeps its per-machine group capacity, so a steady ingestion loop
-// stops paying allocation and GC for the (large) delivery structs
-// after the first few batches — the dominant cost the batched path
-// would otherwise add over fire-and-forget.
+// Plans are kept: the driver's release puts one on its spare list,
+// and a kept plan keeps its per-machine group capacity, so a steady
+// ingestion loop stops paying allocation and GC for the (large)
+// delivery structs after the first few batches — the dominant cost the
+// batched path would otherwise add over fire-and-forget. A sync.Pool
+// would drop them at every other GC.
 type Plan struct {
 	order    []string
 	groups   map[string][]cluster.Delivery
 	groupCap int
 }
 
-var planPool = sync.Pool{
-	New: func() any {
-		return &Plan{groups: make(map[string][]cluster.Delivery, 8)}
-	},
-}
+// spareDeliveries is the most deliveries a kept plan's groups have room
+// for: a larger one (a bulk ingest's) is left to the GC rather than
+// kept for the driver's life.
+const spareDeliveries = 4096
 
-// NewPlan returns an empty plan, reusing a pooled one when available.
-// deliveries and machines are sizing hints — the expected batch
-// fan-out and cluster size — used to give fresh machine groups their
-// likely capacity up front.
-func NewPlan(deliveries, machines int) *Plan {
-	if machines <= 0 {
-		machines = 1
+// plan returns an empty plan, a spare one when there is one.
+// deliveries is a sizing hint — the expected batch fan-out — that with
+// the cluster size gives fresh machine groups their likely capacity up
+// front.
+func (d *Driver) plan(deliveries int) *Plan {
+	var p *Plan
+	d.spareMu.Lock()
+	if n := len(d.spare); n > 0 {
+		p, d.spare = d.spare[n-1], d.spare[:n-1]
 	}
-	p := planPool.Get().(*Plan)
-	p.groupCap = deliveries / machines
-	if p.groupCap < 8 {
-		p.groupCap = 8
+	d.spareMu.Unlock()
+	if p == nil {
+		p = &Plan{groups: make(map[string][]cluster.Delivery, 8)}
 	}
+	p.groupCap = max(deliveries/max(d.Machines, 1), 8)
 	return p
 }
 
-// Release empties the plan and returns it to the pool. The groups keep
-// their backing arrays (overwritten by the next batch); callers must
-// not touch the plan afterwards.
-func (p *Plan) Release() {
+// release empties p and keeps it, groups and their room, for the next
+// batch; callers must not touch p afterwards. Each group is cleared, so
+// a kept plan pins no event's bytes (a received frame's chunk).
+func (d *Driver) release(p *Plan) {
+	room := 0
 	for m, g := range p.groups {
+		clear(g)
 		p.groups[m] = g[:0]
+		room += cap(g)
+	}
+	if room > spareDeliveries {
+		return
 	}
 	p.order = p.order[:0]
-	planPool.Put(p)
+	d.spareMu.Lock()
+	d.spare = append(d.spare, p)
+	d.spareMu.Unlock()
 }
 
 // Add appends one delivery to its destination machine's group.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func ev(key string) event.Event {
 }
 
 func TestPlanGroupsByMachinePreservingOrder(t *testing.T) {
-	p := NewPlan(4, 2)
+	p := (&Driver{Machines: 2}).plan(4)
 	p.Add("m1", cluster.Delivery{Worker: "f", Ev: ev("a"), Tag: 0})
 	p.Add("m2", cluster.Delivery{Worker: "f", Ev: ev("b"), Tag: 1})
 	p.Add("m1", cluster.Delivery{Worker: "g", Ev: ev("c"), Tag: 2})
@@ -39,6 +40,32 @@ func TestPlanGroupsByMachinePreservingOrder(t *testing.T) {
 	}
 	if m1[2].Tag != 3 {
 		t.Fatalf("tag not preserved: %d", m1[2].Tag)
+	}
+}
+
+// TestPlanOutlivesGC: a released plan goes back to its driver's spare
+// list with its groups' room but none of their deliveries, and the next
+// batch takes it back after collections, which would have emptied a
+// sync.Pool; one with room past spareDeliveries is left to the GC.
+func TestPlanOutlivesGC(t *testing.T) {
+	d := &Driver{Machines: 1}
+	p := d.plan(64)
+	p.Add("m1", cluster.Delivery{Worker: "f", Ev: ev("a")})
+	g := p.groups["m1"]
+	d.release(p)
+	runtime.GC()
+	runtime.GC()
+	if got := d.plan(64); got != p || len(got.groups["m1"]) != 0 || cap(got.groups["m1"]) < 64 || len(got.order) != 0 {
+		t.Fatalf("after two collections the driver took a new plan or a shrunk one (same %v)", got == p)
+	}
+	if g[0].Ev.Key != "" {
+		t.Fatal("a released plan still holds its delivery's event")
+	}
+	big := d.plan(spareDeliveries + 1)
+	big.Add("m1", cluster.Delivery{Worker: "f", Ev: ev("b")})
+	d.release(big)
+	if d.plan(1) == big {
+		t.Fatal("a plan with room for more than spareDeliveries deliveries was kept")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramSnapshot(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram[time.Duration](0)
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -36,13 +36,10 @@ func TestHistogramSnapshot(t *testing.T) {
 	if got, want := s.Mean(), 5050*time.Millisecond/100; got != want {
 		t.Errorf("Snapshot Mean = %v, want %v", got, want)
 	}
-	if h.Mean() != s.Mean() {
-		t.Errorf("Histogram.Mean %v != Snapshot.Mean %v", h.Mean(), s.Mean())
-	}
 }
 
 func TestHistogramSnapshotEmpty(t *testing.T) {
-	h := NewHistogram(8)
+	h := NewHistogram[time.Duration](8)
 	s := h.Snapshot()
 	if s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 || s.P99 != 0 {
 		t.Fatalf("empty snapshot not zero: %+v", s)
@@ -53,7 +50,7 @@ func TestHistogramSnapshotEmpty(t *testing.T) {
 }
 
 func TestIntHistogramSnapshot(t *testing.T) {
-	h := NewIntHistogram(0)
+	h := NewHistogram[int64](0)
 	for i := int64(1); i <= 10; i++ {
 		h.Observe(i * 10)
 	}
@@ -64,16 +61,13 @@ func TestIntHistogramSnapshot(t *testing.T) {
 	if s.Mean() != 55 {
 		t.Errorf("Mean = %d, want 55", s.Mean())
 	}
-	if h.Mean() != 55 {
-		t.Errorf("IntHistogram.Mean = %v, want 55", h.Mean())
-	}
 }
 
 // TestHistogramSnapshotConsistent exercises the one-lock guarantee:
 // a snapshot taken mid-stream must be internally consistent — its sum
 // can never exceed count * max.
 func TestHistogramSnapshotConsistent(t *testing.T) {
-	h := NewHistogram(1024)
+	h := NewHistogram[time.Duration](1024)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -58,7 +58,7 @@ type Engine struct {
 	cfg     Config
 	state   map[string][]byte
 	stats   Stats
-	latency *metrics.Histogram
+	latency *metrics.Histogram[time.Duration]
 }
 
 // New returns an engine with the given configuration. BatchInterval
@@ -70,7 +70,7 @@ func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		state:   make(map[string][]byte),
-		latency: metrics.NewHistogram(0),
+		latency: metrics.NewHistogram[time.Duration](0),
 	}
 }
 
@@ -141,4 +141,4 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Latency is the histogram of per-event result latencies in stream
 // time.
-func (e *Engine) Latency() *metrics.Histogram { return e.latency }
+func (e *Engine) Latency() *metrics.Histogram[time.Duration] { return e.latency }

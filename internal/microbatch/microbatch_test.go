@@ -55,7 +55,7 @@ func TestResultLatencyGrowsWithBatchInterval(t *testing.T) {
 			events = append(events, evAt(int64(i*100), "a")) // 60s of stream
 		}
 		e.Run(events)
-		return e.Latency().Mean()
+		return e.Latency().Snapshot().Mean()
 	}
 	short := mk(time.Second)
 	long := mk(10 * time.Second)

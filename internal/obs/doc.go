@@ -2,7 +2,8 @@
 // registry and a sampled event-lifecycle tracer (ingest accept, queue
 // wait, map/update execution, emit, flush settle) feeding end-to-end
 // latency percentiles per app/stream. It is a leaf package: it knows no
-// subsystem and imports only internal/metrics.
+// subsystem and imports only internal/metrics, whose one Histogram[T]
+// backs every summary.
 //
 // The stats structs are the metrics. A subsystem names each counter's
 // metric on the field it already keeps,
@@ -19,8 +20,10 @@
 // The registry is pull-based: collectors are sampled lazily at scrape
 // time, so registration costs nothing on the hot path. Struct calls
 // its snapshot function once per scrape, so the fields of one struct
-// are mutually consistent, and a scrape sees one consistent snapshot
-// per histogram (metrics.Snapshot). Exposition is Prometheus text
+// are mutually consistent. A histogram is registered with Summary,
+// one registrar for durations (exported in seconds) and counts (raw
+// units), and a scrape sees one consistent snapshot per histogram
+// (metrics.Snapshot). Exposition is Prometheus text
 // (WritePrometheus) and structured JSON (SnapshotJSON), served by
 // httpapi as /metrics and /statsz.
 //

@@ -36,9 +36,9 @@ func TestRegistryFind(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeInt("depth", "", L("transport", "tcp", "machine", "m-00"), func() int64 { return 3 })
 	r.GaugeInt("depth", "", L("transport", "tcp", "machine", "m-01"), func() int64 { return 5 })
-	h := metrics.NewHistogram(0)
+	h := metrics.NewHistogram[time.Duration](0)
 	h.Observe(1500 * time.Millisecond)
-	r.DurationSummary("lat_seconds", "", nil, h)
+	Summary(r, "lat_seconds", "", nil, h)
 	if m, ok := r.Find("depth", "machine", "m-01"); !ok || m.Value != 5 {
 		t.Fatalf("Find(depth, machine=m-01) = %+v, %v; want 5", m, ok)
 	}
@@ -82,10 +82,10 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("muppet_test_total", "A counter.", nil, func() uint64 { return 42 })
 	r.Gauge("muppet_test_ratio", "A gauge.", L("machine", "m-00"), func() float64 { return 0.5 })
-	h := metrics.NewHistogram(16)
+	h := metrics.NewHistogram[time.Duration](16)
 	h.Observe(10 * time.Millisecond)
 	h.Observe(20 * time.Millisecond)
-	r.DurationSummary("muppet_test_seconds", "A summary.", nil, h)
+	Summary(r, "muppet_test_seconds", "A summary.", nil, h)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -126,10 +126,10 @@ func TestWritePrometheusHeaderOncePerName(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("muppet_c_total", "", nil, func() uint64 { return 5 })
-	h := metrics.NewIntHistogram(16)
+	h := metrics.NewHistogram[int64](16)
 	h.Observe(100)
 	h.Observe(300)
-	r.IntSummary("muppet_sizes", "", L("machine", "m-00"), h)
+	Summary(r, "muppet_sizes", "", L("machine", "m-00"), h)
 
 	data, err := json.Marshal(r.SnapshotJSON())
 	if err != nil {

@@ -148,42 +148,30 @@ func (r *Registry) GaugeInt(name, help string, labels Labels, fn func() int64) {
 	r.Gauge(name, help, labels, func() float64 { return float64(fn()) })
 }
 
-// DurationSummary registers a duration histogram as a summary exported
-// in seconds. The histogram is snapshotted once per scrape.
-func (r *Registry) DurationSummary(name, help string, labels Labels, h *metrics.Histogram) {
+// Summary registers h as a summary, snapshotted once per scrape: a
+// time.Duration histogram in seconds, any other in its raw units. It
+// is a function, not a Registry method, because methods take no type
+// parameters.
+func Summary[T ~int64](r *Registry, name, help string, labels Labels, h *metrics.Histogram[T]) {
 	r.Register(CollectorFunc(func(emit func(Metric)) {
-		emit(durationMetric(name, help, labels, h.Snapshot()))
+		emit(summaryMetric(name, help, labels, h.Snapshot()))
 	}))
 }
 
-// IntSummary registers an integer histogram as a summary in raw units.
-// The histogram is snapshotted once per scrape.
-func (r *Registry) IntSummary(name, help string, labels Labels, h *metrics.IntHistogram) {
-	r.Register(CollectorFunc(func(emit func(Metric)) {
-		s := h.Snapshot()
-		emit(Metric{Name: name, Help: help, Type: TypeSummary, Labels: labels, Hist: &HistSample{
-			Count: s.Count,
-			Sum:   float64(s.Sum),
-			Min:   float64(s.Min),
-			Max:   float64(s.Max),
-			Quantiles: []Quantile{
-				{0.5, float64(s.P50)}, {0.9, float64(s.P90)},
-				{0.95, float64(s.P95)}, {0.99, float64(s.P99)},
-			},
-		}})
-	}))
-}
-
-// durationMetric converts a duration snapshot to a seconds summary.
-func durationMetric(name, help string, labels Labels, s metrics.Snapshot[time.Duration]) Metric {
+// summaryMetric converts one snapshot to a summary sample.
+func summaryMetric[T ~int64](name, help string, labels Labels, s metrics.Snapshot[T]) Metric {
+	f := func(v T) float64 { return float64(v) }
+	if _, ok := any(s.Sum).(time.Duration); ok {
+		f = func(v T) float64 { return time.Duration(v).Seconds() }
+	}
 	return Metric{Name: name, Help: help, Type: TypeSummary, Labels: labels, Hist: &HistSample{
 		Count: s.Count,
-		Sum:   s.Sum.Seconds(),
-		Min:   s.Min.Seconds(),
-		Max:   s.Max.Seconds(),
+		Sum:   f(s.Sum),
+		Min:   f(s.Min),
+		Max:   f(s.Max),
 		Quantiles: []Quantile{
-			{0.5, s.P50.Seconds()}, {0.9, s.P90.Seconds()},
-			{0.95, s.P95.Seconds()}, {0.99, s.P99.Seconds()},
+			{0.5, f(s.P50)}, {0.9, f(s.P90)},
+			{0.95, f(s.P95)}, {0.99, f(s.P99)},
 		},
 	}}
 }

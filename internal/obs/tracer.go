@@ -64,14 +64,14 @@ type Tracer struct {
 	n    atomic.Uint64
 	pool sync.Pool
 
-	ingestAccept *metrics.Histogram
-	queueWait    *metrics.Histogram
-	exec         *metrics.Histogram
-	emit         *metrics.Histogram
-	flushSettle  *metrics.Histogram
+	ingestAccept *metrics.Histogram[time.Duration]
+	queueWait    *metrics.Histogram[time.Duration]
+	exec         *metrics.Histogram[time.Duration]
+	emit         *metrics.Histogram[time.Duration]
+	flushSettle  *metrics.Histogram[time.Duration]
 
 	mu      sync.RWMutex
-	streams map[string]*metrics.Histogram
+	streams map[string]*metrics.Histogram[time.Duration]
 }
 
 // NewTracer builds a tracer for one app, or returns nil when tracing
@@ -87,12 +87,12 @@ func NewTracer(app string, cfg TracerConfig) *Tracer {
 	t := &Tracer{
 		app:          app,
 		rate:         uint64(rate),
-		ingestAccept: metrics.NewHistogram(traceHistCap),
-		queueWait:    metrics.NewHistogram(traceHistCap),
-		exec:         metrics.NewHistogram(traceHistCap),
-		emit:         metrics.NewHistogram(traceHistCap),
-		flushSettle:  metrics.NewHistogram(traceHistCap),
-		streams:      make(map[string]*metrics.Histogram),
+		ingestAccept: metrics.NewHistogram[time.Duration](traceHistCap),
+		queueWait:    metrics.NewHistogram[time.Duration](traceHistCap),
+		exec:         metrics.NewHistogram[time.Duration](traceHistCap),
+		emit:         metrics.NewHistogram[time.Duration](traceHistCap),
+		flushSettle:  metrics.NewHistogram[time.Duration](traceHistCap),
+		streams:      make(map[string]*metrics.Histogram[time.Duration]),
 	}
 	t.pool.New = func() any { return new(Span) }
 	return t
@@ -173,7 +173,7 @@ func (t *Tracer) ObserveFlushSettle(d time.Duration) {
 	t.flushSettle.Observe(d)
 }
 
-func (t *Tracer) streamHist(stream string) *metrics.Histogram {
+func (t *Tracer) streamHist(stream string) *metrics.Histogram[time.Duration] {
 	t.mu.RLock()
 	h := t.streams[stream]
 	t.mu.RUnlock()
@@ -183,7 +183,7 @@ func (t *Tracer) streamHist(stream string) *metrics.Histogram {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if h = t.streams[stream]; h == nil {
-		h = metrics.NewHistogram(traceHistCap)
+		h = metrics.NewHistogram[time.Duration](traceHistCap)
 		t.streams[stream] = h
 	}
 	return h
@@ -196,24 +196,24 @@ func (t *Tracer) Collect(emit func(Metric)) {
 		return
 	}
 	app := L("app", t.app)
-	emit(durationMetric("muppet_trace_ingest_accept_seconds",
+	emit(summaryMetric("muppet_trace_ingest_accept_seconds",
 		"Sampled latency of one ingest call (accept stage).", app, t.ingestAccept.Snapshot()))
-	emit(durationMetric("muppet_trace_queue_wait_seconds",
+	emit(summaryMetric("muppet_trace_queue_wait_seconds",
 		"Sampled time from queue admission to dequeue.", app, t.queueWait.Snapshot()))
-	emit(durationMetric("muppet_trace_exec_seconds",
+	emit(summaryMetric("muppet_trace_exec_seconds",
 		"Sampled map/update execution time.", app, t.exec.Snapshot()))
-	emit(durationMetric("muppet_trace_emit_seconds",
+	emit(summaryMetric("muppet_trace_emit_seconds",
 		"Sampled output routing time after execution.", app, t.emit.Snapshot()))
-	emit(durationMetric("muppet_trace_flush_settle_seconds",
+	emit(summaryMetric("muppet_trace_flush_settle_seconds",
 		"Group-commit flush round latency (dirty slates settling to the store).", app, t.flushSettle.Snapshot()))
 	t.mu.RLock()
-	streams := make(map[string]*metrics.Histogram, len(t.streams))
+	streams := make(map[string]*metrics.Histogram[time.Duration], len(t.streams))
 	for s, h := range t.streams {
 		streams[s] = h
 	}
 	t.mu.RUnlock()
 	for s, h := range streams {
-		emit(durationMetric("muppet_trace_e2e_seconds",
+		emit(summaryMetric("muppet_trace_e2e_seconds",
 			"Sampled end-to-end latency from external ingress to processing completion.",
 			L("app", t.app, "stream", s), h.Snapshot()))
 	}

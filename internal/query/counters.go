@@ -21,14 +21,14 @@ type Counters struct {
 
 	// Latency is the end-to-end (scatter to merged answer) query
 	// latency histogram.
-	Latency *metrics.Histogram
+	Latency *metrics.Histogram[time.Duration]
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
 	return &Counters{
 		kinds:   make(map[string]uint64),
-		Latency: metrics.NewHistogram(4096),
+		Latency: metrics.NewHistogram[time.Duration](4096),
 	}
 }
 

@@ -150,8 +150,8 @@ type Manager struct {
 	dirtyLost  atomic.Uint64
 	warmed     atomic.Uint64
 
-	failoverLatency *metrics.Histogram
-	rejoinLatency   *metrics.Histogram
+	failoverLatency *metrics.Histogram[time.Duration]
+	rejoinLatency   *metrics.Histogram[time.Duration]
 }
 
 // NewManager builds a manager and its failure detector.
@@ -162,8 +162,8 @@ func NewManager(deps Deps, cfg Config) *Manager {
 		deps:            deps,
 		incidents:       make(map[string]*incident),
 		rejoining:       make(map[string]*rejoin),
-		failoverLatency: metrics.NewHistogram(0),
-		rejoinLatency:   metrics.NewHistogram(0),
+		failoverLatency: metrics.NewHistogram[time.Duration](0),
+		rejoinLatency:   metrics.NewHistogram[time.Duration](0),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.det = &Detector{
@@ -476,7 +476,7 @@ func (m *Manager) failover(machine string) {
 }
 
 // FailoverLatency is the histogram of failover wall-clock durations.
-func (m *Manager) FailoverLatency() *metrics.Histogram { return m.failoverLatency }
+func (m *Manager) FailoverLatency() *metrics.Histogram[time.Duration] { return m.failoverLatency }
 
 // RejoinLatency is the histogram of rejoin wall-clock durations.
-func (m *Manager) RejoinLatency() *metrics.Histogram { return m.rejoinLatency }
+func (m *Manager) RejoinLatency() *metrics.Histogram[time.Duration] { return m.rejoinLatency }

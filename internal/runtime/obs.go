@@ -45,16 +45,16 @@ func (r *Runtime) registerObs() error {
 		obs.Struct(reg, transport, clu.DeliveryStats),
 		obs.Struct(reg, nil, r.rec.Counters),
 	}
-	reg.DurationSummary("muppet_update_latency_seconds",
+	obs.Summary(reg, "muppet_update_latency_seconds",
 		"End-to-end latency from external ingress to slate update.", nil, r.counters.Latency)
-	reg.DurationSummary("muppet_outbox_wait_seconds",
+	obs.Summary(reg, "muppet_outbox_wait_seconds",
 		"Sampled time from a delivery's append to the acknowledgement of the frame that carried it.", nil, r.out.OutboxWait())
-	reg.DurationSummary("muppet_query_latency_seconds",
+	obs.Summary(reg, "muppet_query_latency_seconds",
 		"End-to-end query latency, scatter to merged answer.", nil, r.queries.Latency)
 	reg.GaugeInt("muppet_engine_inflight", "Deliveries accepted but not yet fully processed.", nil, r.tracker.InFlight)
-	reg.DurationSummary("muppet_recovery_failover_seconds",
+	obs.Summary(reg, "muppet_recovery_failover_seconds",
 		"Wall-clock latency of completed failovers.", nil, r.rec.FailoverLatency())
-	reg.DurationSummary("muppet_recovery_rejoin_seconds",
+	obs.Summary(reg, "muppet_recovery_rejoin_seconds",
 		"Wall-clock latency of completed rejoins.", nil, r.rec.RejoinLatency())
 
 	// Each cell's cache registers its flush histograms under the cell's
@@ -62,9 +62,9 @@ func (r *Runtime) registerObs() error {
 	// 2.0's central one.
 	for _, c := range r.cells {
 		ls := obs.L("machine", c.Name())
-		reg.DurationSummary("muppet_slate_flush_latency_seconds",
+		obs.Summary(reg, "muppet_slate_flush_latency_seconds",
 			"Group-commit flush round latency per machine.", ls, c.Cache.FlushLatency())
-		reg.IntSummary("muppet_slate_flush_batch_size",
+		obs.Summary(reg, "muppet_slate_flush_batch_size",
 			"Records per group-commit multi-put.", ls, c.Cache.BatchSizes())
 	}
 

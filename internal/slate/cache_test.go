@@ -80,7 +80,7 @@ func k(u, key string) Key { return Key{Updater: u, Key: key} }
 
 func TestCompressRoundTrip(t *testing.T) {
 	raw := []byte(`{"count": 42, "user": "alice", "interests": ["go", "streams"]}`)
-	got, err := Decode(Encode(raw))
+	got, err := Decode(frame.Encode(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestCompressRoundTrip(t *testing.T) {
 
 func TestCompressShrinksRedundantData(t *testing.T) {
 	raw := bytes.Repeat([]byte("retailer:walmart;"), 100)
-	if c := Encode(raw); len(c) >= len(raw)/2 {
+	if c := frame.Encode(raw); len(c) >= len(raw)/2 {
 		t.Fatalf("compressed %d -> %d, expected much smaller", len(raw), len(c))
 	}
 }
 
 func TestCompressEmpty(t *testing.T) {
-	got, err := Decode(Encode(nil))
+	got, err := Decode(frame.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,15 @@ func TestDecompressGarbageFails(t *testing.T) {
 
 // TestPropertyCompressRoundTrip drives the deflate branch, which
 // quick's short random slates (TestPropertyEncodeRoundTrip) rarely
-// reach: any non-empty pattern repeated past MinCompressSize is stored
+// reach: any non-empty pattern repeated past frame.MinCompressSize is stored
 // deflated and reads back intact.
 func TestPropertyCompressRoundTrip(t *testing.T) {
 	f := func(pattern []byte) bool {
 		if len(pattern) == 0 {
 			return true
 		}
-		raw := bytes.Repeat(pattern, 1+MinCompressSize)
-		stored := Encode(raw)
+		raw := bytes.Repeat(pattern, 1+frame.MinCompressSize)
+		stored := frame.Encode(raw)
 		got, err := Decode(stored)
 		return stored[0] == frame.HeaderDeflate && err == nil && bytes.Equal(got, raw)
 	}
@@ -138,7 +138,7 @@ func TestPropertyCompressRoundTrip(t *testing.T) {
 
 func TestPropertyEncodeRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
-		got, err := Decode(Encode(raw))
+		got, err := Decode(frame.Encode(raw))
 		return err == nil && bytes.Equal(got, raw)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -16,21 +16,8 @@ func (k Key) String() string { return k.Updater + "/" + k.Key }
 
 // Storage framing: the codec itself lives in internal/frame so the LSM
 // storage engine (which sits below this package in the import graph)
-// can share it; MinCompressSize, Encode, AppendEncode and Decode are its
-// slate-facing names. See the frame package doc for the header layout.
-
-// MinCompressSize is the threshold below which Encode stores slates
-// raw: deflate overhead (block headers, the end-of-stream marker)
-// exceeds any saving on tiny payloads, and skipping the writer
-// entirely keeps small-slate saves allocation- and CPU-free.
-const MinCompressSize = frame.MinCompressSize
-
-// Encode frames a slate for storage: a 1-byte header, then either the
-// raw payload (below MinCompressSize, or when deflate fails to shrink)
-// or the deflate-compressed payload. It allocates only the returned
-// buffer; the deflate writer is pooled. Use AppendEncode to reuse a
-// caller-owned buffer and allocate nothing at all.
-func Encode(raw []byte) []byte { return frame.Encode(raw) }
+// can share it; AppendEncode and Decode are its slate-facing names. See
+// the frame package doc for the header layout.
 
 // AppendEncode appends the framed encoding of raw to dst and returns
 // the extended buffer. With a dst of sufficient capacity the encode
@@ -41,6 +28,6 @@ func Encode(raw []byte) []byte { return frame.Encode(raw) }
 // the slate.
 func AppendEncode(dst, raw []byte) []byte { return frame.AppendEncode(dst, raw) }
 
-// Decode reverses Encode. Stored bytes that do not begin with a frame
-// header of the current version are corrupt, and an error.
+// Decode reverses AppendEncode. Stored bytes that do not begin with a
+// frame header of the current version are corrupt, and an error.
 func Decode(stored []byte) ([]byte, error) { return frame.Decode(stored) }

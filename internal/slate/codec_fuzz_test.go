@@ -18,11 +18,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte("x"))
 	f.Add([]byte(`{"count":42,"user":"alice"}`))
 	f.Add(bytes.Repeat([]byte("retailer:walmart;"), 50))
-	f.Add(incompressible(MinCompressSize))
-	f.Add(incompressible(MinCompressSize - 1))
+	f.Add(incompressible(frame.MinCompressSize))
+	f.Add(incompressible(frame.MinCompressSize - 1))
 	f.Add([]byte{frame.HeaderRaw, frame.HeaderDeflate, 0x00, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		stored := Encode(raw)
+		stored := frame.Encode(raw)
 		if len(stored) > len(raw)+1 {
 			t.Fatalf("encode grew %d bytes to %d (> payload+header)", len(raw), len(stored))
 		}

@@ -12,7 +12,7 @@ import (
 // deflate stream cut off mid-way must error, not return partial slate
 // bytes as if they were the whole value.
 func TestDecompressTruncated(t *testing.T) {
-	stored := Encode(bytes.Repeat([]byte("abcdefgh"), 1000))
+	stored := frame.Encode(bytes.Repeat([]byte("abcdefgh"), 1000))
 	if _, err := Decode(stored[:len(stored)/2]); err == nil {
 		t.Fatal("decompress of truncated stream succeeded")
 	}
@@ -25,7 +25,7 @@ func TestCompressBinaryRoundTrip(t *testing.T) {
 	for i := range raw {
 		raw[i] = byte(i)
 	}
-	got, err := Decode(Encode(raw))
+	got, err := Decode(frame.Encode(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestCompressBinaryRoundTrip(t *testing.T) {
 }
 
 // TestEncodeSmallSkipsDeflate pins the raw-framing decision: a slate
-// below MinCompressSize is stored as header byte + verbatim payload,
+// below frame.MinCompressSize is stored as header byte + verbatim payload,
 // no deflate stream at all.
 func TestEncodeSmallSkipsDeflate(t *testing.T) {
 	raw := []byte(`{"count":42}`)
-	stored := Encode(raw)
+	stored := frame.Encode(raw)
 	if len(stored) != len(raw)+1 {
 		t.Fatalf("stored %d bytes, want %d (header + raw)", len(stored), len(raw)+1)
 	}
@@ -59,7 +59,7 @@ func TestEncodeSmallSkipsDeflate(t *testing.T) {
 // slate above the threshold is stored deflated and much smaller.
 func TestEncodeLargeCompresses(t *testing.T) {
 	raw := bytes.Repeat([]byte("retailer:walmart;"), 100)
-	stored := Encode(raw)
+	stored := frame.Encode(raw)
 	if stored[0] != frame.HeaderDeflate {
 		t.Fatalf("header = %#x, want %#x", stored[0], frame.HeaderDeflate)
 	}
@@ -77,7 +77,7 @@ func TestEncodeLargeCompresses(t *testing.T) {
 // so the on-store size is never more than payload + 1 header byte.
 func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
 	raw := incompressible(4096)
-	stored := Encode(raw)
+	stored := frame.Encode(raw)
 	if stored[0] != frame.HeaderRaw {
 		t.Fatalf("header = %#x, want raw %#x", stored[0], frame.HeaderRaw)
 	}
@@ -110,7 +110,7 @@ func TestDecodeEmptyValueErrors(t *testing.T) {
 // TestEncodeEmptyAndTinyRoundTrip covers the degenerate sizes.
 func TestEncodeEmptyAndTinyRoundTrip(t *testing.T) {
 	for _, raw := range [][]byte{nil, {}, {0}, []byte("a")} {
-		got, err := Decode(Encode(raw))
+		got, err := Decode(frame.Encode(raw))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,8 +102,8 @@
 // stay resident: evicting one let a reload read the older store row
 // (the updates since the previous save vanished), and evicting one
 // re-dirtied let the save in flight overwrite the eviction's newer one.
-// Flush latency and batch sizes are recorded with internal/metrics
-// histograms (FlushLatency, BatchSizes) and counters (FlushStats).
+// Flush latency and batch sizes are recorded in metrics.Histograms
+// (FlushLatency, BatchSizes), the flush counters in FlushStats.
 //
 // One save of a slate is in flight at a time: takeLocked leaves an
 // entry whose save has not returned dirty, so two saves of one slate
@@ -155,8 +155,8 @@
 // block type compress/flate never emits; the high five bits carry the
 // format version (currently 0). Consequences:
 //
-//   - Raw-vs-deflate decision: slates below MinCompressSize are stored
-//     raw (deflate overhead exceeds any saving), and larger slates
+//   - Raw-vs-deflate decision: slates below frame.MinCompressSize are
+//     stored raw (deflate overhead exceeds any saving), and larger slates
 //     whose deflate output is not smaller than the input fall back to
 //     raw — the stored form is never more than one byte larger than
 //     the slate.

@@ -128,8 +128,8 @@ type Sharded struct {
 	saves        atomic.Uint64 // StoreSaves: records issued to the store, failures taken back
 	refused      atomic.Uint64 // SaveErrors: records the store refused
 	removals     atomic.Uint64 // see Removals
-	flushLatency *metrics.Histogram
-	batchSizes   *metrics.IntHistogram
+	flushLatency *metrics.Histogram[time.Duration]
+	batchSizes   *metrics.Histogram[int64]
 }
 
 // NewSharded returns a sharded store with the given configuration.
@@ -138,8 +138,8 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	s := &Sharded{
 		cfg:          cfg,
 		shards:       make([]*shard, cfg.Shards),
-		flushLatency: metrics.NewHistogram(0),
-		batchSizes:   metrics.NewIntHistogram(0),
+		flushLatency: metrics.NewHistogram[time.Duration](0),
+		batchSizes:   metrics.NewHistogram[int64](0),
 	}
 	// Distribute the capacity exactly: the first Capacity%Shards
 	// shards hold one extra slate, so the totals match the configured
@@ -869,8 +869,8 @@ func (s *Sharded) FlushStats() FlushStats {
 }
 
 // FlushLatency is the histogram of FlushDirty wall-clock durations.
-func (s *Sharded) FlushLatency() *metrics.Histogram { return s.flushLatency }
+func (s *Sharded) FlushLatency() *metrics.Histogram[time.Duration] { return s.flushLatency }
 
 // BatchSizes is the histogram of group-commit batch sizes (records per
 // multi-put).
-func (s *Sharded) BatchSizes() *metrics.IntHistogram { return s.batchSizes }
+func (s *Sharded) BatchSizes() *metrics.Histogram[int64] { return s.batchSizes }
