@@ -31,63 +31,53 @@ type Envelope struct {
 // Tracker counts in-flight events for quiescence detection: an event is
 // in flight from the moment it is accepted for delivery until its
 // processing — including the enqueueing of every event it emitted — is
-// complete. Drain blocks until the count reaches zero.
+// complete. Drain blocks until the count reaches zero. The count is an
+// atomic: the mutex is taken only by Wait and by a change that brings
+// the count to zero, which wakes the waiters.
 type Tracker struct {
+	count atomic.Int64
 	mu    sync.Mutex
-	cond  *sync.Cond
-	count int64
+	cond  sync.Cond
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	t := &Tracker{}
-	t.cond = sync.NewCond(&t.mu)
+	t.cond.L = &t.mu
 	return t
 }
 
 // Inc registers one in-flight event.
-func (t *Tracker) Inc() {
-	t.mu.Lock()
-	t.count++
-	t.mu.Unlock()
-}
+func (t *Tracker) Inc() { t.count.Add(1) }
 
 // Add registers n in-flight events (n may be negative to retire a
-// batch's failures) under one lock acquisition; the batched ingress
-// path uses it instead of n Inc calls.
+// batch's failures) in one atomic step; the batched ingress path uses
+// it instead of n Inc calls.
 func (t *Tracker) Add(n int) {
-	if n == 0 {
-		return
+	if n != 0 && t.count.Add(int64(n)) <= 0 {
+		t.wake()
 	}
-	t.mu.Lock()
-	t.count += int64(n)
-	if t.count <= 0 {
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
 }
 
 // Dec retires one in-flight event.
-func (t *Tracker) Dec() {
+func (t *Tracker) Dec() { t.Add(-1) }
+
+// wake releases every Wait. A waiter checks the count under mu and
+// sleeps without releasing it in between, so a change that reaches
+// zero after the check broadcasts only once the waiter sleeps.
+func (t *Tracker) wake() {
 	t.mu.Lock()
-	t.count--
-	if t.count <= 0 {
-		t.cond.Broadcast()
-	}
+	t.cond.Broadcast()
 	t.mu.Unlock()
 }
 
 // InFlight reports the current in-flight count.
-func (t *Tracker) InFlight() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
+func (t *Tracker) InFlight() int64 { return t.count.Load() }
 
 // Wait blocks until no events are in flight.
 func (t *Tracker) Wait() {
 	t.mu.Lock()
-	for t.count > 0 {
+	for t.count.Load() > 0 {
 		t.cond.Wait()
 	}
 	t.mu.Unlock()
@@ -131,13 +121,15 @@ type Counters struct {
 	MaxContention   atomic.Int32
 
 	// Latency observes end-to-end event→slate-update latencies using
-	// the events' Ingress stamps.
-	Latency *metrics.Histogram[time.Duration]
+	// the events' Ingress stamps: one shard per consuming loop, which
+	// the runtime lays out once it knows its loops, merged on read.
+	Latency metrics.Shards[time.Duration]
 }
 
-// NewCounters returns zeroed counters with a latency histogram.
+// NewCounters returns zeroed counters with a one-shard latency
+// histogram.
 func NewCounters() *Counters {
-	return &Counters{Latency: metrics.NewHistogram[time.Duration](0)}
+	return &Counters{Latency: metrics.NewShards[time.Duration](1)}
 }
 
 // ObserveContention records that n workers held the same slate at
@@ -151,11 +143,11 @@ func (c *Counters) ObserveContention(n int32) {
 	}
 }
 
-// ObserveLatency records the end-to-end latency for an event carrying
-// an Ingress stamp.
-func (c *Counters) ObserveLatency(e event.Event) {
+// ObserveLatency records into h the end-to-end latency of an event
+// carrying an Ingress stamp.
+func ObserveLatency(h *metrics.Histogram[time.Duration], e *event.Event) {
 	if e.Ingress > 0 {
-		c.Latency.Observe(time.Duration(time.Now().UnixNano() - e.Ingress))
+		h.Observe(time.Duration(time.Now().UnixNano() - e.Ingress))
 	}
 }
 

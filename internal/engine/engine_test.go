@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,20 +49,49 @@ func TestTrackerWaitImmediateWhenIdle(t *testing.T) {
 	}
 }
 
+// TestTrackerConcurrent: Inc/Dec pairs and Add(±n) batches from many
+// goroutines, with waiters parked throughout. A waiter returns only
+// once every goroutine has retired what it registered (the hold below
+// keeps the count above zero until then), and every waiter returns.
 func TestTrackerConcurrent(t *testing.T) {
 	tr := NewTracker()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
+	tr.Inc() // the hold: released once every worker is done
+	var workers, waiters sync.WaitGroup
+	var finished atomic.Int32
+	const goroutines = 8
+	for i := 0; i < 4; i++ {
+		waiters.Add(1)
 		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				tr.Inc()
-				tr.Dec()
+			defer waiters.Done()
+			tr.Wait()
+			if n := finished.Load(); n != goroutines {
+				t.Errorf("Wait returned with %d of %d workers done", n, goroutines)
 			}
 		}()
 	}
-	wg.Wait()
+	for i := 0; i < goroutines; i++ {
+		workers.Add(1)
+		go func(i int) {
+			defer workers.Done()
+			defer finished.Add(1)
+			for j := 0; j < 1000; j++ {
+				if j%2 == 0 {
+					tr.Inc()
+					tr.Dec()
+					continue
+				}
+				n := 1 + (i+j)%64
+				tr.Add(n)
+				tr.Add(-n / 2)
+				for k := 0; k < n-n/2; k++ {
+					tr.Dec()
+				}
+			}
+		}(i)
+	}
+	workers.Wait()
+	tr.Dec()
+	waiters.Wait()
 	tr.Wait()
 	if tr.InFlight() != 0 {
 		t.Fatalf("InFlight = %d", tr.InFlight())
@@ -91,10 +121,10 @@ func TestObserveContentionKeepsMax(t *testing.T) {
 
 func TestObserveLatency(t *testing.T) {
 	c := NewCounters()
-	c.ObserveLatency(event.Event{Ingress: time.Now().Add(-time.Millisecond).UnixNano()})
-	c.ObserveLatency(event.Event{}) // Ingress zero: ignored
-	if c.Latency.Count() != 1 {
-		t.Fatalf("latency samples = %d, want 1", c.Latency.Count())
+	ObserveLatency(c.Latency[0], &event.Event{Ingress: time.Now().Add(-time.Millisecond).UnixNano()})
+	ObserveLatency(c.Latency[0], &event.Event{}) // Ingress zero: ignored
+	if n := c.Latency.Snapshot().Count; n != 1 {
+		t.Fatalf("latency samples = %d, want 1", n)
 	}
 	if max := c.Latency.Snapshot().Max; max < time.Millisecond {
 		t.Fatalf("latency %v implausibly small", max)

@@ -93,16 +93,13 @@ type LostLog struct {
 }
 
 // NewLostLog returns a log retaining at most capacity entries
-// (default 10,000 if capacity <= 0).
+// (default 10,000 if capacity <= 0). Its buffer grows as losses are
+// recorded, up to capacity: an engine that loses nothing holds none.
 func NewLostLog(capacity int) *LostLog {
 	if capacity <= 0 {
 		capacity = 10_000
 	}
-	return &LostLog{
-		buf:   make([]LostEvent, 0, capacity),
-		byWhy: make(map[LossReason]uint64),
-		cap:   capacity,
-	}
+	return &LostLog{byWhy: make(map[LossReason]uint64), cap: capacity}
 }
 
 // Record logs one abandoned delivery. The log keeps its own copy of

@@ -93,3 +93,19 @@ func TestLostLogDefaultCapacity(t *testing.T) {
 		t.Fatal("default-capacity log broken")
 	}
 }
+
+// TestLostLogGrowsOnDemand: a fresh log holds no buffer of its
+// capacity, and once full the next record still replaces the oldest.
+func TestLostLogGrowsOnDemand(t *testing.T) {
+	l := NewLostLog(0)
+	if c := cap(l.buf); c != 0 {
+		t.Fatalf("fresh log holds room for %d entries, want 0", c)
+	}
+	for i := 0; i <= 10_000; i++ {
+		l.Record("U", event.Event{Key: fmt.Sprintf("k%d", i)}, LossOverflow)
+	}
+	r := l.Recent()
+	if len(r) != 10_000 || r[0].Ev.Key != "k1" || r[len(r)-1].Ev.Key != "k10000" {
+		t.Fatalf("retained %d entries, %s..%s; want 10000, k1..k10000", len(r), r[0].Ev.Key, r[len(r)-1].Ev.Key)
+	}
+}

@@ -255,7 +255,7 @@ func TestOutboxFIFOAcrossConcurrentAppenders(t *testing.T) {
 	if ok, fatal, transit := r.det.counts("machine-01"); ok != len(r.frames) || fatal+transit != 0 {
 		t.Fatalf("detector saw %d ok / %d fatal / %d transient for %d frames", ok, fatal, transit, len(r.frames))
 	}
-	if r.c.OutboxWait().Count() == 0 {
+	if r.c.OutboxWait().Snapshot().Count == 0 {
 		t.Fatal("no append-to-acknowledged wait was sampled")
 	}
 	if r.lost.Total() != 0 {

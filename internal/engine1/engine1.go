@@ -258,7 +258,7 @@ func (e *Engine) conductorLoop(w *worker, q *queue.Queue[engine.Envelope], req c
 		req <- r
 		em := <-resp
 		if isUpdate {
-			e.Commit(w.Cell, w.fn, sk, r.slateObj, em, ev)
+			e.Commit(w.Cell, 0, w.fn, sk, r.slateObj, em, ev)
 		}
 		e.Emit(em, ev, sp)
 		e.Done(sp)

@@ -362,7 +362,7 @@ func TestOutputStreamRecorded(t *testing.T) {
 func TestLatencyObserved(t *testing.T) {
 	e := runCounter(t, Config{Machines: 2}, []event.Event{checkin(1, "walmart")})
 	defer e.Stop()
-	if e.Counters().Latency.Count() == 0 {
+	if e.Counters().Latency.Snapshot().Count == 0 {
 		t.Fatal("no end-to-end latency samples recorded")
 	}
 }

@@ -15,10 +15,15 @@
 // primary unless the secondary is significantly shorter. This bounds
 // slate contention to at most two workers per slate while letting a
 // hot key's load spill onto a second thread — the hotspot relief of
-// Sections 4.5 and 5. A striped per-slate lock table serializes those
-// two. "Already processing" is one atomic slot per thread holding the
-// hash of the (function, key) it is running, so dispatch takes no lock
-// and allocates nothing to apply the rule.
+// Sections 4.5 and 5. A per-machine array of slate locks serializes
+// those two: a key's lock is indexed by its two candidate threads (an
+// unordered pair; the primary alone under DisableDualQueue) and a
+// stripe of its dispatch hash. Only those threads ever run the key, so
+// only they take its lock: contention ≤ 2 holds by construction, and
+// taking the lock touches no table lock or map. "Already processing"
+// is one atomic slot per thread holding the hash of the (function,
+// key) it is running, so dispatch takes no lock and allocates nothing
+// to apply the rule.
 //
 // Everything else — ingest, output routing, the background flusher,
 // recovery, slate reads, queries, statistics, Stop — is the runtime's;

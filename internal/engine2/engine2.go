@@ -24,105 +24,32 @@ type fk struct {
 	key string
 }
 
-// slateLock serializes updates to one slate and tracks how many
-// workers hold or wait for it (the contention the paper bounds at 2).
-// sh is the stripe the lock was born in — locks recycle only within
-// their stripe's free list, so release can reach the stripe without
-// rehashing the key.
+// slateLock serializes updates to the slates that share it and counts
+// the workers holding or waiting for it (the contention the paper
+// bounds at 2).
 type slateLock struct {
 	mu     sync.Mutex
 	owners atomic.Int32
-	refs   int
-	sh     *lockShard
 }
 
-// slateLockShards is the stripe count of each machine's slate-lock
-// table; a power of two so the key hash maps to a stripe with a mask.
-// 128 stripes for at most ThreadsPerMachine concurrent holders makes
-// cross-key collisions on a stripe mutex rare, and the per-stripe
-// state is a map header plus a small free list.
-const slateLockShards = 128
-
-// lockShard is one stripe of the slate-lock table: its own mutex, the
-// live locks of keys currently held or contended, and a free list of
-// retired slateLocks. Recycling through the free list keeps slate
-// acquisition allocation-free in steady state — the previous design
-// (one process-wide map under a single mutex) both serialized every
-// acquisition in the machine and allocated a fresh slateLock per
-// event on hot keys.
-type lockShard struct {
-	mu    sync.Mutex
-	locks map[slate.Key]*slateLock
-	free  []*slateLock
-}
-
-// slateLockTable stripes per-slate locks over independent shards keyed
-// by hashring.HashPair, so acquiring a slate touches one stripe mutex
-// instead of a process-wide one. Per-key accounting (refs, owners) is
-// exactly the old map's: a lock exists while any worker holds or waits
-// for its key, and the Muppet-2.0 ≤2-owner contention bound is still
-// observed per key, never per stripe.
-type slateLockTable struct {
-	shards [slateLockShards]lockShard
-}
-
-func newSlateLockTable() *slateLockTable {
-	t := &slateLockTable{}
-	for i := range t.shards {
-		t.shards[i].locks = make(map[slate.Key]*slateLock)
-	}
-	return t
-}
-
-// lockSeparator feeds HashPair a byte outside UTF-8 text so
-// ("ab","c") and ("a","bc") stripe independently.
-const lockSeparator = 0xfd
-
-func (t *slateLockTable) shardFor(sk slate.Key) *lockShard {
-	h := hashring.HashPair(sk.Updater, lockSeparator, sk.Key)
-	return &t.shards[h&(slateLockShards-1)]
-}
-
-// acquire blocks until the calling worker holds sk's lock, reporting
-// the owner count (holders plus waiters) it observed to observe.
-func (t *slateLockTable) acquire(sk slate.Key, observe func(int32)) *slateLock {
-	sh := t.shardFor(sk)
-	sh.mu.Lock()
-	l := sh.locks[sk]
-	if l == nil {
-		if n := len(sh.free); n > 0 {
-			l = sh.free[n-1]
-			sh.free[n-1] = nil
-			sh.free = sh.free[:n-1]
-		} else {
-			l = &slateLock{sh: sh}
-		}
-		sh.locks[sk] = l
-	}
-	l.refs++
-	sh.mu.Unlock()
+// acquire blocks until the calling worker holds l, reporting the owner
+// count (holders plus waiters) it observed to observe.
+func (l *slateLock) acquire(observe func(int32)) {
 	if n := l.owners.Add(1); observe != nil {
 		observe(n)
 	}
 	l.mu.Lock()
-	return l
 }
 
-// release returns sk's lock; the last releaser retires the slateLock
-// to its stripe's free list for reuse. The stripe comes off the lock
-// itself, sparing the release a second key hash.
-func (t *slateLockTable) release(sk slate.Key, l *slateLock) {
+func (l *slateLock) release() {
 	l.mu.Unlock()
 	l.owners.Add(-1)
-	sh := l.sh
-	sh.mu.Lock()
-	l.refs--
-	if l.refs == 0 {
-		delete(sh.locks, sk)
-		sh.free = append(sh.free, l)
-	}
-	sh.mu.Unlock()
 }
+
+// lockStripeBits sets how many locks the keys of one set of candidate
+// threads are spread over (a power of two), so two threads running
+// different keys of the same pair rarely share one.
+const lockStripeBits = 5
 
 // machine is a hosted machine's thread pool: the runtime cell (its
 // central slate cache and one queue per thread) plus what dispatch and
@@ -136,9 +63,11 @@ type machine struct {
 	// hash collision can only pick one of the key's own two candidates.
 	current []atomic.Uint64
 
-	// locks is the striped per-slate lock table (one stripe mutex per
-	// acquisition instead of a machine-wide one).
-	locks *slateLockTable
+	// locks is the machine's slate-lock table, fixed at its birth: one
+	// lock per set of threads a key can run on — its two candidates, or
+	// under DisableDualQueue its primary alone — and per stripe of its
+	// dispatchHash (Engine.slateLock).
+	locks []slateLock
 
 	// spare holds the batch-dispatch scratch not in use, under
 	// spareMu. A scratch keeps the capacity its slices grew to for as
@@ -229,7 +158,7 @@ func New(app *core.App, cfg Config) (*Engine, error) {
 		e.machines[name] = &machine{
 			Cell:    e.AddCell(name, "", cfg.ThreadsPerMachine),
 			current: make([]atomic.Uint64, cfg.ThreadsPerMachine),
-			locks:   newSlateLockTable(),
+			locks:   make([]slateLock, cfg.ThreadsPerMachine*(cfg.ThreadsPerMachine+1)/2<<lockStripeBits),
 		}
 	}
 	return e, e.Start(e)
@@ -409,6 +338,21 @@ func (e *Engine) candidates(m *machine, k fk) (p, s int, h uint64) {
 	return p, s, h
 }
 
+// slateLock returns the lock serializing updates of k: the lock of the
+// set of threads dispatch may run k on, {p, s} or {p}, and of its
+// dispatchHash's stripe. Only the threads of that set ever take it, so
+// at most two workers hold or wait for a slate's lock by construction,
+// and one with the single queue. It is an index computation: no table
+// lock, no map, nothing allocated.
+func (e *Engine) slateLock(m *machine, k fk) *slateLock {
+	p, s, h := e.candidates(m, k)
+	if e.singleQueue {
+		s = p
+	}
+	p, s = min(p, s), max(p, s)
+	return &m.locks[(s*(s+1)/2+p)<<lockStripeBits|int(h>>(64-lockStripeBits))]
+}
+
 // threadLoop is one worker thread: take the next event from the
 // queue, run the map or update function, update slates, send outputs,
 // repeat. The queue is passed explicitly because a machine revival
@@ -438,13 +382,14 @@ func (e *Engine) threadLoop(m *machine, idx int, q *queue.Queue[engine.Envelope]
 		h := dispatchHash(fk{fn: env.Func, key: env.Ev.Key})
 		sp := e.Begin(&env.Ev)
 		m.current[idx].Store(h)
-		e.process(m, &em, &env, sp)
+		e.process(m, &em, idx, &env, sp)
 		m.current[idx].CompareAndSwap(h, 0)
 		e.Done(sp)
 	}
 }
 
-func (e *Engine) process(m *machine, em *runtime.Emitter, env *engine.Envelope, sp *obs.Span) {
+// process runs one envelope on thread idx.
+func (e *Engine) process(m *machine, em *runtime.Emitter, idx int, env *engine.Envelope, sp *obs.Span) {
 	f := e.App().Function(env.Func)
 	if f == nil {
 		return
@@ -454,11 +399,12 @@ func (e *Engine) process(m *machine, em *runtime.Emitter, env *engine.Envelope, 
 		sk := slate.Key{Updater: env.Func, Key: env.Ev.Key}
 		// The per-slate lock serializes the two threads dispatch may put
 		// on one slate; acquire records how many contend for it.
-		lock := m.locks.acquire(sk, e.Counters().ObserveContention)
+		lock := e.slateLock(m, fk{fn: env.Func, key: env.Ev.Key})
+		lock.acquire(e.Counters().ObserveContention)
 		obj, raw := m.Load(f, sk)
 		em.Run(f, env.Ev, obj, raw)
-		e.Commit(m.Cell, f, sk, obj, em, &env.Ev)
-		m.locks.release(sk, lock)
+		e.Commit(m.Cell, idx, f, sk, obj, em, &env.Ev)
+		lock.release()
 	} else {
 		em.Run(f, env.Ev, nil, nil)
 	}

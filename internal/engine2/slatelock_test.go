@@ -2,6 +2,7 @@ package engine2
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,35 +10,56 @@ import (
 
 	"muppet/internal/event"
 	"muppet/internal/queue"
-	"muppet/internal/slate"
 )
 
-// collidingKeys returns n distinct slate keys that all land on the
-// same stripe of the lock table — the adversarial layout where
-// per-key mutual exclusion must survive sharing one shard mutex.
-func collidingKeys(t *testing.T, tab *slateLockTable, n int) []slate.Key {
+// stripeKeys returns n distinct keys of updater U1 whose dispatch hashes
+// all fall on one stripe of the slate-lock table — the adversarial
+// layout, where keys of one thread set share a lock and keys of
+// different sets must still not share one.
+func stripeKeys(t *testing.T, n int) []string {
 	t.Helper()
-	want := tab.shardFor(slate.Key{Updater: "U", Key: "seed"})
-	keys := []slate.Key{{Updater: "U", Key: "seed"}}
+	stripe := func(k string) uint64 { return dispatchHash(fk{fn: "U1", key: k}) >> (64 - lockStripeBits) }
+	want := stripe("seed")
+	keys := []string{"seed"}
 	for i := 0; len(keys) < n; i++ {
-		k := slate.Key{Updater: "U", Key: fmt.Sprintf("k%d", i)}
-		if tab.shardFor(k) == want {
+		if k := fmt.Sprintf("k%d", i); stripe(k) == want {
 			keys = append(keys, k)
 		}
 		if i > 1_000_000 {
-			t.Fatal("could not find colliding keys")
+			t.Fatal("could not find keys on one stripe")
 		}
 	}
 	return keys
 }
 
-// TestSlateLockTableMutualExclusion hammers a striped lock table with
-// goroutines doing non-atomic read-modify-write under per-key locks —
-// on keys deliberately colliding on one stripe. Any mutual-exclusion
-// hole shows up as a lost update (and as a data race under -race).
+// lockEngine returns a one-machine engine with 8 threads and its
+// machine.
+func lockEngine(t *testing.T, cfg Config) (*Engine, *machine) {
+	t.Helper()
+	cfg.Machines, cfg.ThreadsPerMachine = 1, 8
+	e, err := New(counterApp(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
+	for _, m := range e.machines {
+		return e, m
+	}
+	t.Fatal("no hosted machine")
+	return nil, nil
+}
+
+func (e *Engine) lockOf(m *machine, key string) *slateLock {
+	return e.slateLock(m, fk{fn: "U1", key: key})
+}
+
+// TestSlateLockTableMutualExclusion hammers the lock table with
+// goroutines doing non-atomic read-modify-write under per-key locks, on
+// keys that all fall on one stripe. Any mutual-exclusion hole shows up
+// as a lost update (and as a data race under -race).
 func TestSlateLockTableMutualExclusion(t *testing.T) {
-	tab := newSlateLockTable()
-	keys := collidingKeys(t, tab, 4)
+	e, m := lockEngine(t, Config{})
+	keys := stripeKeys(t, 16)
 	counters := make([]int, len(keys)) // plain ints: the slate locks are the only guard
 	const goroutines = 8
 	const iters = 2000
@@ -48,9 +70,10 @@ func TestSlateLockTableMutualExclusion(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				ki := (g + i) % len(keys)
-				l := tab.acquire(keys[ki], nil)
+				l := e.lockOf(m, keys[ki])
+				l.acquire(nil)
 				counters[ki]++
-				tab.release(keys[ki], l)
+				l.release()
 			}
 		}(g)
 	}
@@ -62,24 +85,20 @@ func TestSlateLockTableMutualExclusion(t *testing.T) {
 	if total != goroutines*iters {
 		t.Fatalf("lost updates: counted %d, want %d", total, goroutines*iters)
 	}
-	// All locks released: every stripe's live map must be empty again.
-	for i := range tab.shards {
-		sh := &tab.shards[i]
-		sh.mu.Lock()
-		if len(sh.locks) != 0 {
-			t.Fatalf("stripe %d retains %d live locks after full release", i, len(sh.locks))
+	for i := range m.locks {
+		if n := m.locks[i].owners.Load(); n != 0 {
+			t.Fatalf("lock %d has %d owners after full release", i, n)
 		}
-		sh.mu.Unlock()
 	}
 }
 
 // TestSlateLockTableObservesContention: two holders of the same key
-// must be observed as 2 concurrent owners; holders of different keys
-// on the SAME stripe must not inflate each other's count — the
-// striping must keep the accounting per key, not per stripe.
+// are observed as 2 concurrent owners; holders of keys on the same
+// stripe but of different thread sets hold different locks and do not
+// inflate each other's count.
 func TestSlateLockTableObservesContention(t *testing.T) {
-	tab := newSlateLockTable()
-	keys := collidingKeys(t, tab, 2)
+	e, m := lockEngine(t, Config{})
+	keys := stripeKeys(t, 64)
 	var maxSeen atomic.Int32
 	observe := func(n int32) {
 		for {
@@ -91,59 +110,98 @@ func TestSlateLockTableObservesContention(t *testing.T) {
 	}
 
 	// Same key, second acquirer while the first holds: observed 2.
-	l1 := tab.acquire(keys[0], observe)
+	l1 := e.lockOf(m, keys[0])
+	l1.acquire(observe)
 	done := make(chan struct{})
 	go func() {
-		l := tab.acquire(keys[0], observe)
-		tab.release(keys[0], l)
+		l := e.lockOf(m, keys[0])
+		l.acquire(observe)
+		l.release()
 		close(done)
 	}()
 	for maxSeen.Load() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	tab.release(keys[0], l1)
+	l1.release()
 	<-done
 
-	// Distinct colliding keys held concurrently: each observes 1.
-	maxSeen.Store(0)
-	la := tab.acquire(keys[0], observe)
-	lb := tab.acquire(keys[1], observe)
-	if got := maxSeen.Load(); got != 1 {
-		t.Fatalf("distinct keys on one stripe observed contention %d, want 1", got)
+	// Keys on one stripe, of different thread sets, held concurrently:
+	// each observes 1.
+	other := ""
+	for _, k := range keys[1:] {
+		if e.lockOf(m, k) != e.lockOf(m, keys[0]) {
+			other = k
+			break
+		}
 	}
-	tab.release(keys[0], la)
-	tab.release(keys[1], lb)
+	if other == "" {
+		t.Fatal("every key on the stripe shares one thread set")
+	}
+	maxSeen.Store(0)
+	la, lb := e.lockOf(m, keys[0]), e.lockOf(m, other)
+	la.acquire(observe)
+	lb.acquire(observe)
+	if got := maxSeen.Load(); got != 1 {
+		t.Fatalf("keys of different thread sets observed contention %d, want 1", got)
+	}
+	la.release()
+	lb.release()
 }
 
-// TestSlateLockFreeListRecycles: steady acquire/release of the same
-// key must reuse the retired slateLock instead of allocating fresh
-// ones — the zero-allocation property of the hot path.
-func TestSlateLockFreeListRecycles(t *testing.T) {
-	tab := newSlateLockTable()
-	k := slate.Key{Updater: "U", Key: "hot"}
-	l1 := tab.acquire(k, nil)
-	tab.release(k, l1)
-	for i := 0; i < 100; i++ {
-		l := tab.acquire(k, nil)
-		if l != l1 {
-			t.Fatalf("iteration %d allocated a fresh slateLock instead of recycling", i)
-		}
-		tab.release(k, l)
+// TestSlateLockAllocFree: taking and releasing a slate's lock is an
+// index computation into a fixed table, allocating nothing.
+func TestSlateLockAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
 	}
+	e, m := lockEngine(t, Config{})
+	k := fk{fn: "U1", key: "hot"}
+	observe := e.Counters().ObserveContention
 	allocs := testing.AllocsPerRun(1000, func() {
-		l := tab.acquire(k, nil)
-		tab.release(k, l)
+		l := e.slateLock(m, k)
+		l.acquire(observe)
+		l.release()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state acquire/release allocates %v objects per op, want 0", allocs)
+		t.Fatalf("acquire plus release allocates %v objects per op, want 0", allocs)
+	}
+}
+
+// TestOneStripeKeysContentionBound drives hot keys that all fall on one
+// stripe through dual-queue dispatch on 8 threads: every key's count
+// is exact (per-key mutual exclusion) and no lock ever had more than
+// two owners, however the keys' thread sets overlap. With the single
+// queue a lock belongs to one thread: contention 1.
+func TestOneStripeKeysContentionBound(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		t.Run(fmt.Sprintf("single=%v", single), func(t *testing.T) {
+			e, _ := lockEngine(t, Config{QueueCapacity: 4096, QueuePolicy: queue.Block, DisableDualQueue: single})
+			keys := stripeKeys(t, 12)
+			const perKey = 500
+			for i := 0; i < perKey*len(keys); i++ {
+				e.Ingest(checkin(i+1, keys[i%len(keys)]))
+			}
+			e.Drain()
+			for _, k := range keys {
+				if got := string(e.Slate("U1", k)); got != strconv.Itoa(perKey) {
+					t.Fatalf("slate %s = %q, want %d", k, got, perKey)
+				}
+			}
+			limit := int32(2)
+			if single {
+				limit = 1
+			}
+			if max := e.Stats().MaxSlateContention; max < 1 || max > limit {
+				t.Fatalf("MaxSlateContention = %d, want 1..%d", max, limit)
+			}
+		})
 	}
 }
 
 // TestDualQueueContentionBoundWithStripedLocks re-checks the paper's
-// Muppet-2.0 invariant on top of the striped lock table: under
-// dual-queue dispatch, at most two worker threads ever hold or wait
-// for the same slate, however hot the key (Section 4.5). Run with
-// -race in CI.
+// Muppet-2.0 invariant on top of the lock table: under dual-queue
+// dispatch, at most two worker threads ever hold or wait for the same
+// slate, however hot the key (Section 4.5). Run with -race in CI.
 func TestDualQueueContentionBoundWithStripedLocks(t *testing.T) {
 	e, err := New(counterApp(), Config{
 		Machines:          1,

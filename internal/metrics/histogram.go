@@ -5,8 +5,8 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 )
@@ -60,16 +60,9 @@ func (h *Histogram[T]) Observe(v T) {
 	}
 }
 
-// Count reports the number of observations.
-func (h *Histogram[T]) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Snapshot is a consistent point-in-time view of a histogram: every
-// field is read (and the quantiles computed) under a single lock
-// acquisition, so exporters get mutually consistent
+// field is read under a single lock acquisition (one per shard of
+// Shards), so exporters get mutually consistent
 // count/sum/min/max/percentiles instead of N racy reads per scrape.
 // Quantiles are over the retained samples.
 type Snapshot[T ~int64] struct {
@@ -88,38 +81,73 @@ func (s Snapshot[T]) Mean() T {
 }
 
 // Snapshot captures the full snapshot under one lock.
-func (h *Histogram[T]) Snapshot() Snapshot[T] {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := Snapshot[T]{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if len(h.samples) == 0 {
-		return s
+func (h *Histogram[T]) Snapshot() Snapshot[T] { return Shards[T]{h}.Snapshot() }
+
+// Shards is one histogram split into shards, one per writer — each of
+// an engine's consuming loops observes into its own — so writers share
+// no lock. A read merges them: Count, Sum, Min and Max are exact, and
+// each quantile weighs a shard's retained samples by the observations
+// they stand for (a shard short of its cap keeps every one, at weight 1).
+type Shards[T ~int64] []*Histogram[T]
+
+// NewShards returns n shards whose reservoir caps sum to a default
+// histogram's 100k, at least one sample each.
+func NewShards[T ~int64](n int) Shards[T] {
+	s := make(Shards[T], n)
+	for i := range s {
+		s[i] = NewHistogram[T](max(100_000/n, 1))
 	}
-	sorted := slices.Clone(h.samples)
-	slices.Sort(sorted)
-	s.P50 = quantileOf(sorted, 0.50)
-	s.P90 = quantileOf(sorted, 0.90)
-	s.P95 = quantileOf(sorted, 0.95)
-	s.P99 = quantileOf(sorted, 0.99)
 	return s
 }
 
-// Summary renders count/mean/p50/p95/p99/max of one snapshot on one
-// line.
-func (h *Histogram[T]) Summary() string {
-	s := h.Snapshot()
+// weighted is one retained sample and the observations it stands for.
+type weighted[T ~int64] struct {
+	v T
+	w float64
+}
+
+// Snapshot merges the shards, each read under its own lock.
+func (s Shards[T]) Snapshot() Snapshot[T] {
+	var out Snapshot[T]
+	var all []weighted[T]
+	for _, h := range s {
+		h.mu.Lock()
+		if h.count > 0 {
+			if out.Count == 0 {
+				out.Min, out.Max = h.min, h.max
+			}
+			out.Min, out.Max = min(out.Min, h.min), max(out.Max, h.max)
+			out.Count, out.Sum = out.Count+h.count, out.Sum+h.sum
+			w := float64(h.count) / float64(len(h.samples))
+			for _, v := range h.samples {
+				all = append(all, weighted[T]{v, w})
+			}
+		}
+		h.mu.Unlock()
+	}
+	slices.SortFunc(all, func(a, b weighted[T]) int { return cmp.Compare(a.v, b.v) })
+	n := float64(out.Count) // the weights' sum
+	out.P50, out.P90 = quantileOf(all, 0.50*n), quantileOf(all, 0.90*n)
+	out.P95, out.P99 = quantileOf(all, 0.95*n), quantileOf(all, 0.99*n)
+	return out
+}
+
+// String renders count/mean/p50/p95/p99/max on one line.
+func (s Snapshot[T]) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
 		s.Count, s.Mean(), s.P50, s.P95, s.P99, s.Max)
 }
 
-// quantileOf reports the q-quantile of an already sorted sample set.
-func quantileOf[T ~int64](sorted []T, q float64) T {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+// quantileOf reports the first of samples sorted by value whose
+// cumulative weight reaches target, q times the weights' sum for the
+// q-quantile (the last if rounding leaves the sum short, 0 if none).
+// With every weight 1 that is sample ceil(q·n)-1 of n.
+func quantileOf[T ~int64](sorted []weighted[T], target float64) (v T) {
+	cum := 0.0
+	for _, x := range sorted {
+		if v, cum = x.v, cum+x.w; cum >= target {
+			break
+		}
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return v
 }

@@ -148,11 +148,12 @@ func (r *Registry) GaugeInt(name, help string, labels Labels, fn func() int64) {
 	r.Gauge(name, help, labels, func() float64 { return float64(fn()) })
 }
 
-// Summary registers h as a summary, snapshotted once per scrape: a
+// Summary registers h — a metrics.Histogram, or the merge of its
+// metrics.Shards — as a summary, snapshotted once per scrape: a
 // time.Duration histogram in seconds, any other in its raw units. It
 // is a function, not a Registry method, because methods take no type
 // parameters.
-func Summary[T ~int64](r *Registry, name, help string, labels Labels, h *metrics.Histogram[T]) {
+func Summary[T ~int64](r *Registry, name, help string, labels Labels, h interface{ Snapshot() metrics.Snapshot[T] }) {
 	r.Register(CollectorFunc(func(emit func(Metric)) {
 		emit(summaryMetric(name, help, labels, h.Snapshot()))
 	}))

@@ -350,8 +350,8 @@ func TestCountersSnapshot(t *testing.T) {
 	if s.RowsScanned != 8 || s.RowsReturned != 3 || s.FanoutNodes != 6 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if c.Latency.Count() != 2 {
-		t.Fatalf("latency count = %d", c.Latency.Count())
+	if c.Latency.Snapshot().Count != 2 {
+		t.Fatalf("latency count = %d", c.Latency.Snapshot().Count)
 	}
 }
 

@@ -111,11 +111,11 @@ func (m *Manager) Status() Status {
 			Suspicion: suspects[name],
 		})
 	}
-	if m.failoverLatency.Count() > 0 {
-		st.FailoverLatency = m.failoverLatency.Summary()
+	if s := m.failoverLatency.Snapshot(); s.Count > 0 {
+		st.FailoverLatency = s.String()
 	}
-	if m.rejoinLatency.Count() > 0 {
-		st.RejoinLatency = m.rejoinLatency.Summary()
+	if s := m.rejoinLatency.Snapshot(); s.Count > 0 {
+		st.RejoinLatency = s.String()
 	}
 	m.mu.Lock()
 	st.LastFailover = m.lastFail

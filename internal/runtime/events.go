@@ -172,11 +172,12 @@ func (c *Cell) Load(f *core.FunctionSpec, sk slate.Key) (obj any, raw []byte) {
 // Commit writes an update invocation's slate back to the cell's cache —
 // the decoded object (releasing Load's pin), or the value the updater
 // passed to ReplaceSlate, if it did — and accounts the update and its
-// end-to-end latency. A write-through save that fails — the store
+// end-to-end latency, in the latency shard of the loop consuming the
+// cell's queue slot. A write-through save that fails — the store
 // refused it, or the slate did not encode — leaves the slate dirty for a
 // retry; the cache counts it (SaveErrors, EncodeErrors), and the first
 // failure is logged.
-func (r *Runtime) Commit(c *Cell, f *core.FunctionSpec, sk slate.Key, obj any, em *Emitter, in *event.Event) {
+func (r *Runtime) Commit(c *Cell, slot int, f *core.FunctionSpec, sk slate.Key, obj any, em *Emitter, in *event.Event) {
 	var err error
 	switch {
 	case obj != nil:
@@ -190,7 +191,7 @@ func (r *Runtime) Commit(c *Cell, f *core.FunctionSpec, sk slate.Key, obj any, e
 		log.Printf("muppet: write-through save of slate %v failed: %v (it stays dirty for a retry; the slate cache's save and encode error counters count every failure)", sk, err)
 	}
 	r.counters.SlateUpdates.Add(1)
-	r.counters.ObserveLatency(*in)
+	engine.ObserveLatency(c.latency[slot], in)
 }
 
 // Stamp marks a sampled delivery with its queue-admission time; the

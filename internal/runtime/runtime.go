@@ -11,6 +11,7 @@ import (
 	"muppet/internal/event"
 	"muppet/internal/ingress"
 	"muppet/internal/kvstore"
+	"muppet/internal/metrics"
 	"muppet/internal/obs"
 	"muppet/internal/query"
 	"muppet/internal/queue"
@@ -93,6 +94,9 @@ type Cell struct {
 	Cache *slate.Sharded
 	// Queues are the cell's event queues, one per consuming loop.
 	Queues []queue.Slot[engine.Envelope]
+	// latency holds each queue slot's loop's shard of Counters.Latency
+	// (see Commit), kept across revivals.
+	latency metrics.Shards[time.Duration]
 	// loops counts the goroutines consuming Queues, so an operator kill
 	// can wait out the invocations in progress.
 	loops sync.WaitGroup
@@ -271,9 +275,9 @@ func (r *Runtime) slateStore() slate.Store {
 
 // Start plugs the dispatcher in, attaches to the store (see coverage),
 // wires the node — delivery and query handlers, recovery manager,
-// courier, ingress driver, metrics — and
-// starts every cell's loops and, under slate.Interval, its flusher. The
-// only error is a stats struct with a field obs.Struct cannot expose.
+// courier, ingress driver, metrics, a latency shard per loop — and starts
+// every cell's loops and, under slate.Interval with a store, its flusher.
+// The only error is a stats struct with a field obs.Struct cannot expose.
 func (r *Runtime) Start(d Dispatcher) error {
 	r.disp = d
 	if r.cfg.Store != nil {
@@ -330,12 +334,22 @@ func (r *Runtime) Start(d Dispatcher) error {
 		Tracer:   r.tracer,
 		Machines: len(r.clu.MachineNames()),
 	}
+	// Every consuming loop observes latency into a shard of its own.
+	slots := 0
+	for _, c := range r.cells {
+		slots += len(c.Queues)
+	}
+	shards := metrics.NewShards[time.Duration](slots)
+	r.counters.Latency = shards
+	for _, c := range r.cells {
+		c.latency, shards = shards[:len(c.Queues)], shards[len(c.Queues):]
+	}
 	if err := r.registerObs(); err != nil {
 		return err
 	}
 	for _, c := range r.cells {
 		d.StartCell(c)
-		if r.cfg.FlushPolicy == slate.Interval {
+		if r.cfg.FlushPolicy == slate.Interval && r.cfg.Store != nil { // else nowhere to flush to
 			r.wg.Add(1)
 			go r.flusherLoop(c)
 		}

@@ -107,8 +107,9 @@ type entry struct {
 	// lists what does.
 	room []byte
 	// prev and next link the entry into its shard's LRU list (see
-	// shard.lru).
-	prev, next *entry
+	// shard.lru); dprev and dnext, while it is dirty, into its dirty
+	// list (shard.dirty).
+	prev, next, dprev, dnext *entry
 
 	// Typed-slate state. decoded is the live object of a typed update
 	// function's slate (nil for classic byte slates); codec encodes it
@@ -129,7 +130,6 @@ type entry struct {
 	// exactly as it skips a pinned entry — dropping it would let a
 	// reload read the older store row — until the save has returned.
 	flushing bool
-	dirty    bool
 	stale    bool
 	// poisoned marks a stale entry whose latest encode failed (counted
 	// in CacheStats.Poisoned).

@@ -61,8 +61,10 @@
 // cell. The key space is striped over N independent shards by an FNV-1a
 // hash of <updater, key>. Each shard has its own mutex, LRU list, and
 // dirty list, so worker threads touching different slates proceed
-// without contending on a global lock. This is what the Muppet 2.0
-// central cache (Section 4.5) needs to scale past a handful of threads.
+// without contending on a global lock; both lists are linked through
+// the entries, so marking a slate dirty writes no map. This is what the
+// Muppet 2.0 central cache (Section 4.5) needs to scale past a handful
+// of threads.
 // NewSharded(ShardedConfig{Shards: 1}) is the single-lock LRU cache —
 // the baseline the tests and benchmarks compare striping against — and
 // adding MaxFlushBatch: 1 gives the per-slate flusher the group commit
@@ -81,10 +83,12 @@
 //  3. writes each batch to the store with a single Store.SaveBatch, a
 //     multi-put (the kvstore adapter's is one Cluster.PutBatch).
 //
-// That is the one way a slate reaches the store. A WriteThrough update
-// is a batch of one, taken and saved the same way outside the shard
-// lock before Put or PutDecoded returns; a dirty slate's eviction is a
-// batch of one saved under the shard lock. Every save marks its entry
+// That is the one way a slate reaches the store. A cache with no store
+// is never flushed (FlushDirty returns at once, and the engine starts
+// no flusher for it): its slates stay dirty, updates nothing has saved.
+// A WriteThrough update is a batch of one, taken and saved the same way
+// outside the shard lock before Put or PutDecoded returns; a dirty
+// slate's eviction is a batch of one saved under the shard lock. Every save marks its entry
 // flushing while it is in flight and re-marks it dirty if it fails, so
 // a later flush, eviction or write-through save retries it: a failed
 // eviction keeps its victim resident, and nothing but a crash drops a

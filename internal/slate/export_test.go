@@ -7,7 +7,9 @@ func (s *Sharded) DirtyCount() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.dirty)
+		for e := sh.dirty.dnext; e != &sh.dirty; e = e.dnext {
+			n++
+		}
 		sh.mu.Unlock()
 	}
 	return n

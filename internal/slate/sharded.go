@@ -80,8 +80,10 @@ type shard struct {
 	items    map[Key]*entry
 	// lru is the sentinel of a circular list through every entry in
 	// items: lru.next is the most recently used, lru.prev the least.
-	lru   entry
-	dirty map[Key]*entry
+	lru entry
+	// dirty is the sentinel of the dirty list, linked like lru through
+	// dprev and dnext, oldest first: an entry is dirty while on it.
+	dirty entry
 	stats CacheStats
 	// enc is the scratch a typed slate is encoded into before it is
 	// copied to its entry (see encodeLocked).
@@ -150,18 +152,18 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		if i < rem {
 			capacity++
 		}
-		s.shards[i] = &shard{
-			capacity: capacity,
-			items:    make(map[Key]*entry),
-			dirty:    make(map[Key]*entry),
-		}
-		s.shards[i].clearLRU()
+		s.shards[i] = &shard{capacity: capacity, items: make(map[Key]*entry)}
+		s.shards[i].clearLists()
 	}
 	return s
 }
 
-// clearLRU empties sh's LRU list. Caller holds sh.mu (or owns sh).
-func (sh *shard) clearLRU() { sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru }
+// clearLists empties sh's LRU and dirty lists. Caller holds sh.mu (or
+// owns sh).
+func (sh *shard) clearLists() {
+	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+	sh.dirty.dprev, sh.dirty.dnext = &sh.dirty, &sh.dirty
+}
 
 // pushFront links e in as sh's most recently used entry.
 func (sh *shard) pushFront(e *entry) {
@@ -367,15 +369,15 @@ func (s *Sharded) put(k Key, value []byte, v any, codec Codec) error {
 		// capacity: a new slate's entry goes in pinned, at GetDecoded.
 		s.trimLocked(sh)
 	} else {
-		// The slate goes in before the insert: making room may evict
-		// this very entry (every other one pinned or flushing), and what
-		// an eviction saves must be the new slate.
-		e.dirty = true
+		// The slate goes in before the trim: making room may evict this
+		// very entry (every other one pinned or flushing), and what an
+		// eviction saves must be the new slate.
 		s.insertLocked(sh, e)
+		sh.markDirtyLocked(e)
 		s.trimLocked(sh)
 	}
 	// An entry that evicted itself was saved by the eviction: clean.
-	if s.cfg.Policy != WriteThrough || s.cfg.Store == nil || !e.dirty || e.pins > 0 {
+	if s.cfg.Policy != WriteThrough || s.cfg.Store == nil || !e.isDirty() || e.pins > 0 {
 		sh.mu.Unlock()
 		return nil
 	}
@@ -396,12 +398,18 @@ func (s *Sharded) Delete(k Key) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[k]; ok {
-		sh.unpoisonLocked(e)
-		e.unlink()
-		delete(sh.items, k)
-		delete(sh.dirty, k)
-		s.removals.Add(1)
+		s.dropLocked(sh, e)
 	}
+}
+
+// dropLocked takes e out of sh: its map, both lists and the poisoned
+// count. Caller holds sh.mu.
+func (s *Sharded) dropLocked(sh *shard, e *entry) {
+	sh.unpoisonLocked(e)
+	e.unlink()
+	e.unlinkDirty()
+	delete(sh.items, e.key)
+	s.removals.Add(1)
 }
 
 // Removals counts the slates that have stopped being resident: evicted,
@@ -412,7 +420,7 @@ func (s *Sharded) Delete(k Key) {
 // conclusion while the count holds.
 func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 
-// insertLocked adds a new entry to sh; the caller trims the shard back
+// insertLocked adds a new, clean entry to sh; the caller trims the shard back
 // to its capacity after. Caller holds sh.mu. The entry keeps its own
 // copy of the key, in its block (newEntry): a key taken off an event may
 // share the memory of the frame or document it arrived in, which a
@@ -421,9 +429,6 @@ func (s *Sharded) Removals() uint64 { return s.removals.Load() }
 func (s *Sharded) insertLocked(sh *shard, e *entry) {
 	sh.pushFront(e)
 	sh.items[e.key] = e
-	if e.dirty {
-		sh.dirty[e.key] = e
-	}
 }
 
 // trimLocked evicts until the shard is within its capacity or nothing
@@ -446,7 +451,7 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 		if e.pins > 0 || e.flushing {
 			continue
 		}
-		if e.dirty && s.cfg.Store != nil {
+		if e.isDirty() && s.cfg.Store != nil {
 			// Interval and OnEvict save a dirty slate on eviction, and
 			// so does WriteThrough one whose own save failed: a one-record
 			// batch, under the shard lock like a load. A slate that does
@@ -467,12 +472,8 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 				continue
 			}
 		}
-		sh.unpoisonLocked(e)
-		e.unlink()
-		delete(sh.items, e.key)
-		delete(sh.dirty, e.key)
+		s.dropLocked(sh, e)
 		sh.stats.Evictions++
-		s.removals.Add(1)
 		return true
 	}
 	return false
@@ -482,10 +483,10 @@ func (s *Sharded) evictLocked(sh *shard) bool {
 // flight.
 var errSaving = errors.New("slate: a save of this slate is in flight")
 
-// takeLocked hands a dirty entry to a save: it materializes the
-// entry's encoding and, with a store to save to, marks the entry
-// flushing — no longer dirty, not yet durable, and until the save
-// settles exempt from eviction. An entry already flushing is left
+// takeLocked hands a dirty entry to a save (there is a store): it
+// materializes the entry's encoding and marks the entry flushing — no
+// longer dirty, not yet durable, and until the save settles exempt
+// from eviction. An entry already flushing is left
 // dirty (errSaving): two saves of one slate in flight could land in
 // either order. A failed encode also leaves the entry dirty and is
 // returned. Caller holds sh.mu and has checked e.pins == 0.
@@ -496,17 +497,28 @@ func (s *Sharded) takeLocked(sh *shard, e *entry) (BatchRecord, error) {
 	if err := s.encodeLocked(sh, e); err != nil {
 		return BatchRecord{}, err
 	}
-	e.dirty = false
-	delete(sh.dirty, e.key)
-	e.flushing = s.cfg.Store != nil
+	e.unlinkDirty()
+	e.flushing = true
 	return BatchRecord{K: e.key, Value: e.value, TTL: s.ttl(e.key), e: e}, nil
 }
 
-// markDirtyLocked puts e on its shard's dirty list. Caller holds sh.mu.
+// markDirtyLocked puts e, which is resident in sh, at the end of sh's
+// dirty list unless it is on it already. Caller holds sh.mu.
 func (sh *shard) markDirtyLocked(e *entry) {
-	if !e.dirty {
-		e.dirty = true
-		sh.dirty[e.key] = e
+	if e.dnext == nil {
+		e.dprev, e.dnext = sh.dirty.dprev, &sh.dirty
+		e.dprev.dnext, e.dnext.dprev = e, e
+	}
+}
+
+// isDirty reports whether e holds an update no save has taken.
+func (e *entry) isDirty() bool { return e.dnext != nil }
+
+// unlinkDirty takes e off the dirty list it is on, if any.
+func (e *entry) unlinkDirty() {
+	if e.dnext != nil {
+		e.dprev.dnext, e.dnext.dprev = e.dnext, e.dprev
+		e.dprev, e.dnext = nil, nil
 	}
 }
 
@@ -518,8 +530,13 @@ func (sh *shard) markDirtyLocked(e *entry) {
 // one is set). It returns the number of slates durably written. An entry
 // handed to a batch is marked flushing — un-evictable — until its
 // batch's store write has returned; failed batches are re-marked dirty
-// and retried by the next flush.
+// and retried by the next flush. A cache with no store has nowhere to
+// write: FlushDirty returns at once, and its slates stay dirty — an
+// update nothing has saved.
 func (s *Sharded) FlushDirty() (int, error) {
+	if s.cfg.Store == nil {
+		return 0, nil
+	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	start := time.Now()
@@ -530,7 +547,9 @@ func (s *Sharded) FlushDirty() (int, error) {
 	}()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, e := range sh.dirty {
+		next := sh.dirty.dnext
+		for e := next; e != &sh.dirty; e = next {
+			next = e.dnext // takeLocked unlinks e
 			// A pinned entry's decoded object is being mutated by an
 			// updater right now; leave it dirty for the next flush. A
 			// stale entry encodes here — once per flush batch, not per
@@ -548,9 +567,6 @@ func (s *Sharded) FlushDirty() (int, error) {
 		return 0, nil
 	}
 	s.flushes.Add(1)
-	if s.cfg.Store == nil {
-		return 0, nil
-	}
 	var firstErr error
 	flushed := 0
 	for rest := recs; len(rest) > 0; {
@@ -644,7 +660,7 @@ func (s *Sharded) settleChunk(chunk []BatchRecord, failed bool) []BatchRecord {
 		sh := s.shardFor(r.K)
 		sh.mu.Lock()
 		sh.settleLocked(r.e, failed)
-		if !failed && s.cfg.Policy == WriteThrough && r.e.dirty && r.e.pins == 0 && sh.items[r.K] == r.e {
+		if !failed && s.cfg.Policy == WriteThrough && r.e.isDirty() && r.e.pins == 0 && sh.items[r.K] == r.e {
 			if rec, err := s.takeLocked(sh, r.e); err == nil {
 				again = append(again, rec)
 			}
@@ -683,15 +699,15 @@ func (s *Sharded) Crash() (dirtyLost int) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.items {
-			if e.dirty {
+			if e.isDirty() {
 				dirtyLost++
 				sh.stats.DirtyLost++
+				e.unlinkDirty()
 			}
 		}
 		s.removals.Add(uint64(len(sh.items)))
 		sh.items = make(map[Key]*entry)
-		sh.dirty = make(map[Key]*entry)
-		sh.clearLRU()
+		sh.clearLists()
 		sh.stats.Poisoned = 0
 		sh.dead = true
 		sh.mu.Unlock()
@@ -853,10 +869,6 @@ func (s *Sharded) Scan(updater string, read FieldReader, n int, fn func(CacheRow
 // pinWait bounds how long one Scan waits, in all, for updaters to
 // finish the updates they are in the middle of.
 const pinWait = 10 * time.Millisecond
-
-// Shards reports the number of stripes (for distribution tests and
-// status endpoints).
-func (s *Sharded) Shards() int { return len(s.shards) }
 
 // FlushStats snapshots the group-commit counters.
 func (s *Sharded) FlushStats() FlushStats {

@@ -129,10 +129,10 @@ func TestShardedGroupCommitBatches(t *testing.T) {
 	if fstats.Flushes != 1 || fstats.Batches != 3 || fstats.Records != 250 || fstats.Errors != 0 {
 		t.Fatalf("flush stats = %+v", fstats)
 	}
-	if got := s.BatchSizes().Count(); got != 3 {
+	if got := s.BatchSizes().Snapshot().Count; got != 3 {
 		t.Fatalf("batch size samples = %d, want 3", got)
 	}
-	if got := s.FlushLatency().Count(); got != 1 {
+	if got := s.FlushLatency().Snapshot().Count; got != 1 {
 		t.Fatalf("flush latency samples = %d, want 1", got)
 	}
 	if s.DirtyCount() != 0 {
